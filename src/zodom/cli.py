@@ -51,6 +51,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for depths, heights and level counts (at least 1)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(key, value):
     print(f"{key}={value}")
 
@@ -322,14 +333,14 @@ def _build_parser() -> _ArgumentParser:
     add("free", _cmd_free, "freeness (density) of the odometer").add_argument("file")
     p = add("tower", _cmd_tower, "approximating tower and dual chain")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_positive_int, default=4)
     p = add("simulate", _cmd_simulate, "walk the finite approximant")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_positive_int, default=4)
     p.add_argument("--steps", type=int, default=8)
     p = add("spectrum", _cmd_spectrum, "rational eigenvalues up to a height")
     p.add_argument("file")
-    p.add_argument("--height", type=int, default=4)
+    p.add_argument("--height", type=_positive_int, default=4)
     p = add("dual", _cmd_dual, "dual lattice of a rational lattice")
     p.add_argument("--lattice", required=True, help='e.g. "[2,1;0,3]"')
     p = add("tau", _cmd_tau, "trace of the explicit cocycle for (G, h)")
@@ -337,10 +348,10 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--h", required=True, help='dual vector, e.g. "1/2,0"')
     p = add("h1", _cmd_h1, "first cohomology presentation")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_positive_int, default=4)
     p = add("coinv", _cmd_coinv, "co-invariants with level verification")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_positive_int, default=3)
     p = add("classify", _cmd_classify, "decide one of the four equivalences")
     p.add_argument("--relation", required=True, choices=["conj", "iso", "coe", "oe"])
     p.add_argument("file_a")
@@ -348,7 +359,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--bound", type=int, default=20)
     p.add_argument("--all-witnesses", action="store_true")
     p = add("rigid", _cmd_rigid, "inductive rigid construction")
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--levels", type=_positive_int, default=3)
     p.add_argument("--verify", action="store_true")
     p = add("verify", _cmd_verify, "run an acceptance suite")
     p.add_argument("--suite", default="paper")

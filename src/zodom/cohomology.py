@@ -20,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import lcm
 
 from .hgroup import HGroup, Tower, _require_local, canonicalize, superindex, tower
 from .linalg import IntegerSolver, Lattice, Supernatural, snf
@@ -127,10 +127,6 @@ class Cocycle1:
         return f"Cocycle1(card={self.quotient.card}, d={self.quotient.d})"
 
 
-def eval_cocycle(theta: Cocycle1, x, n) -> int:
-    return theta.evaluate(x, n)
-
-
 def alpha_map(theta: Cocycle1):
     """The dual vector h in G* with theta(0 + G, g) = <g, h> for g in G."""
     g = theta.quotient.lattice
@@ -151,8 +147,8 @@ def generator_pair(g: Lattice):
         raise BadGeneratorsError("generator pairs are a d=2 construction")
     if not g.is_integral():
         raise BadGeneratorsError("quotient lattice must be integral")
-    c1, c2 = g.basis_columns()
-    return (int(c1[0]), int(c1[1])), (int(c2[0]), int(c2[1]))
+    (h11, h12), (h21, h22) = g.mat
+    return (h11, h21), (h12, h22)
 
 
 def _check_pair(g: Lattice, pair):
@@ -167,7 +163,11 @@ def _check_pair(g: Lattice, pair):
 
 
 def parallelogram_domain(g: Lattice, pair=None):
-    """Integer points of {s(a,b) + t(c,d) : 0 <= s,t < 1}, sorted."""
+    """Integer points of {s(a,b) + t(c,d) : 0 <= s,t < 1}, sorted.
+
+    With det = ad - bc > 0, the coordinates are s = (dx - cy)/det and
+    t = (ay - bx)/det, so 0 <= s,t < 1 compares the numerators with det.
+    """
     pair = _check_pair(g, pair or generator_pair(g))
     (a, b), (c, d) = pair
     det = a * d - b * c
@@ -175,9 +175,7 @@ def parallelogram_domain(g: Lattice, pair=None):
     xs = range(min(0, a, c, a + c), max(0, a, c, a + c) + 1)
     ys = range(min(0, b, d, b + d), max(0, b, d, b + d) + 1)
     for x, y in itertools.product(xs, ys):
-        s = Fraction(d * x - c * y, det)
-        t = Fraction(-b * x + a * y, det)
-        if 0 <= s < 1 and 0 <= t < 1:
+        if 0 <= d * x - c * y < det and 0 <= a * y - b * x < det:
             pts.append((x, y))
     if len(pts) != det:
         raise BadGeneratorsError("fundamental domain has the wrong cardinality")
@@ -185,14 +183,15 @@ def parallelogram_domain(g: Lattice, pair=None):
 
 
 def _domain_reducer(pair):
+    """v -> v - floor(s)(a,b) - floor(t)(c,d), the representative of v in
+    the half-open parallelogram (det = ad - bc > 0, so floor is //)."""
     (a, b), (c, d) = pair
     det = a * d - b * c
 
     def rep(v):
         x, y = int(v[0]), int(v[1])
-        s = Fraction(d * x - c * y, det)
-        t = Fraction(-b * x + a * y, det)
-        fs, ft = floor(s), floor(t)
+        fs = (d * x - c * y) // det
+        ft = (a * y - b * x) // det
         return (x - fs * a - ft * c, y - fs * b - ft * d)
 
     return rep
@@ -203,14 +202,16 @@ def build_cocycle(g: Lattice, h, pair=None) -> Cocycle1:
 
     theta(x + G, n) = <g', h> where rep(x) + n = rep(rep(x) + n) + g' over the
     fundamental domain: the interval {0..m-1} for d = 1, the half-open
-    parallelogram of the generator pair for d = 2.
+    parallelogram of the generator pair for d = 2.  The pairing is taken in
+    integers: h = h_num / den over the common denominator of its entries.
     """
     if not g.is_integral():
         raise BadGeneratorsError("quotient lattice must be integral")
-    h = tuple(Fraction(x) for x in h)
-    for col in g.basis_columns():
-        pairing = sum(x * y for x, y in zip(col, h))
-        if pairing.denominator != 1:
+    h = [Fraction(x) for x in h]
+    den = lcm(*(x.denominator for x in h))
+    h_num = [x.numerator * (den // x.denominator) for x in h]
+    for col in zip(*g.mat):
+        if sum(x * y for x, y in zip(col, h_num)) % den:
             raise ValueError("h must pair integrally with the lattice (h in G*)")
     quotient = FiniteOdometer(g)
     if g.d == 1:
@@ -225,17 +226,16 @@ def build_cocycle(g: Lattice, h, pair=None) -> Cocycle1:
     else:
         raise BadGeneratorsError("explicit cocycles are provided for d <= 2 only")
 
-    units = [tuple(1 if k == i else 0 for k in range(g.d)) for i in range(g.d)]
-    vals = []
-    for unit in units:
-        column = {}
-        for x in quotient.reps:
-            k1 = rep(x)
-            w = tuple(k1[i] + unit[i] for i in range(g.d))
-            gp = tuple(w[i] - rep(w)[i] for i in range(g.d))
-            value = sum(a * b for a, b in zip(gp, h))
-            column[x] = int(value)
-        vals.append(column)
+    vals = [{} for _ in range(g.d)]
+    for x in quotient.reps:
+        k1 = rep(x)
+        for i, column in enumerate(vals):
+            w = list(k1)
+            w[i] += 1
+            pairing = sum((a - b) * c for a, b, c in zip(w, rep(w), h_num))
+            if pairing % den:
+                raise ArithmeticError("domain step left the lattice")
+            column[x] = pairing // den
     return Cocycle1(quotient, vals)
 
 

@@ -13,10 +13,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .hgroup import HGroup, Tower, direct_sum, member_h, tower
-from .linalg import Lattice, Mat, index, lattice_block, snf, subspace_contains
+from .linalg import Lattice, index, lattice_block, snf, subspace_contains
 
 
 class NotSubgroupError(ValueError):
@@ -73,10 +73,6 @@ class FiniteOdometer:
 
     def __repr__(self):
         return f"FiniteOdometer(card={self.card}, diag={self._diag})"
-
-
-def act(f: FiniteOdometer, k, x):
-    return f.act(k, x)
 
 
 class TowerSystem:
@@ -164,6 +160,23 @@ def spectrum(h: HGroup, height: int):
 # duality: Y_K vs Z^d/K* via SNF of the inclusion matrix
 
 
+def _int_matmul(a, b):
+    """Product of integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _divide_columns(a, divisors):
+    """a . diag(divisors)^-1, which must be an integer matrix."""
+    if any(x % q for row in a for x, q in zip(row, divisors)):
+        raise ArithmeticError("Smith transforms are inconsistent")
+    return [[x // q for x, q in zip(row, divisors)] for row in a]
+
+
 class DualityRealization:
     """Character-group model of Y_K = dual(K/Z^d) for Z^d <= K of finite index.
 
@@ -171,68 +184,91 @@ class DualityRealization:
     is Z^d/M Z^d in K-coordinates; SNF U M V = S identifies it with
     + Z/s_i, whose characters are integer tuples t modulo the invariant
     factors.  Translation by n adds the tuple s * (U^-T B_K^T n) mod s, and
-    the conjugacy onto Z^d/K* sends t to the class of V^-T t.
+    the conjugacy onto Z^d/K* sends t to the class of V^-T t.  Every map is
+    precomputed as an integer matrix, so the per-character work is integer
+    dot products reduced mod s.
     """
 
     def __init__(self, k: Lattice):
-        zd = Lattice.standard(k.d)
-        if not k.contains(zd):
-            raise NotSubgroupError("K must contain Z^d")
         self.k = k
         self.d = k.d
         self.basis = k.basis()
         m = self.basis.inv()
         if not m.is_integer():
             raise NotSubgroupError("K must contain Z^d")
-        u, s, v = snf([[int(x) for x in row] for row in m.rows])
+        self._m_rows = [[int(x) for x in row] for row in m.rows]
+        u, s, v = snf(self._m_rows)
         self.snf_diag = tuple(s[i][i] for i in range(k.d))
-        self._u_t = Mat(u).transpose()
-        self._u_inv_t = Mat(u).inv().transpose()
-        self._v_inv_t = Mat(v).inv().transpose()
+        self._u_rows = u
+        # U M V = S gives U^-1 = M V S^-1 and V^-1 = S^-1 U M
+        self._u_inv_rows = _divide_columns(_int_matmul(self._m_rows, v), self.snf_diag)
+        # diag(s) . U^-T . B_K^T with B_K = mat / den: integral iff every
+        # translation character is
+        shift = _int_matmul(_transpose(self._u_inv_rows), _transpose(k.mat))
+        shift = [[si * x for x in row] for si, row in zip(self.snf_diag, shift)]
+        if any(x % k.den for row in shift for x in row):
+            raise ArithmeticError("translation character must be integral")
+        self._shift_rows = [[x // k.den for x in row] for row in shift]
         # integer rows of V^-T for the hot conjugacy map
-        self._v_inv_t_rows = [[int(x) for x in row] for row in self._v_inv_t.rows]
+        self._v_inv_t_rows = _divide_columns(
+            _transpose(_int_matmul(u, self._m_rows)), self.snf_diag
+        )
+        self._restrictions = {}
         self.points = tuple(itertools.product(*[range(si) for si in self.snf_diag]))
-        self.quotient = FiniteOdometer(k.dual())
+        # K* has basis B_K^-T, whose columns are the rows of M
+        self.quotient = FiniteOdometer(Lattice.from_span(k.d, self._m_rows))
 
     def card(self) -> int:
         return len(self.points)
 
     def translation_tuple(self, n):
         """Character of the rotation by n, in invariant-factor coordinates."""
-        y = self.basis.transpose().apply(n)
-        w = self._u_inv_t.apply(y)
-        out = []
-        for si, wi in zip(self.snf_diag, w):
-            ti = si * wi
-            if ti.denominator != 1:
-                raise ArithmeticError("translation character must be integral")
-            out.append(int(ti) % si)
-        return tuple(out)
+        return tuple(
+            sum(r * x for r, x in zip(row, n)) % si
+            for row, si in zip(self._shift_rows, self.snf_diag)
+        )
+
+    def _shifted(self, t, shift):
+        return tuple((a + b) % si for a, b, si in zip(t, shift, self.snf_diag))
 
     def translate(self, n, t):
-        shift = self.translation_tuple(n)
-        return tuple((a + b) % si for a, b, si in zip(t, shift, self.snf_diag))
+        return self._shifted(t, self.translation_tuple(n))
 
     def to_quotient(self, t):
         """The conjugacy h_K: character tuple -> coset of K* in Z^d."""
         img = [sum(r * x for r, x in zip(row, t)) for row in self._v_inv_t_rows]
         return self.quotient.reduce(img)
 
+    def _restriction(self, sub: "DualityRealization"):
+        """Integer rows R and denominator L with restrict_tuple(t) = R t / L
+        mod sub's factors: R = diag(s') U'^-T C^T U^T diag(L / s), where C is
+        the K1-basis in K-coordinates and L = lcm(s)."""
+        cached = self._restrictions.get(sub)
+        if cached is not None:
+            return cached
+        c = _int_matmul(self._m_rows, sub.k.mat)
+        if any(x % sub.k.den for row in c for x in row):
+            raise NotSubgroupError("K1 must be contained in K2")
+        c_t = [[x // sub.k.den for x in col] for col in zip(*c)]
+        a = _int_matmul(_int_matmul(_transpose(sub._u_inv_rows), c_t), _transpose(self._u_rows))
+        den = lcm(*self.snf_diag)
+        rows = [
+            [si * x * (den // sj) for x, sj in zip(row, self.snf_diag)]
+            for si, row in zip(sub.snf_diag, a)
+        ]
+        self._restrictions[sub] = rows, den
+        return rows, den
+
     def restrict_tuple(self, t, sub: "DualityRealization"):
         """Restriction of the character to a smaller K1 <= K (sub must satisfy
         K1 <= K); returns the tuple in sub's coordinates."""
-        c = self.basis.inv() * sub.basis  # K1-basis in K-coordinates
-        if not c.is_integer():
-            raise NotSubgroupError("K1 must be contained in K2")
-        frac_t = tuple(Fraction(ti, si) for ti, si in zip(t, self.snf_diag))
-        y = c.transpose().apply(self._u_t.apply(frac_t))
-        w = sub._u_inv_t.apply(y)
+        rows, den = self._restriction(sub)
         out = []
-        for si, wi in zip(sub.snf_diag, w):
-            ti = si * wi
-            if ti.denominator != 1:
+        for row, si in zip(rows, sub.snf_diag):
+            num = sum(r * x for r, x in zip(row, t))
+            if num % den:
                 raise ArithmeticError("restricted character must be integral")
-            out.append(int(ti) % si)
+            out.append(num // den % si)
         return tuple(out)
 
 
@@ -243,17 +279,16 @@ def duality_check(k: Lattice, samples: int = 5, rng: random.Random | None = None
     zd = Lattice.standard(k.d)
     if real.card() != int(index(zd, k)) or real.card() != real.quotient.card:
         return False
-    images = {real.to_quotient(t) for t in real.points}
-    if images != set(real.quotient.reps):
+    images = {t: real.to_quotient(t) for t in real.points}
+    if set(images.values()) != set(real.quotient.reps):
         return False
-    if real.to_quotient((0,) * k.d) != (0,) * k.d:
+    if images[(0,) * k.d] != (0,) * k.d:
         return False
     for _ in range(samples):
         n = tuple(rng.randint(-8, 8) for _ in range(k.d))
-        for t in real.points:
-            lhs = real.to_quotient(real.translate(n, t))
-            rhs = real.quotient.act(n, real.to_quotient(t))
-            if lhs != rhs:
+        shift = real.translation_tuple(n)
+        for t, x in images.items():
+            if images[real._shifted(t, shift)] != real.quotient.act(n, x):
                 return False
     return True
 
@@ -267,18 +302,15 @@ def duality_square_check(
     if not k2.contains(k1):
         raise NotSubgroupError("K1 must be contained in K2")
     big, small = DualityRealization(k2), DualityRealization(k1)
-    for t in big.points:
-        restricted = big.restrict_tuple(t, small)
-        lhs = small.to_quotient(restricted)
-        rhs = small.quotient.reduce(big.to_quotient(t))
-        if lhs != rhs:
+    restricted = {t: big.restrict_tuple(t, small) for t in big.points}
+    for t, r in restricted.items():
+        if small.to_quotient(r) != small.quotient.reduce(big.to_quotient(t)):
             return False
     for _ in range(samples):
         n = tuple(rng.randint(-6, 6) for _ in range(k1.d))
-        for t in big.points:
-            a = big.restrict_tuple(big.translate(n, t), small)
-            b = small.translate(n, big.restrict_tuple(t, small))
-            if a != b:
+        big_shift, small_shift = big.translation_tuple(n), small.translation_tuple(n)
+        for t, r in restricted.items():
+            if restricted[big._shifted(t, big_shift)] != small._shifted(r, small_shift):
                 return False
     return True
 

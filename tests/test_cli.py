@@ -153,6 +153,26 @@ def test_usage_errors(capsys):
     assert main(["classify", "--relation", "nope", "a", "b"]) == EX_USAGE
 
 
+@pytest.mark.parametrize(
+    "verb, option",
+    [
+        ("tower", "--depth"),
+        ("simulate", "--depth"),
+        ("spectrum", "--height"),
+        ("h1", "--depth"),
+        ("coinv", "--depth"),
+        ("rigid", "--levels"),
+    ],
+)
+def test_count_below_one_is_usage_error(grp, capsys, verb, option):
+    argv = [verb] + ([] if verb == "rigid" else [grp("class35_1a")]) + [option, "0"]
+    assert main(argv) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and "at least 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_syntax_error_offset(tmp_path, capsys):
     bad = tmp_path / "bad.grp"
     bad.write_text("oplus(Z[1/2], Q)", encoding="utf-8")

@@ -1,17 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
 from zodom.cohomology import (
     BadGeneratorsError,
     Cocycle1,
+    _domain_reducer,
     CoboundarySolver,
     alpha_map,
     build_cocycle,
     coboundary_between,
     coinvariants,
-    eval_cocycle,
     generator_pair,
     h1_presentation,
     is_coboundary_of,
@@ -55,7 +57,7 @@ def test_eval_epsilon_is_coordinate():
     for _ in range(20):
         x = rng.choice(q.reps)
         n = (rng.randint(-7, 7), rng.randint(-7, 7))
-        assert eval_cocycle(eps1, x, n) == n[0]
+        assert eps1.evaluate(x, n) == n[0]
 
 
 def test_eval_coboundary_formula():
@@ -185,6 +187,72 @@ def test_build_cocycle_d3_refused():
     g = Lattice.from_span(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(BadGeneratorsError):
         build_cocycle(g, (F(1, 2), 0, 0))
+
+
+def _fraction_reducer(pair):
+    """The floor(Fraction) parallelogram reducer, as a reference."""
+    (a, b), (c, d) = pair
+    det = a * d - b * c
+
+    def rep(v):
+        x, y = v
+        fs = floor(F(d * x - c * y, det))
+        ft = floor(F(-b * x + a * y, det))
+        return (x - fs * a - ft * c, y - fs * b - ft * d)
+
+    return rep
+
+
+def test_integer_domain_reducer_matches_fraction_floor():
+    rng = random.Random(31)
+    pairs = [generator_pair(random_quotient(rng)) for _ in range(30)]
+    pairs += [((2, 0), (2, 3)), ((3, 1), (1, 2)), ((1, 0), (0, 1)), ((7, 5), (4, 3))]
+    box = list(itertools.product(range(-15, 16), repeat=2))
+    for pair in pairs:
+        fast, ref = _domain_reducer(pair), _fraction_reducer(pair)
+        assert all(fast(v) == ref(v) for v in box), pair
+
+
+def test_integer_domain_matches_fraction_coordinates():
+    rng = random.Random(32)
+    for _ in range(30):
+        g = random_quotient(rng)
+        dom, ((a, b), (c, d)) = parallelogram_domain(g)
+        det = a * d - b * c
+        ref = [
+            (x, y)
+            for x in range(-30, 31)
+            for y in range(-30, 31)
+            if 0 <= F(d * x - c * y, det) < 1 and 0 <= F(-b * x + a * y, det) < 1
+        ]
+        assert dom == ref
+
+
+def test_integer_pairing_matches_fraction_pairing():
+    rng = random.Random(33)
+    for _ in range(30):
+        g = random_quotient(rng, max_index=60)
+        h = random_dual_vector(rng, g)
+        theta = build_cocycle(g, h)
+        rep = _fraction_reducer(generator_pair(g))
+        for i, unit in enumerate([(1, 0), (0, 1)]):
+            for x in theta.quotient.reps:
+                k1 = rep(x)
+                w = (k1[0] + unit[0], k1[1] + unit[1])
+                value = sum((wi - ri) * hi for wi, ri, hi in zip(w, rep(w), h))
+                assert value.denominator == 1
+                assert theta.gen_values[i][x] == value
+
+
+def test_build_cocycle_rejects_vectors_outside_dual():
+    g = Lattice.from_span(2, [(2, 1), (0, 3)])  # G* is spanned by (1/2, 0), (-1/6, 1/3)
+    for h in [(F(1, 2), 0), (F(-1, 6), F(1, 3)), (F(1, 3), F(1, 3))]:
+        assert alpha_map(build_cocycle(g, h)) == h
+    for h in [(F(1, 3), 0), (0, F(1, 6)), (F(1, 4), F(1, 3)), (F(1, 2), F(1, 6))]:
+        with pytest.raises(ValueError):
+            build_cocycle(g, h)
+    with pytest.raises(ValueError):
+        build_cocycle(Lattice.from_span(1, [(7,)]), (F(1, 14),))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ import pytest
 
 from zodom.gdsl import parse_group
 from zodom.hgroup import HGroup, is_free, tower
-from zodom.linalg import Lattice, index
+from zodom.linalg import Lattice, Mat, index, snf
 from zodom.odometer import (
+    DualityRealization,
     FiniteOdometer,
     NotSubgroupError,
     TowerSystem,
-    act,
     duality_check,
     duality_square_check,
     factor_map_check,
@@ -19,21 +19,9 @@ from zodom.odometer import (
     product_check,
     spectrum,
 )
+from zodom.verify import sublattices_z2
 
 F = Fraction
-
-
-def sublattices_z2(max_index):
-    """All G <= Z^2 with [Z^2 : G] <= max_index, via HNF shapes [[a,0],[b,c]]."""
-    out = []
-    for m in range(1, max_index + 1):
-        for a in range(1, m + 1):
-            if m % a:
-                continue
-            c = m // a
-            for b in range(c):
-                out.append(Lattice.from_span(2, [(a, b), (0, c)]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +192,61 @@ def test_duality_square_nested_pairs():
         count += 1
 
 
+class _FractionDuality:
+    """The Fraction formulas for the character maps, as a reference:
+    translation by n is s * (U^-T B_K^T n) mod s, and restriction to K1 <= K
+    is s1 * (U1^-T C^T U^T (t / s)) mod s1 with C the K1-basis in K-coordinates."""
+
+    def __init__(self, k):
+        self.basis = k.basis()
+        u, s, _ = snf([[int(x) for x in row] for row in self.basis.inv().rows])
+        self.s = [s[i][i] for i in range(k.d)]
+        self.u_t = Mat(u).transpose()
+        self.u_inv_t = Mat(u).inv().transpose()
+
+    def _reduce(self, w):
+        out = []
+        for si, wi in zip(self.s, w):
+            assert (si * wi).denominator == 1
+            out.append(int(si * wi) % si)
+        return tuple(out)
+
+    def translation_tuple(self, n):
+        return self._reduce(self.u_inv_t.apply(self.basis.transpose().apply(n)))
+
+    def restriction(self, sub):
+        c = self.basis.inv() * sub.basis
+        m = sub.u_inv_t * c.transpose() * self.u_t
+        return lambda t: sub._reduce(m.apply([F(ti, si) for ti, si in zip(t, self.s)]))
+
+
+def test_integer_character_maps_match_fraction_formulas():
+    rng = random.Random(30)
+    zd = Lattice.standard(2)
+    for g in sublattices_z2(30):
+        k = g.dual()
+        real, ref = DualityRealization(k), _FractionDuality(k)
+        assert list(real.snf_diag) == ref.s
+        for _ in range(4):
+            n = (rng.randint(-40, 40), rng.randint(-40, 40))
+            assert real.translation_tuple(n) == ref.translation_tuple(n)
+        # K1 between Z^d and K: Z^d, K, and Z^d + Z c for each basis column c of K
+        subs = {zd, k} | {Lattice.from_span(2, [c, (1, 0), (0, 1)]) for c in k.basis_columns()}
+        for k1 in subs:
+            small, restrict = DualityRealization(k1), ref.restriction(_FractionDuality(k1))
+            for t in rng.sample(real.points, min(6, len(real.points))):
+                assert real.restrict_tuple(t, small) == restrict(t)
+
+
+def test_restrict_tuple_rejects_non_nested():
+    big = DualityRealization(Lattice.from_span(2, [(F(1, 2), 0), (0, 1)]))
+    other = DualityRealization(Lattice.from_span(2, [(F(1, 3), 0), (0, 1)]))
+    with pytest.raises(NotSubgroupError):
+        big.restrict_tuple((1, 0), other)
+    small = DualityRealization(Lattice.standard(2))
+    assert big.restrict_tuple((1, 0), small) == (0, 0)
+
+
 def test_duality_square_rejects_non_nested():
     k1 = Lattice.from_span(2, [(F(1, 2), 0), (0, 1)])
     k2 = Lattice.from_span(2, [(F(1, 3), 0), (0, 1)])
@@ -237,6 +280,8 @@ def test_factor_map_examples():
         )
 
 
-def test_act_function_alias():
+def test_act_is_reduced_translation():
     f = FiniteOdometer(Lattice.from_span(2, [(2, 1), (0, 3)]))
-    assert act(f, (1, 0), (0, 0)) == f.act((1, 0), (0, 0))
+    for k in [(1, 0), (0, 1), (-3, 5), (2, 3)]:
+        for x in f.reps:
+            assert f.act(k, x) == f.reduce((k[0] + x[0], k[1] + x[1]))
