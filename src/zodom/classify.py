@@ -10,8 +10,16 @@ Decision strategy, in order:
   determine candidate matrices up to signs (isomorphism) or signs plus a
   per-prime valuation system (continuous orbit equivalence); the finitely
   many candidates are tested exactly, so YES and NO are both complete;
-* otherwise a bounded search over matrices with small entries, returning
-  UNKNOWN on exhaustion.
+* otherwise a bounded search over alpha = (1/q) [[a, b], [c, e]] with
+  entries at most ``bound`` and det alpha = +-1: q = 1 for isomorphism,
+  q = 1..bound for continuous orbit equivalence under a budget of
+  COE_BUDGET triples (a, b, c).  It returns the first witness in scan
+  order, and UNKNOWN on exhaustion with a certificate stating the coverage
+  reached.
+
+Isomorphism and continuous orbit equivalence share these steps; they
+differ in the per-prime profile compared, the line-tier scales and
+admissibility test, and the denominators searched.
 
 YES verdicts are sound in every dimension (sufficiency holds for all d);
 NO verdicts for d >= 3 carry a flag because necessity of the criteria is
@@ -276,7 +284,7 @@ def _sort_key(m: Mat):
 
 
 # ---------------------------------------------------------------------------
-# isomorphism
+# isomorphism and continuous orbit equivalence: one witness search
 
 
 def decide_isomorphism(
@@ -286,128 +294,13 @@ def decide_isomorphism(
     _require_free(h, hp)
     if h.d != hp.d:
         return Verdict(ISO, NO, certificate=Certificate("dimension", f"d={h.d} vs d={hp.d}"))
-    d = h.d
-    if d == 1:
+    if h.d == 1:
         # GL_1(Z) = {+-1} and -H = H, so isomorphism collapses to equality
         if equal_h(h, hp):
             wits = (Mat([[1]]), Mat([[-1]])) if all_witnesses else ()
             return Verdict(ISO, YES, witness=Mat([[1]]), witnesses=wits)
         return Verdict(ISO, NO, certificate=_superindex_cert(h, hp))
-    cert = _superindex_mismatch(h, hp)
-    if cert is not None:
-        return Verdict(ISO, NO, certificate=cert)
-    cert = _iso_profile_ok(h, hp)
-    if cert is not None:
-        return Verdict(ISO, NO, certificate=cert)
-    if d >= 3:
-        if equal_h(h, hp):
-            return Verdict(ISO, YES, witness=Mat.identity(d))
-        return Verdict(
-            ISO,
-            UNKNOWN,
-            certificate=Certificate("search-exhausted", "no decision procedure for d >= 3"),
-            flags=(D3_FLAG,),
-        )
-    assignment, cert = _line_assignment(h, hp)
-    if cert is not None:
-        return Verdict(ISO, NO, certificate=cert)
-    distinct = sorted(set(_lines(h).values()))
-    if len(distinct) >= 2:
-        return _iso_tier_two(h, hp, assignment, all_witnesses)
-    return _iso_bounded_search(h, hp, bound, all_witnesses)
-
-
-def _superindex_mismatch(h, hp):
-    if superindex(h) == superindex(hp):
-        return None
-    return _superindex_cert(h, hp)
-
-
-def _superindex_cert(h, hp):
-    sa, sb = superindex(h), superindex(hp)
-    return Certificate("superindex", f"{sa} vs {sb}")
-
-
-def _iso_tier_two(h, hp, assignment, all_witnesses):
-    """Two distinct divisible lines pin alpha up to signs: a unimodular
-    integral matrix sends primitive vectors to primitive vectors, so each
-    line basis maps to +- its image's basis."""
-    u1, u2 = sorted(set(_lines(h).values()))[:2]
-    v1, v2 = assignment[u1], assignment[u2]
-    frame = Mat.from_columns([u1, u2])
-    if v1 == v2:
-        return Verdict(
-            ISO, NO, certificate=Certificate("line-map", f"distinct lines {u1}, {u2} map to one line {v1}")
-        )
-    frame_inv = frame.inv()
-    found = []
-    for s1, s2 in itertools.product((1, -1), repeat=2):
-        cand = Mat.from_columns(
-            [tuple(s1 * x for x in v1), tuple(s2 * x for x in v2)]
-        ) * frame_inv
-        if not cand.is_unimodular():
-            continue
-        if _test_witness(cand, h, hp):
-            found.append(cand)
-    found.sort(key=_sort_key)
-    if found:
-        return Verdict(
-            ISO, YES, witness=found[0], witnesses=tuple(found) if all_witnesses else ()
-        )
-    return Verdict(
-        ISO,
-        NO,
-        certificate=Certificate(
-            "line-candidates-exhausted",
-            "all sign choices on the line-constrained unimodular candidates fail",
-        ),
-    )
-
-
-def _iso_bounded_search(h, hp, bound, all_witnesses):
-    if equal_h(h, hp):
-        ident = Mat.identity(h.d)
-        if not all_witnesses:
-            return Verdict(ISO, YES, witness=ident)
-    probes = _probe_vectors(h)
-    found = []
-    rng_range = range(-bound, bound + 1)
-    for a, b, c in itertools.product(rng_range, repeat=3):
-        for det in (1, -1):
-            num = det + b * c
-            if a == 0:
-                if b * c != -det:
-                    continue
-                dds = rng_range
-            else:
-                if num % a:
-                    continue
-                dds = (num // a,)
-            for dd in dds:
-                if abs(dd) > bound:
-                    continue
-                cand = Mat([[a, b], [c, dd]])
-                if abs(cand.det()) != 1:
-                    continue
-                if not _screen(cand, probes, hp):
-                    continue
-                if _test_witness(cand, h, hp):
-                    found.append(cand)
-                    if not all_witnesses:
-                        found.sort(key=_sort_key)
-                        return Verdict(ISO, YES, witness=found[0])
-    found.sort(key=_sort_key)
-    if found:
-        return Verdict(ISO, YES, witness=found[0], witnesses=tuple(found))
-    return Verdict(
-        ISO,
-        UNKNOWN,
-        certificate=Certificate("search-exhausted", f"unimodular entries <= {bound}"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# continuous orbit equivalence
+    return _witness_search(ISO, h, hp, _iso_profile_ok, _iso_line_tier, bound, all_witnesses)
 
 
 def decide_coe(
@@ -424,34 +317,100 @@ def decide_coe(
                 f"d={h.d} vs d={hp.d}: top nonvanishing cohomology degree differs",
             ),
         )
-    d = h.d
-    if d == 1:
+    if h.d == 1:
         # det +-1 forces alpha = +-1 in GL_1(Q)
         if equal_h(h, hp):
             return Verdict(COE, YES, witness=Mat([[1]]))
         return Verdict(COE, NO, certificate=_superindex_cert(h, hp))
-    cert = _superindex_mismatch(h, hp)
+    return _witness_search(COE, h, hp, _coe_profile_ok, _coe_line_tier, bound, all_witnesses)
+
+
+def _superindex_mismatch(h, hp):
+    if superindex(h) == superindex(hp):
+        return None
+    return _superindex_cert(h, hp)
+
+
+def _superindex_cert(h, hp):
+    sa, sb = superindex(h), superindex(hp)
+    return Certificate("superindex", f"{sa} vs {sb}")
+
+
+def _witness_search(relation, h, hp, profile_cert, line_tier, bound, all_witnesses):
+    """The d >= 2 steps shared by isomorphism and COE: invariants, then the
+    line tier (two distinct divisible lines) or the bounded search."""
+    cert = _superindex_mismatch(h, hp) or profile_cert(h, hp)
     if cert is not None:
-        return Verdict(COE, NO, certificate=cert)
-    cert = _coe_profile_ok(h, hp)
-    if cert is not None:
-        return Verdict(COE, NO, certificate=cert)
-    if d >= 3:
+        return Verdict(relation, NO, certificate=cert)
+    if h.d >= 3:
         if equal_h(h, hp):
-            return Verdict(COE, YES, witness=Mat.identity(d))
+            return Verdict(relation, YES, witness=Mat.identity(h.d))
         return Verdict(
-            COE,
+            relation,
             UNKNOWN,
             certificate=Certificate("search-exhausted", "no decision procedure for d >= 3"),
             flags=(D3_FLAG,),
         )
     assignment, cert = _line_assignment(h, hp)
     if cert is not None:
-        return Verdict(COE, NO, certificate=cert)
+        return Verdict(relation, NO, certificate=cert)
     distinct = sorted(set(_lines(h).values()))
-    if len(distinct) >= 2:
-        return _coe_tier_two(h, hp, assignment, all_witnesses)
-    return _coe_bounded_search(h, hp, bound, all_witnesses)
+    if len(distinct) < 2:
+        return _bounded_search(relation, h, hp, bound, all_witnesses)
+    u1, u2 = distinct[:2]
+    v1, v2 = assignment[u1], assignment[u2]
+    if v1 == v2:
+        return Verdict(
+            relation,
+            NO,
+            certificate=Certificate("line-map", f"distinct lines {u1}, {u2} map to one line {v1}"),
+        )
+    return line_tier(h, hp, Mat.from_columns([u1, u2]), Mat.from_columns([v1, v2]), all_witnesses)
+
+
+def _yes(relation, found, all_witnesses):
+    found.sort(key=_sort_key)
+    return Verdict(
+        relation, YES, witness=found[0], witnesses=tuple(found) if all_witnesses else ()
+    )
+
+
+def _sign_choices(relation, h, hp, c_inv, cp_mat, scales, admissible, all_witnesses, failure):
+    """Test alpha = C' diag(+-lambda, +-mu) C^-1 for the four sign choices,
+    keeping the candidates that pass ``admissible``."""
+    lam, mu = scales
+    found = []
+    for s1, s2 in itertools.product((1, -1), repeat=2):
+        cand = cp_mat * Mat([[s1 * lam, 0], [0, s2 * mu]]) * c_inv
+        if admissible(cand) and _test_witness(cand, h, hp):
+            found.append(cand)
+    if found:
+        return _yes(relation, found, all_witnesses)
+    return Verdict(relation, NO, certificate=Certificate("line-candidates-exhausted", failure))
+
+
+def _iso_line_tier(h, hp, c_mat, cp_mat, all_witnesses):
+    """Two distinct divisible lines pin alpha up to signs: a unimodular
+    integral matrix sends primitive vectors to primitive vectors, so each
+    line basis maps to +- its image's basis (lambda = mu = 1)."""
+    return _sign_choices(
+        ISO, h, hp, c_mat.inv(), cp_mat, (1, 1), Mat.is_unimodular, all_witnesses,
+        "all sign choices on the line-constrained unimodular candidates fail",
+    )
+
+
+def _coe_line_tier(h, hp, c_mat, cp_mat, all_witnesses):
+    """alpha = C' diag(lambda, mu) C^-1 in the frame of two distinct lines;
+    per-prime valuation equations plus the determinant relation solve for
+    lambda and mu exactly, leaving only sign choices to test."""
+    c_inv = c_mat.inv()
+    scales, cert = _valuation_scales(h, hp, c_mat, c_inv, cp_mat)
+    if cert is not None:
+        return Verdict(COE, NO, certificate=cert)
+    return _sign_choices(
+        COE, h, hp, c_inv, cp_mat, scales, lambda m: abs(m.det()) == 1, all_witnesses,
+        "line and valuation constraints admit no witness",
+    )
 
 
 def _coord_min_vals(frame_inv: Mat, h: HGroup, p: int):
@@ -478,189 +437,102 @@ def _coord_min_vals(frame_inv: Mat, h: HGroup, p: int):
     return mins, divisible_dirs
 
 
-def _coe_tier_two(h, hp, assignment, all_witnesses):
-    """alpha = C' diag(lambda, mu) C^-1 in the frame of two distinct lines;
-    per-prime valuation equations plus the determinant relation solve for
-    lambda and mu exactly, leaving only sign choices to test."""
-    u1, u2 = sorted(set(_lines(h).values()))[:2]
-    v1, v2 = assignment[u1], assignment[u2]
-    if v1 == v2:
-        return Verdict(
-            COE, NO, certificate=Certificate("line-map", f"distinct lines {u1}, {u2} map to one line {v1}")
-        )
-    c_mat = Mat.from_columns([u1, u2])
-    cp_mat = Mat.from_columns([v1, v2])
-    c_inv, cp_inv = c_mat.inv(), cp_mat.inv()
+def _valuation_scales(h, hp, c_mat, c_inv, cp_mat):
+    """(lambda, mu) = (prod p^i_p, prod p^j_p) from the per-prime system
+    i + j = v_p(det C / det C'), i or j read off each non-divisible frame
+    coordinate, and j - i read off a mixed divisible direction; or a
+    certificate that the system has no solution."""
+    cp_inv = cp_mat.inv()
     det_c, det_cp = c_mat.det(), cp_mat.det()
     primes = set(h.support()) | set(hp.support())
     primes |= set(factorint(int(abs(det_c)))) | set(factorint(int(abs(det_cp))))
-    exp_l: dict[int, int] = {}
-    exp_m: dict[int, int] = {}
+    lam = mu = Fraction(1)
     for p in sorted(primes):
         vdet = valuation(det_c / det_cp, p)
         mins, dirs = _coord_min_vals(c_inv, h, p)
         mins_p, dirs_p = _coord_min_vals(cp_inv, hp, p)
-        i = j = None
-        for k, var in ((0, "i"), (1, "j")):
+        shifts = []
+        for k in range(2):
             a, b = mins[k], mins_p[k]
-            if a == -INF and b == -INF:
-                continue
-            if a == -INF or b == -INF:
-                return Verdict(
-                    COE,
-                    NO,
-                    certificate=Certificate(
-                        "valuation-system",
-                        f"coordinate {k+1} divisible on one side only at p={p}",
-                    ),
+            if (a == -INF) != (b == -INF):
+                return None, Certificate(
+                    "valuation-system", f"coordinate {k+1} divisible on one side only at p={p}"
                 )
-            if var == "i":
-                i = b - a
-            else:
-                j = b - a
+            shifts.append(None if a == -INF else b - a)
+        i, j = shifts
         delta = None  # j - i from a mixed divisible direction
         for w, wp in zip(dirs, dirs_p):
             if all(x != 0 for x in w) and all(x != 0 for x in wp):
                 delta = (valuation(wp[1], p) - valuation(wp[0], p)) - (
                     valuation(w[1], p) - valuation(w[0], p)
                 )
-        if i is not None and j is not None:
-            if i + j != vdet or (delta is not None and j - i != delta):
-                return Verdict(
-                    COE,
-                    NO,
-                    certificate=Certificate(
-                        "valuation-system", f"inconsistent valuations at p={p}"
-                    ),
-                )
-        elif i is not None:
-            j = vdet - i
-            if delta is not None and j - i != delta:
-                return Verdict(
-                    COE,
-                    NO,
-                    certificate=Certificate(
-                        "valuation-system", f"inconsistent valuations at p={p}"
-                    ),
-                )
-        elif j is not None:
+        if i is None and j is None:
+            if delta is None:
+                i = 0  # fully divisible at p: any split works
+            elif (vdet - delta) % 2:
+                return None, Certificate("valuation-system", f"parity obstruction at p={p}")
+            else:
+                i = (vdet - delta) // 2
+        if i is None:
             i = vdet - j
-            if delta is not None and j - i != delta:
-                return Verdict(
-                    COE,
-                    NO,
-                    certificate=Certificate(
-                        "valuation-system", f"inconsistent valuations at p={p}"
-                    ),
-                )
-        elif delta is not None:
-            if (vdet - delta) % 2:
-                return Verdict(
-                    COE,
-                    NO,
-                    certificate=Certificate(
-                        "valuation-system", f"parity obstruction at p={p}"
-                    ),
-                )
-            i = (vdet - delta) // 2
+        if j is None:
             j = vdet - i
-        else:
-            i, j = 0, vdet  # fully divisible at p: any split works
-        if i:
-            exp_l[p] = i
-        if j:
-            exp_m[p] = j
-    lam = Fraction(1)
-    for p, e in exp_l.items():
-        lam *= Fraction(p) ** e
-    mu = Fraction(1)
-    for p, e in exp_m.items():
-        mu *= Fraction(p) ** e
-    found = []
-    for s1, s2 in itertools.product((1, -1), repeat=2):
-        diag = Mat([[s1 * lam, 0], [0, s2 * mu]])
-        cand = cp_mat * diag * c_inv
-        if abs(cand.det()) != 1:
-            continue
-        if _test_witness(cand, h, hp):
-            found.append(cand)
-    found.sort(key=_sort_key)
-    if found:
-        return Verdict(
-            COE, YES, witness=found[0], witnesses=tuple(found) if all_witnesses else ()
-        )
-    return Verdict(
-        COE,
-        NO,
-        certificate=Certificate(
-            "line-candidates-exhausted",
-            "line and valuation constraints admit no witness",
-        ),
-    )
+        if i + j != vdet or (delta is not None and j - i != delta):
+            return None, Certificate("valuation-system", f"inconsistent valuations at p={p}")
+        lam *= Fraction(p) ** i
+        mu *= Fraction(p) ** j
+    return (lam, mu), None
 
 
-def _coe_bounded_search(h, hp, bound, all_witnesses, budget=200_000):
-    if equal_h(h, hp):
-        ident = Mat.identity(h.d)
-        if not all_witnesses:
-            return Verdict(COE, YES, witness=ident)
+# tier 3 for COE gives up after this many (a, b, c) triples
+COE_BUDGET = 200_000
+
+
+def _bounded_search(relation, h, hp, bound, all_witnesses):
+    """Scan alpha = (1/q) [[a, b], [c, e]] with entries in [-bound, bound]
+    and a e - b c = +-q^2, so det alpha = +-1 by construction.  Isomorphism
+    takes q = 1; COE takes q = 1..bound and gives up after COE_BUDGET
+    triples (a, b, c).  The loops run over q, then (a, b, c), then
+    det = +q^2 before -q^2, then e; the first hit in that order is the
+    witness."""
+    if not all_witnesses and equal_h(h, hp):
+        return Verdict(relation, YES, witness=Mat.identity(h.d))
+    coe = relation == COE
     probes = _probe_vectors(h)
+    span = range(-bound, bound + 1)
     found = []
     spent = 0
-    rng_range = range(-bound, bound + 1)
-    for q in range(1, bound + 1):
-        target = q * q
-        for a, b, c in itertools.product(rng_range, repeat=3):
+    for q in range(1, bound + 1) if coe else (1,):
+        for a, b, c in itertools.product(span, repeat=3):
             spent += 1
-            if spent > budget:
+            if coe and spent > COE_BUDGET:
                 if found:
-                    found.sort(key=_sort_key)
-                    return Verdict(
-                        COE, YES, witness=found[0], witnesses=tuple(found)
-                    )
+                    return _yes(relation, found, all_witnesses)
                 return Verdict(
-                    COE,
+                    relation,
                     UNKNOWN,
                     certificate=Certificate(
                         "search-exhausted",
-                        f"candidate budget {budget} spent at entry bound {bound}",
+                        f"candidate budget {COE_BUDGET} spent at denominator {q} of {bound}, "
+                        f"entries <= {bound}",
                     ),
                 )
-            for det in (target, -target):
-                num = det + b * c
-                if a == 0:
-                    if b * c != -det:
-                        continue
-                    dds = rng_range
+            for det in (q * q, -q * q):
+                if a:
+                    e, r = divmod(det + b * c, a)
+                    es = () if r or abs(e) > bound else (e,)
                 else:
-                    if num % a:
-                        continue
-                    dds = (num // a,)
-                for dd in dds:
-                    if abs(dd) > bound:
-                        continue
-                    if a * dd - b * c != det:
-                        continue
-                    cand = Mat([[Fraction(a, q), Fraction(b, q)], [Fraction(c, q), Fraction(dd, q)]])
-                    if abs(cand.det()) != 1:
-                        continue
-                    if not _screen(cand, probes, hp):
-                        continue
-                    if _test_witness(cand, h, hp):
-                        found.append(cand)
+                    es = span if b * c == -det else ()
+                for e in es:
+                    cand = Mat([[Fraction(a, q), Fraction(b, q)], [Fraction(c, q), Fraction(e, q)]])
+                    if _screen(cand, probes, hp) and _test_witness(cand, h, hp):
                         if not all_witnesses:
-                            found.sort(key=_sort_key)
-                            return Verdict(COE, YES, witness=found[0])
-    found.sort(key=_sort_key)
+                            return Verdict(relation, YES, witness=cand)
+                        found.append(cand)
     if found:
-        return Verdict(COE, YES, witness=found[0], witnesses=tuple(found))
-    return Verdict(
-        COE,
-        UNKNOWN,
-        certificate=Certificate(
-            "search-exhausted", f"entries and denominators <= {bound}"
-        ),
-    )
+        return _yes(relation, found, all_witnesses)
+    detail = f"entries and denominators <= {bound}" if coe else f"unimodular entries <= {bound}"
+    return Verdict(relation, UNKNOWN, certificate=Certificate("search-exhausted", detail))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .gdsl import (
     GdslSyntaxError,
     format_mat,
     format_rat,
-    format_supernatural,
     format_vec,
     print_expr,
 )
@@ -159,7 +158,7 @@ def _cmd_equal(args):
 
 
 def _cmd_superindex(args):
-    _emit("superindex", format_supernatural(superindex(_load_group(args.file))))
+    _emit("superindex", str(superindex(_load_group(args.file))))
     return 0
 
 
@@ -238,7 +237,7 @@ def _cmd_h1(args):
 
 def _cmd_coinv(args):
     s = coinvariants(_load_group(args.file), verify_depth=args.depth)
-    _emit("coinvariants", format_supernatural(s))
+    _emit("coinvariants", str(s))
     _emit("verified_levels", args.depth)
     return 0
 
@@ -356,7 +355,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--relation", required=True, choices=["conj", "iso", "coe", "oe"])
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--bound", type=int, default=20)
+    p.add_argument("--bound", type=_positive_int, default=20)
     p.add_argument("--all-witnesses", action="store_true")
     p = add("rigid", _cmd_rigid, "inductive rigid construction")
     p.add_argument("--levels", type=_positive_int, default=3)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hgroup import HGroup, apply_matrix
-from .linalg import INF, Mat, Supernatural, factorint
+from .linalg import Mat, factorint
 
 
 class GdslSyntaxError(ValueError):
@@ -305,14 +305,3 @@ def format_vec(v) -> str:
 def format_mat(m: Mat) -> str:
     body = ";".join(",".join(format_rat(x) for x in row) for row in m.rows)
     return f"mat([{body}])"
-
-
-def format_supernatural(s: Supernatural) -> str:
-    if not s.items:
-        return "1"
-    return "*".join(f"{p}^{'inf' if e == INF else e}" for p, e in s.items)
-
-
-def report_lines(pairs) -> str:
-    """Render (key, value) pairs as the line-oriented report."""
-    return "\n".join(f"{k}={v}" for k, v in pairs)

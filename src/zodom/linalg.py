@@ -316,11 +316,6 @@ class IntegerSolver:
         return [sum(v[i][j] * y[j] for j in range(self.nc)) for i in range(self.nc)]
 
 
-def solve_integer(rows, rhs):
-    """One integer solution x of rows . x = rhs, or None if unsolvable over Z."""
-    return IntegerSolver(rows).solve(rhs)
-
-
 def integer_kernel(rows) -> list[list[int]]:
     """Basis (list of columns) of {x in Z^nc : rows . x = 0}; always saturated."""
     a = [list(map(int, r)) for r in rows]
@@ -505,6 +500,11 @@ class Lattice:
         return all(c.denominator == 1 for c in self.solve(v))
 
     def dual(self) -> "Lattice":
+        """Dual lattice: all vectors pairing integrally with every lattice element.
+
+        >>> Lattice(Mat([[Fraction(1, 2), 0], [0, 1]])).dual().mat
+        ((2, 0), (0, 1))
+        """
         return Lattice(self.basis().inv().transpose())
 
     def contains(self, other: "Lattice") -> bool:
@@ -546,15 +546,6 @@ def _canonical_from_columns(d: int, cols):
     return d, den // g, tuple(tuple(x // g for x in row) for row in cut)
 
 
-def dual_lattice(lat: Lattice) -> Lattice:
-    """Dual lattice: all vectors pairing integrally with every lattice element.
-
-    >>> dual_lattice(Lattice(Mat([[Fraction(1, 2), 0], [0, 1]]))).mat
-    ((2, 0), (0, 1))
-    """
-    return lat.dual()
-
-
 def index(sub: Lattice, sup: Lattice) -> Fraction:
     """[sup : sub] for nested lattices; a positive integer as a Fraction."""
     if sub.d != sup.d:
@@ -562,12 +553,6 @@ def index(sub: Lattice, sup: Lattice) -> Fraction:
     if not sup.contains(sub):
         raise NotSublatticeError("first lattice is not contained in the second")
     return sub.det() / sup.det()
-
-
-def member(v, lat: Lattice) -> bool:
-    if len(v) != lat.d:
-        raise ValueError("dimension mismatch")
-    return lat.member(v)
 
 
 def lattice_sum(*lats: Lattice) -> Lattice:

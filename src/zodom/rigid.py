@@ -104,14 +104,6 @@ class RigidProgram:
         self.extend(n)
         return self._products[n - 1]
 
-    def level_lattice(self, n: int) -> Lattice:
-        """H_n in column convention: basis (P_n^T)^-1."""
-        return Lattice(self.product(n).transpose().inv())
-
-    def level_dual(self, n: int) -> Lattice:
-        """H_n^* = Z^2 P_n^T as a column lattice with basis P_n."""
-        return Lattice(self.product(n))
-
     def program_group(self, depth_cap: int) -> ProgramGroup:
         return ProgramGroup(2, self.alpha, depth_cap)
 
@@ -244,7 +236,7 @@ def verify_cyclicity(prog: RigidProgram, y, n: int) -> bool:
 
 def dual_ball_trivial(prog: RigidProgram, n: int) -> bool:
     """No nonzero dual vector of l1 norm <= n at level n (density witness)."""
-    dual = prog.level_dual(n)
+    dual = Lattice(prog.product(n))  # H_n^* = Z^2 P_n^T, column basis P_n
     for x1 in range(-n, n + 1):
         for x2 in range(-(n - abs(x1)), n - abs(x1) + 1):
             if (x1, x2) != (0, 0) and dual.member((x1, x2)):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from zodom import classify
 from zodom.classify import (
     COE,
     CONJ,
@@ -25,6 +26,17 @@ F = Fraction
 SWAP = Mat([[0, 1], [1, 0]])
 NEG_SWAP = Mat([[0, -1], [-1, 0]])
 SCALE_5 = Mat([[F(1, 5), 0], [0, 5]])
+
+# no divisible line (rank 2 at p=3); every COE witness has denominator 2
+HALF_A = "oplus(Z[1/3], Z[1/3]) + gen(1/2, 0) + gen(0, 1/2)"
+HALF_B = "oplus(Z[1/3], Z[1/3]) + gen(1/2, 0) + gen(1/4, 1/2)"
+
+
+def mats(text):
+    """The matrices written "a,b;c,d" in text, separated by spaces."""
+    return tuple(
+        Mat([[F(x) for x in row.split(",")] for row in m.split(";")]) for m in text.split()
+    )
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +82,8 @@ def test_iso_swap_example(g):
     assert v.answer == "YES"
     assert v.witness == SWAP
     assert equal_h(apply_matrix(v.witness, g["class35_1a"]), g["class35_1b"])
+    v = decide_isomorphism(g["class35_1a"], g["class35_1b"], all_witnesses=True)
+    assert v.witnesses == mats("0,1;1,0 0,1;-1,0 0,-1;1,0 0,-1;-1,0")
 
 
 def test_iso_scaled_pair_is_negative(g):
@@ -80,7 +94,7 @@ def test_iso_scaled_pair_is_negative(g):
 def test_iso_fuchs_witnesses(g):
     v = decide_isomorphism(g["class11_fuchs"], g["class11_fuchs_swapped"], all_witnesses=True)
     assert v.answer == "YES"
-    assert set(v.witnesses) == {SWAP, NEG_SWAP}
+    assert v.witnesses == (SWAP, NEG_SWAP)
     assert all(abs(w.det()) == 1 and w.det() == -1 for w in v.witnesses)
 
 
@@ -116,6 +130,8 @@ def test_coe_scaling_example(g):
     assert v.witness == SCALE_5
     assert v.witness.det() == 1
     assert equal_h(apply_matrix(v.witness, g["class35_2a"]), g["class35_2b"])
+    v = decide_coe(g["class35_2a"], g["class35_2b"], all_witnesses=True)
+    assert v.witnesses == mats("1/5,0;0,5 1/5,0;0,-5 -1/5,0;0,5 -1/5,0;0,-5")
 
 
 def test_coe_line_obstruction(g):
@@ -135,8 +151,53 @@ def test_coe_identity(g):
 def test_coe_fuchs_witness_set_no_positive_determinant(g):
     v = decide_coe(g["class11_fuchs"], g["class11_fuchs_swapped"], all_witnesses=True)
     assert v.answer == "YES"
-    assert set(v.witnesses) == {SWAP, NEG_SWAP}
+    assert v.witnesses == (SWAP, NEG_SWAP)
     assert all(w.det() == -1 for w in v.witnesses)
+
+
+def test_coe_bounded_search_with_denominator():
+    h, hp = parse_group(HALF_A), parse_group(HALF_B)
+    v = decide_coe(h, hp, bound=1)
+    assert v.answer == "UNKNOWN"
+    assert str(v.certificate) == "search-exhausted: entries and denominators <= 1"
+    v = decide_coe(h, hp, bound=2)
+    assert v.answer == "YES"
+    assert v.witness == Mat([[-1, F(-1, 2)], [0, -1]])  # first hit in scan order
+    v = decide_coe(h, hp, bound=2, all_witnesses=True)
+    assert v.witness == Mat([[1, F(1, 2)], [0, 1]])
+    assert v.witnesses == mats(
+        "1,1/2;0,1 1,1/2;0,-1 1,-1/2;0,1 1,-1/2;0,-1"
+        " -1,1/2;0,1 -1,1/2;0,-1 -1,-1/2;0,1 -1,-1/2;0,-1"
+        " 1/2,1;1,0 1/2,1;-1,0 1/2,-1;1,0 1/2,-1;-1,0"
+        " 1/2,1/2;1,-1 1/2,1/2;-1,1 1/2,-1/2;1,1 1/2,-1/2;-1,-1"
+        " -1/2,1;1,0 -1/2,1;-1,0 -1/2,-1;1,0 -1/2,-1;-1,0"
+        " -1/2,1/2;1,1 -1/2,1/2;-1,-1 -1/2,-1/2;1,-1 -1/2,-1/2;-1,1"
+    )
+    assert all(abs(w.det()) == 1 and equal_h(apply_matrix(w, h), hp) for w in v.witnesses)
+    # no integral witness: isomorphism exhausts the same box at q = 1
+    v = decide_isomorphism(h, hp, bound=2)
+    assert v.answer == "UNKNOWN"
+    assert str(v.certificate) == "search-exhausted: unimodular entries <= 2"
+
+
+def test_coe_budget_certificate_names_denominator(monkeypatch):
+    h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
+    hp = apply_matrix(Mat([[1, 0], [3, 1]]), h)
+    # 125 triples (a, b, c) per denominator at bound 2: the budget runs out
+    # at q = 2, before any witness (all have an entry of size >= 3)
+    monkeypatch.setattr(classify, "COE_BUDGET", 150)
+    v = decide_coe(h, hp, bound=2)
+    assert v.answer == "UNKNOWN"
+    assert str(v.certificate) == (
+        "search-exhausted: candidate budget 150 spent at denominator 2 of 2, entries <= 2"
+    )
+    # hits found before the budget runs out are returned: here those of q = 1
+    monkeypatch.setattr(classify, "COE_BUDGET", 125)
+    shear = apply_matrix(Mat([[1, 0], [1, 1]]), h)
+    v = decide_coe(h, shear, bound=2, all_witnesses=True)
+    assert v.answer == "YES"
+    assert v.witnesses == decide_isomorphism(h, shear, bound=2, all_witnesses=True).witnesses
+    assert len(v.witnesses) == 16
 
 
 def test_coe_dimension_mismatch(g):
@@ -220,7 +281,10 @@ def test_unknown_on_search_exhaustion():
     hp = apply_matrix(Mat([[1, 0], [3, 1]]), h)
     v = decide_isomorphism(h, hp, bound=2)
     assert v.answer == "UNKNOWN"
-    assert v.certificate.kind == "search-exhausted"
+    assert str(v.certificate) == "search-exhausted: unimodular entries <= 2"
+    v = decide_coe(h, hp, bound=2)
+    assert v.answer == "UNKNOWN"
+    assert str(v.certificate) == "search-exhausted: entries and denominators <= 2"
     v2 = decide_isomorphism(h, hp, bound=3)
     assert v2.answer == "YES"
     assert equal_h(apply_matrix(v2.witness, h), hp)

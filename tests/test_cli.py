@@ -162,15 +162,20 @@ def test_usage_errors(capsys):
         ("h1", "--depth"),
         ("coinv", "--depth"),
         ("rigid", "--levels"),
+        ("classify", "--bound"),
     ],
 )
 def test_count_below_one_is_usage_error(grp, capsys, verb, option):
-    argv = [verb] + ([] if verb == "rigid" else [grp("class35_1a")]) + [option, "0"]
-    assert main(argv) == EX_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage error:") and "at least 1" in captured.err
-    assert "Traceback" not in captured.err
+    operands = {
+        "rigid": [],
+        "classify": ["--relation", "iso", grp("class35_1a"), grp("class35_1b")],
+    }.get(verb, [grp("class35_1a")])
+    for value in ("0", "-3"):
+        assert main([verb, *operands, option, value]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and "at least 1" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_syntax_error_offset(tmp_path, capsys):

@@ -27,7 +27,6 @@ from zodom.linalg import (
     Mat,
     Supernatural,
     index,
-    member,
     subspace_basis,
     valuation,
 )
@@ -279,12 +278,12 @@ def test_tower_levels_capture_membership():
             F(rng.randint(-20, 20), rng.choice([1, 2, 4, 3, 5, 6, 30])),
             F(rng.randint(-20, 20), rng.choice([1, 2, 4, 3, 5, 6, 30])),
         )
-        in_level = any(member(v, lvl) for lvl in t.levels)
+        in_level = any(lvl.member(v) for lvl in t.levels)
         if in_level:
             assert member_h(v, h)
         denom_lcm = (v[0].denominator * v[1].denominator)
         if member_h(v, h) and denom_lcm <= 30:  # 30 | 6! guarantees capture by depth 6
-            assert any(member(v, lvl) for lvl in t.levels)
+            assert any(lvl.member(v) for lvl in t.levels)
 
 
 # ---------------------------------------------------------------------------

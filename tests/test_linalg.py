@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from zodom.linalg import (
     INF,
+    IntegerSolver,
     Lattice,
     Mat,
     NotSublatticeError,
@@ -16,7 +17,6 @@ from zodom.linalg import (
     annihilator,
     complete_to_basis,
     denominator_primes,
-    dual_lattice,
     factorint,
     hnf,
     index,
@@ -26,11 +26,9 @@ from zodom.linalg import (
     lattice_intersect,
     lattice_scale,
     lattice_sum,
-    member,
     p_primary_over_standard,
     saturation,
     snf,
-    solve_integer,
     subspace_basis,
     subspace_contains,
     valuation,
@@ -60,7 +58,7 @@ def span_equal_by_membership(m1, m2):
     for a, b in ((m1, m2), (m2, m1)):
         cols = [[row[j] for row in b] for j in range(len(b[0]))]
         for c in cols:
-            if solve_integer(a, c) is None:
+            if IntegerSolver(a).solve(c) is None:
                 return False
     return True
 
@@ -69,11 +67,10 @@ def coset_count(rows):
     """Count integer points in [0, N)^2 pairwise incongruent mod the column span."""
     n = abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
     box = itertools.product(range(2 * n), repeat=2)
+    solver = IntegerSolver(rows)
     reps = []
     for p in box:
-        if not any(
-            solve_integer(rows, [p[0] - q[0], p[1] - q[1]]) is not None for q in reps
-        ):
+        if not any(solver.solve([p[0] - q[0], p[1] - q[1]]) is not None for q in reps):
             reps.append(p)
     return len(reps)
 
@@ -172,18 +169,18 @@ def test_snf_transform_identity():
 
 def test_dual_examples():
     half = lat([[F(1, 2), 0], [0, 1]])
-    assert dual_lattice(half) == lat([[2, 0], [0, 1]])
+    assert half.dual() == lat([[2, 0], [0, 1]])
     z2 = Lattice.standard(2)
-    assert dual_lattice(z2) == z2
+    assert z2.dual() == z2
 
     g = Lattice.from_span(2, [(2, 1), (0, 3)])
-    gd = dual_lattice(g)
+    gd = g.dual()
     # all four pairings integral
     for k in g.basis_columns():
         for w in gd.basis_columns():
             assert sum(a * b for a, b in zip(k, w)).denominator == 1
     # index relation [Z^2 : G] = [G* : (Z^2)*]
-    assert index(g, Lattice.standard(2)) == index(dual_lattice(Lattice.standard(2)), gd)
+    assert index(g, Lattice.standard(2)) == index(Lattice.standard(2).dual(), gd)
 
 
 def test_double_dual_is_identity():
@@ -193,7 +190,7 @@ def test_double_dual_is_identity():
         if Mat(rows).det() == 0:
             continue
         lattice = lat(rows)
-        assert dual_lattice(dual_lattice(lattice)) == lattice
+        assert lattice.dual().dual() == lattice
 
 
 def test_index_examples():
@@ -214,7 +211,7 @@ def test_index_duality_on_random_pairs():
         if Mat(rows).det() == 0:
             continue
         sub = lat(rows)
-        assert index(sub, z2) == index(dual_lattice(z2), dual_lattice(sub))
+        assert index(sub, z2) == index(z2.dual(), sub.dual())
 
 
 def test_index_rejects_non_nested():
@@ -226,10 +223,10 @@ def test_index_rejects_non_nested():
 
 def test_member_examples():
     g = Lattice.from_span(2, [(2, 1), (0, 3)])
-    assert member((2, 1), g)
-    assert not member((1, 0), g)
-    assert member((0, 0), g)
-    assert member((F(1, 2), 0), lat([[F(1, 2), 0], [0, 1]]))
+    assert g.member((2, 1))
+    assert not g.member((1, 0))
+    assert g.member((0, 0))
+    assert lat([[F(1, 2), 0], [0, 1]]).member((F(1, 2), 0))
 
 
 def test_member_invariant_under_canonicalization():
@@ -248,7 +245,7 @@ def test_member_invariant_under_canonicalization():
                 F(rng.randint(-9, 9), rng.randint(1, 3)),
                 F(rng.randint(-9, 9), rng.randint(1, 3)),
             )
-            assert member(v, g) == member(v, same)
+            assert g.member(v) == same.member(v)
 
 
 def test_lattice_sum_intersect_scale():
@@ -278,11 +275,11 @@ def test_p_primary_over_standard():
 
 def test_solve_integer():
     a = [[2, 0], [1, 3]]
-    assert solve_integer(a, [2, 1]) == [1, 0]
-    assert solve_integer(a, [1, 0]) is None
+    assert IntegerSolver(a).solve([2, 1]) == [1, 0]
+    assert IntegerSolver(a).solve([1, 0]) is None
     tall = [[1, 0], [0, 1], [1, 1]]
-    assert solve_integer(tall, [2, 3, 5]) == [2, 3]
-    assert solve_integer(tall, [2, 3, 4]) is None
+    assert IntegerSolver(tall).solve([2, 3, 5]) == [2, 3]
+    assert IntegerSolver(tall).solve([2, 3, 4]) is None
 
 
 def test_integer_kernel_saturated():
@@ -291,7 +288,7 @@ def test_integer_kernel_saturated():
     for col in ker:
         assert sum(col) == 0
     # saturation: gcd of each column is 1 after reduction, kernel contains (1,-1,0)
-    assert solve_integer([[ker[0][i], ker[1][i]] for i in range(3)], [1, -1, 0]) is not None
+    assert IntegerSolver([[ker[0][i], ker[1][i]] for i in range(3)]).solve([1, -1, 0]) is not None
 
 
 def test_subspace_helpers():

@@ -44,7 +44,7 @@ def test_determinants_prime(prog):
 def test_levels_nested_with_prime_index(prog):
     prev = Lattice.standard(2)
     for n in range(1, 4):
-        lvl = prog.level_lattice(n)
+        lvl = prog.program_group(n).level(n)
         assert lvl.contains(prev)
         assert index(prev, lvl) == prog.levels[n - 1].det
         prev = lvl
