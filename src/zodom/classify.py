@@ -4,22 +4,30 @@ orbit equivalence of Z^d-odometers in terms of their groups H.
 Decision strategy, in order:
 
 * cheap invariants first (superindex; per-prime divisibility rank and index
-  valuation; line-arrangement consistency) -- mismatches yield NO with a
-  checkable certificate;
+  valuation, and for isomorphism the elementary divisors of L(p)/Z^d at
+  rank-0 primes; line-arrangement consistency) -- mismatches yield NO with
+  a checkable certificate;
+* for zero-line groups (every support prime has divisibility rank 0 or d),
+  continuous orbit equivalence is decided in any d by a constructed
+  witness: alpha maps Z^d + sum of the rank-0 lattices L(p) of H onto that
+  of H', so YES holds exactly when the profiles agree;
 * for d = 2 with at least two distinct divisible lines, the line constraints
   determine candidate matrices up to signs (isomorphism) or signs plus a
   per-prime valuation system (continuous orbit equivalence); the finitely
   many candidates are tested exactly, so YES and NO are both complete;
-* otherwise a bounded search over alpha = (1/q) [[a, b], [c, e]] with
-  entries at most ``bound`` and det alpha = +-1: q = 1 for isomorphism,
-  q = 1..bound for continuous orbit equivalence under a budget of
-  COE_BUDGET triples (a, b, c).  It returns the first witness in scan
+* otherwise (d = 2: isomorphism of zero-line groups whose profiles agree,
+  and both relations on one-line groups) a bounded search over
+  alpha = (1/q) [[a, b], [c, e]] with entries at most ``bound`` and
+  det alpha = +-1: q = 1 for isomorphism, q = 1..bound for continuous orbit
+  equivalence under a budget of COE_BUDGET triples (a, b, c), each matrix
+  tested once, at its smallest q.  It returns the first witness in scan
   order, and UNKNOWN on exhaustion with a certificate stating the coverage
-  reached.
+  reached.  With ``all_witnesses`` the search also enumerates the
+  zero-line COE witnesses, and the constructed one replaces its UNKNOWN.
 
 Isomorphism and continuous orbit equivalence share these steps; they
-differ in the per-prime profile compared, the line-tier scales and
-admissibility test, and the denominators searched.
+differ in the per-prime profile compared, the zero-line tier (COE only),
+the line-tier scales and admissibility test, and the denominators searched.
 
 YES verdicts are sound in every dimension (sufficiency holds for all d);
 NO verdicts for d >= 3 carry a flag because necessity of the criteria is
@@ -31,6 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .hgroup import (
     HGroup,
@@ -42,7 +51,7 @@ from .hgroup import (
     member_h,
     superindex,
 )
-from .linalg import INF, Lattice, Mat, factorint, index, valuation
+from .linalg import INF, Lattice, Mat, factorint, index, lattice_sum, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
@@ -133,8 +142,27 @@ def _coe_profile_ok(h, hp):
     return None
 
 
+def _elementary_divisors(e):
+    """Elementary divisors of the finite group L(p)/Z^d, ascending.
+
+    With L(p) = (1/den) M for the integer HNF M and U M V = S in Smith form,
+    L(p)/Z^d = M Z^d / den Z^d is the sum of Z/(den/s_i) over the diagonal
+    of S (each s_i divides den, since den Z^d lies in M Z^d)."""
+    den = e.lattice.den
+    _, s, _ = snf(e.lattice.mat)
+    return tuple(sorted(den // s[i][i] for i in range(e.d) if s[i][i] != den))
+
+
 def _iso_profile_ok(h, hp):
-    """Unimodular integral alpha preserves the full per-prime profile."""
+    """Unimodular integral alpha preserves the full per-prime profile and,
+    at rank-0 primes, the elementary divisors of L(p)/Z^d.
+
+    Proof sketch for the divisors: alpha in GL_d(Z) fixes Z^d, so it induces
+    an isomorphism H/Z^d = H'/Z^d, which maps each p-primary part onto the
+    matching part.  At a rank-0 prime the p-primary part is the finite group
+    L(p)/Z^d, whose elementary divisors are isomorphism invariants.  They
+    are read only once the (rank, valuation) profile agrees, and only at
+    valuation >= 2, where a group of that order is not determined by it."""
     pa, pb = _profiles(h), _profiles(hp)
     for p in sorted(set(pa) | set(pb)):
         a = pa.get(p, (0, 0))
@@ -144,6 +172,14 @@ def _iso_profile_ok(h, hp):
                 "local-profile",
                 f"(rank, valuation) at p={p} is {a} vs {b}",
             )
+    for p, (rank, val) in sorted(pa.items()):
+        if rank == 0 and val >= 2:
+            da, db = _elementary_divisors(h.entry(p)), _elementary_divisors(hp.entry(p))
+            if da != db:
+                return Certificate(
+                    "elementary-divisors",
+                    f"L(p)/Z^d at p={p} has elementary divisors {da} vs {db}",
+                )
     return None
 
 
@@ -300,7 +336,9 @@ def decide_isomorphism(
             wits = (Mat([[1]]), Mat([[-1]])) if all_witnesses else ()
             return Verdict(ISO, YES, witness=Mat([[1]]), witnesses=wits)
         return Verdict(ISO, NO, certificate=_superindex_cert(h, hp))
-    return _witness_search(ISO, h, hp, _iso_profile_ok, _iso_line_tier, bound, all_witnesses)
+    return _witness_search(
+        ISO, h, hp, _iso_profile_ok, None, _iso_line_tier, bound, all_witnesses
+    )
 
 
 def decide_coe(
@@ -322,7 +360,9 @@ def decide_coe(
         if equal_h(h, hp):
             return Verdict(COE, YES, witness=Mat([[1]]))
         return Verdict(COE, NO, certificate=_superindex_cert(h, hp))
-    return _witness_search(COE, h, hp, _coe_profile_ok, _coe_line_tier, bound, all_witnesses)
+    return _witness_search(
+        COE, h, hp, _coe_profile_ok, _coe_zero_line_tier, _coe_line_tier, bound, all_witnesses
+    )
 
 
 def _superindex_mismatch(h, hp):
@@ -336,12 +376,20 @@ def _superindex_cert(h, hp):
     return Certificate("superindex", f"{sa} vs {sb}")
 
 
-def _witness_search(relation, h, hp, profile_cert, line_tier, bound, all_witnesses):
-    """The d >= 2 steps shared by isomorphism and COE: invariants, then the
+def _witness_search(
+    relation, h, hp, profile_cert, zero_line_tier, line_tier, bound, all_witnesses
+):
+    """The d >= 2 steps shared by isomorphism and COE: invariants, the
+    zero-line tier (``None`` for a relation without one; the tier returns
+    None where it leaves the pair to the later steps), then for d = 2 the
     line tier (two distinct divisible lines) or the bounded search."""
     cert = _superindex_mismatch(h, hp) or profile_cert(h, hp)
     if cert is not None:
         return Verdict(relation, NO, certificate=cert)
+    if zero_line_tier is not None and all(e.r in (0, h.d) for e in h.entries):
+        verdict = zero_line_tier(h, hp, bound, all_witnesses)
+        if verdict is not None:
+            return verdict
     if h.d >= 3:
         if equal_h(h, hp):
             return Verdict(relation, YES, witness=Mat.identity(h.d))
@@ -411,6 +459,40 @@ def _coe_line_tier(h, hp, c_mat, cp_mat, all_witnesses):
         COE, h, hp, c_inv, cp_mat, scales, lambda m: abs(m.det()) == 1, all_witnesses,
         "line and valuation constraints admit no witness",
     )
+
+
+def _rank_zero_sum(h):
+    """Basis of M = Z^d + the sum of the lattices L(p) of the rank-0 entries."""
+    lats = [e.lattice for e in h.entries if e.r == 0]
+    return lattice_sum(Lattice.standard(h.d), *lats).basis()
+
+
+def _coe_zero_line_tier(h, hp, bound, all_witnesses):
+    """alpha = B(M') B(M)^-1 for M = Z^d + sum of the rank-0 L(p) of H and
+    M' likewise from H'; called once the profiles agree and H (so H') is
+    zero-line.
+
+    Proof sketch (any d): M (x) Z_p is L(p) at rank-0 primes and Z_p^d at
+    every other prime, and alpha maps M onto M', so alpha L(p) = L'(p) at
+    every prime; rank-d primes allow everything, hence alpha H = H'.  Also
+    det alpha = det B(M') / det B(M) = prod p^(v_p - v'_p) over the rank-0
+    primes, which is 1 exactly when the COE profiles agree.  So alpha meets
+    the COE criterion (alpha H = H' with det alpha = +-1; Giordano-Putnam-
+    Skau, arXiv 1709.08585), and for zero-line groups COE is YES exactly
+    when the profiles agree.
+
+    With ``all_witnesses`` (d = 2) the bounded search enumerates, and alpha
+    replaces only its UNKNOWN.  A witness that fails the check (which the
+    proof excludes) returns None, so the later steps decide and no YES is
+    unverified."""
+    alpha = _rank_zero_sum(hp) * _rank_zero_sum(h).inv()
+    if not _test_witness(alpha, h, hp):
+        return None
+    if all_witnesses and h.d == 2:
+        verdict = _bounded_search(COE, h, hp, bound, all_witnesses)
+        if verdict.answer != UNKNOWN:
+            return verdict
+    return Verdict(COE, YES, witness=alpha, witnesses=(alpha,) if all_witnesses else ())
 
 
 def _coord_min_vals(frame_inv: Mat, h: HGroup, p: int):
@@ -494,7 +576,8 @@ def _bounded_search(relation, h, hp, bound, all_witnesses):
     takes q = 1; COE takes q = 1..bound and gives up after COE_BUDGET
     triples (a, b, c).  The loops run over q, then (a, b, c), then
     det = +q^2 before -q^2, then e; the first hit in that order is the
-    witness."""
+    witness.  A candidate with gcd(q, a, b, c, e) > 1 is skipped: it is the
+    same matrix as one tested at a smaller q."""
     if not all_witnesses and equal_h(h, hp):
         return Verdict(relation, YES, witness=Mat.identity(h.d))
     coe = relation == COE
@@ -524,6 +607,8 @@ def _bounded_search(relation, h, hp, bound, all_witnesses):
                 else:
                     es = span if b * c == -det else ()
                 for e in es:
+                    if gcd(q, a, b, c, e) > 1:
+                        continue
                     cand = Mat([[Fraction(a, q), Fraction(b, q)], [Fraction(c, q), Fraction(e, q)]])
                     if _screen(cand, probes, hp) and _test_witness(cand, h, hp):
                         if not all_witnesses:

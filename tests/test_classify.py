@@ -31,6 +31,11 @@ SCALE_5 = Mat([[F(1, 5), 0], [0, 5]])
 HALF_A = "oplus(Z[1/3], Z[1/3]) + gen(1/2, 0) + gen(0, 1/2)"
 HALF_B = "oplus(Z[1/3], Z[1/3]) + gen(1/2, 0) + gen(1/4, 1/2)"
 
+# one divisible line (0, 1) at p=5, so isomorphism and COE reach the bounded
+# search; every witness for its SHEAR_3 image has an entry of size >= 3
+ONE_LINE = "oplus(Z[1/2], Z[1/10]) + gen(1/9, 0)"
+SHEAR_3 = Mat([[1, 0], [3, 1]])
+
 
 def mats(text):
     """The matrices written "a,b;c,d" in text, separated by spaces."""
@@ -157,12 +162,17 @@ def test_coe_fuchs_witness_set_no_positive_determinant(g):
 
 def test_coe_bounded_search_with_denominator():
     h, hp = parse_group(HALF_A), parse_group(HALF_B)
-    v = decide_coe(h, hp, bound=1)
-    assert v.answer == "UNKNOWN"
-    assert str(v.certificate) == "search-exhausted: entries and denominators <= 1"
-    v = decide_coe(h, hp, bound=2)
+    # zero-line: COE is decided by the constructed witness at any bound
+    for bound in (1, 2):
+        v = decide_coe(h, hp, bound=bound)
+        assert v.answer == "YES"
+        assert v.witness == Mat([[F(1, 2), 0], [1, 2]])
+        assert abs(v.witness.det()) == 1 and equal_h(apply_matrix(v.witness, h), hp)
+    # all_witnesses enumerates with the bounded search; the constructed
+    # witness replaces only its UNKNOWN (no witness at denominator 1)
+    v = decide_coe(h, hp, bound=1, all_witnesses=True)
     assert v.answer == "YES"
-    assert v.witness == Mat([[-1, F(-1, 2)], [0, -1]])  # first hit in scan order
+    assert v.witnesses == (Mat([[F(1, 2), 0], [1, 2]]),)
     v = decide_coe(h, hp, bound=2, all_witnesses=True)
     assert v.witness == Mat([[1, F(1, 2)], [0, 1]])
     assert v.witnesses == mats(
@@ -174,15 +184,48 @@ def test_coe_bounded_search_with_denominator():
         " -1/2,1/2;1,1 -1/2,1/2;-1,-1 -1/2,-1/2;1,-1 -1/2,-1/2;-1,1"
     )
     assert all(abs(w.det()) == 1 and equal_h(apply_matrix(w, h), hp) for w in v.witnesses)
-    # no integral witness: isomorphism exhausts the same box at q = 1
+    # no integral witness: the 2-primary parts of H/Z^2 are (Z/2)^2 and Z/4
     v = decide_isomorphism(h, hp, bound=2)
+    assert v.answer == "NO"
+    assert str(v.certificate) == (
+        "elementary-divisors: L(p)/Z^d at p=2 has elementary divisors (2, 2) vs (4,)"
+    )
+    # a one-line pair still reaches the bounded search, whose COE witnesses
+    # include denominator 2
+    h, hp = parse_group(ONE_LINE), apply_matrix(SHEAR_3, parse_group(ONE_LINE))
+    v = decide_coe(h, hp, bound=1)
     assert v.answer == "UNKNOWN"
-    assert str(v.certificate) == "search-exhausted: unimodular entries <= 2"
+    assert str(v.certificate) == "search-exhausted: entries and denominators <= 1"
+    v = decide_coe(h, hp, bound=3)
+    assert v.answer == "YES"
+    assert v.witness == Mat([[-1, 0], [-3, -1]])  # first hit in scan order
+    v = decide_coe(h, hp, bound=3, all_witnesses=True)
+    assert v.witness == SHEAR_3
+    assert v.witnesses == mats(
+        "1,0;3,1 1,0;3,-1 1,0;-3/2,1 1,0;-3/2,-1 -1,0;-3,1 -1,0;-3,-1 -1,0;3/2,1 -1,0;3/2,-1"
+    )
+    assert all(abs(w.det()) == 1 and equal_h(apply_matrix(w, h), hp) for w in v.witnesses)
+
+
+def test_coe_search_tests_each_matrix_once():
+    h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
+    hp = apply_matrix(Mat([[1, 0], [1, 1]]), h)
+    v = decide_coe(h, hp, bound=2, all_witnesses=True)
+    # the tuple listed by the search that tested (1/q) M again at every q
+    # dividing all entries of M, in its order
+    repeated = mats(
+        "1,0;1,1 1,0;1,1 1,0;1,-1 1,0;1,-1 1,1;1,0 1,1;1,0 1,1;1,2 1,-1;1,0 1,-1;1,0"
+        " 1,-1;1,-2 1,1/2;1,-1/2 1,-1/2;1,1/2 1,2;1,1 1,-2;1,-1 -1,0;-1,1 -1,0;-1,1"
+        " -1,0;-1,-1 -1,0;-1,-1 -1,1;-1,0 -1,1;-1,0 -1,1;-1,2 -1,-1;-1,0 -1,-1;-1,0"
+        " -1,-1;-1,-2 -1,1/2;-1,-1/2 -1,-1/2;-1,1/2 -1,2;-1,1 -1,-2;-1,-1"
+        " 1/2,1;1/2,-1 1/2,-1;1/2,1 -1/2,1;-1/2,-1 -1/2,-1;-1/2,1"
+    )
+    assert len(set(v.witnesses)) == len(v.witnesses) == 24
+    assert v.witnesses == tuple(dict.fromkeys(repeated))
 
 
 def test_coe_budget_certificate_names_denominator(monkeypatch):
-    h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
-    hp = apply_matrix(Mat([[1, 0], [3, 1]]), h)
+    h, hp = parse_group(ONE_LINE), apply_matrix(SHEAR_3, parse_group(ONE_LINE))
     # 125 triples (a, b, c) per denominator at bound 2: the budget runs out
     # at q = 2, before any witness (all have an entry of size >= 3)
     monkeypatch.setattr(classify, "COE_BUDGET", 150)
@@ -193,6 +236,7 @@ def test_coe_budget_certificate_names_denominator(monkeypatch):
     )
     # hits found before the budget runs out are returned: here those of q = 1
     monkeypatch.setattr(classify, "COE_BUDGET", 125)
+    h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
     shear = apply_matrix(Mat([[1, 0], [1, 1]]), h)
     v = decide_coe(h, shear, bound=2, all_witnesses=True)
     assert v.answer == "YES"
@@ -274,20 +318,44 @@ def test_d3_verdicts_flagged():
     assert any("d <= 2" in f for f in v.flags)
 
 
+def test_d3_zero_line_coe_constructed():
+    a = parse_group("oplus(Z[1/6], Z[1/6], Z[1/6]) + gen(1/5, 0, 0) + gen(0, 1/5, 0)")
+    b = parse_group("oplus(Z[1/6], Z[1/6], Z[1/6]) + gen(0, 0, 1/25)")
+    v = decide_coe(a, b)
+    assert v.answer == "YES" and not v.flags
+    assert v.witness == Mat([[5, 0, 0], [0, 5, 0], [0, 0, F(1, 25)]])
+    assert equal_h(apply_matrix(v.witness, a), b)
+    v = decide_coe(a, b, all_witnesses=True)
+    assert v.witnesses == (Mat([[5, 0, 0], [0, 5, 0], [0, 0, F(1, 25)]]),)
+    v = decide_isomorphism(a, b)
+    assert v.answer == "NO"
+    assert v.certificate.kind == "elementary-divisors"
+
+
 def test_unknown_on_search_exhaustion():
     # every witness for this shear image has an entry of size >= 3, so the
     # bounded search at bound 2 must exhaust and report so
     h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
-    hp = apply_matrix(Mat([[1, 0], [3, 1]]), h)
+    hp = apply_matrix(SHEAR_3, h)
+    v = decide_isomorphism(h, hp, bound=2)
+    assert v.answer == "UNKNOWN"
+    assert str(v.certificate) == "search-exhausted: unimodular entries <= 2"
+    # zero-line: COE needs no search
+    v = decide_coe(h, hp, bound=2)
+    assert v.answer == "YES"
+    assert abs(v.witness.det()) == 1 and equal_h(apply_matrix(v.witness, h), hp)
+    v2 = decide_isomorphism(h, hp, bound=3)
+    assert v2.answer == "YES"
+    assert equal_h(apply_matrix(v2.witness, h), hp)
+    # the same shear on a one-line group: COE exhausts the box too
+    h = parse_group(ONE_LINE)
+    hp = apply_matrix(SHEAR_3, h)
     v = decide_isomorphism(h, hp, bound=2)
     assert v.answer == "UNKNOWN"
     assert str(v.certificate) == "search-exhausted: unimodular entries <= 2"
     v = decide_coe(h, hp, bound=2)
     assert v.answer == "UNKNOWN"
     assert str(v.certificate) == "search-exhausted: entries and denominators <= 2"
-    v2 = decide_isomorphism(h, hp, bound=3)
-    assert v2.answer == "YES"
-    assert equal_h(apply_matrix(v2.witness, h), hp)
 
 
 def test_relation_dispatch():
@@ -360,6 +428,7 @@ def test_no_verdicts_match_brute_force():
     pairs = [
         ("oplus(Z[1/2], Z[1/15])", "oplus(Z[1/10], Z[1/3])"),
         ("oplus(Z[1/2], Z[1/3]) + gen(0, 1/5)", "oplus(Z[1/2], Z[1/3]) + gen(1/5, 0)"),
+        (HALF_A, HALF_B),
     ]
     for ta, tb in pairs:
         h, hp = parse_group(ta), parse_group(tb)
@@ -373,3 +442,55 @@ def test_no_verdicts_match_brute_force():
                 assert not equal_h(apply_matrix(m, h), hp)
             except NotSupergroupError:
                 pass
+
+
+# ---------------------------------------------------------------------------
+# zero-line groups: every support prime has divisibility rank 0 or d
+
+
+ZERO_LINE_TEXTS = [
+    HALF_A,
+    HALF_B,
+    "oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)",
+    "oplus(Z[1/2], Z[1/2]) + gen(1/9, 1/3) + gen(0, 1/3)",
+    "oplus(Z[1/6], Z[1/6]) + gen(1/5, 0) + gen(0, 1/5)",
+    "oplus(Z[1/6], Z[1/6]) + gen(1/25, 0)",
+    "oplus(Z[1/10], Z[1/10]) + gen(1/3, 2/3) + gen(1/7, 0)",
+]
+
+
+def _no_search(*args):
+    raise AssertionError("the zero-line tier fell through to the bounded search")
+
+
+def test_coe_zero_line_sound_and_complete(monkeypatch):
+    from zodom.hgroup import NotSupergroupError
+
+    monkeypatch.setattr(classify, "_bounded_search", _no_search)
+    rng = random.Random(8191)
+    done = 0
+    while done < 40:
+        h = parse_group(rng.choice(ZERO_LINE_TEXTS))
+        p = rng.choice([2, 3, 5, 7])
+        k = rng.randint(0, 2)
+        beta = _random_unimodular(rng) * Mat([[F(1, p**k), 0], [0, p**k]]) * _random_unimodular(rng)
+        try:
+            hp = apply_matrix(beta, h)
+        except NotSupergroupError:
+            continue
+        v = decide_coe(h, hp)
+        assert v.answer == "YES", (beta, v.certificate)
+        assert abs(v.witness.det()) == 1
+        assert equal_h(apply_matrix(v.witness, h), hp)
+        done += 1
+
+
+def test_iso_never_no_on_zero_line_unimodular_images():
+    rng = random.Random(65537)
+    for _ in range(30):
+        h = parse_group(rng.choice(ZERO_LINE_TEXTS))
+        hp = apply_matrix(_random_unimodular(rng), h)
+        # the image's matrix has entries <= 3, so the search at bound 3 finds one
+        v = decide_isomorphism(h, hp, bound=3)
+        assert v.answer == "YES", v.certificate
+        assert v.witness.is_unimodular() and equal_h(apply_matrix(v.witness, h), hp)

@@ -163,6 +163,21 @@ def test_snf_transform_identity():
                 assert s[i + 1][i + 1] % max(s[i][i], 1) == 0
 
 
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(2027)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        # about half the entries zero, so singular and rank-deficient cases occur
+        m = [[rng.choice((0, rng.randint(-12, 12))) for _ in range(nc)] for _ in range(nr)]
+        _, s, _ = snf(m)
+        ref = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+        k = min(nr, nc)
+        assert [s[i][i] for i in range(k)] == [abs(int(ref[i, i])) for i in range(k)], m
+
+
 # ---------------------------------------------------------------------------
 # lattices: dual, index, member
 
