@@ -132,8 +132,12 @@ def _emit_presentation(h, prefix=""):
 
 def _cmd_parse(args):
     expr = _load_expr(args.file)
+    try:
+        d = gdsl.expr_dimension(expr)
+    except DimensionMismatchError as exc:
+        raise InputError([("error", str(exc))])
     _emit("expr", print_expr(expr))
-    _emit("dimension", gdsl.expr_dimension(expr))
+    _emit("dimension", d)
     return 0
 
 

@@ -207,6 +207,8 @@ def build_cocycle(g: Lattice, h, pair=None) -> Cocycle1:
     """
     if not g.is_integral():
         raise BadGeneratorsError("quotient lattice must be integral")
+    if len(h) != g.d:
+        raise ValueError(f"h has {len(h)} entries, the lattice dimension is {g.d}")
     h = [Fraction(x) for x in h]
     den = lcm(*(x.denominator for x in h))
     h_num = [x.numerator * (den // x.denominator) for x in h]
@@ -249,6 +251,22 @@ def tau1(theta: Cocycle1):
 # coboundaries
 
 
+def _difference_rows(quotient: FiniteOdometer):
+    """Positions of the coset representatives, and the d*card x card matrix
+    of the difference operator: row (i, x) maps f to f(x + e_i) - f(x)."""
+    reps = quotient.reps
+    pos = {x: k for k, x in enumerate(reps)}
+    rows = []
+    for i in range(quotient.d):
+        unit = tuple(1 if k == i else 0 for k in range(quotient.d))
+        for x in reps:
+            row = [0] * len(reps)
+            row[pos[quotient.act(unit, x)]] += 1
+            row[pos[x]] -= 1
+            rows.append(row)
+    return pos, rows
+
+
 class CoboundarySolver:
     """Decides theta in B^1 by integer linear algebra on a fixed quotient.
 
@@ -258,19 +276,7 @@ class CoboundarySolver:
 
     def __init__(self, quotient: FiniteOdometer):
         self.quotient = quotient
-        reps = quotient.reps
-        self.pos = {x: k for k, x in enumerate(reps)}
-        units = [
-            tuple(1 if k == i else 0 for k in range(quotient.d))
-            for i in range(quotient.d)
-        ]
-        rows = []
-        for unit in units:
-            for x in reps:
-                row = [0] * len(reps)
-                row[self.pos[quotient.act(unit, x)]] += 1
-                row[self.pos[x]] -= 1
-                rows.append(row)
+        self.pos, rows = _difference_rows(quotient)
         self._solver = IntegerSolver(rows)
 
     def solve(self, theta: Cocycle1):
@@ -331,24 +337,12 @@ def level_coinvariants_ok(quotient: FiniteOdometer) -> bool:
     """D(Z^d/G) is infinite cyclic with tau an order isomorphism onto
     [Z^d:G]^-1 Z: the difference functions span a saturated corank-1
     sublattice of Z^reps contained in the kernel of summation."""
-    reps = quotient.reps
-    n = len(reps)
-    pos = {x: k for k, x in enumerate(reps)}
-    units = [
-        tuple(1 if k == i else 0 for k in range(quotient.d)) for i in range(quotient.d)
-    ]
-    cols = []
-    for unit in units:
-        for x in reps:
-            col = [0] * n
-            col[pos[x]] += 1
-            col[pos[quotient.act(unit, x)]] -= 1
-            cols.append(col)
-    if any(sum(c) != 0 for c in cols):  # B lies in ker(sum)
+    n = quotient.card
+    _, rows = _difference_rows(quotient)
+    if any(sum(r) != 0 for r in rows):  # B lies in ker(sum)
         return False
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    _, s, _ = snf(rows)
-    factors = [s[i][i] for i in range(min(n, len(cols))) if s[i][i] != 0]
+    _, s, _ = snf(list(zip(*rows)))
+    factors = [s[i][i] for i in range(min(n, len(rows))) if s[i][i] != 0]
     return len(factors) == n - 1 and all(f == 1 for f in factors)
 
 

@@ -35,37 +35,57 @@ class NotSublatticeError(ValueError):
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin to the 13 prime bases 2..41, exact below
+    3,317,044,064,679,887,385,961,981 (Sorenson-Webster, Math. Comp. 2017);
+    trial division at and above that bound."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
-    if n < 4:
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= 3_317_044_064_679_887_385_961_981:
+        f = 43
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division.  factorint(12) == {2: 2, 3: 1}."""
+    """Prime factorization of |n| by trial division, stopping once the
+    cofactor is prime.  factorint(12) == {2: 2, 3: 1}."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
+    f = 2
+    prime = is_prime(n)
+    while not prime and f * f <= n:
+        if n % f == 0:
+            while n % f == 0:
+                out[f] = out.get(f, 0) + 1
+                n //= f
+            prime = is_prime(n)
+        f += 1 if f == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

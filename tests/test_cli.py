@@ -137,6 +137,50 @@ def test_h1_and_coinv(grp, capsys):
     assert "coinvariants=2^inf*3^inf" in out
 
 
+# the full report of `rigid --levels 3 --verify`
+RIGID_3_VERIFY = [
+    "deviation=induction start uses K_1 = 3 (the norm bound needs K >= 3); the"
+    " alternative reading K_1 = 1 would give alpha_1 = [[1,1],[1,3]] with determinant 2",
+    "level_1.a=3",
+    "level_1.b=4",
+    "level_1.det=11",
+    "level_1.k_constant=3",
+    "level_2.a=10",
+    "level_2.b=11",
+    "level_2.det=109",
+    "level_2.k_constant=10",
+    "level_3.a=180",
+    "level_3.b=181",
+    "level_3.det=32579",
+    "level_3.k_constant=180",
+    "level_1.exercise_1=pass",
+    "level_1.exercise_2=pass",
+    "level_1.exercise_3=pass",
+    "level_1.exercise_4=pass",
+    "level_1.exercise_5=pass",
+    "level_1.exercise_2_note=as-written vectors (a,-1),(-1,b) fail; adjugate rows (b,-1),(-1,a) verified",
+    "level_1.norm_bound=pass",
+    "level_1.dual_ball=pass",
+    "level_2.exercise_1=pass",
+    "level_2.exercise_2=pass",
+    "level_2.exercise_3=pass",
+    "level_2.exercise_4=pass",
+    "level_2.exercise_5=pass",
+    "level_2.exercise_2_note=as-written vectors (a,-1),(-1,b) fail; adjugate rows (b,-1),(-1,a) verified",
+    "level_2.norm_bound=pass",
+    "level_2.dual_ball=pass",
+    "level_3.exercise_1=pass",
+    "level_3.exercise_2=pass",
+    "level_3.exercise_3=pass",
+    "level_3.exercise_4=pass",
+    "level_3.exercise_5=pass",
+    "level_3.exercise_2_note=as-written vectors (a,-1),(-1,b) fail; adjugate rows (b,-1),(-1,a) verified",
+    "level_3.norm_bound=pass",
+    "level_3.dual_ball=pass",
+    "cyclicity=pass",
+]
+
+
 def test_rigid_verb(capsys):
     code, out = run(capsys, "rigid", "--levels", "2", "--verify")
     assert code == 0
@@ -145,6 +189,9 @@ def test_rigid_verb(capsys):
     assert "level_1.exercise_5=pass" in out
     assert "cyclicity=pass" in out
     assert "deviation=" in out
+    code, out = run(capsys, "rigid", "--levels", "3", "--verify")
+    assert code == 0
+    assert out.splitlines() == RIGID_3_VERIFY
 
 
 def test_usage_errors(capsys):
@@ -206,3 +253,26 @@ def test_bad_vector_and_matrix(capsys):
     capsys.readouterr()
     f_code = main(["tau", "--lattice", "[2,1;0,3]", "--h", "1/3,0"])
     assert f_code == EX_DATA
+
+
+@pytest.mark.parametrize("h", ["1/2", "1/2,0,5"])
+def test_tau_h_of_wrong_length(capsys, h):
+    code, out = run(capsys, "tau", "--lattice", "[2,1;0,3]", "--h", h)
+    assert code == EX_DATA
+    assert out.startswith("error=") and "tau=" not in out
+
+
+def test_parse_mixed_dimensions(grp, capsys):
+    mixed = grp("mixed", "oplus(Z[1/2], Z[1/3]) + gen(1/5)")
+    code, out = run(capsys, "parse", mixed)
+    assert code == EX_DATA
+    assert out == "error=summands have mixed dimensions [1, 2]\n"
+
+
+def test_canon_large_prime_cofactor(grp, capsys):
+    # 99999999999999999999999 = 3^2 * R23 with the repunit R23 prime
+    big = grp("big", "oplus(Z[1/99999999999999999999999])")
+    code, out = run(capsys, "canon", big)
+    assert code == 0
+    assert "support=3,11111111111111111111111" in out
+    assert "local_11111111111111111111111.rank=1" in out

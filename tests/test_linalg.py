@@ -352,6 +352,35 @@ def test_primes_and_valuation():
     assert denominator_primes((F(1, 6), F(1, 5))) == {2, 3, 5}
 
 
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2031)
+    # every n below 43^2 takes the no-pow path; strong pseudoprimes to small
+    # base sets and the largest Miller-Rabin candidate below the bound
+    ns = list(range(-3, 43 * 43 + 50))
+    ns += [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383]
+    ns += [341550071728321, 3825123056546413051, 318665857834031151167461]
+    ns += [3_317_044_064_679_887_385_961_981 - 2]
+    ns += [rng.randrange(10 ** k) for k in range(4, 25) for _ in range(60)]
+    for n in ns:
+        assert is_prime(n) == sympy.isprime(n), n
+    # at and above the bound trial division decides; a small factor ends it
+    assert not is_prime(3 * 3_317_044_064_679_887_385_961_981)
+
+
+def test_factorint_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2032)
+    ns = list(range(1, 2000)) + [rng.randrange(1, 10 ** 10) for _ in range(300)]
+    # a large prime cofactor ends the trial division at once
+    ns += [99999999999999999999999, 2 ** 5 * 5688402457309025999]
+    for n in ns:
+        assert factorint(n) == sympy.factorint(n), n
+    assert factorint(-12) == {2: 2, 3: 1}
+    with pytest.raises(ValueError):
+        factorint(0)
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -1,11 +1,16 @@
+import random
+from math import floor
+
 import pytest
 
 from zodom.hgroup import member_h, superindex_info, tower
 from zodom.linalg import Lattice, Mat, index, is_prime
+from zodom.odometer import FiniteOdometer
 from zodom.rigid import (
     GALLERY_TEXTS,
     GALLERY_VERDICTS,
     RigidProgram,
+    _coset_l1_min,
     dual_ball_trivial,
     gallery,
     l1_operator_norm,
@@ -73,8 +78,64 @@ def test_exercise2_adjugate_row_membership(prog):
 
 
 def test_torsion_bound(prog):
-    assert verify_torsion_bound(prog, 1)
-    assert verify_torsion_bound(prog, 2)
+    for n in (1, 2, 3):
+        assert verify_torsion_bound(prog, n)
+
+
+def coset_l1_min_by_enumeration(alpha: Mat) -> int:
+    """det * min over the nonzero cosets x + Z^2 of Z^2 alpha^-1 / Z^2 of
+    sum_i dist(x_i, Z), each coset reached as z alpha^-1 for a representative
+    z of Z^2 / Z^2 alpha, in Fractions."""
+    det = abs(int(alpha.det()))
+    inv = alpha.inv()
+    best = None
+    for z in FiniteOdometer(Lattice(alpha.transpose())).reps:
+        x = [sum(z[i] * inv.rows[i][j] for i in range(2)) for j in range(2)]
+        if all(t.denominator == 1 for t in x):
+            continue
+        norm = sum(min(t - floor(t), floor(t) + 1 - t) for t in x)
+        best = norm if best is None else min(best, norm)
+    assert (det * best).denominator == 1
+    return int(det * best)
+
+
+def test_coset_l1_min_matches_enumeration(prog):
+    rng = random.Random(2033)
+    pairs = [(lvl.a, lvl.b) for lvl in prog.levels]
+    while len(pairs) < len(prog.levels) + 40:
+        a, b = rng.randint(2, 60), rng.randint(2, 60)
+        if is_prime(a * b - 1):
+            pairs.append((a, b))
+    for a, b in pairs:
+        expected = coset_l1_min_by_enumeration(Mat([[a, 1], [1, b]]))
+        assert _coset_l1_min(a, a * b - 1) == expected, (a, b)
+    # On that family the minimum is 1 + min(a, b) (but for a = b = 2), at
+    # (-1, a) or (b, -1), which leaves most of the kernel untested.  Any alpha
+    # of prime determinant p gives a cyclic Z^2 alpha^-1 / Z^2 generated by a
+    # row (u, v) / p of adj(alpha) / p, and for u prime to p by (-1, a) / p
+    # with a = -v / u mod p.
+    tested = 0
+    while tested < 60:
+        rows = [[rng.randint(-12, 12) for _ in range(2)] for _ in range(2)]
+        (w, x), (y, z) = rows
+        p = abs(w * z - x * y)
+        if not is_prime(p) or z % p == 0:
+            continue
+        a = x * pow(z, -1, p) % p  # adjugate row (z, -x) = -z (-1, x / z)
+        assert _coset_l1_min(a, p) == coset_l1_min_by_enumeration(Mat(rows)), rows
+        tested += 1
+
+
+def test_deep_levels():
+    # det_5 = 5688402457309025999 is out of reach of trial division
+    prog = RigidProgram().extend(5)
+    lvl = prog.levels[4]
+    assert (lvl.a, lvl.b, lvl.det) == (2385037200, 2385037205, 5688402457309025999)
+    minima = [_coset_l1_min(lvl.a, lvl.det) for lvl in prog.levels[:4]]
+    assert minima == [4, 11, 181, 43681]
+    # level 4 clears its constant K_4 = 43680 by one
+    assert [lvl.k_constant for lvl in prog.levels[:4]] == [3, 10, 180, 43680]
+    assert verify_torsion_bound(prog, 4)
 
 
 def test_cyclicity_small_vectors(prog):
