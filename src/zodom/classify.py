@@ -112,7 +112,7 @@ def _entry_profile(e):
     mixed = Lattice.from_span(
         d, list(zd.basis_columns()) + [e.basis.col(j) for j in range(d - e.r, d)]
     )
-    absorbed = valuation(int(index(zd, mixed)), e.p)
+    absorbed = valuation(index(zd, mixed), e.p)
     return (e.r, e.index_valuation() - absorbed)
 
 

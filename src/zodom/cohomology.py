@@ -20,10 +20,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .hgroup import HGroup, Tower, _require_local, canonicalize, superindex, tower
-from .linalg import IntegerSolver, Lattice, Supernatural, snf
+from .linalg import IntegerSolver, Lattice, Supernatural, clear_denominators, snf
 from .odometer import FiniteOdometer
 
 
@@ -209,9 +208,7 @@ def build_cocycle(g: Lattice, h, pair=None) -> Cocycle1:
         raise BadGeneratorsError("quotient lattice must be integral")
     if len(h) != g.d:
         raise ValueError(f"h has {len(h)} entries, the lattice dimension is {g.d}")
-    h = [Fraction(x) for x in h]
-    den = lcm(*(x.denominator for x in h))
-    h_num = [x.numerator * (den // x.denominator) for x in h]
+    den, (h_num,) = clear_denominators([h])
     for col in zip(*g.mat):
         if sum(x * y for x, y in zip(col, h_num)) % den:
             raise ValueError("h must pair integrally with the lattice (h in G*)")

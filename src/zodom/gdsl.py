@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hgroup import HGroup, apply_matrix
-from .linalg import Mat, factorint
+from .linalg import Mat, SingularMatrixError, factorint
 
 
 class GdslSyntaxError(ValueError):
@@ -225,6 +225,8 @@ def expr_dimension(e) -> int:
             raise DimensionMismatchError(
                 f"matrix is {e.mat.d}x{e.mat.d} but operand has dimension {d}"
             )
+        if e.mat.det() == 0:
+            raise SingularMatrixError("matrix must be invertible")
         return d
     if isinstance(e, SumExpr):
         dims = {expr_dimension(i) for i in e.items}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .linalg import (
     INF,
@@ -84,7 +84,7 @@ class LocalEntry:
 
     def index_valuation(self) -> int:
         """v_p of the lattice-part index [L(p) : Z^d]."""
-        return valuation(int(index(Lattice.standard(self.d), self.lattice)), self.p)
+        return valuation(index(Lattice.standard(self.d), self.lattice), self.p)
 
     def __eq__(self, other):
         return (
@@ -115,15 +115,11 @@ def _make_entry(d: int, p: int, lattice_gens, divisible_gens):
     blat = lat.basis()
     if 0 < r < d:
         # adapted basis: complete a basis of L(p) so the last r columns span
-        # L(p) n V_p; the kernel is computed in L(p)-coordinates.
+        # L(p) n V_p; the kernel is computed in L(p)-coordinates, where it is
+        # the integer kernel of ann . mat (a multiple of ann . B_L).
         ann = annihilator(vspan, d)
-        prod = [
-            [sum(Fraction(a[i]) * blat.rows[i][j] for i in range(d)) for j in range(d)]
-            for a in ann
-        ]
-        den = lcm(*[x.denominator for row in prod for x in row], 1)
-        ker = integer_kernel([[int(x * den) for x in row] for row in prod])
-        basis = blat * complete_to_basis(ker, d)
+        prod = [[sum(a[i] * lat.mat[i][j] for i in range(d)) for j in range(d)] for a in ann]
+        basis = blat * complete_to_basis(integer_kernel(prod), d)
     else:
         basis = blat
     return LocalEntry(p, basis, r, lat, vspan)
@@ -263,7 +259,7 @@ class Tower:
 
     def index_at(self, n: int) -> int:
         """[Z^d : G_n] = [H_n : Z^d] at 1-based level n."""
-        return int(index(self.duals[n - 1], Lattice.standard(self.duals[n - 1].d)))
+        return index(self.duals[n - 1], Lattice.standard(self.duals[n - 1].d))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +330,7 @@ def superindex_info(h):
     if isinstance(h, ProgramGroup):
         exps: dict[int, object] = {}
         for n in range(1, h.depth_cap + 1):
-            idx = int(index(h.level_dual(n), Lattice.standard(h.d)))
+            idx = index(h.level_dual(n), Lattice.standard(h.d))
             for p, e in factorint(idx).items():
                 exps[p] = max(exps.get(p, 0), e)
         return Supernatural(exps), False

@@ -1,10 +1,11 @@
 """Exact integer and rational linear algebra for lattice computations.
 
-Everything runs over Python ints and :class:`fractions.Fraction`, so all
-results are exact.  Matrices are small (d <= 4 by design), so the algorithms
-favour clarity and predictable cost: Bareiss for determinants, classical
-column reduction for Hermite forms, classical Smith reduction with tracked
-transforms.
+Rational input is put over a common denominator (:func:`clear_denominators`)
+and the work is integer arithmetic, so all results are exact.  Matrices are
+small (d <= 4 by design), so the algorithms favour clarity and predictable
+cost: fraction-free Gauss-Jordan for determinants, inverses and row echelon
+forms over Q, unimodular column reduction for Hermite forms and integer
+kernels, classical Smith reduction with tracked transforms.
 
 Conventions fixed here and relied on by every other module:
 
@@ -19,7 +20,7 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 
 
 class SingularMatrixError(ValueError):
@@ -35,9 +36,10 @@ class NotSublatticeError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin to the 13 prime bases 2..41, exact below
-    3,317,044,064,679,887,385,961,981 (Sorenson-Webster, Math. Comp. 2017);
-    trial division at and above that bound."""
+    """Miller-Rabin to the 13 prime bases 2..41, deterministic below
+    3,317,044,064,679,887,385,961,981 (Sorenson-Webster, Math. Comp. 2017).
+    A witness proves n composite at any size; at and above that bound a
+    number with no witness is confirmed by trial division."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
@@ -45,13 +47,6 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n < 43 * 43:
-        return True
-    if n >= 3_317_044_064_679_887_385_961_981:
-        f = 43
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
         return True
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -67,28 +62,75 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= 3_317_044_064_679_887_385_961_981:
+        f = 43
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
     return True
 
 
+_TRIAL_LIMIT = 1 << 10  # factorint hands larger composite cofactors to _brent
+
+
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division, stopping once the
-    cofactor is prime.  factorint(12) == {2: 2, 3: 1}."""
+    """Prime factorization of |n|: trial division up to _TRIAL_LIMIT,
+    stopping once the cofactor is prime; a composite cofactor left over has
+    only large prime factors and is split by Pollard-Brent, recursively.
+    factorint(12) == {2: 2, 3: 1}."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}
     f = 2
     prime = is_prime(n)
-    while not prime and f * f <= n:
+    while not prime and f <= _TRIAL_LIMIT and f * f <= n:
         if n % f == 0:
             while n % f == 0:
                 out[f] = out.get(f, 0) + 1
                 n //= f
             prime = is_prime(n)
         f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            q = _brent(m)
+            stack += [q, m // q]
+    return dict(sorted(out.items()))
+
+
+def _brent(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard's rho with Brent's
+    cycle detection and batched gcds (Brent, BIT 1980), iterating
+    y -> y^2 + c from y = 2 with c = 1, 2, ... until one splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def valuation(x, p: int) -> int:
@@ -111,27 +153,63 @@ def valuation(x, p: int) -> int:
 # integer matrix kernels (lists of rows)
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return sign * a[-1][-1]
+def clear_denominators(rows):
+    """(den, ints): the least common denominator of the int or Fraction
+    entries, and the integer rows den * rows."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss,
+    Math. Comp. 1968); returns ``(a, pivots, det)``.
+
+    Each step replaces every other row by (p * row - f * pivot row) // prev,
+    p the pivot and prev the one before; every entry is then a minor of the
+    input (Sylvester's identity), so the division is exact.  Row k < rank of
+    ``a`` is the k-th reduced echelon row times the last pivot; later rows
+    are zero.  ``det`` is the determinant of the pivot columns, signed by
+    the row swaps, when the rank is the row count, else 0.
+
+    >>> _gauss_jordan([[0, 2, 4], [3, 1, 2]])
+    ([[6, 0, 0], [0, 6, 12]], [0, 1], -6)
+    """
+    a = [list(row) for row in rows]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(nc):
+        k = len(pivots)
+        if k == nr:
+            break
+        i = next((i for i in range(k, nr) if a[i][c]), None)
+        if i is None:
+            continue
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        top = a[k]
+        p = top[c]
+        for i in range(nr):
+            if i != k:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        pivots.append(c)
+        prev = p
+    return a, pivots, sign * prev if len(pivots) == nr else 0
+
+
+def adjugate(rows):
+    """(det, adj) of a square nonsingular integer matrix: eliminating
+    [A | I] leaves p * A^-1 on the right, p = a[0][0] the last pivot."""
+    n = len(rows)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    a, pivots, det = _gauss_jordan([[*r, *e] for r, e in zip(rows, eye)])
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is not invertible")
+    sign = 1 if a[0][0] == det else -1
+    return det, [[sign * x for x in row[n:]] for row in a]
 
 
 def _column_echelon(rows: list[list[int]]):
@@ -412,30 +490,14 @@ class Mat:
         return Mat([[x * c for x in row] for row in self.rows])
 
     def det(self) -> Fraction:
-        den = lcm(*[x.denominator for row in self.rows for x in row], 1)
-        ints = [[int(x * den) for x in row] for row in self.rows]
-        return Fraction(_int_det(ints), den**self.d)
+        den, ints = clear_denominators(self.rows)
+        return Fraction(_gauss_jordan(ints)[2], den**self.d)
 
     def inv(self) -> "Mat":
-        """Inverse by Gauss-Jordan over Fractions."""
-        d = self.d
-        a = [list(row) for row in self.rows]
-        b = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-        for col in range(d):
-            piv = next((r for r in range(col, d) if a[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is not invertible")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            pv = a[col][col]
-            a[col] = [x / pv for x in a[col]]
-            b[col] = [x / pv for x in b[col]]
-            for r in range(d):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return Mat(b)
+        """Inverse den * adj(A) / det(A) of (1/den) * A, A integral."""
+        den, ints = clear_denominators(self.rows)
+        det, adj = adjugate(ints)
+        return Mat([[Fraction(den * x, det) for x in row] for row in adj])
 
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for row in self.rows for x in row)
@@ -468,8 +530,7 @@ class Lattice:
     __slots__ = ("d", "den", "mat")
 
     def __init__(self, basis: Mat):
-        cols = basis.columns()
-        lat = _canonical_from_columns(basis.d, cols)
+        lat = _canonical(basis.d, *clear_denominators(basis.rows))
         if lat is None:
             raise SingularMatrixError("lattice basis must have nonzero determinant")
         self.d, self.den, self.mat = lat
@@ -500,35 +561,40 @@ class Lattice:
         return self.basis().columns()
 
     def det(self) -> Fraction:
-        d = Fraction(_int_det([list(r) for r in self.mat]), self.den**self.d)
-        return abs(d)
+        return Fraction(prod(self.diagonal()), self.den**self.d)
 
     def diagonal(self):
         """HNF diagonal of the integer part (den must be 1 for coset boxes)."""
         return tuple(self.mat[i][i] for i in range(self.d))
 
-    def solve(self, v):
-        """Coordinates x with basis . x = v (forward substitution, basis is triangular)."""
+    def _holds(self, w, e) -> bool:
+        """Whether w / e (w integral, e > 0) lies in the lattice: forward
+        substitution of mat . x = den * w / e on the triangular HNF."""
         x = []
-        v = [Fraction(t) for t in v]
-        for i in range(self.d):
-            acc = v[i] - sum(Fraction(self.mat[i][j], self.den) * x[j] for j in range(i))
-            x.append(acc / Fraction(self.mat[i][i], self.den))
-        return tuple(x)
+        for i, row in enumerate(self.mat):
+            q, r = divmod(self.den * w[i] - e * sum(c * y for c, y in zip(row, x)), e * row[i])
+            if r:
+                return False
+            x.append(q)
+        return True
 
     def member(self, v) -> bool:
-        return all(c.denominator == 1 for c in self.solve(v))
+        e, (w,) = clear_denominators([v])
+        return self._holds(w, e)
 
     def dual(self) -> "Lattice":
-        """Dual lattice: all vectors pairing integrally with every lattice element.
+        """Dual lattice: all vectors pairing integrally with every lattice
+        element.  The dual of (1/den) * M is den * adj(M)^T / det(M).
 
         >>> Lattice(Mat([[Fraction(1, 2), 0], [0, 1]])).dual().mat
         ((2, 0), (0, 1))
         """
-        return Lattice(self.basis().inv().transpose())
+        det, adj = adjugate(self.mat)
+        rows = [[self.den * x for x in col] for col in zip(*adj)]
+        return Lattice._raw(*_canonical(self.d, abs(det), rows))
 
     def contains(self, other: "Lattice") -> bool:
-        return all(self.member(c) for c in other.basis_columns())
+        return all(self._holds(col, other.den) for col in zip(*other.mat))
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -549,30 +615,31 @@ class Lattice:
 
 def _canonical_from_columns(d: int, cols):
     """(d, den, hnf-rows) for the lattice spanned by the columns, or None if rank < d."""
-    cols = [tuple(Fraction(x) for x in c) for c in cols]
     if not cols or any(len(c) != d for c in cols):
         raise ValueError("bad column data")
-    den = lcm(*[x.denominator for c in cols for x in c], 1)
-    rows = [[int(cols[j][i] * den) for j in range(len(cols))] for i in range(d)]
+    den, ints = clear_denominators(cols)
+    return _canonical(d, den, [list(row) for row in zip(*ints)])
+
+
+def _canonical(d: int, den: int, rows):
+    """(d, den', hnf-rows) for the lattice (1/den) * (column span of the
+    integer rows) in lowest terms, or None if rank < d."""
     h, _, pivots = _column_echelon(rows)
     if len(pivots) < d:
         return None
     cut = [row[:d] for row in h]
-    g = den
-    for row in cut:
-        for x in row:
-            g = gcd(g, x)
-    g = max(g, 1)
+    g = gcd(den, *(x for row in cut for x in row))
     return d, den // g, tuple(tuple(x // g for x in row) for row in cut)
 
 
-def index(sub: Lattice, sup: Lattice) -> Fraction:
-    """[sup : sub] for nested lattices; a positive integer as a Fraction."""
+def index(sub: Lattice, sup: Lattice) -> int:
+    """[sup : sub] for nested lattices, a positive integer."""
     if sub.d != sup.d:
         raise NotSublatticeError("dimension mismatch")
     if not sup.contains(sub):
         raise NotSublatticeError("first lattice is not contained in the second")
-    return sub.det() / sup.det()
+    # det(sub) / det(sup), each the HNF diagonal over den^d
+    return prod(sub.diagonal()) * sup.den**sub.d // (prod(sup.diagonal()) * sub.den**sub.d)
 
 
 def lattice_sum(*lats: Lattice) -> Lattice:
@@ -612,8 +679,7 @@ def p_primary_over_standard(lat: Lattice, p: int) -> Lattice:
     torsion of L/Z^d and is bijective on the p-part.
     """
     zd = Lattice.standard(lat.d)
-    idx = index(zd, lat)
-    n = int(idx)
+    n = index(zd, lat)
     np_part = n // p ** valuation(n, p) if n > 1 else 1
     if np_part == 1:
         return lat
@@ -624,86 +690,50 @@ def p_primary_over_standard(lat: Lattice, p: int) -> Lattice:
 # rational subspaces (for divisible directions)
 
 
-def rref(rows):
-    """Reduced row echelon form over Q; returns the nonzero rows."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    lead = 0
-    out = []
-    for col in range(nc):
-        piv = next((r for r in range(lead, nr) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[lead], a[piv] = a[piv], a[lead]
-        pv = a[lead][col]
-        a[lead] = [x / pv for x in a[lead]]
-        for r in range(nr):
-            if r != lead and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[lead])]
-        lead += 1
-        if lead == nr:
-            break
-    for r in range(lead):
-        out.append(tuple(a[r]))
-    return out
-
-
 def subspace_basis(vectors, d):
-    """Canonical basis of the span: RREF rows rescaled to primitive integer vectors."""
-    vecs = [v for v in vectors if any(Fraction(x) != 0 for x in v)]
-    if not vecs:
-        return ()
+    """Canonical basis of the span: reduced row echelon rows rescaled to
+    primitive integer vectors with positive pivots."""
+    _, ints = clear_denominators(list(vectors))
+    a, pivots, _ = _gauss_jordan(ints)
     out = []
-    for row in rref(vecs):
-        den = lcm(*[x.denominator for x in row], 1)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        out.append(tuple(x // g for x in ints))
+    for row, c in zip(a, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out.append(tuple(x // g for x in row))
     return tuple(out)
 
 
 def subspace_contains(basis, v) -> bool:
-    """Whether v lies in the span of echelonized basis rows."""
-    v = [Fraction(x) for x in v]
-    for row in basis:
-        piv = next(j for j, x in enumerate(row) if x != 0)
-        if v[piv] != 0:
-            f = v[piv] / row[piv]
-            v = [x - f * Fraction(y) for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
+    """Whether v lies in the span of the independent basis rows: appending
+    it leaves the rank unchanged."""
+    _, ints = clear_denominators([*basis, v])
+    return len(_gauss_jordan(ints)[1]) == len(basis)
 
 
 def annihilator(basis, d):
-    """Canonical basis of {f in Q^d : <f, v> = 0 for all v in the span}."""
-    if not basis:
-        return subspace_basis([tuple(1 if i == j else 0 for j in range(d)) for i in range(d)], d)
-    rows = rref(basis)
-    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in rows]
-    free = [j for j in range(d) if j not in pivots]
+    """Canonical basis of {f in Q^d : <f, v> = 0 for all v in the span}.
+
+    With the reduced rows scaled by the last pivot p, each free column f
+    gives the kernel vector with p at f and -row[f] at the row's pivot."""
+    _, ints = clear_denominators(basis)
+    a, pivots, _ = _gauss_jordan(ints)
+    p = a[0][pivots[0]] if pivots else 1
     out = []
-    for f in free:
-        w = [Fraction(0)] * d
-        w[f] = Fraction(1)
-        for row, pj in zip(rows, pivots):
-            w[pj] = -row[f]
-        out.append(tuple(w))
+    for f in range(d):
+        if f not in pivots:
+            w = [0] * d
+            w[f] = p
+            for row, c in zip(a, pivots):
+                w[c] = -row[f]
+            out.append(w)
     return subspace_basis(out, d)
 
 
 def saturation(basis, d) -> list:
     """Basis (columns) of span(basis) intersected with Z^d."""
-    if not basis:
-        return []
     ann = annihilator(basis, d)
     if not ann:  # span is all of Q^d
         return [[1 if i == j else 0 for i in range(d)] for j in range(d)]
-    den = lcm(*[x.denominator for row in ann for x in row], 1)
-    rows = [[int(x * den) for x in row] for row in ann]
-    return integer_kernel(rows)
+    return integer_kernel(ann)
 
 
 def complete_to_basis(kernel_cols, d):
@@ -716,7 +746,7 @@ def complete_to_basis(kernel_cols, d):
     for i in range(r):
         if abs(s[i][i]) != 1:
             raise ValueError("kernel columns are not saturated")
-    uinv = Mat([[Fraction(x) for x in row] for row in u]).inv()
+    uinv = Mat(u).inv()
     cols = uinv.columns()
     ordered = cols[r:] + cols[:r]
     return Mat.from_columns(ordered)

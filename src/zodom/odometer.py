@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .hgroup import HGroup, Tower, direct_sum, member_h, tower
-from .linalg import Lattice, index, lattice_block, snf, subspace_contains
+from .linalg import Lattice, adjugate, index, lattice_block, snf, subspace_contains
 
 
 class NotSubgroupError(ValueError):
@@ -192,11 +192,11 @@ class DualityRealization:
     def __init__(self, k: Lattice):
         self.k = k
         self.d = k.d
-        self.basis = k.basis()
-        m = self.basis.inv()
-        if not m.is_integer():
+        # M = B_K^-1 = den * adj(mat) / det(mat) for B_K = mat / den
+        det, adj = adjugate(k.mat)
+        if any(k.den * x % det for row in adj for x in row):
             raise NotSubgroupError("K must contain Z^d")
-        self._m_rows = [[int(x) for x in row] for row in m.rows]
+        self._m_rows = [[k.den * x // det for x in row] for row in adj]
         u, s, v = snf(self._m_rows)
         self.snf_diag = tuple(s[i][i] for i in range(k.d))
         self._u_rows = u
@@ -277,7 +277,7 @@ def duality_check(k: Lattice, samples: int = 5, rng: random.Random | None = None
     rng = rng or random.Random(0)
     real = DualityRealization(k)
     zd = Lattice.standard(k.d)
-    if real.card() != int(index(zd, k)) or real.card() != real.quotient.card:
+    if real.card() != index(zd, k) or real.card() != real.quotient.card:
         return False
     images = {t: real.to_quotient(t) for t in real.points}
     if set(images.values()) != set(real.quotient.reps):

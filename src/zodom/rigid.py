@@ -155,15 +155,22 @@ def verify_exercises(prog: RigidProgram, n: int) -> dict:
     # t e_i lies in Z^2 alpha^-1 exactly for t in (1/g) Z, g the gcd of row i
     report["item3"] = all(gcd(*row) == 1 for row in ((a, 1), (1, b)))
 
-    ok4 = all(b <= k * b <= det - b + 1 for k in range(1, a))
-    ok4 = ok4 and all(a <= k * a <= det - a + 1 for k in range(1, b))
-    report["item4"] = ok4
+    report["item4"] = _exercise4(a, b, det)
 
     # item 5: nonzero x in Z^2 alpha^-1 has det |x|_1 >= min(a,b).  Nonzero
     # x in Z^2 have det |x|_1 >= det > min(a,b); the other cosets are bounded
     # by the exact minimum.
     report["item5"] = _coset_l1_min(a, det) >= min(a, b)
     return report
+
+
+def _exercise4(a: int, b: int, det: int) -> bool:
+    """b <= k b <= det - b + 1 for 0 < k < a, and a <= k a <= det - a + 1
+    for 0 < k < b.  Each condition is linear in k, so it holds on the whole
+    range iff at both ends (an empty range holds vacuously)."""
+    return all(
+        x <= k * x <= det - x + 1 for x, m in ((b, a), (a, b)) if m > 1 for k in (1, m - 1)
+    )
 
 
 def verify_torsion_bound(prog: RigidProgram, n: int) -> bool:

@@ -269,6 +269,22 @@ def test_parse_mixed_dimensions(grp, capsys):
     assert out == "error=summands have mixed dimensions [1, 2]\n"
 
 
+def test_parse_and_canon_reject_singular_matrix(grp, capsys):
+    sing = grp("sing", "mat([0,0;0,0]) * oplus(Z[1/2], Z[1/3])")
+    for verb in ("parse", "canon"):
+        code, out = run(capsys, verb, sing)
+        assert code == EX_DATA, verb
+        assert out == "error=matrix must be invertible\n", verb
+
+
+def test_canon_square_of_large_prime(grp, capsys):
+    # 3640410877657794241 = 1907986079^2: trial division alone would run to 1.9e9
+    big = grp("big", "oplus(Z[1/3640410877657794241])")
+    code, out = run(capsys, "canon", big)
+    assert code == 0
+    assert "support=1907986079" in out
+
+
 def test_canon_large_prime_cofactor(grp, capsys):
     # 99999999999999999999999 = 3^2 * R23 with the repunit R23 prime
     big = grp("big", "oplus(Z[1/99999999999999999999999])")

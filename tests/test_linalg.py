@@ -14,6 +14,7 @@ from zodom.linalg import (
     NotSublatticeError,
     SingularMatrixError,
     Supernatural,
+    adjugate,
     annihilator,
     complete_to_basis,
     denominator_primes,
@@ -100,6 +101,28 @@ def test_hnf_already_reduced():
 def test_hnf_column_swap():
     assert hnf([[0, 1], [1, 0]]) == [[1, 0], [0, 1]]
     assert span_equal_by_membership([[0, 1], [1, 0]], [[1, 0], [0, 1]])
+
+
+def test_hnf_matches_sympy():
+    # sympy's row-style Hermite form of J.m.J, J reversing the order of the
+    # rows and of the columns, is J.hnf(m).J
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    def flip(rows):
+        return [row[::-1] for row in rows[::-1]]
+
+    rng = random.Random(2041)
+    tested = 0
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        m = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(d)] for _ in range(d)]
+        if Mat(m).det() == 0:
+            continue
+        ref = hermite_normal_form(sympy.Matrix(flip(m)))
+        assert hnf(m) == flip([[int(ref[i, j]) for j in range(d)] for i in range(d)]), m
+        tested += 1
+    assert tested > 100
 
 
 def test_hnf_singular_rejected():
@@ -227,6 +250,12 @@ def test_index_duality_on_random_pairs():
             continue
         sub = lat(rows)
         assert index(sub, z2) == index(z2.dual(), sub.dual())
+
+
+def test_index_is_int():
+    z2 = Lattice.standard(2)
+    assert type(index(z2, lat([[F(1, 2), 0], [0, F(1, 3)]]))) is int
+    assert type(index(Lattice.from_span(2, [(4, 1), (0, 3)]), z2)) is int
 
 
 def test_index_rejects_non_nested():
@@ -381,6 +410,20 @@ def test_factorint_matches_sympy():
         factorint(0)
 
 
+def test_factorint_two_large_factors_matches_sympy():
+    # trial division alone would run to the smaller factor, about 10^9
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2042)
+    ns = [1907986079**2, 1907986079**3, 2**3 * 1031 * 1907986079**2]
+    for k in range(6):
+        p = sympy.nextprime(rng.randrange(10**9, 2 * 10**9))
+        q = sympy.nextprime(rng.randrange(10**9, 2 * 10**9))
+        ns += [p * q, 6 * p * q] if k % 3 else [p * q, p * p * q]
+    for n in ns:
+        assert factorint(n) == sympy.factorint(n), n
+        assert list(factorint(n)) == sorted(factorint(n))
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -409,3 +452,233 @@ def test_snf_invariants_property(rows):
     assert s[0][1] == s[1][0] == 0
     assert s[1][1] % s[0][0] == 0
     assert abs(s[0][0] * s[1][1]) == abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against the Fraction routines it replaced, inlined
+# here as references
+
+
+def _ref_int_det(rows):
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return sign * a[-1][-1]
+
+
+def _ref_scaled(rows):
+    from math import lcm
+
+    den = lcm(*[F(x).denominator for row in rows for x in row], 1)
+    return den, [[int(F(x) * den) for x in row] for row in rows]
+
+
+def _ref_det(rows):
+    den, ints = _ref_scaled(rows)
+    return F(_ref_int_det(ints), den ** len(rows))
+
+
+def _ref_inv(rows):
+    d = len(rows)
+    a = [[F(x) for x in row] for row in rows]
+    b = [[F(1 if i == j else 0) for j in range(d)] for i in range(d)]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if a[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is not invertible")
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        b[col] = [x / pv for x in b[col]]
+        for r in range(d):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
+    return Mat(b)
+
+
+def _ref_rref(rows):
+    a = [[F(x) for x in row] for row in rows]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    lead = 0
+    for col in range(nc):
+        piv = next((r for r in range(lead, nr) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[lead], a[piv] = a[piv], a[lead]
+        pv = a[lead][col]
+        a[lead] = [x / pv for x in a[lead]]
+        for r in range(nr):
+            if r != lead and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[lead])]
+        lead += 1
+        if lead == nr:
+            break
+    return [tuple(a[r]) for r in range(lead)]
+
+
+def _ref_subspace_basis(vectors, d):
+    from math import gcd, lcm
+
+    vecs = [v for v in vectors if any(F(x) != 0 for x in v)]
+    out = []
+    for row in _ref_rref(vecs) if vecs else []:
+        den = lcm(*[x.denominator for x in row], 1)
+        ints = [int(x * den) for x in row]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        out.append(tuple(x // g for x in ints))
+    return tuple(out)
+
+
+def _ref_subspace_contains(basis, v):
+    v = [F(x) for x in v]
+    for row in basis:
+        piv = next(j for j, x in enumerate(row) if x != 0)
+        if v[piv] != 0:
+            f = v[piv] / row[piv]
+            v = [x - f * F(y) for x, y in zip(v, row)]
+    return all(x == 0 for x in v)
+
+
+def _ref_annihilator(basis, d):
+    if not basis:
+        return _ref_subspace_basis([[int(i == j) for j in range(d)] for i in range(d)], d)
+    rows = _ref_rref(basis)
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in rows]
+    out = []
+    for f in range(d):
+        if f not in pivots:
+            w = [F(0)] * d
+            w[f] = F(1)
+            for row, pj in zip(rows, pivots):
+                w[pj] = -row[f]
+            out.append(tuple(w))
+    return _ref_subspace_basis(out, d)
+
+
+def _ref_solve(lattice, v):
+    x = []
+    v = [F(t) for t in v]
+    for i in range(lattice.d):
+        acc = v[i] - sum(F(lattice.mat[i][j], lattice.den) * x[j] for j in range(i))
+        x.append(acc / F(lattice.mat[i][i], lattice.den))
+    return tuple(x)
+
+
+def _ref_member(lattice, v):
+    return all(c.denominator == 1 for c in _ref_solve(lattice, v))
+
+
+def _ref_contains(big, small):
+    return all(_ref_member(big, c) for c in small.basis_columns())
+
+
+def _ref_dual(lattice):
+    return Lattice(_ref_inv(lattice.basis().rows).transpose())
+
+
+def _random_rows(rng, nr, nc):
+    """Integer and Fraction entries, about a third zero; some rows zero and
+    some rows combinations of earlier ones, so the rank often drops."""
+    rows = []
+    for _ in range(nr):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * nc)
+        elif kind < 0.35 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = F(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(
+                [rng.choice((0, rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 6))))
+                 for _ in range(nc)]
+            )
+    return rows
+
+
+def test_mat_det_inv_match_fraction_reference():
+    rng = random.Random(2043)
+    singular = 0
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        rows = _random_rows(rng, d, d)
+        m = Mat(rows)
+        assert m.det() == _ref_det(rows), rows
+        _, ints = _ref_scaled(rows)
+        try:
+            ref = _ref_inv(rows)
+        except SingularMatrixError:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                m.inv()
+            with pytest.raises(SingularMatrixError):
+                adjugate(ints)
+            continue
+        assert m.inv() == ref, rows
+        det, adj = adjugate(ints)
+        assert det == _ref_int_det(ints)
+        assert Mat(adj) == _ref_inv(ints).scale(det)
+    assert 50 < singular < 350
+
+
+def test_subspace_functions_match_fraction_reference():
+    rng = random.Random(2044)
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        vecs = _random_rows(rng, rng.randint(0, 4), d)
+        basis = subspace_basis(vecs, d)
+        assert basis == _ref_subspace_basis(vecs, d), vecs
+        assert annihilator(vecs, d) == _ref_annihilator(vecs, d), vecs
+        assert annihilator(basis, d) == _ref_annihilator(basis, d), vecs
+        for v in _random_rows(rng, 2, d) + [
+            [sum(F(rng.randint(-3, 3), rng.randint(1, 2)) * b[i] for b in basis) for i in range(d)]
+        ]:
+            assert subspace_contains(basis, v) == _ref_subspace_contains(basis, v), (basis, v)
+
+
+def test_lattice_member_contains_dual_match_fraction_reference():
+    rng = random.Random(2045)
+    tested = 0
+    for _ in range(500):
+        d = rng.randint(1, 4)
+        rows = _random_rows(rng, d, d)
+        if _ref_det(rows) == 0:
+            continue
+        tested += 1
+        g = Lattice(Mat(rows))
+        gd = g.dual()
+        assert gd == _ref_dual(g), rows
+        vs = _random_rows(rng, 3, d)
+        vs += [[sum(rng.randint(-3, 3) * c[i] for c in lat_.basis_columns()) for i in range(d)]
+               for lat_ in (g, gd)]
+        vs += [[F(x) / rng.randint(1, 3) for x in v] for v in vs[-2:]]
+        for lat_ in (g, gd):
+            for v in vs:
+                assert lat_.member(v) == _ref_member(lat_, v), (lat_, v)
+        # nested and non-nested pairs
+        sub = Lattice.from_span(d, [[rng.randint(1, 3) * x for x in c] for c in g.basis_columns()])
+        for a, b in ((g, sub), (sub, g), (g, gd), (gd, g), (g, Lattice.standard(d))):
+            assert a.contains(b) == _ref_contains(a, b), (a, b)
+    assert tested > 120

@@ -11,6 +11,7 @@ from zodom.rigid import (
     GALLERY_VERDICTS,
     RigidProgram,
     _coset_l1_min,
+    _exercise4,
     dual_ball_trivial,
     gallery,
     l1_operator_norm,
@@ -62,6 +63,20 @@ def test_exercises_pass(prog):
             assert report[f"item{item}"], (n, item)
         # the as-written item 2 vectors fail; the adjugate-row reading passes
         assert report["item2_deviation"]
+
+
+def test_exercise4_endpoints_match_loop():
+    def loop(a, b, det):
+        ok = all(b <= k * b <= det - b + 1 for k in range(1, a))
+        return ok and all(a <= k * a <= det - a + 1 for k in range(1, b))
+
+    outcomes = set()
+    for a in range(-2, 60):
+        for b in range(-2, 60):
+            for det in {a * b - 1, a * b + 1, a + b, 2 * max(a, b), max(a, b) ** 2 // 3}:
+                outcomes.add(loop(a, b, det))
+                assert _exercise4(a, b, det) == loop(a, b, det), (a, b, det)
+    assert outcomes == {True, False}
 
 
 def test_exercise2_adjugate_row_membership(prog):
