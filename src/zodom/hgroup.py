@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .linalg import (
     INF,
@@ -29,7 +29,9 @@ from .linalg import (
     Mat,
     SingularMatrixError,
     Supernatural,
+    adjugate,
     annihilator,
+    clear_denominators,
     complete_to_basis,
     denominator_primes,
     factorint,
@@ -59,9 +61,14 @@ class NotSupergroupError(ValueError):
 
 
 class LocalEntry:
-    """Local data of H at one prime: adapted basis, divisibility rank, caches."""
+    """Local data of H at one prime: adapted basis, divisibility rank, caches.
 
-    __slots__ = ("p", "basis", "r", "lattice", "vspan", "_basis_inv", "_sat")
+    ``_rows`` holds the first d-r rows of B_p^-1 = den * adj(A) / det for
+    B_p = A / den; they are integers, since B_p is a basis of L(p) and
+    Z^d <= L(p).
+    """
+
+    __slots__ = ("p", "basis", "r", "lattice", "vspan", "_rows", "_sat")
 
     def __init__(self, p, basis, r, lattice, vspan):
         self.p = p
@@ -69,7 +76,11 @@ class LocalEntry:
         self.r = r
         self.lattice = lattice
         self.vspan = vspan
-        self._basis_inv = basis.inv()
+        den, ints = clear_denominators(basis.rows)
+        det, adj = adjugate(ints)
+        if any(den * x % det for row in adj for x in row):
+            raise NotSupergroupError(f"lattice at {p} does not contain Z^{basis.d}")
+        self._rows = tuple(tuple(den * x // det for x in row) for row in adj[: basis.d - r])
         # saturated integer basis of V_p, used for tower levels
         self._sat = tuple(tuple(c) for c in saturation(vspan, basis.d))
 
@@ -78,9 +89,11 @@ class LocalEntry:
         return self.basis.d
 
     def member_local(self, v) -> bool:
-        """v in M_p: first d-r coordinates of B^-1 v must be p-integral."""
-        w = self._basis_inv.apply(v)
-        return all(w[i].denominator % self.p != 0 for i in range(self.d - self.r))
+        """v in M_p: the first d-r coordinates of B^-1 v must be p-integral.
+        With v = num / D that is row . num = 0 mod p^v_p(D) for each row."""
+        den, (num,) = clear_denominators([v])
+        mod = self.p ** valuation(den, self.p)
+        return all(sum(a * x for a, x in zip(row, num)) % mod == 0 for row in self._rows)
 
     def index_valuation(self) -> int:
         """v_p of the lattice-part index [L(p) : Z^d]."""
@@ -279,11 +292,14 @@ def member_h(v, h) -> bool:
         raise ValueError("dimension mismatch")
     if isinstance(h, ProgramGroup):
         return _member_program(v, h)
-    for p in sorted(denominator_primes(v)):
-        entry = h.entry(p)
-        if entry is None or not entry.member_local(v):
-            return False
-    return True
+    # H <= Z[1/S]^d: divide the support primes out of the common denominator
+    rest = lcm(*(x.denominator for x in v))
+    for e in h.entries:
+        if rest % e.p == 0:
+            rest //= e.p ** valuation(rest, e.p)
+            if not e.member_local(v):
+                return False
+    return rest == 1
 
 
 def _member_program(v, h: ProgramGroup) -> bool:

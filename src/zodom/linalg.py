@@ -134,8 +134,7 @@ def _brent(n: int) -> int:
 
 
 def valuation(x, p: int) -> int:
-    """p-adic valuation of a nonzero int or Fraction."""
-    x = Fraction(x)
+    """p-adic valuation of a nonzero int or Fraction (no Fraction is built)."""
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
     v = 0
@@ -428,7 +427,9 @@ def integer_kernel(rows) -> list[list[int]]:
 
 
 def _as_fraction_rows(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(
+        tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows
+    )
 
 
 class Mat:

@@ -26,7 +26,7 @@ class NotSubgroupError(ValueError):
 class FiniteOdometer:
     """Translation action of Z^d on Z^d/G, G an integer lattice of finite index."""
 
-    __slots__ = ("lattice", "d", "card", "reps", "_diag")
+    __slots__ = ("lattice", "d", "card", "_diag", "_reps")
 
     def __init__(self, lattice: Lattice):
         if not lattice.is_integral():
@@ -35,7 +35,14 @@ class FiniteOdometer:
         self.d = lattice.d
         self._diag = lattice.diagonal()
         self.card = prod(self._diag)
-        self.reps = tuple(itertools.product(*[range(h) for h in self._diag]))
+        self._reps = None
+
+    @property
+    def reps(self):
+        """The box transversal in lexicographic order, built on first use."""
+        if self._reps is None:
+            self._reps = tuple(itertools.product(*[range(h) for h in self._diag]))
+        return self._reps
 
     def reduce(self, v):
         """Box representative of v + G (forward walk along the triangular basis)."""
@@ -139,11 +146,21 @@ def metric(x: OdoPoint, y: OdoPoint) -> Fraction:
 
 def spectrum(h: HGroup, height: int):
     """Rational eigenvalues h mod Z^d with coordinate denominators <= height,
-    reduced to [0,1)^d and sorted lexicographically."""
+    reduced to [0,1)^d and sorted lexicographically.
+
+    H <= Z[1/S]^d for the support S, so only denominators that are
+    products of support primes are enumerated."""
     if height < 1:
         raise ValueError("height must be >= 1")
+    support = h.support()
     line = [Fraction(0)]
     for den in range(2, height + 1):
+        rest = den
+        for p in support:
+            while rest % p == 0:
+                rest //= p
+        if rest != 1:
+            continue
         for num in range(1, den):
             if gcd(num, den) == 1:
                 line.append(Fraction(num, den))

@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zodom.gdsl import parse_group
 from zodom.hgroup import (
@@ -30,6 +33,7 @@ from zodom.linalg import (
     subspace_basis,
     valuation,
 )
+from zodom.rigid import GALLERY_TEXTS
 
 F = Fraction
 
@@ -107,6 +111,51 @@ def test_member_degenerate_standard():
     h = HGroup.standard(2)
     assert member_h((1, -3), h)
     assert not member_h((F(1, 2), 0), h)
+
+
+def _member_local_reference(e, v):
+    """The Fraction rule: the first d-r coordinates of B_p^-1 v are p-integral."""
+    w = e.basis.inv().apply(v)
+    return all(w[i].denominator % e.p != 0 for i in range(e.d - e.r))
+
+
+LOCAL_ENTRIES = [
+    e
+    for text in GALLERY + list(GALLERY_TEXTS.values())
+    for e in parse_group(text).entries
+]
+
+
+def test_member_local_matches_fraction_rule_on_gallery():
+    # every entry against the lattice generators of every entry at its prime,
+    # and against the p-power points of a small box
+    checked = 0
+    for e in LOCAL_ENTRIES:
+        probes = [
+            c
+            for other in LOCAL_ENTRIES
+            if (other.p, other.d) == (e.p, e.d)
+            for c in other.lattice.basis_columns()
+        ]
+        box = range(-e.p**2, e.p**2 + 1, max(1, e.p // 2))
+        probes += [tuple(F(x, e.p**2) for x in xs) for xs in itertools.product(box, repeat=e.d)]
+        for v in probes:
+            assert e.member_local(v) == _member_local_reference(e, v), (e, v)
+            checked += 1
+    assert checked > 1000
+
+
+@given(
+    st.sampled_from(LOCAL_ENTRIES),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([1, 1, 7, 11]),
+    st.lists(st.integers(min_value=-(10**4), max_value=10**4), min_size=3, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_member_local_matches_fraction_rule_random(e, k, cofactor, nums):
+    den = e.p**k * (cofactor if cofactor % e.p else 1)
+    v = tuple(F(x, den) for x in nums[: e.d])
+    assert e.member_local(v) == _member_local_reference(e, v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from zodom.gdsl import parse_group
-from zodom.hgroup import HGroup, is_free, tower
+from zodom.hgroup import HGroup, is_free, member_h, tower
 from zodom.linalg import Lattice, Mat, index, snf
 from zodom.odometer import (
     DualityRealization,
@@ -19,6 +20,7 @@ from zodom.odometer import (
     product_check,
     spectrum,
 )
+from zodom.rigid import GALLERY_TEXTS
 from zodom.verify import sublattices_z2
 
 F = Fraction
@@ -40,6 +42,26 @@ def test_reps_are_hnf_box():
     f = FiniteOdometer(Lattice.from_span(2, [(2, 1), (0, 3)]))
     assert f.card == 6 == len(f.reps)
     assert f.reps == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+
+
+def test_reps_are_built_on_first_use():
+    h = parse_group("oplus(Z[1/2], Z[1/3])")
+    sys = TowerSystem(tower(h, 14))
+    assert sys.quotients[-1].card == 497_664
+    pt = sys.zero()
+    for k in range(8):
+        pt = sys.act(((1, 0), (0, 1))[k % 2], pt)
+    assert all(q._reps is None for q in sys.quotients)
+    f = sys.quotients[4]
+    reps = f.reps
+    assert reps == tuple(itertools.product(*(range(x) for x in f.lattice.diagonal())))
+    assert len(reps) == f.card and f.reps is reps
+    # a quotient of index 10^12 is only ever reduced into
+    big = FiniteOdometer(Lattice.from_span(2, [(10**6, 0), (0, 10**6)]))
+    assert big.card == 10**12
+    assert big.reduce((10**6 + 3, -1)) == (3, 10**6 - 1)
+    assert big.act((1, 1), (10**6 - 1, 0)) == (0, 1)
+    assert big._reps is None
 
 
 def test_act_is_permutation_and_additive():
@@ -154,6 +176,22 @@ def test_spectrum_is_group_truncation():
     assert (F(1, 5), F(1, 5)) in got
     assert (F(2, 5), F(2, 5)) in got
     assert (F(1, 5), F(0)) not in got
+
+
+def test_spectrum_matches_unpruned_brute_force():
+    # the support of the last group skips 3, the first prime of the others
+    texts = list(GALLERY_TEXTS.values()) + [
+        "oplus(Z[1/2], Z[1/3]) + gen(2/5, 3/5)",
+        "oplus(Z[1/2], Z[1/5]) + gen(1/7, 3/7)",
+    ]
+    for text in texts:
+        h = parse_group(text)
+        for height in range(1, 9):
+            full_line = sorted({F(n, q) for q in range(1, height + 1) for n in range(q)})
+            expected = sorted(
+                v for v in itertools.product(full_line, repeat=h.d) if member_h(v, h)
+            )
+            assert spectrum(h, height) == expected, (text, height)
 
 
 # ---------------------------------------------------------------------------
