@@ -25,6 +25,7 @@ from .gdsl import (
 )
 from .hgroup import (
     DepthExceededError,
+    NotSupergroupError,
     UnsupportedPresentationError,
     equal_h,
     is_free,
@@ -76,6 +77,8 @@ def _load_expr(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError([("error", f"cannot read {path}: {exc.strerror}")])
+    except UnicodeDecodeError as exc:
+        raise InputError([("error", f"cannot read {path}: not UTF-8 at byte {exc.start}")])
     try:
         return gdsl.parse(text)
     except GdslSyntaxError as exc:
@@ -90,7 +93,7 @@ def _load_group(path: str):
     expr = _load_expr(path)
     try:
         return gdsl.elaborate(expr)
-    except (DimensionMismatchError, SingularMatrixError) as exc:
+    except (DimensionMismatchError, SingularMatrixError, NotSupergroupError) as exc:
         raise InputError([("error", str(exc))])
 
 

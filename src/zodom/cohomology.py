@@ -40,21 +40,20 @@ class Cocycle1:
         self.gen_values = tuple(dict(g) for g in gen_values)
         if len(self.gen_values) != quotient.d:
             raise ValueError("one generator-value map per dimension is required")
+        cosets = quotient.steps[0].keys()
         for g in self.gen_values:
-            if set(g) != set(quotient.reps):
+            if g.keys() != cosets:
                 raise ValueError("generator values must cover every coset")
         if validate:
             self._check_compatibility()
 
     def _check_compatibility(self):
         q = self.quotient
-        units = [tuple(1 if k == i else 0 for k in range(q.d)) for i in range(q.d)]
         for i, j in itertools.combinations(range(q.d), 2):
             gi, gj = self.gen_values[i], self.gen_values[j]
+            si, sj = q.steps[i], q.steps[j]
             for x in q.reps:
-                left = gi[x] + gj[q.act(units[i], x)]
-                right = gj[x] + gi[q.act(units[j], x)]
-                if left != right:
+                if gi[x] + gj[si[x]] != gj[x] + gi[sj[x]]:
                     raise ValueError(
                         f"incompatible generator values at {x} for e_{i+1},e_{j+1}"
                     )
@@ -71,13 +70,7 @@ class Cocycle1:
     def from_coboundary(cls, quotient: FiniteOdometer, f) -> "Cocycle1":
         """d(f): theta(x, n) = f(phi^n x) - f(x)."""
         f = dict(f)
-        units = [
-            tuple(1 if k == i else 0 for k in range(quotient.d))
-            for i in range(quotient.d)
-        ]
-        vals = [
-            {x: f[quotient.act(u, x)] - f[x] for x in quotient.reps} for u in units
-        ]
+        vals = [{x: f[y] - f[x] for x, y in step.items()} for step in quotient.steps]
         return cls(quotient, vals, validate=False)
 
     def evaluate(self, x, n) -> int:
@@ -86,17 +79,17 @@ class Cocycle1:
         q = self.quotient
         pos = q.reduce(x)
         total = 0
-        for i, steps in enumerate(n):
-            unit = tuple(1 if k == i else 0 for k in range(q.d))
-            neg = tuple(-u for u in unit)
-            if steps >= 0:
-                for _ in range(int(steps)):
-                    total += self.gen_values[i][pos]
-                    pos = q.act(unit, pos)
+        for i, count in enumerate(n):
+            values, step = self.gen_values[i], q.steps[i]
+            if count >= 0:
+                for _ in range(int(count)):
+                    total += values[pos]
+                    pos = step[pos]
             else:
-                for _ in range(-int(steps)):
-                    pos = q.act(neg, pos)
-                    total -= self.gen_values[i][pos]
+                back = {y: x for x, y in step.items()}
+                for _ in range(-int(count)):
+                    pos = back[pos]
+                    total -= values[pos]
         return total
 
     def scale(self, c: int) -> "Cocycle1":
@@ -206,13 +199,18 @@ def build_cocycle(g: Lattice, h, pair=None) -> Cocycle1:
     """
     if not g.is_integral():
         raise BadGeneratorsError("quotient lattice must be integral")
+    return _cocycle_on(FiniteOdometer(g), h, pair)
+
+
+def _cocycle_on(quotient: FiniteOdometer, h, pair=None) -> Cocycle1:
+    """build_cocycle on an existing quotient of an integral lattice."""
+    g = quotient.lattice
     if len(h) != g.d:
         raise ValueError(f"h has {len(h)} entries, the lattice dimension is {g.d}")
     den, (h_num,) = clear_denominators([h])
     for col in zip(*g.mat):
         if sum(x * y for x, y in zip(col, h_num)) % den:
             raise ValueError("h must pair integrally with the lattice (h in G*)")
-    quotient = FiniteOdometer(g)
     if g.d == 1:
         m = g.mat[0][0]
 
@@ -254,11 +252,10 @@ def _difference_rows(quotient: FiniteOdometer):
     reps = quotient.reps
     pos = {x: k for k, x in enumerate(reps)}
     rows = []
-    for i in range(quotient.d):
-        unit = tuple(1 if k == i else 0 for k in range(quotient.d))
+    for step in quotient.steps:
         for x in reps:
             row = [0] * len(reps)
-            row[pos[quotient.act(unit, x)]] += 1
+            row[pos[step[x]]] += 1
             row[pos[x]] -= 1
             rows.append(row)
     return pos, rows
@@ -382,12 +379,12 @@ def torsion_free_check(
         elif style == 1:
             coeffs = [rng.randint(-3, 3) for _ in range(quotient.d)]
             hvec = dual_basis.apply(coeffs)
-            theta = build_cocycle(g, hvec)
+            theta = _cocycle_on(quotient, hvec)
         else:
             coeffs = [rng.randint(-3, 3) for _ in range(quotient.d)]
             hvec = dual_basis.apply(coeffs)
             f0 = {x: rng.randint(-4, 4) for x in quotient.reps}
-            theta = build_cocycle(g, hvec) + Cocycle1.from_coboundary(quotient, f0)
+            theta = _cocycle_on(quotient, hvec) + Cocycle1.from_coboundary(quotient, f0)
         scaled = theta.scale(n)
         fn = solver.solve(scaled)
         if fn is not None:

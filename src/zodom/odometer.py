@@ -26,7 +26,7 @@ class NotSubgroupError(ValueError):
 class FiniteOdometer:
     """Translation action of Z^d on Z^d/G, G an integer lattice of finite index."""
 
-    __slots__ = ("lattice", "d", "card", "_diag", "_reps")
+    __slots__ = ("lattice", "d", "card", "_diag", "_walk", "_reps", "_steps")
 
     def __init__(self, lattice: Lattice):
         if not lattice.is_integral():
@@ -35,7 +35,14 @@ class FiniteOdometer:
         self.d = lattice.d
         self._diag = lattice.diagonal()
         self.card = prod(self._diag)
+        # (j, pivot, nonzero entries below it) for each HNF column
+        m = lattice.mat
+        self._walk = tuple(
+            (j, m[j][j], tuple((i, m[i][j]) for i in range(j + 1, self.d) if m[i][j]))
+            for j in range(self.d)
+        )
         self._reps = None
+        self._steps = None
 
     @property
     def reps(self):
@@ -44,15 +51,26 @@ class FiniteOdometer:
             self._reps = tuple(itertools.product(*[range(h) for h in self._diag]))
         return self._reps
 
+    @property
+    def steps(self):
+        """Unit-step tables, built on first use: steps[i][x] = reduce(x + e_i)
+        for every box representative x."""
+        if self._steps is None:
+            self._steps = tuple(
+                {x: self.reduce(x[:i] + (x[i] + 1,) + x[i + 1 :]) for x in self.reps}
+                for i in range(self.d)
+            )
+        return self._steps
+
     def reduce(self, v):
         """Box representative of v + G (forward walk along the triangular basis)."""
         w = [int(x) for x in v]
-        m = self.lattice.mat
-        for j in range(self.d):
-            q = w[j] // m[j][j]
+        for j, piv, below in self._walk:
+            q = w[j] // piv
             if q:
-                for i in range(j, self.d):
-                    w[i] -= q * m[i][j]
+                w[j] -= q * piv
+                for i, m in below:
+                    w[i] -= q * m
         return tuple(w)
 
     def act(self, k, x):
@@ -102,8 +120,16 @@ class TowerSystem:
         return self.point((0,) * self.quotients[0].d)
 
     def random_point(self, rng: random.Random) -> "OdoPoint":
+        """A uniform point at full depth: the coset of the deepest box with a
+        random lexicographic index, decoded in the box's mixed radix (the
+        same draw as rng.choice over its transversal, without building it)."""
         deep = self.quotients[-1]
-        return self.point(rng.choice(deep.reps))
+        k = rng.randrange(deep.card)
+        coords = []
+        for h in reversed(deep._diag):
+            k, c = divmod(k, h)
+            coords.append(c)
+        return self.point(coords[::-1])
 
     def act(self, k, pt: "OdoPoint") -> "OdoPoint":
         return OdoPoint(

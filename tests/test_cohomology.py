@@ -94,6 +94,47 @@ def test_incompatible_generator_values_rejected():
         Cocycle1(q, vals)
 
 
+def test_incompatible_values_rejected_at_a_wrapping_step():
+    q = FiniteOdometer(Lattice.from_span(2, [(3, 1), (0, 4)]))
+    theta = build_cocycle(q.lattice, (F(1, 3), F(0)))
+    # (2, 0) + e_1 wraps to (0, 3): alter theta(x, e_2) at that image only
+    vals = [dict(g) for g in theta.gen_values]
+    assert q.steps[0][(2, 0)] == (0, 3)
+    vals[1][(0, 3)] += 1
+    with pytest.raises(ValueError, match="incompatible"):
+        Cocycle1(q, vals)
+    missing = [dict(g) for g in theta.gen_values]
+    del missing[0][(1, 1)]
+    with pytest.raises(ValueError, match="cover every coset"):
+        Cocycle1(q, missing)
+
+
+def test_eval_negative_steps_match_act_walk():
+    rng = random.Random(3)
+    for rows in ([(2, 1), (0, 3)], [(7, 3), (0, 8)], [(5, 0), (0, 12)]):
+        g = Lattice.from_span(2, rows)
+        theta = build_cocycle(g, random_dual_vector(rng, g))
+        q = theta.quotient
+        f = {x: rng.randint(-9, 9) for x in q.reps}
+        theta = theta + Cocycle1.from_coboundary(q, f)
+        for _ in range(40):
+            x = rng.choice(q.reps)
+            n = (rng.randint(-20, 3), rng.randint(-20, 3))
+            # reference: step through act, e_1 moves first, then e_2
+            pos, total = x, 0
+            for i, count in enumerate(n):
+                unit = tuple(1 if k == i else 0 for k in range(2))
+                back = tuple(-u for u in unit)
+                for _ in range(abs(count)):
+                    if count > 0:
+                        total += theta.gen_values[i][pos]
+                        pos = q.act(unit, pos)
+                    else:
+                        pos = q.act(back, pos)
+                        total -= theta.gen_values[i][pos]
+            assert theta.evaluate(x, n) == total
+
+
 # ---------------------------------------------------------------------------
 # alpha map
 

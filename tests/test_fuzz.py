@@ -1,0 +1,137 @@
+"""Generated group texts through the parser and the file-reading CLI verbs.
+
+Every input must end in a report or a documented error: ``gdsl.parse``
+returns an expression or raises one of the DSL's errors, and ``cli.main``
+returns one of the exit codes 0/1/2/64/65 without an uncaught exception.
+Integer literals stay below 10**6, so the primes that ``factorint`` meets
+are small enough to be confirmed quickly.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zodom import gdsl
+from zodom.cli import main
+
+EXIT_CODES = {0, 1, 2, 64, 65}
+LITERAL = 10**6 - 1
+
+small = st.integers(0, 12)
+nat = st.one_of(small, st.integers(0, LITERAL))
+
+
+@st.composite
+def rat(draw, num=nat):
+    text = ("-" if draw(st.booleans()) else "") + str(draw(num))
+    if draw(st.booleans()):
+        text += f"/{draw(nat)}"
+    return text
+
+
+comp = st.one_of(st.just("Z"), nat.map(lambda n: f"Z[1/{n}]"))
+
+
+def items(dim):
+    oplus = st.lists(comp, min_size=dim, max_size=dim).map(lambda cs: f"oplus({', '.join(cs)})")
+    gen = st.lists(rat(), min_size=dim, max_size=dim).map(lambda v: f"gen({', '.join(v)})")
+    return st.one_of(oplus, oplus, gen)
+
+
+@st.composite
+def group_text(draw):
+    """A sum of items, mostly of one dimension, optionally under mat(...)."""
+    dim = draw(st.integers(1, 3))
+    parts = draw(st.lists(items(dim), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        parts.append(draw(items(draw(st.integers(1, 3)))))
+    text = " + ".join(parts)
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([dim, dim, dim % 3 + 1]))
+        entry = rat(num=small)
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        text = f"mat([{';'.join(','.join(r) for r in rows)}]) * {text}"
+    return text
+
+
+# a few characters of the grammar's neighbourhood, Unicode digits and
+# whitespace included, for texts that are not group expressions
+noise = st.text(alphabet="Z[]1/0239(),;+*- opluseganmt#\n\t²٣ ", max_size=40)
+
+
+@st.composite
+def mutated(draw):
+    """A group text with one character deleted, doubled or replaced."""
+    text = draw(group_text())
+    at = draw(st.integers(0, len(text) - 1))
+    new = draw(st.sampled_from(["", text[at] * 2, "(", ")", ",", "/", "²", " ", "-"]))
+    return text[:at] + new + text[at + 1 :]
+
+
+texts = st.one_of(group_text(), group_text(), mutated(), noise)
+
+
+@given(texts)
+@settings(max_examples=300, deadline=None)
+def test_parse_returns_or_raises_dsl_error(text):
+    try:
+        gdsl.parse(text)
+    except (gdsl.GdslSyntaxError, gdsl.BadDenominatorError, gdsl.DimensionMismatchError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def grp_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.grp"
+
+
+@given(text=texts, verb=st.sampled_from(["parse", "free", "superindex", "canon"]))
+@settings(max_examples=200, deadline=None)
+def test_cli_verbs_end_in_a_report_or_an_error(grp_path, text, verb):
+    grp_path.write_text(text + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([verb, str(grp_path)])
+    assert code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()
+    if code == 65:
+        assert out.getvalue().startswith("error=")
+
+
+@given(data=st.binary(max_size=24), verb=st.sampled_from(["parse", "canon"]))
+@settings(max_examples=50, deadline=None)
+def test_cli_reads_arbitrary_bytes(grp_path, data, verb):
+    grp_path.write_bytes(b"oplus(Z[1/2]) + " + data)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([verb, str(grp_path)])
+    assert code in EXIT_CODES
+
+
+def test_non_ascii_digit_is_a_syntax_error():
+    with pytest.raises(gdsl.GdslSyntaxError) as info:
+        gdsl.parse("oplus(Z, Z) + gen(², 0)")
+    assert info.value.offset == 18
+
+
+@pytest.mark.parametrize("verb", ["parse", "free", "superindex", "canon"])
+def test_group_without_the_integer_lattice_is_an_input_error(grp_path, verb):
+    grp_path.write_text("mat([2]) * oplus(Z)\n", encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([verb, str(grp_path)])
+    assert code in EXIT_CODES
+    if verb != "parse":
+        assert code == 65 and out.getvalue() == "error=image group does not contain Z^1 locally at 2\n"
+
+
+def test_file_that_is_not_utf8_is_an_input_error(grp_path):
+    grp_path.write_bytes(b"\xffoplus(Z)")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["canon", str(grp_path)])
+    assert code == 65
+    assert out.getvalue() == f"error=cannot read {grp_path}: not UTF-8 at byte 0\n"

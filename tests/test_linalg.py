@@ -682,3 +682,61 @@ def test_lattice_member_contains_dual_match_fraction_reference():
         for a, b in ((g, sub), (sub, g), (g, gd), (gd, g), (g, Lattice.standard(d))):
             assert a.contains(b) == _ref_contains(a, b), (a, b)
     assert tested > 120
+
+
+# ---------------------------------------------------------------------------
+# the sparse IntegerSolver against the dense solver it replaced
+
+
+class _DenseSolver:
+    """The dense echelon solver: full H and V, forward pass over every row
+    below the pivot, back-map x = V y summed over all nc columns."""
+
+    def __init__(self, rows):
+        from zodom.linalg import _column_echelon
+
+        a = [list(map(int, r)) for r in rows]
+        self.nr = len(a)
+        self.nc = len(a[0]) if self.nr else 0
+        self._h, self._v, self._pivots = _column_echelon(a)
+
+    def solve(self, rhs):
+        y = [0] * self.nc
+        r = [int(b) for b in rhs]
+        for j, prow in enumerate(self._pivots):
+            piv = self._h[prow][j]
+            if r[prow] % piv != 0:
+                return None
+            q = r[prow] // piv
+            y[j] = q
+            if q:
+                for i in range(prow, self.nr):
+                    r[i] -= q * self._h[i][j]
+        if any(r):
+            return None
+        v = self._v
+        return [sum(v[i][j] * y[j] for j in range(self.nc)) for i in range(self.nc)]
+
+
+@st.composite
+def _system(draw):
+    nr = draw(st.integers(1, 8))
+    nc = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    x0 = draw(st.lists(st.integers(-5, 5), min_size=nc, max_size=nc))
+    free = draw(st.lists(st.integers(-9, 9), min_size=nr, max_size=nr))
+    return rows, x0, free
+
+
+@given(_system())
+@settings(max_examples=300, deadline=None)
+def test_sparse_solver_matches_dense_solver(system):
+    rows, x0, free = system
+    sparse, dense = IntegerSolver(rows), _DenseSolver(rows)
+    image = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    for rhs in (image, free):
+        assert sparse.solve(rhs) == dense.solve(rhs)
+    x = sparse.solve(image)
+    assert x is not None
+    assert [sum(a * b for a, b in zip(row, x)) for row in rows] == image

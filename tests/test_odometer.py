@@ -64,6 +64,64 @@ def test_reps_are_built_on_first_use():
     assert big._reps is None
 
 
+def _full_walk_reduce(mat, v):
+    """Box representative of v by the walk over every entry of each column."""
+    w = list(v)
+    for j in range(len(w)):
+        q = w[j] // mat[j][j]
+        for i in range(j, len(w)):
+            w[i] -= q * mat[i][j]
+    return tuple(w)
+
+
+def test_unit_step_tables_match_reduce():
+    from zodom.verify import TORSION_QUOTIENTS
+
+    rng = random.Random(9)
+    lats = [Lattice.from_span(2, rows) for rows in TORSION_QUOTIENTS]
+    lats.append(Lattice.from_span(3, [(3, 2, 1), (0, 2, 3), (0, 0, 4)]))
+    for lat in lats:
+        f = FiniteOdometer(lat)
+        steps = f.steps
+        assert len(steps) == f.d
+        for i, table in enumerate(steps):
+            assert list(table) == list(f.reps)
+            for x in f.reps:
+                y = list(x)
+                y[i] += 1
+                assert table[x] == f.reduce(y) == _full_walk_reduce(lat.mat, y)
+        assert f.steps is steps
+        for _ in range(50):
+            v = [rng.randint(-100, 100) for _ in range(f.d)]
+            assert f.reduce(v) == _full_walk_reduce(lat.mat, v)
+
+
+def test_tower_walks_leave_step_tables_unbuilt():
+    h = parse_group("oplus(Z[1/2], Z[1/3]) + gen(1/5, 1/5)")
+    sys = TowerSystem(tower(h, 6))
+    pt = sys.zero()
+    for k in range(12):
+        pt = sys.act(((1, 0), (0, 1))[k % 2], pt)
+    pt = sys.act((-3, 2), pt)
+    assert all(q._steps is None and q._reps is None for q in sys.quotients)
+
+
+def test_random_point_matches_choice_over_reps():
+    sys = TowerSystem(tower(parse_group("oplus(Z[1/2], Z[1/3]) + gen(1/5, 1/5)"), 3))
+    deep = sys.quotients[-1]
+    for seed in range(21):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert sys.random_point(rng) == sys.point(ref.choice(deep.reps))
+        assert rng.random() == ref.random()  # the stream is not shifted
+
+
+def test_random_point_builds_no_transversal():
+    sys = TowerSystem(tower(parse_group("oplus(Z[1/2], Z[1/3])"), 14))
+    pt = sys.random_point(random.Random(5))
+    assert len(pt.cosets) == 14
+    assert all(q._reps is None for q in sys.quotients)
+
+
 def test_act_is_permutation_and_additive():
     rng = random.Random(17)
     f = FiniteOdometer(Lattice.from_span(2, [(4, 1), (0, 5)]))
