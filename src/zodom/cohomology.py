@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hgroup import HGroup, Tower, _require_local, canonicalize, superindex, tower
-from .linalg import IntegerSolver, Lattice, Supernatural, clear_denominators, snf
+from .linalg import Lattice, Supernatural, adjugate, clear_denominators, snf
 from .odometer import FiniteOdometer
 
 
@@ -199,40 +199,76 @@ def build_cocycle(g: Lattice, h, pair=None) -> Cocycle1:
     """
     if not g.is_integral():
         raise BadGeneratorsError("quotient lattice must be integral")
-    return _cocycle_on(FiniteOdometer(g), h, pair)
+    quotient = FiniteOdometer(g)
+    den, h_num = _dual_numerators(g, h)
+    return _cocycle_from_carries(quotient, _carry_table(quotient, pair), den, h_num)
 
 
-def _cocycle_on(quotient: FiniteOdometer, h, pair=None) -> Cocycle1:
-    """build_cocycle on an existing quotient of an integral lattice."""
-    g = quotient.lattice
+def _dual_numerators(g: Lattice, h):
+    """(den, h_num) with h = h_num / den, after checking that h lies in G*."""
     if len(h) != g.d:
         raise ValueError(f"h has {len(h)} entries, the lattice dimension is {g.d}")
     den, (h_num,) = clear_denominators([h])
     for col in zip(*g.mat):
         if sum(x * y for x, y in zip(col, h_num)) % den:
             raise ValueError("h must pair integrally with the lattice (h in G*)")
+    return den, h_num
+
+
+def _carry_table(quotient: FiniteOdometer, pair=None):
+    """The h-independent half of build_cocycle: generators g_j of G (m for
+    d = 1, the pair for d = 2) and, for every coset x and generator e_i,
+    the integer carries c_j with w - rep(w) = sum_j c_j g_j for
+    w = rep(x) + e_i.  Then theta_i(x) = sum_j c_j <g_j, h> for every h.
+    The carries are solved from w - rep(w) by Cramer's rule; a division
+    that is not exact means the step left the lattice."""
+    g = quotient.lattice
     if g.d == 1:
         m = g.mat[0][0]
+        gens = ((m,),)
 
         def rep(v):
             return (int(v[0]) % m,)
 
     elif g.d == 2:
-        _, pair = parallelogram_domain(g, pair)
-        rep = _domain_reducer(pair)
+        _, gens = parallelogram_domain(g, pair)
+        rep = _domain_reducer(gens)
     else:
         raise BadGeneratorsError("explicit cocycles are provided for d <= 2 only")
-
-    vals = [{} for _ in range(g.d)]
+    det, adj = adjugate([list(row) for row in zip(*gens)])
+    inside = (0,) * len(gens)
+    table = [{} for _ in range(g.d)]
     for x in quotient.reps:
         k1 = rep(x)
-        for i, column in enumerate(vals):
-            w = list(k1)
-            w[i] += 1
-            pairing = sum((a - b) * c for a, b, c in zip(w, rep(w), h_num))
-            if pairing % den:
-                raise ArithmeticError("domain step left the lattice")
-            column[x] = pairing // den
+        for i, column in enumerate(table):
+            w = k1[:i] + (k1[i] + 1,) + k1[i + 1 :]
+            r = rep(w)
+            if r == w:
+                column[x] = inside
+                continue
+            diff = [a - b for a, b in zip(w, r)]
+            carries = []
+            for row in adj:
+                c, rem = divmod(sum(a * b for a, b in zip(row, diff)), det)
+                if rem:
+                    raise ArithmeticError("domain step left the lattice")
+                carries.append(c)
+            column[x] = tuple(carries)
+    return gens, table
+
+
+def _cocycle_from_carries(quotient: FiniteOdometer, table, den: int, h_num) -> Cocycle1:
+    """The h-dependent half of build_cocycle: one integral pairing
+    <g_j, h> per generator (exact, as g_j is in G and h in G*), then
+    theta_i(x) = sum_j c_j <g_j, h> over the carries of the table."""
+    gens, carries = table
+    pairings = [sum(a * b for a, b in zip(gen, h_num)) // den for gen in gens]
+    values = {
+        cs: sum(c * p for c, p in zip(cs, pairings))
+        for column in carries
+        for cs in set(column.values())
+    }
+    vals = [{x: values[cs] for x, cs in column.items()} for column in carries]
     return Cocycle1(quotient, vals)
 
 
@@ -247,8 +283,8 @@ def tau1(theta: Cocycle1):
 
 
 def _difference_rows(quotient: FiniteOdometer):
-    """Positions of the coset representatives, and the d*card x card matrix
-    of the difference operator: row (i, x) maps f to f(x + e_i) - f(x)."""
+    """The d*card x card matrix of the difference operator over the reps:
+    row (i, x) maps f to f(x + e_i) - f(x)."""
     reps = quotient.reps
     pos = {x: k for k, x in enumerate(reps)}
     rows = []
@@ -258,30 +294,49 @@ def _difference_rows(quotient: FiniteOdometer):
             row[pos[step[x]]] += 1
             row[pos[x]] -= 1
             rows.append(row)
-    return pos, rows
+    return rows
 
 
 class CoboundarySolver:
-    """Decides theta in B^1 by integer linear algebra on a fixed quotient.
+    """Decides theta in B^1 on a fixed quotient by a spanning-tree potential.
 
-    The difference operator f |-> (f(x + e_i) - f(x))_{i,x} is echelonized
-    once; each query checks solvability of D f = theta exactly over Z.
+    Z^d acts transitively on Z^d/G and every e_i has finite order there, so
+    the unit-step graph (an edge x -> x + e_i for every coset x and every i)
+    is connected from the zero coset along forward steps alone.  A BFS from
+    0 gives a spanning tree of such edges.  If D f = theta, then f - f(0)
+    is forced along the tree: f(x + e_i) = f(x) + theta_i(x).  So D f =
+    theta has an integer solution iff the potential with f(0) = 0 built
+    along the tree satisfies every edge, and then that potential is one.
     """
 
     def __init__(self, quotient: FiniteOdometer):
         self.quotient = quotient
-        self.pos, rows = _difference_rows(quotient)
-        self._solver = IntegerSolver(rows)
+        self._zero = (0,) * quotient.d
+        seen = {self._zero}
+        frontier = [self._zero]
+        tree = []  # (x, i, x + e_i) in BFS order
+        for x in frontier:
+            for i, step in enumerate(quotient.steps):
+                y = step[x]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+                    tree.append((x, i, y))
+        if len(seen) != quotient.card:
+            raise ArithmeticError("unit-step graph is not connected")
+        self._tree = tuple(tree)
 
     def solve(self, theta: Cocycle1):
-        """A function f with d(f) = theta, or None."""
-        rhs = []
-        for g in theta.gen_values:
-            rhs.extend(g[x] for x in self.quotient.reps)
-        sol = self._solver.solve(rhs)
-        if sol is None:
-            return None
-        return {x: sol[k] for x, k in self.pos.items()}
+        """The function f with d(f) = theta and f(0) = 0, or None."""
+        values = theta.gen_values
+        f = {self._zero: 0}
+        for x, i, y in self._tree:
+            f[y] = f[x] + values[i][x]
+        for column, step in zip(values, self.quotient.steps):
+            for x, y in step.items():
+                if f[y] - f[x] != column[x]:
+                    return None
+        return f
 
 
 def coboundary_between(theta: Cocycle1, eta: Cocycle1):
@@ -332,7 +387,7 @@ def level_coinvariants_ok(quotient: FiniteOdometer) -> bool:
     [Z^d:G]^-1 Z: the difference functions span a saturated corank-1
     sublattice of Z^reps contained in the kernel of summation."""
     n = quotient.card
-    _, rows = _difference_rows(quotient)
+    rows = _difference_rows(quotient)
     if any(sum(r) != 0 for r in rows):  # B lies in ker(sum)
         return False
     _, s, _ = snf(list(zip(*rows)))
@@ -361,13 +416,15 @@ def torsion_free_check(
     rng: random.Random | None = None,
     max_multiple: int = 5,
 ) -> bool:
-    """No torsion in H^1: whenever n * theta is a coboundary (an integer
-    linear system), theta itself is one.  Random cocycles are dual-vector
-    cocycles plus coboundaries; a third of the trials seed f divisible by n
-    so that the solvable branch is exercised."""
+    """No torsion in H^1: whenever n * theta is a coboundary (decided by
+    the tree potential of CoboundarySolver), theta itself is one.  Random
+    cocycles are dual-vector cocycles plus coboundaries; a third of the
+    trials seed f divisible by n so that the solvable branch is exercised.
+    The carry table of the explicit cocycles is built once per quotient."""
     rng = rng or random.Random(0)
     solver = CoboundarySolver(quotient)
     g = quotient.lattice
+    table = _carry_table(quotient)
     dual_basis = g.basis().transpose().inv()
     for trial in range(trials):
         n = rng.randint(2, max_multiple)
@@ -379,12 +436,13 @@ def torsion_free_check(
         elif style == 1:
             coeffs = [rng.randint(-3, 3) for _ in range(quotient.d)]
             hvec = dual_basis.apply(coeffs)
-            theta = _cocycle_on(quotient, hvec)
+            theta = _cocycle_from_carries(quotient, table, *_dual_numerators(g, hvec))
         else:
             coeffs = [rng.randint(-3, 3) for _ in range(quotient.d)]
             hvec = dual_basis.apply(coeffs)
             f0 = {x: rng.randint(-4, 4) for x in quotient.reps}
-            theta = _cocycle_on(quotient, hvec) + Cocycle1.from_coboundary(quotient, f0)
+            theta = _cocycle_from_carries(quotient, table, *_dual_numerators(g, hvec))
+            theta = theta + Cocycle1.from_coboundary(quotient, f0)
         scaled = theta.scale(n)
         fn = solver.solve(scaled)
         if fn is not None:

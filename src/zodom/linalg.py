@@ -379,47 +379,6 @@ def snf(rows):
     return u, a, v
 
 
-class IntegerSolver:
-    """Solves rows . x = rhs over Z for many right-hand sides.
-
-    The column echelon form H = rows . V of the coefficient matrix is
-    computed once and kept sparse: for each pivot column its pivot row, the
-    pivot and the nonzero entries below it, and the rows of V restricted to
-    their nonzero entries in the pivot columns.  Each solve is a forward
-    substitution over those entries, a consistency check and x = V y.
-    """
-
-    __slots__ = ("nr", "nc", "_cols", "_v_rows")
-
-    def __init__(self, rows):
-        a = [list(map(int, r)) for r in rows]
-        self.nr = len(a)
-        self.nc = len(a[0]) if self.nr else 0
-        h, v, pivots = _column_echelon(a)
-        self._cols = tuple(
-            (prow, h[prow][j], tuple((i, h[i][j]) for i in range(prow + 1, self.nr) if h[i][j]))
-            for j, prow in enumerate(pivots)
-        )
-        lead = len(pivots)
-        self._v_rows = tuple(tuple((j, x) for j, x in enumerate(row[:lead]) if x) for row in v)
-
-    def solve(self, rhs):
-        r = [int(b) for b in rhs]
-        y = []
-        for prow, piv, below in self._cols:
-            q, rem = divmod(r[prow], piv)
-            if rem:
-                return None
-            y.append(q)
-            if q:
-                r[prow] = 0
-                for i, x in below:
-                    r[i] -= q * x
-        if any(r):
-            return None
-        return [sum(x * y[j] for j, x in row) for row in self._v_rows]
-
-
 def integer_kernel(rows) -> list[list[int]]:
     """Basis (list of columns) of {x in Z^nc : rows . x = 0}; always saturated."""
     a = [list(map(int, r)) for r in rows]

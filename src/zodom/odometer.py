@@ -77,6 +77,36 @@ class FiniteOdometer:
         """phi_G(k): x + G -> k + x + G."""
         return self.reduce([a + b for a, b in zip(k, x)])
 
+    def index_perm(self, n):
+        """Lexicographic box indices of act(n, x) for x in reps order,
+        without building reps.
+
+        The walk of reduce runs over the box prefixes coordinate by
+        coordinate: reducing coordinate j changes only later coordinates,
+        so each prefix carries its offsets forward.  On the last coordinate,
+        which no other coordinate depends on, n acts as a rotation by the
+        carried offset, two ranges."""
+        prefixes = [(0, [int(v) for v in n])]
+        for j, piv, below in self._walk[:-1]:
+            grown = []
+            for idx, add in prefixes:
+                for x in range(piv):
+                    q, r = divmod(x + add[j], piv)
+                    carried = add
+                    if q:
+                        carried = add[:]
+                        for i, m in below:
+                            carried[i] -= q * m
+                    grown.append((idx * piv + r, carried))
+            prefixes = grown
+        h = self._walk[-1][1]
+        perm = []
+        for idx, add in prefixes:
+            base, c = idx * h, add[-1] % h
+            perm.extend(range(base + c, base + h))
+            perm.extend(range(base, base + c))
+        return perm
+
     def same_coset(self, v, w) -> bool:
         return self.reduce(v) == self.reduce(w)
 
@@ -271,11 +301,9 @@ class DualityRealization:
             for row, si in zip(self._shift_rows, self.snf_diag)
         )
 
-    def _shifted(self, t, shift):
-        return tuple((a + b) % si for a, b, si in zip(t, shift, self.snf_diag))
-
     def translate(self, n, t):
-        return self._shifted(t, self.translation_tuple(n))
+        shift = self.translation_tuple(n)
+        return tuple((a + b) % si for a, b, si in zip(t, shift, self.snf_diag))
 
     def to_quotient(self, t):
         """The conjugacy h_K: character tuple -> coset of K* in Z^d."""
@@ -315,24 +343,52 @@ class DualityRealization:
         return tuple(out)
 
 
+def _box_index(x, radix):
+    """Lexicographic index of x in the box prod(range(h) for h in radix)."""
+    k = 0
+    for c, h in zip(x, radix):
+        k = k * h + c
+    return k
+
+
+def _rotation(radix, shift):
+    """The box indices of t + shift (mod radix) for t in lexicographic order:
+    a product of rotated ranges, one per coordinate."""
+    perm = [0]
+    for h, s in zip(radix, shift):
+        s %= h
+        rot = [*range(s, h), *range(s)]
+        perm = [a * h + b for a in perm for b in rot]
+    return perm
+
+
 def duality_check(k: Lattice, samples: int = 5, rng: random.Random | None = None) -> bool:
-    """Verify the conjugacy Y_K ~ (Z^d/K*, translation) point by point."""
+    """Verify the conjugacy Y_K ~ (Z^d/K*, translation) point by point.
+
+    Characters and cosets are numbered by their lexicographic box indices,
+    and images[j] numbers the coset to_quotient(points[j]).  For a
+    translation n, sigma is the character shift by translation_tuple(n) as
+    a permutation of the point indices and tau = quotient.index_perm(n) the
+    rotation of Z^d/K*; the conjugacy commutes with them iff
+    images[sigma[j]] = tau[images[j]] for every j.
+    """
     rng = rng or random.Random(0)
     real = DualityRealization(k)
+    quotient = real.quotient
     zd = Lattice.standard(k.d)
-    if real.card() != index(zd, k) or real.card() != real.quotient.card:
+    if real.card() != index(zd, k) or real.card() != quotient.card:
         return False
-    images = {t: real.to_quotient(t) for t in real.points}
-    if set(images.values()) != set(real.quotient.reps):
+    images = [_box_index(real.to_quotient(t), quotient._diag) for t in real.points]
+    if sorted(images) != list(range(quotient.card)):
         return False
-    if images[(0,) * k.d] != (0,) * k.d:
+    if images[0] != 0:
         return False
     for _ in range(samples):
         n = tuple(rng.randint(-8, 8) for _ in range(k.d))
-        shift = real.translation_tuple(n)
-        for t, x in images.items():
-            if images[real._shifted(t, shift)] != real.quotient.act(n, x):
-                return False
+        sigma = _rotation(real.snf_diag, real.translation_tuple(n))
+        tau = quotient.index_perm(n)
+        if [images[j] for j in sigma] != [tau[v] for v in images]:
+            return False
     return True
 
 
@@ -340,21 +396,23 @@ def duality_square_check(
     k1: Lattice, k2: Lattice, samples: int = 5, rng: random.Random | None = None
 ) -> bool:
     """Commuting square for Z^d <= K1 <= K2: restriction of characters over
-    the natural quotient of the dual-lattice odometers."""
+    the natural quotient of the dual-lattice odometers; translation is
+    compared as the character-shift permutations of both sides."""
     rng = rng or random.Random(0)
     if not k2.contains(k1):
         raise NotSubgroupError("K1 must be contained in K2")
     big, small = DualityRealization(k2), DualityRealization(k1)
-    restricted = {t: big.restrict_tuple(t, small) for t in big.points}
-    for t, r in restricted.items():
+    restricted = [big.restrict_tuple(t, small) for t in big.points]
+    for t, r in zip(big.points, restricted):
         if small.to_quotient(r) != small.quotient.reduce(big.to_quotient(t)):
             return False
+    restricted = [_box_index(r, small.snf_diag) for r in restricted]
     for _ in range(samples):
         n = tuple(rng.randint(-6, 6) for _ in range(k1.d))
-        big_shift, small_shift = big.translation_tuple(n), small.translation_tuple(n)
-        for t, r in restricted.items():
-            if restricted[big._shifted(t, big_shift)] != small._shifted(r, small_shift):
-                return False
+        big_sigma = _rotation(big.snf_diag, big.translation_tuple(n))
+        small_sigma = _rotation(small.snf_diag, small.translation_tuple(n))
+        if [restricted[j] for j in big_sigma] != [small_sigma[r] for r in restricted]:
+            return False
     return True
 
 

@@ -8,6 +8,7 @@ import pytest
 from zodom.cohomology import (
     BadGeneratorsError,
     Cocycle1,
+    _difference_rows,
     _domain_reducer,
     CoboundarySolver,
     alpha_map,
@@ -24,8 +25,9 @@ from zodom.cohomology import (
 )
 from zodom.gdsl import parse_group
 from zodom.hgroup import ProgramGroup, UnsupportedPresentationError, equal_h, superindex
-from zodom.linalg import INF, Lattice, Mat, Supernatural
+from zodom.linalg import INF, Lattice, Mat, Supernatural, _column_echelon, clear_denominators
 from zodom.odometer import FiniteOdometer
+from zodom.verify import TORSION_QUOTIENTS, cocycle_corpus
 
 F = Fraction
 
@@ -296,6 +298,57 @@ def test_build_cocycle_rejects_vectors_outside_dual():
         build_cocycle(Lattice.from_span(1, [(7,)]), (F(1, 14),))
 
 
+def _per_point_cocycle(g, h, pair=None):
+    """The per-point builder, as a reference: for every coset x and e_i,
+    theta_i(x) = <w - rep(w), h> with w = rep(x) + e_i, paired in integers."""
+    den, (h_num,) = clear_denominators([h])
+    if g.d == 1:
+        m = g.mat[0][0]
+
+        def rep(v):
+            return (v[0] % m,)
+
+    else:
+        _, pair = parallelogram_domain(g, pair)
+        rep = _domain_reducer(pair)
+    q = FiniteOdometer(g)
+    vals = [{} for _ in range(g.d)]
+    for x in q.reps:
+        k1 = rep(x)
+        for i, column in enumerate(vals):
+            w = list(k1)
+            w[i] += 1
+            pairing = sum((a - b) * c for a, b, c in zip(w, rep(w), h_num))
+            assert pairing % den == 0
+            column[x] = pairing // den
+    return vals
+
+
+def test_carry_table_cocycles_match_per_point_builder():
+    cases = [(g, h, None) for g, h in cocycle_corpus(21, count=100, max_index=200)]
+    g = Lattice.from_span(2, [(2, 0), (0, 3)])
+    cases += [(g, (F(1, 2), F(-1, 3)), ((2, 0), (2, 3))), (g, (F(1, 2), 0), ((4, 3), (2, 3)))]
+    for m, num in ((7, 3), (1, 5), (12, -5)):
+        cases.append((Lattice.from_span(1, [(m,)]), (F(num, m),), None))
+    for g, h, pair in cases:
+        theta = build_cocycle(g, h, pair=pair)
+        assert [dict(c) for c in theta.gen_values] == _per_point_cocycle(g, h, pair), (g, h, pair)
+
+
+def test_build_cocycle_error_messages():
+    g = Lattice.from_span(2, [(2, 1), (0, 3)])
+    with pytest.raises(ValueError, match=r"^h must pair integrally with the lattice \(h in G\*\)$"):
+        build_cocycle(g, (F(1, 3), 0))
+    with pytest.raises(ValueError, match="^h has 3 entries, the lattice dimension is 2$"):
+        build_cocycle(g, (F(1, 2), 0, 0))
+    with pytest.raises(ValueError, match="^h has 2 entries, the lattice dimension is 1$"):
+        build_cocycle(Lattice.from_span(1, [(5,)]), (F(1, 5), 0))
+    # the h checks come before the d <= 2 restriction
+    g3 = Lattice.from_span(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="^h must pair integrally"):
+        build_cocycle(g3, (F(1, 3), 0, 0))
+
+
 # ---------------------------------------------------------------------------
 # trace
 
@@ -371,6 +424,59 @@ def test_solver_agrees_with_alpha_criterion():
         h = random_dual_vector(rng, g)
         theta = build_cocycle(g, h)
         assert (solver.solve(theta) is not None) == (tuple(h) == (0, 0))
+
+
+def _echelon_solve(quotient, echelon, theta):
+    """Reference: D f = theta by the column echelon form H = D . V of the
+    difference matrix; f over the reps, or None."""
+    pos, h, v, pivots = echelon
+    nr, nc = len(h), len(v)
+    r = [g[x] for g in theta.gen_values for x in quotient.reps]
+    y = [0] * nc
+    for j, prow in enumerate(pivots):
+        q, rem = divmod(r[prow], h[prow][j])
+        if rem:
+            return None
+        y[j] = q
+        for i in range(prow, nr):
+            r[i] -= q * h[i][j]
+    if any(r):
+        return None
+    return {x: sum(v[k][j] * y[j] for j in range(nc)) for x, k in pos.items()}
+
+
+def _solver_quotients():
+    lats = [Lattice.from_span(2, rows) for rows in TORSION_QUOTIENTS]
+    lats.append(Lattice.from_span(1, [(9,)]))
+    lats.append(Lattice.from_span(3, [(2, 1, 1), (0, 3, 2), (0, 0, 2)]))
+    return [FiniteOdometer(g) for g in lats]
+
+
+def test_tree_potential_solver_matches_echelon_solve():
+    rng = random.Random(17)
+    for q in _solver_quotients():
+        pos = {x: k for k, x in enumerate(q.reps)}
+        echelon = (pos, *_column_echelon(_difference_rows(q)))
+        solver = CoboundarySolver(q)
+        zero = (0,) * q.d
+        thetas = []
+        for _ in range(4):
+            cob = Cocycle1.from_coboundary(q, {x: rng.randint(-6, 6) for x in q.reps})
+            thetas.append(cob)
+            for i in range(q.d):
+                thetas.append(cob + Cocycle1.epsilon(q, i).scale(rng.choice([-2, -1, 1, 3])))
+            if q.d <= 2:
+                g = q.lattice
+                thetas.append(build_cocycle(g, random_dual_vector(rng, g)))
+        for theta in thetas:
+            f, ref = solver.solve(theta), _echelon_solve(q, echelon, theta)
+            assert (f is None) == (ref is None)
+            if f is not None:
+                assert f[zero] == 0
+                assert Cocycle1.from_coboundary(q, f) == theta
+                assert is_coboundary_of(theta, f)
+        assert any(_echelon_solve(q, echelon, t) is None for t in thetas)
+        assert any(_echelon_solve(q, echelon, t) is not None for t in thetas)
 
 
 # ---------------------------------------------------------------------------

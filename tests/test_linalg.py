@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from zodom.linalg import (
     INF,
-    IntegerSolver,
     Lattice,
     Mat,
     NotSublatticeError,
@@ -34,6 +33,7 @@ from zodom.linalg import (
     subspace_contains,
     valuation,
 )
+from zodom.linalg import _column_echelon
 
 F = Fraction
 
@@ -54,12 +54,40 @@ def unimodular_2x2(bound):
             yield [[a, b], [c, d]]
 
 
+class _DenseSolver:
+    """Solves rows . x = rhs over Z from the column echelon form H = rows . V:
+    forward pass over every row below the pivot, back-map x = V y."""
+
+    def __init__(self, rows):
+        a = [list(map(int, r)) for r in rows]
+        self.nr = len(a)
+        self.nc = len(a[0]) if self.nr else 0
+        self._h, self._v, self._pivots = _column_echelon(a)
+
+    def solve(self, rhs):
+        y = [0] * self.nc
+        r = [int(b) for b in rhs]
+        for j, prow in enumerate(self._pivots):
+            piv = self._h[prow][j]
+            if r[prow] % piv != 0:
+                return None
+            q = r[prow] // piv
+            y[j] = q
+            if q:
+                for i in range(prow, self.nr):
+                    r[i] -= q * self._h[i][j]
+        if any(r):
+            return None
+        v = self._v
+        return [sum(v[i][j] * y[j] for j in range(self.nc)) for i in range(self.nc)]
+
+
 def span_equal_by_membership(m1, m2):
     """Integer column spans coincide: each column of one solves in the other."""
     for a, b in ((m1, m2), (m2, m1)):
         cols = [[row[j] for row in b] for j in range(len(b[0]))]
         for c in cols:
-            if IntegerSolver(a).solve(c) is None:
+            if _DenseSolver(a).solve(c) is None:
                 return False
     return True
 
@@ -68,7 +96,7 @@ def coset_count(rows):
     """Count integer points in [0, N)^2 pairwise incongruent mod the column span."""
     n = abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
     box = itertools.product(range(2 * n), repeat=2)
-    solver = IntegerSolver(rows)
+    solver = _DenseSolver(rows)
     reps = []
     for p in box:
         if not any(solver.solve([p[0] - q[0], p[1] - q[1]]) is not None for q in reps):
@@ -317,22 +345,13 @@ def test_p_primary_over_standard():
 # integer solving / kernels / subspaces
 
 
-def test_solve_integer():
-    a = [[2, 0], [1, 3]]
-    assert IntegerSolver(a).solve([2, 1]) == [1, 0]
-    assert IntegerSolver(a).solve([1, 0]) is None
-    tall = [[1, 0], [0, 1], [1, 1]]
-    assert IntegerSolver(tall).solve([2, 3, 5]) == [2, 3]
-    assert IntegerSolver(tall).solve([2, 3, 4]) is None
-
-
 def test_integer_kernel_saturated():
     ker = integer_kernel([[1, 1, 1]])
     assert len(ker) == 2
     for col in ker:
         assert sum(col) == 0
     # saturation: gcd of each column is 1 after reduction, kernel contains (1,-1,0)
-    assert IntegerSolver([[ker[0][i], ker[1][i]] for i in range(3)]).solve([1, -1, 0]) is not None
+    assert _DenseSolver([[ker[0][i], ker[1][i]] for i in range(3)]).solve([1, -1, 0]) is not None
 
 
 def test_subspace_helpers():
@@ -682,61 +701,3 @@ def test_lattice_member_contains_dual_match_fraction_reference():
         for a, b in ((g, sub), (sub, g), (g, gd), (gd, g), (g, Lattice.standard(d))):
             assert a.contains(b) == _ref_contains(a, b), (a, b)
     assert tested > 120
-
-
-# ---------------------------------------------------------------------------
-# the sparse IntegerSolver against the dense solver it replaced
-
-
-class _DenseSolver:
-    """The dense echelon solver: full H and V, forward pass over every row
-    below the pivot, back-map x = V y summed over all nc columns."""
-
-    def __init__(self, rows):
-        from zodom.linalg import _column_echelon
-
-        a = [list(map(int, r)) for r in rows]
-        self.nr = len(a)
-        self.nc = len(a[0]) if self.nr else 0
-        self._h, self._v, self._pivots = _column_echelon(a)
-
-    def solve(self, rhs):
-        y = [0] * self.nc
-        r = [int(b) for b in rhs]
-        for j, prow in enumerate(self._pivots):
-            piv = self._h[prow][j]
-            if r[prow] % piv != 0:
-                return None
-            q = r[prow] // piv
-            y[j] = q
-            if q:
-                for i in range(prow, self.nr):
-                    r[i] -= q * self._h[i][j]
-        if any(r):
-            return None
-        v = self._v
-        return [sum(v[i][j] * y[j] for j in range(self.nc)) for i in range(self.nc)]
-
-
-@st.composite
-def _system(draw):
-    nr = draw(st.integers(1, 8))
-    nc = draw(st.integers(1, 6))
-    entry = st.integers(-3, 3)
-    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
-    x0 = draw(st.lists(st.integers(-5, 5), min_size=nc, max_size=nc))
-    free = draw(st.lists(st.integers(-9, 9), min_size=nr, max_size=nr))
-    return rows, x0, free
-
-
-@given(_system())
-@settings(max_examples=300, deadline=None)
-def test_sparse_solver_matches_dense_solver(system):
-    rows, x0, free = system
-    sparse, dense = IntegerSolver(rows), _DenseSolver(rows)
-    image = [sum(a * x for a, x in zip(row, x0)) for row in rows]
-    for rhs in (image, free):
-        assert sparse.solve(rhs) == dense.solve(rhs)
-    x = sparse.solve(image)
-    assert x is not None
-    assert [sum(a * b for a, b in zip(row, x)) for row in rows] == image

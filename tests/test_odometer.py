@@ -288,6 +288,77 @@ def test_duality_square_nested_pairs():
         count += 1
 
 
+def _random_hnf_lattice(rng, d):
+    rows = [
+        tuple(rng.randint(1, 5) if i == j else rng.randint(-7, 7) if i > j else 0 for i in range(d))
+        for j in range(d)
+    ]
+    return Lattice.from_span(d, rows)
+
+
+def test_index_perm_matches_act():
+    rng = random.Random(12)
+    for _ in range(120):
+        q = FiniteOdometer(_random_hnf_lattice(rng, rng.randint(1, 3)))
+        pos = {x: k for k, x in enumerate(q.reps)}
+        for _ in range(3):
+            n = tuple(rng.randint(-25, 6) for _ in range(q.d))
+            assert q.index_perm(n) == [pos[q.act(n, x)] for x in q.reps], (q, n)
+
+
+_DUALITY_K = Lattice.from_span(2, [(2, 1), (0, 3)]).dual()
+
+
+def test_duality_check_fails_on_swapped_images(monkeypatch):
+    assert duality_check(_DUALITY_K)
+    real = DualityRealization(_DUALITY_K)
+    a, b = real.to_quotient(real.points[1]), real.to_quotient(real.points[2])
+    honest = DualityRealization.to_quotient
+
+    def swapped(self, t):
+        x = honest(self, t)
+        return b if x == a else a if x == b else x
+
+    monkeypatch.setattr(DualityRealization, "to_quotient", swapped)
+    assert not duality_check(_DUALITY_K)
+
+
+def test_duality_check_fails_on_shifted_translation(monkeypatch):
+    honest = DualityRealization.translation_tuple
+
+    def off_by_one(self, n):
+        t = honest(self, n)
+        return t[:-1] + ((t[-1] + 1) % self.snf_diag[-1],)
+
+    monkeypatch.setattr(DualityRealization, "translation_tuple", off_by_one)
+    assert not duality_check(_DUALITY_K)
+
+
+def test_duality_check_fails_on_rotated_index_perm(monkeypatch):
+    honest = FiniteOdometer.index_perm
+
+    def rotated(self, n):
+        perm = honest(self, n)
+        return perm[1:] + perm[:1]
+
+    monkeypatch.setattr(FiniteOdometer, "index_perm", rotated)
+    assert not duality_check(_DUALITY_K)
+
+
+def test_duality_square_check_fails_on_perturbed_restriction(monkeypatch):
+    k1 = Lattice.from_span(2, [(F(1, 2), 0), (0, 1)])
+    k2 = Lattice.from_span(2, [(F(1, 2), 0), (0, F(1, 3))])
+    assert duality_square_check(k1, k2)
+    honest = DualityRealization.restrict_tuple
+
+    def perturbed(self, t, sub):
+        r = honest(self, t, sub)
+        return r[:-1] + ((r[-1] + 1) % sub.snf_diag[-1],)
+
+    monkeypatch.setattr(DualityRealization, "restrict_tuple", perturbed)
+    assert not duality_square_check(k1, k2)
+
+
 class _FractionDuality:
     """The Fraction formulas for the character maps, as a reference:
     translation by n is s * (U^-T B_K^T n) mod s, and restriction to K1 <= K
