@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hgroup import HGroup, Tower, _require_local, canonicalize, superindex, tower
-from .linalg import Lattice, Supernatural, adjugate, clear_denominators, snf
+from .linalg import Lattice, Supernatural, adjugate, clear_denominators
 from .odometer import FiniteOdometer
 
 
@@ -282,49 +282,21 @@ def tau1(theta: Cocycle1):
 # coboundaries
 
 
-def _difference_rows(quotient: FiniteOdometer):
-    """The d*card x card matrix of the difference operator over the reps:
-    row (i, x) maps f to f(x + e_i) - f(x)."""
-    reps = quotient.reps
-    pos = {x: k for k, x in enumerate(reps)}
-    rows = []
-    for step in quotient.steps:
-        for x in reps:
-            row = [0] * len(reps)
-            row[pos[step[x]]] += 1
-            row[pos[x]] -= 1
-            rows.append(row)
-    return rows
-
-
 class CoboundarySolver:
     """Decides theta in B^1 on a fixed quotient by a spanning-tree potential.
 
-    Z^d acts transitively on Z^d/G and every e_i has finite order there, so
-    the unit-step graph (an edge x -> x + e_i for every coset x and every i)
-    is connected from the zero coset along forward steps alone.  A BFS from
-    0 gives a spanning tree of such edges.  If D f = theta, then f - f(0)
-    is forced along the tree: f(x + e_i) = f(x) + theta_i(x).  So D f =
-    theta has an integer solution iff the potential with f(0) = 0 built
-    along the tree satisfies every edge, and then that potential is one.
+    If D f = theta, then f - f(0) is forced along the quotient's spanning
+    tree: f(x + e_i) = f(x) + theta_i(x).  So D f = theta has an integer
+    solution iff the potential with f(0) = 0 built along the tree satisfies
+    every edge, and then that potential is one.
     """
 
     def __init__(self, quotient: FiniteOdometer):
+        if not quotient.orbit_is_everything():
+            raise ArithmeticError("unit-step graph is not connected")
         self.quotient = quotient
         self._zero = (0,) * quotient.d
-        seen = {self._zero}
-        frontier = [self._zero]
-        tree = []  # (x, i, x + e_i) in BFS order
-        for x in frontier:
-            for i, step in enumerate(quotient.steps):
-                y = step[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-                    tree.append((x, i, y))
-        if len(seen) != quotient.card:
-            raise ArithmeticError("unit-step graph is not connected")
-        self._tree = tuple(tree)
+        self._tree = quotient.spanning_tree
 
     def solve(self, theta: Cocycle1):
         """The function f with d(f) = theta and f(0) = 0, or None."""
@@ -385,14 +357,13 @@ def h1_presentation(h: HGroup, depth: int = 4) -> H1Presentation:
 def level_coinvariants_ok(quotient: FiniteOdometer) -> bool:
     """D(Z^d/G) is infinite cyclic with tau an order isomorphism onto
     [Z^d:G]^-1 Z: the difference functions span a saturated corank-1
-    sublattice of Z^reps contained in the kernel of summation."""
-    n = quotient.card
-    rows = _difference_rows(quotient)
-    if any(sum(r) != 0 for r in rows):  # B lies in ker(sum)
-        return False
-    _, s, _ = snf(list(zip(*rows)))
-    factors = [s[i][i] for i in range(min(n, len(rows))) if s[i][i] != 0]
-    return len(factors) == n - 1 and all(f == 1 for f in factors)
+    sublattice of Z^reps contained in the kernel of summation.
+
+    They are the edge vectors e_{x+e_i} - e_x of the unit-step graph, and
+    the edges of a spanning tree are a Z-basis of ker(sum) (the reduced
+    incidence matrix), while a graph with c components spans only rank
+    card - c: so the check holds iff the graph is connected."""
+    return quotient.orbit_is_everything()
 
 
 def coinvariants(h: HGroup, verify_depth: int = 3) -> Supernatural:

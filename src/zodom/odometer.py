@@ -26,7 +26,7 @@ class NotSubgroupError(ValueError):
 class FiniteOdometer:
     """Translation action of Z^d on Z^d/G, G an integer lattice of finite index."""
 
-    __slots__ = ("lattice", "d", "card", "_diag", "_walk", "_reps", "_steps")
+    __slots__ = ("lattice", "d", "card", "_diag", "_walk", "_reps", "_steps", "_tree")
 
     def __init__(self, lattice: Lattice):
         if not lattice.is_integral():
@@ -43,6 +43,7 @@ class FiniteOdometer:
         )
         self._reps = None
         self._steps = None
+        self._tree = None
 
     @property
     def reps(self):
@@ -61,6 +62,31 @@ class FiniteOdometer:
                 for i in range(self.d)
             )
         return self._steps
+
+    @property
+    def spanning_tree(self):
+        """BFS tree of the unit-step graph from the zero coset, built on first
+        use: the edges (x, i, x + e_i) in BFS order, one per coset reached
+        besides 0.
+
+        Z^d acts transitively on Z^d/G and every e_i has finite order there, so
+        the unit-step graph (an edge x -> x + e_i for every coset x and every
+        i) is connected from 0 along forward steps alone: the tree has
+        card - 1 edges."""
+        if self._tree is None:
+            zero = (0,) * self.d
+            seen = {zero}
+            tree = []
+            frontier = [zero]
+            for x in frontier:
+                for i, step in enumerate(self.steps):
+                    y = step[x]
+                    if y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
+                        tree.append((x, i, y))
+            self._tree = tuple(tree)
+        return self._tree
 
     def reduce(self, v):
         """Box representative of v + G (forward walk along the triangular basis)."""
@@ -110,21 +136,10 @@ class FiniteOdometer:
     def same_coset(self, v, w) -> bool:
         return self.reduce(v) == self.reduce(w)
 
-    def orbit_is_everything(self, start=None) -> bool:
-        """Finite-level minimality: one Z^d-orbit covers the quotient."""
-        start = self.reduce(start) if start is not None else (0,) * self.d
-        seen = {start}
-        frontier = [start]
-        steps = [tuple(1 if i == j else 0 for i in range(self.d)) for j in range(self.d)]
-        steps += [tuple(-x for x in s) for s in steps]
-        while frontier:
-            x = frontier.pop()
-            for s in steps:
-                y = self.act(s, x)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return len(seen) == self.card
+    def orbit_is_everything(self) -> bool:
+        """Finite-level minimality: one Z^d-orbit covers the quotient, i.e.
+        the spanning tree from 0 reaches all card cosets."""
+        return len(self.spanning_tree) == self.card - 1
 
     def __repr__(self):
         return f"FiniteOdometer(card={self.card}, diag={self._diag})"

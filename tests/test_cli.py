@@ -137,6 +137,13 @@ def test_h1_and_coinv(grp, capsys):
     assert "coinvariants=2^inf*3^inf" in out
 
 
+def test_coinv_fuchs_at_depth_6(grp, capsys):
+    # level 6 has 720 cosets; the level check is one BFS over them
+    code, out = run(capsys, "coinv", grp("class11_fuchs"), "--depth", "6")
+    assert code == 0
+    assert out == "coinvariants=2^inf*3^inf*5^1\nverified_levels=6\n"
+
+
 # the full report of `rigid --levels 3 --verify`
 RIGID_3_VERIFY = [
     "deviation=induction start uses K_1 = 3 (the norm bound needs K >= 3); the"

@@ -8,7 +8,6 @@ import pytest
 from zodom.cohomology import (
     BadGeneratorsError,
     Cocycle1,
-    _difference_rows,
     _domain_reducer,
     CoboundarySolver,
     alpha_map,
@@ -25,7 +24,7 @@ from zodom.cohomology import (
 )
 from zodom.gdsl import parse_group
 from zodom.hgroup import ProgramGroup, UnsupportedPresentationError, equal_h, superindex
-from zodom.linalg import INF, Lattice, Mat, Supernatural, _column_echelon, clear_denominators
+from zodom.linalg import INF, Lattice, Mat, Supernatural, _column_echelon, clear_denominators, snf
 from zodom.odometer import FiniteOdometer
 from zodom.verify import TORSION_QUOTIENTS, cocycle_corpus
 
@@ -426,6 +425,21 @@ def test_solver_agrees_with_alpha_criterion():
         assert (solver.solve(theta) is not None) == (tuple(h) == (0, 0))
 
 
+def _difference_rows(quotient):
+    """The d*card x card matrix of the difference operator over the reps:
+    row (i, x) maps f to f(x + e_i) - f(x)."""
+    reps = quotient.reps
+    pos = {x: k for k, x in enumerate(reps)}
+    rows = []
+    for step in quotient.steps:
+        for x in reps:
+            row = [0] * len(reps)
+            row[pos[step[x]]] += 1
+            row[pos[x]] -= 1
+            rows.append(row)
+    return rows
+
+
 def _echelon_solve(quotient, echelon, theta):
     """Reference: D f = theta by the column echelon form H = D . V of the
     difference matrix; f over the reps, or None."""
@@ -520,6 +534,96 @@ def test_coinvariants_match_superindex_on_gallery():
 def test_level_coinvariants_direct():
     assert level_coinvariants_ok(FiniteOdometer(Lattice.from_span(2, [(2, 1), (0, 3)])))
     assert level_coinvariants_ok(FiniteOdometer(Lattice.from_span(1, [(6,)])))
+
+
+def _snf_rule(quotient):
+    """Reference level check: the difference rows span a saturated corank-1
+    sublattice of ker(sum), read off the Smith form."""
+    n = quotient.card
+    rows = _difference_rows(quotient)
+    if any(sum(r) != 0 for r in rows):
+        return False
+    _, s, _ = snf(list(zip(*rows)))
+    factors = [s[i][i] for i in range(min(n, len(rows))) if s[i][i] != 0]
+    return len(factors) == n - 1 and all(f == 1 for f in factors)
+
+
+def _inline_bfs_tree(quotient):
+    """Reference: the BFS tree that CoboundarySolver used to build itself."""
+    zero = (0,) * quotient.d
+    seen = {zero}
+    frontier = [zero]
+    tree = []
+    for x in frontier:
+        for i, step in enumerate(quotient.steps):
+            y = step[x]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+                tree.append((x, i, y))
+    return tuple(tree)
+
+
+def _random_lattice(rng, d, max_card):
+    while True:
+        rows = [[rng.randint(-4, 6) for _ in range(d)] for _ in range(d)]
+        det = Mat(rows).det()
+        if det != 0 and abs(det) <= max_card:
+            return Lattice.from_span(d, rows)
+
+
+def _with_steps(lattice, steps):
+    q = FiniteOdometer(lattice)
+    q._steps = tuple(steps)
+    return q
+
+
+def test_connectivity_matches_snf_rule():
+    """On random quotients, and on the sub-actions where some generators act
+    trivially (their step tables replaced by the identity, which may leave
+    the graph disconnected), the spanning-tree check agrees with the Smith
+    form rule; the shared tree is the solver's former inline BFS tree."""
+    rng = random.Random(23)
+    answers = set()
+    for trial in range(120):
+        d = trial % 3 + 1
+        g = _random_lattice(rng, d, 60)
+        q = FiniteOdometer(g)
+        assert q.spanning_tree == _inline_bfs_tree(q)
+        assert CoboundarySolver(q)._tree == _inline_bfs_tree(q)
+        for kept in itertools.product((True, False), repeat=d):
+            identity = {x: x for x in q.reps}
+            sub = _with_steps(g, [s if k else identity for s, k in zip(q.steps, kept)])
+            ok = level_coinvariants_ok(sub)
+            assert ok == _snf_rule(sub) == sub.orbit_is_everything()
+            assert sub.spanning_tree == _inline_bfs_tree(sub)
+            answers.add(ok)
+    assert answers == {True, False}
+
+
+def _zero_fixed(step, zero):
+    """The step permutation changed to fix the zero coset: its preimage is
+    sent to step(0) instead, so every other coset keeps an image."""
+    back = next(x for x, y in step.items() if y == zero)
+    patched = dict(step)
+    patched[back], patched[zero] = step[zero], zero
+    return patched
+
+
+@pytest.mark.parametrize(
+    "rows", [[(4,)], [(2, 1), (0, 3)], [(2, 1, 1), (0, 3, 2), (0, 0, 2)]]
+)
+def test_level_check_can_fail(rows):
+    """Every generator fixing the zero coset isolates it, so the level check
+    and minimality fail and the solver refuses the quotient."""
+    g = Lattice.from_span(len(rows), rows)
+    q = _with_steps(g, [_zero_fixed(s, (0,) * g.d) for s in FiniteOdometer(g).steps])
+    assert q.card > 1
+    assert not _snf_rule(q)
+    assert not level_coinvariants_ok(q)
+    assert not q.orbit_is_everything()
+    with pytest.raises(ArithmeticError):
+        CoboundarySolver(q)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every input must end in a report or a documented error: ``gdsl.parse``
 returns an expression or raises one of the DSL's errors, and ``cli.main``
 returns one of the exit codes 0/1/2/64/65 without an uncaught exception.
 Integer literals stay below 10**6, so the primes that ``factorint`` meets
-are small enough to be confirmed quickly.
+are small enough to be confirmed quickly; ``coinv``, which walks the
+finite quotients, reads texts whose literals stay at most 12.
 """
 
 import contextlib
@@ -25,33 +26,32 @@ nat = st.one_of(small, st.integers(0, LITERAL))
 
 
 @st.composite
-def rat(draw, num=nat):
+def rat(draw, num=nat, den=nat):
     text = ("-" if draw(st.booleans()) else "") + str(draw(num))
     if draw(st.booleans()):
-        text += f"/{draw(nat)}"
+        text += f"/{draw(den)}"
     return text
 
 
-comp = st.one_of(st.just("Z"), nat.map(lambda n: f"Z[1/{n}]"))
-
-
-def items(dim):
+def items(dim, lit):
+    comp = st.one_of(st.just("Z"), lit.map(lambda n: f"Z[1/{n}]"))
     oplus = st.lists(comp, min_size=dim, max_size=dim).map(lambda cs: f"oplus({', '.join(cs)})")
-    gen = st.lists(rat(), min_size=dim, max_size=dim).map(lambda v: f"gen({', '.join(v)})")
+    gen = st.lists(rat(lit, lit), min_size=dim, max_size=dim).map(lambda v: f"gen({', '.join(v)})")
     return st.one_of(oplus, oplus, gen)
 
 
 @st.composite
-def group_text(draw):
-    """A sum of items, mostly of one dimension, optionally under mat(...)."""
+def group_text(draw, lit=nat):
+    """A sum of items, mostly of one dimension, optionally under mat(...);
+    lit draws the integer literals of the items."""
     dim = draw(st.integers(1, 3))
-    parts = draw(st.lists(items(dim), min_size=1, max_size=3))
+    parts = draw(st.lists(items(dim, lit), min_size=1, max_size=3))
     if draw(st.booleans()):
-        parts.append(draw(items(draw(st.integers(1, 3)))))
+        parts.append(draw(items(draw(st.integers(1, 3)), lit)))
     text = " + ".join(parts)
     if draw(st.booleans()):
         n = draw(st.sampled_from([dim, dim, dim % 3 + 1]))
-        entry = rat(num=small)
+        entry = rat(small, lit)
         rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
         text = f"mat([{';'.join(','.join(r) for r in rows)}]) * {text}"
     return text
@@ -63,15 +63,16 @@ noise = st.text(alphabet="Z[]1/0239(),;+*- opluseganmt#\n\t²٣ ", max_size=40)
 
 
 @st.composite
-def mutated(draw):
+def mutated(draw, lit=nat):
     """A group text with one character deleted, doubled or replaced."""
-    text = draw(group_text())
+    text = draw(group_text(lit))
     at = draw(st.integers(0, len(text) - 1))
     new = draw(st.sampled_from(["", text[at] * 2, "(", ")", ",", "/", "²", " ", "-"]))
     return text[:at] + new + text[at + 1 :]
 
 
 texts = st.one_of(group_text(), group_text(), mutated(), noise)
+small_texts = st.one_of(group_text(small), group_text(small), mutated(small), noise)
 
 
 @given(texts)
@@ -88,17 +89,30 @@ def grp_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "g.grp"
 
 
-@given(text=texts, verb=st.sampled_from(["parse", "free", "superindex", "canon"]))
-@settings(max_examples=200, deadline=None)
-def test_cli_verbs_end_in_a_report_or_an_error(grp_path, text, verb):
+def _run_verb(grp_path, text, argv):
     grp_path.write_text(text + "\n", encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([verb, str(grp_path)])
+        code = main([argv[0], str(grp_path), *argv[1:]])
     assert code in EXIT_CODES
     assert "Traceback" not in err.getvalue()
     if code == 65:
         assert out.getvalue().startswith("error=")
+
+
+VERBS = [("parse",), ("free",), ("superindex",), ("canon",), ("tower", "--depth", "2"), ("h1", "--depth", "2")]
+
+
+@given(text=texts, argv=st.sampled_from(VERBS))
+@settings(max_examples=200, deadline=None)
+def test_cli_verbs_end_in_a_report_or_an_error(grp_path, text, argv):
+    _run_verb(grp_path, text, argv)
+
+
+@given(text=small_texts, depth=st.sampled_from(["1", "3"]))
+@settings(max_examples=100, deadline=None)
+def test_coinv_ends_in_a_report_or_an_error(grp_path, text, depth):
+    _run_verb(grp_path, text, ("coinv", "--depth", depth))
 
 
 @given(data=st.binary(max_size=24), verb=st.sampled_from(["parse", "canon"]))
