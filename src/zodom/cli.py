@@ -7,6 +7,7 @@ Exit codes: 0 success (or verdict YES), 1 verdict NO, 2 verdict UNKNOWN,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -318,6 +319,7 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     top = _ArgumentParser(prog="zodom", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)

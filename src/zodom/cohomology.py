@@ -7,11 +7,35 @@ compatibility that makes the extension
     theta(x, m + n) = theta(x, m) + theta(phi^m x, n)
 
 well defined.  Evaluating at the zero coset gives a homomorphism G -> Z,
-i.e. an element of the dual lattice G*; conversely an explicit cocycle is
-built from the fundamental-domain recipe on the half-open parallelogram of a
-compliant generator pair (d <= 2).  Integrating the generator values against
-the normalized counting measure gives the trace, which recovers the dual
-vector exactly.
+i.e. an element of the dual lattice G*; conversely every h in G* is the
+value of an explicit cocycle theta_h, built in every d as follows.
+
+Let B be the integer HNF basis of G, with columns g_1..g_d, and
+(det, adj) its adjugate, so adj . B = det . I and det > 0 (the HNF
+diagonal is positive).  The half-open parallelepiped
+
+    P = {sum_j s_j g_j : 0 <= s_j < 1} cap Z^d
+
+is a transversal of Z^d/G (the interval {0..m-1} for d = 1, a
+parallelogram for d = 2).  A vector v has coordinates s = n(v) / det with
+n(v) = adj . v, so its representative is
+
+    rep(v) = v - sum_j floor(n_j(v) / det) g_j,
+
+exact integer code.  Put theta_h(x + G, n) = <w - rep(w), h> for
+w = rep(x) + n.  Since w - rep(w) lies in G and h in G*, the values are
+integers, and
+
+    theta_h(x + G, n) = <n, h> + F(x) - F(x + n),   F(x) = <rep(x), h>,
+
+so theta_h is the constant cocycle <n, h> plus a (rational) coboundary and
+satisfies the cocycle identity.  At the zero coset rep(g) = 0 for g in G,
+so theta_h(G, g) = <g, h>: alpha_map(theta_h) = h.  For the trace,
+p -> rep(p + e_i) permutes P, so sum_{p in P} (p + e_i - rep(p + e_i)) =
+card . e_i and tau1(theta_h) = h exactly.  The carries of a unit step are
+the floors themselves: n(rep(x)) = n(x) mod det because adj . g_j =
+det . e_j, so w = rep(x) + e_i has n(w) = n(x) mod det + adj[., i] and
+w - rep(w) = sum_j floor(n_j(w) / det) g_j, with no solve.
 """
 
 from __future__ import annotations
@@ -24,10 +48,6 @@ from fractions import Fraction
 from .hgroup import HGroup, Tower, _require_local, canonicalize, superindex, tower
 from .linalg import Lattice, Supernatural, adjugate, clear_denominators
 from .odometer import FiniteOdometer
-
-
-class BadGeneratorsError(ValueError):
-    """No compliant generator pair available for the cocycle construction."""
 
 
 class Cocycle1:
@@ -128,80 +148,28 @@ def alpha_map(theta: Cocycle1):
 
 
 # ---------------------------------------------------------------------------
-# explicit cocycles from the parallelogram fundamental domain
+# explicit cocycles from the parallelepiped fundamental domain
 
 
-def generator_pair(g: Lattice):
-    """Compliant generators (a,b), (c,d) read off the HNF basis columns:
-    a,d > 0, b,c >= 0, ad - bc > 0.  With columns (h11,h21), (0,h22) the
-    second line is vertical, so it always lies above the first."""
-    if g.d != 2:
-        raise BadGeneratorsError("generator pairs are a d=2 construction")
-    if not g.is_integral():
-        raise BadGeneratorsError("quotient lattice must be integral")
-    (h11, h12), (h21, h22) = g.mat
-    return (h11, h21), (h12, h22)
+def build_cocycle(g: Lattice, h) -> Cocycle1:
+    """Explicit cocycle theta_h with alpha_map and trace equal to h in G*,
+    in every d.
 
-
-def _check_pair(g: Lattice, pair):
-    (a, b), (c, d) = pair
-    if not (a > 0 and d > 0 and b >= 0 and c >= 0 and a * d - b * c > 0):
-        raise BadGeneratorsError(f"pair {pair} violates a,d>0, b,c>=0, ad-bc>0")
-    if a * d - b * c != int(g.det()):
-        raise BadGeneratorsError("pair does not generate the lattice")
-    if not (g.member((a, b)) and g.member((c, d))):
-        raise BadGeneratorsError("pair does not lie in the lattice")
-    return pair
-
-
-def parallelogram_domain(g: Lattice, pair=None):
-    """Integer points of {s(a,b) + t(c,d) : 0 <= s,t < 1}, sorted.
-
-    With det = ad - bc > 0, the coordinates are s = (dx - cy)/det and
-    t = (ay - bx)/det, so 0 <= s,t < 1 compares the numerators with det.
-    """
-    pair = _check_pair(g, pair or generator_pair(g))
-    (a, b), (c, d) = pair
-    det = a * d - b * c
-    pts = []
-    xs = range(min(0, a, c, a + c), max(0, a, c, a + c) + 1)
-    ys = range(min(0, b, d, b + d), max(0, b, d, b + d) + 1)
-    for x, y in itertools.product(xs, ys):
-        if 0 <= d * x - c * y < det and 0 <= a * y - b * x < det:
-            pts.append((x, y))
-    if len(pts) != det:
-        raise BadGeneratorsError("fundamental domain has the wrong cardinality")
-    return sorted(pts), pair
-
-
-def _domain_reducer(pair):
-    """v -> v - floor(s)(a,b) - floor(t)(c,d), the representative of v in
-    the half-open parallelogram (det = ad - bc > 0, so floor is //)."""
-    (a, b), (c, d) = pair
-    det = a * d - b * c
-
-    def rep(v):
-        x, y = int(v[0]), int(v[1])
-        fs = (d * x - c * y) // det
-        ft = (a * y - b * x) // det
-        return (x - fs * a - ft * c, y - fs * b - ft * d)
-
-    return rep
-
-
-def build_cocycle(g: Lattice, h, pair=None) -> Cocycle1:
-    """Explicit cocycle with alpha_map equal to h in G* (d = 1 or 2).
-
-    theta(x + G, n) = <g', h> where rep(x) + n = rep(rep(x) + n) + g' over the
-    fundamental domain: the interval {0..m-1} for d = 1, the half-open
-    parallelogram of the generator pair for d = 2.  The pairing is taken in
-    integers: h = h_num / den over the common denominator of its entries.
+    theta_h(x + G, n) = <w - rep(w), h> with w = rep(x) + n, where
+    rep(v) = v - sum_j floor(n_j(v) / det) g_j reduces into the half-open
+    parallelepiped P of the HNF columns g_j of G, n(v) = adj(B) . v.  The
+    vector w - rep(w) lies in G, so the value is an integer; at the zero
+    coset it is <g, h> for g in G (alpha_map = h), and since p -> rep(p + e_i)
+    permutes P the values of theta_h(., e_i) sum to card . h_i (trace = h).
+    The carries w - rep(w) are the floors themselves (see _carry_table and
+    the module docstring).  The pairing is taken in integers: h = h_num / den
+    over the common denominator of its entries.
     """
     if not g.is_integral():
-        raise BadGeneratorsError("quotient lattice must be integral")
+        raise ValueError("quotient lattice must be integral")
     quotient = FiniteOdometer(g)
     den, h_num = _dual_numerators(g, h)
-    return _cocycle_from_carries(quotient, _carry_table(quotient, pair), den, h_num)
+    return _cocycle_from_carries(quotient, _carry_table(quotient), den, h_num)
 
 
 def _dual_numerators(g: Lattice, h):
@@ -215,46 +183,22 @@ def _dual_numerators(g: Lattice, h):
     return den, h_num
 
 
-def _carry_table(quotient: FiniteOdometer, pair=None):
-    """The h-independent half of build_cocycle: generators g_j of G (m for
-    d = 1, the pair for d = 2) and, for every coset x and generator e_i,
-    the integer carries c_j with w - rep(w) = sum_j c_j g_j for
-    w = rep(x) + e_i.  Then theta_i(x) = sum_j c_j <g_j, h> for every h.
-    The carries are solved from w - rep(w) by Cramer's rule; a division
-    that is not exact means the step left the lattice."""
+def _carry_table(quotient: FiniteOdometer):
+    """The h-independent half of build_cocycle: the HNF columns g_j of G
+    and, for every coset x and generator e_i, the integer carries c_j with
+    w - rep(w) = sum_j c_j g_j for w = rep(x) + e_i.  Then
+    theta_i(x) = sum_j c_j <g_j, h> for every h.
+
+    With n(v) = adj . v, rep(v) has numerators n(v) mod det, so
+    n(w) = n(x) mod det + adj[., i] and the carries are its floors."""
     g = quotient.lattice
-    if g.d == 1:
-        m = g.mat[0][0]
-        gens = ((m,),)
-
-        def rep(v):
-            return (int(v[0]) % m,)
-
-    elif g.d == 2:
-        _, gens = parallelogram_domain(g, pair)
-        rep = _domain_reducer(gens)
-    else:
-        raise BadGeneratorsError("explicit cocycles are provided for d <= 2 only")
-    det, adj = adjugate([list(row) for row in zip(*gens)])
-    inside = (0,) * len(gens)
+    det, adj = adjugate(g.mat)
     table = [{} for _ in range(g.d)]
     for x in quotient.reps:
-        k1 = rep(x)
+        n = [sum(a * b for a, b in zip(row, x)) % det for row in adj]
         for i, column in enumerate(table):
-            w = k1[:i] + (k1[i] + 1,) + k1[i + 1 :]
-            r = rep(w)
-            if r == w:
-                column[x] = inside
-                continue
-            diff = [a - b for a, b in zip(w, r)]
-            carries = []
-            for row in adj:
-                c, rem = divmod(sum(a * b for a, b in zip(row, diff)), det)
-                if rem:
-                    raise ArithmeticError("domain step left the lattice")
-                carries.append(c)
-            column[x] = tuple(carries)
-    return gens, table
+            column[x] = tuple((nj + row[i]) // det for nj, row in zip(n, adj))
+    return tuple(zip(*g.mat)), table
 
 
 def _cocycle_from_carries(quotient: FiniteOdometer, table, den: int, h_num) -> Cocycle1:

@@ -101,10 +101,6 @@ class _Parser:
             else:
                 break
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def literal(self, s: str):
         self.skip_ws()
         if not self.text.startswith(s, self.pos):

@@ -749,10 +749,6 @@ class Supernatural:
             cleaned[p] = e
         self.items = tuple(sorted(cleaned.items()))
 
-    @classmethod
-    def from_int(cls, n: int) -> "Supernatural":
-        return cls(factorint(n)) if abs(n) != 1 else cls({})
-
     def exponent(self, p: int):
         for q, e in self.items:
             if q == p:

@@ -133,9 +133,6 @@ class FiniteOdometer:
             perm.extend(range(base, base + c))
         return perm
 
-    def same_coset(self, v, w) -> bool:
-        return self.reduce(v) == self.reduce(w)
-
     def orbit_is_everything(self) -> bool:
         """Finite-level minimality: one Z^d-orbit covers the quotient, i.e.
         the spanning tree from 0 reaches all card cosets."""
@@ -315,10 +312,6 @@ class DualityRealization:
             sum(r * x for r, x in zip(row, n)) % si
             for row, si in zip(self._shift_rows, self.snf_diag)
         )
-
-    def translate(self, n, t):
-        shift = self.translation_tuple(n)
-        return tuple((a + b) % si for a, b, si in zip(t, shift, self.snf_diag))
 
     def to_quotient(self, t):
         """The conjugacy h_K: character tuple -> coset of K* in Z^d."""

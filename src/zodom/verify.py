@@ -18,7 +18,6 @@ from .cohomology import (
     build_cocycle,
     coboundary_between,
     coinvariants,
-    generator_pair,
     is_coboundary_of,
     tau1,
     torsion_free_check,
@@ -167,7 +166,7 @@ def criterion_3_trace_exactness(seed: int) -> CriterionResult:
     corpus = cocycle_corpus(seed, count=100, max_index=200)
     b_zero = b_pos = 0
     for g, h in corpus:
-        if generator_pair(g)[0][1] == 0:
+        if g.mat[1][0] == 0:  # b, the HNF entry below the first pivot
             b_zero += 1
         else:
             b_pos += 1

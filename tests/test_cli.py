@@ -72,6 +72,19 @@ def test_tau_example(capsys):
     code, out = run(capsys, "tau", "--lattice", "[2,1;0,3]", "--h", "1/2,0")
     assert code == 0
     assert out.strip() == "tau=(1/2, 0)"
+    code, out = run(capsys, "tau", "--lattice", "[2,0,0;0,3,0;0,1,1]", "--h", "1/2,0,0")
+    assert code == 0
+    assert out == "tau=(1/2, 0, 0)\n"
+
+
+def test_repeated_calls_share_no_parsed_state(grp, capsys):
+    # the parser is built once: a --depth given to one call must not leak into the next
+    path = grp("two_primes", "oplus(Z[1/2], Z[1/3])")
+    for argv, count in ((["--depth", "2"], 2), ([], 4)):
+        code, out = run(capsys, "tower", path, *argv)
+        assert code == 0
+        levels = [line.split("=")[0] for line in out.splitlines() if line.startswith("level_")]
+        assert levels == [f"level_{n}" for n in range(1, count + 1)]
 
 
 def test_dual_example(capsys):
@@ -260,6 +273,10 @@ def test_bad_vector_and_matrix(capsys):
     capsys.readouterr()
     f_code = main(["tau", "--lattice", "[2,1;0,3]", "--h", "1/3,0"])
     assert f_code == EX_DATA
+    capsys.readouterr()
+    code, out = run(capsys, "tau", "--lattice", "[1/2,0;0,1]", "--h", "1,0")
+    assert code == EX_DATA
+    assert out == "error=quotient lattice must be integral\n"
 
 
 @pytest.mark.parametrize("h", ["1/2", "1/2,0,5"])

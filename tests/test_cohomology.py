@@ -6,19 +6,16 @@ from math import floor
 import pytest
 
 from zodom.cohomology import (
-    BadGeneratorsError,
     Cocycle1,
-    _domain_reducer,
     CoboundarySolver,
+    _carry_table,
     alpha_map,
     build_cocycle,
     coboundary_between,
     coinvariants,
-    generator_pair,
     h1_presentation,
     is_coboundary_of,
     level_coinvariants_ok,
-    parallelogram_domain,
     tau1,
     torsion_free_check,
 )
@@ -173,30 +170,37 @@ def test_equal_alpha_implies_explicit_coboundary():
 # fundamental domain and build_cocycle
 
 
+def _fraction_reducer(g):
+    """The Fraction-floor reducer into the half-open parallelepiped of the
+    HNF columns of G, as a reference: rep(v) = v - B floor(B^-1 v)."""
+    b = g.basis()
+    b_inv = b.inv()
+
+    def rep(v):
+        floors = [floor(s) for s in b_inv.apply(v)]
+        return tuple(int(x - y) for x, y in zip(v, b.apply(floors)))
+
+    return rep
+
+
+def _random_lattices(rng, count, max_card=120):
+    """Integer lattices of d = 1, 2, 3 in turn, index at most max_card."""
+    return [_random_lattice(rng, k % 3 + 1, max_card) for k in range(count)]
+
+
 def test_parallelogram_worked_example():
+    # d = 2: the parallelepiped of the HNF columns (2, 1), (0, 3)
     g = Lattice.from_span(2, [(2, 1), (0, 3)])
-    dom, pair = parallelogram_domain(g)
-    assert pair == ((2, 1), (0, 3))
-    assert dom == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)]
-    assert len(dom) == 6
-
-
-def test_generator_pair_compliance():
-    rng = random.Random(3)
-    for _ in range(50):
-        g = random_quotient(rng)
-        (a, b), (c, d) = generator_pair(g)
-        assert a > 0 and d > 0 and b >= 0 and c >= 0 and a * d - b * c > 0
-        dom, _ = parallelogram_domain(g)
-        assert len(dom) == int(g.det())
+    assert _carry_table(FiniteOdometer(g))[0] == ((2, 1), (0, 3))
+    rep = _fraction_reducer(g)
+    dom = {rep(v) for v in itertools.product(range(-8, 9), repeat=2)}
+    assert sorted(dom) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)]
 
 
 def test_build_cocycle_trivial_lattice():
     # G = Z^2, h = (1,1): the fundamental domain is {0} and theta(x,n) = n1+n2
     g = Lattice.standard(2)
     theta = build_cocycle(g, (1, 1))
-    dom, _ = parallelogram_domain(g)
-    assert dom == [(0, 0)]
     rng = random.Random(0)
     for _ in range(20):
         n = (rng.randint(-9, 9), rng.randint(-9, 9))
@@ -205,18 +209,9 @@ def test_build_cocycle_trivial_lattice():
 
 def test_build_cocycle_b_zero_branch():
     g = Lattice.from_span(2, [(2, 0), (0, 3)])
-    assert generator_pair(g) == ((2, 0), (0, 3))
+    assert _carry_table(FiniteOdometer(g))[0] == ((2, 0), (0, 3))
     theta = build_cocycle(g, (F(1, 2), 0))
     assert tau1(theta) == (F(1, 2), 0)
-
-
-def test_build_cocycle_custom_pair():
-    g = Lattice.from_span(2, [(2, 0), (0, 3)])
-    theta = build_cocycle(g, (F(1, 2), 0), pair=((2, 0), (2, 3)))
-    assert alpha_map(theta) == (F(1, 2), 0)
-    assert tau1(theta) == (F(1, 2), 0)
-    with pytest.raises(BadGeneratorsError):
-        build_cocycle(g, (F(1, 2), 0), pair=((2, 0), (0, -3)))
 
 
 def test_build_cocycle_rejects_non_dual_vector():
@@ -225,62 +220,51 @@ def test_build_cocycle_rejects_non_dual_vector():
         build_cocycle(g, (F(1, 3), 0))
 
 
-def test_build_cocycle_d3_refused():
-    g = Lattice.from_span(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
-    with pytest.raises(BadGeneratorsError):
-        build_cocycle(g, (F(1, 2), 0, 0))
-
-
-def _fraction_reducer(pair):
-    """The floor(Fraction) parallelogram reducer, as a reference."""
-    (a, b), (c, d) = pair
-    det = a * d - b * c
-
-    def rep(v):
-        x, y = v
-        fs = floor(F(d * x - c * y, det))
-        ft = floor(F(-b * x + a * y, det))
-        return (x - fs * a - ft * c, y - fs * b - ft * d)
-
-    return rep
+def test_build_cocycle_d3_trace_and_alpha():
+    rng = random.Random(41)
+    lattices = [Lattice.from_span(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])]
+    lattices += [_random_lattice(rng, 3, 120) for _ in range(12)]
+    for g in lattices:
+        for _ in range(3):
+            h = random_dual_vector(rng, g)
+            theta = build_cocycle(g, h)
+            assert tau1(theta) == tuple(h), (g, h)
+            assert alpha_map(theta) == tuple(h), (g, h)
+    theta = build_cocycle(lattices[0], (F(1, 2), 0, 0))
+    assert tau1(theta) == alpha_map(theta) == (F(1, 2), 0, 0)
 
 
 def test_integer_domain_reducer_matches_fraction_floor():
+    """The integer carries of the table are the Fraction floors of
+    B^-1 (rep(x) + e_i), and rep(x) is the coset of x."""
     rng = random.Random(31)
-    pairs = [generator_pair(random_quotient(rng)) for _ in range(30)]
-    pairs += [((2, 0), (2, 3)), ((3, 1), (1, 2)), ((1, 0), (0, 1)), ((7, 5), (4, 3))]
-    box = list(itertools.product(range(-15, 16), repeat=2))
-    for pair in pairs:
-        fast, ref = _domain_reducer(pair), _fraction_reducer(pair)
-        assert all(fast(v) == ref(v) for v in box), pair
-
-
-def test_integer_domain_matches_fraction_coordinates():
-    rng = random.Random(32)
-    for _ in range(30):
-        g = random_quotient(rng)
-        dom, ((a, b), (c, d)) = parallelogram_domain(g)
-        det = a * d - b * c
-        ref = [
-            (x, y)
-            for x in range(-30, 31)
-            for y in range(-30, 31)
-            if 0 <= F(d * x - c * y, det) < 1 and 0 <= F(-b * x + a * y, det) < 1
-        ]
-        assert dom == ref
+    lattices = _random_lattices(rng, 30)
+    lattices += [Lattice.from_span(2, [(2, 0), (2, 3)]), Lattice.standard(3)]
+    for g in lattices:
+        q = FiniteOdometer(g)
+        gens, table = _carry_table(q)
+        assert gens == tuple(zip(*g.mat))
+        rep, b_inv = _fraction_reducer(g), g.basis().inv()
+        for x in q.reps:
+            k1 = rep(x)
+            assert q.reduce(k1) == x
+            for i, column in enumerate(table):
+                w = tuple(c + (k == i) for k, c in enumerate(k1))
+                assert column[x] == tuple(floor(s) for s in b_inv.apply(w)), (g, x, i)
 
 
 def test_integer_pairing_matches_fraction_pairing():
     rng = random.Random(33)
-    for _ in range(30):
-        g = random_quotient(rng, max_index=60)
+    lattices = [random_quotient(rng, max_index=60) for _ in range(30)]
+    lattices += _random_lattices(rng, 9, max_card=60)
+    for g in lattices:
         h = random_dual_vector(rng, g)
         theta = build_cocycle(g, h)
-        rep = _fraction_reducer(generator_pair(g))
-        for i, unit in enumerate([(1, 0), (0, 1)]):
+        rep = _fraction_reducer(g)
+        for i in range(g.d):
             for x in theta.quotient.reps:
                 k1 = rep(x)
-                w = (k1[0] + unit[0], k1[1] + unit[1])
+                w = tuple(c + (k == i) for k, c in enumerate(k1))
                 value = sum((wi - ri) * hi for wi, ri, hi in zip(w, rep(w), h))
                 assert value.denominator == 1
                 assert theta.gen_values[i][x] == value
@@ -297,19 +281,12 @@ def test_build_cocycle_rejects_vectors_outside_dual():
         build_cocycle(Lattice.from_span(1, [(7,)]), (F(1, 14),))
 
 
-def _per_point_cocycle(g, h, pair=None):
+def _per_point_cocycle(g, h):
     """The per-point builder, as a reference: for every coset x and e_i,
-    theta_i(x) = <w - rep(w), h> with w = rep(x) + e_i, paired in integers."""
+    theta_i(x) = <w - rep(w), h> with w = rep(x) + e_i, paired in integers,
+    rep the Fraction-floor reducer over the HNF columns."""
     den, (h_num,) = clear_denominators([h])
-    if g.d == 1:
-        m = g.mat[0][0]
-
-        def rep(v):
-            return (v[0] % m,)
-
-    else:
-        _, pair = parallelogram_domain(g, pair)
-        rep = _domain_reducer(pair)
+    rep = _fraction_reducer(g)
     q = FiniteOdometer(g)
     vals = [{} for _ in range(g.d)]
     for x in q.reps:
@@ -324,14 +301,16 @@ def _per_point_cocycle(g, h, pair=None):
 
 
 def test_carry_table_cocycles_match_per_point_builder():
-    cases = [(g, h, None) for g, h in cocycle_corpus(21, count=100, max_index=200)]
-    g = Lattice.from_span(2, [(2, 0), (0, 3)])
-    cases += [(g, (F(1, 2), F(-1, 3)), ((2, 0), (2, 3))), (g, (F(1, 2), 0), ((4, 3), (2, 3)))]
+    cases = list(cocycle_corpus(21, count=100, max_index=200))
     for m, num in ((7, 3), (1, 5), (12, -5)):
-        cases.append((Lattice.from_span(1, [(m,)]), (F(num, m),), None))
-    for g, h, pair in cases:
-        theta = build_cocycle(g, h, pair=pair)
-        assert [dict(c) for c in theta.gen_values] == _per_point_cocycle(g, h, pair), (g, h, pair)
+        cases.append((Lattice.from_span(1, [(m,)]), (F(num, m),)))
+    rng = random.Random(22)
+    for _ in range(15):
+        g = _random_lattice(rng, 3, 120)
+        cases.append((g, random_dual_vector(rng, g)))
+    for g, h in cases:
+        theta = build_cocycle(g, h)
+        assert [dict(c) for c in theta.gen_values] == _per_point_cocycle(g, h), (g, h)
 
 
 def test_build_cocycle_error_messages():
@@ -342,10 +321,14 @@ def test_build_cocycle_error_messages():
         build_cocycle(g, (F(1, 2), 0, 0))
     with pytest.raises(ValueError, match="^h has 2 entries, the lattice dimension is 1$"):
         build_cocycle(Lattice.from_span(1, [(5,)]), (F(1, 5), 0))
-    # the h checks come before the d <= 2 restriction
     g3 = Lattice.from_span(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError, match="^h must pair integrally"):
         build_cocycle(g3, (F(1, 3), 0, 0))
+    # the integrality check comes before the h checks
+    half = Lattice.from_span(2, [(F(1, 2), 0), (0, 1)])
+    for h in [(1, 0), (F(1, 3), 0), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="^quotient lattice must be integral$"):
+            build_cocycle(half, h)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +373,7 @@ def test_tau_equals_dual_vector_seeded_corpus():
     seen_b0 = seen_bpos = 0
     for _ in range(60):
         g = random_quotient(rng)
-        if generator_pair(g)[0][1] == 0:
+        if g.mat[1][0] == 0:
             seen_b0 += 1
         else:
             seen_bpos += 1
@@ -479,9 +462,7 @@ def test_tree_potential_solver_matches_echelon_solve():
             thetas.append(cob)
             for i in range(q.d):
                 thetas.append(cob + Cocycle1.epsilon(q, i).scale(rng.choice([-2, -1, 1, 3])))
-            if q.d <= 2:
-                g = q.lattice
-                thetas.append(build_cocycle(g, random_dual_vector(rng, g)))
+            thetas.append(build_cocycle(q.lattice, random_dual_vector(rng, q.lattice)))
         for theta in thetas:
             f, ref = solver.solve(theta), _echelon_solve(q, echelon, theta)
             assert (f is None) == (ref is None)
@@ -632,8 +613,17 @@ def test_level_check_can_fail(rows):
 
 def test_torsion_free_small_quotients():
     rng = random.Random(5)
-    for rows in ([(2, 1), (0, 3)], [(4, 0), (0, 5)], [(6, 2), (0, 5)]):
-        q = FiniteOdometer(Lattice.from_span(2, rows))
+    for rows in (
+        [(2, 1), (0, 3)],
+        [(4, 0), (0, 5)],
+        [(6, 2), (0, 5)],
+        [(2, 0, 0), (0, 3, 0), (0, 1, 1)],
+        [(2, 1, 1), (0, 3, 2), (0, 0, 2)],
+        [(3, 1, 0), (0, 4, 1), (0, 0, 5)],
+        [(4, 1, 3), (0, 5, 2), (0, 0, 6)],
+    ):
+        q = FiniteOdometer(Lattice.from_span(len(rows), rows))
+        assert q.card <= 120
         assert torsion_free_check(q, trials=60, rng=rng)
 
 

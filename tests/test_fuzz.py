@@ -5,11 +5,14 @@ returns an expression or raises one of the DSL's errors, and ``cli.main``
 returns one of the exit codes 0/1/2/64/65 without an uncaught exception.
 Integer literals stay below 10**6, so the primes that ``factorint`` meets
 are small enough to be confirmed quickly; ``coinv``, which walks the
-finite quotients, reads texts whose literals stay at most 12.
+finite quotients, reads texts whose literals stay at most 12.  ``tau``
+reads square lattices of size 1 to 3 with entries in [-4, 4], and ends in
+the trace h or an ``error=`` line.
 """
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from zodom import gdsl
 from zodom.cli import main
+from zodom.gdsl import format_vec
 
 EXIT_CODES = {0, 1, 2, 64, 65}
 LITERAL = 10**6 - 1
@@ -113,6 +117,34 @@ def test_cli_verbs_end_in_a_report_or_an_error(grp_path, text, argv):
 @settings(max_examples=100, deadline=None)
 def test_coinv_ends_in_a_report_or_an_error(grp_path, text, depth):
     _run_verb(grp_path, text, ("coinv", "--depth", depth))
+
+
+@st.composite
+def tau_arguments(draw):
+    """A square --lattice text of 1 to 3 rows with entries in [-4, 4], and
+    a small rational --h, mostly of the lattice's length."""
+    n = draw(st.integers(1, 3))
+    entries = st.lists(st.integers(-4, 4).map(str), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=n, max_size=n))
+    size = draw(st.sampled_from([n, n, n % 3 + 1]))
+    h = draw(st.lists(rat(st.integers(0, 6), st.integers(0, 6)), min_size=size, max_size=size))
+    return "[" + ";".join(",".join(r) for r in rows) + "]", ",".join(h)
+
+
+@given(tau_arguments())
+@settings(max_examples=200, deadline=None)
+def test_tau_ends_in_the_trace_or_an_error(arguments):
+    lattice, h = arguments
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["tau", "--lattice", lattice, f"--h={h}"])
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        # tau(theta_h) = h whenever h lies in the dual of the lattice
+        assert out.getvalue() == f"tau={format_vec(tuple(Fraction(x) for x in h.split(',')))}\n"
+    else:
+        assert code == 65
+        assert out.getvalue().startswith("error=")
 
 
 @given(data=st.binary(max_size=24), verb=st.sampled_from(["parse", "canon"]))
