@@ -44,7 +44,6 @@ from math import gcd
 from .hgroup import (
     HGroup,
     NotSupergroupError,
-    _require_local,
     apply_matrix,
     equal_h,
     is_free,
@@ -91,7 +90,6 @@ class Verdict:
 
 def _require_free(*groups):
     for h in groups:
-        _require_local(h)
         if not is_free(h):
             raise NotFreeError("classification requires dense (free) groups")
 

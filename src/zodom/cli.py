@@ -25,9 +25,7 @@ from .gdsl import (
     print_expr,
 )
 from .hgroup import (
-    DepthExceededError,
     NotSupergroupError,
-    UnsupportedPresentationError,
     equal_h,
     is_free,
     member_h,
@@ -379,6 +377,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse stores an option value of exactly "--" as [], unconverted
+        for key, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument --{key}: expected one argument")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -388,12 +390,7 @@ def main(argv=None) -> int:
         for key, value in exc.lines:
             _emit(key, value)
         return EX_DATA
-    except (
-        NotSublatticeError,
-        SingularMatrixError,
-        UnsupportedPresentationError,
-        DepthExceededError,
-    ) as exc:
+    except (NotSublatticeError, SingularMatrixError) as exc:
         _emit("error", str(exc))
         return EX_DATA
 

@@ -45,9 +45,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hgroup import HGroup, Tower, _require_local, canonicalize, superindex, tower
+from .hgroup import HGroup, Tower, canonicalize, superindex, tower
 from .linalg import Lattice, Supernatural, adjugate, clear_denominators
 from .odometer import FiniteOdometer
+
+TORSION_TRIALS = 200  # random cocycles per torsion_free_check
+TORSION_MAX_MULTIPLE = 5  # largest multiple n of a cocycle that it tries
 
 
 class Cocycle1:
@@ -279,15 +282,10 @@ class H1Presentation:
     group: HGroup
     tower: Tower
 
-    def level_duals(self):
-        """Hom(G_n, Z) realized as the dual lattice H_n at each level."""
-        return tuple(g.dual() for g in self.tower.duals)
-
 
 def h1_presentation(h: HGroup, depth: int = 4) -> H1Presentation:
     """First cohomology of the odometer: canonically H itself, together with
     the commuting level maps Hom(H_n*, Z) = H_n."""
-    _require_local(h)
     t = tower(h, depth)
     for n in range(depth - 1):
         if not t.levels[n + 1].contains(t.levels[n]):
@@ -317,7 +315,6 @@ def coinvariants(h: HGroup, verify_depth: int = 3) -> Supernatural:
     D(Z^d/G_n) must be infinite cyclic and the trace an order isomorphism
     onto [Z^d : G_n]^-1 Z generated by [1]/card.
     """
-    _require_local(h)
     t = tower(h, verify_depth)
     for g in t.duals:
         if not level_coinvariants_ok(FiniteOdometer(g)):
@@ -325,12 +322,7 @@ def coinvariants(h: HGroup, verify_depth: int = 3) -> Supernatural:
     return superindex(h)
 
 
-def torsion_free_check(
-    quotient: FiniteOdometer,
-    trials: int = 200,
-    rng: random.Random | None = None,
-    max_multiple: int = 5,
-) -> bool:
+def torsion_free_check(quotient: FiniteOdometer, rng: random.Random | None = None) -> bool:
     """No torsion in H^1: whenever n * theta is a coboundary (decided by
     the tree potential of CoboundarySolver), theta itself is one.  Random
     cocycles are dual-vector cocycles plus coboundaries; a third of the
@@ -341,8 +333,8 @@ def torsion_free_check(
     g = quotient.lattice
     table = _carry_table(quotient)
     dual_basis = g.basis().transpose().inv()
-    for trial in range(trials):
-        n = rng.randint(2, max_multiple)
+    for trial in range(TORSION_TRIALS):
+        n = rng.randint(2, TORSION_MAX_MULTIPLE)
         style = trial % 3
         if style == 0:
             # theta = d(f0) presented as (1/n) d(n f0): n*theta solvable by seeding

@@ -233,7 +233,7 @@ def expr_dimension(e) -> int:
 
 
 def elaborate(e) -> HGroup:
-    """LOCAL presentation denoted by the expression."""
+    """Local presentation denoted by the expression."""
     d = expr_dimension(e)
     if isinstance(e, Oplus):
         data: dict[int, tuple[list, list]] = {}

@@ -11,17 +11,15 @@ p-power index.  The group is H = {v in Q^d : v in M_p for every p}, and a
 rational vector lies in M_p iff the first d-r coordinates of B_p^-1 v are
 p-integral.
 
-Groups needing infinitely many primes are handled by the PROGRAM kind
-(:class:`ProgramGroup`): an on-demand sequence of integer multiplier matrices
-defines an increasing chain of lattices whose union is the group; membership
-and superindex are computed up to a depth cap.
+This local data is the only presentation: parsing, membership, equality,
+superindex, the approximating tower and every decider read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from .linalg import (
     INF,
@@ -46,14 +44,6 @@ from .linalg import (
     subspace_basis,
     valuation,
 )
-
-
-class UnsupportedPresentationError(ValueError):
-    """Operation requires a LOCAL presentation."""
-
-
-class DepthExceededError(ValueError):
-    """PROGRAM-kind query undecided within the depth cap."""
 
 
 class NotSupergroupError(ValueError):
@@ -139,11 +129,9 @@ def _make_entry(d: int, p: int, lattice_gens, divisible_gens):
 
 
 class HGroup:
-    """LOCAL presentation of Z^d <= H <= Q^d; entries sorted by prime."""
+    """Local presentation of Z^d <= H <= Q^d; entries sorted by prime."""
 
     __slots__ = ("d", "entries", "_by_prime")
-
-    kind = "LOCAL"
 
     def __init__(self, d: int, entries):
         self.d = d
@@ -194,71 +182,6 @@ class HGroup:
         return f"HGroup(d={self.d}, support={self.support()})"
 
 
-class ProgramGroup:
-    """PROGRAM presentation: increasing chain H_n = Z^d . (a_1 ... a_n)^-1.
-
-    ``multiplier(n)`` (1-based) must return an integer Mat; successive
-    determinants must be pairwise coprime (as in the rigid construction,
-    where they are distinct primes).  Coprimality is what makes membership
-    decidable at the depth cap: a vector whose denominator primes all occur
-    among the first ``depth_cap`` level determinants lies in the group iff
-    it lies in the deepest materialized level.  Elements of Z^d are row
-    vectors in this convention, so the column basis of H_n is the inverse
-    transpose of the product matrix.
-    """
-
-    kind = "PROGRAM"
-
-    def __init__(self, d: int, multiplier, depth_cap: int):
-        self.d = d
-        self.depth_cap = depth_cap
-        self._multiplier = multiplier
-        self._products: list[Mat] = []  # P_n = a_1 ... a_n
-        self._dets: list[int] = []
-
-    def _extend_to(self, n: int):
-        if n > self.depth_cap:
-            raise DepthExceededError(f"level {n} exceeds depth cap {self.depth_cap}")
-        while len(self._products) < n:
-            k = len(self._products) + 1
-            a = self._multiplier(k)
-            if not a.is_integer():
-                raise ValueError("multiplier matrices must be integral")
-            det = abs(int(a.det()))
-            for earlier in self._dets:
-                if gcd(earlier, det) != 1:
-                    raise ValueError(
-                        f"level determinants must be pairwise coprime, got "
-                        f"{earlier} and {det}"
-                    )
-            prod = self._products[-1] * a if self._products else a
-            self._products.append(prod)
-            self._dets.append(det)
-
-    def level(self, n: int) -> Lattice:
-        """H_n as a lattice; level 0 is Z^d."""
-        if n == 0:
-            return Lattice.standard(self.d)
-        self._extend_to(n)
-        return Lattice(self._products[n - 1].transpose().inv())
-
-    def level_dual(self, n: int) -> Lattice:
-        if n == 0:
-            return Lattice.standard(self.d)
-        self._extend_to(n)
-        return Lattice(self._products[n - 1])
-
-    def level_primes(self, n: int):
-        self._extend_to(n)
-        out: set[int] = set()
-        for det in self._dets[:n]:
-            out.update(factorint(det))
-        return out
-
-    def __repr__(self):
-        return f"ProgramGroup(d={self.d}, depth_cap={self.depth_cap})"
-
-
 @dataclass(frozen=True)
 class Tower:
     """Increasing finite-index extensions H_1 = Z^d <= ... with duals G_n = H_n*."""
@@ -281,17 +204,14 @@ class Tower:
 
 def canonicalize(h: HGroup) -> HGroup:
     """Rebuild the canonical form (idempotent; trivial entries dropped)."""
-    _require_local(h)
     return HGroup.from_local_data(h.d, h.local_data())
 
 
-def member_h(v, h) -> bool:
+def member_h(v, h: HGroup) -> bool:
     """Membership of a rational vector in H."""
     v = tuple(Fraction(x) for x in v)
     if len(v) != h.d:
         raise ValueError("dimension mismatch")
-    if isinstance(h, ProgramGroup):
-        return _member_program(v, h)
     # H <= Z[1/S]^d: divide the support primes out of the common denominator
     rest = lcm(*(x.denominator for x in v))
     for e in h.entries:
@@ -302,25 +222,9 @@ def member_h(v, h) -> bool:
     return rest == 1
 
 
-def _member_program(v, h: ProgramGroup) -> bool:
-    primes = denominator_primes(v)
-    if not primes:
-        return True
-    known = h.level_primes(h.depth_cap)
-    if not primes.issubset(known):
-        raise DepthExceededError(
-            f"denominator primes {sorted(primes - known)} not resolvable at depth {h.depth_cap}"
-        )
-    # determinants are pairwise coprime, so deeper levels only add new
-    # denominator primes: membership is decided at the deepest level
-    return h.level(h.depth_cap).member(v)
-
-
 def equal_h(h1, h2) -> bool:
-    """H = H' for LOCAL presentations: equal divisible subspaces and mutual
-    membership of the lattice-part generators at every support prime."""
-    _require_local(h1)
-    _require_local(h2)
+    """H = H': equal divisible subspaces and mutual membership of the
+    lattice-part generators at every support prime."""
     if h1.d != h2.d:
         return False
     if h1.support() != h2.support():
@@ -336,36 +240,20 @@ def equal_h(h1, h2) -> bool:
     return True
 
 
-def superindex(h) -> Supernatural:
-    """Superindex of Z^d in H as a supernatural number."""
-    return superindex_info(h)[0]
-
-
-def superindex_info(h):
-    """(superindex, exact) - exact is False for PROGRAM kind (depth-capped)."""
-    if isinstance(h, ProgramGroup):
-        exps: dict[int, object] = {}
-        for n in range(1, h.depth_cap + 1):
-            idx = index(h.level_dual(n), Lattice.standard(h.d))
-            for p, e in factorint(idx).items():
-                exps[p] = max(exps.get(p, 0), e)
-        return Supernatural(exps), False
-    exps = {}
-    for e in h.entries:
-        exps[e.p] = INF if e.r > 0 else e.index_valuation()
-    return Supernatural(exps), True
+def superindex(h: HGroup) -> Supernatural:
+    """Superindex of Z^d in H as a supernatural number: p^inf at primes with
+    a divisible direction, p^v_p[L(p) : Z^d] at the others."""
+    return Supernatural({e.p: INF if e.r > 0 else e.index_valuation() for e in h.entries})
 
 
 def is_free(h: HGroup) -> bool:
     """Free action iff the divisible subspaces together span Q^d (H dense)."""
-    _require_local(h)
     vecs = [w for e in h.entries for w in e.vspan]
     return len(subspace_basis(vecs, h.d)) == h.d
 
 
 def apply_matrix(a: Mat, h: HGroup) -> HGroup:
     """Presentation of a.H; raises NotSupergroupError if Z^d is not contained."""
-    _require_local(h)
     if a.d != h.d:
         raise ValueError("dimension mismatch")
     det = a.det()
@@ -395,33 +283,17 @@ def apply_matrix(a: Mat, h: HGroup) -> HGroup:
     return HGroup.from_local_data(h.d, data)
 
 
-def tower(h, depth: int, moduli=None) -> Tower:
-    """Approximating tower with levels H_n = H n (1/N_n) Z^d.
-
-    The default chain takes N_n = n!; a custom chain of moduli may be
-    supplied instead (N_1 = 1 and N_n | N_{n+1}, so levels increase).
-    PROGRAM presentations use their own built-in chain.
-    """
+def tower(h: HGroup, depth: int) -> Tower:
+    """Approximating tower with levels H_n = H n (1/n!) Z^d, n = 1..depth:
+    Z^d plus, at each support prime p | n!, the vectors of M_p whose
+    denominators divide the p-part of n!.  Since n! | (n+1)! the levels
+    increase, and every integer divides some n!, so their union is H."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(h, ProgramGroup):
-        if moduli is not None:
-            raise UnsupportedPresentationError("PROGRAM kind has a built-in chain")
-        levels = tuple(h.level(n) for n in range(depth))
-        return Tower(levels, tuple(l.dual() for l in levels))
-    _require_local(h)
-    if moduli is None:
-        moduli = [factorial(n) for n in range(1, depth + 1)]
-    else:
-        moduli = [int(n) for n in moduli]
-        if len(moduli) < depth or moduli[0] != 1:
-            raise ValueError("chain must start at 1 and cover the depth")
-        if any(moduli[k + 1] % moduli[k] for k in range(depth - 1)):
-            raise ValueError("each chain modulus must divide the next")
     zd = Lattice.standard(h.d)
     levels = []
     for n in range(1, depth + 1):
-        fact = moduli[n - 1]
+        fact = factorial(n)
         parts = [zd]
         for e in h.entries:
             k = valuation(fact, e.p) if fact % e.p == 0 else 0
@@ -441,8 +313,6 @@ def tower(h, depth: int, moduli=None) -> Tower:
 
 def direct_sum(h1: HGroup, h2: HGroup) -> HGroup:
     """Block presentation of H1 + H2 in dimension d1 + d2."""
-    _require_local(h1)
-    _require_local(h2)
     d1, d2 = h1.d, h2.d
     d = d1 + d2
 
@@ -479,9 +349,3 @@ def superindex_oracle(h, depth: int) -> dict[int, int]:
             exps[p] = max(exps.get(p, 0), e)
     return exps
 
-
-def _require_local(h):
-    if not isinstance(h, HGroup):
-        raise UnsupportedPresentationError(
-            f"operation requires a LOCAL presentation, got {type(h).__name__}"
-        )

@@ -758,15 +758,6 @@ class Supernatural:
     def primes(self):
         return tuple(p for p, _ in self.items)
 
-    def __mul__(self, other: "Supernatural") -> "Supernatural":
-        out = dict(self.items)
-        for p, e in other.items:
-            out[p] = out.get(p, 0) + e
-        return Supernatural(out)
-
-    def divides(self, other: "Supernatural") -> bool:
-        return all(e <= other.exponent(p) for p, e in self.items)
-
     def __eq__(self, other):
         return isinstance(other, Supernatural) and self.items == other.items
 

@@ -18,6 +18,9 @@ from math import gcd, lcm, prod
 from .hgroup import HGroup, Tower, direct_sum, member_h, tower
 from .linalg import Lattice, adjugate, index, lattice_block, snf, subspace_contains
 
+DUALITY_SAMPLES = 3  # random translations per duality_check and duality_square_check
+PRODUCT_SAMPLE_CAP = 512  # most point pairs of one level that product_check acts on
+
 
 class NotSubgroupError(ValueError):
     """Factor-map check called on a non-nested pair."""
@@ -370,7 +373,7 @@ def _rotation(radix, shift):
     return perm
 
 
-def duality_check(k: Lattice, samples: int = 5, rng: random.Random | None = None) -> bool:
+def duality_check(k: Lattice, rng: random.Random | None = None) -> bool:
     """Verify the conjugacy Y_K ~ (Z^d/K*, translation) point by point.
 
     Characters and cosets are numbered by their lexicographic box indices,
@@ -391,7 +394,7 @@ def duality_check(k: Lattice, samples: int = 5, rng: random.Random | None = None
         return False
     if images[0] != 0:
         return False
-    for _ in range(samples):
+    for _ in range(DUALITY_SAMPLES):
         n = tuple(rng.randint(-8, 8) for _ in range(k.d))
         sigma = _rotation(real.snf_diag, real.translation_tuple(n))
         tau = quotient.index_perm(n)
@@ -400,9 +403,7 @@ def duality_check(k: Lattice, samples: int = 5, rng: random.Random | None = None
     return True
 
 
-def duality_square_check(
-    k1: Lattice, k2: Lattice, samples: int = 5, rng: random.Random | None = None
-) -> bool:
+def duality_square_check(k1: Lattice, k2: Lattice, rng: random.Random | None = None) -> bool:
     """Commuting square for Z^d <= K1 <= K2: restriction of characters over
     the natural quotient of the dual-lattice odometers; translation is
     compared as the character-shift permutations of both sides."""
@@ -415,7 +416,7 @@ def duality_square_check(
         if small.to_quotient(r) != small.quotient.reduce(big.to_quotient(t)):
             return False
     restricted = [_box_index(r, small.snf_diag) for r in restricted]
-    for _ in range(samples):
+    for _ in range(DUALITY_SAMPLES):
         n = tuple(rng.randint(-6, 6) for _ in range(k1.d))
         big_sigma = _rotation(big.snf_diag, big.translation_tuple(n))
         small_sigma = _rotation(small.snf_diag, small.translation_tuple(n))
@@ -428,7 +429,7 @@ def duality_square_check(
 # product and factor-map checks
 
 
-def product_check(h1: HGroup, h2: HGroup, depth: int, sample_cap: int = 512) -> bool:
+def product_check(h1: HGroup, h2: HGroup, depth: int) -> bool:
     """The quotients of H1 + H2 split equivariantly as products, level by level."""
     t12 = tower(direct_sum(h1, h2), depth)
     t1, t2 = tower(h1, depth), tower(h2, depth)
@@ -443,8 +444,8 @@ def product_check(h1: HGroup, h2: HGroup, depth: int, sample_cap: int = 512) -> 
         if {a + b for a, b in pairs} != set(f12.reps):
             return False
         rng = random.Random(n)
-        if len(pairs) > sample_cap:
-            pairs = [rng.choice(pairs) for _ in range(sample_cap)]
+        if len(pairs) > PRODUCT_SAMPLE_CAP:
+            pairs = [rng.choice(pairs) for _ in range(PRODUCT_SAMPLE_CAP)]
         for a, b in pairs:
             k = tuple(rng.randint(-5, 5) for _ in range(f12.d))
             joint = f12.act(k, a + b)
@@ -455,7 +456,7 @@ def product_check(h1: HGroup, h2: HGroup, depth: int, sample_cap: int = 512) -> 
 
 
 def is_subgroup(h: HGroup, hp: HGroup) -> bool:
-    """H <= H' for LOCAL presentations."""
+    """H <= H'."""
     if h.d != hp.d:
         return False
     for e in h.entries:

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .gdsl import parse_group
-from .hgroup import ProgramGroup
-from .linalg import Mat, is_prime
+from .linalg import Lattice, Mat, is_prime
+
+STEP_CAP = 1_000_000  # values of b tried per level before extend gives up
 
 
 class SearchExhaustedError(RuntimeError):
@@ -63,12 +64,8 @@ class RigidLevel:
 class RigidProgram:
     """Lazily extended sequence of prime-determinant multiplier matrices."""
 
-    def __init__(self, step_cap: int = 1_000_000):
-        self.step_cap = step_cap
+    def __init__(self):
         self.levels: list[RigidLevel] = []
-
-    def __len__(self):
-        return len(self.levels)
 
     def k_constant(self, n: int) -> int:
         if n == 1:
@@ -88,9 +85,9 @@ class RigidProgram:
             while not is_prime(a * b - 1):
                 b += 1
                 steps += 1
-                if steps > self.step_cap:
+                if steps > STEP_CAP:
                     raise SearchExhaustedError(
-                        f"no b in [{k}, {k + self.step_cap}] with {a}*b - 1 prime"
+                        f"no b in [{k}, {k + STEP_CAP}] with {a}*b - 1 prime"
                     )
             self.levels.append(RigidLevel(a, b, a * b - 1, k))
         return self
@@ -98,9 +95,6 @@ class RigidProgram:
     def alpha(self, n: int) -> Mat:
         self.extend(n)
         return self.levels[n - 1].matrix()
-
-    def program_group(self, depth_cap: int) -> ProgramGroup:
-        return ProgramGroup(2, self.alpha, depth_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +199,14 @@ def verify_cyclicity(prog: RigidProgram, y, n: int) -> bool:
 
 
 def dual_ball_trivial(prog: RigidProgram, n: int) -> bool:
-    """No nonzero dual vector of l1 norm <= n at level n (density witness)."""
-    dual = prog.program_group(n).level_dual(n)  # H_n^* = Z^2 P_n^T
+    """No nonzero dual vector of l1 norm <= n at level n (density witness).
+    H_n = Z^2 P_n^-1 in rows for P_n = alpha_1 ... alpha_n, so its dual is
+    spanned by the columns of P_n: x is dual iff P_n^-1 x is integral."""
+    prog.extend(n)
+    prod = Mat.identity(2)
+    for lvl in prog.levels[:n]:
+        prod = prod * lvl.matrix()
+    dual = Lattice(prod)
     for x1 in range(-n, n + 1):
         for x2 in range(-(n - abs(x1)), n - abs(x1) + 1):
             if (x1, x2) != (0, 0) and dual.member((x1, x2)):

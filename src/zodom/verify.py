@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .classify import COE, CONJ, ISO, OE, decide
 from .cohomology import (
+    TORSION_TRIALS,
     Cocycle1,
     alpha_map,
     build_cocycle,
@@ -204,7 +205,7 @@ def criterion_5_duality(seed: int) -> CriterionResult:
     rng = random.Random(seed)
     lats = sublattices_z2(50)
     for g in lats:
-        if not duality_check(g.dual(), samples=3, rng=rng):
+        if not duality_check(g.dual(), rng=rng):
             return CriterionResult(5, "duality", False, f"duality failed for {g!r}")
     count = 0
     for i, g1 in enumerate(lats):
@@ -214,7 +215,7 @@ def criterion_5_duality(seed: int) -> CriterionResult:
             continue
         factor = 2 if count % 2 == 0 else 3
         g2 = lattice_scale(g1, factor)
-        if not duality_square_check(g1.dual(), g2.dual(), samples=3, rng=rng):
+        if not duality_square_check(g1.dual(), g2.dual(), rng=rng):
             return CriterionResult(5, "duality", False, f"square failed for {g1!r}")
         count += 1
     return CriterionResult(
@@ -342,10 +343,10 @@ def criterion_10_torsion_free(seed: int) -> CriterionResult:
         g = Lattice.from_span(2, rows)
         if int(g.det()) > 60:
             return CriterionResult(10, "torsion_free", False, "quotient exceeds index bound")
-        if not torsion_free_check(FiniteOdometer(g), trials=200, rng=rng):
+        if not torsion_free_check(FiniteOdometer(g), rng=rng):
             return CriterionResult(10, "torsion_free", False, f"torsion witness on {rows}")
     return CriterionResult(
-        10, "torsion_free", True, f"{len(TORSION_QUOTIENTS)} quotients x 200 trials"
+        10, "torsion_free", True, f"{len(TORSION_QUOTIENTS)} quotients x {TORSION_TRIALS} trials"
     )
 
 

@@ -245,6 +245,28 @@ def test_count_below_one_is_usage_error(grp, capsys, verb, option):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "{a}", "--vector=--"],
+        ["tower", "{a}", "--depth=--"],
+        ["dual", "--lattice=--"],
+        ["tau", "--lattice=[2]", "--h=--"],
+        ["classify", "--relation", "iso", "{a}", "{a}", "--bound=--"],
+        ["rigid", "--levels=--"],
+        ["verify", "--suite=--"],
+        ["verify", "--seed=--"],
+    ],
+)
+def test_option_value_of_two_dashes_is_usage_error(grp, capsys, argv):
+    a = grp("class35_1a")
+    assert main([arg.format(a=a) for arg in argv]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument --")
+    assert "expected one argument" in captured.err
+
+
 def test_syntax_error_offset(tmp_path, capsys):
     bad = tmp_path / "bad.grp"
     bad.write_text("oplus(Z[1/2], Q)", encoding="utf-8")

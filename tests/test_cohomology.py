@@ -20,7 +20,7 @@ from zodom.cohomology import (
     torsion_free_check,
 )
 from zodom.gdsl import parse_group
-from zodom.hgroup import ProgramGroup, UnsupportedPresentationError, equal_h, superindex
+from zodom.hgroup import equal_h, superindex
 from zodom.linalg import INF, Lattice, Mat, Supernatural, _column_echelon, clear_denominators, snf
 from zodom.odometer import FiniteOdometer
 from zodom.verify import TORSION_QUOTIENTS, cocycle_corpus
@@ -482,15 +482,9 @@ def test_h1_presentation_examples():
     h = parse_group("oplus(Z[1/2], Z[1/3])")
     res = h1_presentation(h)
     assert equal_h(res.group, h)
-    assert res.level_duals() == res.tower.levels
+    assert tuple(g.dual() for g in res.tower.duals) == res.tower.levels
     std = parse_group("oplus(Z, Z)")
     assert h1_presentation(std).group == std
-
-
-def test_h1_presentation_rejects_program():
-    prog = ProgramGroup(2, lambda n: Mat([[3, 1], [1, 4]]), 2)
-    with pytest.raises(UnsupportedPresentationError):
-        h1_presentation(prog)
 
 
 def test_coinvariants_examples():
@@ -624,7 +618,7 @@ def test_torsion_free_small_quotients():
     ):
         q = FiniteOdometer(Lattice.from_span(len(rows), rows))
         assert q.card <= 120
-        assert torsion_free_check(q, trials=60, rng=rng)
+        assert torsion_free_check(q, rng=rng)
 
 
 def test_torsion_vacuous_case():

@@ -5,9 +5,10 @@ returns an expression or raises one of the DSL's errors, and ``cli.main``
 returns one of the exit codes 0/1/2/64/65 without an uncaught exception.
 Integer literals stay below 10**6, so the primes that ``factorint`` meets
 are small enough to be confirmed quickly; ``coinv``, which walks the
-finite quotients, reads texts whose literals stay at most 12.  ``tau``
-reads square lattices of size 1 to 3 with entries in [-4, 4], and ends in
-the trace h or an ``error=`` line.
+finite quotients, reads texts whose literals stay at most 12, and so do
+``simulate``, ``spectrum`` and ``classify``.  ``tau`` and ``dual`` read
+square lattices of size 1 to 3 with entries in [-4, 4]; ``tau`` ends in the
+trace h or an ``error=`` line.
 """
 
 import contextlib
@@ -93,15 +94,27 @@ def grp_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "g.grp"
 
 
-def _run_verb(grp_path, text, argv):
-    grp_path.write_text(text + "\n", encoding="utf-8")
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([argv[0], str(grp_path), *argv[1:]])
+        code = main(argv)
     assert code in EXIT_CODES
     assert "Traceback" not in err.getvalue()
     if code == 65:
         assert out.getvalue().startswith("error=")
+
+
+def _run_verb(grp_path, text, argv):
+    grp_path.write_text(text + "\n", encoding="utf-8")
+    _run([argv[0], str(grp_path), *argv[1:]])
+
+
+def _run_pair(grp_path, texts, argv):
+    """argv[0] on two files, the second next to grp_path, then the options."""
+    other = grp_path.with_name("h.grp")
+    grp_path.write_text(texts[0] + "\n", encoding="utf-8")
+    other.write_text(texts[1] + "\n", encoding="utf-8")
+    _run([argv[0], str(grp_path), str(other), *argv[1:]])
 
 
 VERBS = [("parse",), ("free",), ("superindex",), ("canon",), ("tower", "--depth", "2"), ("h1", "--depth", "2")]
@@ -119,16 +132,70 @@ def test_coinv_ends_in_a_report_or_an_error(grp_path, text, depth):
     _run_verb(grp_path, text, ("coinv", "--depth", depth))
 
 
+vectors = st.one_of(
+    st.lists(rat(), min_size=1, max_size=3).map(",".join),
+    st.text(alphabet="0123/,- .e٣", max_size=8),
+)
+
+
+@given(text=texts, vector=vectors)
+@settings(max_examples=150, deadline=None)
+def test_member_ends_in_a_report_or_an_error(grp_path, text, vector):
+    _run_verb(grp_path, text, ("member", f"--vector={vector}"))
+
+
+@given(a=texts, b=texts)
+@settings(max_examples=100, deadline=None)
+def test_equal_ends_in_a_report_or_an_error(grp_path, a, b):
+    _run_pair(grp_path, (a, b), ("equal",))
+
+
+@given(text=small_texts, depth=st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_simulate_ends_in_a_report_or_an_error(grp_path, text, depth):
+    _run_verb(grp_path, text, ("simulate", "--depth", str(depth)))
+
+
+@given(text=small_texts, height=st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_spectrum_ends_in_a_report_or_an_error(grp_path, text, height):
+    _run_verb(grp_path, text, ("spectrum", "--height", str(height)))
+
+
+@given(a=small_texts, b=small_texts, relation=st.sampled_from(["conj", "iso", "coe", "oe"]))
+@settings(max_examples=150, deadline=None)
+def test_classify_ends_in_a_verdict_or_an_error(grp_path, a, b, relation):
+    _run_pair(grp_path, (a, b), ("classify", "--relation", relation, "--bound", "2"))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_rigid_verify_ends_in_a_report(levels):
+    _run(["rigid", "--levels", str(levels), "--verify"])
+
+
+@st.composite
+def square_lattice(draw, n):
+    """A square --lattice text of n rows with entries in [-4, 4]."""
+    entries = st.lists(st.integers(-4, 4).map(str), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=n, max_size=n))
+    return "[" + ";".join(",".join(r) for r in rows) + "]"
+
+
+@given(st.integers(1, 3).flatmap(square_lattice))
+@settings(max_examples=150, deadline=None)
+def test_dual_ends_in_a_lattice_or_an_error(lattice):
+    _run(["dual", f"--lattice={lattice}"])
+
+
 @st.composite
 def tau_arguments(draw):
     """A square --lattice text of 1 to 3 rows with entries in [-4, 4], and
     a small rational --h, mostly of the lattice's length."""
     n = draw(st.integers(1, 3))
-    entries = st.lists(st.integers(-4, 4).map(str), min_size=n, max_size=n)
-    rows = draw(st.lists(entries, min_size=n, max_size=n))
+    lattice = draw(square_lattice(n))
     size = draw(st.sampled_from([n, n, n % 3 + 1]))
     h = draw(st.lists(rat(st.integers(0, 6), st.integers(0, 6)), min_size=size, max_size=size))
-    return "[" + ";".join(",".join(r) for r in rows) + "]", ",".join(h)
+    return lattice, ",".join(h)
 
 
 @given(tau_arguments())

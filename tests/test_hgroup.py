@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from zodom.gdsl import parse_group
 from zodom.hgroup import (
-    DepthExceededError,
     HGroup,
-    ProgramGroup,
-    UnsupportedPresentationError,
     apply_matrix,
     canonicalize,
     direct_sum,
@@ -20,7 +17,6 @@ from zodom.hgroup import (
     is_free,
     member_h,
     superindex,
-    superindex_info,
     superindex_oracle,
     tower,
 )
@@ -179,12 +175,6 @@ def test_equal_is_equivalence_on_presentation_variants():
     assert equal_h(b, a) and equal_h(c, b)
 
 
-def test_equal_rejects_program_kind():
-    prog = ProgramGroup(2, lambda n: Mat([[3, 1], [1, 4]]), 3)
-    with pytest.raises(UnsupportedPresentationError):
-        equal_h(prog, parse_group(Z2_3))
-
-
 # ---------------------------------------------------------------------------
 # superindex
 
@@ -291,18 +281,6 @@ def test_tower_examples():
     assert t.duals[1] == Lattice.from_span(2, [(2, 0), (0, 1)])
 
 
-def test_tower_custom_chain():
-    h = parse_group(Z2_3)
-    t = tower(h, 3, moduli=[1, 6, 36])
-    assert t.levels[0] == Lattice.standard(2)
-    assert t.levels[1] == Lattice.from_span(2, [(F(1, 2), 0), (0, F(1, 3))])
-    assert t.index_at(3) == 36
-    with pytest.raises(ValueError):
-        tower(h, 3, moduli=[1, 6, 8])  # 6 does not divide 8
-    with pytest.raises(ValueError):
-        tower(h, 2, moduli=[2, 4])  # must start at 1
-
-
 def test_tower_invariants():
     for text in (Z2_3, FUCHS, "oplus(Z[1/10], Z[1/3])"):
         h = parse_group(text)
@@ -346,51 +324,3 @@ def test_direct_sum_examples():
     dd = direct_sum(parse_group("oplus(Z[1/2])"), parse_group("oplus(Z[1/2])"))
     assert dd.entry(2).r == 2
     assert subspace_basis(dd.entry(2).vspan, 2) == ((1, 0), (0, 1))
-
-
-# ---------------------------------------------------------------------------
-# PROGRAM kind
-
-
-def _prog():
-    mats = {1: Mat([[3, 1], [1, 4]]), 2: Mat([[10, 1], [1, 11]])}
-    return ProgramGroup(2, lambda n: mats[n], 2)
-
-
-def test_program_levels_and_membership():
-    prog = _prog()
-    assert prog.level(0) == Lattice.standard(2)
-    lvl1 = prog.level(1)
-    assert int(index(Lattice.standard(2), lvl1)) == 11
-    # rows of alpha^-1 are in H_1 (row convention)
-    inv = Mat([[3, 1], [1, 4]]).inv()
-    for i in range(2):
-        row = tuple(inv.rows[i])
-        assert member_h(row, prog)
-    assert member_h((1, 0), prog)
-    assert not member_h((F(1, 11), 0), prog)
-    with pytest.raises(DepthExceededError):
-        member_h((F(1, 7), 0), prog)  # 7 is not a level determinant prime
-
-
-def test_program_rejects_non_coprime_determinants():
-    # repeating the same multiplier repeats its determinant 11
-    prog = ProgramGroup(2, lambda n: Mat([[3, 1], [1, 4]]), 3)
-    prog.level(1)
-    with pytest.raises(ValueError):
-        prog.level(2)
-
-
-def test_program_superindex_partial():
-    s, exact = superindex_info(_prog())
-    assert not exact
-    assert s == Supernatural({11: 1, 109: 1})
-    assert superindex_info(parse_group(Z2_3))[1]
-
-
-def test_program_tower():
-    t = tower(_prog(), 3)
-    assert t.levels[0] == Lattice.standard(2)
-    assert t.index_at(2) == 11
-    assert t.index_at(3) == 11 * 109
-    assert t.levels[2].contains(t.levels[1])

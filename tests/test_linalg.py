@@ -383,15 +383,6 @@ def test_supernatural_str_and_eq():
     assert Supernatural({2: 1}) != Supernatural({2: 2})
 
 
-def test_supernatural_mul_absorbs_inf():
-    a = Supernatural({2: INF, 3: 1})
-    b = Supernatural({2: 4, 3: 2, 5: INF})
-    prod = a * b
-    assert prod.exponent(2) == INF
-    assert prod.exponent(3) == 3
-    assert prod.exponent(5) == INF
-
-
 def test_primes_and_valuation():
     assert factorint(360) == {2: 3, 3: 2, 5: 1}
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

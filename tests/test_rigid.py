@@ -3,12 +3,12 @@ from math import floor
 
 import pytest
 
-from zodom.hgroup import member_h, superindex_info, tower
 from zodom.linalg import Lattice, Mat, index, is_prime
 from zodom.odometer import FiniteOdometer
 from zodom.rigid import (
     GALLERY_TEXTS,
     GALLERY_VERDICTS,
+    RigidLevel,
     RigidProgram,
     _coset_l1_min,
     _exercise4,
@@ -45,12 +45,24 @@ def test_determinants_prime(prog):
         assert is_prime(lvl.det)
         assert lvl.det == lvl.a * lvl.b - 1
         assert lvl.a >= lvl.k_constant and lvl.b >= lvl.k_constant
+    # distinct primes, so the level indices are pairwise coprime
+    dets = [lvl.det for lvl in prog.levels]
+    assert len(set(dets)) == len(dets)
+
+
+def _product(prog, n):
+    """P_n = alpha_1 ... alpha_n."""
+    prod = Mat.identity(2)
+    for k in range(1, n + 1):
+        prod = prod * prog.alpha(k)
+    return prod
 
 
 def test_levels_nested_with_prime_index(prog):
     prev = Lattice.standard(2)
     for n in range(1, 4):
-        lvl = prog.program_group(n).level(n)
+        # H_n = Z^2 P_n^-1 in rows, so its column basis is P_n^-T
+        lvl = Lattice(_product(prog, n).transpose().inv())
         assert lvl.contains(prev)
         assert index(prev, lvl) == prog.levels[n - 1].det
         prev = lvl
@@ -179,15 +191,25 @@ def test_dual_ball_trivial(prog):
         assert dual_ball_trivial(prog, n)
 
 
-def test_program_group_bridge(prog):
-    pg = prog.program_group(3)
-    s, exact = superindex_info(pg)
-    assert not exact
-    assert s.exponent(11) == 1 and s.exponent(109) == 1
-    inv = prog.alpha(1).inv()
-    assert member_h(tuple(inv.rows[0]), pg)
-    t = tower(pg, 3)
-    assert t.index_at(2) == 11
+def _dual_ball_reference(prog, n):
+    """No nonzero x with |x|_1 <= n and P_n^-1 x integral, in Fractions."""
+    inv = _product(prog, n).inv()
+    return not any(
+        (x1, x2) != (0, 0) and all(y.denominator == 1 for y in inv.apply((x1, x2)))
+        for x1 in range(-n, n + 1)
+        for x2 in range(-n, n + 1)
+        if abs(x1) + abs(x2) <= n
+    )
+
+
+def test_dual_ball_matches_fraction_reference():
+    prog = RigidProgram().extend(4)
+    for n in range(1, 5):
+        assert dual_ball_trivial(prog, n) and _dual_ball_reference(prog, n)
+    # alpha = [[2, 1], [1, 1]] has det 1: the dual lattice is Z^2 itself
+    unimodular = RigidProgram()
+    unimodular.levels = [RigidLevel(2, 1, 1, 1)]
+    assert not dual_ball_trivial(unimodular, 1) and not _dual_ball_reference(unimodular, 1)
 
 
 def test_gallery_contents():
