@@ -41,15 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .hgroup import (
-    HGroup,
-    NotSupergroupError,
-    apply_matrix,
-    equal_h,
-    is_free,
-    member_h,
-    superindex,
-)
+from .hgroup import HGroup, equal_h, is_free, maps_onto, superindex
 from .linalg import INF, Lattice, Mat, factorint, index, lattice_sum, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
@@ -186,7 +178,8 @@ def _line_assignment(h, hp):
 
     Any alpha with alpha H = H' must send the p-line of H to the p-line of
     H' for every prime; the induced map on distinct lines must be a
-    well-defined bijection.
+    well-defined bijection.  The returned map sends each line of H to its
+    target and the first prime that requires it.
     """
     la, lb = _lines(h), _lines(hp)
     if sorted(la) != sorted(lb):
@@ -196,26 +189,17 @@ def _line_assignment(h, hp):
     backward: dict = {}
     for p in sorted(la):
         src, dst = la[p], lb[p]
-        if forward.get(src, dst) != dst:
+        first, q = forward.setdefault(src, (dst, p))
+        if first != dst:
             return None, Certificate(
-                "line-map",
-                f"line {src} must map to both {forward[src]} (p={_first_prime(la, src, forward[src], lb)}) "
-                f"and {dst} (p={p})",
+                "line-map", f"line {src} must map to both {first} (p={q}) and {dst} (p={p})"
             )
         if backward.get(dst, src) != src:
             return None, Certificate(
                 "line-map", f"lines {backward[dst]} and {src} both must map to {dst}"
             )
-        forward[src] = dst
         backward[dst] = src
     return forward, None
-
-
-def _first_prime(la, src, dst, lb):
-    for p in sorted(la):
-        if la[p] == src and lb[p] == dst:
-            return p
-    return "?"
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +271,6 @@ def decide_oe(h: HGroup, hp: HGroup) -> Verdict:
 # candidate testing
 
 
-def _test_witness(a: Mat, h, hp) -> bool:
-    try:
-        return equal_h(apply_matrix(a, h), hp)
-    except NotSupergroupError:
-        return False
-
-
-def _probe_vectors(h: HGroup):
-    """Small elements of H used to screen candidates before the full check."""
-    probes = []
-    for e in h.entries:
-        probes.extend(e.lattice.basis_columns())
-        for w in e.vspan:
-            probes.append(tuple(Fraction(x, e.p) for x in w))
-    return probes
-
-
-def _screen(a: Mat, probes, hp) -> bool:
-    return all(member_h(a.apply(v), hp) for v in probes)
-
-
 def _sort_key(m: Mat):
     # smallest entries first; positive representative before its negative
     return tuple(
@@ -333,7 +296,7 @@ def decide_isomorphism(
         if equal_h(h, hp):
             wits = (Mat([[1]]), Mat([[-1]])) if all_witnesses else ()
             return Verdict(ISO, YES, witness=Mat([[1]]), witnesses=wits)
-        return Verdict(ISO, NO, certificate=_superindex_cert(h, hp))
+        return Verdict(ISO, NO, certificate=_superindex_mismatch(h, hp))
     return _witness_search(
         ISO, h, hp, _iso_profile_ok, None, _iso_line_tier, bound, all_witnesses
     )
@@ -357,21 +320,16 @@ def decide_coe(
         # det +-1 forces alpha = +-1 in GL_1(Q)
         if equal_h(h, hp):
             return Verdict(COE, YES, witness=Mat([[1]]))
-        return Verdict(COE, NO, certificate=_superindex_cert(h, hp))
+        return Verdict(COE, NO, certificate=_superindex_mismatch(h, hp))
     return _witness_search(
         COE, h, hp, _coe_profile_ok, _coe_zero_line_tier, _coe_line_tier, bound, all_witnesses
     )
 
 
 def _superindex_mismatch(h, hp):
-    if superindex(h) == superindex(hp):
-        return None
-    return _superindex_cert(h, hp)
-
-
-def _superindex_cert(h, hp):
+    """Certificate that the superindexes differ, or None where they agree."""
     sa, sb = superindex(h), superindex(hp)
-    return Certificate("superindex", f"{sa} vs {sb}")
+    return None if sa == sb else Certificate("superindex", f"{sa} vs {sb}")
 
 
 def _witness_search(
@@ -404,7 +362,7 @@ def _witness_search(
     if len(distinct) < 2:
         return _bounded_search(relation, h, hp, bound, all_witnesses)
     u1, u2 = distinct[:2]
-    v1, v2 = assignment[u1], assignment[u2]
+    (v1, _), (v2, _) = assignment[u1], assignment[u2]
     if v1 == v2:
         return Verdict(
             relation,
@@ -428,7 +386,7 @@ def _sign_choices(relation, h, hp, c_inv, cp_mat, scales, admissible, all_witnes
     found = []
     for s1, s2 in itertools.product((1, -1), repeat=2):
         cand = cp_mat * Mat([[s1 * lam, 0], [0, s2 * mu]]) * c_inv
-        if admissible(cand) and _test_witness(cand, h, hp):
+        if admissible(cand) and maps_onto(cand, h, hp):
             found.append(cand)
     if found:
         return _yes(relation, found, all_witnesses)
@@ -484,7 +442,7 @@ def _coe_zero_line_tier(h, hp, bound, all_witnesses):
     proof excludes) returns None, so the later steps decide and no YES is
     unverified."""
     alpha = _rank_zero_sum(hp) * _rank_zero_sum(h).inv()
-    if not _test_witness(alpha, h, hp):
+    if not maps_onto(alpha, h, hp):
         return None
     if all_witnesses and h.d == 2:
         verdict = _bounded_search(COE, h, hp, bound, all_witnesses)
@@ -579,7 +537,6 @@ def _bounded_search(relation, h, hp, bound, all_witnesses):
     if not all_witnesses and equal_h(h, hp):
         return Verdict(relation, YES, witness=Mat.identity(h.d))
     coe = relation == COE
-    probes = _probe_vectors(h)
     span = range(-bound, bound + 1)
     found = []
     spent = 0
@@ -608,7 +565,7 @@ def _bounded_search(relation, h, hp, bound, all_witnesses):
                     if gcd(q, a, b, c, e) > 1:
                         continue
                     cand = Mat([[Fraction(a, q), Fraction(b, q)], [Fraction(c, q), Fraction(e, q)]])
-                    if _screen(cand, probes, hp) and _test_witness(cand, h, hp):
+                    if maps_onto(cand, h, hp):
                         if not all_witnesses:
                             return Verdict(relation, YES, witness=cand)
                         found.append(cand)

@@ -253,7 +253,7 @@ def _cmd_classify(args):
     try:
         verdict = decide(
             args.relation, a, b, bound=args.bound, all_witnesses=args.all_witnesses
-        ) if args.relation in ("iso", "coe") else decide(args.relation, a, b)
+        )
     except NotFreeError as exc:
         raise InputError([("error", str(exc))])
     _emit("relation", args.relation)

@@ -42,6 +42,7 @@ from .linalg import (
     p_primary_over_standard,
     saturation,
     subspace_basis,
+    subspace_contains,
     valuation,
 )
 
@@ -238,6 +239,44 @@ def equal_h(h1, h2) -> bool:
         if not all(e1.member_local(c) for c in e2.lattice.basis_columns()):
             return False
     return True
+
+
+def maps_into(a: Mat, h: HGroup, hp: HGroup) -> bool:
+    """a.H <= H', decided on the images of a finite generating set of H.
+
+    Proof sketch: H is Z^d plus, at each support prime p, the lattice L(p)
+    and the vectors p^-k w for k >= 0 and w in the basis of V_p.  The unit
+    vectors map to the columns of a.  p^-k a.w lies in H' for every k exactly
+    when a.w lies in H' and in V'_p: at p, the coordinates of a.w off V'_p
+    would have to be divisible by every power of p, so H' needs an entry at
+    p whose V'_p holds a.w; at any other prime p^-k is a unit.  The basis
+    vectors w are integral, so a.w lies in H' once the columns of a do, and
+    only a.w in V'_p is tested for them.  The divisible directions and the
+    lattice columns are tested before the unit columns, which pass for every
+    integer a.
+    """
+    for e in h.entries:
+        ep = hp.entry(e.p)
+        if any(ep is None or not subspace_contains(ep.vspan, a.apply(w)) for w in e.vspan):
+            return False
+    images = (a.apply(c) for e in h.entries for c in e.lattice.basis_columns())
+    return all(member_h(v, hp) for v in images) and all(
+        member_h(c, hp) for c in a.columns()
+    )
+
+
+def maps_onto(a: Mat, h: HGroup, hp: HGroup) -> bool:
+    """a.H = H': a.H <= H' and a^-1.H' <= H.  Images that do not contain
+    Z^d give False.
+
+    >>> h = HGroup.from_local_data(2, {2: ([], [(1, 0)]), 3: ([], [(0, 1)])})
+    >>> hp = HGroup.from_local_data(2, {2: ([], [(0, 1)]), 3: ([], [(1, 0)])})
+    >>> maps_onto(Mat([[0, 1], [1, 0]]), h, hp)
+    True
+    >>> maps_onto(Mat.identity(2), h, hp)
+    False
+    """
+    return maps_into(a, h, hp) and maps_into(a.inv(), hp, h)
 
 
 def superindex(h: HGroup) -> Supernatural:

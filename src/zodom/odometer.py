@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .hgroup import HGroup, Tower, direct_sum, member_h, tower
-from .linalg import Lattice, adjugate, index, lattice_block, snf, subspace_contains
+from .hgroup import HGroup, Tower, direct_sum, maps_into, member_h, tower
+from .linalg import Lattice, Mat, adjugate, index, lattice_block, snf
 
 DUALITY_SAMPLES = 3  # random translations per duality_check and duality_square_check
 PRODUCT_SAMPLE_CAP = 512  # most point pairs of one level that product_check acts on
@@ -457,18 +457,7 @@ def product_check(h1: HGroup, h2: HGroup, depth: int) -> bool:
 
 def is_subgroup(h: HGroup, hp: HGroup) -> bool:
     """H <= H'."""
-    if h.d != hp.d:
-        return False
-    for e in h.entries:
-        ep = hp.entry(e.p)
-        if ep is None:
-            return False
-        for w in e.vspan:
-            if not subspace_contains(ep.vspan, w):
-                return False
-        if not all(ep.member_local(c) for c in e.lattice.basis_columns()):
-            return False
-    return True
+    return h.d == hp.d and maps_into(Mat.identity(h.d), h, hp)
 
 
 def factor_map_check(h: HGroup, hp: HGroup, depth: int) -> bool:

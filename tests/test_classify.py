@@ -147,6 +147,18 @@ def test_coe_line_obstruction(g):
     assert "p=3" in v.certificate.detail and "p=5" in v.certificate.detail
 
 
+@pytest.mark.parametrize("relation", ["iso", "coe"])
+def test_line_map_certificate_text(g, relation):
+    forward = decide(relation, g["class35_3a"], g["class35_3b"]).certificate
+    assert str(forward) == (
+        "line-map: line (0, 1) must map to both (0, 1) (p=3) and (1, 0) (p=5)"
+    )
+    backward = decide(relation, g["class35_3b"], g["class35_3a"]).certificate
+    assert str(backward) == (
+        "line-map: line (1, 0) must map to both (1, 0) (p=2) and (0, 1) (p=5)"
+    )
+
+
 def test_coe_identity(g):
     v = decide_coe(g["class35_3a"], g["class35_3a"])
     assert v.answer == "YES"

@@ -4,17 +4,20 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zodom.gdsl import parse_group
 from zodom.hgroup import (
     HGroup,
+    NotSupergroupError,
     apply_matrix,
     canonicalize,
     direct_sum,
     equal_h,
     is_free,
+    maps_into,
+    maps_onto,
     member_h,
     superindex,
     superindex_oracle,
@@ -261,6 +264,96 @@ def test_apply_matrix_roundtrip_random_unimodular():
         count += 1
         a = Mat(rows)
         assert equal_h(apply_matrix(a, apply_matrix(a.inv(), h)), h)
+
+
+# ---------------------------------------------------------------------------
+# witness test: a.H = H' from the generators of H
+
+
+@st.composite
+def free_groups(draw, d):
+    """Free groups with one to three of the primes 2, 3, 5, each with random
+    divisible directions and lattice generators of p-power denominator."""
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    data = {}
+    for p in draw(st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=3, unique=True)):
+        div = draw(st.lists(vec, max_size=d))
+        lat = [
+            tuple(F(x, p ** draw(st.integers(0, 2))) for x in draw(vec))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        data[p] = (lat, div)
+    h = HGroup.from_local_data(d, data)
+    assume(is_free(h))
+    return h
+
+
+@st.composite
+def invertible_matrices(draw, d):
+    """Integer (q = 1) or rational (q = 2, 3) matrices with entries n/q."""
+    q = draw(st.sampled_from([1, 1, 2, 3]))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d))
+    m = Mat([[F(x, q) for x in row] for row in rows])
+    assume(m.det() != 0)
+    return m
+
+
+def _onto_by_rebuild(a, h, hp):
+    try:
+        return equal_h(apply_matrix(a, h), hp)
+    except NotSupergroupError:
+        return False
+
+
+def test_maps_onto_matches_rebuild_of_image():
+    answers = []
+
+    @given(st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def check(d, data):
+        h = data.draw(free_groups(d))
+        a = data.draw(invertible_matrices(d))
+        if data.draw(st.booleans()):
+            # H' = beta.H with beta = +-a or independent, so YES cases occur
+            beta = data.draw(st.sampled_from([a, a.scale(-1), data.draw(invertible_matrices(d))]))
+            try:
+                hp = apply_matrix(beta, h)
+            except NotSupergroupError:
+                hp = h
+        else:
+            hp = data.draw(free_groups(d))
+        answer = maps_onto(a, h, hp)
+        assert answer == _onto_by_rebuild(a, h, hp)
+        answers.append(answer)
+
+    check()
+    assert answers.count(True) >= 20 and answers.count(False) >= 20
+
+
+def test_maps_into_one_direction_only():
+    small = parse_group("oplus(Z[1/2], Z)")
+    big = parse_group("oplus(Z[1/2], Z[1/3])")
+    ident = Mat.identity(2)
+    assert maps_into(ident, small, big)
+    assert not maps_into(ident, big, small)
+    assert not maps_onto(ident, small, big)
+    # the swap sends the divisible direction at 2 off the V_2 of big
+    assert not maps_into(Mat([[0, 1], [1, 0]]), small, big)
+    assert maps_into(Mat([[0, 1], [1, 0]]), small, parse_group("oplus(Z[1/3], Z[1/2])"))
+
+
+def test_maps_onto_false_where_image_lacks_zd():
+    h = parse_group("oplus(Z[1/3], Z[1/3])")
+    for a in (Mat([[2, 0], [0, 1]]), Mat([[2, 0], [0, F(1, 2)]])):
+        with pytest.raises(NotSupergroupError):
+            apply_matrix(a, h)
+        assert not maps_onto(a, h, h)
+        assert not maps_into(a.inv(), h, h)
+    # Z^d has no support prime: only the columns of a are tested
+    zd = HGroup.standard(2)
+    half = Mat([[F(1, 2), 0], [0, 1]])
+    assert not maps_into(half, zd, zd)
+    assert maps_into(half.inv(), zd, zd) and not maps_onto(half.inv(), zd, zd)
 
 
 # ---------------------------------------------------------------------------
