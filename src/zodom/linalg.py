@@ -31,19 +31,27 @@ class NotSublatticeError(ValueError):
     """`index` was called on a pair that is not nested."""
 
 
+class FactorBudgetError(ArithmeticError):
+    """A factorization or primality proof did not finish within RHO_BUDGET."""
+
+
 # ---------------------------------------------------------------------------
 # small number theory helpers
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to all of _MR_BASES
+RHO_BUDGET = 1 << 21  # Pollard-Brent steps spent on one composite before giving up
+POCKLINGTON_BASES = 1000  # bases tried for each prime factor of F in _pocklington
 
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the 13 prime bases 2..41, deterministic below
     3,317,044,064,679,887,385,961,981 (Sorenson-Webster, Math. Comp. 2017).
     A witness proves n composite at any size; at and above that bound a
-    number with no witness is confirmed by trial division."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    number with no witness is decided by :func:`_pocklington`."""
     if n < 2:
         return False
-    for p in bases:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n < 43 * 43:
@@ -52,7 +60,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -62,12 +70,33 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n >= 3_317_044_064_679_887_385_961_981:
-        f = 43
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
+    return n < _MR_BOUND or _pocklington(n)
+
+
+def _pocklington(n: int) -> bool:
+    """Primality of an odd n > 43^2 by Pocklington's criterion (Brillhart,
+    Lehmer and Selfridge, Math. Comp. 1975).
+
+    Let F be the factored part of n - 1, with F^2 > n.  If for every prime
+    q | F some base a has a^(n-1) = 1 (mod n) and gcd(a^((n-1)/q) - 1, n) = 1,
+    then every prime factor p of n is 1 mod F, so p > sqrt(n) and n is
+    prime.  A base with a^(n-1) != 1, or with that gcd strictly between 1
+    and n, proves n composite.  Raises FactorBudgetError where n - 1 does
+    not factor far enough within RHO_BUDGET, or no base below
+    POCKLINGTON_BASES settles some q: the answer is never guessed."""
+    primes, rest = _factor(n - 1)
+    f = (n - 1) // rest
+    if f * f <= n:
+        raise FactorBudgetError(f"cannot prove {n} prime: n - 1 does not factor far enough")
+    for q in primes:
+        for a in range(2, POCKLINGTON_BASES):
+            x = pow(a, (n - 1) // q, n)
+            if x != 1:
+                break
+        else:
+            raise FactorBudgetError(f"cannot prove {n} prime: no base settles {q}")
+        if pow(x, q, n) != 1 or gcd(x - 1, n) != 1:
+            return False
     return True
 
 
@@ -75,14 +104,26 @@ _TRIAL_LIMIT = 1 << 10  # factorint hands larger composite cofactors to _brent
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n|: trial division up to _TRIAL_LIMIT,
-    stopping once the cofactor is prime; a composite cofactor left over has
-    only large prime factors and is split by Pollard-Brent, recursively.
+    """Prime factorization of |n|; raises FactorBudgetError where a
+    composite part does not split within RHO_BUDGET.
     factorint(12) == {2: 2, 3: 1}."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
+    out, rest = _factor(n)
+    if rest > 1:
+        raise FactorBudgetError(f"cannot factor {rest} within {RHO_BUDGET} Pollard-Brent steps")
+    return out
+
+
+def _factor(n: int):
+    """(factorization of the factored part, unfactored rest) of n >= 1:
+    trial division up to _TRIAL_LIMIT, stopping once the cofactor is prime;
+    a composite cofactor left over has only large prime factors and is split
+    by Pollard-Brent, recursively.  A composite that _brent cannot split
+    stays in rest."""
     out: dict[int, int] = {}
+    rest = 1
     f = 2
     prime = is_prime(n)
     while not prime and f <= _TRIAL_LIMIT and f * f <= n:
@@ -97,21 +138,23 @@ def factorint(n: int) -> dict[int, int]:
         m = stack.pop()
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
-        else:
-            q = _brent(m)
+        elif q := _brent(m):
             stack += [q, m // q]
-    return dict(sorted(out.items()))
+        else:
+            rest *= m
+    return dict(sorted(out.items())), rest
 
 
 def _brent(n: int) -> int:
     """A proper factor of an odd composite n: Pollard's rho with Brent's
     cycle detection and batched gcds (Brent, BIT 1980), iterating
-    y -> y^2 + c from y = 2 with c = 1, 2, ... until one splits n."""
-    c = 0
-    while True:
+    y -> y^2 + c from y = 2 with c = 1, 2, ... until one splits n; 0 once
+    RHO_BUDGET steps have gone by without a split."""
+    c = spent = 0
+    while spent < RHO_BUDGET:
         c += 1
         y, r, q, g = 2, 1, 1, 1
-        while g == 1:
+        while g == 1 and spent < RHO_BUDGET:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -123,14 +166,16 @@ def _brent(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += 128
+            spent += 2 * r
             r *= 2
         if g == n:  # the batch overshot: redo it one gcd at a time
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
-        if g != n:
+        if 1 < g < n:
             return g
+    return 0
 
 
 def valuation(x, p: int) -> int:

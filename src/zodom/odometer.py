@@ -2,9 +2,9 @@
 
 The coset transversal of an integer lattice G <= Z^d is the box read off the
 diagonal of its column HNF basis; reduction into the box walks the triangular
-basis column by column.  Character groups of finite quotients K/Z^d are
-realized through the Smith normal form of the inclusion matrix, so duality
-checks are bit-exact integer computations.
+basis column by column.  The character group of K/Z^d, K = G*, is realized
+on Z^d/G itself through the Smith normal form of B_G^T (B_G the HNF basis of
+G), so duality checks are bit-exact integer computations.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .hgroup import HGroup, Tower, direct_sum, maps_into, member_h, tower
-from .linalg import Lattice, Mat, adjugate, index, lattice_block, snf
+from .linalg import Lattice, Mat, index, lattice_block, snf
 
 DUALITY_SAMPLES = 3  # random translations per duality_check and duality_square_check
 PRODUCT_SAMPLE_CAP = 512  # most point pairs of one level that product_check acts on
@@ -245,7 +245,7 @@ def spectrum(h: HGroup, height: int):
 
 
 # ---------------------------------------------------------------------------
-# duality: Y_K vs Z^d/K* via SNF of the inclusion matrix
+# duality: Y_K vs Z^d/G for K = G*, via SNF of B_G^T
 
 
 def _int_matmul(a, b):
@@ -266,45 +266,33 @@ def _divide_columns(a, divisors):
 
 
 class DualityRealization:
-    """Character-group model of Y_K = dual(K/Z^d) for Z^d <= K of finite index.
+    """Character-group model of Y_K = dual(K/Z^d) on Z^d/G, for an integer
+    lattice G <= Z^d of finite index and K = G* its dual (Z^d <= K).
 
-    Writing Z^d = B_K . (M Z^d) with M = B_K^-1 integral, the quotient K/Z^d
-    is Z^d/M Z^d in K-coordinates; SNF U M V = S identifies it with
-    + Z/s_i, whose characters are integer tuples t modulo the invariant
-    factors.  Translation by n adds the tuple s * (U^-T B_K^T n) mod s, and
-    the conjugacy onto Z^d/K* sends t to the class of V^-T t.  Every map is
-    precomputed as an integer matrix, so the per-character work is integer
-    dot products reduced mod s.
+    K has basis B_K = B_G^-T for the HNF basis B_G of G, so Z^d = B_K (M Z^d)
+    with M = B_K^-1 = B_G^T integral, and K/Z^d is Z^d/M Z^d in
+    K-coordinates; SNF U M V = S identifies it with + Z/s_i, whose characters
+    are integer tuples t modulo the invariant factors.  Translation by n adds
+    the tuple V^T n mod s: U^-T = S^-1 V^T M^T, so
+    diag(s) U^-T B_K^T = S S^-1 V^T M^T B_K^T = V^T.  The conjugacy onto Z^d/G
+    sends t to the class of V^-T t = (S^-1 U M)^T t.  For G <= G1 (K1 <= K)
+    restriction of characters is t -> R t / L mod s1 with L = lcm(s) and
+    R = V1^T B_G U^T diag(L / s).  Every map is an integer matrix, so the
+    per-character work is integer dot products reduced mod s.
     """
 
-    def __init__(self, k: Lattice):
-        self.k = k
-        self.d = k.d
-        # M = B_K^-1 = den * adj(mat) / det(mat) for B_K = mat / den
-        det, adj = adjugate(k.mat)
-        if any(k.den * x % det for row in adj for x in row):
-            raise NotSubgroupError("K must contain Z^d")
-        self._m_rows = [[k.den * x // det for x in row] for row in adj]
-        u, s, v = snf(self._m_rows)
-        self.snf_diag = tuple(s[i][i] for i in range(k.d))
+    def __init__(self, g: Lattice):
+        self.quotient = FiniteOdometer(g)
+        self.d = g.d
+        m = _transpose(g.mat)
+        u, s, v = snf(m)
+        self.snf_diag = tuple(s[i][i] for i in range(g.d))
         self._u_rows = u
-        # U M V = S gives U^-1 = M V S^-1 and V^-1 = S^-1 U M
-        self._u_inv_rows = _divide_columns(_int_matmul(self._m_rows, v), self.snf_diag)
-        # diag(s) . U^-T . B_K^T with B_K = mat / den: integral iff every
-        # translation character is
-        shift = _int_matmul(_transpose(self._u_inv_rows), _transpose(k.mat))
-        shift = [[si * x for x in row] for si, row in zip(self.snf_diag, shift)]
-        if any(x % k.den for row in shift for x in row):
-            raise ArithmeticError("translation character must be integral")
-        self._shift_rows = [[x // k.den for x in row] for row in shift]
+        self._shift_rows = _transpose(v)
         # integer rows of V^-T for the hot conjugacy map
-        self._v_inv_t_rows = _divide_columns(
-            _transpose(_int_matmul(u, self._m_rows)), self.snf_diag
-        )
+        self._v_inv_t_rows = _divide_columns(_transpose(_int_matmul(u, m)), self.snf_diag)
         self._restrictions = {}
         self.points = tuple(itertools.product(*[range(si) for si in self.snf_diag]))
-        # K* has basis B_K^-T, whose columns are the rows of M
-        self.quotient = FiniteOdometer(Lattice.from_span(k.d, self._m_rows))
 
     def card(self) -> int:
         return len(self.points)
@@ -317,33 +305,45 @@ class DualityRealization:
         )
 
     def to_quotient(self, t):
-        """The conjugacy h_K: character tuple -> coset of K* in Z^d."""
+        """The conjugacy h_K: character tuple -> coset of G = K* in Z^d."""
         img = [sum(r * x for r, x in zip(row, t)) for row in self._v_inv_t_rows]
         return self.quotient.reduce(img)
 
+    def image_indices(self):
+        """Box indices of to_quotient(t) for t in points, from the unit
+        characters: h_K is additive, so the images grow in lexicographic order
+        one coordinate at a time, each prefix walked s_i steps along the
+        rotation by c_i = to_quotient(e_i)."""
+        images = [0]
+        for i, si in enumerate(self.snf_diag):
+            unit = tuple(int(j == i) for j in range(self.d))
+            step = self.quotient.index_perm(self.to_quotient(unit))
+            grown = []
+            for x in images:
+                for _ in range(si):
+                    grown.append(x)
+                    x = step[x]
+            images = grown
+        return images
+
     def _restriction(self, sub: "DualityRealization"):
         """Integer rows R and denominator L with restrict_tuple(t) = R t / L
-        mod sub's factors: R = diag(s') U'^-T C^T U^T diag(L / s), where C is
-        the K1-basis in K-coordinates and L = lcm(s)."""
+        mod sub's factors (see the class docstring)."""
         cached = self._restrictions.get(sub)
         if cached is not None:
             return cached
-        c = _int_matmul(self._m_rows, sub.k.mat)
-        if any(x % sub.k.den for row in c for x in row):
-            raise NotSubgroupError("K1 must be contained in K2")
-        c_t = [[x // sub.k.den for x in col] for col in zip(*c)]
-        a = _int_matmul(_int_matmul(_transpose(sub._u_inv_rows), c_t), _transpose(self._u_rows))
+        g, g1 = self.quotient.lattice, sub.quotient.lattice
+        if not g1.contains(g):
+            raise NotSubgroupError("G must be contained in G1")
+        a = _int_matmul(_int_matmul(sub._shift_rows, g.mat), _transpose(self._u_rows))
         den = lcm(*self.snf_diag)
-        rows = [
-            [si * x * (den // sj) for x, sj in zip(row, self.snf_diag)]
-            for si, row in zip(sub.snf_diag, a)
-        ]
+        rows = [[x * (den // sj) for x, sj in zip(row, self.snf_diag)] for row in a]
         self._restrictions[sub] = rows, den
         return rows, den
 
     def restrict_tuple(self, t, sub: "DualityRealization"):
-        """Restriction of the character to a smaller K1 <= K (sub must satisfy
-        K1 <= K); returns the tuple in sub's coordinates."""
+        """Restriction of the character to a smaller K1 <= K, i.e. to sub's
+        lattice G1 >= G; returns the tuple in sub's coordinates."""
         rows, den = self._restriction(sub)
         out = []
         for row, si in zip(rows, sub.snf_diag):
@@ -373,29 +373,28 @@ def _rotation(radix, shift):
     return perm
 
 
-def duality_check(k: Lattice, rng: random.Random | None = None) -> bool:
-    """Verify the conjugacy Y_K ~ (Z^d/K*, translation) point by point.
+def duality_check(g: Lattice, rng: random.Random | None = None) -> bool:
+    """Verify the conjugacy Y_K ~ (Z^d/G, translation) point by point, K = G*.
 
     Characters and cosets are numbered by their lexicographic box indices,
     and images[j] numbers the coset to_quotient(points[j]).  For a
     translation n, sigma is the character shift by translation_tuple(n) as
     a permutation of the point indices and tau = quotient.index_perm(n) the
-    rotation of Z^d/K*; the conjugacy commutes with them iff
+    rotation of Z^d/G; the conjugacy commutes with them iff
     images[sigma[j]] = tau[images[j]] for every j.
     """
     rng = rng or random.Random(0)
-    real = DualityRealization(k)
+    real = DualityRealization(g)
     quotient = real.quotient
-    zd = Lattice.standard(k.d)
-    if real.card() != index(zd, k) or real.card() != quotient.card:
+    if real.card() != index(g, Lattice.standard(g.d)) or real.card() != quotient.card:
         return False
-    images = [_box_index(real.to_quotient(t), quotient._diag) for t in real.points]
+    images = real.image_indices()
     if sorted(images) != list(range(quotient.card)):
         return False
     if images[0] != 0:
         return False
     for _ in range(DUALITY_SAMPLES):
-        n = tuple(rng.randint(-8, 8) for _ in range(k.d))
+        n = tuple(rng.randint(-8, 8) for _ in range(g.d))
         sigma = _rotation(real.snf_diag, real.translation_tuple(n))
         tau = quotient.index_perm(n)
         if [images[j] for j in sigma] != [tau[v] for v in images]:
@@ -403,21 +402,21 @@ def duality_check(k: Lattice, rng: random.Random | None = None) -> bool:
     return True
 
 
-def duality_square_check(k1: Lattice, k2: Lattice, rng: random.Random | None = None) -> bool:
-    """Commuting square for Z^d <= K1 <= K2: restriction of characters over
-    the natural quotient of the dual-lattice odometers; translation is
+def duality_square_check(g1: Lattice, g2: Lattice, rng: random.Random | None = None) -> bool:
+    """Commuting square for G2 <= G1 <= Z^d (Z^d <= K1 <= K2): restriction of
+    characters over the natural quotient Z^d/G2 -> Z^d/G1; translation is
     compared as the character-shift permutations of both sides."""
     rng = rng or random.Random(0)
-    if not k2.contains(k1):
-        raise NotSubgroupError("K1 must be contained in K2")
-    big, small = DualityRealization(k2), DualityRealization(k1)
+    if not g1.contains(g2):
+        raise NotSubgroupError("G2 must be contained in G1")
+    big, small = DualityRealization(g2), DualityRealization(g1)
     restricted = [big.restrict_tuple(t, small) for t in big.points]
     for t, r in zip(big.points, restricted):
         if small.to_quotient(r) != small.quotient.reduce(big.to_quotient(t)):
             return False
     restricted = [_box_index(r, small.snf_diag) for r in restricted]
     for _ in range(DUALITY_SAMPLES):
-        n = tuple(rng.randint(-6, 6) for _ in range(k1.d))
+        n = tuple(rng.randint(-6, 6) for _ in range(g1.d))
         big_sigma = _rotation(big.snf_diag, big.translation_tuple(n))
         small_sigma = _rotation(small.snf_diag, small.translation_tuple(n))
         if [restricted[j] for j in big_sigma] != [small_sigma[r] for r in restricted]:

@@ -205,17 +205,16 @@ def criterion_5_duality(seed: int) -> CriterionResult:
     rng = random.Random(seed)
     lats = sublattices_z2(50)
     for g in lats:
-        if not duality_check(g.dual(), rng=rng):
+        if not duality_check(g, rng=rng):
             return CriterionResult(5, "duality", False, f"duality failed for {g!r}")
     count = 0
-    for i, g1 in enumerate(lats):
+    for g1 in lats:
         if count >= 20:
             break
         if int(g1.det()) > 16:
             continue
         factor = 2 if count % 2 == 0 else 3
-        g2 = lattice_scale(g1, factor)
-        if not duality_square_check(g1.dual(), g2.dual(), rng=rng):
+        if not duality_square_check(g1, lattice_scale(g1, factor), rng=rng):
             return CriterionResult(5, "duality", False, f"square failed for {g1!r}")
         count += 1
     return CriterionResult(

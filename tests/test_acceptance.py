@@ -77,6 +77,49 @@ def test_every_criterion_has_a_test(results):
     assert sorted(results) == list(range(1, len(CRITERIA) + 1))
 
 
+# the stdout of ``zodom verify --suite paper`` at the default seed, less the
+# verdict line; a speed-up must leave every line of it unchanged
+PINNED_OUTPUT = """\
+criterion_01_classification_table=PASS
+criterion_01_detail=8/8 table entries exact
+criterion_02_witness_sets=PASS
+criterion_02_detail=iso witnesses 2, coe witnesses 2, no det=+1 witness in bound
+criterion_03_trace_exactness=PASS
+criterion_03_detail=100 exact traces (b=0: 37, b>0: 63)
+criterion_04_alpha_isomorphism=PASS
+criterion_04_detail=100 round trips, 50 explicit coboundary differences
+criterion_05_duality=PASS
+criterion_05_detail=2080 lattices, 20 nested squares
+criterion_06_oe_invariant=PASS
+criterion_06_detail=coinvariants = superindex = depth-6 oracle
+criterion_07_d1_collapse=PASS
+criterion_07_detail=four verdicts identical on 50 pairs
+criterion_08_implication_chain=PASS
+criterion_08_detail=100 ordered pairs consistent
+criterion_09_measure_metric=PASS
+criterion_09_detail=three towers of depth 4 verified
+criterion_10_torsion_free=PASS
+criterion_10_detail=10 quotients x 200 trials
+criterion_11_rigid=PASS
+criterion_11_detail=levels 1-3: primes, exercises, cyclicity, dual balls
+"""
+
+
+def test_suite_output_is_pinned(results):
+    lines = []
+    for n in sorted(results):
+        lines += [results[n].line(), f"criterion_{n:02d}_detail={results[n].detail}"]
+    assert "\n".join(lines) + "\n" == PINNED_OUTPUT
+
+
+@pytest.mark.parametrize("seed", [7, 21])
+def test_criterion_05_pinned_at_other_seeds(seed):
+    from zodom.verify import criterion_5_duality
+
+    r = criterion_5_duality(seed)
+    assert (r.ok, r.detail) == (True, "2080 lattices, 20 nested squares")
+
+
 def test_suite_is_deterministic():
     # same seed, same outcomes; spot-checked on the seeded-random criteria
     from zodom.verify import criterion_3_trace_exactness, criterion_7_d1_collapse

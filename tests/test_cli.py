@@ -338,3 +338,24 @@ def test_canon_large_prime_cofactor(grp, capsys):
     assert code == 0
     assert "support=3,11111111111111111111111" in out
     assert "local_11111111111111111111111.rank=1" in out
+
+
+def test_canon_prime_above_the_miller_rabin_bound(grp, capsys):
+    # n - 1 = 2 * 1658522032339943692981061 gives Pocklington's proof at once
+    big = grp("big", "oplus(Z[1/3317044064679887385962123])")
+    code, out = run(capsys, "canon", big)
+    assert code == 0
+    assert "support=3317044064679887385962123" in out
+
+
+def test_canon_unproved_prime_is_data_error(grp, capsys, monkeypatch):
+    # n - 1 = 130 * 10000000000037 * 30000000000011: with a small budget the
+    # product of the two large primes stays unsplit, so no proof is found
+    monkeypatch.setattr("zodom.linalg.RHO_BUDGET", 1 << 10)
+    big = grp("big", "oplus(Z[1/39000000000158600000000052911])")
+    code, out = run(capsys, "canon", big)
+    assert code == EX_DATA
+    assert out == (
+        "error=cannot prove 39000000000158600000000052911 prime: "
+        "n - 1 does not factor far enough\n"
+    )

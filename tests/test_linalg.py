@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zodom import linalg
 from zodom.linalg import (
+    _MR_BOUND,
     INF,
+    _pocklington,
+    FactorBudgetError,
     Lattice,
     Mat,
     NotSublatticeError,
@@ -403,8 +407,53 @@ def test_is_prime_matches_sympy():
     ns += [rng.randrange(10 ** k) for k in range(4, 25) for _ in range(60)]
     for n in ns:
         assert is_prime(n) == sympy.isprime(n), n
-    # at and above the bound trial division decides; a small factor ends it
+    # a small factor ends it at any size
     assert not is_prime(3 * 3_317_044_064_679_887_385_961_981)
+
+
+def test_is_prime_above_the_miller_rabin_bound_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2033)
+    # the bound is the least strong pseudoprime to all 13 bases: Pocklington's
+    # test on its n - 1 = 2^2 3^4 5 127 18778597 858557454841 finds it composite
+    ns = [_MR_BOUND, 3317044064679887385962123]
+    for k in range(25, 33):
+        low = max(_MR_BOUND, 10 ** (k - 1))
+        ns += [sympy.nextprime(rng.randrange(low, 10**k)) for _ in range(4)]
+        ns += [sympy.nextprime(rng.randrange(10**11, 10**12)) * sympy.nextprime(10 ** (k - 11))]
+    for n in ns:
+        assert n >= _MR_BOUND
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_pocklington_on_carmichael_numbers(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    carmichael = [2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 3215031751]
+    for n in carmichael:
+        assert not sympy.isprime(n) and pow(2, n - 1, n) == 1
+        assert _pocklington(n) is False, n
+    # Fermat's condition rejects these, whose gcds with n are all 1
+    for n in (1853, 1859, 1883, 1895):
+        assert _pocklington(n) is False, n
+    for n in (1999, 1000003, 3215031751 + 2, 3317044064679887385962123):
+        assert _pocklington(n) is sympy.isprime(n), n
+    # with n - 1 only partly factored, as when a cofactor does not split within
+    # RHO_BUDGET, the gcd condition decides: 2821 = 7 * 13 * 31 passes Fermat's
+    # for every q | F = 60 (F^2 > n, 2820 = 60 * 47 with 47 left unsplit)
+    monkeypatch.setattr(linalg, "_factor", lambda m: ({2: 2, 3: 1, 5: 1}, 47))
+    assert _pocklington(2821) is False
+
+
+def test_primality_and_factoring_raise_past_the_budget(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    p, q = 10000000000037, 30000000000011
+    n = 130 * p * q + 1
+    assert sympy.isprime(n) and n >= _MR_BOUND
+    monkeypatch.setattr(linalg, "RHO_BUDGET", 1 << 10)
+    with pytest.raises(FactorBudgetError, match="does not factor far enough"):
+        is_prime(n)
+    with pytest.raises(FactorBudgetError, match=f"cannot factor {p * q} within 1024 "):
+        factorint(2 * p * q)
 
 
 def test_factorint_matches_sympy():

@@ -257,21 +257,20 @@ def test_spectrum_matches_unpruned_brute_force():
 
 
 def test_duality_examples():
-    k = Lattice.from_span(2, [(F(1, 2), 0), (0, F(1, 3))])
-    assert duality_check(k)
+    assert duality_check(Lattice.from_span(2, [(2, 0), (0, 3)]))
     assert duality_check(Lattice.standard(2))
 
 
 def test_duality_all_small_indices():
     rng = random.Random(1)
     for g in sublattices_z2(20):
-        assert duality_check(g.dual(), rng=rng)
+        assert duality_check(g, rng=rng)
 
 
 def test_duality_square_example():
-    k1 = Lattice.from_span(2, [(F(1, 2), 0), (0, 1)])
-    k2 = Lattice.from_span(2, [(F(1, 2), 0), (0, F(1, 3))])
-    assert duality_square_check(k1, k2)
+    g1 = Lattice.from_span(2, [(2, 0), (0, 1)])
+    g2 = Lattice.from_span(2, [(2, 0), (0, 3)])
+    assert duality_square_check(g1, g2)
 
 
 def test_duality_square_nested_pairs():
@@ -281,10 +280,9 @@ def test_duality_square_nested_pairs():
     while count < 10:
         g2 = rng.choice(lats)
         g1 = rng.choice(lats)
-        k1, k2 = g1.dual(), g2.dual()
-        if not k2.contains(k1) or k1 == k2:
+        if not g1.contains(g2) or g1 == g2:
             continue
-        assert duality_square_check(k1, k2, rng=rng)
+        assert duality_square_check(g1, g2, rng=rng)
         count += 1
 
 
@@ -306,12 +304,43 @@ def test_index_perm_matches_act():
             assert q.index_perm(n) == [pos[q.act(n, x)] for x in q.reps], (q, n)
 
 
-_DUALITY_K = Lattice.from_span(2, [(2, 1), (0, 3)]).dual()
+def test_image_indices_match_per_character_conjugacy():
+    rng = random.Random(15)
+    for d in (1, 2, 3):
+        for _ in range(40):
+            real = DualityRealization(_random_hnf_lattice(rng, d))
+            pos = {x: k for k, x in enumerate(real.quotient.reps)}
+            expected = [pos[real.to_quotient(t)] for t in real.points]
+            assert real.image_indices() == expected, real.quotient
+
+
+def test_duality_checks_in_d1_and_d3():
+    rng = random.Random(16)
+    for m in range(1, 13):
+        g = Lattice.from_span(1, [(m,)])
+        assert duality_check(g, rng=rng)
+        assert duality_square_check(g, Lattice.from_span(1, [(3 * m,)]), rng=rng)
+    g = Lattice.from_span(3, [(3, 2, 1), (0, 2, 3), (0, 0, 4)])
+    assert duality_check(g, rng=rng)
+    assert duality_square_check(Lattice.standard(3), g, rng=rng)
+    for _ in range(15):
+        g1 = _random_hnf_lattice(rng, 3)
+        assert duality_check(g1, rng=rng)
+        # 2 G1 plus 3h e_3, h the last pivot: between 2 G1 and G1, of index 4
+        cols = [[2 * x for x in c] for c in zip(*g1.mat)] + [(0, 0, 3 * g1.mat[2][2])]
+        g2 = Lattice.from_span(3, cols)
+        assert index(g2, g1) == 4
+        assert duality_square_check(g1, g2, rng=rng)
+    with pytest.raises(NotSubgroupError):
+        duality_square_check(Lattice.from_span(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)]), g)
+
+
+_DUALITY_G = Lattice.from_span(2, [(2, 1), (0, 3)])
 
 
 def test_duality_check_fails_on_swapped_images(monkeypatch):
-    assert duality_check(_DUALITY_K)
-    real = DualityRealization(_DUALITY_K)
+    assert duality_check(_DUALITY_G)
+    real = DualityRealization(_DUALITY_G)
     a, b = real.to_quotient(real.points[1]), real.to_quotient(real.points[2])
     honest = DualityRealization.to_quotient
 
@@ -320,7 +349,7 @@ def test_duality_check_fails_on_swapped_images(monkeypatch):
         return b if x == a else a if x == b else x
 
     monkeypatch.setattr(DualityRealization, "to_quotient", swapped)
-    assert not duality_check(_DUALITY_K)
+    assert not duality_check(_DUALITY_G)
 
 
 def test_duality_check_fails_on_shifted_translation(monkeypatch):
@@ -331,7 +360,7 @@ def test_duality_check_fails_on_shifted_translation(monkeypatch):
         return t[:-1] + ((t[-1] + 1) % self.snf_diag[-1],)
 
     monkeypatch.setattr(DualityRealization, "translation_tuple", off_by_one)
-    assert not duality_check(_DUALITY_K)
+    assert not duality_check(_DUALITY_G)
 
 
 def test_duality_check_fails_on_rotated_index_perm(monkeypatch):
@@ -342,13 +371,13 @@ def test_duality_check_fails_on_rotated_index_perm(monkeypatch):
         return perm[1:] + perm[:1]
 
     monkeypatch.setattr(FiniteOdometer, "index_perm", rotated)
-    assert not duality_check(_DUALITY_K)
+    assert not duality_check(_DUALITY_G)
 
 
 def test_duality_square_check_fails_on_perturbed_restriction(monkeypatch):
-    k1 = Lattice.from_span(2, [(F(1, 2), 0), (0, 1)])
-    k2 = Lattice.from_span(2, [(F(1, 2), 0), (0, F(1, 3))])
-    assert duality_square_check(k1, k2)
+    g1 = Lattice.from_span(2, [(2, 0), (0, 1)])
+    g2 = Lattice.from_span(2, [(2, 0), (0, 3)])
+    assert duality_square_check(g1, g2)
     honest = DualityRealization.restrict_tuple
 
     def perturbed(self, t, sub):
@@ -356,18 +385,19 @@ def test_duality_square_check_fails_on_perturbed_restriction(monkeypatch):
         return r[:-1] + ((r[-1] + 1) % sub.snf_diag[-1],)
 
     monkeypatch.setattr(DualityRealization, "restrict_tuple", perturbed)
-    assert not duality_square_check(k1, k2)
+    assert not duality_square_check(g1, g2)
 
 
 class _FractionDuality:
-    """The Fraction formulas for the character maps, as a reference:
-    translation by n is s * (U^-T B_K^T n) mod s, and restriction to K1 <= K
-    is s1 * (U1^-T C^T U^T (t / s)) mod s1 with C the K1-basis in K-coordinates."""
+    """The Fraction formulas for the character maps of K = G*, as a
+    reference: with B_K = B_G^-T, translation by n is s * (U^-T B_K^T n) mod s,
+    and restriction to K1 <= K is s1 * (U1^-T C^T U^T (t / s)) mod s1 with C
+    the K1-basis in K-coordinates."""
 
-    def __init__(self, k):
-        self.basis = k.basis()
+    def __init__(self, g):
+        self.basis = g.basis().transpose().inv()
         u, s, _ = snf([[int(x) for x in row] for row in self.basis.inv().rows])
-        self.s = [s[i][i] for i in range(k.d)]
+        self.s = [s[i][i] for i in range(g.d)]
         self.u_t = Mat(u).transpose()
         self.u_inv_t = Mat(u).inv().transpose()
 
@@ -391,23 +421,24 @@ def test_integer_character_maps_match_fraction_formulas():
     rng = random.Random(30)
     zd = Lattice.standard(2)
     for g in sublattices_z2(30):
-        k = g.dual()
-        real, ref = DualityRealization(k), _FractionDuality(k)
+        real, ref = DualityRealization(g), _FractionDuality(g)
         assert list(real.snf_diag) == ref.s
         for _ in range(4):
             n = (rng.randint(-40, 40), rng.randint(-40, 40))
             assert real.translation_tuple(n) == ref.translation_tuple(n)
-        # K1 between Z^d and K: Z^d, K, and Z^d + Z c for each basis column c of K
-        subs = {zd, k} | {Lattice.from_span(2, [c, (1, 0), (0, 1)]) for c in k.basis_columns()}
-        for k1 in subs:
-            small, restrict = DualityRealization(k1), ref.restriction(_FractionDuality(k1))
+        # K1 between Z^d and K = G*: Z^d, K, and Z^d + Z c for each basis
+        # column c of K, each given by its dual G1 between G and Z^d
+        cols = g.dual().basis_columns()
+        subs = {zd, g} | {Lattice.from_span(2, [c, (1, 0), (0, 1)]).dual() for c in cols}
+        for g1 in subs:
+            small, restrict = DualityRealization(g1), ref.restriction(_FractionDuality(g1))
             for t in rng.sample(real.points, min(6, len(real.points))):
                 assert real.restrict_tuple(t, small) == restrict(t)
 
 
 def test_restrict_tuple_rejects_non_nested():
-    big = DualityRealization(Lattice.from_span(2, [(F(1, 2), 0), (0, 1)]))
-    other = DualityRealization(Lattice.from_span(2, [(F(1, 3), 0), (0, 1)]))
+    big = DualityRealization(Lattice.from_span(2, [(2, 0), (0, 1)]))
+    other = DualityRealization(Lattice.from_span(2, [(3, 0), (0, 1)]))
     with pytest.raises(NotSubgroupError):
         big.restrict_tuple((1, 0), other)
     small = DualityRealization(Lattice.standard(2))
@@ -415,10 +446,10 @@ def test_restrict_tuple_rejects_non_nested():
 
 
 def test_duality_square_rejects_non_nested():
-    k1 = Lattice.from_span(2, [(F(1, 2), 0), (0, 1)])
-    k2 = Lattice.from_span(2, [(F(1, 3), 0), (0, 1)])
+    g1 = Lattice.from_span(2, [(2, 0), (0, 1)])
+    g2 = Lattice.from_span(2, [(3, 0), (0, 1)])
     with pytest.raises(NotSubgroupError):
-        duality_square_check(k1, k2)
+        duality_square_check(g1, g2)
 
 
 # ---------------------------------------------------------------------------
