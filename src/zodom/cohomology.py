@@ -82,14 +82,6 @@ class Cocycle1:
                     )
 
     @classmethod
-    def epsilon(cls, quotient: FiniteOdometer, i: int) -> "Cocycle1":
-        """The constant cocycle theta(x, n) = n_i."""
-        vals = [
-            {x: (1 if k == i else 0) for x in quotient.reps} for k in range(quotient.d)
-        ]
-        return cls(quotient, vals, validate=False)
-
-    @classmethod
     def from_coboundary(cls, quotient: FiniteOdometer, f) -> "Cocycle1":
         """d(f): theta(x, n) = f(phi^n x) - f(x)."""
         f = dict(f)

@@ -13,13 +13,22 @@ p-integral.
 
 This local data is the only presentation: parsing, membership, equality,
 superindex, the approximating tower and every decider read it.
+
+Membership and the witness test alpha.H = H' run in integers.  A vector is
+num / den with integer num; it lies in M_p iff row . num = 0 mod p^k for every
+row of ``LocalEntry._rows`` (p^k the p-part of den), and in H iff that holds
+at every support prime and no other prime divides den.  alpha is held as den
+plus integer rows, +-alpha^-1 as |det| plus den * adj from the adjugate, and
+an image of a divisible direction lies in V'_p iff it pairs to zero with the
+integer annihilator rows ``LocalEntry._ann`` of V'_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd
+from operator import mul
 
 from .linalg import (
     INF,
@@ -42,7 +51,6 @@ from .linalg import (
     p_primary_over_standard,
     saturation,
     subspace_basis,
-    subspace_contains,
     valuation,
 )
 
@@ -56,10 +64,11 @@ class LocalEntry:
 
     ``_rows`` holds the first d-r rows of B_p^-1 = den * adj(A) / det for
     B_p = A / den; they are integers, since B_p is a basis of L(p) and
-    Z^d <= L(p).
+    Z^d <= L(p).  ``_ann`` holds the integer rows annihilating V_p: all of
+    Z^d's unit rows at rank 0, none at rank d.
     """
 
-    __slots__ = ("p", "basis", "r", "lattice", "vspan", "_rows", "_sat")
+    __slots__ = ("p", "basis", "r", "lattice", "vspan", "_rows", "_ann")
 
     def __init__(self, p, basis, r, lattice, vspan):
         self.p = p
@@ -72,19 +81,17 @@ class LocalEntry:
         if any(den * x % det for row in adj for x in row):
             raise NotSupergroupError(f"lattice at {p} does not contain Z^{basis.d}")
         self._rows = tuple(tuple(den * x // det for x in row) for row in adj[: basis.d - r])
-        # saturated integer basis of V_p, used for tower levels
-        self._sat = tuple(tuple(c) for c in saturation(vspan, basis.d))
+        self._ann = annihilator(vspan, basis.d)
 
     @property
     def d(self):
         return self.basis.d
 
     def member_local(self, v) -> bool:
-        """v in M_p: the first d-r coordinates of B^-1 v must be p-integral.
-        With v = num / D that is row . num = 0 mod p^v_p(D) for each row."""
+        """v in M_p.  With v = num / den and p^k the p-part of den, v lies in
+        M_p iff num / p^k does, since den / p^k is a unit at p."""
         den, (num,) = clear_denominators([v])
-        mod = self.p ** valuation(den, self.p)
-        return all(sum(a * x for a, x in zip(row, num)) % mod == 0 for row in self._rows)
+        return _member((self,), self.p ** valuation(den, self.p), num)
 
     def index_valuation(self) -> int:
         """v_p of the lattice-part index [L(p) : Z^d]."""
@@ -208,19 +215,45 @@ def canonicalize(h: HGroup) -> HGroup:
     return HGroup.from_local_data(h.d, h.local_data())
 
 
+def _member(entries, den: int, num) -> bool:
+    """Whether num / den (integers, den > 0) lies in M_p for every entry and
+    in Z[1/S]^d, S the entries' primes; for all of H's entries that is H.
+
+    Once gcd(den, num) is divided out, let p^k be the p-part of den.  The
+    first d-r coordinates of B_p^-1 num / den are (_rows . num) / den, and
+    den / p^k is a unit at p, so num / den is in M_p iff row . num = 0 mod
+    p^k for every row.  Any prime of den left over lies outside the support.
+
+    >>> h = HGroup.from_local_data(2, {5: ([(Fraction(1, 5), Fraction(1, 5))], [])})
+    >>> _member(h.entries, 5, [1, 1]), _member(h.entries, 5, [1, 0])
+    (True, False)
+    >>> _member(h.entries, 10, [2, 2]), _member(h.entries, 7, [0, 7])  # unreduced
+    (True, True)
+    >>> _member(h.entries, 35, [7, 12])  # 7/35 = 1/5, but 12/35 has a 7
+    False
+    """
+    g = gcd(den, *num)
+    if g > 1:
+        den //= g
+        num = [x // g for x in num]
+    for e in entries:
+        p = e.p
+        if den % p == 0:
+            pk = 1
+            while den % p == 0:
+                den //= p
+                pk *= p
+            if any(sum(map(mul, row, num)) % pk for row in e._rows):
+                return False
+    return den == 1
+
+
 def member_h(v, h: HGroup) -> bool:
     """Membership of a rational vector in H."""
-    v = tuple(Fraction(x) for x in v)
     if len(v) != h.d:
         raise ValueError("dimension mismatch")
-    # H <= Z[1/S]^d: divide the support primes out of the common denominator
-    rest = lcm(*(x.denominator for x in v))
-    for e in h.entries:
-        if rest % e.p == 0:
-            rest //= e.p ** valuation(rest, e.p)
-            if not e.member_local(v):
-                return False
-    return rest == 1
+    den, (num,) = clear_denominators([v])
+    return _member(h.entries, den, num)
 
 
 def equal_h(h1, h2) -> bool:
@@ -241,8 +274,9 @@ def equal_h(h1, h2) -> bool:
     return True
 
 
-def maps_into(a: Mat, h: HGroup, hp: HGroup) -> bool:
-    """a.H <= H', decided on the images of a finite generating set of H.
+def maps_into(den: int, rows, h: HGroup, hp: HGroup) -> bool:
+    """a.H <= H' for a = rows / den (integer rows, den > 0), decided on the
+    images of a finite generating set of H.
 
     Proof sketch: H is Z^d plus, at each support prime p, the lattice L(p)
     and the vectors p^-k w for k >= 0 and w in the basis of V_p.  The unit
@@ -251,22 +285,30 @@ def maps_into(a: Mat, h: HGroup, hp: HGroup) -> bool:
     would have to be divisible by every power of p, so H' needs an entry at
     p whose V'_p holds a.w; at any other prime p^-k is a unit.  The basis
     vectors w are integral, so a.w lies in H' once the columns of a do, and
-    only a.w in V'_p is tested for them.  The divisible directions and the
-    lattice columns are tested before the unit columns, which pass for every
+    only a.w in V'_p is tested for them: rows . w must pair to zero with
+    every row of _ann.  The lattice columns c / den_L of L(p) map to
+    (rows . c) / (den * den_L).  The divisible directions and the lattice
+    columns are tested before the unit columns, which pass for every
     integer a.
     """
     for e in h.entries:
         ep = hp.entry(e.p)
-        if any(ep is None or not subspace_contains(ep.vspan, a.apply(w)) for w in e.vspan):
-            return False
-    images = (a.apply(c) for e in h.entries for c in e.lattice.basis_columns())
-    return all(member_h(v, hp) for v in images) and all(
-        member_h(c, hp) for c in a.columns()
-    )
+        for w in e.vspan:
+            image = [sum(map(mul, row, w)) for row in rows]
+            if ep is None or any(sum(map(mul, f, image)) for f in ep._ann):
+                return False
+    for e in h.entries:
+        lden = den * e.lattice.den
+        for c in zip(*e.lattice.mat):
+            if not _member(hp.entries, lden, [sum(map(mul, row, c)) for row in rows]):
+                return False
+    return all(_member(hp.entries, den, col) for col in zip(*rows))
 
 
 def maps_onto(a: Mat, h: HGroup, hp: HGroup) -> bool:
-    """a.H = H': a.H <= H' and a^-1.H' <= H.  Images that do not contain
+    """a.H = H': a.H <= H' and a^-1.H' <= H, with a = rows / den and
+    a^-1 = den * adj(rows) / det(rows).  The sign of det is dropped, since
+    -a^-1 maps H' into H iff a^-1 does (H = -H).  Images that do not contain
     Z^d give False.
 
     >>> h = HGroup.from_local_data(2, {2: ([], [(1, 0)]), 3: ([], [(0, 1)])})
@@ -276,7 +318,11 @@ def maps_onto(a: Mat, h: HGroup, hp: HGroup) -> bool:
     >>> maps_onto(Mat.identity(2), h, hp)
     False
     """
-    return maps_into(a, h, hp) and maps_into(a.inv(), hp, h)
+    den, rows = clear_denominators(a.rows)
+    if not maps_into(den, rows, h, hp):
+        return False
+    det, adj = adjugate(rows)
+    return maps_into(abs(det), [[den * x for x in row] for row in adj], hp, h)
 
 
 def superindex(h: HGroup) -> Supernatural:
@@ -330,6 +376,8 @@ def tower(h: HGroup, depth: int) -> Tower:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     zd = Lattice.standard(h.d)
+    # saturated integer bases of the V_p
+    sats = {e.p: saturation(e.vspan, h.d) for e in h.entries if e.r > 0}
     levels = []
     for n in range(1, depth + 1):
         fact = factorial(n)
@@ -343,7 +391,7 @@ def tower(h: HGroup, depth: int) -> Tower:
             if e.r > 0:
                 m = max(k, valuation(e.lattice.den, e.p) if e.lattice.den > 1 else 0)
                 pm = Fraction(1, e.p**m)
-                cols += [tuple(pm * x for x in w) for w in e._sat]
+                cols += [tuple(pm * x for x in w) for w in sats[e.p]]
             enlarged = Lattice.from_span(h.d, cols)
             parts.append(lattice_intersect(enlarged, lattice_scale(zd, pk)))
         levels.append(lattice_sum(*parts))

@@ -714,13 +714,6 @@ def subspace_basis(vectors, d):
     return tuple(out)
 
 
-def subspace_contains(basis, v) -> bool:
-    """Whether v lies in the span of the independent basis rows: appending
-    it leaves the rank unchanged."""
-    _, ints = clear_denominators([*basis, v])
-    return len(_gauss_jordan(ints)[1]) == len(basis)
-
-
 def annihilator(basis, d):
     """Canonical basis of {f in Q^d : <f, v> = 0 for all v in the span}.
 

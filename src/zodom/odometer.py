@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .hgroup import HGroup, Tower, direct_sum, maps_into, member_h, tower
-from .linalg import Lattice, Mat, index, lattice_block, snf
+from .hgroup import HGroup, Tower, direct_sum, member_h, tower
+from .linalg import Lattice, lattice_block, snf
 
 DUALITY_SAMPLES = 3  # random translations per duality_check and duality_square_check
 PRODUCT_SAMPLE_CAP = 512  # most point pairs of one level that product_check acts on
 
 
 class NotSubgroupError(ValueError):
-    """Factor-map check called on a non-nested pair."""
+    """A restriction or square check called on a non-nested pair of lattices."""
 
 
 class FiniteOdometer:
@@ -294,9 +294,6 @@ class DualityRealization:
         self._restrictions = {}
         self.points = tuple(itertools.product(*[range(si) for si in self.snf_diag]))
 
-    def card(self) -> int:
-        return len(self.points)
-
     def translation_tuple(self, n):
         """Character of the rotation by n, in invariant-factor coordinates."""
         return tuple(
@@ -386,12 +383,8 @@ def duality_check(g: Lattice, rng: random.Random | None = None) -> bool:
     rng = rng or random.Random(0)
     real = DualityRealization(g)
     quotient = real.quotient
-    if real.card() != index(g, Lattice.standard(g.d)) or real.card() != quotient.card:
-        return False
     images = real.image_indices()
     if sorted(images) != list(range(quotient.card)):
-        return False
-    if images[0] != 0:
         return False
     for _ in range(DUALITY_SAMPLES):
         n = tuple(rng.randint(-8, 8) for _ in range(g.d))
@@ -425,7 +418,7 @@ def duality_square_check(g1: Lattice, g2: Lattice, rng: random.Random | None = N
 
 
 # ---------------------------------------------------------------------------
-# product and factor-map checks
+# product check
 
 
 def product_check(h1: HGroup, h2: HGroup, depth: int) -> bool:
@@ -450,33 +443,5 @@ def product_check(h1: HGroup, h2: HGroup, depth: int) -> bool:
             joint = f12.act(k, a + b)
             split = f1.act(k[:d1], a) + f2.act(k[d1:], b)
             if joint != split:
-                return False
-    return True
-
-
-def is_subgroup(h: HGroup, hp: HGroup) -> bool:
-    """H <= H'."""
-    return h.d == hp.d and maps_into(Mat.identity(h.d), h, hp)
-
-
-def factor_map_check(h: HGroup, hp: HGroup, depth: int) -> bool:
-    """Level-wise equivariant surjections Y_{H'} -> Y_H for H <= H'."""
-    if not is_subgroup(h, hp):
-        raise NotSubgroupError("first group must be contained in the second")
-    t, tp = tower(h, depth), tower(hp, depth)
-    for n in range(depth):
-        g, gp = t.duals[n], tp.duals[n]
-        if not g.contains(gp):
-            return False
-        fine, coarse = FiniteOdometer(gp), FiniteOdometer(g)
-        image = {coarse.reduce(x) for x in fine.reps}
-        if image != set(coarse.reps):
-            return False
-        rng = random.Random(n)
-        for x in fine.reps if fine.card <= 256 else [
-            rng.choice(fine.reps) for _ in range(256)
-        ]:
-            k = tuple(rng.randint(-4, 4) for _ in range(h.d))
-            if coarse.reduce(fine.act(k, x)) != coarse.act(k, coarse.reduce(x)):
                 return False
     return True

@@ -39,6 +39,11 @@ def random_quotient(rng, max_index=200):
         return Lattice.from_span(2, [(a, b), (0, c)])
 
 
+def _epsilon(q, i):
+    """The constant cocycle theta(x, n) = n_i."""
+    return Cocycle1(q, [{x: int(k == i) for x in q.reps} for k in range(q.d)], validate=False)
+
+
 def random_dual_vector(rng, g):
     coeffs = [rng.randint(-6, 6) for _ in range(g.d)]
     return g.basis().transpose().inv().apply(coeffs)
@@ -50,7 +55,7 @@ def random_dual_vector(rng, g):
 
 def test_eval_epsilon_is_coordinate():
     q = FiniteOdometer(Lattice.from_span(2, [(2, 1), (0, 3)]))
-    eps1 = Cocycle1.epsilon(q, 0)
+    eps1 = _epsilon(q, 0)
     rng = random.Random(0)
     for _ in range(20):
         x = rng.choice(q.reps)
@@ -139,8 +144,8 @@ def test_eval_negative_steps_match_act_walk():
 
 def test_alpha_examples():
     q = FiniteOdometer(Lattice.from_span(2, [(2, 1), (0, 3)]))
-    assert alpha_map(Cocycle1.epsilon(q, 0)) == (1, 0)
-    assert alpha_map(Cocycle1.epsilon(q, 1)) == (0, 1)
+    assert alpha_map(_epsilon(q, 0)) == (1, 0)
+    assert alpha_map(_epsilon(q, 1)) == (0, 1)
     f = {x: (x[0] - 2 * x[1]) % 5 for x in q.reps}
     assert alpha_map(Cocycle1.from_coboundary(q, f)) == (0, 0)
 
@@ -364,8 +369,8 @@ def test_tau_vanishes_on_coboundaries_and_is_additive():
 
 def test_tau_epsilon_is_standard_basis():
     q = FiniteOdometer(Lattice.from_span(2, [(4, 1), (0, 3)]))
-    assert tau1(Cocycle1.epsilon(q, 0)) == (1, 0)
-    assert tau1(Cocycle1.epsilon(q, 1)) == (0, 1)
+    assert tau1(_epsilon(q, 0)) == (1, 0)
+    assert tau1(_epsilon(q, 1)) == (0, 1)
 
 
 def test_tau_equals_dual_vector_seeded_corpus():
@@ -461,7 +466,7 @@ def test_tree_potential_solver_matches_echelon_solve():
             cob = Cocycle1.from_coboundary(q, {x: rng.randint(-6, 6) for x in q.reps})
             thetas.append(cob)
             for i in range(q.d):
-                thetas.append(cob + Cocycle1.epsilon(q, i).scale(rng.choice([-2, -1, 1, 3])))
+                thetas.append(cob + _epsilon(q, i).scale(rng.choice([-2, -1, 1, 3])))
             thetas.append(build_cocycle(q.lattice, random_dual_vector(rng, q.lattice)))
         for theta in thetas:
             f, ref = solver.solve(theta), _echelon_solve(q, echelon, theta)
@@ -625,5 +630,5 @@ def test_torsion_vacuous_case():
     # 2 * epsilon_1 is not a coboundary (tau nonzero), so the implication is vacuous
     q = FiniteOdometer(Lattice.from_span(2, [(2, 1), (0, 3)]))
     solver = CoboundarySolver(q)
-    eps = Cocycle1.epsilon(q, 0)
+    eps = _epsilon(q, 0)
     assert solver.solve(eps.scale(2)) is None

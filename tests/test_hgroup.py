@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +11,7 @@ from zodom.gdsl import parse_group
 from zodom.hgroup import (
     HGroup,
     NotSupergroupError,
+    _member,
     apply_matrix,
     canonicalize,
     direct_sum,
@@ -28,6 +29,7 @@ from zodom.linalg import (
     Lattice,
     Mat,
     Supernatural,
+    clear_denominators,
     index,
     subspace_basis,
     valuation,
@@ -298,6 +300,113 @@ def invertible_matrices(draw, d):
     return m
 
 
+@st.composite
+def det_one_matrices(draw, d):
+    """Unimodular matrices (products of elementary row operations, a swap and
+    a sign) or rational ones U diag(q, 1/q, 1, ...) V of det +-1, q = 2, 3, 5."""
+
+    def unimodular():
+        rows = [[int(i == j) for j in range(d)] for i in range(d)]
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = draw(st.permutations(range(d)))[:2]
+            c = draw(st.integers(-2, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        if draw(st.booleans()):
+            rows[0], rows[1] = rows[1], rows[0]
+        rows[-1] = [draw(st.sampled_from([1, -1])) * x for x in rows[-1]]
+        return Mat(rows)
+
+    m = unimodular()
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([2, 3, 5]))
+        scale = Mat([[F(q) if i == j == 0 else F(1, q) if i == j == 1 else int(i == j)
+                      for j in range(d)] for i in range(d)])
+        m = m * scale * unimodular()
+    return m
+
+
+def _member_h_reference(v, h):
+    """The Fraction rule at every support prime; no other prime may divide a
+    denominator."""
+    v = tuple(F(x) for x in v)
+    rest = 1
+    for x in v:
+        rest = rest * x.denominator // gcd(rest, x.denominator)
+    for e in h.entries:
+        if rest % e.p == 0:
+            rest //= e.p ** valuation(rest, e.p)
+            if not _member_local_reference(e, v):
+                return False
+    return rest == 1
+
+
+def _maps_onto_reference(a, h, hp):
+    """The Fraction witness test: a and a^-1 applied to the generators of H
+    and H', each divisible direction kept in the span of V'_p."""
+
+    def maps_into(a, h, hp):
+        for e in h.entries:
+            ep = hp.entry(e.p)
+            for w in e.vspan:
+                if ep is None or len(subspace_basis([*ep.vspan, a.apply(w)], h.d)) > ep.r:
+                    return False
+        images = [a.apply(c) for e in h.entries for c in e.lattice.basis_columns()]
+        return all(_member_h_reference(v, hp) for v in images + a.columns())
+
+    return maps_into(a, h, hp) and maps_into(a.inv(), hp, h)
+
+
+def _into(a, h, hp):
+    return maps_into(*clear_denominators(a.rows), h, hp)
+
+
+def test_maps_onto_matches_fraction_reference():
+    answers = []
+
+    @given(st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=1000, deadline=None)
+    def check(d, data):
+        h = data.draw(free_groups(d))
+        a = data.draw(det_one_matrices(d))
+        hp = None
+        if data.draw(st.booleans()):
+            try:
+                hp = apply_matrix(data.draw(st.sampled_from([a, a.scale(-1)])), h)
+            except NotSupergroupError:
+                pass
+        if hp is None:
+            hp = data.draw(free_groups(d))
+        answer = maps_onto(a, h, hp)
+        assert answer == _maps_onto_reference(a, h, hp)
+        answers.append((d, answer))
+
+    check()
+    assert len(answers) >= 1000
+    for d in (2, 3):
+        assert answers.count((d, True)) >= 50 and answers.count((d, False)) >= 50
+
+
+def test_member_kernel_branches():
+    h = parse_group("oplus(Z[1/2], Z)")
+    # an unreduced num / den: 3/6 = 1/2 needs the 3 divided out first
+    assert _member(h.entries, 6, [3, 0]) and _member(h.entries, 6, [3, 6])
+    assert not _member(h.entries, 6, [3, 3])
+    # outside Z[1/S]^d: a 7 left in den after the support primes
+    assert not _member(h.entries, 7, [1, 0]) and _member(h.entries, 7, [7, 14])
+    assert not _into(Mat([[F(1, 7), 0], [0, 7]]), h, h)
+    # a divisible direction landing at a prime where H' has rank 0
+    rank0 = parse_group("oplus(Z, Z) + gen(1/2, 0)")
+    assert rank0.entry(2).r == 0 and rank0.entry(2)._ann == ((1, 0), (0, 1))
+    assert not _into(Mat.identity(2), h, rank0)
+    assert _into(Mat.identity(2), rank0, h)
+    # a rank-d entry annihilates nothing, so any direction passes
+    full = parse_group("oplus(Z[1/2], Z[1/2])")
+    assert full.entry(2)._ann == ()
+    for a in (Mat.identity(2), Mat([[1, 1], [0, 1]]), Mat([[3, 5], [1, 2]])):
+        assert _into(a, h, full)
+        assert not _into(a.inv(), full, h)
+
+
 def _onto_by_rebuild(a, h, hp):
     try:
         return equal_h(apply_matrix(a, h), hp)
@@ -334,12 +443,12 @@ def test_maps_into_one_direction_only():
     small = parse_group("oplus(Z[1/2], Z)")
     big = parse_group("oplus(Z[1/2], Z[1/3])")
     ident = Mat.identity(2)
-    assert maps_into(ident, small, big)
-    assert not maps_into(ident, big, small)
+    assert _into(ident, small, big)
+    assert not _into(ident, big, small)
     assert not maps_onto(ident, small, big)
     # the swap sends the divisible direction at 2 off the V_2 of big
-    assert not maps_into(Mat([[0, 1], [1, 0]]), small, big)
-    assert maps_into(Mat([[0, 1], [1, 0]]), small, parse_group("oplus(Z[1/3], Z[1/2])"))
+    assert not _into(Mat([[0, 1], [1, 0]]), small, big)
+    assert _into(Mat([[0, 1], [1, 0]]), small, parse_group("oplus(Z[1/3], Z[1/2])"))
 
 
 def test_maps_onto_false_where_image_lacks_zd():
@@ -348,12 +457,12 @@ def test_maps_onto_false_where_image_lacks_zd():
         with pytest.raises(NotSupergroupError):
             apply_matrix(a, h)
         assert not maps_onto(a, h, h)
-        assert not maps_into(a.inv(), h, h)
+        assert not _into(a.inv(), h, h)
     # Z^d has no support prime: only the columns of a are tested
     zd = HGroup.standard(2)
     half = Mat([[F(1, 2), 0], [0, 1]])
-    assert not maps_into(half, zd, zd)
-    assert maps_into(half.inv(), zd, zd) and not maps_onto(half.inv(), zd, zd)
+    assert not _into(half, zd, zd)
+    assert _into(half.inv(), zd, zd) and not maps_onto(half.inv(), zd, zd)
 
 
 # ---------------------------------------------------------------------------

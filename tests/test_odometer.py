@@ -14,7 +14,6 @@ from zodom.odometer import (
     TowerSystem,
     duality_check,
     duality_square_check,
-    factor_map_check,
     measure_cylinder,
     metric,
     product_check,
@@ -453,7 +452,7 @@ def test_duality_square_rejects_non_nested():
 
 
 # ---------------------------------------------------------------------------
-# products and factor maps
+# products
 
 
 def test_product_examples():
@@ -463,19 +462,6 @@ def test_product_examples():
     assert product_check(
         parse_group("oplus(Z[1/2], Z[1/3])"), parse_group("oplus(Z[1/5])"), 3
     )
-
-
-def test_factor_map_examples():
-    assert factor_map_check(HGroup.standard(1), parse_group("oplus(Z[1/2])"), 3)
-    assert factor_map_check(
-        parse_group("oplus(Z[1/2])"), parse_group("oplus(Z[1/6])"), 4
-    )
-    fuchs = parse_group("oplus(Z[1/2], Z[1/3]) + gen(1/5, 1/5)")
-    assert factor_map_check(parse_group("oplus(Z[1/2], Z[1/3])"), fuchs, 5)
-    with pytest.raises(NotSubgroupError):
-        factor_map_check(
-            parse_group("oplus(Z[1/5])"), parse_group("oplus(Z[1/6])"), 3
-        )
 
 
 def test_act_is_reduced_translation():
