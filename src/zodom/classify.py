@@ -39,10 +39,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from .hgroup import HGroup, equal_h, is_free, maps_onto, superindex
-from .linalg import INF, Lattice, Mat, factorint, index, lattice_sum, snf, valuation
+from .hgroup import HGroup, difference, equal_h, is_free, maps_onto, superindex
+from .linalg import INF, Lattice, Mat, factorint, lattice_sum, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
@@ -102,7 +102,7 @@ def _entry_profile(e):
     mixed = Lattice.from_span(
         d, list(zd.basis_columns()) + [e.basis.col(j) for j in range(d - e.r, d)]
     )
-    absorbed = valuation(index(zd, mixed), e.p)
+    absorbed = valuation(mixed.den**d // prod(mixed.diagonal()), e.p)
     return (e.r, e.index_valuation() - absorbed)
 
 
@@ -212,41 +212,11 @@ def decide_conjugacy(h: HGroup, hp: HGroup) -> Verdict:
     if h.d != hp.d:
         return Verdict(CONJ, NO, certificate=Certificate("dimension", f"d={h.d} vs d={hp.d}"))
     flags = (D3_FLAG,) if h.d >= 3 else ()
-    if equal_h(h, hp):
+    detail = difference(h, hp)
+    if detail is None:
         return Verdict(CONJ, YES)
-    cert = _iso_profile_ok(h, hp)
-    if cert is None:
-        cert = _distinguishing_datum(h, hp)
+    cert = _iso_profile_ok(h, hp) or Certificate("local-data", detail)
     return Verdict(CONJ, NO, certificate=cert, flags=flags)
-
-
-def _distinguishing_datum(h, hp):
-    for e in h.entries:
-        ep = hp.entry(e.p)
-        if ep is None:
-            return Certificate("local-data", f"support differs at p={e.p}")
-        if e.vspan != ep.vspan:
-            return Certificate(
-                "local-data",
-                f"divisible subspace at p={e.p} is {e.vspan} vs {ep.vspan}",
-            )
-        for c in e.lattice.basis_columns():
-            if not ep.member_local(c):
-                return Certificate(
-                    "local-data",
-                    f"lattice generator {tuple(map(str, c))} at p={e.p} not in the other group",
-                )
-    for ep in hp.entries:
-        e = h.entry(ep.p)
-        if e is None:
-            return Certificate("local-data", f"support differs at p={ep.p}")
-        for c in ep.lattice.basis_columns():
-            if not e.member_local(c):
-                return Certificate(
-                    "local-data",
-                    f"lattice generator {tuple(map(str, c))} at p={ep.p} not in the first group",
-                )
-    return Certificate("local-data", "groups differ")
 
 
 def decide_oe(h: HGroup, hp: HGroup) -> Verdict:

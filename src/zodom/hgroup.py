@@ -14,20 +14,23 @@ p-integral.
 This local data is the only presentation: parsing, membership, equality,
 superindex, the approximating tower and every decider read it.
 
-Membership and the witness test alpha.H = H' run in integers.  A vector is
-num / den with integer num; it lies in M_p iff row . num = 0 mod p^k for every
-row of ``LocalEntry._rows`` (p^k the p-part of den), and in H iff that holds
-at every support prime and no other prime divides den.  alpha is held as den
-plus integer rows, +-alpha^-1 as |det| plus den * adj from the adjugate, and
-an image of a divisible direction lies in V'_p iff it pairs to zero with the
-integer annihilator rows ``LocalEntry._ann`` of V'_p.
+Membership, equality, the witness test alpha.H = H' and the tower run in
+integers on the rows ``LocalEntry._rows``.  A vector is num / den with
+integer num; it lies in M_p iff row . num = 0 mod p^k for every row (p^k the
+p-part of den), and in H iff that holds at every support prime and no other
+prime divides den.  Equality tests the integer HNF columns of each L(p) over
+its denominator that way, and each tower level is Z^d plus, at each support
+prime, p^-k times the integer solutions of row . x = 0 mod p^k.  alpha is
+held as den plus integer rows, +-alpha^-1 as |det| plus den * adj from the
+adjugate, and an image of a divisible direction lies in V'_p iff it pairs to
+zero with the integer annihilator rows ``LocalEntry._ann`` of V'_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from operator import mul
 
 from .linalg import (
@@ -36,20 +39,16 @@ from .linalg import (
     Mat,
     SingularMatrixError,
     Supernatural,
+    _canonical,
     adjugate,
     annihilator,
     clear_denominators,
     complete_to_basis,
     denominator_primes,
     factorint,
-    index,
     integer_kernel,
     is_prime,
-    lattice_intersect,
-    lattice_scale,
-    lattice_sum,
     p_primary_over_standard,
-    saturation,
     subspace_basis,
     valuation,
 )
@@ -94,8 +93,10 @@ class LocalEntry:
         return _member((self,), self.p ** valuation(den, self.p), num)
 
     def index_valuation(self) -> int:
-        """v_p of the lattice-part index [L(p) : Z^d]."""
-        return valuation(index(Lattice.standard(self.d), self.lattice), self.p)
+        """v_p of the lattice-part index [L(p) : Z^d] = den^d / (product of
+        the HNF diagonal)."""
+        lat = self.lattice
+        return valuation(lat.den**self.d // prod(lat.diagonal()), self.p)
 
     def __eq__(self, other):
         return (
@@ -202,8 +203,9 @@ class Tower:
         return len(self.levels)
 
     def index_at(self, n: int) -> int:
-        """[Z^d : G_n] = [H_n : Z^d] at 1-based level n."""
-        return index(self.duals[n - 1], Lattice.standard(self.duals[n - 1].d))
+        """[Z^d : G_n] = [H_n : Z^d] at 1-based level n: G_n is integral, so
+        the product of its HNF diagonal."""
+        return prod(self.duals[n - 1].diagonal())
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +258,36 @@ def member_h(v, h: HGroup) -> bool:
     return _member(h.entries, den, num)
 
 
-def equal_h(h1, h2) -> bool:
-    """H = H': equal divisible subspaces and mutual membership of the
-    lattice-part generators at every support prime."""
-    if h1.d != h2.d:
-        return False
-    if h1.support() != h2.support():
-        return False
-    for e1 in h1.entries:
-        e2 = h2.entry(e1.p)
-        if e1.vspan != e2.vspan:  # canonical subspace bases are syntactic
-            return False
-        if not all(e2.member_local(c) for c in e1.lattice.basis_columns()):
-            return False
-        if not all(e1.member_local(c) for c in e2.lattice.basis_columns()):
-            return False
-    return True
+def difference(h1: HGroup, h2: HGroup):
+    """None if H1 = H2 (same d), else the first local datum that differs.
+
+    H1 = H2 iff both have the same support and, at each support prime, the
+    same divisible subspace (canonical bases compare syntactically) and each
+    L(p) lies in the other's M_p.  The HNF columns c of L(p) = (1/den) M
+    are tested as c / den with the integer kernel, h1's entries first.
+
+    >>> h = HGroup.from_local_data(1, {5: ([(Fraction(1, 5),)], [])})
+    >>> difference(h, h) is None, difference(HGroup.standard(1), h)
+    (True, 'support differs at p=5')
+    """
+    for a, b, which in ((h1, h2, "other"), (h2, h1, "first")):
+        for e in a.entries:
+            eb = b.entry(e.p)
+            if eb is None:
+                return f"support differs at p={e.p}"
+            if e.vspan != eb.vspan:
+                return f"divisible subspace at p={e.p} is {e.vspan} vs {eb.vspan}"
+            den = e.lattice.den
+            for c in zip(*e.lattice.mat):
+                if not _member((eb,), den, c):
+                    gen = tuple(str(Fraction(x, den)) for x in c)
+                    return f"lattice generator {gen} at p={e.p} not in the {which} group"
+    return None
+
+
+def equal_h(h1: HGroup, h2: HGroup) -> bool:
+    """H = H' (groups of different d are not equal)."""
+    return h1.d == h2.d and difference(h1, h2) is None
 
 
 def maps_into(den: int, rows, h: HGroup, hp: HGroup) -> bool:
@@ -369,32 +385,41 @@ def apply_matrix(a: Mat, h: HGroup) -> HGroup:
 
 
 def tower(h: HGroup, depth: int) -> Tower:
-    """Approximating tower with levels H_n = H n (1/n!) Z^d, n = 1..depth:
-    Z^d plus, at each support prime p | n!, the vectors of M_p whose
-    denominators divide the p-part of n!.  Since n! | (n+1)! the levels
-    increase, and every integer divides some n!, so their union is H."""
+    """Approximating tower with levels H_n = H n (1/n!) Z^d, n = 1..depth.
+    Since n! | (n+1)! the levels increase, and every integer divides some
+    n!, so their union is H.
+
+    Proof sketch for the levels: write v in H_n as z + sum_p x_p / p^k over
+    the primes p | n!, with z and x_p integral and p^k the p-part of n!.
+    Each x_p / p^k lies in H: it is q-integral at every q != p, and at p it
+    differs from v by a p-integral vector.  A vector whose denominators are
+    powers of p lies in H exactly when it lies in M_p, and x / p^k with x
+    integral lies in M_p exactly when row . x = 0 mod p^k for every row of
+    ``_rows``.  So H_n = Z^d + sum_p p^-k Lambda_p with Lambda_p = {x in Z^d :
+    _rows . x = 0 mod p^k}, the first d coordinates of the integer kernel of
+    [_rows | p^k I]; at rank d there are no rows and Lambda_p = Z^d, and a
+    prime outside the support adds nothing.  Each level is one canonical HNF
+    over den = prod p^k.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    zd = Lattice.standard(h.d)
-    # saturated integer bases of the V_p
-    sats = {e.p: saturation(e.vspan, h.d) for e in h.entries if e.r > 0}
+    d = h.d
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
     levels = []
     for n in range(1, depth + 1):
         fact = factorial(n)
-        parts = [zd]
+        parts = []  # (p^k, columns of Lambda_p)
         for e in h.entries:
-            k = valuation(fact, e.p) if fact % e.p == 0 else 0
-            if k == 0:
+            pk = e.p ** valuation(fact, e.p)
+            if pk == 1:
                 continue
-            pk = Fraction(1, e.p**k)
-            cols = list(e.lattice.basis_columns())
-            if e.r > 0:
-                m = max(k, valuation(e.lattice.den, e.p) if e.lattice.den > 1 else 0)
-                pm = Fraction(1, e.p**m)
-                cols += [tuple(pm * x for x in w) for w in sats[e.p]]
-            enlarged = Lattice.from_span(h.d, cols)
-            parts.append(lattice_intersect(enlarged, lattice_scale(zd, pk)))
-        levels.append(lattice_sum(*parts))
+            m = len(e._rows)
+            rows = [[*row, *(pk * (i == j) for j in range(m))] for i, row in enumerate(e._rows)]
+            parts.append((pk, [c[:d] for c in integer_kernel(rows)] if rows else ident))
+        den = prod(pk for pk, _ in parts)
+        cols = [[den * x for x in c] for c in ident]
+        cols += [[den // pk * x for x in c] for pk, lam in parts for c in lam]
+        levels.append(Lattice._raw(*_canonical(d, den, [list(r) for r in zip(*cols)])))
     return Tower(tuple(levels), tuple(l.dual() for l in levels))
 
 

@@ -664,11 +664,6 @@ def lattice_sum(*lats: Lattice) -> Lattice:
     return Lattice.from_span(d, cols)
 
 
-def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
-    # duality swaps sums and intersections of full-rank lattices
-    return lattice_sum(a.dual(), b.dual()).dual()
-
-
 def lattice_scale(lat: Lattice, c) -> Lattice:
     c = Fraction(c)
     if c == 0:
@@ -731,14 +726,6 @@ def annihilator(basis, d):
                 w[c] = -row[f]
             out.append(w)
     return subspace_basis(out, d)
-
-
-def saturation(basis, d) -> list:
-    """Basis (columns) of span(basis) intersected with Z^d."""
-    ann = annihilator(basis, d)
-    if not ann:  # span is all of Q^d
-        return [[1 if i == j else 0 for i in range(d)] for j in range(d)]
-    return integer_kernel(ann)
 
 
 def complete_to_basis(kernel_cols, d):

@@ -17,7 +17,7 @@ from zodom.classify import (
     decide_oe,
 )
 from zodom.gdsl import parse_group
-from zodom.hgroup import HGroup, apply_matrix, equal_h, superindex
+from zodom.hgroup import HGroup, apply_matrix, difference, equal_h, superindex
 from zodom.linalg import Mat
 from zodom.rigid import GALLERY_VERDICTS, gallery
 
@@ -61,6 +61,27 @@ def test_conjugacy_swapped_factors(g):
     v = decide_conjugacy(g["class35_1a"], g["class35_1b"])
     assert v.answer == "NO"
     assert "p=2" in v.certificate.detail
+
+
+def test_conjugacy_local_data_certificates(g):
+    # equal profiles: the certificate is the first local datum that differs
+    v = decide_conjugacy(g["class35_1a"], g["class35_1b"])
+    assert str(v.certificate) == "local-data: divisible subspace at p=2 is ((1, 0),) vs ((0, 1),)"
+    v = decide_conjugacy(g["class35_2a"], g["class35_2b"])
+    assert str(v.certificate) == (
+        "local-data: lattice generator ('0', '1/5') at p=5 not in the other group"
+    )
+    # a support that differs, or M_p inside M'_p with M_p != M'_p, changes
+    # the (rank, valuation) profile, so the profile certificate comes first
+    big = parse_group("oplus(Z[1/2], Z[1/3]) + gen(1/5, 0) + gen(0, 1/5)")
+    for h, hp, text in (
+        (g["class35_1a"], g["class11_fuchs"], "support differs at p=5"),
+        (g["class11_fuchs"], big, "lattice generator ('1/5', '0') at p=5 not in the first group"),
+    ):
+        assert difference(h, hp) == text
+        v = decide_conjugacy(h, hp)
+        assert v.answer == "NO" and v.certificate.kind == "local-profile"
+        assert "at p=5" in v.certificate.detail
 
 
 def test_conjugacy_d1(g):

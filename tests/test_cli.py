@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from zodom.cli import EX_DATA, EX_USAGE, main
@@ -115,6 +117,8 @@ def test_member_and_equal_and_free(grp, capsys):
     assert out.strip() == "equal=true"
     code, out = run(capsys, "equal", a, b)
     assert out.strip() == "equal=false"
+    code, out = run(capsys, "equal", a, grp("class35_4b"))  # d = 2 vs d = 1
+    assert code == 0 and out.strip() == "equal=false"
     code, out = run(capsys, "free", a)
     assert out.strip() == "free=true"
     nf = grp("halfline", "oplus(Z[1/2], Z)")
@@ -155,6 +159,36 @@ def test_coinv_fuchs_at_depth_6(grp, capsys):
     code, out = run(capsys, "coinv", grp("class11_fuchs"), "--depth", "6")
     assert code == 0
     assert out == "coinvariants=2^inf*3^inf*5^1\nverified_levels=6\n"
+
+
+# sha256 of the stdout of the tower verbs at the approximants benchmark's
+# depths; a rewrite of the tower must leave every byte unchanged
+TOWER_TEXTS = {
+    "approx_g": "oplus(Z[1/3], Z[1/2]) + gen(4/7, 1/7)",
+    "quarter": "oplus(Z[1/2], Z[1/3]) + gen(1/4, 1/4)",
+    "d3": "oplus(Z[1/2], Z[1/3], Z[1/6]) + gen(1/5, 2/5, 0)",
+}
+TOWER_DIGESTS = [
+    ("tower class11_fuchs --depth 12", "7d5218b169fee3bcd999cc1fcecc0ef3112a0e03d537142275913321f6250a4a"),
+    ("tower approx_g --depth 12", "faa24c3a0613bf34e01ba555af3dcdfc575d2f6d13ac93eaf7d7657f20259725"),
+    ("tower quarter --depth 12", "676684cd7b23b41324a17a9678b597a693730d3caba385ecb2121452c6f95329"),
+    ("tower class35_4b --depth 12", "4b95e742776fc94f602f77e32108e06ed8a824063dc80fca3b266d16cc85bcef"),
+    ("tower d3 --depth 9", "ec334231787ff9f542f50c2b3c5f932023c6e49f8cf0655a1b378be1d0727cba"),
+    ("h1 class11_fuchs --depth 12", "0691269b5037db2c4a3c7cf7121926748392d8253e4a0d79edbaa78f0f194cf4"),
+    ("h1 approx_g --depth 12", "63e5e3c5cba3fd77217d79068a80e1ae5801dfb0dcb8f516d91f845d57710030"),
+    ("simulate class35_1a --depth 14 --steps 8", "22ab56a6c0dc7f4090a195c48b66a8b7801d8a535417b9a31cb450008ac9537a"),
+    ("simulate class11_fuchs --depth 12 --steps 8", "537bb16c375ac5c2eb889a50208235fc2aba162ce1d7527bc7bcd2133bb89305"),
+    ("coinv class11_fuchs --depth 6", "62bc544fa8afef423478ae873e21ce8ae7683d41d9f02dbc67afa8409897e264"),
+    ("coinv approx_g --depth 6", "9b6b14a144c6ff1a4be085b25862a3787b59fc680fb2b9641683ed080fb5b7ad"),
+]
+
+
+@pytest.mark.parametrize("command, digest", TOWER_DIGESTS, ids=[c for c, _ in TOWER_DIGESTS])
+def test_tower_verbs_output_is_pinned(grp, capsys, command, digest):
+    verb, name, *rest = command.split()
+    code, out = run(capsys, verb, grp(name, TOWER_TEXTS.get(name)), *rest)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # the full report of `rigid --levels 3 --verify`

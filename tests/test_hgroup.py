@@ -14,6 +14,7 @@ from zodom.hgroup import (
     _member,
     apply_matrix,
     canonicalize,
+    difference,
     direct_sum,
     equal_h,
     is_free,
@@ -29,8 +30,11 @@ from zodom.linalg import (
     Lattice,
     Mat,
     Supernatural,
+    annihilator,
     clear_denominators,
     index,
+    integer_kernel,
+    lattice_sum,
     subspace_basis,
     valuation,
 )
@@ -178,6 +182,67 @@ def test_equal_is_equivalence_on_presentation_variants():
     c = parse_group("oplus(Z[1/2], Z) + oplus(Z, Z[1/3])")
     assert equal_h(a, b) and equal_h(b, c) and equal_h(a, c)
     assert equal_h(b, a) and equal_h(c, b)
+
+
+@st.composite
+def local_groups(draw, d):
+    """Groups, free or not, from random local data at up to three of the
+    primes 2, 3, 5, 7: divisible directions and lattice generators of
+    denominator p^0..p^3."""
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    data = {}
+    for p in draw(st.lists(st.sampled_from([2, 3, 5, 7]), max_size=3, unique=True)):
+        div = draw(st.lists(vec, max_size=d))
+        lat = [
+            tuple(F(x, p ** draw(st.integers(0, 3))) for x in draw(vec))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        data[p] = (lat, div)
+    return HGroup.from_local_data(d, data)
+
+
+def test_equal_matches_identity_witness_test():
+    # H' is H re-presented with one more local generator at some prime,
+    # equal to H iff that generator already lies in M_p, or a fresh group
+    answers = []
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=500, deadline=None)
+    def check(d, data):
+        h = data.draw(local_groups(d))
+        if data.draw(st.booleans()):
+            hp = data.draw(local_groups(d))
+        else:
+            p = data.draw(st.sampled_from([*h.support(), 2, 3]))
+            v = tuple(F(x, p ** data.draw(st.integers(0, 2))) for x in data.draw(
+                st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+            local = h.local_data()
+            lat, div = local.get(p, ([], []))
+            local[p] = (lat, div + [v]) if data.draw(st.booleans()) else (lat + [v], div)
+            hp = HGroup.from_local_data(d, local)
+        if data.draw(st.booleans()):
+            h, hp = hp, h
+        answer = equal_h(h, hp)
+        assert answer == equal_h(hp, h) == maps_onto(Mat.identity(d), h, hp)
+        answers.append(answer)
+
+    check()
+    assert answers.count(True) >= 50 and answers.count(False) >= 50
+
+
+def test_difference_texts():
+    a, b = parse_group(Z2_3), parse_group("oplus(Z[1/3], Z[1/2])")
+    assert difference(a, a) is None
+    assert difference(a, b) == "divisible subspace at p=2 is ((1, 0),) vs ((0, 1),)"
+    assert difference(a, parse_group("oplus(Z[1/2], Z)")) == "support differs at p=3"
+    assert difference(parse_group("oplus(Z[1/2], Z)"), a) == "support differs at p=3"
+    fuchs = parse_group(FUCHS)
+    assert difference(fuchs, parse_group(Z2_3 + " + gen(1/5, 2/5)")) == (
+        "lattice generator ('1/5', '1/5') at p=5 not in the other group"
+    )
+    assert difference(fuchs, parse_group(Z2_3 + " + gen(1/5, 0) + gen(0, 1/5)")) == (
+        "lattice generator ('1/5', '0') at p=5 not in the first group"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +578,57 @@ def test_tower_levels_capture_membership():
         denom_lcm = (v[0].denominator * v[1].denominator)
         if member_h(v, h) and denom_lcm <= 30:  # 30 | 6! guarantees capture by depth 6
             assert any(lvl.member(v) for lvl in t.levels)
+
+
+def _tower_reference(h, depth):
+    """The Fraction tower: at each support prime p | n!, with p^k the p-part
+    of n!, L(p) plus p^-m times a saturated basis of V_p (m = max(k, v_p of
+    L(p)'s denominator)) cut down to p^-k Z^d, the intersection read as the
+    dual of the sum of the duals; then the sum with Z^d over all p."""
+    d = h.d
+    zd = Lattice.standard(d)
+    levels = []
+    for n in range(1, depth + 1):
+        fact = factorial(n)
+        parts = [zd]
+        for e in h.entries:
+            k = valuation(fact, e.p)
+            if k == 0:
+                continue
+            cols = list(e.lattice.basis_columns())
+            if e.r > 0:
+                m = max(k, valuation(e.lattice.den, e.p))
+                ann = annihilator(e.vspan, d)
+                sat = integer_kernel(ann) if ann else [[int(i == j) for i in range(d)] for j in range(d)]
+                cols += [tuple(F(x, e.p**m) for x in w) for w in sat]
+            box = Lattice.from_span(d, [tuple(F(int(i == j), e.p**k) for i in range(d)) for j in range(d)])
+            parts.append(lattice_sum(Lattice.from_span(d, cols).dual(), box.dual()).dual())
+        levels.append(lattice_sum(*parts))
+    return tuple(levels), tuple(l.dual() for l in levels)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "oplus(Z[1/6])",  # rank d: no rows, so Lambda_p is Z^d
+        "oplus(Z[1/6], Z[1/6]) + gen(1/5, 0) + gen(0, 1/5)",
+        "oplus(Z[1/3], Z[1/21])",
+        "oplus(Z[1/2], Z[1/3]) + gen(1/4, 1/4)",
+        *GALLERY,
+    ],
+)
+def test_tower_matches_fraction_reference(text):
+    h = parse_group(text)
+    t = tower(h, 9)
+    assert (t.levels, t.duals) == _tower_reference(h, 9)
+
+
+@given(st.integers(1, 3), st.integers(1, 9), st.data())
+@settings(max_examples=300, deadline=None)
+def test_tower_matches_fraction_reference_random(d, depth, data):
+    h = data.draw(local_groups(d))
+    t = tower(h, depth)
+    assert (t.levels, t.duals) == _tower_reference(h, depth)
 
 
 # ---------------------------------------------------------------------------
