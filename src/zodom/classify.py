@@ -8,26 +8,26 @@ Decision strategy, in order:
   rank-0 primes; line-arrangement consistency) -- mismatches yield NO with
   a checkable certificate;
 * for zero-line groups (every support prime has divisibility rank 0 or d),
-  continuous orbit equivalence is decided in any d by a constructed
-  witness: alpha maps Z^d + sum of the rank-0 lattices L(p) of H onto that
-  of H', so YES holds exactly when the profiles agree;
+  both relations are decided in any d by a constructed witness: alpha maps
+  Z^d + sum of the rank-0 lattices L(p) of H onto that of H' (for
+  isomorphism through the Smith forms of the two), so YES holds exactly
+  when the profiles agree;
 * for d = 2 with at least two distinct divisible lines, the line constraints
   determine candidate matrices up to signs (isomorphism) or signs plus a
   per-prime valuation system (continuous orbit equivalence); the finitely
   many candidates are tested exactly, so YES and NO are both complete;
-* otherwise (d = 2: isomorphism of zero-line groups whose profiles agree,
-  and both relations on one-line groups) a bounded search over
+* otherwise (d = 2, both relations on one-line groups) a bounded search over
   alpha = (1/q) [[a, b], [c, e]] with entries at most ``bound`` and
   det alpha = +-1: q = 1 for isomorphism, q = 1..bound for continuous orbit
   equivalence under a budget of COE_BUDGET triples (a, b, c), each matrix
   tested once, at its smallest q.  It returns the first witness in scan
   order, and UNKNOWN on exhaustion with a certificate stating the coverage
   reached.  With ``all_witnesses`` the search also enumerates the
-  zero-line COE witnesses, and the constructed one replaces its UNKNOWN.
+  zero-line witnesses, and the constructed one replaces its UNKNOWN.
 
 Isomorphism and continuous orbit equivalence share these steps; they
-differ in the per-prime profile compared, the zero-line tier (COE only),
-the line-tier scales and admissibility test, and the denominators searched.
+differ in the per-prime profile compared, the zero-line witness, the
+line-tier scales and admissibility test, and the denominators searched.
 
 YES verdicts are sound in every dimension (sufficiency holds for all d);
 NO verdicts for d >= 3 carry a flag because necessity of the criteria is
@@ -39,10 +39,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .hgroup import HGroup, difference, equal_h, is_free, maps_onto, superindex
-from .linalg import INF, Lattice, Mat, factorint, lattice_sum, snf, valuation
+from .linalg import INF, Lattice, Mat, clear_denominators, factorint, lattice_sum, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
@@ -87,23 +87,11 @@ def _require_free(*groups):
 
 
 def _entry_profile(e):
-    """(divisibility rank, valuation of the lattice part modulo the divisible
-    subspace).  Both components are invariant under unimodular integral
-    changes of H; under rational determinant +-1 changes only the rank and,
-    at rank-0 primes, the valuation survive (divisible directions absorb
-    scalings elsewhere)."""
-    d = e.d
-    if e.r == 0:
-        return (0, e.index_valuation())
-    if e.r == d:
-        return (d, 0)
-    zd = Lattice.standard(d)
-    # Z^d + (L n V): the last r adapted-basis columns span L n V
-    mixed = Lattice.from_span(
-        d, list(zd.basis_columns()) + [e.basis.col(j) for j in range(d - e.r, d)]
-    )
-    absorbed = valuation(mixed.den**d // prod(mixed.diagonal()), e.p)
-    return (e.r, e.index_valuation() - absorbed)
+    """(divisibility rank, v_p[L(p) : Z^d + L(p) n V_p]).  Both components
+    are invariant under unimodular integral changes of H; under rational
+    determinant +-1 changes only the rank and, at rank-0 primes, the
+    valuation survive (divisible directions absorb scalings elsewhere)."""
+    return (e.r, e.index_valuation())
 
 
 def _profiles(h: HGroup):
@@ -267,9 +255,7 @@ def decide_isomorphism(
             wits = (Mat([[1]]), Mat([[-1]])) if all_witnesses else ()
             return Verdict(ISO, YES, witness=Mat([[1]]), witnesses=wits)
         return Verdict(ISO, NO, certificate=_superindex_mismatch(h, hp))
-    return _witness_search(
-        ISO, h, hp, _iso_profile_ok, None, _iso_line_tier, bound, all_witnesses
-    )
+    return _witness_search(ISO, h, hp, _iso_profile_ok, _iso_line_tier, bound, all_witnesses)
 
 
 def decide_coe(
@@ -291,9 +277,7 @@ def decide_coe(
         if equal_h(h, hp):
             return Verdict(COE, YES, witness=Mat([[1]]))
         return Verdict(COE, NO, certificate=_superindex_mismatch(h, hp))
-    return _witness_search(
-        COE, h, hp, _coe_profile_ok, _coe_zero_line_tier, _coe_line_tier, bound, all_witnesses
-    )
+    return _witness_search(COE, h, hp, _coe_profile_ok, _coe_line_tier, bound, all_witnesses)
 
 
 def _superindex_mismatch(h, hp):
@@ -302,18 +286,16 @@ def _superindex_mismatch(h, hp):
     return None if sa == sb else Certificate("superindex", f"{sa} vs {sb}")
 
 
-def _witness_search(
-    relation, h, hp, profile_cert, zero_line_tier, line_tier, bound, all_witnesses
-):
+def _witness_search(relation, h, hp, profile_cert, line_tier, bound, all_witnesses):
     """The d >= 2 steps shared by isomorphism and COE: invariants, the
-    zero-line tier (``None`` for a relation without one; the tier returns
-    None where it leaves the pair to the later steps), then for d = 2 the
-    line tier (two distinct divisible lines) or the bounded search."""
+    zero-line tier (it returns None where it leaves the pair to the later
+    steps), then for d = 2 the line tier (two distinct divisible lines) or
+    the bounded search."""
     cert = _superindex_mismatch(h, hp) or profile_cert(h, hp)
     if cert is not None:
         return Verdict(relation, NO, certificate=cert)
-    if zero_line_tier is not None and all(e.r in (0, h.d) for e in h.entries):
-        verdict = zero_line_tier(h, hp, bound, all_witnesses)
+    if all(e.r in (0, h.d) for e in h.entries):
+        verdict = _zero_line_tier(relation, h, hp, bound, all_witnesses)
         if verdict is not None:
             return verdict
     if h.d >= 3:
@@ -393,32 +375,48 @@ def _rank_zero_sum(h):
     return lattice_sum(Lattice.standard(h.d), *lats).basis()
 
 
-def _coe_zero_line_tier(h, hp, bound, all_witnesses):
-    """alpha = B(M') B(M)^-1 for M = Z^d + sum of the rank-0 L(p) of H and
-    M' likewise from H'; called once the profiles agree and H (so H') is
-    zero-line.
+def _smith_frame(b: Mat) -> Mat:
+    """V of the Smith form U B^-1 V = S of the integral matrix B^-1: then
+    M = B Z^d = V S^-1 Z^d, since B = V S^-1 U and U is unimodular."""
+    _, _, v = snf(clear_denominators(b.inv().rows)[1])
+    return Mat(v)
+
+
+def _zero_line_tier(relation, h, hp, bound, all_witnesses):
+    """A constructed witness alpha mapping M = Z^d + sum of the rank-0 L(p)
+    of H onto M' likewise from H'; called once the profiles agree and H (so
+    H') is zero-line.
 
     Proof sketch (any d): M (x) Z_p is L(p) at rank-0 primes and Z_p^d at
-    every other prime, and alpha maps M onto M', so alpha L(p) = L'(p) at
-    every prime; rank-d primes allow everything, hence alpha H = H'.  Also
-    det alpha = det B(M') / det B(M) = prod p^(v_p - v'_p) over the rank-0
-    primes, which is 1 exactly when the COE profiles agree.  So alpha meets
-    the COE criterion (alpha H = H' with det alpha = +-1; Giordano-Putnam-
-    Skau, arXiv 1709.08585), and for zero-line groups COE is YES exactly
-    when the profiles agree.
+    every other prime, so alpha M = M' gives alpha L(p) = L'(p) at every
+    prime; rank-d primes allow everything, hence alpha H = H'.
+
+    For COE, alpha = B(M') B(M)^-1, and det alpha = det B(M') / det B(M) =
+    prod p^(v_p - v'_p) over the rank-0 primes, which is 1 exactly when the
+    COE profiles agree.  So alpha meets the COE criterion (alpha H = H' with
+    det alpha = +-1; Giordano-Putnam-Skau, arXiv 1709.08585).
+
+    For isomorphism, alpha = V' V^-1 from ``_smith_frame``, which lies in
+    GL_d(Z) and maps M = V S^-1 Z^d onto V' S'^-1 Z^d = M' when S = S'.  The
+    diagonal of S lists the elementary divisors of M / Z^d, the sum of the
+    L(p) / Z^d, which ``_iso_profile_ok`` has compared prime by prime (by
+    the valuation alone where it is at most 1).  So
+    for zero-line groups both relations are YES exactly when the profiles
+    agree.
 
     With ``all_witnesses`` (d = 2) the bounded search enumerates, and alpha
     replaces only its UNKNOWN.  A witness that fails the check (which the
     proof excludes) returns None, so the later steps decide and no YES is
     unverified."""
-    alpha = _rank_zero_sum(hp) * _rank_zero_sum(h).inv()
+    b, bp = _rank_zero_sum(h), _rank_zero_sum(hp)
+    alpha = bp * b.inv() if relation == COE else _smith_frame(bp) * _smith_frame(b).inv()
     if not maps_onto(alpha, h, hp):
         return None
     if all_witnesses and h.d == 2:
-        verdict = _bounded_search(COE, h, hp, bound, all_witnesses)
+        verdict = _bounded_search(relation, h, hp, bound, all_witnesses)
         if verdict.answer != UNKNOWN:
             return verdict
-    return Verdict(COE, YES, witness=alpha, witnesses=(alpha,) if all_witnesses else ())
+    return Verdict(relation, YES, witness=alpha, witnesses=(alpha,) if all_witnesses else ())
 
 
 def _coord_min_vals(frame_inv: Mat, h: HGroup, p: int):

@@ -3,27 +3,27 @@
 A group in the representable class is described by finite *local* data: for
 each prime p in a finite support, a module
 
-    M_p = B_p (Zp^{d-r} + Qp^r)
+    M_p = L(p) (x) Zp + V_p (x) Qp
 
-given by an adapted basis ``B_p`` whose last ``r`` columns span the divisible
-subspace V_p and whose d columns generate a lattice L(p) with Z^d <= L(p) of
-p-power index.  The group is H = {v in Q^d : v in M_p for every p}, and a
-rational vector lies in M_p iff the first d-r coordinates of B_p^-1 v are
-p-integral.
+given by a lattice L(p) with Z^d <= L(p) of p-power index, a divisible
+subspace V_p of rank r, and the integer rows ``LocalEntry._rows``, a
+Z-basis of L(p)* n V_p^perp: a rational vector v lies in M_p iff f . v is
+p-integral for every row f.  The group is H = {v in Q^d : v in M_p for
+every p}.  L(p) is stored in a canonical form that depends on M_p alone, so
+two presentations of one group compare equal.
 
 This local data is the only presentation: parsing, membership, equality,
 superindex, the approximating tower and every decider read it.
 
-Membership, equality, the witness test alpha.H = H' and the tower run in
-integers on the rows ``LocalEntry._rows``.  A vector is num / den with
-integer num; it lies in M_p iff row . num = 0 mod p^k for every row (p^k the
-p-part of den), and in H iff that holds at every support prime and no other
-prime divides den.  Equality tests the integer HNF columns of each L(p) over
-its denominator that way, and each tower level is Z^d plus, at each support
-prime, p^-k times the integer solutions of row . x = 0 mod p^k.  alpha is
-held as den plus integer rows, +-alpha^-1 as |det| plus den * adj from the
-adjugate, and an image of a divisible direction lies in V'_p iff it pairs to
-zero with the integer annihilator rows ``LocalEntry._ann`` of V'_p.
+Membership, the witness test alpha.H = H' and the tower run in integers on
+the rows.  A vector is num / den with integer num; it lies in M_p iff
+row . num = 0 mod p^k for every row (p^k the p-part of den), and in H iff
+that holds at every support prime and no other prime divides den.  Each
+tower level is Z^d plus, at each support prime, p^-k times the integer
+solutions of row . x = 0 mod p^k.  alpha is held as den plus integer rows,
++-alpha^-1 as |det| plus den * adj from the adjugate, and an image of a
+divisible direction lies in V'_p iff it pairs to zero with the rows of H'
+at p.
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ from .linalg import (
     Supernatural,
     _canonical,
     adjugate,
-    annihilator,
     clear_denominators,
-    complete_to_basis,
     denominator_primes,
     factorint,
     integer_kernel,
     is_prime,
     p_primary_over_standard,
+    snf,
     subspace_basis,
     valuation,
 )
@@ -59,32 +58,50 @@ class NotSupergroupError(ValueError):
 
 
 class LocalEntry:
-    """Local data of H at one prime: adapted basis, divisibility rank, caches.
+    """Local data of H at one prime p: the lattice L(p), the divisible
+    subspace V_p of rank r, and the integer rows ``_rows``, a Z-basis of
+    L(p)* n V_p^perp.
 
-    ``_rows`` holds the first d-r rows of B_p^-1 = den * adj(A) / det for
-    B_p = A / den; they are integers, since B_p is a basis of L(p) and
-    Z^d <= L(p).  ``_ann`` holds the integer rows annihilating V_p: all of
-    Z^d's unit rows at rank 0, none at rank d.
+    Proof sketch for the rows: M_p = L(p) (x) Zp + V_p (x) Qp is cut out by
+    the functionals that vanish on V_p and are integral on L(p), so v lies
+    in M_p iff f . v is p-integral for every row f.  With D the integer HNF
+    of L(p)* (integral exactly when Z^d <= L(p)), the rows are D . x for x
+    in the integer kernel of vspan . D, which is saturated, so they are a
+    basis: all of D at rank 0, none at rank d.  They span V_p^perp over Q.
+
+    L(p) is stored canonically as p^-k Lambda_p, with p^k the largest
+    invariant factor of the rows and Lambda_p = {x in Z^d : _rows . x = 0
+    mod p^k} (see ``_congruence_lattice``).  That is (L(p) + V_p) n p^-k Z^d:
+    p^k kills the image of L(p) in Q^d / V_p modulo that of Z^d, so both
+    lattices have the same image there, hence the same rows and the same
+    M_p, and the stored one depends on M_p alone.  At rank 0 it is L(p).
     """
 
-    __slots__ = ("p", "basis", "r", "lattice", "vspan", "_rows", "_ann")
+    __slots__ = ("p", "r", "lattice", "vspan", "_rows", "_index_valuation")
 
-    def __init__(self, p, basis, r, lattice, vspan):
+    def __init__(self, p, lattice, vspan):
+        d = lattice.d
+        dual = lattice.dual()
+        if dual.den != 1:
+            raise NotSupergroupError(f"lattice at {p} does not contain Z^{d}")
+        rows = list(zip(*dual.mat))
+        if vspan:
+            kernel = integer_kernel([[sum(map(mul, w, f)) for f in rows] for w in vspan])
+            rows = [tuple(sum(map(mul, row, x)) for row in dual.mat) for x in kernel]
+        _, s, _ = snf(rows)
+        invariants = [s[i][i] for i in range(len(rows))]
+        pk = invariants[-1] if invariants else 1
         self.p = p
-        self.basis = basis
-        self.r = r
-        self.lattice = lattice
+        self.r = len(vspan)
         self.vspan = vspan
-        den, ints = clear_denominators(basis.rows)
-        det, adj = adjugate(ints)
-        if any(den * x % det for row in adj for x in row):
-            raise NotSupergroupError(f"lattice at {p} does not contain Z^{basis.d}")
-        self._rows = tuple(tuple(den * x // det for x in row) for row in adj[: basis.d - r])
-        self._ann = annihilator(vspan, basis.d)
+        self._rows = tuple(rows)
+        self._index_valuation = valuation(prod(invariants), p)
+        lam = _congruence_lattice(self._rows, pk, d)
+        self.lattice = Lattice._raw(*_canonical(d, pk, [list(r) for r in zip(*lam)]))
 
     @property
     def d(self):
-        return self.basis.d
+        return self.lattice.d
 
     def member_local(self, v) -> bool:
         """v in M_p.  With v = num / den and p^k the p-part of den, v lies in
@@ -93,10 +110,17 @@ class LocalEntry:
         return _member((self,), self.p ** valuation(den, self.p), num)
 
     def index_valuation(self) -> int:
-        """v_p of the lattice-part index [L(p) : Z^d] = den^d / (product of
-        the HNF diagonal)."""
-        lat = self.lattice
-        return valuation(lat.den**self.d // prod(lat.diagonal()), self.p)
+        """v_p[L(p) : Z^d + L(p) n V_p], which is v_p[L(p) : Z^d] at rank 0
+        and 0 at rank d; read once, in ``__init__``, as v_p of the product
+        of the invariant factors of ``_rows``.
+
+        Proof: with pi : Q^d -> Q^d / V_p, whose kernel meets L in L n V,
+        [L : Z^d + L n V] = [pi L : pi Z^d] = [Z^d n V^perp : L* n V^perp],
+        the last by duality in V^perp = (Q^d / V)*.  Z^d n V^perp is
+        saturated, so this index is the gcd of the maximal minors of any
+        basis of L* n V^perp, the product of its invariant factors.
+        """
+        return self._index_valuation
 
     def __eq__(self, other):
         return (
@@ -112,29 +136,29 @@ class LocalEntry:
         return f"LocalEntry(p={self.p}, r={self.r}, lattice={self.lattice!r}, vspan={self.vspan!r})"
 
 
+def _congruence_lattice(rows, pk: int, d: int):
+    """Basis columns of {x in Z^d : rows . x = 0 mod pk}: the first d
+    coordinates of the integer kernel of [rows | pk I], and Z^d when there
+    are no rows."""
+    if not rows:
+        return [[int(i == j) for i in range(d)] for j in range(d)]
+    m = len(rows)
+    ext = [[*row, *(pk * (i == j) for j in range(m))] for i, row in enumerate(rows)]
+    return [c[:d] for c in integer_kernel(ext)]
+
+
 def _make_entry(d: int, p: int, lattice_gens, divisible_gens):
     """Canonical LocalEntry from raw generators at p, or None if trivial."""
     if not is_prime(p):
         raise ValueError(f"support key {p} is not prime")
     vspan = subspace_basis(list(divisible_gens), d)
-    r = len(vspan)
     zd = Lattice.standard(d)
     gens = [tuple(Fraction(x) for x in g) for g in lattice_gens]
     lat = Lattice.from_span(d, list(zd.basis_columns()) + gens) if gens else zd
     lat = p_primary_over_standard(lat, p)
-    if r == 0 and lat == zd:
+    if not vspan and lat == zd:
         return None
-    blat = lat.basis()
-    if 0 < r < d:
-        # adapted basis: complete a basis of L(p) so the last r columns span
-        # L(p) n V_p; the kernel is computed in L(p)-coordinates, where it is
-        # the integer kernel of ann . mat (a multiple of ann . B_L).
-        ann = annihilator(vspan, d)
-        prod = [[sum(a[i] * lat.mat[i][j] for i in range(d)) for j in range(d)] for a in ann]
-        basis = blat * complete_to_basis(integer_kernel(prod), d)
-    else:
-        basis = blat
-    return LocalEntry(p, basis, r, lat, vspan)
+    return LocalEntry(p, lat, vspan)
 
 
 class HGroup:
@@ -177,7 +201,7 @@ class HGroup:
         }
 
     def __eq__(self, other):
-        # syntactic equality of canonical data; semantic equality is equal_h
+        # the local data are canonical, so this is H = H'
         return (
             isinstance(other, HGroup)
             and self.d == other.d
@@ -221,10 +245,11 @@ def _member(entries, den: int, num) -> bool:
     """Whether num / den (integers, den > 0) lies in M_p for every entry and
     in Z[1/S]^d, S the entries' primes; for all of H's entries that is H.
 
-    Once gcd(den, num) is divided out, let p^k be the p-part of den.  The
-    first d-r coordinates of B_p^-1 num / den are (_rows . num) / den, and
-    den / p^k is a unit at p, so num / den is in M_p iff row . num = 0 mod
-    p^k for every row.  Any prime of den left over lies outside the support.
+    Once gcd(den, num) is divided out, let p^k be the p-part of den.  A
+    vector v lies in M_p iff row . v is p-integral for every row of
+    ``_rows``, and den / p^k is a unit at p, so num / den is in M_p iff
+    row . num = 0 mod p^k for every row.  Any prime of den left over lies
+    outside the support.
 
     >>> h = HGroup.from_local_data(2, {5: ([(Fraction(1, 5), Fraction(1, 5))], [])})
     >>> _member(h.entries, 5, [1, 1]), _member(h.entries, 5, [1, 0])
@@ -287,7 +312,7 @@ def difference(h1: HGroup, h2: HGroup):
 
 def equal_h(h1: HGroup, h2: HGroup) -> bool:
     """H = H' (groups of different d are not equal)."""
-    return h1.d == h2.d and difference(h1, h2) is None
+    return h1 == h2
 
 
 def maps_into(den: int, rows, h: HGroup, hp: HGroup) -> bool:
@@ -302,16 +327,16 @@ def maps_into(den: int, rows, h: HGroup, hp: HGroup) -> bool:
     p whose V'_p holds a.w; at any other prime p^-k is a unit.  The basis
     vectors w are integral, so a.w lies in H' once the columns of a do, and
     only a.w in V'_p is tested for them: rows . w must pair to zero with
-    every row of _ann.  The lattice columns c / den_L of L(p) map to
-    (rows . c) / (den * den_L).  The divisible directions and the lattice
-    columns are tested before the unit columns, which pass for every
-    integer a.
+    every row of ``_rows`` of H' at p, since those span V'_p^perp.  The
+    lattice columns c / den_L of L(p) map to (rows . c) / (den * den_L).
+    The divisible directions and the lattice columns are tested before the
+    unit columns, which pass for every integer a.
     """
     for e in h.entries:
         ep = hp.entry(e.p)
         for w in e.vspan:
             image = [sum(map(mul, row, w)) for row in rows]
-            if ep is None or any(sum(map(mul, f, image)) for f in ep._ann):
+            if ep is None or any(sum(map(mul, f, image)) for f in ep._rows):
                 return False
     for e in h.entries:
         lden = den * e.lattice.den
@@ -396,9 +421,8 @@ def tower(h: HGroup, depth: int) -> Tower:
     powers of p lies in H exactly when it lies in M_p, and x / p^k with x
     integral lies in M_p exactly when row . x = 0 mod p^k for every row of
     ``_rows``.  So H_n = Z^d + sum_p p^-k Lambda_p with Lambda_p = {x in Z^d :
-    _rows . x = 0 mod p^k}, the first d coordinates of the integer kernel of
-    [_rows | p^k I]; at rank d there are no rows and Lambda_p = Z^d, and a
-    prime outside the support adds nothing.  Each level is one canonical HNF
+    _rows . x = 0 mod p^k} from ``_congruence_lattice``, and a prime outside
+    the support adds nothing.  Each level is one canonical HNF
     over den = prod p^k.
     """
     if depth < 1:
@@ -413,9 +437,7 @@ def tower(h: HGroup, depth: int) -> Tower:
             pk = e.p ** valuation(fact, e.p)
             if pk == 1:
                 continue
-            m = len(e._rows)
-            rows = [[*row, *(pk * (i == j) for j in range(m))] for i, row in enumerate(e._rows)]
-            parts.append((pk, [c[:d] for c in integer_kernel(rows)] if rows else ident))
+            parts.append((pk, _congruence_lattice(e._rows, pk, d)))
         den = prod(pk for pk, _ in parts)
         cols = [[den * x for x in c] for c in ident]
         cols += [[den // pk * x for x in c] for pk, lam in parts for c in lam]

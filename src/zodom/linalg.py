@@ -709,41 +709,6 @@ def subspace_basis(vectors, d):
     return tuple(out)
 
 
-def annihilator(basis, d):
-    """Canonical basis of {f in Q^d : <f, v> = 0 for all v in the span}.
-
-    With the reduced rows scaled by the last pivot p, each free column f
-    gives the kernel vector with p at f and -row[f] at the row's pivot."""
-    _, ints = clear_denominators(basis)
-    a, pivots, _ = _gauss_jordan(ints)
-    p = a[0][pivots[0]] if pivots else 1
-    out = []
-    for f in range(d):
-        if f not in pivots:
-            w = [0] * d
-            w[f] = p
-            for row, c in zip(a, pivots):
-                w[c] = -row[f]
-            out.append(w)
-    return subspace_basis(out, d)
-
-
-def complete_to_basis(kernel_cols, d):
-    """Unimodular integer matrix whose last r columns span the given saturated rank-r sublattice."""
-    r = len(kernel_cols)
-    if r == 0:
-        return Mat.identity(d)
-    rows = [[kernel_cols[j][i] for j in range(r)] for i in range(d)]
-    u, s, _ = snf(rows)
-    for i in range(r):
-        if abs(s[i][i]) != 1:
-            raise ValueError("kernel columns are not saturated")
-    uinv = Mat(u).inv()
-    cols = uinv.columns()
-    ordered = cols[r:] + cols[:r]
-    return Mat.from_columns(ordered)
-
-
 # ---------------------------------------------------------------------------
 # supernatural numbers
 

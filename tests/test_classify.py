@@ -366,21 +366,17 @@ def test_d3_zero_line_coe_constructed():
 
 
 def test_unknown_on_search_exhaustion():
-    # every witness for this shear image has an entry of size >= 3, so the
-    # bounded search at bound 2 must exhaust and report so
+    # every witness for this shear image has an entry of size >= 3, but the
+    # group is zero-line, so neither relation needs the bounded search
     h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
     hp = apply_matrix(SHEAR_3, h)
     v = decide_isomorphism(h, hp, bound=2)
-    assert v.answer == "UNKNOWN"
-    assert str(v.certificate) == "search-exhausted: unimodular entries <= 2"
-    # zero-line: COE needs no search
+    assert v.answer == "YES"
+    assert v.witness.is_unimodular() and equal_h(apply_matrix(v.witness, h), hp)
     v = decide_coe(h, hp, bound=2)
     assert v.answer == "YES"
     assert abs(v.witness.det()) == 1 and equal_h(apply_matrix(v.witness, h), hp)
-    v2 = decide_isomorphism(h, hp, bound=3)
-    assert v2.answer == "YES"
-    assert equal_h(apply_matrix(v2.witness, h), hp)
-    # the same shear on a one-line group: COE exhausts the box too
+    # the same shear on a one-line group: both searches exhaust the box
     h = parse_group(ONE_LINE)
     hp = apply_matrix(SHEAR_3, h)
     v = decide_isomorphism(h, hp, bound=2)
@@ -518,12 +514,37 @@ def test_coe_zero_line_sound_and_complete(monkeypatch):
         done += 1
 
 
-def test_iso_never_no_on_zero_line_unimodular_images():
+def test_iso_never_no_on_zero_line_unimodular_images(monkeypatch):
+    # the Smith-form witness needs no search, at any bound
+    monkeypatch.setattr(classify, "_bounded_search", _no_search)
     rng = random.Random(65537)
     for _ in range(30):
         h = parse_group(rng.choice(ZERO_LINE_TEXTS))
         hp = apply_matrix(_random_unimodular(rng), h)
-        # the image's matrix has entries <= 3, so the search at bound 3 finds one
-        v = decide_isomorphism(h, hp, bound=3)
+        v = decide_isomorphism(h, hp, bound=1)
         assert v.answer == "YES", v.certificate
+        assert v.witness.is_unimodular() and equal_h(apply_matrix(v.witness, h), hp)
+
+
+ZERO_LINE_D3_TEXTS = [
+    "oplus(Z[1/6], Z[1/6], Z[1/6]) + gen(1/5, 0, 0) + gen(0, 1/5, 0)",
+    "oplus(Z[1/2], Z[1/2], Z[1/2]) + gen(1/9, 1/3, 0) + gen(0, 0, 1/5)",
+    "oplus(Z[1/10], Z[1/10], Z[1/10]) + gen(1/3, 2/3, 1/3) + gen(1/49, 0, 3/7)",
+]
+
+
+def test_iso_zero_line_d3_unimodular_images():
+    # in d = 3 there is no search: before the Smith-form witness these were
+    # UNKNOWN unless H = H'
+    rng = random.Random(4099)
+    for _ in range(30):
+        h = parse_group(rng.choice(ZERO_LINE_D3_TEXTS))
+        rows = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(4):
+            i, j = rng.sample(range(3), 2)
+            c = rng.choice([-2, -1, 1, 2])
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        hp = apply_matrix(Mat(rows), h)
+        v = decide_isomorphism(h, hp)
+        assert v.answer == "YES" and not v.flags, v.certificate
         assert v.witness.is_unimodular() and equal_h(apply_matrix(v.witness, h), hp)

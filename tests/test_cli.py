@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
@@ -39,9 +41,10 @@ def test_classify_exit_codes(grp, capsys):
     code, out = run(capsys, "classify", "--relation", "oe", a, b)
     assert code == 0
 
-    free2 = grp("free2", "oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
-    sheared = grp("sheared", "mat([1,0;3,1]) * oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
-    code, out = run(capsys, "classify", "--relation", "iso", "--bound", "2", free2, sheared)
+    # one divisible line: every witness has an entry of size >= 3
+    one_line = grp("one_line", "oplus(Z[1/2], Z[1/10]) + gen(1/9, 0)")
+    sheared = grp("sheared", "mat([1,0;3,1]) * oplus(Z[1/2], Z[1/10]) + gen(1/9, 0)")
+    code, out = run(capsys, "classify", "--relation", "iso", "--bound", "2", one_line, sheared)
     assert code == 2
     assert out.strip().splitlines()[-1] == "verdict=UNKNOWN"
 
@@ -162,7 +165,8 @@ def test_coinv_fuchs_at_depth_6(grp, capsys):
 
 
 # sha256 of the stdout of the tower verbs at the approximants benchmark's
-# depths; a rewrite of the tower must leave every byte unchanged
+# depths and of `canon`; a rewrite of the tower or of the local presentation
+# must leave every byte unchanged
 TOWER_TEXTS = {
     "approx_g": "oplus(Z[1/3], Z[1/2]) + gen(4/7, 1/7)",
     "quarter": "oplus(Z[1/2], Z[1/3]) + gen(1/4, 1/4)",
@@ -180,6 +184,19 @@ TOWER_DIGESTS = [
     ("simulate class11_fuchs --depth 12 --steps 8", "537bb16c375ac5c2eb889a50208235fc2aba162ce1d7527bc7bcd2133bb89305"),
     ("coinv class11_fuchs --depth 6", "62bc544fa8afef423478ae873e21ce8ae7683d41d9f02dbc67afa8409897e264"),
     ("coinv approx_g --depth 6", "9b6b14a144c6ff1a4be085b25862a3787b59fc680fb2b9641683ed080fb5b7ad"),
+    ("canon z2", "2f57242e6d8b7884852f944f23808fa5b2081694c8dee93e8d3bda7405f48769"),
+    ("canon class35_1a", "2157c38591a364317d8ec1ee913297e63c0c9584cc3fae2d37f1d2109f5f4beb"),
+    ("canon class35_1b", "c38f4fe276e3b903bf56fe25bf8853457c59a30a692918597351624742fd041c"),
+    ("canon class35_2a", "6af7995ab14dcbe93b373d35aef2e15ca4fa498c6c4eceb5748c29c9ed254483"),
+    ("canon class35_2b", "48ee653283515fbe360cdf96ae70e5733829253f87ce430ad57067112900558f"),
+    ("canon class35_3a", "f0805f98c75c61b17f76da51a0c561c9e982b9ddf83af48ddfe1081bc84abea6"),
+    ("canon class35_3b", "9c6111a3d43c9979e279314427cbe2f9f02f762e24c673795a3e2b89df92d192"),
+    ("canon class35_4a", "2157c38591a364317d8ec1ee913297e63c0c9584cc3fae2d37f1d2109f5f4beb"),
+    ("canon class35_4b", "7b22b585eb5ed8748d6feca4f9257dbfc5f9e1e69bd4a22c59b16c52f562d5ee"),
+    ("canon class11_fuchs", "4651eb4e84ef4428b66cd7c99f2bc7c22133216c142a79174fd4e15f01751995"),
+    ("canon class11_fuchs_swapped", "d84e6fbd1cd23509a9d6aa0438f97691bce3369937615fdf8dfe9ce5ba4f8cf6"),
+    ("canon approx_g", "f4a87ce0f3365cffd3fd44c2556638ee73a90792080c3656dc18bd1b1f8cf121"),
+    ("canon d3", "d4a4b303a4bdbf3e7e65e24933fa4bdbf9b371f0d97355564f055e873b8c9b55"),
 ]
 
 
@@ -189,6 +206,66 @@ def test_tower_verbs_output_is_pinned(grp, capsys, command, digest):
     code, out = run(capsys, verb, grp(name, TOWER_TEXTS.get(name)), *rest)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of exit code and stdout over all ordered pairs of the gallery and
+# tower groups, in the order of GALLERY_TEXTS then TOWER_TEXTS
+PAIR_DIGESTS = [
+    ("equal", "5293b7cf6b1536c38962cbfbd875801c65e7396e7a41846b6870cb302de06b32"),
+    ("classify --relation conj", "733b6e3001bfd943f101918d99c67cd58c85dda251801f8e0f9a6eb1cedd7eee"),
+    ("classify --relation coe", "0a9370d99c557cda7433e1aaaf7af55f1b610a0335b065f37cfecef6592ad0cb"),
+]
+
+
+@pytest.mark.parametrize("command, digest", PAIR_DIGESTS, ids=[c for c, _ in PAIR_DIGESTS])
+def test_pair_verbs_output_is_pinned(grp, capsys, command, digest):
+    paths = [grp(name, text) for name, text in {**GALLERY_TEXTS, **TOWER_TEXTS}.items()]
+    sha = hashlib.sha256()
+    for a, b in itertools.product(paths, repeat=2):
+        code, out = run(capsys, *command.split(), a, b)
+        sha.update(f"{code}\n{out}".encode())
+    assert sha.hexdigest() == digest
+
+
+def test_canon_of_noncanonical_lattices(grp, capsys):
+    # L(p) is printed in its canonical form, (L(p) + V_p) n p^-k Z^d: these
+    # printed the lattice as generated (mat([1/4,0;1/4,1]), mat([1/2,0;0,1])
+    # and mat([1/2,0;0,1])) before it was canonical
+    cases = [
+        ("quarter", TOWER_TEXTS["quarter"], "mat([1/4,0;0,1/4])"),
+        ("half", "oplus(Z[1/2], Z[1/3]) + gen(1/2, 0)", "mat([1,0;0,1])"),
+        ("full_half", "oplus(Z[1/2], Z[1/2]) + gen(1/2, 0)", "mat([1,0;0,1])"),
+    ]
+    outs = {}
+    for name, text, lattice in cases:
+        code, outs[name] = run(capsys, "canon", grp(name, text))
+        assert code == 0
+        assert f"local_2.lattice={lattice}" in outs[name].splitlines()
+    assert run(capsys, "canon", grp("class35_1a"))[1] == outs["half"]
+
+
+def test_canon_is_the_same_for_equal_groups(grp, capsys):
+    # one group written twice, the second time with extra generators
+    # c e_i / p^j for Z[1/n] components with p | n, which the group holds
+    rng = random.Random(4243)
+    for k in range(60):
+        d = rng.randint(1, 3)
+        comps = [rng.choice([1, 2, 3, 6, 10]) for _ in range(d)]
+        base = "oplus(" + ", ".join(f"Z[1/{n}]" if n > 1 else "Z" for n in comps) + ")"
+        for _ in range(rng.randint(0, 2)):
+            q = rng.choice([2, 3, 5])
+            nums = [rng.randint(0, q * q - 1) for _ in comps]
+            base += " + gen(" + ", ".join(f"{x}/{q * q}" for x in nums) + ")"
+        more = base
+        for i, n in enumerate(comps):
+            for p in (2, 3, 5):
+                if n % p == 0 and rng.random() < 0.7:
+                    c, pj = rng.randint(1, 5), p ** rng.randint(1, 3)
+                    coords = [f"{c}/{pj}" if j == i else "0" for j in range(d)]
+                    more += " + gen(" + ", ".join(coords) + ")"
+        a, b = grp(f"a{k}", base), grp(f"b{k}", more)
+        assert run(capsys, "equal", a, b)[1] == "equal=true\n"
+        assert run(capsys, "canon", a) == run(capsys, "canon", b), (base, more)
 
 
 # the full report of `rigid --levels 3 --verify`

@@ -18,8 +18,6 @@ from zodom.linalg import (
     SingularMatrixError,
     Supernatural,
     adjugate,
-    annihilator,
-    complete_to_basis,
     denominator_primes,
     factorint,
     hnf,
@@ -357,14 +355,6 @@ def test_integer_kernel_saturated():
 def test_subspace_helpers():
     basis = subspace_basis([(F(1, 2), F(1, 2))], 2)
     assert basis == ((1, 1),)
-    ann = annihilator(basis, 2)
-    assert ann == ((1, -1),) or ann == ((-1, 1),)
-
-
-def test_complete_to_basis():
-    u = complete_to_basis([[2, 3]], 2)
-    assert abs(u.det()) == 1 and u.is_integer()
-    assert u.col(1) in ((2, 3), (-2, -3))
 
 
 # ---------------------------------------------------------------------------
@@ -602,22 +592,6 @@ def _ref_subspace_basis(vectors, d):
     return tuple(out)
 
 
-def _ref_annihilator(basis, d):
-    if not basis:
-        return _ref_subspace_basis([[int(i == j) for j in range(d)] for i in range(d)], d)
-    rows = _ref_rref(basis)
-    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in rows]
-    out = []
-    for f in range(d):
-        if f not in pivots:
-            w = [F(0)] * d
-            w[f] = F(1)
-            for row, pj in zip(rows, pivots):
-                w[pj] = -row[f]
-            out.append(tuple(w))
-    return _ref_subspace_basis(out, d)
-
-
 def _ref_solve(lattice, v):
     x = []
     v = [F(t) for t in v]
@@ -691,8 +665,6 @@ def test_subspace_functions_match_fraction_reference():
         vecs = _random_rows(rng, rng.randint(0, 4), d)
         basis = subspace_basis(vecs, d)
         assert basis == _ref_subspace_basis(vecs, d), vecs
-        assert annihilator(vecs, d) == _ref_annihilator(vecs, d), vecs
-        assert annihilator(basis, d) == _ref_annihilator(basis, d), vecs
 
 
 def test_lattice_member_contains_dual_match_fraction_reference():
