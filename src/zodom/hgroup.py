@@ -164,7 +164,7 @@ def _make_entry(d: int, p: int, lattice_gens, divisible_gens):
 class HGroup:
     """Local presentation of Z^d <= H <= Q^d; entries sorted by prime."""
 
-    __slots__ = ("d", "entries", "_by_prime")
+    __slots__ = ("d", "entries", "_by_prime", "_free")
 
     def __init__(self, d: int, entries):
         self.d = d
@@ -172,6 +172,7 @@ class HGroup:
         self._by_prime = {e.p: e for e in self.entries}
         if len(self._by_prime) != len(self.entries):
             raise ValueError("duplicate primes in support")
+        self._free = None  # is_free, filled on first use
 
     @classmethod
     def standard(cls, d: int) -> "HGroup":
@@ -373,9 +374,12 @@ def superindex(h: HGroup) -> Supernatural:
 
 
 def is_free(h: HGroup) -> bool:
-    """Free action iff the divisible subspaces together span Q^d (H dense)."""
-    vecs = [w for e in h.entries for w in e.vspan]
-    return len(subspace_basis(vecs, h.d)) == h.d
+    """Free action iff the divisible subspaces together span Q^d (H dense);
+    computed once per group."""
+    if h._free is None:
+        vecs = [w for e in h.entries for w in e.vspan]
+        h._free = len(subspace_basis(vecs, h.d)) == h.d
+    return h._free
 
 
 def apply_matrix(a: Mat, h: HGroup) -> HGroup:

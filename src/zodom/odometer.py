@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .hgroup import HGroup, Tower, direct_sum, member_h, tower
-from .linalg import Lattice, lattice_block, snf
+from .hgroup import HGroup, Tower, _congruence_lattice, direct_sum, tower
+from .linalg import Lattice, hnf, lattice_block, snf
 
 DUALITY_SAMPLES = 3  # random translations per duality_check and duality_square_check
 PRODUCT_SAMPLE_CAP = 512  # most point pairs of one level that product_check acts on
@@ -219,29 +219,67 @@ def spectrum(h: HGroup, height: int):
     """Rational eigenvalues h mod Z^d with coordinate denominators <= height,
     reduced to [0,1)^d and sorted lexicographically.
 
-    H <= Z[1/S]^d for the support S, so only denominators that are
-    products of support primes are enumerated."""
+    Proof sketch: Q^d/Z^d is the direct sum of its p-primary parts, and
+    each p-component of v is an integer multiple of v modulo Z^d, so with
+    Z^d <= H, v lies in H iff each of its p-components does.  A coordinate's
+    denominator is the product of its components' denominators, so each
+    component is within the height, and at p it is x / p^k with x integral
+    and p^k the largest power of p that is <= height.  Such a vector lies in
+    H iff _rows . x = 0 mod p^k, i.e. x lies in Lambda_p from
+    ``_congruence_lattice``; H <= Z[1/S]^d for the support S, and a prime
+    p > height has no component but 0.
+
+    Lambda_p contains p^k Z^d, so the diagonal b_j of its lower-triangular
+    HNF divides p^k, and sum t_j c_j over the columns c_j with t_j in
+    [0, p^k / b_j) reduced mod p^k gives each coset of Lambda_p / p^k Z^d
+    once: coordinate j of a difference is (t_j - t'_j) b_j mod p^k plus
+    terms of earlier columns.  The components are then summed prime by
+    prime, grouped by their tuples of coordinate denominators, and a pair
+    of groups is skipped once a coordinate's product exceeds the height.
+    Coordinates are held as integers u for u / den, den the product of the
+    p^k, so the sum is an integer sum mod den and integer order is the
+    order of the values."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    support = h.support()
-    line = [Fraction(0)]
-    for den in range(2, height + 1):
-        rest = den
-        for p in support:
-            while rest % p == 0:
-                rest //= p
-        if rest != 1:
+    d = h.d
+    primes = []  # (p^k, entry) for the support primes p <= height
+    for e in h.entries:
+        pk = e.p
+        if pk > height:
             continue
-        for num in range(1, den):
-            if gcd(num, den) == 1:
-                line.append(Fraction(num, den))
-    out = [
-        v
-        for v in itertools.product(sorted(line), repeat=h.d)
-        if member_h(v, h)
-    ]
-    out.sort()
-    return out
+        while pk * e.p <= height:
+            pk *= e.p
+        primes.append((pk, e))
+    den = prod(pk for pk, _ in primes)
+    partial = {(1,) * d: [(0,) * d]}  # denominator tuple -> numerators over den
+    for pk, e in primes:
+        basis = hnf([list(r) for r in zip(*_congruence_lattice(e._rows, pk, d))])
+        points = [[0] * d]
+        for j in range(d):
+            col = [row[j] for row in basis]
+            points = [
+                [(x + t * c) % pk for x, c in zip(pt, col)]
+                for pt in points
+                for t in range(pk // basis[j][j])
+            ]
+        scale = den // pk
+        parts = {}
+        for pt in points:
+            dens = tuple(pk // gcd(x, pk) for x in pt)
+            parts.setdefault(dens, []).append(tuple(x * scale for x in pt))
+        grown = {}
+        for dens_a, nums_a in partial.items():
+            for dens_b, nums_b in parts.items():
+                dens = tuple(a * b for a, b in zip(dens_a, dens_b))
+                if max(dens) > height:
+                    continue
+                grown.setdefault(dens, []).extend(
+                    tuple((x + y) % den for x, y in zip(u, v)) for u in nums_a for v in nums_b
+                )
+        partial = grown
+    out = sorted(v for nums in partial.values() for v in nums)
+    value = {x: Fraction(x, den) for x in {x for v in out for x in v}}
+    return [tuple(map(value.__getitem__, v)) for v in out]
 
 
 # ---------------------------------------------------------------------------

@@ -164,14 +164,16 @@ def test_coinv_fuchs_at_depth_6(grp, capsys):
     assert out == "coinvariants=2^inf*3^inf*5^1\nverified_levels=6\n"
 
 
-# sha256 of the stdout of the tower verbs at the approximants benchmark's
-# depths and of `canon`; a rewrite of the tower or of the local presentation
-# must leave every byte unchanged
+# sha256 of the stdout of the tower verbs and `spectrum` at the approximants
+# benchmark's depths and heights and of `canon`; a rewrite of the tower, the
+# spectrum or the local presentation must leave every byte unchanged
 TOWER_TEXTS = {
     "approx_g": "oplus(Z[1/3], Z[1/2]) + gen(4/7, 1/7)",
     "quarter": "oplus(Z[1/2], Z[1/3]) + gen(1/4, 1/4)",
     "d3": "oplus(Z[1/2], Z[1/3], Z[1/6]) + gen(1/5, 2/5, 0)",
 }
+# pinned in TOWER_DIGESTS only: the pairwise digests below run over TOWER_TEXTS
+DENSE_TEXT = "oplus(Z[1/6], Z[1/6]) + gen(1/5, 0) + gen(0, 1/5)"
 TOWER_DIGESTS = [
     ("tower class11_fuchs --depth 12", "7d5218b169fee3bcd999cc1fcecc0ef3112a0e03d537142275913321f6250a4a"),
     ("tower approx_g --depth 12", "faa24c3a0613bf34e01ba555af3dcdfc575d2f6d13ac93eaf7d7657f20259725"),
@@ -197,13 +199,19 @@ TOWER_DIGESTS = [
     ("canon class11_fuchs_swapped", "d84e6fbd1cd23509a9d6aa0438f97691bce3369937615fdf8dfe9ce5ba4f8cf6"),
     ("canon approx_g", "f4a87ce0f3365cffd3fd44c2556638ee73a90792080c3656dc18bd1b1f8cf121"),
     ("canon d3", "d4a4b303a4bdbf3e7e65e24933fa4bdbf9b371f0d97355564f055e873b8c9b55"),
+    ("spectrum approx_g --height 24", "66b10589084f985902e187bf4b9c6c8956167146cc69c53fe0891f489794cd1f"),
+    ("spectrum quarter --height 24", "3b46b72247df49f5ef701585064b456d5dcb60b59e79cd720e60dda2440056f1"),
+    ("spectrum class11_fuchs --height 24", "46c926331d35b6d96e066e8324e8dac43414a871d04cb5245d1cbc985a418d8d"),
+    ("spectrum class35_4b --height 24", "84c788814e34ab38ed4de60def26cba807d0e5ab7836442c666d64f09635a519"),
+    ("spectrum d3 --height 10", "15ff74433f6b4171347bbc3501480072ecb12c13d6387f09bc1484a43e83b517"),
+    ("spectrum dense --height 24", "271d9ac89ffc0f1db9511e4ae362a679371ba1ea7a83ff6a3f4cf5b47c1729e2"),
 ]
 
 
 @pytest.mark.parametrize("command, digest", TOWER_DIGESTS, ids=[c for c, _ in TOWER_DIGESTS])
 def test_tower_verbs_output_is_pinned(grp, capsys, command, digest):
     verb, name, *rest = command.split()
-    code, out = run(capsys, verb, grp(name, TOWER_TEXTS.get(name)), *rest)
+    code, out = run(capsys, verb, grp(name, {**TOWER_TEXTS, "dense": DENSE_TEXT}.get(name)), *rest)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -156,7 +156,7 @@ def test_simulate_ends_in_a_report_or_an_error(grp_path, text, depth):
     _run_verb(grp_path, text, ("simulate", "--depth", str(depth)))
 
 
-@given(text=small_texts, height=st.integers(1, 6))
+@given(text=small_texts, height=st.integers(1, 12))
 @settings(max_examples=100, deadline=None)
 def test_spectrum_ends_in_a_report_or_an_error(grp_path, text, height):
     _run_verb(grp_path, text, ("spectrum", "--height", str(height)))

@@ -415,6 +415,16 @@ def test_is_free_examples():
     assert is_free(parse_group(FUCHS))
 
 
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_free_slot_matches_fresh_rank(d, data):
+    h = data.draw(local_groups(d))
+    assert h._free is None
+    rank = len(subspace_basis([w for e in h.entries for w in e.vspan], d))
+    assert is_free(h) == (rank == d)
+    assert h._free == (rank == d)
+
+
 # ---------------------------------------------------------------------------
 # matrix action
 

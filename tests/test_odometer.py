@@ -1,8 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zodom.gdsl import parse_group
 from zodom.hgroup import HGroup, is_free, member_h, tower
@@ -21,6 +24,9 @@ from zodom.odometer import (
 )
 from zodom.rigid import GALLERY_TEXTS
 from zodom.verify import sublattices_z2
+
+from test_cli import TOWER_TEXTS
+from test_hgroup import local_groups
 
 F = Fraction
 
@@ -235,11 +241,36 @@ def test_spectrum_is_group_truncation():
     assert (F(1, 5), F(0)) not in got
 
 
+def _spectrum_reference(h, height):
+    """The grid: every tuple of reduced fractions whose denominators are
+    <= height and products of support primes, kept if it lies in H."""
+    support = h.support()
+    line = [F(0)]
+    for den in range(2, height + 1):
+        rest = den
+        for p in support:
+            while rest % p == 0:
+                rest //= p
+        if rest != 1:
+            continue
+        for num in range(1, den):
+            if gcd(num, den) == 1:
+                line.append(F(num, den))
+    out = [v for v in itertools.product(sorted(line), repeat=h.d) if member_h(v, h)]
+    out.sort()
+    return out
+
+
 def test_spectrum_matches_unpruned_brute_force():
-    # the support of the last group skips 3, the first prime of the others
+    # the support of the Z[1/5] group skips 3, the first prime of the others;
+    # the dense group has every 2-, 3- and 5-component up to the height, and
+    # in the last group 7 appears only inside the composite 21
     texts = list(GALLERY_TEXTS.values()) + [
         "oplus(Z[1/2], Z[1/3]) + gen(2/5, 3/5)",
         "oplus(Z[1/2], Z[1/5]) + gen(1/7, 3/7)",
+        TOWER_TEXTS["d3"],
+        "oplus(Z[1/6], Z[1/6]) + gen(1/5, 0) + gen(0, 1/5)",
+        "oplus(Z[1/3], Z[1/21])",
     ]
     for text in texts:
         h = parse_group(text)
@@ -249,6 +280,15 @@ def test_spectrum_matches_unpruned_brute_force():
                 v for v in itertools.product(full_line, repeat=h.d) if member_h(v, h)
             )
             assert spectrum(h, height) == expected, (text, height)
+            assert _spectrum_reference(h, height) == expected, (text, height)
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_spectrum_matches_grid_reference(d, data):
+    h = data.draw(local_groups(d))
+    height = data.draw(st.integers(1, 6 if d == 3 else 10))
+    assert spectrum(h, height) == _spectrum_reference(h, height)
 
 
 # ---------------------------------------------------------------------------
