@@ -121,14 +121,15 @@ def _coe_profile_ok(h, hp):
 
 
 def _elementary_divisors(e):
-    """Elementary divisors of the finite group L(p)/Z^d, ascending.
+    """Elementary divisors of L(p)/Z^d at a rank-0 entry, ascending: the
+    nontrivial invariant factors of ``_rows``, a basis of L(p)*.
 
-    With L(p) = (1/den) M for the integer HNF M and U M V = S in Smith form,
-    L(p)/Z^d = M Z^d / den Z^d is the sum of Z/(den/s_i) over the diagonal
-    of S (each s_i divides den, since den Z^d lies in M Z^d)."""
-    den = e.lattice.den
-    _, s, _ = snf(e.lattice.mat)
-    return tuple(sorted(den // s[i][i] for i in range(e.d) if s[i][i] != den))
+    Proof: (x, f) -> f . x mod Z is a well-defined perfect pairing of
+    L(p)/Z^d with Z^d/L(p)* (f . x in Z for all f in Z^d forces x in Z^d,
+    for all x in L(p) forces f in L(p)*), so Z^d/L(p)* is the Pontryagin
+    dual of the finite group L(p)/Z^d, hence isomorphic to it, and it is
+    the sum of Z/s_i over the invariant factors s_i of the rows."""
+    return e._invariants
 
 
 def _iso_profile_ok(h, hp):

@@ -45,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hgroup import HGroup, Tower, canonicalize, superindex, tower
+from .hgroup import HGroup, Tower, superindex, tower
 from .linalg import Lattice, Supernatural, adjugate, clear_denominators
 from .odometer import FiniteOdometer
 
@@ -285,7 +285,7 @@ def h1_presentation(h: HGroup, depth: int = 4) -> H1Presentation:
     for g, lvl in zip(t.duals, t.levels):
         if g.dual() != lvl:
             raise ArithmeticError("level duality failed")
-    return H1Presentation(canonicalize(h), t)
+    return H1Presentation(h, t)
 
 
 def level_coinvariants_ok(quotient: FiniteOdometer) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .hgroup import HGroup, apply_matrix
 from .linalg import Mat, SingularMatrixError, factorint
@@ -233,37 +234,39 @@ def expr_dimension(e) -> int:
 
 
 def elaborate(e) -> HGroup:
-    """Local presentation denoted by the expression."""
+    """Local presentation denoted by the expression, built once from the
+    generators of all summands; only a ``mat`` operand is built on its own,
+    since ``apply_matrix`` tests Z^d <= a.H against its rows."""
     d = expr_dimension(e)
+    if isinstance(e, MatExpr):
+        return apply_matrix(e.mat, elaborate(e.operand))
+    data: dict[int, tuple[list, list]] = {}
+    _collect(e, d, data)
+    return HGroup.from_local_data(d, data)
+
+
+def _collect(e, d: int, data) -> None:
+    """Add the generators of e to data = {p: (lattice_gens, divisible_gens)}:
+    a unit vector per inverted prime of an ``oplus`` component, a ``gen`` at
+    each prime of its denominators, the local data of a ``mat`` image."""
     if isinstance(e, Oplus):
-        data: dict[int, tuple[list, list]] = {}
         for i, comp in enumerate(e.comps):
             if comp.inv == 1:
                 continue
-            unit = tuple(Fraction(1 if j == i else 0) for j in range(d))
+            unit = tuple(int(j == i) for j in range(d))
             for p in factorint(comp.inv):
                 data.setdefault(p, ([], []))[1].append(unit)
-        return HGroup.from_local_data(d, data)
-    if isinstance(e, Gen):
-        vec = tuple(Fraction(x) for x in e.vec)
-        primes = set()
-        for x in vec:
-            if x.denominator > 1:
-                primes |= set(factorint(x.denominator))
-        data = {p: ([vec], []) for p in primes}
-        return HGroup.from_local_data(d, data)
-    if isinstance(e, MatExpr):
-        return apply_matrix(e.mat, elaborate(e.operand))
-    if isinstance(e, SumExpr):
-        parts = [elaborate(i) for i in e.items]
-        data = {}
-        for part in parts:
-            for p, (lat, div) in part.local_data().items():
-                slot = data.setdefault(p, ([], []))
-                slot[0].extend(lat)
-                slot[1].extend(div)
-        return HGroup.from_local_data(d, data)
-    raise TypeError(f"not a group expression: {e!r}")
+    elif isinstance(e, Gen):
+        for p in factorint(lcm(*(x.denominator for x in e.vec))):
+            data.setdefault(p, ([], []))[0].append(e.vec)
+    elif isinstance(e, MatExpr):
+        for p, (lat, div) in elaborate(e).local_data().items():
+            slot = data.setdefault(p, ([], []))
+            slot[0].extend(lat)
+            slot[1].extend(div)
+    else:  # SumExpr; expr_dimension has rejected anything else
+        for item in e.items:
+            _collect(item, d, data)
 
 
 def parse_group(text: str) -> HGroup:

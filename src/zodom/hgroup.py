@@ -12,8 +12,10 @@ p-integral for every row f.  The group is H = {v in Q^d : v in M_p for
 every p}.  L(p) is stored in a canonical form that depends on M_p alone, so
 two presentations of one group compare equal.
 
-This local data is the only presentation: parsing, membership, equality,
-superindex, the approximating tower and every decider read it.
+This local data is the only presentation: membership, equality,
+superindex, the approximating tower and every decider read it, and parsing
+and ``apply_matrix`` build each entry straight from generators, one integer
+kernel per entry (``_entry``).
 
 Membership, the witness test alpha.H = H' and the tower run in integers on
 the rows.  A vector is num / den with integer num; it lies in M_p iff
@@ -37,16 +39,14 @@ from .linalg import (
     INF,
     Lattice,
     Mat,
-    SingularMatrixError,
     Supernatural,
     _canonical,
+    _column_echelon,
     adjugate,
     clear_denominators,
-    denominator_primes,
     factorint,
     integer_kernel,
     is_prime,
-    p_primary_over_standard,
     snf,
     subspace_basis,
     valuation,
@@ -60,14 +60,8 @@ class NotSupergroupError(ValueError):
 class LocalEntry:
     """Local data of H at one prime p: the lattice L(p), the divisible
     subspace V_p of rank r, and the integer rows ``_rows``, a Z-basis of
-    L(p)* n V_p^perp.
-
-    Proof sketch for the rows: M_p = L(p) (x) Zp + V_p (x) Qp is cut out by
-    the functionals that vanish on V_p and are integral on L(p), so v lies
-    in M_p iff f . v is p-integral for every row f.  With D the integer HNF
-    of L(p)* (integral exactly when Z^d <= L(p)), the rows are D . x for x
-    in the integer kernel of vspan . D, which is saturated, so they are a
-    basis: all of D at rank 0, none at rank d.  They span V_p^perp over Q.
+    L(p)* n V_p^perp in column-echelon form (at rank 0 the HNF of L(p)*),
+    built by ``_entry``.
 
     L(p) is stored canonically as p^-k Lambda_p, with p^k the largest
     invariant factor of the rows and Lambda_p = {x in Z^d : _rows . x = 0
@@ -75,39 +69,27 @@ class LocalEntry:
     p^k kills the image of L(p) in Q^d / V_p modulo that of Z^d, so both
     lattices have the same image there, hence the same rows and the same
     M_p, and the stored one depends on M_p alone.  At rank 0 it is L(p).
+    The nontrivial invariant factors of the rows, and v_p of their product,
+    are kept in ``_invariants`` and ``_index_valuation``.
     """
 
-    __slots__ = ("p", "r", "lattice", "vspan", "_rows", "_index_valuation")
+    __slots__ = ("p", "r", "lattice", "vspan", "_rows", "_invariants", "_index_valuation")
 
-    def __init__(self, p, lattice, vspan):
-        d = lattice.d
-        dual = lattice.dual()
-        if dual.den != 1:
-            raise NotSupergroupError(f"lattice at {p} does not contain Z^{d}")
-        rows = list(zip(*dual.mat))
-        if vspan:
-            kernel = integer_kernel([[sum(map(mul, w, f)) for f in rows] for w in vspan])
-            rows = [tuple(sum(map(mul, row, x)) for row in dual.mat) for x in kernel]
+    def __init__(self, p, d, vspan, rows):
         _, s, _ = snf(rows)
-        invariants = [s[i][i] for i in range(len(rows))]
-        pk = invariants[-1] if invariants else 1
+        self._invariants = tuple(s[i][i] for i in range(len(rows)) if s[i][i] != 1)
+        pk = self._invariants[-1] if self._invariants else 1
+        self._index_valuation = valuation(prod(self._invariants), p)
         self.p = p
         self.r = len(vspan)
         self.vspan = vspan
-        self._rows = tuple(rows)
-        self._index_valuation = valuation(prod(invariants), p)
-        lam = _congruence_lattice(self._rows, pk, d)
+        self._rows = rows
+        lam = _congruence_lattice(rows, pk, d)
         self.lattice = Lattice._raw(*_canonical(d, pk, [list(r) for r in zip(*lam)]))
 
     @property
     def d(self):
         return self.lattice.d
-
-    def member_local(self, v) -> bool:
-        """v in M_p.  With v = num / den and p^k the p-part of den, v lies in
-        M_p iff num / p^k does, since den / p^k is a unit at p."""
-        den, (num,) = clear_denominators([v])
-        return _member((self,), self.p ** valuation(den, self.p), num)
 
     def index_valuation(self) -> int:
         """v_p[L(p) : Z^d + L(p) n V_p], which is v_p[L(p) : Z^d] at rank 0
@@ -148,17 +130,52 @@ def _congruence_lattice(rows, pk: int, d: int):
 
 
 def _make_entry(d: int, p: int, lattice_gens, divisible_gens):
-    """Canonical LocalEntry from raw generators at p, or None if trivial."""
+    """Canonical LocalEntry at p, or None if trivial, for V_p spanned by the
+    divisible generators and L(p) the p-primary part of Z^d + <lattice
+    generators> (rational vectors).
+
+    >>> _make_entry(2, 5, [(Fraction(1, 5), Fraction(1, 5))], [])._rows
+    ((1, 4), (0, 5))
+    >>> _make_entry(2, 5, [(Fraction(1, 10), Fraction(3, 5)), (Fraction(1, 2), 3)], [])._rows
+    ((1, 4), (0, 5))
+    """
     if not is_prime(p):
         raise ValueError(f"support key {p} is not prime")
-    vspan = subspace_basis(list(divisible_gens), d)
-    zd = Lattice.standard(d)
-    gens = [tuple(Fraction(x) for x in g) for g in lattice_gens]
-    lat = Lattice.from_span(d, list(zd.basis_columns()) + gens) if gens else zd
-    lat = p_primary_over_standard(lat, p)
-    if not vspan and lat == zd:
+    gens = [clear_denominators([g]) for g in lattice_gens]
+    return _entry(d, p, [(den, num) for den, (num,) in gens], subspace_basis(divisible_gens, d))
+
+
+def _entry(d: int, p: int, gens, vspan):
+    """LocalEntry at p for lattice generators num / den, given as integer
+    pairs (den, num), and the canonical basis ``vspan`` of V_p; None if
+    M_p = Zp^d.
+
+    Proof sketch: with den = p^k m, p not dividing m, the p-primary part of
+    (Z^d + <gens>) / Z^d is generated by the p-components of the generators,
+    and that of num / den generates the same subgroup as m num / den =
+    num / p^k, m being a unit mod p^k.  So L(p) = Z^d + sum Z num / p^k and
+    L(p)* = {f in Z^d : f . num = 0 mod p^k for every generator}.  The rows,
+    a basis of L(p)* n V_p^perp, are the first d coordinates of the integer
+    kernel of [[w | 0]; [num | p^k e_j]] (w over vspan, j over generators):
+    t_j = -f . num / p^k is fixed by f, so that projection is a bijection.
+    Generators with num = 0 mod p^k impose nothing.  The module depends on
+    M_p alone, so its column-echelon form is canonical.
+    """
+    cons = []
+    for den, num in gens:
+        pk = p ** valuation(den, p)
+        num = [x % pk for x in num]
+        if any(num):
+            cons.append((pk, num))
+    if not cons and not vspan:
         return None
-    return LocalEntry(p, lat, vspan)
+    m = len(cons)
+    ext = [[*w, *[0] * m] for w in vspan]
+    ext += [[*num, *(pk * (i == j) for j in range(m))] for i, (pk, num) in enumerate(cons)]
+    kernel = integer_kernel(ext)
+    h, _, pivots = _column_echelon([[c[i] for c in kernel] for i in range(d)])
+    rows = tuple(tuple(h[i][j] for i in range(d)) for j in range(len(pivots)))
+    return LocalEntry(p, d, vspan, rows)
 
 
 class HGroup:
@@ -235,11 +252,6 @@ class Tower:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def canonicalize(h: HGroup) -> HGroup:
-    """Rebuild the canonical form (idempotent; trivial entries dropped)."""
-    return HGroup.from_local_data(h.d, h.local_data())
 
 
 def _member(entries, den: int, num) -> bool:
@@ -383,34 +395,41 @@ def is_free(h: HGroup) -> bool:
 
 
 def apply_matrix(a: Mat, h: HGroup) -> HGroup:
-    """Presentation of a.H; raises NotSupergroupError if Z^d is not contained."""
+    """Presentation of a.H; raises NotSupergroupError if Z^d is not contained.
+
+    With a = rows / den and +-a^-1 = den * adj(rows) / |det|, Z^d <= a.H
+    iff each column of a^-1 lies in H, which can fail only at primes of det
+    (tested least first).  a.H has entries only at the support of H and the
+    primes of den and det (elsewhere a is in GL_d(Zp) and M_p = Zp^d), and
+    ``_entry`` reads a.M_p from the images rows . w of V_p and (rows . c) /
+    (den * den_L) of the HNF columns c / den_L of L(p), Z^d where H has no
+    entry.
+    """
     if a.d != h.d:
         raise ValueError("dimension mismatch")
-    det = a.det()
-    if det == 0:
-        raise SingularMatrixError("matrix must be invertible")
-    primes = set(h.support())
-    for row in a.rows:
-        primes |= denominator_primes(row)
-    primes |= set(factorint(det.numerator))
-    primes |= set(factorint(det.denominator))
-    ainv = a.inv()
-    data = {}
+    d = h.d
+    den, rows = clear_denominators(a.rows)
+    det, adj = adjugate(rows)
+    det = abs(det)
+    inv_cols = [[den * x for x in col] for col in zip(*adj)]
+    # det // gcd(det, den^d) is the numerator of det a, den^d / that gcd its denominator
+    primes = set(h.support()) | set(factorint(den)) | set(factorint(det // gcd(det, den**d)))
+    entries = []
     for p in sorted(primes):
-        entry = h.entry(p)
-        for i in range(h.d):
-            pre = ainv.col(i)  # preimage of e_i
-            ok = entry.member_local(pre) if entry else all(
-                x.denominator % p != 0 for x in pre
-            )
-            if not ok:
-                raise NotSupergroupError(
-                    f"image group does not contain Z^{h.d} locally at {p}"
-                )
-        lat_cols = entry.lattice.basis_columns() if entry else Mat.identity(h.d).columns()
-        div = entry.vspan if entry else ()
-        data[p] = ([a.apply(c) for c in lat_cols], [a.apply(w) for w in div])
-    return HGroup.from_local_data(h.d, data)
+        e = h.entry(p)
+        pk = p ** valuation(det, p)
+        if pk > 1 and not all(_member((e,) if e else (), pk, c) for c in inv_cols):
+            raise NotSupergroupError(f"image group does not contain Z^{d} locally at {p}")
+        if e is None:
+            gens, div = [(den, c) for c in zip(*rows)], []
+        else:
+            lden = den * e.lattice.den
+            gens = [(lden, [sum(map(mul, row, c)) for row in rows]) for c in zip(*e.lattice.mat)]
+            div = [[sum(map(mul, row, w)) for row in rows] for w in e.vspan]
+        image = _entry(d, p, gens, subspace_basis(div, d))
+        if image is not None:
+            entries.append(image)
+    return HGroup(d, entries)
 
 
 def tower(h: HGroup, depth: int) -> Tower:

@@ -679,20 +679,6 @@ def lattice_block(a: Lattice, b: Lattice) -> Lattice:
     return Lattice.from_span(d, cols)
 
 
-def p_primary_over_standard(lat: Lattice, p: int) -> Lattice:
-    """The intermediate lattice Z^d <= L' <= L with [L' : Z^d] the p-part of [L : Z^d].
-
-    Multiplying by the prime-to-p part of the index kills the prime-to-p
-    torsion of L/Z^d and is bijective on the p-part.
-    """
-    zd = Lattice.standard(lat.d)
-    n = index(zd, lat)
-    np_part = n // p ** valuation(n, p) if n > 1 else 1
-    if np_part == 1:
-        return lat
-    return lattice_sum(zd, lattice_scale(lat, np_part))
-
-
 # ---------------------------------------------------------------------------
 # rational subspaces (for divisible directions)
 
@@ -761,13 +747,3 @@ class Supernatural:
 
     def __repr__(self):
         return f"Supernatural({dict(self.items)!r})"
-
-
-def denominator_primes(v) -> set[int]:
-    """Primes dividing any denominator of the rational vector entries."""
-    out: set[int] = set()
-    for x in v:
-        den = Fraction(x).denominator
-        if den > 1:
-            out.update(factorint(den))
-    return out

@@ -199,6 +199,8 @@ TOWER_DIGESTS = [
     ("canon class11_fuchs_swapped", "d84e6fbd1cd23509a9d6aa0438f97691bce3369937615fdf8dfe9ce5ba4f8cf6"),
     ("canon approx_g", "f4a87ce0f3365cffd3fd44c2556638ee73a90792080c3656dc18bd1b1f8cf121"),
     ("canon d3", "d4a4b303a4bdbf3e7e65e24933fa4bdbf9b371f0d97355564f055e873b8c9b55"),
+    ("canon quarter", "2bf993c916e48beb61f3b9fa571ce23aa1376414bb4541b2336cbb50be6c7008"),
+    ("canon dense", "90a24e5426e15e7e36ec372468830121c50edbdb8173dc38fd0f075988607402"),
     ("spectrum approx_g --height 24", "66b10589084f985902e187bf4b9c6c8956167146cc69c53fe0891f489794cd1f"),
     ("spectrum quarter --height 24", "3b46b72247df49f5ef701585064b456d5dcb60b59e79cd720e60dda2440056f1"),
     ("spectrum class11_fuchs --height 24", "46c926331d35b6d96e066e8324e8dac43414a871d04cb5245d1cbc985a418d8d"),

@@ -20,8 +20,12 @@ from zodom.gdsl import (
     parse_group,
     print_expr,
 )
-from zodom.hgroup import equal_h, superindex
-from zodom.linalg import INF, Mat, Supernatural
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zodom.gdsl import expr_dimension
+from zodom.hgroup import HGroup, NotSupergroupError, apply_matrix, equal_h, superindex
+from zodom.linalg import INF, Mat, Supernatural, factorint
 
 F = Fraction
 
@@ -117,6 +121,107 @@ def test_elaborate_gen_example():
     from zodom.linalg import Lattice
 
     assert e5.lattice == Lattice.from_span(2, [(F(1, 5), F(1, 5)), (0, 1)])
+
+
+def _elaborate_reference(e):
+    """Elaboration that builds every sub-expression as an HGroup and reads
+    a sum back through each part's local data."""
+    d = expr_dimension(e)
+    if isinstance(e, Oplus):
+        data = {}
+        for i, comp in enumerate(e.comps):
+            if comp.inv == 1:
+                continue
+            unit = tuple(F(1 if j == i else 0) for j in range(d))
+            for p in factorint(comp.inv):
+                data.setdefault(p, ([], []))[1].append(unit)
+        return HGroup.from_local_data(d, data)
+    if isinstance(e, Gen):
+        vec = tuple(F(x) for x in e.vec)
+        primes = set()
+        for x in vec:
+            if x.denominator > 1:
+                primes |= set(factorint(x.denominator))
+        return HGroup.from_local_data(d, {p: ([vec], []) for p in primes})
+    if isinstance(e, MatExpr):
+        return apply_matrix(e.mat, _elaborate_reference(e.operand))
+    data = {}
+    for part in map(_elaborate_reference, e.items):
+        for p, (lat, div) in part.local_data().items():
+            slot = data.setdefault(p, ([], []))
+            slot[0].extend(lat)
+            slot[1].extend(div)
+    return HGroup.from_local_data(d, data)
+
+
+def _outcome(build, text):
+    try:
+        return build(parse(text))
+    except NotSupergroupError as exc:
+        return str(exc)
+
+
+NESTED_TEXTS = [
+    # a matrix operand inside a sum
+    "gen(1/5, 0) + mat([1,1;0,1]) * oplus(Z[1/2], Z[1/3]) + gen(1/4, 1/4)",
+    "oplus(Z[1/2], Z) + gen(1/9, 0) + mat([0,1;1,0]) * oplus(Z[1/3], Z) + gen(1/9, 1/3)",
+    "gen(1/10, 3/5) + mat([2,1;1,1]) * oplus(Z[1/2], Z) + gen(1/9, 1/3)",
+    # chains
+    "mat([1/2,0;0,2]) * mat([0,1;1,0]) * oplus(Z[1/2], Z[1/3]) + gen(1/4, 1/9)",
+    "mat([2,1;1,1]) * mat([1,-1;0,1]) * mat([1,0;3,1]) * oplus(Z[1/6], Z[1/5]) + gen(1/7, 2/7)",
+    "oplus(Z[1/3], Z[1/2]) + mat([1,0;3,1]) * mat([1/5,0;0,5]) * oplus(Z[1/2], Z[1/3]) + gen(0, 1/5)",
+    # d = 3
+    "oplus(Z[1/2], Z[1/3], Z[1/6]) + gen(1/5, 2/5, 0)",
+    "mat([1,1,0;0,1,0;0,2,1]) * oplus(Z[1/2], Z[1/3], Z[1/5]) + gen(1/7, 1/7, 0)",
+    "gen(1/4, 0, 1/2) + mat([0,0,1;0,1,0;1,0,0]) * oplus(Z[1/10], Z, Z[1/3]) + gen(0, 1/9, 1/27)",
+    # the image lacks Z^d
+    "gen(1/3, 0) + mat([2,0;0,1]) * oplus(Z[1/3], Z[1/3])",
+]
+
+
+@pytest.mark.parametrize("text", NESTED_TEXTS)
+def test_nested_expressions_match_reference(text):
+    assert _outcome(elaborate, text) == _outcome(_elaborate_reference, text)
+
+
+MATRIX_TEXTS = {
+    1: ["[2]", "[1/3]", "[-1]", "[6/5]"],
+    2: ["[0,1;1,0]", "[1,1;0,1]", "[2,1;1,1]", "[1/2,0;0,2]", "[1,0;3,1]", "[1/5,0;0,5]", "[2,0;0,1]"],
+    3: ["[1,1,0;0,1,0;0,2,1]", "[0,0,1;0,1,0;1,0,0]", "[1/2,0,0;0,2,0;0,0,1]", "[1,0,0;1,1,0;0,0,3]"],
+}
+
+
+@st.composite
+def group_texts(draw, d, depth=2):
+    """Random sums of oplus, gen and mat items; a mat takes the rest of the
+    text as its operand, so the trees nest in both directions."""
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["oplus", "gen", "mat"] if depth else ["oplus", "gen"]))
+        if kind == "oplus":
+            comps = st.sampled_from(["Z", "Z[1/2]", "Z[1/3]", "Z[1/6]", "Z[1/5]", "Z[1/10]"])
+            items.append(f"oplus({', '.join(draw(st.lists(comps, min_size=d, max_size=d)))})")
+        elif kind == "gen":
+            rats = st.tuples(st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 5, 9, 10, 25]))
+            items.append(f"gen({', '.join(f'{n}/{q}' for n, q in draw(st.lists(rats, min_size=d, max_size=d)))})")
+        else:
+            items.append(f"mat({draw(st.sampled_from(MATRIX_TEXTS[d]))}) * {draw(group_texts(d, depth - 1))}")
+    return " + ".join(items)
+
+
+def test_random_nested_expressions_match_reference():
+    outcomes = []
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def check(d, data):
+        text = data.draw(group_texts(d))
+        got = _outcome(elaborate, text)
+        assert got == _outcome(_elaborate_reference, text)
+        outcomes.append(("mat(" in text, isinstance(got, HGroup)))
+
+    check()
+    assert outcomes.count((True, True)) >= 50 and outcomes.count((True, False)) >= 10
 
 
 def test_print_parse_print_fixed_point():

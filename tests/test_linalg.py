@@ -18,7 +18,6 @@ from zodom.linalg import (
     SingularMatrixError,
     Supernatural,
     adjugate,
-    denominator_primes,
     factorint,
     hnf,
     index,
@@ -27,7 +26,6 @@ from zodom.linalg import (
     lattice_block,
     lattice_scale,
     lattice_sum,
-    p_primary_over_standard,
     snf,
     subspace_basis,
     valuation,
@@ -332,13 +330,6 @@ def test_lattice_block():
     assert lattice_block(a, b) == lat([[F(1, 2), 0], [0, F(1, 3)]])
 
 
-def test_p_primary_over_standard():
-    big = Lattice.from_span(2, [(F(1, 6), 0), (0, 1)])
-    assert p_primary_over_standard(big, 2) == lat([[F(1, 2), 0], [0, 1]])
-    assert p_primary_over_standard(big, 3) == lat([[F(1, 3), 0], [0, 1]])
-    assert p_primary_over_standard(big, 5) == Lattice.standard(2)
-
-
 # ---------------------------------------------------------------------------
 # integer solving / kernels / subspaces
 
@@ -374,7 +365,6 @@ def test_primes_and_valuation():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert valuation(F(4, 9), 3) == -2
     assert valuation(12, 2) == 2
-    assert denominator_primes((F(1, 6), F(1, 5))) == {2, 3, 5}
 
 
 def test_is_prime_matches_sympy():
