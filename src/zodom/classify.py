@@ -14,8 +14,9 @@ Decision strategy, in order:
   when the profiles agree;
 * for d = 2 with at least two distinct divisible lines, the line constraints
   determine candidate matrices up to signs (isomorphism) or signs plus a
-  per-prime valuation system (continuous orbit equivalence); the finitely
-  many candidates are tested exactly, so YES and NO are both complete;
+  per-prime valuation system (continuous orbit equivalence), read off the
+  integer HNF columns of each L(p); the finitely many candidates are tested
+  exactly, so YES and NO are both complete;
 * otherwise (d = 2, both relations on one-line groups) a bounded search over
   alpha = (1/q) [[a, b], [c, e]] with entries at most ``bound`` and
   det alpha = +-1: q = 1 for isomorphism, q = 1..bound for continuous orbit
@@ -29,6 +30,11 @@ Isomorphism and continuous orbit equivalence share these steps; they
 differ in the per-prime profile compared, the zero-line witness, the
 line-tier scales and admissibility test, and the denominators searched.
 
+Every candidate alpha, constructed or searched, is built as (den, integer
+rows) in lowest terms, from the adjugates of the integer frames and
+lattice bases, and tested with ``maps_onto_rows``; only a candidate that
+passes becomes a Mat, so the only Fractions built are its entries.
+
 YES verdicts are sound in every dimension (sufficiency holds for all d);
 NO verdicts for d >= 3 carry a flag because necessity of the criteria is
 established only for d <= 2.
@@ -40,9 +46,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
-from .hgroup import HGroup, difference, equal_h, is_free, maps_onto, superindex
-from .linalg import INF, Lattice, Mat, clear_denominators, factorint, lattice_sum, snf, valuation
+from .hgroup import HGroup, difference, equal_h, is_free, maps_onto_rows, superindex
+from .linalg import INF, Lattice, Mat, adjugate, factorint, lattice_sum, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
@@ -227,16 +234,37 @@ def decide_oe(h: HGroup, hp: HGroup) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# candidate testing
+# candidates: alpha = rows / den with integer rows, den > 0 and gcd(den, rows)
+# = 1, the form ``clear_denominators`` gives; only a returned witness becomes
+# a Mat
 
 
-def _sort_key(m: Mat):
-    # smallest entries first; positive representative before its negative
-    return tuple(
-        (abs(x.numerator), x.denominator, 0 if x.numerator >= 0 else 1)
-        for row in m.rows
-        for x in row
-    )
+def _reduced(den, rows):
+    """(den, rows) of the matrix rows / den in lowest terms, den > 0."""
+    g = gcd(den, *(x for row in rows for x in row))
+    g = g if den > 0 else -g
+    return den // g, [[x // g for x in row] for row in rows]
+
+
+def _matmul(a, b):
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+def _witness(cand) -> Mat:
+    den, rows = cand
+    return Mat([[Fraction(x, den) for x in row] for row in rows])
+
+
+def _sort_key(cand):
+    # smallest entries first, each as (|numerator|, denominator) in lowest
+    # terms; positive representative before its negative
+    den, rows = cand
+    key = []
+    for row in rows:
+        for x in row:
+            g = gcd(x, den)
+            key.append((abs(x) // g, den // g, 0 if x >= 0 else 1))
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -322,65 +350,82 @@ def _witness_search(relation, h, hp, profile_cert, line_tier, bound, all_witness
             NO,
             certificate=Certificate("line-map", f"distinct lines {u1}, {u2} map to one line {v1}"),
         )
-    return line_tier(h, hp, Mat.from_columns([u1, u2]), Mat.from_columns([v1, v2]), all_witnesses)
+    return line_tier(h, hp, _frame(u1, u2), _frame(v1, v2), all_witnesses)
 
 
 def _yes(relation, found, all_witnesses):
     found.sort(key=_sort_key)
-    return Verdict(
-        relation, YES, witness=found[0], witnesses=tuple(found) if all_witnesses else ()
-    )
+    wits = [_witness(c) for c in (found if all_witnesses else found[:1])]
+    return Verdict(relation, YES, witness=wits[0], witnesses=tuple(wits) if all_witnesses else ())
 
 
-def _sign_choices(relation, h, hp, c_inv, cp_mat, scales, admissible, all_witnesses, failure):
-    """Test alpha = C' diag(+-lambda, +-mu) C^-1 for the four sign choices,
-    keeping the candidates that pass ``admissible``."""
-    lam, mu = scales
+def _frame(u, v):
+    """(C, det C, adj C) for the integer frame C = [u v] of two lines."""
+    c = [[u[0], v[0]], [u[1], v[1]]]
+    return (c, *adjugate(c))
+
+
+def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failure):
+    """Test alpha = C' diag(+-lambda, +-mu) C^-1 for the four sign choices.
+
+    With lambda = a / b, mu = c / e and C^-1 = adj C / det C, alpha is
+    C' diag(+-a e, +-c b) adj C over b e det C: the two terms
+    C'_i0 a e adj_0j and C'_i1 c b adj_1j are formed once and each sign
+    choice adds them, then one gcd reduces the candidate.  It is admissible
+    when |det alpha| = 1, that is |det rows| = den^2, and for isomorphism
+    when it is also integral, den = 1."""
+    (a, b), (c, e) = scales
+    _, det_c, adj = frame
+    cp = frame_p[0]
+    t0 = [[cp[i][0] * a * e * adj[0][j] for j in range(2)] for i in range(2)]
+    t1 = [[cp[i][1] * c * b * adj[1][j] for j in range(2)] for i in range(2)]
     found = []
     for s1, s2 in itertools.product((1, -1), repeat=2):
-        cand = cp_mat * Mat([[s1 * lam, 0], [0, s2 * mu]]) * c_inv
-        if admissible(cand) and maps_onto(cand, h, hp):
-            found.append(cand)
+        rows = [[s1 * x + s2 * y for x, y in zip(r0, r1)] for r0, r1 in zip(t0, t1)]
+        den, rows = _reduced(b * e * det_c, rows)
+        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        admissible = abs(det) == den * den and (relation == COE or den == 1)
+        if admissible and maps_onto_rows(den, rows, h, hp):
+            found.append((den, rows))
     if found:
         return _yes(relation, found, all_witnesses)
     return Verdict(relation, NO, certificate=Certificate("line-candidates-exhausted", failure))
 
 
-def _iso_line_tier(h, hp, c_mat, cp_mat, all_witnesses):
+def _iso_line_tier(h, hp, frame, frame_p, all_witnesses):
     """Two distinct divisible lines pin alpha up to signs: a unimodular
     integral matrix sends primitive vectors to primitive vectors, so each
     line basis maps to +- its image's basis (lambda = mu = 1)."""
     return _sign_choices(
-        ISO, h, hp, c_mat.inv(), cp_mat, (1, 1), Mat.is_unimodular, all_witnesses,
+        ISO, h, hp, frame, frame_p, ((1, 1), (1, 1)), all_witnesses,
         "all sign choices on the line-constrained unimodular candidates fail",
     )
 
 
-def _coe_line_tier(h, hp, c_mat, cp_mat, all_witnesses):
+def _coe_line_tier(h, hp, frame, frame_p, all_witnesses):
     """alpha = C' diag(lambda, mu) C^-1 in the frame of two distinct lines;
     per-prime valuation equations plus the determinant relation solve for
     lambda and mu exactly, leaving only sign choices to test."""
-    c_inv = c_mat.inv()
-    scales, cert = _valuation_scales(h, hp, c_mat, c_inv, cp_mat)
+    scales, cert = _valuation_scales(h, hp, frame, frame_p)
     if cert is not None:
         return Verdict(COE, NO, certificate=cert)
     return _sign_choices(
-        COE, h, hp, c_inv, cp_mat, scales, lambda m: abs(m.det()) == 1, all_witnesses,
+        COE, h, hp, frame, frame_p, scales, all_witnesses,
         "line and valuation constraints admit no witness",
     )
 
 
-def _rank_zero_sum(h):
-    """Basis of M = Z^d + the sum of the lattices L(p) of the rank-0 entries."""
-    lats = [e.lattice for e in h.entries if e.r == 0]
-    return lattice_sum(Lattice.standard(h.d), *lats).basis()
+def _rank_zero_sum(h) -> Lattice:
+    """M = Z^d + the sum of the lattices L(p) of the rank-0 entries."""
+    return lattice_sum(Lattice.standard(h.d), *(e.lattice for e in h.entries if e.r == 0))
 
 
-def _smith_frame(b: Mat) -> Mat:
-    """V of the Smith form U B^-1 V = S of the integral matrix B^-1: then
+def _smith_frame(m: Lattice):
+    """V of the Smith form U B^-1 V = S of B^-1 = den adj(mat) / det(mat),
+    B = mat / den the basis of M: B^-1 is integral since Z^d <= M.  Then
     M = B Z^d = V S^-1 Z^d, since B = V S^-1 U and U is unimodular."""
-    _, _, v = snf(clear_denominators(b.inv().rows)[1])
-    return Mat(v)
+    det, adj = adjugate(m.mat)
+    return snf([[m.den * x // det for x in row] for row in adj])[2]
 
 
 def _zero_line_tier(relation, h, hp, bound, all_witnesses):
@@ -409,55 +454,73 @@ def _zero_line_tier(relation, h, hp, bound, all_witnesses):
     replaces only its UNKNOWN.  A witness that fails the check (which the
     proof excludes) returns None, so the later steps decide and no YES is
     unverified."""
-    b, bp = _rank_zero_sum(h), _rank_zero_sum(hp)
-    alpha = bp * b.inv() if relation == COE else _smith_frame(bp) * _smith_frame(b).inv()
-    if not maps_onto(alpha, h, hp):
+    m, mp = _rank_zero_sum(h), _rank_zero_sum(hp)
+    if relation == COE:
+        # B(M') B(M)^-1 = mat' adj(mat) den / (den' det(mat))
+        det, adj = adjugate(m.mat)
+        cand = _reduced(mp.den * det, _matmul(mp.mat, [[m.den * x for x in r] for r in adj]))
+    else:
+        # V^-1 = det(V) adj(V), det(V) = +-1
+        det, adj = adjugate(_smith_frame(m))
+        cand = (1, _matmul(_smith_frame(mp), [[det * x for x in r] for r in adj]))
+    if not maps_onto_rows(*cand, h, hp):
         return None
     if all_witnesses and h.d == 2:
         verdict = _bounded_search(relation, h, hp, bound, all_witnesses)
         if verdict.answer != UNKNOWN:
             return verdict
+    alpha = _witness(cand)
     return Verdict(relation, YES, witness=alpha, witnesses=(alpha,) if all_witnesses else ())
 
 
-def _coord_min_vals(frame_inv: Mat, h: HGroup, p: int):
-    """Per-coordinate minimal p-valuations of C^-1 M_p, -INF on divisible axes."""
+def _coord_min_vals(frame, h: HGroup, p: int):
+    """Per-coordinate minimal p-valuations of C^-1 M_p, -INF on divisible
+    axes, and the divisible directions w of M_p as adj C . w.
+
+    C^-1 = adj C / det C, and the HNF columns of L(p) (Z^d where H has no
+    entry) are c / den_L, so coordinate k of an image has valuation
+    v_p((adj C . c)_k) - v_p(det C den_L).  A divisible direction keeps the
+    scalar factor 1 / det C off: only which of its coordinates vanish and
+    the difference of their valuations are read."""
+    _, det, adj = frame
     d = h.d
     entry = h.entry(p)
-    cols = entry.lattice.basis_columns() if entry else Mat.identity(d).columns()
+    if entry is None:
+        den_l, cols, vspan = 1, [[int(i == j) for i in range(d)] for j in range(d)], ()
+    else:
+        den_l, cols, vspan = entry.lattice.den, zip(*entry.lattice.mat), entry.vspan
+    shift = valuation(det * den_l, p)
     mins = [None] * d
     for c in cols:
-        w = frame_inv.apply(c)
+        w = [sum(map(mul, row, c)) for row in adj]
         for k in range(d):
             if w[k] != 0:
-                v = valuation(w[k], p)
+                v = valuation(w[k], p) - shift
                 if mins[k] is None or v < mins[k]:
                     mins[k] = v
     divisible_dirs = []
-    if entry is not None:
-        for wdir in entry.vspan:
-            w = frame_inv.apply(wdir)
-            divisible_dirs.append(w)
-            for k in range(d):
-                if w[k] != 0:
-                    mins[k] = -INF
+    for wdir in vspan:
+        w = [sum(map(mul, row, wdir)) for row in adj]
+        divisible_dirs.append(w)
+        for k in range(d):
+            if w[k] != 0:
+                mins[k] = -INF
     return mins, divisible_dirs
 
 
-def _valuation_scales(h, hp, c_mat, c_inv, cp_mat):
-    """(lambda, mu) = (prod p^i_p, prod p^j_p) from the per-prime system
+def _valuation_scales(h, hp, frame, frame_p):
+    """(lambda, mu) = (prod p^i_p, prod p^j_p), each as an integer pair
+    (numerator, denominator), from the per-prime system
     i + j = v_p(det C / det C'), i or j read off each non-divisible frame
     coordinate, and j - i read off a mixed divisible direction; or a
     certificate that the system has no solution."""
-    cp_inv = cp_mat.inv()
-    det_c, det_cp = c_mat.det(), cp_mat.det()
-    primes = set(h.support()) | set(hp.support())
-    primes |= set(factorint(int(abs(det_c)))) | set(factorint(int(abs(det_cp))))
-    lam = mu = Fraction(1)
+    det_c, det_cp = frame[1], frame_p[1]
+    primes = set(h.support()) | set(hp.support()) | set(factorint(det_c)) | set(factorint(det_cp))
+    lam, mu = [1, 1], [1, 1]
     for p in sorted(primes):
-        vdet = valuation(det_c / det_cp, p)
-        mins, dirs = _coord_min_vals(c_inv, h, p)
-        mins_p, dirs_p = _coord_min_vals(cp_inv, hp, p)
+        vdet = valuation(det_c, p) - valuation(det_cp, p)
+        mins, dirs = _coord_min_vals(frame, h, p)
+        mins_p, dirs_p = _coord_min_vals(frame_p, hp, p)
         shifts = []
         for k in range(2):
             a, b = mins[k], mins_p[k]
@@ -486,9 +549,9 @@ def _valuation_scales(h, hp, c_mat, c_inv, cp_mat):
             j = vdet - i
         if i + j != vdet or (delta is not None and j - i != delta):
             return None, Certificate("valuation-system", f"inconsistent valuations at p={p}")
-        lam *= Fraction(p) ** i
-        mu *= Fraction(p) ** j
-    return (lam, mu), None
+        lam[i < 0] *= p ** abs(i)  # p^i joins the numerator, p^-i the denominator
+        mu[j < 0] *= p ** abs(j)
+    return (tuple(lam), tuple(mu)), None
 
 
 # tier 3 for COE gives up after this many (a, b, c) triples
@@ -533,10 +596,10 @@ def _bounded_search(relation, h, hp, bound, all_witnesses):
                 for e in es:
                     if gcd(q, a, b, c, e) > 1:
                         continue
-                    cand = Mat([[Fraction(a, q), Fraction(b, q)], [Fraction(c, q), Fraction(e, q)]])
-                    if maps_onto(cand, h, hp):
+                    cand = (q, [[a, b], [c, e]])
+                    if maps_onto_rows(*cand, h, hp):
                         if not all_witnesses:
-                            return Verdict(relation, YES, witness=cand)
+                            return Verdict(relation, YES, witness=_witness(cand))
                         found.append(cand)
     if found:
         return _yes(relation, found, all_witnesses)

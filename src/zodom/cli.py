@@ -32,7 +32,7 @@ from .hgroup import (
     superindex,
     tower,
 )
-from .linalg import FactorBudgetError, Lattice, Mat, NotSublatticeError, SingularMatrixError
+from .linalg import FactorBudgetError, Lattice, Mat, SingularMatrixError
 from .odometer import TowerSystem, measure_cylinder, metric, spectrum
 from .rigid import K1_DEVIATION, RigidProgram, dual_ball_trivial, verify_cyclicity, verify_exercises, verify_torsion_bound
 from .verify import DEFAULT_SEED, run_paper_suite
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
         for key, value in exc.lines:
             _emit(key, value)
         return EX_DATA
-    except (FactorBudgetError, NotSublatticeError, SingularMatrixError) as exc:
+    except (FactorBudgetError, SingularMatrixError) as exc:
         _emit("error", str(exc))
         return EX_DATA
 

@@ -278,14 +278,7 @@ class H1Presentation:
 def h1_presentation(h: HGroup, depth: int = 4) -> H1Presentation:
     """First cohomology of the odometer: canonically H itself, together with
     the commuting level maps Hom(H_n*, Z) = H_n."""
-    t = tower(h, depth)
-    for n in range(depth - 1):
-        if not t.levels[n + 1].contains(t.levels[n]):
-            raise ArithmeticError("tower levels fail to increase")
-    for g, lvl in zip(t.duals, t.levels):
-        if g.dual() != lvl:
-            raise ArithmeticError("level duality failed")
-    return H1Presentation(h, t)
+    return H1Presentation(h, tower(h, depth))
 
 
 def level_coinvariants_ok(quotient: FiniteOdometer) -> bool:

@@ -236,10 +236,15 @@ def expr_dimension(e) -> int:
 def elaborate(e) -> HGroup:
     """Local presentation denoted by the expression, built once from the
     generators of all summands; only a ``mat`` operand is built on its own,
-    since ``apply_matrix`` tests Z^d <= a.H against its rows."""
-    d = expr_dimension(e)
+    since ``apply_matrix`` tests Z^d <= a.H against its rows.  The
+    dimensions and determinants are checked once, by ``expr_dimension`` on
+    the whole expression."""
+    return _build(e, expr_dimension(e))
+
+
+def _build(e, d: int) -> HGroup:
     if isinstance(e, MatExpr):
-        return apply_matrix(e.mat, elaborate(e.operand))
+        return apply_matrix(e.mat, _build(e.operand, d))
     data: dict[int, tuple[list, list]] = {}
     _collect(e, d, data)
     return HGroup.from_local_data(d, data)
@@ -260,7 +265,7 @@ def _collect(e, d: int, data) -> None:
         for p in factorint(lcm(*(x.denominator for x in e.vec))):
             data.setdefault(p, ([], []))[0].append(e.vec)
     elif isinstance(e, MatExpr):
-        for p, (lat, div) in elaborate(e).local_data().items():
+        for p, (lat, div) in _build(e, d).local_data().items():
             slot = data.setdefault(p, ([], []))
             slot[0].extend(lat)
             slot[1].extend(div)

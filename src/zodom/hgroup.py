@@ -360,10 +360,7 @@ def maps_into(den: int, rows, h: HGroup, hp: HGroup) -> bool:
 
 
 def maps_onto(a: Mat, h: HGroup, hp: HGroup) -> bool:
-    """a.H = H': a.H <= H' and a^-1.H' <= H, with a = rows / den and
-    a^-1 = den * adj(rows) / det(rows).  The sign of det is dropped, since
-    -a^-1 maps H' into H iff a^-1 does (H = -H).  Images that do not contain
-    Z^d give False.
+    """a.H = H' for a rational matrix a (see ``maps_onto_rows``).
 
     >>> h = HGroup.from_local_data(2, {2: ([], [(1, 0)]), 3: ([], [(0, 1)])})
     >>> hp = HGroup.from_local_data(2, {2: ([], [(0, 1)]), 3: ([], [(1, 0)])})
@@ -372,7 +369,14 @@ def maps_onto(a: Mat, h: HGroup, hp: HGroup) -> bool:
     >>> maps_onto(Mat.identity(2), h, hp)
     False
     """
-    den, rows = clear_denominators(a.rows)
+    return maps_onto_rows(*clear_denominators(a.rows), h, hp)
+
+
+def maps_onto_rows(den: int, rows, h: HGroup, hp: HGroup) -> bool:
+    """a.H = H' for a = rows / den (integer rows, den > 0): a.H <= H' and
+    a^-1.H' <= H, with a^-1 = den * adj(rows) / det(rows).  The sign of det
+    is dropped, since -a^-1 maps H' into H iff a^-1 does (H = -H).  Images
+    that do not contain Z^d give False."""
     if not maps_into(den, rows, h, hp):
         return False
     det, adj = adjugate(rows)
@@ -466,31 +470,6 @@ def tower(h: HGroup, depth: int) -> Tower:
         cols += [[den // pk * x for x in c] for pk, lam in parts for c in lam]
         levels.append(Lattice._raw(*_canonical(d, den, [list(r) for r in zip(*cols)])))
     return Tower(tuple(levels), tuple(l.dual() for l in levels))
-
-
-def direct_sum(h1: HGroup, h2: HGroup) -> HGroup:
-    """Block presentation of H1 + H2 in dimension d1 + d2."""
-    d1, d2 = h1.d, h2.d
-    d = d1 + d2
-
-    def up(v):
-        return tuple(v) + (Fraction(0),) * d2
-
-    def down(v):
-        return (Fraction(0),) * d1 + tuple(v)
-
-    data = {}
-    for p in sorted(set(h1.support()) | set(h2.support())):
-        lat_gens, div_gens = [], []
-        e1, e2 = h1.entry(p), h2.entry(p)
-        if e1 is not None:
-            lat_gens += [up(c) for c in e1.lattice.basis_columns()]
-            div_gens += [up(w) for w in e1.vspan]
-        if e2 is not None:
-            lat_gens += [down(c) for c in e2.lattice.basis_columns()]
-            div_gens += [down(w) for w in e2.vspan]
-        data[p] = (lat_gens, div_gens)
-    return HGroup.from_local_data(d, data)
 
 
 def superindex_oracle(h, depth: int) -> dict[int, int]:

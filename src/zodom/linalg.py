@@ -27,10 +27,6 @@ class SingularMatrixError(ValueError):
     """A matrix is singular where an invertible one is required."""
 
 
-class NotSublatticeError(ValueError):
-    """`index` was called on a pair that is not nested."""
-
-
 class FactorBudgetError(ArithmeticError):
     """A factorization or primality proof did not finish within RHO_BUDGET."""
 
@@ -644,24 +640,15 @@ def _canonical(d: int, den: int, rows):
     return d, den // g, tuple(tuple(x // g for x in row) for row in cut)
 
 
-def index(sub: Lattice, sup: Lattice) -> int:
-    """[sup : sub] for nested lattices, a positive integer."""
-    if sub.d != sup.d:
-        raise NotSublatticeError("dimension mismatch")
-    if not sup.contains(sub):
-        raise NotSublatticeError("first lattice is not contained in the second")
-    # det(sub) / det(sup), each the HNF diagonal over den^d
-    return prod(sub.diagonal()) * sup.den**sub.d // (prod(sup.diagonal()) * sub.den**sub.d)
-
-
 def lattice_sum(*lats: Lattice) -> Lattice:
+    """Sum of full-rank lattices, spanned by their HNF columns over the lcm
+    of their denominators."""
     d = lats[0].d
-    cols = []
-    for lat in lats:
-        if lat.d != d:
-            raise ValueError("dimension mismatch")
-        cols.extend(lat.basis_columns())
-    return Lattice.from_span(d, cols)
+    if any(lat.d != d for lat in lats):
+        raise ValueError("dimension mismatch")
+    den = lcm(*(lat.den for lat in lats))
+    rows = [[den // lat.den * x for lat in lats for x in lat.mat[i]] for i in range(d)]
+    return Lattice._raw(*_canonical(d, den, rows))
 
 
 def lattice_scale(lat: Lattice, c) -> Lattice:
@@ -669,14 +656,6 @@ def lattice_scale(lat: Lattice, c) -> Lattice:
     if c == 0:
         raise ValueError("scale factor must be nonzero")
     return Lattice(lat.basis().scale(c))
-
-
-def lattice_block(a: Lattice, b: Lattice) -> Lattice:
-    """Block-diagonal direct sum of two lattices."""
-    d = a.d + b.d
-    cols = [tuple(c) + (0,) * b.d for c in a.basis_columns()]
-    cols += [(0,) * a.d + tuple(c) for c in b.basis_columns()]
-    return Lattice.from_span(d, cols)
 
 
 # ---------------------------------------------------------------------------

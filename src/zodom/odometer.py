@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .hgroup import HGroup, Tower, _congruence_lattice, direct_sum, tower
-from .linalg import Lattice, hnf, lattice_block, snf
+from .hgroup import HGroup, Tower, _congruence_lattice
+from .linalg import Lattice, hnf, snf
 
 DUALITY_SAMPLES = 3  # random translations per duality_check and duality_square_check
-PRODUCT_SAMPLE_CAP = 512  # most point pairs of one level that product_check acts on
 
 
 class NotSubgroupError(ValueError):
@@ -452,34 +451,4 @@ def duality_square_check(g1: Lattice, g2: Lattice, rng: random.Random | None = N
         small_sigma = _rotation(small.snf_diag, small.translation_tuple(n))
         if [restricted[j] for j in big_sigma] != [small_sigma[r] for r in restricted]:
             return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# product check
-
-
-def product_check(h1: HGroup, h2: HGroup, depth: int) -> bool:
-    """The quotients of H1 + H2 split equivariantly as products, level by level."""
-    t12 = tower(direct_sum(h1, h2), depth)
-    t1, t2 = tower(h1, depth), tower(h2, depth)
-    d1 = h1.d
-    for n in range(depth):
-        if t12.duals[n] != lattice_block(t1.duals[n], t2.duals[n]):
-            return False
-        f12 = FiniteOdometer(t12.duals[n])
-        f1 = FiniteOdometer(t1.duals[n])
-        f2 = FiniteOdometer(t2.duals[n])
-        pairs = [(a, b) for a in f1.reps for b in f2.reps]
-        if {a + b for a, b in pairs} != set(f12.reps):
-            return False
-        rng = random.Random(n)
-        if len(pairs) > PRODUCT_SAMPLE_CAP:
-            pairs = [rng.choice(pairs) for _ in range(PRODUCT_SAMPLE_CAP)]
-        for a, b in pairs:
-            k = tuple(rng.randint(-5, 5) for _ in range(f12.d))
-            joint = f12.act(k, a + b)
-            split = f1.act(k[:d1], a) + f2.act(k[d1:], b)
-            if joint != split:
-                return False
     return True

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zodom import classify
 from zodom.classify import (
@@ -9,7 +12,9 @@ from zodom.classify import (
     CONJ,
     ISO,
     OE,
+    Certificate,
     NotFreeError,
+    Verdict,
     decide,
     decide_coe,
     decide_conjugacy,
@@ -17,9 +22,19 @@ from zodom.classify import (
     decide_oe,
 )
 from zodom.gdsl import parse_group
-from zodom.hgroup import HGroup, apply_matrix, difference, equal_h, superindex
-from zodom.linalg import Mat
+from zodom.hgroup import (
+    HGroup,
+    NotSupergroupError,
+    apply_matrix,
+    difference,
+    equal_h,
+    maps_onto,
+    superindex,
+)
+from zodom.linalg import INF, Mat, factorint, valuation
 from zodom.rigid import GALLERY_VERDICTS, gallery
+
+from test_hgroup import det_one_matrices
 
 F = Fraction
 
@@ -548,3 +563,234 @@ def test_iso_zero_line_d3_unimodular_images():
         v = decide_isomorphism(h, hp)
         assert v.answer == "YES" and not v.flags, v.certificate
         assert v.witness.is_unimodular() and equal_h(apply_matrix(v.witness, h), hp)
+
+
+# ---------------------------------------------------------------------------
+# line tiers: integer candidates against the Fraction reference
+
+
+def _sort_key_reference(m):
+    return tuple(
+        (abs(x.numerator), x.denominator, 0 if x.numerator >= 0 else 1)
+        for row in m.rows
+        for x in row
+    )
+
+
+def _sign_choices_reference(relation, h, hp, c_inv, cp_mat, scales, admissible, all_witnesses, failure):
+    """alpha = C' diag(+-lambda, +-mu) C^-1 as Fraction Mat products."""
+    lam, mu = scales
+    found = []
+    for s1, s2 in itertools.product((1, -1), repeat=2):
+        cand = cp_mat * Mat([[s1 * lam, 0], [0, s2 * mu]]) * c_inv
+        if admissible(cand) and maps_onto(cand, h, hp):
+            found.append(cand)
+    if found:
+        found.sort(key=_sort_key_reference)
+        wits = tuple(found) if all_witnesses else ()
+        return Verdict(relation, "YES", witness=found[0], witnesses=wits)
+    return Verdict(relation, "NO", certificate=Certificate("line-candidates-exhausted", failure))
+
+
+def _coord_min_vals_reference(frame_inv, h, p):
+    """Per-coordinate minimal p-valuations of C^-1 M_p on Fraction columns."""
+    d = h.d
+    entry = h.entry(p)
+    cols = entry.lattice.basis_columns() if entry else Mat.identity(d).columns()
+    mins = [None] * d
+    for c in cols:
+        w = frame_inv.apply(c)
+        for k in range(d):
+            if w[k] != 0:
+                v = valuation(w[k], p)
+                if mins[k] is None or v < mins[k]:
+                    mins[k] = v
+    divisible_dirs = []
+    if entry is not None:
+        for wdir in entry.vspan:
+            w = frame_inv.apply(wdir)
+            divisible_dirs.append(w)
+            for k in range(d):
+                if w[k] != 0:
+                    mins[k] = -INF
+    return mins, divisible_dirs
+
+
+def _valuation_scales_reference(h, hp, c_mat, c_inv, cp_mat):
+    cp_inv = cp_mat.inv()
+    det_c, det_cp = c_mat.det(), cp_mat.det()
+    primes = set(h.support()) | set(hp.support())
+    primes |= set(factorint(int(abs(det_c)))) | set(factorint(int(abs(det_cp))))
+    lam = mu = Fraction(1)
+    for p in sorted(primes):
+        vdet = valuation(det_c / det_cp, p)
+        mins, dirs = _coord_min_vals_reference(c_inv, h, p)
+        mins_p, dirs_p = _coord_min_vals_reference(cp_inv, hp, p)
+        shifts = []
+        for k in range(2):
+            a, b = mins[k], mins_p[k]
+            if (a == -INF) != (b == -INF):
+                return None, Certificate(
+                    "valuation-system", f"coordinate {k+1} divisible on one side only at p={p}"
+                )
+            shifts.append(None if a == -INF else b - a)
+        i, j = shifts
+        delta = None
+        for w, wp in zip(dirs, dirs_p):
+            if all(x != 0 for x in w) and all(x != 0 for x in wp):
+                delta = (valuation(wp[1], p) - valuation(wp[0], p)) - (
+                    valuation(w[1], p) - valuation(w[0], p)
+                )
+        if i is None and j is None:
+            if delta is None:
+                i = 0
+            elif (vdet - delta) % 2:
+                return None, Certificate("valuation-system", f"parity obstruction at p={p}")
+            else:
+                i = (vdet - delta) // 2
+        if i is None:
+            i = vdet - j
+        if j is None:
+            j = vdet - i
+        if i + j != vdet or (delta is not None and j - i != delta):
+            return None, Certificate("valuation-system", f"inconsistent valuations at p={p}")
+        lam *= Fraction(p) ** i
+        mu *= Fraction(p) ** j
+    return (lam, mu), None
+
+
+def _iso_line_tier_reference(h, hp, c_mat, cp_mat, all_witnesses):
+    return _sign_choices_reference(
+        ISO, h, hp, c_mat.inv(), cp_mat, (1, 1), Mat.is_unimodular, all_witnesses,
+        "all sign choices on the line-constrained unimodular candidates fail",
+    )
+
+
+def _coe_line_tier_reference(h, hp, c_mat, cp_mat, all_witnesses):
+    c_inv = c_mat.inv()
+    scales, cert = _valuation_scales_reference(h, hp, c_mat, c_inv, cp_mat)
+    if cert is not None:
+        return Verdict(COE, "NO", certificate=cert)
+    return _sign_choices_reference(
+        COE, h, hp, c_inv, cp_mat, scales, lambda m: abs(m.det()) == 1, all_witnesses,
+        "line and valuation constraints admit no witness",
+    )
+
+
+def _line_frames(h, hp):
+    """The two line frames ([u1 u2], [v1 v2]) that ``_witness_search`` hands
+    the line tiers, or None where the pair does not reach them."""
+    assignment, cert = classify._line_assignment(h, hp)
+    distinct = sorted(set(classify._lines(h).values()))
+    if cert is not None or len(distinct) < 2:
+        return None
+    (u1, u2), (v1, v2) = distinct[:2], (assignment[distinct[0]][0], assignment[distinct[1]][0])
+    return None if v1 == v2 else ((u1, u2), (v1, v2))
+
+
+@st.composite
+def two_line_groups(draw):
+    """Free d = 2 groups with at least two distinct divisible lines, plus
+    rank-2 and rank-0 primes, each with lattice generators."""
+    vec = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=2, max_size=4, unique=True))
+    data = {}
+    for k, p in enumerate(primes):
+        kind = draw(st.sampled_from(["line", "plane", "lattice"])) if k >= 2 else "line"
+        div = {"line": [draw(vec)], "plane": [(1, 0), (0, 1)], "lattice": []}[kind]
+        lat = [
+            tuple(F(x, p ** draw(st.integers(1, 2))) for x in draw(vec))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        data[p] = (lat, div)
+    h = HGroup.from_local_data(2, data)
+    assume(len(set(classify._lines(h).values())) >= 2)
+    return h
+
+
+def test_line_tiers_match_fraction_reference():
+    outcomes = []
+
+    @given(two_line_groups(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def check(h, data):
+        # an image of H, an image of H with one lattice generator added, or
+        # an unrelated group
+        kind = data.draw(st.sampled_from(["image", "perturbed", "other"]))
+        src, hp = h, None
+        if kind == "perturbed":
+            p = data.draw(st.sampled_from(h.support()))
+            local = h.local_data()
+            local[p][0].append(tuple(F(x, p) for x in data.draw(st.tuples(*[st.integers(0, p)] * 2))))
+            src = HGroup.from_local_data(2, local)
+        if kind != "other":
+            a = data.draw(st.one_of(det_one_matrices(2), st.builds(_random_unimodular, st.randoms())))
+            try:
+                hp = apply_matrix(a, src)
+            except NotSupergroupError:
+                pass
+        if hp is None:
+            hp = data.draw(two_line_groups())
+        frames = _line_frames(h, hp)
+        assume(frames is not None)
+        (u1, u2), (v1, v2) = frames
+        frame, frame_p = classify._frame(u1, u2), classify._frame(v1, v2)
+        c_mat, cp_mat = Mat.from_columns([u1, u2]), Mat.from_columns([v1, v2])
+        all_witnesses = data.draw(st.booleans())
+        for relation, tier, reference in (
+            (ISO, classify._iso_line_tier, _iso_line_tier_reference),
+            (COE, classify._coe_line_tier, _coe_line_tier_reference),
+        ):
+            got = tier(h, hp, frame, frame_p, all_witnesses)
+            assert got == reference(h, hp, c_mat, cp_mat, all_witnesses)
+            outcomes.append((relation, got.answer))
+
+    check()
+    for relation in (ISO, COE):
+        assert outcomes.count((relation, "YES")) >= 30 and outcomes.count((relation, "NO")) >= 30
+
+
+def test_line_and_zero_line_tiers_build_no_fraction_but_the_witness(monkeypatch):
+    monkeypatch.setattr(classify, "_bounded_search", _no_search)
+    rng = random.Random(1009)
+    pairs = []
+    for texts, d in ((STRESS_TEXTS, 2), (ZERO_LINE_TEXTS, 2), (ZERO_LINE_D3_TEXTS, 3)):
+        for text in texts:
+            h = parse_group(text)
+            for _ in range(3):
+                rows = [[int(i == j) for j in range(d)] for i in range(d)]
+                i, j = rng.sample(range(d), 2)
+                rows[i] = [x + rng.choice([-2, -1, 1, 2]) * y for x, y in zip(rows[i], rows[j])]
+                p = rng.choice([2, 3, 5])
+                scale = [[F(p) if i == j == 0 else F(1, p) if i == j == 1 else int(i == j)
+                          for j in range(d)] for i in range(d)]
+                for a in (Mat(rows), Mat(rows) * Mat(scale)):
+                    try:
+                        pairs.append((h, apply_matrix(a, h)))
+                    except NotSupergroupError:
+                        pass
+    pairs += [(parse_group(a), parse_group(b)) for a, b in (
+        ("oplus(Z[1/2], Z[1/15])", "oplus(Z[1/10], Z[1/3])"),
+        ("oplus(Z[1/2], Z[1/3]) + gen(0, 1/5)", "oplus(Z[1/2], Z[1/3]) + gen(1/5, 0)"),
+        (HALF_A, HALF_B),
+    )]
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    answers = []
+    for h, hp in pairs:
+        for relation in (ISO, COE):
+            built.clear()
+            monkeypatch.setattr(Fraction, "__new__", counting_new)
+            v = decide(relation, h, hp)
+            monkeypatch.setattr(Fraction, "__new__", new)
+            if v.answer == "YES":
+                assert [F(*args) for args in built] == [x for row in v.witness.rows for x in row]
+            else:
+                assert not built
+            answers.append(v.answer)
+    assert answers.count("YES") >= 50 and answers.count("NO") >= 5

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from zodom.gdsl import expr_dimension
 from zodom.hgroup import HGroup, NotSupergroupError, apply_matrix, equal_h, superindex
-from zodom.linalg import INF, Mat, Supernatural, factorint
+from zodom.linalg import INF, Mat, SingularMatrixError, Supernatural, factorint
 
 F = Fraction
 
@@ -104,6 +104,30 @@ def test_dimension_mismatch():
         elaborate(parse("mat([0,1;1,0]) * oplus(Z[1/2])"))
     with pytest.raises(DimensionMismatchError):
         parse("mat([1,0;0,1;0,0]) * oplus(Z, Z)")
+
+
+def test_matrix_chain_checks_each_determinant_once(monkeypatch):
+    det = Mat.det
+    calls = []
+
+    def counting_det(self):
+        calls.append(self)
+        return det(self)
+
+    monkeypatch.setattr(Mat, "det", counting_det)
+    for n in (1, 2, 4, 8):
+        chain = "mat([1,1;0,1]) * " * n
+        for text in (chain + "oplus(Z[1/2], Z[1/3])", "gen(1/5, 0) + " + chain + "oplus(Z[1/2], Z)"):
+            calls.clear()
+            parse_group(text)
+            assert len(calls) == n, text
+    # the errors and their messages are unchanged, wherever the bad matrix sits
+    with pytest.raises(SingularMatrixError, match=r"^matrix must be invertible$"):
+        parse_group("mat([1,1;0,1]) * mat([1,2;2,4]) * oplus(Z[1/2], Z)")
+    with pytest.raises(DimensionMismatchError, match=r"^matrix is 3x3 but operand has dimension 2$"):
+        parse_group("mat([1,1;0,1]) * mat([1,0,0;0,1,0;0,0,1]) * oplus(Z, Z)")
+    with pytest.raises(DimensionMismatchError, match=r"^summands have mixed dimensions \[1, 2\]$"):
+        parse_group("mat([1,1;0,1]) * mat([0,1;1,0]) * oplus(Z, Z) + gen(1/2)")
 
 
 def test_composite_inverse_means_all_prime_factors():

@@ -19,7 +19,6 @@ from zodom.hgroup import (
     _member,
     apply_matrix,
     difference,
-    direct_sum,
     equal_h,
     is_free,
     maps_into,
@@ -38,7 +37,6 @@ from zodom.linalg import (
     _column_echelon,
     clear_denominators,
     factorint,
-    index,
     integer_kernel,
     lattice_scale,
     lattice_sum,
@@ -47,6 +45,8 @@ from zodom.linalg import (
     valuation,
 )
 from zodom.rigid import GALLERY_TEXTS
+
+from helpers import direct_sum, index
 
 F = Fraction
 

@@ -3,7 +3,7 @@ from math import floor
 
 import pytest
 
-from zodom.linalg import Lattice, Mat, index, is_prime
+from zodom.linalg import Lattice, Mat, is_prime
 from zodom.odometer import FiniteOdometer
 from zodom.rigid import (
     GALLERY_TEXTS,
@@ -19,6 +19,8 @@ from zodom.rigid import (
     verify_exercises,
     verify_torsion_bound,
 )
+
+from helpers import index
 
 
 @pytest.fixture(scope="module")
