@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -750,8 +751,9 @@ def test_line_tiers_match_fraction_reference():
         assert outcomes.count((relation, "YES")) >= 30 and outcomes.count((relation, "NO")) >= 30
 
 
-def test_line_and_zero_line_tiers_build_no_fraction_but_the_witness(monkeypatch):
-    monkeypatch.setattr(classify, "_bounded_search", _no_search)
+def _tier_pairs():
+    """(H, alpha H) for seeded unimodular and det +-1 alpha over the stress
+    and zero-line texts, and three NO pairs: none reaches the bounded search."""
     rng = random.Random(1009)
     pairs = []
     for texts, d in ((STRESS_TEXTS, 2), (ZERO_LINE_TEXTS, 2), (ZERO_LINE_D3_TEXTS, 3)):
@@ -774,6 +776,12 @@ def test_line_and_zero_line_tiers_build_no_fraction_but_the_witness(monkeypatch)
         ("oplus(Z[1/2], Z[1/3]) + gen(0, 1/5)", "oplus(Z[1/2], Z[1/3]) + gen(1/5, 0)"),
         (HALF_A, HALF_B),
     )]
+    return pairs
+
+
+def test_line_and_zero_line_tiers_build_no_fraction_but_the_witness(monkeypatch):
+    monkeypatch.setattr(classify, "_bounded_search", _no_search)
+    pairs = _tier_pairs()
     built = []
     new = Fraction.__new__
 
@@ -794,3 +802,33 @@ def test_line_and_zero_line_tiers_build_no_fraction_but_the_witness(monkeypatch)
                 assert not built
             answers.append(v.answer)
     assert answers.count("YES") >= 50 and answers.count("NO") >= 5
+
+
+# ---------------------------------------------------------------------------
+# decide() output pinned: a rewrite of the deciders or of Mat must leave the
+# answer, the witness text, the certificate and the flags of every decision
+# unchanged
+
+
+def _decision_digest(decisions):
+    sha = hashlib.sha256()
+    for v in decisions:
+        sha.update(f"{v.answer}|{v.witness!r}|{v.certificate}|{v.flags}\n".encode())
+    return sha.hexdigest()
+
+
+DECIDE_DIGESTS = {
+    "gallery": "d0a07d437ec64148e700d84c70f768f28a02f66d3d09b5b5663689e41f27c313",
+    "tiers": "c0f0b2d857d8b1316e0fb5d530d50119ea5e09b3eaa6b97084ee368ec32af448",
+}
+
+
+def test_decide_output_is_pinned(g):
+    free = [g[name] for name in g if name != "z2"]
+    gallery_pairs = [
+        decide(rel, a, b) for a, b in itertools.product(free, repeat=2) for rel in (CONJ, ISO, COE, OE)
+    ]
+    assert len(gallery_pairs) == 400
+    tiers = [decide(rel, a, b) for a, b in _tier_pairs() for rel in (CONJ, ISO, COE, OE)]
+    got = {"gallery": _decision_digest(gallery_pairs), "tiers": _decision_digest(tiers)}
+    assert got == DECIDE_DIGESTS
