@@ -30,10 +30,10 @@ Isomorphism and continuous orbit equivalence share these steps; they
 differ in the per-prime profile compared, the zero-line witness, the
 line-tier scales and admissibility test, and the denominators searched.
 
-Every candidate alpha, constructed or searched, is built as (den, integer
-rows) in lowest terms, from the adjugates of the integer frames and
-lattice bases, and tested with ``maps_onto_rows``; only a candidate that
-passes becomes a Mat, so the only Fractions built are its entries.
+Every candidate alpha, constructed or searched, is a Mat (integer rows
+over one denominator), built from the integer frames and lattice bases
+and tested with ``maps_onto``, so a witness is found without building a
+Fraction.
 
 YES verdicts are sound in every dimension (sufficiency holds for all d);
 NO verdicts for d >= 3 carry a flag because necessity of the criteria is
@@ -44,11 +44,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .hgroup import HGroup, difference, equal_h, is_free, maps_onto_rows, superindex
+from .hgroup import HGroup, difference, equal_h, is_free, maps_onto, superindex
 from .linalg import INF, Lattice, Mat, adjugate, factorint, lattice_sum, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
@@ -233,34 +232,12 @@ def decide_oe(h: HGroup, hp: HGroup) -> Verdict:
     return Verdict(OE, NO, certificate=Certificate("superindex", "superindexes differ"))
 
 
-# ---------------------------------------------------------------------------
-# candidates: alpha = rows / den with integer rows, den > 0 and gcd(den, rows)
-# = 1, the form ``clear_denominators`` gives; only a returned witness becomes
-# a Mat
-
-
-def _reduced(den, rows):
-    """(den, rows) of the matrix rows / den in lowest terms, den > 0."""
-    g = gcd(den, *(x for row in rows for x in row))
-    g = g if den > 0 else -g
-    return den // g, [[x // g for x in row] for row in rows]
-
-
-def _matmul(a, b):
-    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
-
-
-def _witness(cand) -> Mat:
-    den, rows = cand
-    return Mat([[Fraction(x, den) for x in row] for row in rows])
-
-
-def _sort_key(cand):
+def _sort_key(cand: Mat):
     # smallest entries first, each as (|numerator|, denominator) in lowest
     # terms; positive representative before its negative
-    den, rows = cand
+    den = cand.den
     key = []
-    for row in rows:
+    for row in cand.num:
         for x in row:
             g = gcd(x, den)
             key.append((abs(x) // g, den // g, 0 if x >= 0 else 1))
@@ -355,8 +332,7 @@ def _witness_search(relation, h, hp, profile_cert, line_tier, bound, all_witness
 
 def _yes(relation, found, all_witnesses):
     found.sort(key=_sort_key)
-    wits = [_witness(c) for c in (found if all_witnesses else found[:1])]
-    return Verdict(relation, YES, witness=wits[0], witnesses=tuple(wits) if all_witnesses else ())
+    return Verdict(relation, YES, witness=found[0], witnesses=tuple(found) if all_witnesses else ())
 
 
 def _frame(u, v):
@@ -371,22 +347,23 @@ def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failur
     With lambda = a / b, mu = c / e and C^-1 = adj C / det C, alpha is
     C' diag(+-a e, +-c b) adj C over b e det C: the two terms
     C'_i0 a e adj_0j and C'_i1 c b adj_1j are formed once and each sign
-    choice adds them, then one gcd reduces the candidate.  It is admissible
-    when |det alpha| = 1, that is |det rows| = den^2, and for isomorphism
-    when it is also integral, den = 1."""
+    choice adds them.  It is admissible when |det alpha| = 1, that is
+    |det rows| = den^2, which scaling does not change, so it is tested before
+    the Mat is built, and for isomorphism when alpha is also integral."""
     (a, b), (c, e) = scales
     _, det_c, adj = frame
     cp = frame_p[0]
+    den = b * e * det_c
     t0 = [[cp[i][0] * a * e * adj[0][j] for j in range(2)] for i in range(2)]
     t1 = [[cp[i][1] * c * b * adj[1][j] for j in range(2)] for i in range(2)]
     found = []
     for s1, s2 in itertools.product((1, -1), repeat=2):
         rows = [[s1 * x + s2 * y for x, y in zip(r0, r1)] for r0, r1 in zip(t0, t1)]
-        den, rows = _reduced(b * e * det_c, rows)
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        admissible = abs(det) == den * den and (relation == COE or den == 1)
-        if admissible and maps_onto_rows(den, rows, h, hp):
-            found.append((den, rows))
+        if abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) != den * den:
+            continue
+        alpha = Mat(rows, den)
+        if (relation == COE or alpha.is_integer()) and maps_onto(alpha, h, hp):
+            found.append(alpha)
     if found:
         return _yes(relation, found, all_witnesses)
     return Verdict(relation, NO, certificate=Certificate("line-candidates-exhausted", failure))
@@ -456,20 +433,15 @@ def _zero_line_tier(relation, h, hp, bound, all_witnesses):
     unverified."""
     m, mp = _rank_zero_sum(h), _rank_zero_sum(hp)
     if relation == COE:
-        # B(M') B(M)^-1 = mat' adj(mat) den / (den' det(mat))
-        det, adj = adjugate(m.mat)
-        cand = _reduced(mp.den * det, _matmul(mp.mat, [[m.den * x for x in r] for r in adj]))
+        alpha = mp.basis() * m.basis().inv()
     else:
-        # V^-1 = det(V) adj(V), det(V) = +-1
-        det, adj = adjugate(_smith_frame(m))
-        cand = (1, _matmul(_smith_frame(mp), [[det * x for x in r] for r in adj]))
-    if not maps_onto_rows(*cand, h, hp):
+        alpha = Mat(_smith_frame(mp)) * Mat(_smith_frame(m)).inv()
+    if not maps_onto(alpha, h, hp):
         return None
     if all_witnesses and h.d == 2:
         verdict = _bounded_search(relation, h, hp, bound, all_witnesses)
         if verdict.answer != UNKNOWN:
             return verdict
-    alpha = _witness(cand)
     return Verdict(relation, YES, witness=alpha, witnesses=(alpha,) if all_witnesses else ())
 
 
@@ -596,11 +568,11 @@ def _bounded_search(relation, h, hp, bound, all_witnesses):
                 for e in es:
                     if gcd(q, a, b, c, e) > 1:
                         continue
-                    cand = (q, [[a, b], [c, e]])
-                    if maps_onto_rows(*cand, h, hp):
+                    alpha = Mat([[a, b], [c, e]], q)
+                    if maps_onto(alpha, h, hp):
                         if not all_witnesses:
-                            return Verdict(relation, YES, witness=_witness(cand))
-                        found.append(cand)
+                            return Verdict(relation, YES, witness=alpha)
+                        found.append(alpha)
     if found:
         return _yes(relation, found, all_witnesses)
     detail = f"entries and denominators <= {bound}" if coe else f"unimodular entries <= {bound}"

@@ -22,7 +22,7 @@ the rows.  A vector is num / den with integer num; it lies in M_p iff
 row . num = 0 mod p^k for every row (p^k the p-part of den), and in H iff
 that holds at every support prime and no other prime divides den.  Each
 tower level is Z^d plus, at each support prime, p^-k times the integer
-solutions of row . x = 0 mod p^k.  alpha is held as den plus integer rows,
+solutions of row . x = 0 mod p^k.  alpha is a Mat, integer rows over den,
 +-alpha^-1 as |det| plus den * adj from the adjugate, and an image of a
 divisible direction lies in V'_p iff it pairs to zero with the rows of H'
 at p.
@@ -360,7 +360,10 @@ def maps_into(den: int, rows, h: HGroup, hp: HGroup) -> bool:
 
 
 def maps_onto(a: Mat, h: HGroup, hp: HGroup) -> bool:
-    """a.H = H' for a rational matrix a (see ``maps_onto_rows``).
+    """a.H = H' for a = num / den: a.H <= H' and a^-1.H' <= H, with
+    a^-1 = den * adj(num) / det(num).  The sign of det is dropped, since
+    -a^-1 maps H' into H iff a^-1 does (H = -H).  Images that do not
+    contain Z^d give False.
 
     >>> h = HGroup.from_local_data(2, {2: ([], [(1, 0)]), 3: ([], [(0, 1)])})
     >>> hp = HGroup.from_local_data(2, {2: ([], [(0, 1)]), 3: ([], [(1, 0)])})
@@ -369,18 +372,10 @@ def maps_onto(a: Mat, h: HGroup, hp: HGroup) -> bool:
     >>> maps_onto(Mat.identity(2), h, hp)
     False
     """
-    return maps_onto_rows(*clear_denominators(a.rows), h, hp)
-
-
-def maps_onto_rows(den: int, rows, h: HGroup, hp: HGroup) -> bool:
-    """a.H = H' for a = rows / den (integer rows, den > 0): a.H <= H' and
-    a^-1.H' <= H, with a^-1 = den * adj(rows) / det(rows).  The sign of det
-    is dropped, since -a^-1 maps H' into H iff a^-1 does (H = -H).  Images
-    that do not contain Z^d give False."""
-    if not maps_into(den, rows, h, hp):
+    if not maps_into(a.den, a.num, h, hp):
         return False
-    det, adj = adjugate(rows)
-    return maps_into(abs(det), [[den * x for x in row] for row in adj], hp, h)
+    det, adj = adjugate(a.num)
+    return maps_into(abs(det), [[a.den * x for x in row] for row in adj], hp, h)
 
 
 def superindex(h: HGroup) -> Supernatural:
@@ -412,7 +407,7 @@ def apply_matrix(a: Mat, h: HGroup) -> HGroup:
     if a.d != h.d:
         raise ValueError("dimension mismatch")
     d = h.d
-    den, rows = clear_denominators(a.rows)
+    den, rows = a.den, a.num
     det, adj = adjugate(rows)
     det = abs(det)
     inv_cols = [[den * x for x in col] for col in zip(*adj)]

@@ -12,6 +12,9 @@ Conventions fixed here and relied on by every other module:
 * Hermite normal form is the *column* form: lower-triangular, positive
   diagonal, and in each row ``i`` the off-diagonal entries satisfy
   ``0 <= h[i][j] < h[i][i]`` for ``j < i``.
+* A :class:`Mat` is stored as ``num / den`` with ``num`` its integer rows,
+  ``den > 0`` and gcd(den, entries) = 1, so matrix equality is a syntactic
+  check and ``Mat.rows`` is only a Fraction view for output.
 * A :class:`Lattice` is stored as ``(1/den) * mat`` with ``mat`` an integer
   matrix in HNF whose columns generate the lattice and ``den`` minimal.
   Lattice equality is therefore a syntactic check.
@@ -20,7 +23,9 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, inf, lcm, prod
+from operator import attrgetter, mul
 
 
 class SingularMatrixError(ValueError):
@@ -260,7 +265,7 @@ def _column_echelon(rows: list[list[int]]):
     are positive and entries to their left in the same row are reduced into
     ``[0, pivot)``.
     """
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
@@ -433,91 +438,100 @@ def integer_kernel(rows) -> list[list[int]]:
 # rational matrices
 
 
-def _as_fraction_rows(rows):
-    return tuple(
-        tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows
-    )
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 class Mat:
-    """Immutable square rational matrix; rows of Fractions.
+    """Immutable square rational matrix num / den: ``num`` a tuple of integer
+    row tuples, den > 0 and gcd(den, entries) = 1.
 
     >>> m = Mat([[0, 1], [1, 0]])
     >>> m * m == Mat.identity(2)
     True
+    >>> a = Mat([[Fraction(1, 2), 1], [0, 3]])
+    >>> a.den, a.num, a == Mat([[2, 4], [0, 12]], den=4)
+    (2, ((1, 2), (0, 6)), True)
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("den", "num")
 
-    def __init__(self, rows):
-        self.rows = _as_fraction_rows(rows)
-        d = len(self.rows)
-        if d == 0 or any(len(r) != d for r in self.rows):
+    def __init__(self, rows, den=1):
+        """The matrix rows / den, for int or Fraction entries and den != 0:
+        the entries are put over their least common denominator, and one
+        gcd reduces."""
+        d = len(rows)
+        flat = list(chain.from_iterable(rows))
+        if d == 0 or len(flat) != d * d or min(map(len, rows)) != d:
             raise ValueError("Mat must be square and nonempty")
+        q = lcm(*map(_denominator, flat))
+        if q == 1:
+            flat = list(map(_numerator, flat))
+        else:
+            den *= q
+            flat = [x.numerator * (q // x.denominator) for x in flat]
+        g = gcd(den, *flat)
+        if den < 0:
+            g = -g
+        if g != 1:
+            flat = [x // g for x in flat]
+        self.den = den // g
+        entries = iter(flat)
+        self.num = tuple(zip(*[entries] * d))  # rows of d consecutive entries
 
     @classmethod
     def identity(cls, d: int) -> "Mat":
         return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
-    @classmethod
-    def from_columns(cls, cols) -> "Mat":
-        cols = list(cols)
-        d = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(d)])
-
     @property
     def d(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
-    def col(self, j: int):
-        return tuple(self.rows[i][j] for i in range(self.d))
+    @property
+    def rows(self):
+        """The entries as Fractions, row by row."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def columns(self):
-        return [self.col(j) for j in range(self.d)]
+        return list(zip(*self.rows))
 
     def transpose(self) -> "Mat":
-        return Mat([[self.rows[j][i] for j in range(self.d)] for i in range(self.d)])
+        return Mat(list(zip(*self.num)), self.den)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
-        d = self.d
+        cols = list(zip(*other.num))
         return Mat(
-            [
-                [sum(self.rows[i][k] * other.rows[k][j] for k in range(d)) for j in range(d)]
-                for i in range(d)
-            ]
+            [[sum(map(mul, row, col)) for col in cols] for row in self.num],
+            self.den * other.den,
         )
 
     def apply(self, v):
-        """Matrix times column vector."""
-        return tuple(sum(row[j] * Fraction(v[j]) for j in range(self.d)) for row in self.rows)
+        """Matrix times column vector, as Fractions."""
+        vden, (vnum,) = clear_denominators([v])
+        den = self.den * vden
+        return tuple(Fraction(sum(map(mul, row, vnum)), den) for row in self.num)
 
     def scale(self, c) -> "Mat":
-        c = Fraction(c)
-        return Mat([[x * c for x in row] for row in self.rows])
+        """c times the matrix, for an int or Fraction c."""
+        return Mat([[x * c.numerator for x in row] for row in self.num], self.den * c.denominator)
 
     def det(self) -> Fraction:
-        den, ints = clear_denominators(self.rows)
-        return Fraction(_gauss_jordan(ints)[2], den**self.d)
+        return Fraction(_gauss_jordan(self.num)[2], self.den**self.d)
 
     def inv(self) -> "Mat":
-        """Inverse den * adj(A) / det(A) of (1/den) * A, A integral."""
-        den, ints = clear_denominators(self.rows)
-        det, adj = adjugate(ints)
-        return Mat([[Fraction(den * x, det) for x in row] for row in adj])
+        """Inverse den * adj(num) / det(num) of num / den."""
+        det, adj = adjugate(self.num)
+        return Mat([[self.den * x for x in row] for row in adj], det)
 
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
-
-    def is_unimodular(self) -> bool:
-        return self.is_integer() and abs(self.det()) == 1
+        return self.den == 1
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.rows == other.rows
+        return isinstance(other, Mat) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, self.num))
 
     def __repr__(self):
         body = "; ".join(",".join(str(x) for x in row) for row in self.rows)
@@ -538,7 +552,7 @@ class Lattice:
     __slots__ = ("d", "den", "mat")
 
     def __init__(self, basis: Mat):
-        lat = _canonical(basis.d, *clear_denominators(basis.rows))
+        lat = _canonical(basis.d, basis.den, basis.num)
         if lat is None:
             raise SingularMatrixError("lattice basis must have nonzero determinant")
         self.d, self.den, self.mat = lat
@@ -563,7 +577,7 @@ class Lattice:
         return cls._raw(*lat)
 
     def basis(self) -> Mat:
-        return Mat([[Fraction(x, self.den) for x in row] for row in self.mat])
+        return Mat(self.mat, self.den)
 
     def basis_columns(self):
         return self.basis().columns()

@@ -18,8 +18,6 @@ from math import gcd, lcm, prod
 from .hgroup import HGroup, Tower, _congruence_lattice
 from .linalg import Lattice, hnf, snf
 
-DUALITY_SAMPLES = 3  # random translations per duality_check and duality_square_check
-
 
 class NotSubgroupError(ValueError):
     """A restriction or square check called on a non-nested pair of lattices."""
@@ -407,7 +405,13 @@ def _rotation(radix, shift):
     return perm
 
 
-def duality_check(g: Lattice, rng: random.Random | None = None) -> bool:
+def _unit_translations(d: int):
+    """e_1, ..., e_d: a map commutes with the action of all of Z^d iff it
+    commutes with these generators."""
+    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+
+def duality_check(g: Lattice) -> bool:
     """Verify the conjugacy Y_K ~ (Z^d/G, translation) point by point, K = G*.
 
     Characters and cosets are numbered by their lexicographic box indices,
@@ -415,16 +419,15 @@ def duality_check(g: Lattice, rng: random.Random | None = None) -> bool:
     translation n, sigma is the character shift by translation_tuple(n) as
     a permutation of the point indices and tau = quotient.index_perm(n) the
     rotation of Z^d/G; the conjugacy commutes with them iff
-    images[sigma[j]] = tau[images[j]] for every j.
+    images[sigma[j]] = tau[images[j]] for every j.  It is tested on the unit
+    translations, which generate Z^d.
     """
-    rng = rng or random.Random(0)
     real = DualityRealization(g)
     quotient = real.quotient
     images = real.image_indices()
     if sorted(images) != list(range(quotient.card)):
         return False
-    for _ in range(DUALITY_SAMPLES):
-        n = tuple(rng.randint(-8, 8) for _ in range(g.d))
+    for n in _unit_translations(g.d):
         sigma = _rotation(real.snf_diag, real.translation_tuple(n))
         tau = quotient.index_perm(n)
         if [images[j] for j in sigma] != [tau[v] for v in images]:
@@ -432,11 +435,11 @@ def duality_check(g: Lattice, rng: random.Random | None = None) -> bool:
     return True
 
 
-def duality_square_check(g1: Lattice, g2: Lattice, rng: random.Random | None = None) -> bool:
+def duality_square_check(g1: Lattice, g2: Lattice) -> bool:
     """Commuting square for G2 <= G1 <= Z^d (Z^d <= K1 <= K2): restriction of
     characters over the natural quotient Z^d/G2 -> Z^d/G1; translation is
-    compared as the character-shift permutations of both sides."""
-    rng = rng or random.Random(0)
+    compared as the character-shift permutations of both sides, on the unit
+    translations."""
     if not g1.contains(g2):
         raise NotSubgroupError("G2 must be contained in G1")
     big, small = DualityRealization(g2), DualityRealization(g1)
@@ -445,8 +448,7 @@ def duality_square_check(g1: Lattice, g2: Lattice, rng: random.Random | None = N
         if small.to_quotient(r) != small.quotient.reduce(big.to_quotient(t)):
             return False
     restricted = [_box_index(r, small.snf_diag) for r in restricted]
-    for _ in range(DUALITY_SAMPLES):
-        n = tuple(rng.randint(-6, 6) for _ in range(g1.d))
+    for n in _unit_translations(g1.d):
         big_sigma = _rotation(big.snf_diag, big.translation_tuple(n))
         small_sigma = _rotation(small.snf_diag, small.translation_tuple(n))
         if [restricted[j] for j in big_sigma] != [small_sigma[r] for r in restricted]:

@@ -202,10 +202,9 @@ def criterion_4_alpha_isomorphism(seed: int) -> CriterionResult:
 
 
 def criterion_5_duality(seed: int) -> CriterionResult:
-    rng = random.Random(seed)
     lats = sublattices_z2(50)
     for g in lats:
-        if not duality_check(g, rng=rng):
+        if not duality_check(g):
             return CriterionResult(5, "duality", False, f"duality failed for {g!r}")
     count = 0
     for g1 in lats:
@@ -214,7 +213,7 @@ def criterion_5_duality(seed: int) -> CriterionResult:
         if int(g1.det()) > 16:
             continue
         factor = 2 if count % 2 == 0 else 3
-        if not duality_square_check(g1, lattice_scale(g1, factor), rng=rng):
+        if not duality_square_check(g1, lattice_scale(g1, factor)):
             return CriterionResult(5, "duality", False, f"square failed for {g1!r}")
         count += 1
     return CriterionResult(

@@ -1,11 +1,12 @@
-"""Oracles used only by the tests: the index of nested lattices, and block
-(direct) sums of lattices and of groups."""
+"""Oracles used only by the tests: the index of nested lattices, block
+(direct) sums of lattices and of groups, and matrices from columns and the
+unimodularity test."""
 
 from fractions import Fraction
 from math import prod
 
 from zodom.hgroup import HGroup
-from zodom.linalg import Lattice
+from zodom.linalg import Lattice, Mat
 
 
 def index(sub: Lattice, sup: Lattice) -> int:
@@ -37,3 +38,13 @@ def direct_sum(h1: HGroup, h2: HGroup) -> HGroup:
                 div_gens += [before + tuple(w) + after for w in e.vspan]
         data[p] = (lat_gens, div_gens)
     return HGroup.from_local_data(h1.d + h2.d, data)
+
+
+def from_columns(cols) -> Mat:
+    """The square matrix with the given columns."""
+    return Mat([list(row) for row in zip(*cols)])
+
+
+def is_unimodular(m: Mat) -> bool:
+    """Whether m lies in GL_d(Z)."""
+    return m.is_integer() and abs(m.det()) == 1

@@ -35,6 +35,7 @@ from zodom.hgroup import (
 from zodom.linalg import INF, Mat, factorint, valuation
 from zodom.rigid import GALLERY_VERDICTS, gallery
 
+from helpers import from_columns, is_unimodular
 from test_hgroup import det_one_matrices
 
 F = Fraction
@@ -144,7 +145,7 @@ def test_iso_witness_revalidates(g):
     for a, b in [("class35_1a", "class35_1b"), ("class11_fuchs", "class11_fuchs_swapped")]:
         v = decide_isomorphism(g[a], g[b])
         assert v.answer == "YES"
-        assert v.witness.is_unimodular()
+        assert is_unimodular(v.witness)
         assert equal_h(apply_matrix(v.witness, g[a]), g[b])
 
 
@@ -388,7 +389,7 @@ def test_unknown_on_search_exhaustion():
     hp = apply_matrix(SHEAR_3, h)
     v = decide_isomorphism(h, hp, bound=2)
     assert v.answer == "YES"
-    assert v.witness.is_unimodular() and equal_h(apply_matrix(v.witness, h), hp)
+    assert is_unimodular(v.witness) and equal_h(apply_matrix(v.witness, h), hp)
     v = decide_coe(h, hp, bound=2)
     assert v.answer == "YES"
     assert abs(v.witness.det()) == 1 and equal_h(apply_matrix(v.witness, h), hp)
@@ -539,7 +540,7 @@ def test_iso_never_no_on_zero_line_unimodular_images(monkeypatch):
         hp = apply_matrix(_random_unimodular(rng), h)
         v = decide_isomorphism(h, hp, bound=1)
         assert v.answer == "YES", v.certificate
-        assert v.witness.is_unimodular() and equal_h(apply_matrix(v.witness, h), hp)
+        assert is_unimodular(v.witness) and equal_h(apply_matrix(v.witness, h), hp)
 
 
 ZERO_LINE_D3_TEXTS = [
@@ -563,7 +564,7 @@ def test_iso_zero_line_d3_unimodular_images():
         hp = apply_matrix(Mat(rows), h)
         v = decide_isomorphism(h, hp)
         assert v.answer == "YES" and not v.flags, v.certificate
-        assert v.witness.is_unimodular() and equal_h(apply_matrix(v.witness, h), hp)
+        assert is_unimodular(v.witness) and equal_h(apply_matrix(v.witness, h), hp)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +663,7 @@ def _valuation_scales_reference(h, hp, c_mat, c_inv, cp_mat):
 
 def _iso_line_tier_reference(h, hp, c_mat, cp_mat, all_witnesses):
     return _sign_choices_reference(
-        ISO, h, hp, c_mat.inv(), cp_mat, (1, 1), Mat.is_unimodular, all_witnesses,
+        ISO, h, hp, c_mat.inv(), cp_mat, (1, 1), is_unimodular, all_witnesses,
         "all sign choices on the line-constrained unimodular candidates fail",
     )
 
@@ -736,7 +737,7 @@ def test_line_tiers_match_fraction_reference():
         assume(frames is not None)
         (u1, u2), (v1, v2) = frames
         frame, frame_p = classify._frame(u1, u2), classify._frame(v1, v2)
-        c_mat, cp_mat = Mat.from_columns([u1, u2]), Mat.from_columns([v1, v2])
+        c_mat, cp_mat = from_columns([u1, u2]), from_columns([v1, v2])
         all_witnesses = data.draw(st.booleans())
         for relation, tier, reference in (
             (ISO, classify._iso_line_tier, _iso_line_tier_reference),
@@ -779,7 +780,7 @@ def _tier_pairs():
     return pairs
 
 
-def test_line_and_zero_line_tiers_build_no_fraction_but_the_witness(monkeypatch):
+def test_line_and_zero_line_tiers_build_no_fraction(monkeypatch):
     monkeypatch.setattr(classify, "_bounded_search", _no_search)
     pairs = _tier_pairs()
     built = []
@@ -792,14 +793,10 @@ def test_line_and_zero_line_tiers_build_no_fraction_but_the_witness(monkeypatch)
     answers = []
     for h, hp in pairs:
         for relation in (ISO, COE):
-            built.clear()
             monkeypatch.setattr(Fraction, "__new__", counting_new)
             v = decide(relation, h, hp)
             monkeypatch.setattr(Fraction, "__new__", new)
-            if v.answer == "YES":
-                assert [F(*args) for args in built] == [x for row in v.witness.rows for x in row]
-            else:
-                assert not built
+            assert not built, (relation, v)
             answers.append(v.answer)
     assert answers.count("YES") >= 50 and answers.count("NO") >= 5
 

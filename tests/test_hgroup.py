@@ -46,7 +46,7 @@ from zodom.linalg import (
 )
 from zodom.rigid import GALLERY_TEXTS
 
-from helpers import direct_sum, index
+from helpers import direct_sum, from_columns, index
 
 F = Fraction
 
@@ -146,7 +146,7 @@ def _adapted_basis(lattice, vspan):
     u, s, _ = snf([[c[i] for c in kernel] for i in range(d)])
     assert all(s[i][i] == 1 for i in range(r))
     cols = Mat(u).inv().columns()
-    return lattice.basis() * Mat.from_columns(cols[r:] + cols[:r])
+    return lattice.basis() * from_columns(cols[r:] + cols[:r])
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,7 +385,7 @@ def _index_valuation_reference(lattice, vspan, p):
     if r == 0:
         return full
     b = _adapted_basis(lattice, vspan)
-    mixed = Lattice.from_span(d, [*zd.basis_columns(), *(b.col(j) for j in range(d - r, d))])
+    mixed = Lattice.from_span(d, [*zd.basis_columns(), *b.columns()[d - r:]])
     return full - valuation(index(zd, mixed), p)
 
 
@@ -597,12 +597,12 @@ def _apply_matrix_reference(a, h):
     primes = set(h.support())
     primes |= {q for row in a.rows for x in row for q in factorint(x.denominator)}
     primes |= set(factorint(det.numerator)) | set(factorint(det.denominator))
-    ainv = a.inv()
+    preimages = a.inv().columns()  # a^-1 e_i
     data = {}
     for p in sorted(primes):
         entry = h.entry(p)
         for i in range(h.d):
-            pre = ainv.col(i)  # preimage of e_i
+            pre = preimages[i]
             ok = _member_local_reference(entry, pre) if entry else all(
                 x.denominator % p != 0 for x in pre
             )
@@ -712,7 +712,7 @@ def _maps_onto_reference(a, h, hp):
 
 
 def _into(a, h, hp):
-    return maps_into(*clear_denominators(a.rows), h, hp)
+    return maps_into(a.den, a.num, h, hp)
 
 
 def test_apply_matrix_matches_fraction_reference():

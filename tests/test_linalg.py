@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from zodom.linalg import (
     subspace_basis,
     valuation,
 )
+from zodom.gdsl import format_mat
 from zodom.linalg import _column_echelon
 
 from helpers import index, lattice_block
@@ -541,7 +543,7 @@ def _ref_inv(rows):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-    return Mat(b)
+    return tuple(map(tuple, b))
 
 
 def _ref_rref(rows):
@@ -599,7 +601,7 @@ def _ref_contains(big, small):
 
 
 def _ref_dual(lattice):
-    return Lattice(_ref_inv(lattice.basis().rows).transpose())
+    return Lattice(Mat(_ref_inv(lattice.basis().rows)).transpose())
 
 
 def _random_rows(rng, nr, nc):
@@ -632,7 +634,7 @@ def test_mat_det_inv_match_fraction_reference():
         assert m.det() == _ref_det(rows), rows
         _, ints = _ref_scaled(rows)
         try:
-            ref = _ref_inv(rows)
+            ref = Mat(_ref_inv(rows))
         except SingularMatrixError:
             singular += 1
             with pytest.raises(SingularMatrixError):
@@ -643,8 +645,65 @@ def test_mat_det_inv_match_fraction_reference():
         assert m.inv() == ref, rows
         det, adj = adjugate(ints)
         assert det == _ref_int_det(ints)
-        assert Mat(adj) == _ref_inv(ints).scale(det)
+        assert Mat(adj) == Mat(_ref_inv(ints)).scale(det)
     assert 50 < singular < 350
+
+
+_ENTRIES = st.one_of(st.integers(-9, 9), st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def _mat_cases(draw):
+    """Two d x d matrices of int and Fraction entries (d = 1..3), a vector,
+    a scalar and a factor k != 0 to write the first matrix over k."""
+    d = draw(st.integers(1, 3))
+    square = st.lists(st.lists(_ENTRIES, min_size=d, max_size=d), min_size=d, max_size=d)
+    vec = st.lists(_ENTRIES, min_size=d, max_size=d)
+    k = draw(st.integers(-6, 6).filter(bool))
+    return draw(square), draw(square), draw(vec), draw(_ENTRIES), k
+
+
+def _ref_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+@given(_mat_cases())
+@settings(max_examples=300, deadline=None)
+def test_mat_matches_fraction_rows_reference(case):
+    a_rows, b_rows, v, c, k = case
+    ref_a = tuple(tuple(F(x) for x in row) for row in a_rows)
+    ref_b = tuple(tuple(F(x) for x in row) for row in b_rows)
+    a, b = Mat(a_rows), Mat(b_rows)
+    # storage: integer rows over den > 0, in lowest terms
+    for m, ref in ((a, ref_a), (b, ref_b)):
+        assert m.den > 0 and gcd(m.den, *(x for row in m.num for x in row)) == 1
+        assert all(type(x) is int for row in m.num for x in row)
+        assert m.rows == ref
+    # equal values give equal Mats and hashes, whatever the denominator given
+    over_k = Mat([[F(x) * k for x in row] for row in a_rows], k)
+    assert over_k == a and hash(over_k) == hash(a)
+    assert (a == b) == (ref_a == ref_b)
+    # the text is that of the Fraction entries
+    assert repr(a) == "Mat([" + "; ".join(",".join(str(x) for x in row) for row in ref_a) + "])"
+    assert format_mat(a) == "mat([" + ";".join(",".join(str(x) for x in row) for row in ref_a) + "])"
+    # arithmetic
+    assert (a * b).rows == _ref_mul(ref_a, ref_b)
+    assert a.det() == _ref_det(a_rows)
+    assert a.transpose().rows == tuple(zip(*ref_a))
+    assert a.scale(c).rows == tuple(tuple(x * c for x in row) for row in ref_a)
+    assert a.apply(v) == tuple(sum(x * F(y) for x, y in zip(row, v)) for row in ref_a)
+    assert a.is_integer() == all(x.denominator == 1 for row in ref_a for x in row)
+    if a.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            a.inv()
+    else:
+        assert a.inv().rows == _ref_inv(a_rows)
+
+
+def test_mat_rejects_empty_and_non_square():
+    for rows in ([], [[1, 2]], [[1], [2, 3, 4]], [[1, 2, 3], [4, 5, 6]]):
+        with pytest.raises(ValueError):
+            Mat(rows)
 
 
 def test_subspace_functions_match_fraction_reference():
