@@ -42,7 +42,7 @@ def direct_sum(h1: HGroup, h2: HGroup) -> HGroup:
 
 def from_columns(cols) -> Mat:
     """The square matrix with the given columns."""
-    return Mat([list(row) for row in zip(*cols)])
+    return Mat(list(zip(*cols)))
 
 
 def is_unimodular(m: Mat) -> bool:
