@@ -51,7 +51,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for depths, heights and level counts (at least 1)."""
+    """argparse type for depths, heights, step and level counts (at least 1)."""
     try:
         value = int(text)
     except ValueError:
@@ -343,7 +343,7 @@ def _build_parser() -> _ArgumentParser:
     p = add("simulate", _cmd_simulate, "walk the finite approximant")
     p.add_argument("file")
     p.add_argument("--depth", type=_positive_int, default=4)
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=_positive_int, default=8)
     p = add("spectrum", _cmd_spectrum, "rational eigenvalues up to a height")
     p.add_argument("file")
     p.add_argument("--height", type=_positive_int, default=4)

@@ -36,21 +36,23 @@ card . e_i and tau1(theta_h) = h exactly.  The carries of a unit step are
 the floors themselves: n(rep(x)) = n(x) mod det because adj . g_j =
 det . e_j, so w = rep(x) + e_i has n(w) = n(x) mod det + adj[., i] and
 w - rep(w) = sum_j floor(n_j(w) / det) g_j, with no solve.
+
+alpha is onto G*, and its kernel is B^1 by Schreier's lemma: along a
+spanning tree of the unit-step graph lifted to Z^d from 0, the tree
+potential of theta misses each other step e by <g_e, alpha(theta)>, and
+the Schreier generators g_e span G.  So H^1(Z^d/G) = G* = Z^d, which is
+torsion-free (torsion_free_check certifies this on a quotient).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .hgroup import HGroup, Tower, superindex, tower
 from .linalg import Lattice, Supernatural, adjugate, clear_denominators
 from .odometer import FiniteOdometer
-
-TORSION_TRIALS = 200  # random cocycles per torsion_free_check
-TORSION_MAX_MULTIPLE = 5  # largest multiple n of a cocycle that it tries
 
 
 class Cocycle1:
@@ -307,40 +309,30 @@ def coinvariants(h: HGroup, verify_depth: int = 3) -> Supernatural:
     return superindex(h)
 
 
-def torsion_free_check(quotient: FiniteOdometer, rng: random.Random | None = None) -> bool:
-    """No torsion in H^1: whenever n * theta is a coboundary (decided by
-    the tree potential of CoboundarySolver), theta itself is one.  Random
-    cocycles are dual-vector cocycles plus coboundaries; a third of the
-    trials seed f divisible by n so that the solvable branch is exercised.
-    The carry table of the explicit cocycles is built once per quotient."""
-    rng = rng or random.Random(0)
-    solver = CoboundarySolver(quotient)
-    g = quotient.lattice
-    table = _carry_table(quotient)
-    dual_basis = g.basis().transpose().inv()
-    for trial in range(TORSION_TRIALS):
-        n = rng.randint(2, TORSION_MAX_MULTIPLE)
-        style = trial % 3
-        if style == 0:
-            # theta = d(f0) presented as (1/n) d(n f0): n*theta solvable by seeding
-            f0 = {x: rng.randint(-4, 4) for x in quotient.reps}
-            theta = Cocycle1.from_coboundary(quotient, f0)
-        elif style == 1:
-            coeffs = [rng.randint(-3, 3) for _ in range(quotient.d)]
-            hvec = dual_basis.apply(coeffs)
-            theta = _cocycle_from_carries(quotient, table, *_dual_numerators(g, hvec))
-        else:
-            coeffs = [rng.randint(-3, 3) for _ in range(quotient.d)]
-            hvec = dual_basis.apply(coeffs)
-            f0 = {x: rng.randint(-4, 4) for x in quotient.reps}
-            theta = _cocycle_from_carries(quotient, table, *_dual_numerators(g, hvec))
-            theta = theta + Cocycle1.from_coboundary(quotient, f0)
-        scaled = theta.scale(n)
-        fn = solver.solve(scaled)
-        if fn is not None:
-            if not is_coboundary_of(scaled, fn):
-                return False
-            f1 = solver.solve(theta)
-            if f1 is None or not is_coboundary_of(theta, f1):
-                return False
-    return True
+def torsion_free_check(quotient: FiniteOdometer) -> bool:
+    """No torsion in H^1, by the Schreier generators g_e of G.
+
+    Lift the spanning tree from 0, lift(y) = lift(x) + e_i on each tree edge
+    (x, i, y), and put g_e = lift(x) + e_i - lift(y) for each step (0 on
+    tree edges).  Checked: the lifts cover every coset, each reduces to its
+    coset, each g_e reduces to 0 (so the step tables are the translation
+    action), and the g_e span exactly G.  Proof: the holonomy of theta on
+    edge e is the defect of the tree potential f(x) = theta(0 + G, lift(x)),
+    which by the cocycle identity is
+    theta(0 + G, g_e) = <g_e, alpha(theta)>.  So B^1 = ker alpha once the
+    g_e span G, and H^1 embeds in G* = Z^d, which is torsion-free.
+    """
+    zero = (0,) * quotient.d
+    lift = {zero: zero}
+    for x, i, y in quotient.spanning_tree:
+        lift[y] = tuple(a + (k == i) for k, a in enumerate(lift[x]))
+    if len(lift) != quotient.card or any(quotient.reduce(v) != x for x, v in lift.items()):
+        return False
+    gens = {
+        tuple(a + (k == i) - b for k, (a, b) in enumerate(zip(lift[x], lift[y])))
+        for i, step in enumerate(quotient.steps)
+        for x, y in step.items()
+    }
+    if any(quotient.reduce(g) != zero for g in gens):
+        return False
+    return Lattice.from_span(quotient.d, gens) == quotient.lattice

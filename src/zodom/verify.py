@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .classify import COE, CONJ, ISO, OE, decide
 from .cohomology import (
-    TORSION_TRIALS,
     Cocycle1,
     alpha_map,
     build_cocycle,
@@ -336,15 +335,14 @@ TORSION_QUOTIENTS = [
 
 
 def criterion_10_torsion_free(seed: int) -> CriterionResult:
-    rng = random.Random(seed)
     for rows in TORSION_QUOTIENTS:
         g = Lattice.from_span(2, rows)
         if int(g.det()) > 60:
             return CriterionResult(10, "torsion_free", False, "quotient exceeds index bound")
-        if not torsion_free_check(FiniteOdometer(g), rng=rng):
+        if not torsion_free_check(FiniteOdometer(g)):
             return CriterionResult(10, "torsion_free", False, f"torsion witness on {rows}")
     return CriterionResult(
-        10, "torsion_free", True, f"{len(TORSION_QUOTIENTS)} quotients x {TORSION_TRIALS} trials"
+        10, "torsion_free", True, f"{len(TORSION_QUOTIENTS)} quotients, Schreier generators span G"
     )
 
 

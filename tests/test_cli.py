@@ -346,6 +346,7 @@ def test_usage_errors(capsys):
     [
         ("tower", "--depth"),
         ("simulate", "--depth"),
+        ("simulate", "--steps"),
         ("spectrum", "--height"),
         ("h1", "--depth"),
         ("coinv", "--depth"),

@@ -399,18 +399,23 @@ def test_tau_d1():
 
 
 def test_solver_agrees_with_alpha_criterion():
+    """B^1 = ker alpha, the fact torsion_free_check proves: on every solver
+    quotient (d = 1, 2, 3), a dual cocycle plus a coboundary is solved by
+    the tree potential exactly when its alpha_map is 0."""
     rng = random.Random(11)
-    g = Lattice.from_span(2, [(3, 2), (0, 4)])
-    q = FiniteOdometer(g)
-    solver = CoboundarySolver(q)
-    for _ in range(20):
-        f = {x: rng.randint(-6, 6) for x in q.reps}
-        cob = Cocycle1.from_coboundary(q, f)
-        sol = solver.solve(cob)
-        assert sol is not None and is_coboundary_of(cob, sol)
-        h = random_dual_vector(rng, g)
-        theta = build_cocycle(g, h)
-        assert (solver.solve(theta) is not None) == (tuple(h) == (0, 0))
+    for q in _solver_quotients():
+        g = q.lattice
+        solver = CoboundarySolver(q)
+        solved = set()
+        for k in range(10):
+            h = (0,) * g.d if k == 0 else random_dual_vector(rng, g)
+            f = {x: rng.randint(-6, 6) for x in q.reps}
+            theta = build_cocycle(g, h) + Cocycle1.from_coboundary(q, f)
+            sol = solver.solve(theta)
+            assert (sol is not None) == (alpha_map(theta) == (0,) * g.d), (g, h)
+            assert sol is None or is_coboundary_of(theta, sol)
+            solved.add(sol is not None)
+        assert solved == {True, False}
 
 
 def _difference_rows(quotient):
@@ -610,20 +615,65 @@ def test_level_check_can_fail(rows):
 # torsion freeness
 
 
+TORSION_SMALL = [
+    [(2, 1), (0, 3)],
+    [(4, 0), (0, 5)],
+    [(6, 2), (0, 5)],
+    [(2, 0, 0), (0, 3, 0), (0, 1, 1)],
+    [(2, 1, 1), (0, 3, 2), (0, 0, 2)],
+    [(3, 1, 0), (0, 4, 1), (0, 0, 5)],
+    [(4, 1, 3), (0, 5, 2), (0, 0, 6)],
+    *TORSION_QUOTIENTS,
+    [(9,)],
+]
+
+
 def test_torsion_free_small_quotients():
-    rng = random.Random(5)
-    for rows in (
-        [(2, 1), (0, 3)],
-        [(4, 0), (0, 5)],
-        [(6, 2), (0, 5)],
-        [(2, 0, 0), (0, 3, 0), (0, 1, 1)],
-        [(2, 1, 1), (0, 3, 2), (0, 0, 2)],
-        [(3, 1, 0), (0, 4, 1), (0, 0, 5)],
-        [(4, 1, 3), (0, 5, 2), (0, 0, 6)],
-    ):
+    for rows in TORSION_SMALL + [[(1,)]]:
         q = FiniteOdometer(Lattice.from_span(len(rows), rows))
         assert q.card <= 120
-        assert torsion_free_check(q, rng=rng)
+        assert torsion_free_check(q), rows
+
+
+def _swapped_targets(step, x1, x2):
+    """The step permutation with the targets of x1 and x2 exchanged."""
+    swapped = dict(step)
+    swapped[x1], swapped[x2] = step[x2], step[x1]
+    return swapped
+
+
+@pytest.mark.parametrize("rows", TORSION_SMALL)
+def test_torsion_check_rejects_wrong_step_tables(rows):
+    """Every wrong step entry is either a tree edge, whose lift then
+    reduces to another coset, or another step, whose g_e then misses G.
+    Tables that fix the zero coset leave cosets without a lift.  The true
+    action with two nonzero coset labels exchanged keeps every g_e in G,
+    spanning it, and only the lifts, which reduce to the true cosets, see
+    the wrong labels."""
+    g = Lattice.from_span(len(rows), rows)
+    q = FiniteOdometer(g)
+    steps, reps = q.steps, q.reps
+    for i in range(g.d):
+        for x1, x2 in [(reps[0], reps[1]), (reps[1], reps[-1]), (reps[0], reps[-1])]:
+            mutant = list(steps)
+            mutant[i] = _swapped_targets(steps[i], x1, x2)
+            assert not torsion_free_check(_with_steps(g, mutant)), (i, x1, x2)
+    zero = (0,) * g.d
+    assert not torsion_free_check(_with_steps(g, [_zero_fixed(s, zero) for s in steps]))
+    sigma = {x: x for x in reps}
+    sigma[reps[1]], sigma[reps[-1]] = reps[-1], reps[1]
+    relabelled = [{sigma[x]: sigma[y] for x, y in step.items()} for step in steps]
+    assert not torsion_free_check(_with_steps(g, relabelled))
+
+
+def test_torsion_check_rejects_tables_of_another_lattice():
+    """[(2,0),(0,3)] and [(2,1),(0,3)] have the same box of coset labels,
+    but neither's step tables are the other's translation action."""
+    a = Lattice.from_span(2, [(2, 0), (0, 3)])
+    b = Lattice.from_span(2, [(2, 1), (0, 3)])
+    assert FiniteOdometer(a).reps == FiniteOdometer(b).reps
+    assert not torsion_free_check(_with_steps(b, FiniteOdometer(a).steps))
+    assert not torsion_free_check(_with_steps(a, FiniteOdometer(b).steps))
 
 
 def test_torsion_vacuous_case():
