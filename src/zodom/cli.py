@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import gdsl
 from .classify import NotFreeError, decide
-from .cohomology import build_cocycle, coinvariants, h1_presentation, tau1
+from .cohomology import build_cocycle, coinvariants, tau1
 from .gdsl import (
     BadDenominatorError,
     DimensionMismatchError,
@@ -234,10 +234,11 @@ def _cmd_tau(args):
 
 
 def _cmd_h1(args):
-    res = h1_presentation(_load_group(args.file), depth=args.depth)
-    _emit_presentation(res.group, prefix="h1_")
-    for n in range(1, res.tower.depth + 1):
-        _emit(f"level_{n}", format_mat(res.tower.levels[n - 1].basis()))
+    h = _load_group(args.file)
+    t = tower(h, args.depth)
+    _emit_presentation(h, prefix="h1_")
+    for n, level in enumerate(t.levels, 1):
+        _emit(f"level_{n}", format_mat(level.basis()))
     return 0
 
 

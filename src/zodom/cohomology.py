@@ -41,16 +41,19 @@ alpha is onto G*, and its kernel is B^1 by Schreier's lemma: along a
 spanning tree of the unit-step graph lifted to Z^d from 0, the tree
 potential of theta misses each other step e by <g_e, alpha(theta)>, and
 the Schreier generators g_e span G.  So H^1(Z^d/G) = G* = Z^d, which is
-torsion-free (torsion_free_check certifies this on a quotient).
+torsion-free (torsion_free_check certifies this on a quotient), and an
+explicit coboundary is the tree potential (CoboundarySolver).
+
+For the odometer of H the levels G_n = H_n* give H^1 = H, with level maps
+Hom(H_n*, Z) = H_n: the ``h1`` verb prints H and the levels of its tower.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .hgroup import HGroup, Tower, superindex, tower
+from .hgroup import HGroup, superindex, tower
 from .linalg import Lattice, Supernatural, adjugate, clear_denominators
 from .odometer import FiniteOdometer
 
@@ -220,7 +223,7 @@ def tau1(theta: Cocycle1):
 
 
 # ---------------------------------------------------------------------------
-# coboundaries
+# coboundaries, co-invariants and torsion
 
 
 class CoboundarySolver:
@@ -240,7 +243,15 @@ class CoboundarySolver:
         self._tree = quotient.spanning_tree
 
     def solve(self, theta: Cocycle1):
-        """The function f with d(f) = theta and f(0) = 0, or None."""
+        """The function f with d(f) = theta and f(0) = 0, or None.
+
+        >>> q = FiniteOdometer(Lattice.from_span(1, [(3,)]))
+        >>> f = {(0,): 0, (1,): 2, (2,): 5}
+        >>> CoboundarySolver(q).solve(Cocycle1.from_coboundary(q, f)) == f
+        True
+        >>> print(CoboundarySolver(q).solve(build_cocycle(q.lattice, (Fraction(1, 3),))))
+        None
+        """
         values = theta.gen_values
         f = {self._zero: 0}
         for x, i, y in self._tree:
@@ -252,59 +263,20 @@ class CoboundarySolver:
         return f
 
 
-def coboundary_between(theta: Cocycle1, eta: Cocycle1):
-    """Explicit f with theta - eta = d(f), given equal alpha_map values:
-    f(k + G) = theta(G, k) - eta(G, k) on coset representatives."""
-    q = theta.quotient
-    zero = (0,) * q.d
-    f = {x: theta.evaluate(zero, x) - eta.evaluate(zero, x) for x in q.reps}
-    return f
-
-
-def is_coboundary_of(theta: Cocycle1, f) -> bool:
-    return Cocycle1.from_coboundary(theta.quotient, f) == theta
-
-
-# ---------------------------------------------------------------------------
-# cohomology and co-invariants of the odometer
-
-
-@dataclass(frozen=True)
-class H1Presentation:
-    """H^1 of the odometer of H: the group itself, with its level data."""
-
-    group: HGroup
-    tower: Tower
-
-
-def h1_presentation(h: HGroup, depth: int = 4) -> H1Presentation:
-    """First cohomology of the odometer: canonically H itself, together with
-    the commuting level maps Hom(H_n*, Z) = H_n."""
-    return H1Presentation(h, tower(h, depth))
-
-
-def level_coinvariants_ok(quotient: FiniteOdometer) -> bool:
-    """D(Z^d/G) is infinite cyclic with tau an order isomorphism onto
-    [Z^d:G]^-1 Z: the difference functions span a saturated corank-1
-    sublattice of Z^reps contained in the kernel of summation.
-
-    They are the edge vectors e_{x+e_i} - e_x of the unit-step graph, and
-    the edges of a spanning tree are a Z-basis of ker(sum) (the reduced
-    incidence matrix), while a graph with c components spans only rank
-    card - c: so the check holds iff the graph is connected."""
-    return quotient.orbit_is_everything()
-
-
 def coinvariants(h: HGroup, verify_depth: int = 3) -> Supernatural:
     """Co-invariants D(Y_H) as a supernatural number: equals the superindex.
 
     At each tower level up to verify_depth the finite quotient is checked:
     D(Z^d/G_n) must be infinite cyclic and the trace an order isomorphism
-    onto [Z^d : G_n]^-1 Z generated by [1]/card.
+    onto [Z^d : G_n]^-1 Z generated by [1]/card.  That is, the difference
+    functions, the edge vectors e_{x+e_i} - e_x of the unit-step graph, span
+    the corank-1 kernel of summation on Z^reps.  The edges of a spanning
+    tree are a Z-basis of it (the reduced incidence matrix), while a graph
+    with c components spans rank card - c: so the check is connectivity.
     """
     t = tower(h, verify_depth)
     for g in t.duals:
-        if not level_coinvariants_ok(FiniteOdometer(g)):
+        if not FiniteOdometer(g).orbit_is_everything():
             raise ArithmeticError("finite-level co-invariants are not infinite cyclic")
     return superindex(h)
 

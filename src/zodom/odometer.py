@@ -195,7 +195,7 @@ class OdoPoint:
                 raise ValueError("cosets are not coherent under the quotient maps")
 
 
-def measure_cylinder(t: Tower, n: int, coset=None) -> Fraction:
+def measure_cylinder(t: Tower, n: int) -> Fraction:
     """Mass of a depth-n cylinder; independent of the coset."""
     if not 1 <= n <= t.depth:
         raise ValueError("level out of range")

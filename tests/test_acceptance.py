@@ -113,14 +113,23 @@ def test_suite_output_is_pinned(results):
 
 
 @pytest.mark.parametrize("seed", [7, 21])
-def test_criteria_05_and_10_pinned_at_other_seeds(seed):
-    # neither criterion reads the seed: both print their pinned lines
-    from zodom.verify import criterion_5_duality, criterion_10_torsion_free
-
-    for fn in (criterion_5_duality, criterion_10_torsion_free):
-        r = fn(seed)
+def test_seed_independent_details_pinned_at_other_seeds(seed):
+    # these criteria print details that do not depend on the seed
+    for number in (4, 5, 9, 10):
+        r = CRITERIA[number - 1](seed)
+        assert r.number == number
         assert r.ok
         assert f"criterion_{r.number:02d}_detail={r.detail}\n" in PINNED_OUTPUT
+
+
+def test_criterion_04_fails_without_explicit_coboundary(monkeypatch):
+    from zodom.cohomology import CoboundarySolver
+    from zodom.verify import criterion_4_alpha_isomorphism
+
+    monkeypatch.setattr(CoboundarySolver, "solve", lambda self, theta: None)
+    r = criterion_4_alpha_isomorphism(DEFAULT_SEED)
+    assert not r.ok
+    assert r.detail == "explicit coboundary failed"
 
 
 def test_suite_is_deterministic():
