@@ -143,7 +143,7 @@ def alpha_map(theta: Cocycle1):
     """The dual vector h in G* with theta(0 + G, g) = <g, h> for g in G."""
     g = theta.quotient.lattice
     zero = (0,) * g.d
-    targets = [theta.evaluate(zero, col) for col in g.basis_columns()]
+    targets = [theta.evaluate(zero, col) for col in zip(*g.mat)]
     return g.basis().transpose().inv().apply(targets)
 
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .hgroup import HGroup, apply_matrix
-from .linalg import Mat, SingularMatrixError, factorint
+from .linalg import Mat, SingularMatrixError, clear_denominators, factorint
 
 
 class GdslSyntaxError(ValueError):
@@ -161,7 +160,8 @@ class _Parser:
         self.literal("]")
         if any(len(r) != len(rows) for r in rows):
             raise DimensionMismatchError("matrix must be square")
-        return Mat(rows)
+        den, num = clear_denominators(rows)
+        return Mat(num, den)
 
     def _row(self):
         out = [self.rat()]
@@ -251,9 +251,10 @@ def _build(e, d: int) -> HGroup:
 
 
 def _collect(e, d: int, data) -> None:
-    """Add the generators of e to data = {p: (lattice_gens, divisible_gens)}:
-    a unit vector per inverted prime of an ``oplus`` component, a ``gen`` at
-    each prime of its denominators, the local data of a ``mat`` image."""
+    """Add the generators of e to data = {p: (gens, divisible_gens)}, the
+    format of ``HGroup.from_local_data``: a unit vector per inverted prime
+    of an ``oplus`` component, a ``gen`` as its integer pair (den, num) at
+    each prime of den, the local data of a ``mat`` image."""
     if isinstance(e, Oplus):
         for i, comp in enumerate(e.comps):
             if comp.inv == 1:
@@ -262,8 +263,9 @@ def _collect(e, d: int, data) -> None:
             for p in factorint(comp.inv):
                 data.setdefault(p, ([], []))[1].append(unit)
     elif isinstance(e, Gen):
-        for p in factorint(lcm(*(x.denominator for x in e.vec))):
-            data.setdefault(p, ([], []))[0].append(e.vec)
+        den, (num,) = clear_denominators([e.vec])
+        for p in factorint(den):
+            data.setdefault(p, ([], []))[0].append((den, num))
     elif isinstance(e, MatExpr):
         for p, (lat, div) in _build(e, d).local_data().items():
             slot = data.setdefault(p, ([], []))

@@ -129,22 +129,6 @@ def _congruence_lattice(rows, pk: int, d: int):
     return [c[:d] for c in integer_kernel(ext)]
 
 
-def _make_entry(d: int, p: int, lattice_gens, divisible_gens):
-    """Canonical LocalEntry at p, or None if trivial, for V_p spanned by the
-    divisible generators and L(p) the p-primary part of Z^d + <lattice
-    generators> (rational vectors).
-
-    >>> _make_entry(2, 5, [(Fraction(1, 5), Fraction(1, 5))], [])._rows
-    ((1, 4), (0, 5))
-    >>> _make_entry(2, 5, [(Fraction(1, 10), Fraction(3, 5)), (Fraction(1, 2), 3)], [])._rows
-    ((1, 4), (0, 5))
-    """
-    if not is_prime(p):
-        raise ValueError(f"support key {p} is not prime")
-    gens = [clear_denominators([g]) for g in lattice_gens]
-    return _entry(d, p, [(den, num) for den, (num,) in gens], subspace_basis(divisible_gens, d))
-
-
 def _entry(d: int, p: int, gens, vspan):
     """LocalEntry at p for lattice generators num / den, given as integer
     pairs (den, num), and the canonical basis ``vspan`` of V_p; None if
@@ -197,11 +181,22 @@ class HGroup:
 
     @classmethod
     def from_local_data(cls, d: int, data) -> "HGroup":
-        """data: {p: (lattice_gens, divisible_gens)}; trivial entries dropped."""
+        """The group with data {p: (gens, divisible_gens)}, the format of
+        ``local_data``: at each prime p, L(p) is the p-primary part of
+        Z^d + <num / den> over the integer pairs (den, num) in gens, and V_p
+        is spanned by the divisible generators.  Trivial entries are dropped.
+
+        >>> HGroup.from_local_data(2, {5: ([(5, (1, 1))], [])}).entry(5)._rows
+        ((1, 4), (0, 5))
+        >>> HGroup.from_local_data(2, {5: ([(10, (1, 6)), (2, (1, 6))], [])}).entry(5)._rows
+        ((1, 4), (0, 5))
+        """
         entries = []
         for p in sorted(data):
-            lat_gens, div_gens = data[p]
-            e = _make_entry(d, p, lat_gens, div_gens)
+            if not is_prime(p):
+                raise ValueError(f"support key {p} is not prime")
+            gens, div = data[p]
+            e = _entry(d, p, gens, subspace_basis(div, d))
             if e is not None:
                 entries.append(e)
         return cls(d, entries)
@@ -213,8 +208,10 @@ class HGroup:
         return self._by_prime.get(p)
 
     def local_data(self):
+        """{p: (gens, divisible_gens)} with gens the HNF columns of L(p) as
+        (den, num) pairs, the input format of ``from_local_data``."""
         return {
-            e.p: ([tuple(c) for c in e.lattice.basis_columns()], [tuple(w) for w in e.vspan])
+            e.p: ([(e.lattice.den, col) for col in zip(*e.lattice.mat)], list(e.vspan))
             for e in self.entries
         }
 
@@ -264,7 +261,7 @@ def _member(entries, den: int, num) -> bool:
     row . num = 0 mod p^k for every row.  Any prime of den left over lies
     outside the support.
 
-    >>> h = HGroup.from_local_data(2, {5: ([(Fraction(1, 5), Fraction(1, 5))], [])})
+    >>> h = HGroup.from_local_data(2, {5: ([(5, (1, 1))], [])})
     >>> _member(h.entries, 5, [1, 1]), _member(h.entries, 5, [1, 0])
     (True, False)
     >>> _member(h.entries, 10, [2, 2]), _member(h.entries, 7, [0, 7])  # unreduced
@@ -304,7 +301,7 @@ def difference(h1: HGroup, h2: HGroup):
     L(p) lies in the other's M_p.  The HNF columns c of L(p) = (1/den) M
     are tested as c / den with the integer kernel, h1's entries first.
 
-    >>> h = HGroup.from_local_data(1, {5: ([(Fraction(1, 5),)], [])})
+    >>> h = HGroup.from_local_data(1, {5: ([(5, (1,))], [])})
     >>> difference(h, h) is None, difference(HGroup.standard(1), h)
     (True, 'support differs at p=5')
     """

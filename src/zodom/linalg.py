@@ -1,20 +1,22 @@
 """Exact integer and rational linear algebra for lattice computations.
 
 Rational input is put over a common denominator (:func:`clear_denominators`)
-and the work is integer arithmetic, so all results are exact.  Matrices are
-small (d <= 4 by design), so the algorithms favour clarity and predictable
-cost: fraction-free Gauss-Jordan for determinants, inverses and row echelon
-forms over Q, unimodular column reduction for Hermite forms and integer
-kernels, classical Smith reduction with tracked transforms.
+once, where it is read, and the work is integer arithmetic, so all results
+are exact.  Matrices are small (d <= 4 by design), so the algorithms favour
+clarity and predictable cost: fraction-free Gauss-Jordan for determinants,
+inverses and row echelon forms over Q, unimodular column reduction for
+Hermite forms and integer kernels, classical Smith reduction with tracked
+transforms.
 
 Conventions fixed here and relied on by every other module:
 
 * Hermite normal form is the *column* form: lower-triangular, positive
   diagonal, and in each row ``i`` the off-diagonal entries satisfy
   ``0 <= h[i][j] < h[i][i]`` for ``j < i``.
-* A :class:`Mat` is stored as ``num / den`` with ``num`` its integer rows,
-  ``den > 0`` and gcd(den, entries) = 1, so matrix equality is a syntactic
-  check and ``Mat.rows`` is only a Fraction view for output.
+* A :class:`Mat` is built from integer rows over a denominator and stored
+  as ``num / den`` with ``den > 0`` and gcd(den, entries) = 1, so matrix
+  equality is a syntactic check; ``Mat.rows``, ``Mat.apply`` and
+  ``Mat.det`` are the only Fraction views, for reading and printing.
 * A :class:`Lattice` is stored as ``(1/den) * mat`` with ``mat`` an integer
   matrix in HNF whose columns generate the lattice and ``den`` minimal.
   Lattice equality is therefore a syntactic check.
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, inf, lcm, prod
-from operator import attrgetter, mul
+from operator import mul
 
 
 class SingularMatrixError(ValueError):
@@ -438,37 +440,28 @@ def integer_kernel(rows) -> list[list[int]]:
 # rational matrices
 
 
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
-
-
 class Mat:
     """Immutable square rational matrix num / den: ``num`` a tuple of integer
-    row tuples, den > 0 and gcd(den, entries) = 1.
+    row tuples, den > 0 and gcd(den, entries) = 1.  It is built from integer
+    rows only; ``rows``, ``apply`` and ``det`` read it back as Fractions.
 
     >>> m = Mat([[0, 1], [1, 0]])
     >>> m * m == Mat.identity(2)
     True
-    >>> a = Mat([[Fraction(1, 2), 1], [0, 3]])
-    >>> a.den, a.num, a == Mat([[2, 4], [0, 12]], den=4)
-    (2, ((1, 2), (0, 6)), True)
+    >>> a = Mat([[2, 4], [0, 12]], den=4)
+    >>> a.den, a.num, a.det()
+    (2, ((1, 2), (0, 6)), Fraction(3, 2))
     """
 
     __slots__ = ("den", "num")
 
-    def __init__(self, rows, den=1):
-        """The matrix rows / den, for int or Fraction entries and den != 0:
-        the entries are put over their least common denominator, and one
-        gcd reduces."""
-        d = len(rows)
-        flat = list(chain.from_iterable(rows))
-        if d == 0 or len(flat) != d * d or min(map(len, rows)) != d:
+    def __init__(self, num, den=1):
+        """The matrix num / den, for integer rows num and an integer den != 0,
+        reduced by one gcd (which rejects a non-integer entry)."""
+        d = len(num)
+        flat = list(chain.from_iterable(num))
+        if d == 0 or len(flat) != d * d or min(map(len, num)) != d:
             raise ValueError("Mat must be square and nonempty")
-        q = lcm(*map(_denominator, flat))
-        if q == 1:
-            flat = list(map(_numerator, flat))
-        else:
-            den *= q
-            flat = [x.numerator * (q // x.denominator) for x in flat]
         g = gcd(den, *flat)
         if den < 0:
             g = -g
@@ -490,9 +483,6 @@ class Mat:
     def rows(self):
         """The entries as Fractions, row by row."""
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
-
-    def columns(self):
-        return list(zip(*self.rows))
 
     def transpose(self) -> "Mat":
         return Mat(list(zip(*self.num)), self.den)
@@ -579,9 +569,6 @@ class Lattice:
     def basis(self) -> Mat:
         return Mat(self.mat, self.den)
 
-    def basis_columns(self):
-        return self.basis().columns()
-
     def det(self) -> Fraction:
         return Fraction(prod(self.diagonal()), self.den**self.d)
 
@@ -608,7 +595,7 @@ class Lattice:
         """Dual lattice: all vectors pairing integrally with every lattice
         element.  The dual of (1/den) * M is den * adj(M)^T / det(M).
 
-        >>> Lattice(Mat([[Fraction(1, 2), 0], [0, 1]])).dual().mat
+        >>> Lattice(Mat([[1, 0], [0, 2]], 2)).dual().mat
         ((2, 0), (0, 1))
         """
         det, adj = adjugate(self.mat)

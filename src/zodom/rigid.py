@@ -41,9 +41,7 @@ K1_DEVIATION = (
 
 def l1_operator_norm(m: Mat) -> int:
     """Max column absolute sum; the l1 -> l1 operator norm."""
-    return max(
-        sum(abs(int(m.rows[i][j])) for i in range(m.d)) for j in range(m.d)
-    )
+    return max(sum(map(abs, col)) for col in zip(*m.num))
 
 
 @dataclass(frozen=True)
@@ -91,10 +89,6 @@ class RigidProgram:
                     )
             self.levels.append(RigidLevel(a, b, a * b - 1, k))
         return self
-
-    def alpha(self, n: int) -> Mat:
-        self.extend(n)
-        return self.levels[n - 1].matrix()
 
 
 # ---------------------------------------------------------------------------

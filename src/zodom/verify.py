@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classify import COE, CONJ, ISO, OE, decide
 from .cohomology import (
@@ -57,7 +56,7 @@ class CriterionResult:
 
 
 SWAP = Mat([[0, 1], [1, 0]])
-SCALE_5 = Mat([[Fraction(1, 5), 0], [0, 5]])
+SCALE_5 = Mat([[1, 0], [0, 25]], 5)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +111,7 @@ def random_d1_group(rng: random.Random) -> HGroup:
             data[p] = ([], [(1,)])  # infinitely divisible
         else:
             e = rng.randint(1, 3)
-            data[p] = ([(Fraction(1, p**e),)], [])
+            data[p] = ([(p**e, (1,))], [])
     return HGroup.from_local_data(1, data)
 
 

@@ -1,12 +1,13 @@
 """Oracles used only by the tests: the index of nested lattices, block
-(direct) sums of lattices and of groups, and matrices from columns and the
-unimodularity test."""
+(direct) sums of lattices and of groups, matrices from rational rows or
+columns, the unimodularity test, the rational columns of a lattice, and a
+counter of the Fractions built."""
 
 from fractions import Fraction
 from math import prod
 
 from zodom.hgroup import HGroup
-from zodom.linalg import Lattice, Mat
+from zodom.linalg import Lattice, Mat, clear_denominators
 
 
 def index(sub: Lattice, sup: Lattice) -> int:
@@ -21,30 +22,62 @@ def index(sub: Lattice, sup: Lattice) -> int:
 
 def lattice_block(a: Lattice, b: Lattice) -> Lattice:
     """Block-diagonal direct sum of two lattices."""
-    cols = [tuple(c) + (0,) * b.d for c in a.basis_columns()]
-    cols += [(0,) * a.d + tuple(c) for c in b.basis_columns()]
+    cols = [c + (0,) * b.d for c in lattice_columns(a)]
+    cols += [(0,) * a.d + c for c in lattice_columns(b)]
     return Lattice.from_span(a.d + b.d, cols)
 
 
 def direct_sum(h1: HGroup, h2: HGroup) -> HGroup:
     """Block presentation of H1 + H2 in dimension d1 + d2."""
-    zero1, zero2 = (Fraction(0),) * h1.d, (Fraction(0),) * h2.d
+    zero1, zero2 = (0,) * h1.d, (0,) * h2.d
     data = {}
     for p in sorted(set(h1.support()) | set(h2.support())):
         lat_gens, div_gens = [], []
         for e, before, after in ((h1.entry(p), (), zero2), (h2.entry(p), zero1, ())):
             if e is not None:
-                lat_gens += [before + tuple(c) + after for c in e.lattice.basis_columns()]
-                div_gens += [before + tuple(w) + after for w in e.vspan]
+                den = e.lattice.den
+                lat_gens += [(den, before + c + after) for c in zip(*e.lattice.mat)]
+                div_gens += [before + w + after for w in e.vspan]
         data[p] = (lat_gens, div_gens)
     return HGroup.from_local_data(h1.d + h2.d, data)
 
 
+def rational_mat(rows) -> Mat:
+    """The square matrix with the given int or Fraction rows."""
+    den, num = clear_denominators(rows)
+    return Mat(num, den)
+
+
 def from_columns(cols) -> Mat:
-    """The square matrix with the given columns."""
-    return Mat(list(zip(*cols)))
+    """The square matrix with the given int or Fraction columns."""
+    return rational_mat(list(zip(*cols)))
+
+
+def lattice_columns(lat: Lattice):
+    """The HNF columns of a lattice, as Fraction vectors."""
+    return [tuple(Fraction(x, lat.den) for x in col) for col in zip(*lat.mat)]
+
+
+def local_pairs(gens):
+    """Rational lattice generators as the (den, num) pairs of
+    ``HGroup.from_local_data``."""
+    return [(den, tuple(num)) for den, (num,) in (clear_denominators([g]) for g in gens)]
 
 
 def is_unimodular(m: Mat) -> bool:
     """Whether m lies in GL_d(Z)."""
     return m.is_integer() and abs(m.det()) == 1
+
+
+def fractions_built(monkeypatch):
+    """The list that every Fraction built from now on appends its arguments
+    to, until ``monkeypatch`` is undone."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    return built

@@ -32,17 +32,24 @@ from zodom.hgroup import (
     maps_onto,
     superindex,
 )
-from zodom.linalg import INF, Mat, factorint, valuation
+from zodom.linalg import INF, Lattice, Mat, factorint, valuation
 from zodom.rigid import GALLERY_VERDICTS, gallery
 
-from helpers import from_columns, is_unimodular
+from helpers import (
+    fractions_built,
+    from_columns,
+    is_unimodular,
+    lattice_columns,
+    local_pairs,
+    rational_mat,
+)
 from test_hgroup import det_one_matrices
 
 F = Fraction
 
 SWAP = Mat([[0, 1], [1, 0]])
 NEG_SWAP = Mat([[0, -1], [-1, 0]])
-SCALE_5 = Mat([[F(1, 5), 0], [0, 5]])
+SCALE_5 = Mat([[1, 0], [0, 25]], 5)
 
 # no divisible line (rank 2 at p=3); every COE witness has denominator 2
 HALF_A = "oplus(Z[1/3], Z[1/3]) + gen(1/2, 0) + gen(0, 1/2)"
@@ -57,7 +64,7 @@ SHEAR_3 = Mat([[1, 0], [3, 1]])
 def mats(text):
     """The matrices written "a,b;c,d" in text, separated by spaces."""
     return tuple(
-        Mat([[F(x) for x in row.split(",")] for row in m.split(";")]) for m in text.split()
+        rational_mat([[F(x) for x in row.split(",")] for row in m.split(";")]) for m in text.split()
     )
 
 
@@ -216,15 +223,15 @@ def test_coe_bounded_search_with_denominator():
     for bound in (1, 2):
         v = decide_coe(h, hp, bound=bound)
         assert v.answer == "YES"
-        assert v.witness == Mat([[F(1, 2), 0], [1, 2]])
+        assert v.witness == Mat([[1, 0], [2, 4]], 2)
         assert abs(v.witness.det()) == 1 and equal_h(apply_matrix(v.witness, h), hp)
     # all_witnesses enumerates with the bounded search; the constructed
     # witness replaces only its UNKNOWN (no witness at denominator 1)
     v = decide_coe(h, hp, bound=1, all_witnesses=True)
     assert v.answer == "YES"
-    assert v.witnesses == (Mat([[F(1, 2), 0], [1, 2]]),)
+    assert v.witnesses == (Mat([[1, 0], [2, 4]], 2),)
     v = decide_coe(h, hp, bound=2, all_witnesses=True)
-    assert v.witness == Mat([[1, F(1, 2)], [0, 1]])
+    assert v.witness == Mat([[2, 1], [0, 2]], 2)
     assert v.witnesses == mats(
         "1,1/2;0,1 1,1/2;0,-1 1,-1/2;0,1 1,-1/2;0,-1"
         " -1,1/2;0,1 -1,1/2;0,-1 -1,-1/2;0,1 -1,-1/2;0,-1"
@@ -373,10 +380,10 @@ def test_d3_zero_line_coe_constructed():
     b = parse_group("oplus(Z[1/6], Z[1/6], Z[1/6]) + gen(0, 0, 1/25)")
     v = decide_coe(a, b)
     assert v.answer == "YES" and not v.flags
-    assert v.witness == Mat([[5, 0, 0], [0, 5, 0], [0, 0, F(1, 25)]])
+    assert v.witness == Mat([[125, 0, 0], [0, 125, 0], [0, 0, 1]], 25)
     assert equal_h(apply_matrix(v.witness, a), b)
     v = decide_coe(a, b, all_witnesses=True)
-    assert v.witnesses == (Mat([[5, 0, 0], [0, 5, 0], [0, 0, F(1, 25)]]),)
+    assert v.witnesses == (Mat([[125, 0, 0], [0, 125, 0], [0, 0, 1]], 25),)
     v = decide_isomorphism(a, b)
     assert v.answer == "NO"
     assert v.certificate.kind == "elementary-divisors"
@@ -452,7 +459,7 @@ def test_coe_complete_on_constructed_images():
         h = parse_group(rng.choice(STRESS_TEXTS))
         p = rng.choice([2, 3, 5, 7])
         k = rng.randint(0, 2)
-        diag = Mat([[F(1, p**k), 0], [0, p**k]])
+        diag = Mat([[1, 0], [0, p ** (2 * k)]], p**k)
         m = _random_unimodular(rng)
         alpha = m * diag if rng.random() < 0.5 else diag * m
         try:
@@ -519,7 +526,8 @@ def test_coe_zero_line_sound_and_complete(monkeypatch):
         h = parse_group(rng.choice(ZERO_LINE_TEXTS))
         p = rng.choice([2, 3, 5, 7])
         k = rng.randint(0, 2)
-        beta = _random_unimodular(rng) * Mat([[F(1, p**k), 0], [0, p**k]]) * _random_unimodular(rng)
+        diag = Mat([[1, 0], [0, p ** (2 * k)]], p**k)
+        beta = _random_unimodular(rng) * diag * _random_unimodular(rng)
         try:
             hp = apply_matrix(beta, h)
         except NotSupergroupError:
@@ -584,7 +592,7 @@ def _sign_choices_reference(relation, h, hp, c_inv, cp_mat, scales, admissible, 
     lam, mu = scales
     found = []
     for s1, s2 in itertools.product((1, -1), repeat=2):
-        cand = cp_mat * Mat([[s1 * lam, 0], [0, s2 * mu]]) * c_inv
+        cand = cp_mat * rational_mat([[s1 * lam, 0], [0, s2 * mu]]) * c_inv
         if admissible(cand) and maps_onto(cand, h, hp):
             found.append(cand)
     if found:
@@ -598,7 +606,7 @@ def _coord_min_vals_reference(frame_inv, h, p):
     """Per-coordinate minimal p-valuations of C^-1 M_p on Fraction columns."""
     d = h.d
     entry = h.entry(p)
-    cols = entry.lattice.basis_columns() if entry else Mat.identity(d).columns()
+    cols = lattice_columns(entry.lattice if entry else Lattice.standard(d))
     mins = [None] * d
     for c in cols:
         w = frame_inv.apply(c)
@@ -704,7 +712,7 @@ def two_line_groups(draw):
             tuple(F(x, p ** draw(st.integers(1, 2))) for x in draw(vec))
             for _ in range(draw(st.integers(0, 2)))
         ]
-        data[p] = (lat, div)
+        data[p] = (local_pairs(lat), div)
     h = HGroup.from_local_data(2, data)
     assume(len(set(classify._lines(h).values())) >= 2)
     return h
@@ -723,7 +731,8 @@ def test_line_tiers_match_fraction_reference():
         if kind == "perturbed":
             p = data.draw(st.sampled_from(h.support()))
             local = h.local_data()
-            local[p][0].append(tuple(F(x, p) for x in data.draw(st.tuples(*[st.integers(0, p)] * 2))))
+            v = tuple(F(x, p) for x in data.draw(st.tuples(*[st.integers(0, p)] * 2)))
+            local[p][0].extend(local_pairs([v]))
             src = HGroup.from_local_data(2, local)
         if kind != "other":
             a = data.draw(st.one_of(det_one_matrices(2), st.builds(_random_unimodular, st.randoms())))
@@ -767,7 +776,7 @@ def _tier_pairs():
                 p = rng.choice([2, 3, 5])
                 scale = [[F(p) if i == j == 0 else F(1, p) if i == j == 1 else int(i == j)
                           for j in range(d)] for i in range(d)]
-                for a in (Mat(rows), Mat(rows) * Mat(scale)):
+                for a in (Mat(rows), Mat(rows) * rational_mat(scale)):
                     try:
                         pairs.append((h, apply_matrix(a, h)))
                     except NotSupergroupError:
@@ -783,19 +792,12 @@ def _tier_pairs():
 def test_line_and_zero_line_tiers_build_no_fraction(monkeypatch):
     monkeypatch.setattr(classify, "_bounded_search", _no_search)
     pairs = _tier_pairs()
-    built = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
     answers = []
     for h, hp in pairs:
         for relation in (ISO, COE):
-            monkeypatch.setattr(Fraction, "__new__", counting_new)
-            v = decide(relation, h, hp)
-            monkeypatch.setattr(Fraction, "__new__", new)
+            with monkeypatch.context() as m:
+                built = fractions_built(m)
+                v = decide(relation, h, hp)
             assert not built, (relation, v)
             answers.append(v.answer)
     assert answers.count("YES") >= 50 and answers.count("NO") >= 5

@@ -27,6 +27,8 @@ from zodom.gdsl import expr_dimension
 from zodom.hgroup import HGroup, NotSupergroupError, apply_matrix, equal_h, superindex
 from zodom.linalg import INF, Mat, SingularMatrixError, Supernatural, factorint
 
+from helpers import local_pairs
+
 F = Fraction
 
 
@@ -166,7 +168,7 @@ def _elaborate_reference(e):
         for x in vec:
             if x.denominator > 1:
                 primes |= set(factorint(x.denominator))
-        return HGroup.from_local_data(d, {p: ([vec], []) for p in primes})
+        return HGroup.from_local_data(d, {p: (local_pairs([vec]), []) for p in primes})
     if isinstance(e, MatExpr):
         return apply_matrix(e.mat, _elaborate_reference(e.operand))
     data = {}
@@ -278,6 +280,6 @@ def test_report_formatting():
     assert format_rat(F(-3)) == "-3"
     assert format_vec((F(1, 2), F(0))) == "(1/2, 0)"
     assert format_mat(Mat([[0, 1], [1, 0]])) == "mat([0,1;1,0])"
-    assert format_mat(Mat([[F(1, 5), 0], [0, 5]])) == "mat([1/5,0;0,5])"
+    assert format_mat(Mat([[1, 0], [0, 25]], 5)) == "mat([1/5,0;0,5])"
     assert str(Supernatural({2: INF, 3: INF, 5: INF})) == "2^inf*3^inf*5^inf"
     assert str(Supernatural({})) == "1"

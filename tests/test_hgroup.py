@@ -10,12 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zodom.classify import _elementary_divisors
-from zodom.gdsl import parse_group
+from zodom.gdsl import elaborate, parse, parse_group
 from zodom.hgroup import (
     HGroup,
     NotSupergroupError,
     _congruence_lattice,
-    _make_entry,
     _member,
     apply_matrix,
     difference,
@@ -46,7 +45,15 @@ from zodom.linalg import (
 )
 from zodom.rigid import GALLERY_TEXTS
 
-from helpers import direct_sum, from_columns, index
+from helpers import (
+    direct_sum,
+    fractions_built,
+    from_columns,
+    index,
+    lattice_columns,
+    local_pairs,
+    rational_mat,
+)
 
 F = Fraction
 
@@ -106,7 +113,7 @@ def test_canonicalize_idempotent_on_gallery():
 
 def test_composite_support_key_rejected():
     with pytest.raises(ValueError):
-        HGroup.from_local_data(1, {6: ([(F(1, 6),)], [])})
+        HGroup.from_local_data(1, {6: ([(6, (1,))], [])})
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +152,7 @@ def _adapted_basis(lattice, vspan):
     )
     u, s, _ = snf([[c[i] for c in kernel] for i in range(d)])
     assert all(s[i][i] == 1 for i in range(r))
-    cols = Mat(u).inv().columns()
+    cols = list(zip(*Mat(u).inv().rows))
     return lattice.basis() * from_columns(cols[r:] + cols[:r])
 
 
@@ -183,7 +190,7 @@ def test_member_local_matches_fraction_rule_on_gallery():
             c
             for other in LOCAL_ENTRIES
             if (other.p, other.d) == (e.p, e.d)
-            for c in other.lattice.basis_columns()
+            for c in lattice_columns(other.lattice)
         ]
         box = range(-e.p**2, e.p**2 + 1, max(1, e.p // 2))
         probes += [tuple(F(x, e.p**2) for x in xs) for xs in itertools.product(box, repeat=e.d)]
@@ -240,7 +247,7 @@ def local_groups(draw, d):
             tuple(F(x, p ** draw(st.integers(0, 3))) for x in draw(vec))
             for _ in range(draw(st.integers(0, 2)))
         ]
-        data[p] = (lat, div)
+        data[p] = (local_pairs(lat), div)
     return HGroup.from_local_data(d, data)
 
 
@@ -272,7 +279,10 @@ def test_equal_matches_identity_witness_test():
                 st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
             local = h.local_data()
             lat, div = local.get(p, ([], []))
-            local[p] = (lat, div + [v]) if data.draw(st.booleans()) else (lat + [v], div)
+            if data.draw(st.booleans()):
+                local[p] = (lat, div + [v])
+            else:
+                local[p] = (lat + local_pairs([v]), div)
             hp = HGroup.from_local_data(d, local)
         if data.draw(st.booleans()):
             h, hp = hp, h
@@ -315,15 +325,15 @@ def p_primary_over_standard(lat: Lattice, p: int) -> Lattice:
 
 def test_p_primary_over_standard():
     big = Lattice.from_span(2, [(F(1, 6), 0), (0, 1)])
-    assert p_primary_over_standard(big, 2) == Lattice(Mat([[F(1, 2), 0], [0, 1]]))
-    assert p_primary_over_standard(big, 3) == Lattice(Mat([[F(1, 3), 0], [0, 1]]))
+    assert p_primary_over_standard(big, 2) == Lattice(Mat([[1, 0], [0, 2]], 2))
+    assert p_primary_over_standard(big, 3) == Lattice(Mat([[1, 0], [0, 3]], 3))
     assert p_primary_over_standard(big, 5) == Lattice.standard(2)
 
 
 def _raw_lattice(d, p, gens):
     """Z^d plus the generators, cut to its p-primary part: L(p) as given."""
     zd = Lattice.standard(d)
-    return p_primary_over_standard(Lattice.from_span(d, [*zd.basis_columns(), *gens]), p)
+    return p_primary_over_standard(Lattice.from_span(d, [*lattice_columns(zd), *gens]), p)
 
 
 def test_equal_groups_have_equal_presentations():
@@ -345,7 +355,7 @@ def test_equal_groups_have_equal_presentations():
             for w in div:
                 c, pj = rng.randint(1, 5), p ** rng.randint(1, 4)
                 extra.append(tuple(F(c * x, pj) for x in w))
-            data[p], more[p] = (lat, div), (lat + extra, div)
+            data[p], more[p] = (local_pairs(lat), div), (local_pairs(lat + extra), div)
             moved += _raw_lattice(d, p, lat) != _raw_lattice(d, p, lat + extra)
         h, hp = HGroup.from_local_data(d, data), HGroup.from_local_data(d, more)
         assert maps_onto(Mat.identity(d), h, hp)
@@ -385,7 +395,7 @@ def _index_valuation_reference(lattice, vspan, p):
     if r == 0:
         return full
     b = _adapted_basis(lattice, vspan)
-    mixed = Lattice.from_span(d, [*zd.basis_columns(), *b.columns()[d - r:]])
+    mixed = Lattice.from_span(d, [*lattice_columns(zd), *list(zip(*b.rows))[d - r:]])
     return full - valuation(index(zd, mixed), p)
 
 
@@ -395,7 +405,7 @@ def test_rows_match_adapted_basis_reference(d, data):
     # the rows span the same module as the first d - r rows of B_p^-1, built
     # from L(p) as given, and the index reads as the adapted-basis formula
     p, lat_gens, div_gens = data.draw(local_datum(d))
-    e = HGroup.from_local_data(d, {p: (lat_gens, div_gens)}).entry(p)
+    e = HGroup.from_local_data(d, {p: (local_pairs(lat_gens), div_gens)}).entry(p)
     lattice, vspan = _raw_lattice(d, p, lat_gens), subspace_basis(div_gens, d)
     if e is None:
         assert not vspan and lattice == Lattice.standard(d)
@@ -407,13 +417,14 @@ def test_rows_match_adapted_basis_reference(d, data):
     assert (e.r, e.vspan) == (len(vspan), vspan)
 
 
-def _make_entry_reference(d, p, lattice_gens, divisible_gens):
+def _local_entry_reference(d, p, lattice_gens, divisible_gens):
     """The Fraction build of an entry: L(p) as the p-primary part of the
-    lattice Z^d + <gens>, rows D . x over the integer kernel of vspan . D
-    with D the HNF of the dual lattice L(p)*, then the Smith-form tail.
-    Returns (p, r, lattice, vspan, index valuation, rows), or None."""
+    lattice Z^d + <num / den> over the pairs (den, num), rows D . x over the
+    integer kernel of vspan . D with D the HNF of the dual lattice L(p)*,
+    then the Smith-form tail.  Returns (p, r, lattice, vspan, index
+    valuation, rows), or None."""
     vspan = subspace_basis(list(divisible_gens), d)
-    lat = _raw_lattice(d, p, [tuple(F(x) for x in g) for g in lattice_gens])
+    lat = _raw_lattice(d, p, [tuple(F(x, den) for x in num) for den, num in lattice_gens])
     if not vspan and lat == Lattice.standard(d):
         return None
     dual = lat.dual()
@@ -438,10 +449,11 @@ def _elementary_divisors_reference(lattice):
 
 @st.composite
 def raw_local_data(draw, d):
-    """(p, lattice generators, divisible generators) as a parser hands them
-    over: denominators p^k times a cofactor (often a foreign prime),
-    generators that vanish mod p^k, integral ones, redundant sums and
-    multiples of earlier ones, and divisible directions."""
+    """(p, lattice generators, divisible generators) as a parser or
+    ``local_data`` hands them over: pairs (den, num), not always in lowest
+    terms, with den p^k times a cofactor (often a foreign prime), generators
+    that vanish mod p^k, integral ones, redundant sums and multiples of
+    earlier ones, and divisible directions."""
     vec = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
     p = draw(st.sampled_from([2, 3, 5, 7]))
     div = draw(st.lists(vec, max_size=d))
@@ -449,9 +461,9 @@ def raw_local_data(draw, d):
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["plain", "plain", "zero mod p^k", "integral", "redundant"]))
         if kind == "redundant" and lat:
-            a, b = draw(st.sampled_from(lat)), draw(st.sampled_from(lat))
+            (da, a), (db, b) = draw(st.sampled_from(lat)), draw(st.sampled_from(lat))
             c = draw(st.integers(-3, 3))
-            lat.append(tuple(x + c * y for x, y in zip(a, b)))
+            lat.append((da * db, tuple(x * db + c * y * da for x, y in zip(a, b))))
             continue
         k = draw(st.integers(0, 3))
         den = p**k * draw(st.sampled_from([1, 1, 2, 3, 5, 7, 11, 6]))
@@ -460,16 +472,16 @@ def raw_local_data(draw, d):
             num = [p**k * x for x in num]
         elif kind == "integral":
             den = 1
-        lat.append(tuple(F(x, den) for x in num))
+        lat.append((den, tuple(num)))
     return p, lat, div
 
 
 @given(st.integers(1, 3), st.data())
 @settings(max_examples=500, deadline=None)
-def test_make_entry_matches_lattice_reference(d, data):
+def test_local_entry_matches_lattice_reference(d, data):
     p, lat_gens, div_gens = data.draw(raw_local_data(d))
-    e = _make_entry(d, p, lat_gens, div_gens)
-    ref = _make_entry_reference(d, p, lat_gens, div_gens)
+    e = HGroup.from_local_data(d, {p: (lat_gens, div_gens)}).entry(p)
+    ref = _local_entry_reference(d, p, lat_gens, div_gens)
     if ref is None:
         assert e is None
         return
@@ -569,7 +581,7 @@ def test_apply_matrix_identity():
 
 
 def test_apply_matrix_rational_scaling_example():
-    a = Mat([[F(1, 5), 0], [0, 5]])
+    a = Mat([[1, 0], [0, 25]], 5)
     h = parse_group("oplus(Z[1/2], Z) + oplus(Z, Z[1/3]) + gen(0, 1/5)")
     hp = parse_group("oplus(Z[1/2], Z) + oplus(Z, Z[1/3]) + gen(1/5, 0)")
     assert equal_h(apply_matrix(a, h), hp)
@@ -597,7 +609,7 @@ def _apply_matrix_reference(a, h):
     primes = set(h.support())
     primes |= {q for row in a.rows for x in row for q in factorint(x.denominator)}
     primes |= set(factorint(det.numerator)) | set(factorint(det.denominator))
-    preimages = a.inv().columns()  # a^-1 e_i
+    preimages = list(zip(*a.inv().rows))  # a^-1 e_i
     data = {}
     for p in sorted(primes):
         entry = h.entry(p)
@@ -610,9 +622,9 @@ def _apply_matrix_reference(a, h):
                 raise NotSupergroupError(
                     f"image group does not contain Z^{h.d} locally at {p}"
                 )
-        lat_cols = entry.lattice.basis_columns() if entry else Mat.identity(h.d).columns()
+        lat_cols = lattice_columns(entry.lattice if entry else Lattice.standard(h.d))
         div = entry.vspan if entry else ()
-        data[p] = ([a.apply(c) for c in lat_cols], [a.apply(w) for w in div])
+        data[p] = (local_pairs(a.apply(c) for c in lat_cols), [a.apply(w) for w in div])
     return HGroup.from_local_data(h.d, data)
 
 
@@ -639,7 +651,7 @@ def free_groups(draw, d):
             tuple(F(x, p ** draw(st.integers(0, 2))) for x in draw(vec))
             for _ in range(draw(st.integers(0, 2)))
         ]
-        data[p] = (lat, div)
+        data[p] = (local_pairs(lat), div)
     h = HGroup.from_local_data(d, data)
     assume(is_free(h))
     return h
@@ -650,7 +662,7 @@ def invertible_matrices(draw, d):
     """Integer (q = 1) or rational (q = 2, 3) matrices with entries n/q."""
     q = draw(st.sampled_from([1, 1, 2, 3]))
     rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d))
-    m = Mat([[F(x, q) for x in row] for row in rows])
+    m = Mat(rows, q)
     assume(m.det() != 0)
     return m
 
@@ -674,8 +686,8 @@ def det_one_matrices(draw, d):
     m = unimodular()
     if draw(st.booleans()):
         q = draw(st.sampled_from([2, 3, 5]))
-        scale = Mat([[F(q) if i == j == 0 else F(1, q) if i == j == 1 else int(i == j)
-                      for j in range(d)] for i in range(d)])
+        scale = rational_mat([[F(q) if i == j == 0 else F(1, q) if i == j == 1 else int(i == j)
+                               for j in range(d)] for i in range(d)])
         m = m * scale * unimodular()
     return m
 
@@ -705,8 +717,8 @@ def _maps_onto_reference(a, h, hp):
             for w in e.vspan:
                 if ep is None or len(subspace_basis([*ep.vspan, a.apply(w)], h.d)) > ep.r:
                     return False
-        images = [a.apply(c) for e in h.entries for c in e.lattice.basis_columns()]
-        return all(_member_h_reference(v, hp) for v in images + a.columns())
+        images = [a.apply(c) for e in h.entries for c in lattice_columns(e.lattice)]
+        return all(_member_h_reference(v, hp) for v in images + list(zip(*a.rows)))
 
     return maps_into(a, h, hp) and maps_into(a.inv(), hp, h)
 
@@ -723,8 +735,8 @@ def test_apply_matrix_matches_fraction_reference():
     def check(d, data):
         h = data.draw(local_groups(d))
         if d == 1:
-            a = Mat([[F(data.draw(st.sampled_from([1, -1, 2, 3, 6, 10])),
-                        data.draw(st.sampled_from([1, 2, 3, 5])))]])
+            a = rational_mat([[F(data.draw(st.sampled_from([1, -1, 2, 3, 6, 10])),
+                                 data.draw(st.sampled_from([1, 2, 3, 5])))]])
         else:
             a = data.draw(st.one_of(det_one_matrices(d), invertible_matrices(d)))
         got = _apply_or_error(apply_matrix, a, h)
@@ -739,30 +751,40 @@ def test_apply_matrix_matches_fraction_reference():
     assert outcomes.count(True) >= 100 and outcomes.count(False) >= 50
 
 
-def test_make_entry_and_apply_matrix_build_no_fraction(monkeypatch):
+def test_from_local_data_and_apply_matrix_build_no_fraction(monkeypatch):
     groups = [parse_group(text) for text in GALLERY + list(GALLERY_TEXTS.values())]
     groups.append(parse_group("oplus(Z[1/2], Z[1/3], Z[1/6]) + gen(1/5, 2/5, 0)"))
     data = [(h.d, p, lat, div) for h in groups for p, (lat, div) in h.local_data().items()]
     mats = {
-        1: [Mat([[F(2, 3)]]), Mat([[-1]])],
-        2: [Mat([[0, 1], [1, 0]]), Mat([[F(1, 5), 0], [0, 5]]), Mat([[2, 1], [1, F(1, 3)]])],
-        3: [Mat([[1, 1, 0], [0, 1, 0], [0, 2, 1]]), Mat([[F(1, 2), 0, 0], [0, 2, 0], [0, 0, 3]])],
+        1: [Mat([[2]], 3), Mat([[-1]])],
+        2: [Mat([[0, 1], [1, 0]]), Mat([[1, 0], [0, 25]], 5), Mat([[6, 3], [3, 1]], 3)],
+        3: [Mat([[1, 1, 0], [0, 1, 0], [0, 2, 1]]), Mat([[1, 0, 0], [0, 4, 0], [0, 0, 6]], 2)],
     }
-    built = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    entries = [_make_entry(*datum) for datum in data]
+    built = fractions_built(monkeypatch)
+    entries = [HGroup.from_local_data(d, {p: (lat, div)}).entry(p) for d, p, lat, div in data]
     images = [_apply_or_error(apply_matrix, a, h) for h in groups for a in mats[h.d]]
     monkeypatch.undo()
     assert not built
     assert len(entries) > 20 and all(entries)
     assert sum(isinstance(x, HGroup) for x in images) > 10
     assert any(isinstance(x, str) for x in images)
+
+
+def test_integer_forms_build_no_fraction(monkeypatch):
+    # rationals become integers once, in the parser: the local data round
+    # trip builds no Fraction, elaboration only the one of Mat.det in
+    # expr_dimension, and Mat takes integer rows only
+    groups = [parse_group(text) for text in GALLERY_TEXTS.values()]
+    expr = parse("gen(1/7, 0) + mat([2,1;1,1]) * oplus(Z[1/2], Z[1/3]) + gen(1/5, 1/5)")
+    built = fractions_built(monkeypatch)
+    again = [HGroup.from_local_data(h.d, h.local_data()) for h in groups]
+    round_trip = len(built)
+    h = elaborate(expr)
+    monkeypatch.undo()
+    assert again == groups and round_trip == 0
+    assert len(built) == 1 and h.support() == (2, 3, 5, 7)
+    with pytest.raises(TypeError):
+        Mat([[Fraction(1, 2), 0], [0, 1]])
 
 
 def test_maps_onto_matches_fraction_reference():
@@ -798,7 +820,7 @@ def test_member_kernel_branches():
     assert not _member(h.entries, 6, [3, 3])
     # outside Z[1/S]^d: a 7 left in den after the support primes
     assert not _member(h.entries, 7, [1, 0]) and _member(h.entries, 7, [7, 14])
-    assert not _into(Mat([[F(1, 7), 0], [0, 7]]), h, h)
+    assert not _into(Mat([[1, 0], [0, 49]], 7), h, h)
     # a divisible direction landing at a prime where H' has rank 0
     # (the rows of a rank-0 entry span all of Q^d, so no direction passes)
     rank0 = parse_group("oplus(Z, Z) + gen(1/2, 0)")
@@ -859,14 +881,14 @@ def test_maps_into_one_direction_only():
 
 def test_maps_onto_false_where_image_lacks_zd():
     h = parse_group("oplus(Z[1/3], Z[1/3])")
-    for a in (Mat([[2, 0], [0, 1]]), Mat([[2, 0], [0, F(1, 2)]])):
+    for a in (Mat([[2, 0], [0, 1]]), Mat([[4, 0], [0, 1]], 2)):
         with pytest.raises(NotSupergroupError):
             apply_matrix(a, h)
         assert not maps_onto(a, h, h)
         assert not _into(a.inv(), h, h)
     # Z^d has no support prime: only the columns of a are tested
     zd = HGroup.standard(2)
-    half = Mat([[F(1, 2), 0], [0, 1]])
+    half = Mat([[1, 0], [0, 2]], 2)
     assert not _into(half, zd, zd)
     assert _into(half.inv(), zd, zd) and not maps_onto(half.inv(), zd, zd)
 
@@ -936,7 +958,7 @@ def _tower_reference(h, depth):
             k = valuation(fact, e.p)
             if k == 0:
                 continue
-            cols = list(e.lattice.basis_columns())
+            cols = lattice_columns(e.lattice)
             if e.r > 0:
                 m = max(k, valuation(e.lattice.den, e.p))
                 ann = integer_kernel(e.vspan)

@@ -24,7 +24,7 @@ from zodom.odometer import (
 from zodom.rigid import GALLERY_TEXTS
 from zodom.verify import sublattices_z2
 
-from helpers import direct_sum, index, lattice_block
+from helpers import direct_sum, index, lattice_block, lattice_columns
 from test_cli import TOWER_TEXTS
 from test_hgroup import local_groups
 
@@ -466,7 +466,7 @@ def test_integer_character_maps_match_fraction_formulas():
             assert real.translation_tuple(n) == ref.translation_tuple(n)
         # K1 between Z^d and K = G*: Z^d, K, and Z^d + Z c for each basis
         # column c of K, each given by its dual G1 between G and Z^d
-        cols = g.dual().basis_columns()
+        cols = lattice_columns(g.dual())
         subs = {zd, g} | {Lattice.from_span(2, [c, (1, 0), (0, 1)]).dual() for c in cols}
         for g1 in subs:
             small, restrict = DualityRealization(g1), ref.restriction(_FractionDuality(g1))

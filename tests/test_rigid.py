@@ -31,15 +31,15 @@ def prog():
 def test_first_level_matrix(prog):
     lvl = prog.levels[0]
     assert (lvl.a, lvl.b, lvl.det, lvl.k_constant) == (3, 4, 11, 3)
-    assert prog.alpha(1) == Mat([[3, 1], [1, 4]])
+    assert prog.extend(1).levels[0].matrix() == Mat([[3, 1], [1, 4]])
 
 
 def test_k_constant_recursion(prog):
     # K_2 = 2 * ||alpha_1|| with the l1 operator norm max(4, 5) = 5
-    assert l1_operator_norm(prog.alpha(1)) == 5
+    assert l1_operator_norm(prog.extend(1).levels[0].matrix()) == 5
     assert prog.k_constant(2) == 10
     assert prog.levels[1].a == 10
-    assert prog.k_constant(3) == 3 * 5 * l1_operator_norm(prog.alpha(2))
+    assert prog.k_constant(3) == 3 * 5 * l1_operator_norm(prog.extend(2).levels[1].matrix())
 
 
 def test_determinants_prime(prog):
@@ -56,7 +56,7 @@ def _product(prog, n):
     """P_n = alpha_1 ... alpha_n."""
     prod = Mat.identity(2)
     for k in range(1, n + 1):
-        prod = prod * prog.alpha(k)
+        prod = prod * prog.extend(k).levels[k - 1].matrix()
     return prod
 
 
@@ -97,7 +97,7 @@ def test_exercise2_adjugate_row_membership(prog):
     # (1/11)(4,-1) * alpha_1 lands in Z^2; the as-written (1/11)(3,-1) does not
     from fractions import Fraction as F
 
-    alpha = prog.alpha(1)
+    alpha = prog.extend(1).levels[0].matrix()
 
     def row_image(v):
         return tuple(sum(v[i] * alpha.rows[i][j] for i in range(2)) for j in range(2))
