@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .hgroup import HGroup, apply_matrix
 from .linalg import Mat, SingularMatrixError, clear_denominators, factorint
@@ -123,7 +124,9 @@ class _Parser:
             self.error("digit")
         return int(self.text[start : self.pos])
 
-    def rat(self) -> Fraction:
+    def rat(self) -> tuple[int, int]:
+        """A rational literal as the integer pair (num, den), den > 0, not
+        necessarily in lowest terms."""
         self.skip_ws()
         sign = 1
         if self.try_literal("-"):
@@ -134,8 +137,8 @@ class _Parser:
             den = self.nat()
             if den == 0:
                 raise GdslSyntaxError(self._byte_offset(at), "nonzero denominator")
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+            return sign * num, den
+        return sign * num, 1
 
     def comp(self) -> ZComp:
         self.skip_ws()
@@ -160,8 +163,8 @@ class _Parser:
         self.literal("]")
         if any(len(r) != len(rows) for r in rows):
             raise DimensionMismatchError("matrix must be square")
-        den, num = clear_denominators(rows)
-        return Mat(num, den)
+        den = lcm(*(q for row in rows for _, q in row))
+        return Mat([[n * (den // q) for n, q in row] for row in rows], den)
 
     def _row(self):
         out = [self.rat()]
@@ -182,7 +185,7 @@ class _Parser:
             while self.try_literal(","):
                 entries.append(self.rat())
             self.literal(")")
-            return Gen(tuple(entries))
+            return Gen(tuple(Fraction(n, q) for n, q in entries))
         if self.try_literal("mat("):
             m = self.rows()
             self.literal(")")

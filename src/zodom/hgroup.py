@@ -165,7 +165,7 @@ def _entry(d: int, p: int, gens, vspan):
 class HGroup:
     """Local presentation of Z^d <= H <= Q^d; entries sorted by prime."""
 
-    __slots__ = ("d", "entries", "_by_prime", "_free")
+    __slots__ = ("d", "entries", "_by_prime", "_free", "_superindex")
 
     def __init__(self, d: int, entries):
         self.d = d
@@ -174,6 +174,7 @@ class HGroup:
         if len(self._by_prime) != len(self.entries):
             raise ValueError("duplicate primes in support")
         self._free = None  # is_free, filled on first use
+        self._superindex = None  # superindex, filled on first use
 
     @classmethod
     def standard(cls, d: int) -> "HGroup":
@@ -377,8 +378,13 @@ def maps_onto(a: Mat, h: HGroup, hp: HGroup) -> bool:
 
 def superindex(h: HGroup) -> Supernatural:
     """Superindex of Z^d in H as a supernatural number: p^inf at primes with
-    a divisible direction, p^v_p[L(p) : Z^d] at the others."""
-    return Supernatural({e.p: INF if e.r > 0 else e.index_valuation() for e in h.entries})
+    a divisible direction, p^v_p[L(p) : Z^d] at the others; computed once
+    per group."""
+    if h._superindex is None:
+        h._superindex = Supernatural(
+            {e.p: INF if e.r > 0 else e.index_valuation() for e in h.entries}
+        )
+    return h._superindex
 
 
 def is_free(h: HGroup) -> bool:

@@ -4,7 +4,10 @@ The coset transversal of an integer lattice G <= Z^d is the box read off the
 diagonal of its column HNF basis; reduction into the box walks the triangular
 basis column by column.  The character group of K/Z^d, K = G*, is realized
 on Z^d/G itself through the Smith normal form of B_G^T (B_G the HNF basis of
-G), so duality checks are bit-exact integer computations.
+G).  Translation, the conjugacy and restriction of characters are integer
+matrices followed by reductions, so each is a homomorphism, and the duality
+checks are integer certificates on the d unit vectors, with no walk over
+the points of the quotient.
 """
 
 from __future__ import annotations
@@ -102,36 +105,6 @@ class FiniteOdometer:
     def act(self, k, x):
         """phi_G(k): x + G -> k + x + G."""
         return self.reduce([a + b for a, b in zip(k, x)])
-
-    def index_perm(self, n):
-        """Lexicographic box indices of act(n, x) for x in reps order,
-        without building reps.
-
-        The walk of reduce runs over the box prefixes coordinate by
-        coordinate: reducing coordinate j changes only later coordinates,
-        so each prefix carries its offsets forward.  On the last coordinate,
-        which no other coordinate depends on, n acts as a rotation by the
-        carried offset, two ranges."""
-        prefixes = [(0, [int(v) for v in n])]
-        for j, piv, below in self._walk[:-1]:
-            grown = []
-            for idx, add in prefixes:
-                for x in range(piv):
-                    q, r = divmod(x + add[j], piv)
-                    carried = add
-                    if q:
-                        carried = add[:]
-                        for i, m in below:
-                            carried[i] -= q * m
-                    grown.append((idx * piv + r, carried))
-            prefixes = grown
-        h = self._walk[-1][1]
-        perm = []
-        for idx, add in prefixes:
-            base, c = idx * h, add[-1] % h
-            perm.extend(range(base + c, base + h))
-            perm.extend(range(base, base + c))
-        return perm
 
     def orbit_is_everything(self) -> bool:
         """Finite-level minimality: one Z^d-orbit covers the quotient, i.e.
@@ -300,6 +273,16 @@ def _divide_columns(a, divisors):
     return [[x // q for x, q in zip(row, divisors)] for row in a]
 
 
+def _combine(coeffs, vecs):
+    """The integer vector sum_j coeffs[j] * vecs[j]."""
+    return [sum(a * x for a, x in zip(coeffs, col)) for col in zip(*vecs)]
+
+
+def _units(d: int):
+    """The unit vectors e_1, ..., e_d, which generate Z^d."""
+    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+
 class DualityRealization:
     """Character-group model of Y_K = dual(K/Z^d) on Z^d/G, for an integer
     lattice G <= Z^d of finite index and K = G* its dual (Z^d <= K).
@@ -312,22 +295,21 @@ class DualityRealization:
     diag(s) U^-T B_K^T = S S^-1 V^T M^T B_K^T = V^T.  The conjugacy onto Z^d/G
     sends t to the class of V^-T t = (S^-1 U M)^T t.  For G <= G1 (K1 <= K)
     restriction of characters is t -> R t / L mod s1 with L = lcm(s) and
-    R = V1^T B_G U^T diag(L / s).  Every map is an integer matrix, so the
-    per-character work is integer dot products reduced mod s.
+    R = V1^T B_G U^T diag(L / s).  Every map is an integer matrix followed by
+    a reduction, hence a homomorphism, so ``duality_check`` and
+    ``duality_square_check`` certify them on the unit vectors alone.
     """
 
     def __init__(self, g: Lattice):
         self.quotient = FiniteOdometer(g)
-        self.d = g.d
         m = _transpose(g.mat)
         u, s, v = snf(m)
         self.snf_diag = tuple(s[i][i] for i in range(g.d))
         self._u_rows = u
         self._shift_rows = _transpose(v)
-        # integer rows of V^-T for the hot conjugacy map
+        # integer rows of V^-T for the conjugacy map
         self._v_inv_t_rows = _divide_columns(_transpose(_int_matmul(u, m)), self.snf_diag)
         self._restrictions = {}
-        self.points = tuple(itertools.product(*[range(si) for si in self.snf_diag]))
 
     def translation_tuple(self, n):
         """Character of the rotation by n, in invariant-factor coordinates."""
@@ -340,23 +322,6 @@ class DualityRealization:
         """The conjugacy h_K: character tuple -> coset of G = K* in Z^d."""
         img = [sum(r * x for r, x in zip(row, t)) for row in self._v_inv_t_rows]
         return self.quotient.reduce(img)
-
-    def image_indices(self):
-        """Box indices of to_quotient(t) for t in points, from the unit
-        characters: h_K is additive, so the images grow in lexicographic order
-        one coordinate at a time, each prefix walked s_i steps along the
-        rotation by c_i = to_quotient(e_i)."""
-        images = [0]
-        for i, si in enumerate(self.snf_diag):
-            unit = tuple(int(j == i) for j in range(self.d))
-            step = self.quotient.index_perm(self.to_quotient(unit))
-            grown = []
-            for x in images:
-                for _ in range(si):
-                    grown.append(x)
-                    x = step[x]
-            images = grown
-        return images
 
     def _restriction(self, sub: "DualityRealization"):
         """Integer rows R and denominator L with restrict_tuple(t) = R t / L
@@ -386,71 +351,80 @@ class DualityRealization:
         return tuple(out)
 
 
-def _box_index(x, radix):
-    """Lexicographic index of x in the box prod(range(h) for h in radix)."""
-    k = 0
-    for c, h in zip(x, radix):
-        k = k * h + c
-    return k
-
-
-def _rotation(radix, shift):
-    """The box indices of t + shift (mod radix) for t in lexicographic order:
-    a product of rotated ranges, one per coordinate."""
-    perm = [0]
-    for h, s in zip(radix, shift):
-        s %= h
-        rot = [*range(s, h), *range(s)]
-        perm = [a * h + b for a in perm for b in rot]
-    return perm
-
-
-def _unit_translations(d: int):
-    """e_1, ..., e_d: a map commutes with the action of all of Z^d iff it
-    commutes with these generators."""
-    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
-
-
 def duality_check(g: Lattice) -> bool:
-    """Verify the conjugacy Y_K ~ (Z^d/G, translation) point by point, K = G*.
+    """Verify the conjugacy Y_K ~ (Z^d/G, translation), K = G*, by a
+    certificate on the unit vectors.
 
-    Characters and cosets are numbered by their lexicographic box indices,
-    and images[j] numbers the coset to_quotient(points[j]).  For a
-    translation n, sigma is the character shift by translation_tuple(n) as
-    a permutation of the point indices and tau = quotient.index_perm(n) the
-    rotation of Z^d/G; the conjugacy commutes with them iff
-    images[sigma[j]] = tau[images[j]] for every j.  It is tested on the unit
-    translations, which generate Z^d.
+    Write phi = to_quotient, T = translation_tuple, s = snf_diag and
+    c_j = phi(e_j).  Both maps are an integer matrix followed by a
+    reduction, so phi(t) = sum_j t_j c_j + G and T is additive mod s.  The
+    check asks
+
+    (a) prod(s) = |Z^d/G|;
+    (b) s_j c_j lies in G for every j;
+    (c) sum_j T(e_i)_j c_j - e_i lies in G for every i.
+
+    By (b) phi is a well-defined homomorphism on the characters + Z/s_j.
+    By (c) and additivity phi(T(n)) = n + G for every n in Z^d, so phi is
+    onto, hence a bijection by (a), and phi(t + T(n)) = phi(t) + n: phi
+    conjugates the character shift by T(n) to the rotation by n.  For an
+    additive phi this is the same statement as comparing the two
+    permutations on all |Z^d/G| characters for each unit translation, in
+    O(d^2) integer work.  The realization passes: the SNF has determinant
+    |det B_G| = |Z^d/G|, V^-T diag(s) = B_G U^T has its columns in G, and
+    V^-T V^T = I.
+
+    >>> g = Lattice.from_span(2, [(2, 1), (0, 3)])
+    >>> real = DualityRealization(g)
+    >>> real.snf_diag, [real.to_quotient(e) for e in _units(2)]
+    ((1, 6), [(0, 0), (1, 0)])
+    >>> [real.translation_tuple(e) for e in _units(2)]
+    [(0, 1), (0, 4)]
+    >>> duality_check(g)  # 4 * (1, 0) - (0, 1) = 2 * (2, 1) - (0, 3)
+    True
     """
     real = DualityRealization(g)
-    quotient = real.quotient
-    images = real.image_indices()
-    if sorted(images) != list(range(quotient.card)):
+    q, s = real.quotient, real.snf_diag
+    if prod(s) != q.card:
         return False
-    for n in _unit_translations(g.d):
-        sigma = _rotation(real.snf_diag, real.translation_tuple(n))
-        tau = quotient.index_perm(n)
-        if [images[j] for j in sigma] != [tau[v] for v in images]:
+    units = _units(g.d)
+    zero = (0,) * g.d
+    c = [real.to_quotient(e) for e in units]
+    if any(q.reduce([sj * x for x in cj]) != zero for sj, cj in zip(s, c)):
+        return False
+    for e in units:
+        img = _combine(real.translation_tuple(e), c)
+        if q.reduce([x - y for x, y in zip(img, e)]) != zero:
             return False
     return True
 
 
 def duality_square_check(g1: Lattice, g2: Lattice) -> bool:
     """Commuting square for G2 <= G1 <= Z^d (Z^d <= K1 <= K2): restriction of
-    characters over the natural quotient Z^d/G2 -> Z^d/G1; translation is
-    compared as the character-shift permutations of both sides, on the unit
-    translations."""
+    characters over the natural quotient Z^d/G2 -> Z^d/G1, certified on the
+    unit vectors as in ``duality_check``.
+
+    With rho_j = restrict_tuple(e_j), phi, phi1 the conjugacies of G2, G1
+    and T, T1 their translation maps, the check asks that s2_j rho_j = 0
+    mod s1 and s2_j phi(e_j) lies in G1 (both sides are well defined on the
+    characters of K2), that phi1(rho_j) = phi(e_j) + G1 (the square commutes
+    on generators, hence everywhere), and that sum_j T(e_i)_j rho_j =
+    T1(e_i) mod s1 (restriction intertwines the translations)."""
     if not g1.contains(g2):
         raise NotSubgroupError("G2 must be contained in G1")
     big, small = DualityRealization(g2), DualityRealization(g1)
-    restricted = [big.restrict_tuple(t, small) for t in big.points]
-    for t, r in zip(big.points, restricted):
-        if small.to_quotient(r) != small.quotient.reduce(big.to_quotient(t)):
+    q, s1 = small.quotient, small.snf_diag
+    units = _units(g1.d)
+    zero = (0,) * g1.d
+    rho = [big.restrict_tuple(e, small) for e in units]
+    for sj, r, e in zip(big.snf_diag, rho, units):
+        c = big.to_quotient(e)
+        if any(sj * x % si for x, si in zip(r, s1)):
             return False
-    restricted = [_box_index(r, small.snf_diag) for r in restricted]
-    for n in _unit_translations(g1.d):
-        big_sigma = _rotation(big.snf_diag, big.translation_tuple(n))
-        small_sigma = _rotation(small.snf_diag, small.translation_tuple(n))
-        if [restricted[j] for j in big_sigma] != [small_sigma[r] for r in restricted]:
+        if q.reduce([sj * x for x in c]) != zero or small.to_quotient(r) != q.reduce(c):
+            return False
+    for e in units:
+        img = _combine(big.translation_tuple(e), rho)
+        if any((x - y) % si for x, y, si in zip(img, small.translation_tuple(e), s1)):
             return False
     return True

@@ -27,7 +27,7 @@ from zodom.gdsl import expr_dimension
 from zodom.hgroup import HGroup, NotSupergroupError, apply_matrix, equal_h, superindex
 from zodom.linalg import INF, Mat, SingularMatrixError, Supernatural, factorint
 
-from helpers import local_pairs
+from helpers import fractions_built, local_pairs
 
 F = Fraction
 
@@ -76,6 +76,17 @@ def test_whitespace_and_comments():
 def test_rationals_parse():
     e = parse("gen(-3/4, 2)")
     assert e == Gen((F(-3, 4), F(2)))
+
+
+def test_parsing_a_mat_builds_no_fraction(monkeypatch):
+    text = "mat([2/4, -3; 0, 6/9]) * mat([1, 1/2; 0, -1]) * oplus(Z[1/2], Z)"
+    built = fractions_built(monkeypatch)
+    e = parse(text)
+    assert built == []
+    assert e.mat == Mat([[3, -18], [0, 4]], 6)
+    assert e.operand.mat == Mat([[2, 1], [0, -2]], 2)
+    parse("gen(1/3, 2/4)")
+    assert built == [(1, 3), (2, 4)]
 
 
 def test_syntax_error_offsets():

@@ -542,6 +542,17 @@ def test_superindex_matches_tower_oracle_on_gallery():
                 assert oracle.get(p, 0) == e
 
 
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_superindex_slot_matches_fresh_build(d, data):
+    h = data.draw(local_groups(d))
+    assert h._superindex is None
+    fresh = Supernatural({e.p: INF if e.r > 0 else e.index_valuation() for e in h.entries})
+    s = superindex(h)
+    assert s == fresh and h._superindex is s
+    assert superindex(h) is s
+
+
 # ---------------------------------------------------------------------------
 # freeness
 

@@ -24,6 +24,7 @@ from zodom.odometer import (
 from zodom.rigid import GALLERY_TEXTS
 from zodom.verify import sublattices_z2
 
+import duality_reference as pointwise
 from helpers import direct_sum, index, lattice_block, lattice_columns
 from test_cli import TOWER_TEXTS
 from test_hgroup import local_groups
@@ -339,7 +340,7 @@ def test_index_perm_matches_act():
         pos = {x: k for k, x in enumerate(q.reps)}
         for _ in range(3):
             n = tuple(rng.randint(-25, 6) for _ in range(q.d))
-            assert q.index_perm(n) == [pos[q.act(n, x)] for x in q.reps], (q, n)
+            assert pointwise.index_perm(q, n) == [pos[q.act(n, x)] for x in q.reps], (q, n)
 
 
 def test_image_indices_match_per_character_conjugacy():
@@ -348,8 +349,8 @@ def test_image_indices_match_per_character_conjugacy():
         for _ in range(40):
             real = DualityRealization(_random_hnf_lattice(rng, d))
             pos = {x: k for k, x in enumerate(real.quotient.reps)}
-            expected = [pos[real.to_quotient(t)] for t in real.points]
-            assert real.image_indices() == expected, real.quotient
+            expected = [pos[real.to_quotient(t)] for t in pointwise.points(real)]
+            assert pointwise.image_indices(real) == expected, real.quotient
 
 
 def test_duality_checks_in_d1_and_d3():
@@ -373,13 +374,30 @@ def test_duality_checks_in_d1_and_d3():
         duality_square_check(Lattice.from_span(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)]), g)
 
 
+def test_certificates_match_per_point_reference():
+    rng = random.Random(17)
+    lats = (
+        sublattices_z2(50)
+        + [Lattice.from_span(1, [(m,)]) for m in range(1, 41)]
+        + [_random_hnf_lattice(rng, 3) for _ in range(40)]
+    )
+    for g in lats:
+        assert duality_check(g) and pointwise.duality_check(g), g
+    small = sublattices_z2(16)
+    pairs = [(g1, g2) for g1 in small for g2 in small if g1.contains(g2)]
+    assert len(pairs) == 929
+    for g1, g2 in pairs:
+        assert duality_square_check(g1, g2) and pointwise.duality_square_check(g1, g2), (g1, g2)
+
+
 _DUALITY_G = Lattice.from_span(2, [(2, 1), (0, 3)])
 
 
 def test_duality_check_fails_on_swapped_images(monkeypatch):
     assert duality_check(_DUALITY_G)
     real = DualityRealization(_DUALITY_G)
-    a, b = real.to_quotient(real.points[1]), real.to_quotient(real.points[2])
+    points = pointwise.points(real)
+    a, b = real.to_quotient(points[1]), real.to_quotient(points[2])
     honest = DualityRealization.to_quotient
 
     def swapped(self, t):
@@ -388,6 +406,7 @@ def test_duality_check_fails_on_swapped_images(monkeypatch):
 
     monkeypatch.setattr(DualityRealization, "to_quotient", swapped)
     assert not duality_check(_DUALITY_G)
+    assert not pointwise.duality_check(_DUALITY_G)
 
 
 def test_duality_check_fails_on_shifted_translation(monkeypatch):
@@ -399,17 +418,18 @@ def test_duality_check_fails_on_shifted_translation(monkeypatch):
 
     monkeypatch.setattr(DualityRealization, "translation_tuple", off_by_one)
     assert not duality_check(_DUALITY_G)
+    assert not pointwise.duality_check(_DUALITY_G)
 
 
 def test_duality_check_fails_on_rotated_index_perm(monkeypatch):
-    honest = FiniteOdometer.index_perm
+    honest = pointwise.index_perm
 
-    def rotated(self, n):
-        perm = honest(self, n)
+    def rotated(q, n):
+        perm = honest(q, n)
         return perm[1:] + perm[:1]
 
-    monkeypatch.setattr(FiniteOdometer, "index_perm", rotated)
-    assert not duality_check(_DUALITY_G)
+    monkeypatch.setattr(pointwise, "index_perm", rotated)
+    assert not pointwise.duality_check(_DUALITY_G)
 
 
 def test_duality_square_check_fails_on_perturbed_restriction(monkeypatch):
@@ -424,6 +444,141 @@ def test_duality_square_check_fails_on_perturbed_restriction(monkeypatch):
 
     monkeypatch.setattr(DualityRealization, "restrict_tuple", perturbed)
     assert not duality_square_check(g1, g2)
+    assert not pointwise.duality_square_check(g1, g2)
+
+
+def test_duality_square_fails_on_shifted_translation_of_g1(monkeypatch):
+    g1 = Lattice.from_span(2, [(2, 0), (0, 1)])
+    g2 = Lattice.from_span(2, [(2, 0), (0, 3)])
+    honest = DualityRealization.translation_tuple
+
+    def off_by_one_on_g1(self, n):
+        t = honest(self, n)
+        if self.quotient.lattice != g1:
+            return t
+        return t[:-1] + ((t[-1] + 1) % self.snf_diag[-1],)
+
+    monkeypatch.setattr(DualityRealization, "translation_tuple", off_by_one_on_g1)
+    assert not duality_square_check(g1, g2)
+    assert not pointwise.duality_square_check(g1, g2)
+
+
+def test_duality_certificate_rejects_conjugacy_off_the_characters(monkeypatch):
+    # c_0 += e_0 where s_0 = 1: to_quotient no longer vanishes on the
+    # character e_0 = 0, which the certificate checks and the per-point
+    # walk, reading c_j only for s_j > 1, never sees
+    def perturb(real):
+        assert real.snf_diag[0] == 1
+        real._v_inv_t_rows[0][0] += 1
+
+    _patched_init(monkeypatch, perturb)
+    assert not duality_check(_DUALITY_G)
+    assert pointwise.duality_check(_DUALITY_G)
+
+
+def _mutant_lattices():
+    """Proper sublattices in d = 1, 2 and 3, with a unit vector outside each."""
+    rng = random.Random(18)
+    lats = [Lattice.from_span(1, [(m,)]) for m in range(2, 7)]
+    lats += [g for g in sublattices_z2(8) if g.det() != 1]
+    lats += [_random_hnf_lattice(rng, 3) for _ in range(12)]
+    for g in lats:
+        q = FiniteOdometer(g)
+        outside = [e for e in pointwise.unit_translations(g.d) if any(q.reduce(e))]
+        if outside:
+            yield g, outside[0]
+
+
+def _patched_init(monkeypatch, mutate):
+    honest = DualityRealization.__init__
+
+    def init(self, g):
+        honest(self, g)
+        mutate(self)
+
+    monkeypatch.setattr(DualityRealization, "__init__", init)
+
+
+def test_duality_passes_shift_rows_changed_by_multiples_of_s(monkeypatch):
+    # row i of the translation map is read mod s_i, so s_i e_0 is invisible
+    def shift(real):
+        for row, si in zip(real._shift_rows, real.snf_diag):
+            row[0] += si
+
+    _patched_init(monkeypatch, shift)
+    for g, _ in _mutant_lattices():
+        assert duality_check(g) and pointwise.duality_check(g), g
+    assert duality_square_check(Lattice.standard(2), _DUALITY_G)
+    assert pointwise.duality_square_check(Lattice.standard(2), _DUALITY_G)
+
+
+def test_duality_fails_on_perturbed_conjugacy_column(monkeypatch):
+    # c_d += e for a unit vector e outside G; s_d > 1 since G != Z^d
+    count = 0
+    for g, e in _mutant_lattices():
+
+        def perturb(real, e=e):
+            for row, x in zip(real._v_inv_t_rows, e):
+                row[-1] += x
+
+        with monkeypatch.context() as m:
+            _patched_init(m, perturb)
+            assert not duality_check(g), g
+            assert not pointwise.duality_check(g), g
+        count += 1
+    assert count > 20
+
+
+def test_duality_fails_on_doubled_invariant_factor(monkeypatch):
+    # phi stays additive, well defined and onto; only the count of
+    # characters tells that it is not injective
+    def double(real):
+        real.snf_diag = (*real.snf_diag[:-1], 2 * real.snf_diag[-1])
+
+    _patched_init(monkeypatch, double)
+    for g, _ in _mutant_lattices():
+        assert not duality_check(g), g
+        assert not pointwise.duality_check(g), g
+
+
+def test_duality_square_fails_on_perturbed_restriction_row(monkeypatch):
+    # R t / L gains t_d in its last coordinate: visible once s1_d, s2_d > 1
+    honest = DualityRealization._restriction
+
+    def perturbed(self, sub):
+        rows, den = honest(self, sub)
+        return [*rows[:-1], [*rows[-1][:-1], rows[-1][-1] + den]], den
+
+    monkeypatch.setattr(DualityRealization, "_restriction", perturbed)
+    lats = [g for g in sublattices_z2(12) if g.det() != 1]
+    pairs = [(g1, g2) for g1 in lats for g2 in lats if g1.contains(g2)]
+    assert len(pairs) > 100
+    for g1, g2 in pairs:
+        assert not duality_square_check(g1, g2), (g1, g2)
+        assert not pointwise.duality_square_check(g1, g2), (g1, g2)
+
+
+def test_duality_square_fails_on_perturbed_conjugacy_of_g2(monkeypatch):
+    # the last conjugacy column of G2 gains a unit vector outside G1: the
+    # restriction and both translations are untouched, so only the square
+    # itself can fail
+    count = 0
+    for g1, e in _mutant_lattices():
+        if g1.d != 2:
+            continue
+        g2 = Lattice.from_span(2, [[2 * x for x in c] for c in zip(*g1.mat)])
+
+        def perturb(real, g2=g2, e=e):
+            if real.quotient.lattice == g2:
+                for row, x in zip(real._v_inv_t_rows, e):
+                    row[-1] += x
+
+        with monkeypatch.context() as m:
+            _patched_init(m, perturb)
+            assert not duality_square_check(g1, g2), g1
+            assert not pointwise.duality_square_check(g1, g2), g1
+        count += 1
+    assert count > 10
 
 
 class _FractionDuality:
@@ -459,18 +614,19 @@ def test_integer_character_maps_match_fraction_formulas():
     rng = random.Random(30)
     zd = Lattice.standard(2)
     for g in sublattices_z2(30):
-        real, ref = DualityRealization(g), _FractionDuality(g)
-        assert list(real.snf_diag) == ref.s
+        real, frac = DualityRealization(g), _FractionDuality(g)
+        assert list(real.snf_diag) == frac.s
         for _ in range(4):
             n = (rng.randint(-40, 40), rng.randint(-40, 40))
-            assert real.translation_tuple(n) == ref.translation_tuple(n)
+            assert real.translation_tuple(n) == frac.translation_tuple(n)
         # K1 between Z^d and K = G*: Z^d, K, and Z^d + Z c for each basis
         # column c of K, each given by its dual G1 between G and Z^d
         cols = lattice_columns(g.dual())
         subs = {zd, g} | {Lattice.from_span(2, [c, (1, 0), (0, 1)]).dual() for c in cols}
         for g1 in subs:
-            small, restrict = DualityRealization(g1), ref.restriction(_FractionDuality(g1))
-            for t in rng.sample(real.points, min(6, len(real.points))):
+            small, restrict = DualityRealization(g1), frac.restriction(_FractionDuality(g1))
+            points = pointwise.points(real)
+            for t in rng.sample(points, min(6, len(points))):
                 assert real.restrict_tuple(t, small) == restrict(t)
 
 
