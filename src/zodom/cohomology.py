@@ -185,34 +185,48 @@ def _dual_numerators(g: Lattice, h):
 
 def _carry_table(quotient: FiniteOdometer):
     """The h-independent half of build_cocycle: the HNF columns g_j of G
-    and, for every coset x and generator e_i, the integer carries c_j with
-    w - rep(w) = sum_j c_j g_j for w = rep(x) + e_i.  Then
-    theta_i(x) = sum_j c_j <g_j, h> for every h.
+    and the carries, carries[i][j][k] = c_j for the k-th coset x of
+    ``quotient.reps`` and the generator e_i, with w - rep(w) = sum_j c_j g_j
+    for w = rep(x) + e_i.  Then theta_i(x) = sum_j c_j <g_j, h> for every h.
 
     With n(v) = adj . v, rep(v) has numerators n(v) mod det, so
-    n(w) = n(x) mod det + adj[., i] and the carries are its floors."""
+    n(w) = n(x) mod det + adj[j][i] and the carries are its floors.  Each
+    n_j(x) mod det is one list over the box transversal, expanded a
+    coordinate at a time (the prefix sums of adj[j][k] x_k, in lexicographic
+    order like ``reps``), and each carry list is one pass over it; a zero
+    adj[j][i] carries nothing, as 0 <= n_j < det."""
     g = quotient.lattice
     det, adj = adjugate(g.mat)
-    table = [{} for _ in range(g.d)]
-    for x in quotient.reps:
-        n = [sum(a * b for a, b in zip(row, x)) % det for row in adj]
-        for i, column in enumerate(table):
-            column[x] = tuple((nj + row[i]) // det for nj, row in zip(n, adj))
-    return tuple(zip(*g.mat)), table
+    numerators = []
+    for row in adj:
+        n = [0]
+        for a, h in zip(row, g.diagonal()):
+            n = [(m + a * t) % det for m in n for t in range(h)]
+        numerators.append(n)
+    zeros = [0] * quotient.card
+    carries = tuple(
+        tuple(
+            [(m + row[i]) // det for m in n] if row[i] else zeros
+            for n, row in zip(numerators, adj)
+        )
+        for i in range(g.d)
+    )
+    return tuple(zip(*g.mat)), carries
 
 
 def _cocycle_from_carries(quotient: FiniteOdometer, table, den: int, h_num) -> Cocycle1:
     """The h-dependent half of build_cocycle: one integral pairing
     <g_j, h> per generator (exact, as g_j is in G and h in G*), then
-    theta_i(x) = sum_j c_j <g_j, h> over the carries of the table."""
+    theta_i = sum_j c_j <g_j, h> over the carry lists of the table."""
     gens, carries = table
     pairings = [sum(a * b for a, b in zip(gen, h_num)) // den for gen in gens]
-    values = {
-        cs: sum(c * p for c, p in zip(cs, pairings))
-        for column in carries
-        for cs in set(column.values())
-    }
-    vals = [{x: values[cs] for x, cs in column.items()} for column in carries]
+    vals = []
+    for column in carries:
+        theta = [0] * quotient.card
+        for cs, p in zip(column, pairings):
+            if p:
+                theta = [t + c * p for t, c in zip(theta, cs)]
+        vals.append(dict(zip(quotient.reps, theta)))
     return Cocycle1(quotient, vals)
 
 

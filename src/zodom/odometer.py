@@ -58,12 +58,36 @@ class FiniteOdometer:
     @property
     def steps(self):
         """Unit-step tables, built on first use: steps[i][x] = reduce(x + e_i)
-        for every box representative x."""
+        for every box representative x, keyed in ``reps`` order.
+
+        In the lexicographic box, x has index sum_k x_k stride_k, where
+        stride_i is the product of the diagonal entries h_k after i.  If
+        x_i + 1 < h_i, then x + e_i is in the box, stride_i places after x:
+        off the wrapping cosets the table is ``reps`` rotated by stride_i.
+        The card / h_i cosets with x_i = h_i - 1 (all of them when h_i = 1)
+        leave the box; they fill the runs of stride_i indices starting at
+        (h_i - 1) stride_i, one every h_i stride_i, and only they are walked
+        by ``reduce``.
+
+        >>> f = FiniteOdometer(Lattice.from_span(2, [(2, 1), (0, 3)]))
+        >>> [f.steps[0][x] for x in f.reps]
+        [(1, 0), (1, 1), (1, 2), (0, 2), (0, 0), (0, 1)]
+        >>> [f.steps[1][x] for x in f.reps]
+        [(0, 1), (0, 2), (0, 0), (1, 1), (1, 2), (1, 0)]
+        """
         if self._steps is None:
-            self._steps = tuple(
-                {x: self.reduce(x[:i] + (x[i] + 1,) + x[i + 1 :]) for x in self.reps}
-                for i in range(self.d)
-            )
+            reps, card = self.reps, self.card
+            tables = []
+            stride = card
+            for i, h in enumerate(self._diag):
+                stride //= h
+                targets = [*reps[stride:], *reps[:stride]]
+                for start in range((h - 1) * stride, card, h * stride):
+                    for k in range(start, start + stride):
+                        x = reps[k]
+                        targets[k] = self.reduce(x[:i] + (h,) + x[i + 1 :])
+                tables.append(dict(zip(reps, targets)))
+            self._steps = tuple(tables)
         return self._steps
 
     @property

@@ -248,12 +248,13 @@ def test_integer_domain_reducer_matches_fraction_floor():
         gens, table = _carry_table(q)
         assert gens == tuple(zip(*g.mat))
         rep, b_inv = _fraction_reducer(g), g.basis().inv()
-        for x in q.reps:
+        for index, x in enumerate(q.reps):
             k1 = rep(x)
             assert q.reduce(k1) == x
             for i, column in enumerate(table):
                 w = tuple(c + (k == i) for k, c in enumerate(k1))
-                assert column[x] == tuple(floor(s) for s in b_inv.apply(w)), (g, x, i)
+                carries = tuple(cs[index] for cs in column)
+                assert carries == tuple(floor(s) for s in b_inv.apply(w)), (g, x, i)
 
 
 def test_integer_pairing_matches_fraction_pairing():

@@ -86,6 +86,23 @@ def test_unit_step_tables_match_reduce():
     rng = random.Random(9)
     lats = [Lattice.from_span(2, rows) for rows in TORSION_QUOTIENTS]
     lats.append(Lattice.from_span(3, [(3, 2, 1), (0, 2, 3), (0, 0, 4)]))
+    lats += [Lattice.from_span(1, [(m,)]) for m in (1, 2, 7)]
+    # large entries below the diagonal: a wrap in one coordinate cascades
+    # into negative later coordinates, which the walk carries on
+    for _ in range(12):
+        diag = [rng.randint(2, 5) for _ in range(3)]
+        cols = [
+            tuple(diag[j] if i == j else rng.randint(-60, 60) if i > j else 0 for i in range(3))
+            for j in range(3)
+        ]
+        lats.append(Lattice.from_span(3, cols))
+    # a pivot h_i = 1: every coset wraps in coordinate i
+    lats += [
+        Lattice.from_span(2, [(1, 4), (0, 5)]),
+        Lattice.from_span(3, [(3, 0, 0), (0, 1, 2), (0, 0, 4)]),
+        Lattice.from_span(3, [(1, 5, 7), (0, 1, 3), (0, 0, 6)]),
+    ]
+    assert sum(1 in lat.diagonal() for lat in lats) >= 4
     for lat in lats:
         f = FiniteOdometer(lat)
         steps = f.steps
@@ -299,6 +316,17 @@ def test_spectrum_matches_grid_reference(d, data):
 def test_duality_examples():
     assert duality_check(Lattice.from_span(2, [(2, 0), (0, 3)]))
     assert duality_check(Lattice.standard(2))
+
+
+def test_sublattices_z2_are_canonical_hnfs():
+    # distinct canonical sublattices of index <= 50, as many as there are
+    # (sum of sigma(m)), so every one of them, in order of index
+    lats = sublattices_z2(50)
+    assert len(lats) == sum(a for m in range(1, 51) for a in range(1, m + 1) if m % a == 0)
+    assert len(lats) == len(set(lats)) == 2080
+    for g in lats:
+        assert g == Lattice.from_span(2, list(zip(*g.mat))), g
+    assert [g.det() for g in lats] == sorted(g.det() for g in lats) and lats[-1].det() == 50
 
 
 def test_duality_all_small_indices():
