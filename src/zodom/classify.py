@@ -16,7 +16,9 @@ Decision strategy, in order:
   determine candidate matrices up to signs (isomorphism) or signs plus a
   per-prime valuation system (continuous orbit equivalence), read off the
   integer HNF columns of each L(p); the finitely many candidates are tested
-  exactly, so YES and NO are both complete;
+  exactly, so a YES always re-validates; but a COE NO can be wrong when the
+  support has a fully divisible (rank 2) prime (ROADMAP.md item 1, and the
+  expected failure test_two_line_coe_tier_is_not_no_where_a_witness_exists);
 * otherwise (d = 2, both relations on one-line groups) a bounded search over
   alpha = (1/q) [[a, b], [c, e]] with entries at most ``bound`` and
   det alpha = +-1: q = 1 for isomorphism, q = 1..bound for continuous orbit

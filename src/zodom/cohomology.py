@@ -8,34 +8,19 @@ compatibility that makes the extension
 
 well defined.  Evaluating at the zero coset gives a homomorphism G -> Z,
 i.e. an element of the dual lattice G*; conversely every h in G* is the
-value of an explicit cocycle theta_h, built in every d as follows.
+value of an explicit cocycle theta_h, built in every d from a transversal
+rep of Z^d/G with rep(g) = 0 for g in G.  With F(x) = <rep(x), h>, put
 
-Let B be the integer HNF basis of G, with columns g_1..g_d, and
-(det, adj) its adjugate, so adj . B = det . I and det > 0 (the HNF
-diagonal is positive).  The half-open parallelepiped
+    theta_h(x + G, n) = <n, h> + F(x) - F(x + n) = <w - rep(w), h>
 
-    P = {sum_j s_j g_j : 0 <= s_j < 1} cap Z^d
-
-is a transversal of Z^d/G (the interval {0..m-1} for d = 1, a
-parallelogram for d = 2).  A vector v has coordinates s = n(v) / det with
-n(v) = adj . v, so its representative is
-
-    rep(v) = v - sum_j floor(n_j(v) / det) g_j,
-
-exact integer code.  Put theta_h(x + G, n) = <w - rep(w), h> for
-w = rep(x) + n.  Since w - rep(w) lies in G and h in G*, the values are
-integers, and
-
-    theta_h(x + G, n) = <n, h> + F(x) - F(x + n),   F(x) = <rep(x), h>,
-
-so theta_h is the constant cocycle <n, h> plus a (rational) coboundary and
-satisfies the cocycle identity.  At the zero coset rep(g) = 0 for g in G,
-so theta_h(G, g) = <g, h>: alpha_map(theta_h) = h.  For the trace,
-p -> rep(p + e_i) permutes P, so sum_{p in P} (p + e_i - rep(p + e_i)) =
-card . e_i and tau1(theta_h) = h exactly.  The carries of a unit step are
-the floors themselves: n(rep(x)) = n(x) mod det because adj . g_j =
-det . e_j, so w = rep(x) + e_i has n(w) = n(x) mod det + adj[., i] and
-w - rep(w) = sum_j floor(n_j(w) / det) g_j, with no solve.
+for w = rep(x) + n.  The vector w - rep(w) lies in G and h in G*, so the
+values are integers, and theta_h is the constant cocycle <n, h> plus a
+(rational) coboundary, so it satisfies the cocycle identity.  Any such
+transversal serves; build_cocycle uses the box of the quotient's unit-step
+tables.  At the zero coset F vanishes on G, so theta_h(G, g) = <g, h>:
+alpha_map(theta_h) = h.  For the trace, x -> x + e_i permutes the cosets,
+so the F terms cancel in the sum over the quotient, the values of
+theta_h(., e_i) sum to card . h_i, and tau1(theta_h) = h exactly.
 
 alpha is onto G*, and its kernel is B^1 by Schreier's lemma: along a
 spanning tree of the unit-step graph lifted to Z^d from 0, the tree
@@ -54,18 +39,21 @@ import itertools
 from fractions import Fraction
 
 from .hgroup import HGroup, superindex, tower
-from .linalg import Lattice, Supernatural, adjugate, clear_denominators
+from .linalg import Lattice, Supernatural, clear_denominators
 from .odometer import FiniteOdometer
 
 
 class Cocycle1:
-    """Integer 1-cocycle on a finite quotient, stored by generator values."""
+    """Integer 1-cocycle on a finite quotient, stored by generator values.
+
+    A Cocycle1 keeps the generator-value dicts it receives, without a copy,
+    so a caller must not change them afterwards."""
 
     __slots__ = ("quotient", "gen_values")
 
     def __init__(self, quotient: FiniteOdometer, gen_values, validate: bool = True):
         self.quotient = quotient
-        self.gen_values = tuple(dict(g) for g in gen_values)
+        self.gen_values = tuple(gen_values)
         if len(self.gen_values) != quotient.d:
             raise ValueError("one generator-value map per dimension is required")
         cosets = quotient.steps[0].keys()
@@ -148,28 +136,43 @@ def alpha_map(theta: Cocycle1):
 
 
 # ---------------------------------------------------------------------------
-# explicit cocycles from the parallelepiped fundamental domain
+# explicit cocycles from the box transversal
 
 
 def build_cocycle(g: Lattice, h) -> Cocycle1:
     """Explicit cocycle theta_h with alpha_map and trace equal to h in G*,
     in every d.
 
-    theta_h(x + G, n) = <w - rep(w), h> with w = rep(x) + n, where
-    rep(v) = v - sum_j floor(n_j(v) / det) g_j reduces into the half-open
-    parallelepiped P of the HNF columns g_j of G, n(v) = adj(B) . v.  The
-    vector w - rep(w) lies in G, so the value is an integer; at the zero
-    coset it is <g, h> for g in G (alpha_map = h), and since p -> rep(p + e_i)
-    permutes P the values of theta_h(., e_i) sum to card . h_i (trace = h).
-    The carries w - rep(w) are the floors themselves (see _carry_table and
-    the module docstring).  The pairing is taken in integers: h = h_num / den
-    over the common denominator of its entries.
+    With h = h_num / den over the common denominator of its entries and
+    f(x) = <x, h_num> on the box representatives x (expanded a coordinate
+    at a time, in the lexicographic order of ``reps``), the value at the
+    unit step e_i is theta_i(x) = (f(x) + h_num[i] - f(x + e_i)) / den,
+    x + e_i read from the quotient's step table.  This is the pairing of
+    h with x + e_i - rep(x + e_i), which lies in G, so the division is
+    exact.  Off the wrapping cosets the step stays in the box and the value
+    is 0.  See the module docstring for alpha_map = tau1 = h.
+
+    >>> theta = build_cocycle(Lattice.from_span(2, [(2, 1), (0, 3)]), (Fraction(1, 2), 0))
+    >>> theta.quotient.reps
+    ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+    >>> [[c[x] for x in theta.quotient.reps] for c in theta.gen_values]
+    [[0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 0]]
+    >>> tau1(theta) == alpha_map(theta) == (Fraction(1, 2), 0)
+    True
     """
     if not g.is_integral():
         raise ValueError("quotient lattice must be integral")
     quotient = FiniteOdometer(g)
     den, h_num = _dual_numerators(g, h)
-    return _cocycle_from_carries(quotient, _carry_table(quotient), den, h_num)
+    f = [0]
+    for a, m in zip(h_num, g.diagonal()):
+        f = [s + a * t for s in f for t in range(m)]
+    f = dict(zip(quotient.reps, f))
+    vals = [
+        {x: (f[x] + a - f[y]) // den for x, y in step.items()}
+        for a, step in zip(h_num, quotient.steps)
+    ]
+    return Cocycle1(quotient, vals)
 
 
 def _dual_numerators(g: Lattice, h):
@@ -181,53 +184,6 @@ def _dual_numerators(g: Lattice, h):
         if sum(x * y for x, y in zip(col, h_num)) % den:
             raise ValueError("h must pair integrally with the lattice (h in G*)")
     return den, h_num
-
-
-def _carry_table(quotient: FiniteOdometer):
-    """The h-independent half of build_cocycle: the HNF columns g_j of G
-    and the carries, carries[i][j][k] = c_j for the k-th coset x of
-    ``quotient.reps`` and the generator e_i, with w - rep(w) = sum_j c_j g_j
-    for w = rep(x) + e_i.  Then theta_i(x) = sum_j c_j <g_j, h> for every h.
-
-    With n(v) = adj . v, rep(v) has numerators n(v) mod det, so
-    n(w) = n(x) mod det + adj[j][i] and the carries are its floors.  Each
-    n_j(x) mod det is one list over the box transversal, expanded a
-    coordinate at a time (the prefix sums of adj[j][k] x_k, in lexicographic
-    order like ``reps``), and each carry list is one pass over it; a zero
-    adj[j][i] carries nothing, as 0 <= n_j < det."""
-    g = quotient.lattice
-    det, adj = adjugate(g.mat)
-    numerators = []
-    for row in adj:
-        n = [0]
-        for a, h in zip(row, g.diagonal()):
-            n = [(m + a * t) % det for m in n for t in range(h)]
-        numerators.append(n)
-    zeros = [0] * quotient.card
-    carries = tuple(
-        tuple(
-            [(m + row[i]) // det for m in n] if row[i] else zeros
-            for n, row in zip(numerators, adj)
-        )
-        for i in range(g.d)
-    )
-    return tuple(zip(*g.mat)), carries
-
-
-def _cocycle_from_carries(quotient: FiniteOdometer, table, den: int, h_num) -> Cocycle1:
-    """The h-dependent half of build_cocycle: one integral pairing
-    <g_j, h> per generator (exact, as g_j is in G and h in G*), then
-    theta_i = sum_j c_j <g_j, h> over the carry lists of the table."""
-    gens, carries = table
-    pairings = [sum(a * b for a, b in zip(gen, h_num)) // den for gen in gens]
-    vals = []
-    for column in carries:
-        theta = [0] * quotient.card
-        for cs, p in zip(column, pairings):
-            if p:
-                theta = [t + c * p for t, c in zip(theta, cs)]
-        vals.append(dict(zip(quotient.reps, theta)))
-    return Cocycle1(quotient, vals)
 
 
 def tau1(theta: Cocycle1):

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .hgroup import HGroup, apply_matrix
-from .linalg import Mat, SingularMatrixError, clear_denominators, factorint
+from .linalg import Mat, SingularMatrixError, factorint
 
 
 class GdslSyntaxError(ValueError):
@@ -58,7 +58,8 @@ class Oplus:
 
 @dataclass(frozen=True)
 class Gen:
-    vec: tuple
+    den: int  # num / den in lowest terms, a (den, num) pair of local_data
+    num: tuple
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,10 @@ class _Parser:
             while self.try_literal(","):
                 entries.append(self.rat())
             self.literal(")")
-            return Gen(tuple(Fraction(n, q) for n, q in entries))
+            den = lcm(*(q for _, q in entries))
+            num = [n * (den // q) for n, q in entries]
+            g = gcd(den, *num)
+            return Gen(den // g, tuple(n // g for n in num))
         if self.try_literal("mat("):
             m = self.rows()
             self.literal(")")
@@ -218,7 +222,7 @@ def expr_dimension(e) -> int:
     if isinstance(e, Oplus):
         return len(e.comps)
     if isinstance(e, Gen):
-        return len(e.vec)
+        return len(e.num)
     if isinstance(e, MatExpr):
         d = expr_dimension(e.operand)
         if e.mat.d != d:
@@ -266,9 +270,8 @@ def _collect(e, d: int, data) -> None:
             for p in factorint(comp.inv):
                 data.setdefault(p, ([], []))[1].append(unit)
     elif isinstance(e, Gen):
-        den, (num,) = clear_denominators([e.vec])
-        for p in factorint(den):
-            data.setdefault(p, ([], []))[0].append((den, num))
+        for p in factorint(e.den):
+            data.setdefault(p, ([], []))[0].append((e.den, e.num))
     elif isinstance(e, MatExpr):
         for p, (lat, div) in _build(e, d).local_data().items():
             slot = data.setdefault(p, ([], []))
@@ -292,7 +295,7 @@ def print_expr(e) -> str:
         comps = ", ".join("Z" if c.inv == 1 else f"Z[1/{c.inv}]" for c in e.comps)
         return f"oplus({comps})"
     if isinstance(e, Gen):
-        return f"gen({', '.join(format_rat(x) for x in e.vec)})"
+        return f"gen({', '.join(format_rat(Fraction(n, e.den)) for n in e.num)})"
     if isinstance(e, MatExpr):
         return f"{format_mat(e.mat)} * {print_expr(e.operand)}"
     if isinstance(e, SumExpr):

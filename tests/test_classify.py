@@ -307,6 +307,45 @@ def test_coe_dimension_mismatch(g):
     assert v.certificate.kind == "dimension"
 
 
+# The two-line COE tier answers NO on these pairs, though each has a det 1
+# witness.  Each has the rank-2 prime 2 besides its lines at 7 and 11, and
+# the tier lets that prime fix the scales: through a spurious parity test
+# (tilted-frame), the residue of lambda at the rank-0 prime 13
+# (rank0-residue) and the ratio a third line sets (third-line).  See ROADMAP
+# item 1.  tilted-frame is also iso YES.
+_BASE = "oplus(Z[1/14], Z[1/22])"
+_TILTED = f"mat([2,-5;-1,3]) * {_BASE}"
+_THIRD_LINE = f"{_BASE} + mat([1,0;1,1]) * oplus(Z[1/13], Z)"
+WRONG_COE_NO = {
+    "tilted-frame": (_TILTED, f"mat([-2,-7;5,17]) * {_TILTED}", Mat([[2, 7], [-5, -17]])),
+    "rank0-residue": (
+        f"{_BASE} + gen(1/13, 1/169)",
+        f"{_BASE} + gen(1/13, 4/169)",
+        Mat([[1, 0], [0, 4]], 2),
+    ),
+    "third-line": (_THIRD_LINE, f"mat([2,0;0,1/2]) * {_THIRD_LINE}", Mat([[4, 0], [0, 1]], 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_COE_NO))
+def test_wrong_coe_no_pairs_have_witnesses(case):
+    a, b, w = WRONG_COE_NO[case]
+    h, hp = parse_group(a), parse_group(b)
+    assert w.det() == 1
+    assert maps_onto(w, h, hp) and maps_onto(w.inv(), hp, h)
+
+
+@pytest.mark.xfail(strict=True, reason="two-line COE tier answers NO wrongly (ROADMAP item 1)")
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("case", sorted(WRONG_COE_NO))
+def test_two_line_coe_tier_is_not_no_where_a_witness_exists(case, backward):
+    a, b, _ = WRONG_COE_NO[case]
+    h, hp = parse_group(a), parse_group(b)
+    if backward:
+        h, hp = hp, h
+    assert decide(COE, h, hp).answer != "NO"
+
+
 # ---------------------------------------------------------------------------
 # orbit equivalence
 

@@ -1,14 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
-from math import floor
 
 import pytest
 
 from zodom.cohomology import (
     Cocycle1,
     CoboundarySolver,
-    _carry_table,
     alpha_map,
     build_cocycle,
     coinvariants,
@@ -17,7 +15,7 @@ from zodom.cohomology import (
 )
 from zodom.gdsl import parse_group
 from zodom.hgroup import superindex, tower
-from zodom.linalg import INF, Lattice, Mat, Supernatural, _column_echelon, clear_denominators, snf
+from zodom.linalg import INF, Lattice, Mat, Supernatural, _column_echelon, snf
 from zodom.odometer import FiniteOdometer
 from zodom.verify import TORSION_QUOTIENTS, cocycle_corpus
 
@@ -170,34 +168,12 @@ def test_equal_alpha_implies_explicit_coboundary():
 
 
 # ---------------------------------------------------------------------------
-# fundamental domain and build_cocycle
-
-
-def _fraction_reducer(g):
-    """The Fraction-floor reducer into the half-open parallelepiped of the
-    HNF columns of G, as a reference: rep(v) = v - B floor(B^-1 v)."""
-    b = g.basis()
-    b_inv = b.inv()
-
-    def rep(v):
-        floors = [floor(s) for s in b_inv.apply(v)]
-        return tuple(int(x - y) for x, y in zip(v, b.apply(floors)))
-
-    return rep
+# build_cocycle
 
 
 def _random_lattices(rng, count, max_card=120):
     """Integer lattices of d = 1, 2, 3 in turn, index at most max_card."""
     return [_random_lattice(rng, k % 3 + 1, max_card) for k in range(count)]
-
-
-def test_parallelogram_worked_example():
-    # d = 2: the parallelepiped of the HNF columns (2, 1), (0, 3)
-    g = Lattice.from_span(2, [(2, 1), (0, 3)])
-    assert _carry_table(FiniteOdometer(g))[0] == ((2, 1), (0, 3))
-    rep = _fraction_reducer(g)
-    dom = {rep(v) for v in itertools.product(range(-8, 9), repeat=2)}
-    assert sorted(dom) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)]
 
 
 def test_build_cocycle_trivial_lattice():
@@ -212,7 +188,6 @@ def test_build_cocycle_trivial_lattice():
 
 def test_build_cocycle_b_zero_branch():
     g = Lattice.from_span(2, [(2, 0), (0, 3)])
-    assert _carry_table(FiniteOdometer(g))[0] == ((2, 0), (0, 3))
     theta = build_cocycle(g, (F(1, 2), 0))
     assert tau1(theta) == (F(1, 2), 0)
 
@@ -237,24 +212,11 @@ def test_build_cocycle_d3_trace_and_alpha():
     assert tau1(theta) == alpha_map(theta) == (F(1, 2), 0, 0)
 
 
-def test_integer_domain_reducer_matches_fraction_floor():
-    """The integer carries of the table are the Fraction floors of
-    B^-1 (rep(x) + e_i), and rep(x) is the coset of x."""
-    rng = random.Random(31)
-    lattices = _random_lattices(rng, 30)
-    lattices += [Lattice.from_span(2, [(2, 0), (2, 3)]), Lattice.standard(3)]
-    for g in lattices:
-        q = FiniteOdometer(g)
-        gens, table = _carry_table(q)
-        assert gens == tuple(zip(*g.mat))
-        rep, b_inv = _fraction_reducer(g), g.basis().inv()
-        for index, x in enumerate(q.reps):
-            k1 = rep(x)
-            assert q.reduce(k1) == x
-            for i, column in enumerate(table):
-                w = tuple(c + (k == i) for k, c in enumerate(k1))
-                carries = tuple(cs[index] for cs in column)
-                assert carries == tuple(floor(s) for s in b_inv.apply(w)), (g, x, i)
+def _box_step_value(q, x, i, h):
+    """The reference value of theta_h(x, e_i) on the box transversal, in
+    Fractions: <w - reduce(w), h> for w = x + e_i."""
+    w = tuple(c + (k == i) for k, c in enumerate(x))
+    return sum((a - b) * F(c) for a, b, c in zip(w, q.reduce(w), h))
 
 
 def test_integer_pairing_matches_fraction_pairing():
@@ -264,12 +226,10 @@ def test_integer_pairing_matches_fraction_pairing():
     for g in lattices:
         h = random_dual_vector(rng, g)
         theta = build_cocycle(g, h)
-        rep = _fraction_reducer(g)
+        q = theta.quotient
         for i in range(g.d):
-            for x in theta.quotient.reps:
-                k1 = rep(x)
-                w = tuple(c + (k == i) for k, c in enumerate(k1))
-                value = sum((wi - ri) * hi for wi, ri, hi in zip(w, rep(w), h))
+            for x in q.reps:
+                value = _box_step_value(q, x, i, h)
                 assert value.denominator == 1
                 assert theta.gen_values[i][x] == value
 
@@ -286,25 +246,20 @@ def test_build_cocycle_rejects_vectors_outside_dual():
 
 
 def _per_point_cocycle(g, h):
-    """The per-point builder, as a reference: for every coset x and e_i,
-    theta_i(x) = <w - rep(w), h> with w = rep(x) + e_i, paired in integers,
-    rep the Fraction-floor reducer over the HNF columns."""
-    den, (h_num,) = clear_denominators([h])
-    rep = _fraction_reducer(g)
+    """The per-point builder, as a reference: for every box representative
+    x and e_i, theta_i(x) = <w - reduce(w), h> with w = x + e_i, in
+    Fractions, reduced by the walk along the HNF basis."""
     q = FiniteOdometer(g)
     vals = [{} for _ in range(g.d)]
     for x in q.reps:
-        k1 = rep(x)
         for i, column in enumerate(vals):
-            w = list(k1)
-            w[i] += 1
-            pairing = sum((a - b) * c for a, b, c in zip(w, rep(w), h_num))
-            assert pairing % den == 0
-            column[x] = pairing // den
+            value = _box_step_value(q, x, i, h)
+            assert value.denominator == 1
+            column[x] = int(value)
     return vals
 
 
-def test_carry_table_cocycles_match_per_point_builder():
+def test_box_cocycles_match_per_point_builder():
     cases = list(cocycle_corpus(21, count=100, max_index=200))
     for m, num in ((7, 3), (1, 5), (12, -5)):
         cases.append((Lattice.from_span(1, [(m,)]), (F(num, m),)))
@@ -314,7 +269,7 @@ def test_carry_table_cocycles_match_per_point_builder():
         cases.append((g, random_dual_vector(rng, g)))
     for g, h in cases:
         theta = build_cocycle(g, h)
-        assert [dict(c) for c in theta.gen_values] == _per_point_cocycle(g, h), (g, h)
+        assert list(theta.gen_values) == _per_point_cocycle(g, h), (g, h)
 
 
 def test_build_cocycle_error_messages():

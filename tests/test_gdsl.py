@@ -37,7 +37,7 @@ def test_parse_fuchs_example():
     assert isinstance(e, SumExpr)
     op, gen = e.items
     assert op == Oplus((ZComp(2), ZComp(3)))
-    assert gen == Gen((F(1, 5), F(1, 5)))
+    assert gen == Gen(5, (1, 1))
 
 
 def test_parse_plain_oplus():
@@ -75,7 +75,8 @@ def test_whitespace_and_comments():
 
 def test_rationals_parse():
     e = parse("gen(-3/4, 2)")
-    assert e == Gen((F(-3, 4), F(2)))
+    assert e == Gen(4, (-3, 8))
+    assert parse("gen(2/4, 0, -6/9)") == Gen(6, (3, 0, -4))
 
 
 def test_parsing_a_mat_builds_no_fraction(monkeypatch):
@@ -85,8 +86,8 @@ def test_parsing_a_mat_builds_no_fraction(monkeypatch):
     assert built == []
     assert e.mat == Mat([[3, -18], [0, 4]], 6)
     assert e.operand.mat == Mat([[2, 1], [0, -2]], 2)
-    parse("gen(1/3, 2/4)")
-    assert built == [(1, 3), (2, 4)]
+    assert parse("gen(1/3, 2/4)") == Gen(6, (2, 3))
+    assert built == []
 
 
 def test_syntax_error_offsets():
@@ -174,7 +175,7 @@ def _elaborate_reference(e):
                 data.setdefault(p, ([], []))[1].append(unit)
         return HGroup.from_local_data(d, data)
     if isinstance(e, Gen):
-        vec = tuple(F(x) for x in e.vec)
+        vec = tuple(F(n, e.den) for n in e.num)
         primes = set()
         for x in vec:
             if x.denominator > 1:
