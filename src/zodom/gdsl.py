@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .hgroup import HGroup, apply_matrix
-from .linalg import Mat, SingularMatrixError, factorint
+from .linalg import Mat, SingularMatrixError, factorint, ratio_text
 
 
 class GdslSyntaxError(ValueError):
@@ -295,7 +295,7 @@ def print_expr(e) -> str:
         comps = ", ".join("Z" if c.inv == 1 else f"Z[1/{c.inv}]" for c in e.comps)
         return f"oplus({comps})"
     if isinstance(e, Gen):
-        return f"gen({', '.join(format_rat(Fraction(n, e.den)) for n in e.num)})"
+        return f"gen({', '.join(ratio_text(n, e.den) for n in e.num)})"
     if isinstance(e, MatExpr):
         return f"{format_mat(e.mat)} * {print_expr(e.operand)}"
     if isinstance(e, SumExpr):
@@ -309,7 +309,7 @@ def print_expr(e) -> str:
 
 def format_rat(x) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return ratio_text(x.numerator, x.denominator)
 
 
 def format_vec(v) -> str:
@@ -317,5 +317,7 @@ def format_vec(v) -> str:
 
 
 def format_mat(m: Mat) -> str:
-    body = ";".join(",".join(format_rat(x) for x in row) for row in m.rows)
+    """``mat([...])`` text of m, each entry printed from its integer over
+    m.den; no Fraction is built."""
+    body = ";".join(",".join(ratio_text(x, m.den) for x in row) for row in m.num)
     return f"mat([{body}])"

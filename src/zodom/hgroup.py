@@ -31,8 +31,7 @@ at p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .linalg import (
@@ -47,6 +46,7 @@ from .linalg import (
     factorint,
     integer_kernel,
     is_prime,
+    ratio_text,
     snf,
     subspace_basis,
     valuation,
@@ -233,7 +233,11 @@ class HGroup:
 
 @dataclass(frozen=True)
 class Tower:
-    """Increasing finite-index extensions H_1 = Z^d <= ... with duals G_n = H_n*."""
+    """Increasing finite-index extensions H_1 = Z^d <= ... with duals G_n = H_n*.
+
+    A level equal to the one before it (no support prime divides n) is the
+    same Lattice object, and so is its dual; lattices are immutable, so the
+    sharing shows only to ``is``."""
 
     levels: tuple
     duals: tuple
@@ -316,7 +320,7 @@ def difference(h1: HGroup, h2: HGroup):
             den = e.lattice.den
             for c in zip(*e.lattice.mat):
                 if not _member((eb,), den, c):
-                    gen = tuple(str(Fraction(x, den)) for x in c)
+                    gen = tuple(ratio_text(x, den) for x in c)
                     return f"lattice generator {gen} at p={e.p} not in the {which} group"
     return None
 
@@ -445,29 +449,54 @@ def tower(h: HGroup, depth: int) -> Tower:
     differs from v by a p-integral vector.  A vector whose denominators are
     powers of p lies in H exactly when it lies in M_p, and x / p^k with x
     integral lies in M_p exactly when row . x = 0 mod p^k for every row of
-    ``_rows``.  So H_n = Z^d + sum_p p^-k Lambda_p with Lambda_p = {x in Z^d :
-    _rows . x = 0 mod p^k} from ``_congruence_lattice``, and a prime outside
-    the support adds nothing.  Each level is one canonical HNF
-    over den = prod p^k.
+    ``_rows``.  So H_n = Z^d + sum_p p^-k Lambda_p(k) with Lambda_p(k) =
+    {x in Z^d : _rows . x = 0 mod p^k} from ``_congruence_lattice``, and a
+    prime outside the support adds nothing.
+
+    Each level is built from the one before.  The exponent k = v_p(n!)
+    exceeds v_p((n-1)!) exactly when p | n, so at every other prime the
+    term p^-k Lambda_p(k) is that of level n - 1, already inside H_{n-1}.
+    With H_{n-1} <= H_n this gives
+
+        H_n = H_{n-1} + sum over support primes p | n of p^-k Lambda_p(k),
+
+    one canonical HNF of the previous level's columns and the new Lambda_p
+    columns over lcm(den of H_{n-1}, prod p^k).  H_1 = Z^d, and a level
+    that no support prime divides is H_{n-1} itself: the tower holds the
+    same Lattice object, and the same dual, again.
+
+    >>> h = HGroup.from_local_data(2, {2: ([], [(1, 0)]), 3: ([], [(0, 1)])})
+    >>> t = tower(h, 5)  # oplus(Z[1/2], Z[1/3])
+    >>> [t.index_at(n) for n in range(1, 6)]
+    [1, 2, 6, 24, 24]
+    >>> t.levels[4] is t.levels[3], t.duals[4] is t.duals[3]
+    (True, True)
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     d = h.d
-    ident = [[int(i == j) for j in range(d)] for i in range(d)]
-    levels = []
-    for n in range(1, depth + 1):
-        fact = factorial(n)
-        parts = []  # (p^k, columns of Lambda_p)
-        for e in h.entries:
-            pk = e.p ** valuation(fact, e.p)
-            if pk == 1:
-                continue
-            parts.append((pk, _congruence_lattice(e._rows, pk, d)))
-        den = prod(pk for pk, _ in parts)
-        cols = [[den * x for x in c] for c in ident]
-        cols += [[den // pk * x for x in c] for pk, lam in parts for c in lam]
-        levels.append(Lattice._raw(*_canonical(d, den, [list(r) for r in zip(*cols)])))
-    return Tower(tuple(levels), tuple(l.dual() for l in levels))
+    level = dual = Lattice.standard(d)  # H_1 = Z^d, its own dual
+    levels, duals = [level], [dual]
+    exps = [0] * len(h.entries)  # v_p(n!) at each support prime
+    for n in range(2, depth + 1):
+        parts = []  # (p^k, columns of Lambda_p(k)) at the support primes p | n
+        for i, e in enumerate(h.entries):
+            if n % e.p == 0:
+                exps[i] += valuation(n, e.p)
+                pk = e.p ** exps[i]
+                parts.append((pk, _congruence_lattice(e._rows, pk, d)))
+        if parts:
+            den = lcm(level.den, prod(pk for pk, _ in parts))
+            lift = den // level.den
+            rows = [
+                [lift * x for x in level.mat[i]] + [den // pk * c[i] for pk, lam in parts for c in lam]
+                for i in range(d)
+            ]
+            level = Lattice._raw(*_canonical(d, den, rows))
+            dual = level.dual()
+        levels.append(level)
+        duals.append(dual)
+    return Tower(tuple(levels), tuple(duals))
 
 
 def superindex_oracle(h, depth: int) -> dict[int, int]:

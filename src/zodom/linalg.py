@@ -16,7 +16,8 @@ Conventions fixed here and relied on by every other module:
 * A :class:`Mat` is built from integer rows over a denominator and stored
   as ``num / den`` with ``den > 0`` and gcd(den, entries) = 1, so matrix
   equality is a syntactic check; ``Mat.rows``, ``Mat.apply`` and
-  ``Mat.det`` are the only Fraction views, for reading and printing.
+  ``Mat.det`` are the only Fraction views, for reading.  Printing reads
+  the integers, through :func:`ratio_text`.
 * A :class:`Lattice` is stored as ``(1/den) * mat`` with ``mat`` an integer
   matrix in HNF whose columns generate the lattice and ``den`` minimal.
   Lattice equality is therefore a syntactic check.
@@ -440,6 +441,18 @@ def integer_kernel(rows) -> list[list[int]]:
 # rational matrices
 
 
+def ratio_text(num: int, den: int) -> str:
+    """num / den (den > 0) in lowest terms as text, ``n`` or ``n/m``, by
+    one gcd; ``gdsl.format_rat``, ``gdsl.format_mat``, ``gdsl.print_expr``
+    and ``Mat.__repr__`` print through it.
+
+    >>> ratio_text(6, 4), ratio_text(-6, 3), ratio_text(0, 5)
+    ('3/2', '-2', '0')
+    """
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 class Mat:
     """Immutable square rational matrix num / den: ``num`` a tuple of integer
     row tuples, den > 0 and gcd(den, entries) = 1.  It is built from integer
@@ -524,7 +537,7 @@ class Mat:
         return hash((self.den, self.num))
 
     def __repr__(self):
-        body = "; ".join(",".join(str(x) for x in row) for row in self.rows)
+        body = "; ".join(",".join(ratio_text(x, self.den) for x in row) for row in self.num)
         return f"Mat([{body}])"
 
 

@@ -90,6 +90,14 @@ def test_parsing_a_mat_builds_no_fraction(monkeypatch):
     assert built == []
 
 
+def test_printing_a_mat_builds_no_fraction(monkeypatch):
+    e = parse("mat([2/4, -3; 0, 6/9]) * gen(1/3, -2/4, 0)")
+    built = fractions_built(monkeypatch)
+    assert print_expr(e) == "mat([1/2,-3;0,2/3]) * gen(1/3, -1/2, 0)"
+    assert repr(e.mat) == "Mat([1/2,-3; 0,2/3])"
+    assert built == []
+
+
 def test_syntax_error_offsets():
     with pytest.raises(GdslSyntaxError) as exc:
         parse("oplus(Z[1/2], Q)")
@@ -295,3 +303,23 @@ def test_report_formatting():
     assert format_mat(Mat([[1, 0], [0, 25]], 5)) == "mat([1/5,0;0,5])"
     assert str(Supernatural({2: INF, 3: INF, 5: INF})) == "2^inf*3^inf*5^inf"
     assert str(Supernatural({})) == "1"
+
+
+def _fraction_text(x: Fraction) -> str:
+    """Reference text of a rational, read off a Fraction."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+@given(st.integers(1, 3), st.integers(1, 60), st.data())
+@settings(max_examples=300, deadline=None)
+def test_matrix_text_matches_fraction_reference(d, den, data):
+    num = data.draw(
+        st.lists(st.lists(st.integers(-200, 200), min_size=d, max_size=d), min_size=d, max_size=d)
+    )
+    m = Mat(num, den)
+    ref = [[_fraction_text(Fraction(x, den)) for x in row] for row in num]
+    assert format_mat(m) == "mat([" + ";".join(",".join(row) for row in ref) + "])"
+    assert repr(m) == "Mat([" + "; ".join(",".join(row) for row in ref) + "])"
+    # a gen literal prints its entries the same way
+    gen = print_expr(parse("gen(" + ", ".join(f"{x}/{den}" for x in num[0]) + ")"))
+    assert gen == "gen(" + ", ".join(ref[0]) + ")"

@@ -954,6 +954,29 @@ def test_tower_levels_capture_membership():
             assert any(lvl.member(v) for lvl in t.levels)
 
 
+@pytest.mark.parametrize("text", ["oplus(Z[1/6])", Z2_3, FUCHS, "oplus(Z[1/10], Z[1/3]) + gen(1/7, 0)"])
+def test_tower_builds_only_changed_primes(monkeypatch, text):
+    """Level n adds Lambda_p only at the support primes p | n, and a level
+    no support prime divides is the previous Lattice object, dual too."""
+    h = parse_group(text)
+    depth = 12
+    calls = []
+
+    def counting(rows, pk, d):
+        calls.append(pk)
+        return _congruence_lattice(rows, pk, d)
+
+    monkeypatch.setattr("zodom.hgroup._congruence_lattice", counting)
+    t = tower(h, depth)
+    primes = h.support()
+    assert len(calls) == sum(1 for n in range(1, depth + 1) for p in primes if n % p == 0)
+    for n in range(2, depth + 1):
+        repeated = all(n % p for p in primes)
+        assert (t.levels[n - 1] is t.levels[n - 2]) == repeated
+        assert (t.duals[n - 1] is t.duals[n - 2]) == repeated
+    assert t.levels[0] == t.duals[0] == Lattice.standard(h.d)
+
+
 def _tower_reference(h, depth):
     """The Fraction tower: at each support prime p | n!, with p^k the p-part
     of n!, L(p) plus p^-m times a saturated basis of V_p (m = max(k, v_p of
