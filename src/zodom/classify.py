@@ -16,9 +16,10 @@ Decision strategy, in order:
   determine candidate matrices up to signs (isomorphism) or signs plus a
   per-prime valuation system (continuous orbit equivalence), read off the
   integer HNF columns of each L(p); the finitely many candidates are tested
-  exactly, so a YES always re-validates; but a COE NO can be wrong when the
-  support has a fully divisible (rank 2) prime (ROADMAP.md item 1, and the
-  expected failure test_two_line_coe_tier_is_not_no_where_a_witness_exists);
+  exactly, each +- pair once since H = -H, so a YES always re-validates;
+  but a COE NO can be wrong when the support has a fully divisible (rank 2)
+  prime (ROADMAP.md item 1, and the expected failure
+  test_two_line_coe_tier_is_not_no_where_a_witness_exists);
 * otherwise (d = 2, both relations on one-line groups) a bounded search over
   alpha = (1/q) [[a, b], [c, e]] with entries at most ``bound`` and
   det alpha = +-1: q = 1 for isomorphism, q = 1..bound for continuous orbit
@@ -344,14 +345,22 @@ def _frame(u, v):
 
 
 def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failure):
-    """Test alpha = C' diag(+-lambda, +-mu) C^-1 for the four sign choices.
+    """Test alpha = C' diag(lambda, +-mu) C^-1, and take -alpha with it.
 
     With lambda = a / b, mu = c / e and C^-1 = adj C / det C, alpha is
-    C' diag(+-a e, +-c b) adj C over b e det C: the two terms
+    C' diag(a e, +-c b) adj C over b e det C: the two terms
     C'_i0 a e adj_0j and C'_i1 c b adj_1j are formed once and each sign
     choice adds them.  It is admissible when |det alpha| = 1, that is
     |det rows| = den^2, which scaling does not change, so it is tested before
-    the Mat is built, and for isomorphism when alpha is also integral."""
+    the Mat is built, and for isomorphism when alpha is also integral.
+
+    The other two sign choices, diag(-lambda, -+mu), give -alpha, and each +-
+    pair is tested once: |det(-alpha)| = |det alpha| in d = 2, -alpha is
+    integral iff alpha is, and -alpha.H = alpha.(-H) = alpha.H since H = -H,
+    so -alpha passes exactly when alpha does.  The four candidates are
+    distinct (both terms are nonzero, of rank 1), and ``_sort_key`` tells
+    apart any two distinct matrices, so sorting ``found`` gives the same
+    witness and witness tuple as testing all four signs."""
     (a, b), (c, e) = scales
     _, det_c, adj = frame
     cp = frame_p[0]
@@ -359,13 +368,13 @@ def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failur
     t0 = [[cp[i][0] * a * e * adj[0][j] for j in range(2)] for i in range(2)]
     t1 = [[cp[i][1] * c * b * adj[1][j] for j in range(2)] for i in range(2)]
     found = []
-    for s1, s2 in itertools.product((1, -1), repeat=2):
-        rows = [[s1 * x + s2 * y for x, y in zip(r0, r1)] for r0, r1 in zip(t0, t1)]
+    for s2 in (1, -1):
+        rows = [[x + s2 * y for x, y in zip(r0, r1)] for r0, r1 in zip(t0, t1)]
         if abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) != den * den:
             continue
         alpha = Mat(rows, den)
         if (relation == COE or alpha.is_integer()) and maps_onto(alpha, h, hp):
-            found.append(alpha)
+            found += (alpha, alpha.scale(-1))
     if found:
         return _yes(relation, found, all_witnesses)
     return Verdict(relation, NO, certificate=Certificate("line-candidates-exhausted", failure))

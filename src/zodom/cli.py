@@ -26,6 +26,7 @@ from .gdsl import (
 )
 from .hgroup import (
     NotSupergroupError,
+    _levels,
     equal_h,
     is_free,
     member_h,
@@ -235,9 +236,9 @@ def _cmd_tau(args):
 
 def _cmd_h1(args):
     h = _load_group(args.file)
-    t = tower(h, args.depth)
+    levels = list(_levels(h, args.depth))
     _emit_presentation(h, prefix="h1_")
-    for n, level in enumerate(t.levels, 1):
+    for n, level in enumerate(levels, 1):
         _emit(f"level_{n}", format_mat(level.basis()))
     return 0
 

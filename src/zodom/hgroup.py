@@ -472,11 +472,23 @@ def tower(h: HGroup, depth: int) -> Tower:
     >>> t.levels[4] is t.levels[3], t.duals[4] is t.duals[3]
     (True, True)
     """
+    levels = tuple(_levels(h, depth))
+    duals = [levels[0]]  # H_1 = Z^d, its own dual
+    for prev, level in zip(levels, levels[1:]):
+        duals.append(duals[-1] if level is prev else level.dual())
+    return Tower(levels, tuple(duals))
+
+
+def _levels(h: HGroup, depth: int):
+    """The levels H_1, ..., H_depth of ``tower`` without their duals, each
+    built from the one before; a level equal to the one before is the same
+    Lattice object.  ``tower`` adds the duals, and the ``h1`` verb, which
+    prints only the levels, reads them here."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     d = h.d
-    level = dual = Lattice.standard(d)  # H_1 = Z^d, its own dual
-    levels, duals = [level], [dual]
+    level = Lattice.standard(d)  # H_1 = Z^d
+    yield level
     exps = [0] * len(h.entries)  # v_p(n!) at each support prime
     for n in range(2, depth + 1):
         parts = []  # (p^k, columns of Lambda_p(k)) at the support primes p | n
@@ -493,10 +505,7 @@ def tower(h: HGroup, depth: int) -> Tower:
                 for i in range(d)
             ]
             level = Lattice._raw(*_canonical(d, den, rows))
-            dual = level.dual()
-        levels.append(level)
-        duals.append(dual)
-    return Tower(tuple(levels), tuple(duals))
+        yield level
 
 
 def superindex_oracle(h, depth: int) -> dict[int, int]:

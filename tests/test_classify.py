@@ -842,6 +842,41 @@ def test_line_and_zero_line_tiers_build_no_fraction(monkeypatch):
     assert answers.count("YES") >= 50 and answers.count("NO") >= 5
 
 
+def test_sign_choices_test_each_sign_pair_once(g, monkeypatch):
+    # -alpha passes exactly when alpha does (H = -H), so each of the line
+    # tier's calls tests at most one candidate per +- pair, and its witness
+    # tuples hold both members of each pair, sorted
+    tested = []
+    calls = []  # (maps_onto calls, verdict) per _sign_choices call
+    sign_choices = classify._sign_choices
+
+    def count_tests(*args):
+        tested.append(args)
+        return maps_onto(*args)
+
+    def record(*args):
+        before = len(tested)
+        verdict = sign_choices(*args)
+        calls.append((len(tested) - before, verdict))
+        return verdict
+
+    monkeypatch.setattr(classify, "maps_onto", count_tests)
+    monkeypatch.setattr(classify, "_sign_choices", record)
+    # the one-line and zero-line witness enumerations are not under test
+    monkeypatch.setattr(classify, "_bounded_search", lambda relation, *args: Verdict(relation, "UNKNOWN"))
+    free = [g[name] for name in g if name != "z2"]
+    for h, hp in list(itertools.product(free, repeat=2)) + _tier_pairs():
+        for relation in (ISO, COE):
+            decide(relation, h, hp, all_witnesses=True)
+    counts = [n for n, _ in calls]
+    assert len(calls) >= 50 and max(counts) == 2
+    yes = [v.witnesses for _, v in calls if v.answer == "YES"]
+    assert len(yes) >= 20
+    for wits in yes:
+        assert set(wits) == {w.scale(-1) for w in wits}
+        assert list(wits) == sorted(wits, key=classify._sort_key)
+
+
 # ---------------------------------------------------------------------------
 # decide() output pinned: a rewrite of the deciders or of Mat must leave the
 # answer, the witness text, the certificate and the flags of every decision

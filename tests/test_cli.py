@@ -5,6 +5,7 @@ import random
 import pytest
 
 from zodom.cli import EX_DATA, EX_USAGE, main
+from zodom.linalg import Lattice
 from zodom.rigid import GALLERY_TEXTS
 
 
@@ -155,6 +156,16 @@ def test_h1_and_coinv(grp, capsys):
     code, out = run(capsys, "coinv", f)
     assert code == 0
     assert "coinvariants=2^inf*3^inf" in out
+
+
+def test_h1_builds_no_duals(grp, capsys, monkeypatch):
+    # h1 prints the levels H_n only, so it reads them without their duals
+    def no_dual(self):
+        raise AssertionError("h1 built a dual")
+
+    monkeypatch.setattr(Lattice, "dual", no_dual)
+    code, out = run(capsys, "h1", grp("class11_fuchs"), "--depth", "12")
+    assert code == 0 and "level_12=" in out
 
 
 def test_coinv_fuchs_at_depth_6(grp, capsys):

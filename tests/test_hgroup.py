@@ -798,28 +798,51 @@ def test_integer_forms_build_no_fraction(monkeypatch):
         Mat([[Fraction(1, 2), 0], [0, 1]])
 
 
+@st.composite
+def maps_onto_cases(draw, d):
+    """(a, H, H'): H' = +-a.H half the time where that contains Z^d, else
+    an unrelated group."""
+    h = draw(free_groups(d))
+    a = draw(det_one_matrices(d))
+    if draw(st.booleans()):
+        try:
+            return a, h, apply_matrix(draw(st.sampled_from([a, a.scale(-1)])), h)
+        except NotSupergroupError:
+            pass
+    return a, h, draw(free_groups(d))
+
+
 def test_maps_onto_matches_fraction_reference():
     answers = []
 
     @given(st.sampled_from([2, 3]), st.data())
     @settings(max_examples=1000, deadline=None)
     def check(d, data):
-        h = data.draw(free_groups(d))
-        a = data.draw(det_one_matrices(d))
-        hp = None
-        if data.draw(st.booleans()):
-            try:
-                hp = apply_matrix(data.draw(st.sampled_from([a, a.scale(-1)])), h)
-            except NotSupergroupError:
-                pass
-        if hp is None:
-            hp = data.draw(free_groups(d))
+        a, h, hp = data.draw(maps_onto_cases(d))
         answer = maps_onto(a, h, hp)
         assert answer == _maps_onto_reference(a, h, hp)
         answers.append((d, answer))
 
     check()
     assert len(answers) >= 1000
+    for d in (2, 3):
+        assert answers.count((d, True)) >= 50 and answers.count((d, False)) >= 50
+
+
+def test_maps_onto_answers_alike_for_a_and_minus_a():
+    # -a.H = a.(-H) = a.H since H = -H: the lemma that lets the d = 2 line
+    # tier test one candidate of each +- pair
+    answers = []
+
+    @given(st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=400, deadline=None)
+    def check(d, data):
+        a, h, hp = data.draw(maps_onto_cases(d))
+        answer = maps_onto(a, h, hp)
+        assert maps_onto(a.scale(-1), h, hp) == answer
+        answers.append((d, answer))
+
+    check()
     for d in (2, 3):
         assert answers.count((d, True)) >= 50 and answers.count((d, False)) >= 50
 
