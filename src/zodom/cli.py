@@ -1,7 +1,8 @@
 """Command-line front end: deterministic key=value reports on stdout.
 
 Exit codes: 0 success (or verdict YES), 1 verdict NO, 2 verdict UNKNOWN,
-64 usage error, 65 malformed input (syntax errors carry the byte offset).
+64 usage error, 65 malformed input (syntax errors carry the byte offset),
+70 a run that ran out of memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .verify import DEFAULT_SEED, run_paper_suite
 
 EX_USAGE = 64
 EX_DATA = 65
+EX_SOFTWARE = 70
 
 
 class UsageError(Exception):
@@ -395,6 +397,10 @@ def main(argv=None) -> int:
     except (FactorBudgetError, SingularMatrixError) as exc:
         _emit("error", str(exc))
         return EX_DATA
+    except (MemoryError, RecursionError) as exc:
+        # Python's default handler would exit 1, which means NO
+        _emit("error", f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

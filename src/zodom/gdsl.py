@@ -20,7 +20,6 @@ the byte offset of the failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .hgroup import HGroup, apply_matrix
@@ -308,7 +307,8 @@ def print_expr(e) -> str:
 
 
 def format_rat(x) -> str:
-    x = Fraction(x)
+    """Text of an int or Fraction x, printed from its numerator and
+    denominator; no Fraction is built."""
     return ratio_text(x.numerator, x.denominator)
 
 

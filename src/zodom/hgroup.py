@@ -14,15 +14,17 @@ two presentations of one group compare equal.
 
 This local data is the only presentation: membership, equality,
 superindex, the approximating tower and every decider read it, and parsing
-and ``apply_matrix`` build each entry straight from generators, one integer
-kernel per entry (``_entry``).
+and ``apply_matrix`` build each entry straight from generators, one column
+reduction per entry (``_entry``).
 
 Membership, the witness test alpha.H = H' and the tower run in integers on
 the rows.  A vector is num / den with integer num; it lies in M_p iff
 row . num = 0 mod p^k for every row (p^k the p-part of den), and in H iff
 that holds at every support prime and no other prime divides den.  Each
 tower level is Z^d plus, at each support prime, p^-k times the integer
-solutions of row . x = 0 mod p^k.  alpha is a Mat, integer rows over den,
+solutions Lambda_p(k) of row . x = 0 mod p^k, read off one Smith form
+U . rows . V = S as V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d
+(``_congruence_rows``).  alpha is a Mat, integer rows over den,
 +-alpha^-1 as |det| plus den * adj from the adjugate, and an image of a
 divisible direction lies in V'_p iff it pairs to zero with the rows of H'
 at p.
@@ -44,7 +46,6 @@ from .linalg import (
     adjugate,
     clear_denominators,
     factorint,
-    integer_kernel,
     is_prime,
     ratio_text,
     snf,
@@ -65,7 +66,10 @@ class LocalEntry:
 
     L(p) is stored canonically as p^-k Lambda_p, with p^k the largest
     invariant factor of the rows and Lambda_p = {x in Z^d : _rows . x = 0
-    mod p^k} (see ``_congruence_lattice``).  That is (L(p) + V_p) n p^-k Z^d:
+    mod p^k}.  With U . _rows . V = S the Smith form that also gives the
+    invariant factors s_j, Lambda_p = V . diag(p^k / gcd(s_j, p^k), 1, ...,
+    1) Z^d (``_congruence_rows``, with the proof and an example at ranks 0
+    and 1); the transform V is not kept.  That is (L(p) + V_p) n p^-k Z^d:
     p^k kills the image of L(p) in Q^d / V_p modulo that of Z^d, so both
     lattices have the same image there, hence the same rows and the same
     M_p, and the stored one depends on M_p alone.  At rank 0 it is L(p).
@@ -76,16 +80,15 @@ class LocalEntry:
     __slots__ = ("p", "r", "lattice", "vspan", "_rows", "_invariants", "_index_valuation")
 
     def __init__(self, p, d, vspan, rows):
-        _, s, _ = snf(rows)
-        self._invariants = tuple(s[i][i] for i in range(len(rows)) if s[i][i] != 1)
+        smith = _smith_form(rows, d)
+        self._invariants = tuple(x for x in smith[0] if x != 1)
         pk = self._invariants[-1] if self._invariants else 1
         self._index_valuation = valuation(prod(self._invariants), p)
         self.p = p
         self.r = len(vspan)
         self.vspan = vspan
         self._rows = rows
-        lam = _congruence_lattice(rows, pk, d)
-        self.lattice = Lattice._raw(*_canonical(d, pk, [list(r) for r in zip(*lam)]))
+        self.lattice = Lattice._raw(*_canonical(d, pk, _congruence_rows(smith, pk)))
 
     @property
     def d(self):
@@ -118,15 +121,50 @@ class LocalEntry:
         return f"LocalEntry(p={self.p}, r={self.r}, lattice={self.lattice!r}, vspan={self.vspan!r})"
 
 
-def _congruence_lattice(rows, pk: int, d: int):
-    """Basis columns of {x in Z^d : rows . x = 0 mod pk}: the first d
-    coordinates of the integer kernel of [rows | pk I], and Z^d when there
-    are no rows."""
+def _smith_form(rows, d: int):
+    """(s, v) for independent integer rows f_1..f_m in Z^d: the diagonal
+    s_1 | ... | s_m of their Smith form U . rows . V = S and the unimodular
+    d x d transform V; ((), I) when there are no rows."""
     if not rows:
-        return [[int(i == j) for i in range(d)] for j in range(d)]
-    m = len(rows)
-    ext = [[*row, *(pk * (i == j) for j in range(m))] for i, row in enumerate(rows)]
-    return [c[:d] for c in integer_kernel(ext)]
+        return (), [[int(i == j) for j in range(d)] for i in range(d)]
+    _, s, v = snf(rows)
+    return tuple(s[i][i] for i in range(len(rows))), v
+
+
+def _congruence_rows(smith, pk: int):
+    """Rows of a d x d integer matrix whose columns are a basis of
+    Lambda = {x in Z^d : rows . x = 0 mod pk}, from the Smith form
+    (s, v) = ``_smith_form(rows, d)``: column j of V times pk / gcd(s_j, pk),
+    and times 1 for j >= m.
+
+    Proof: x = V y is a bijection of Z^d, and rows . x = U^-1 S y with U^-1
+    unimodular, hence invertible mod pk, so x lies in Lambda iff S y = 0
+    mod pk, i.e. s_j y_j = 0 mod pk for j < m, i.e. pk / gcd(s_j, pk)
+    divides y_j; the other y_j are free.  So Lambda = V . diag(pk / gcd(s_j,
+    pk), 1, ..., 1) Z^d.
+
+    Rank 0, L(5) = Z^2 + Z (1/5, 1/5): Lambda = V . diag(5, 1) Z^2.
+
+    >>> e = HGroup.from_local_data(2, {5: ([(5, (1, 1))], [])}).entry(5)
+    >>> smith = _smith_form(e._rows, 2)
+    >>> e._rows, smith
+    (((1, 4), (0, 5)), ((1, 5), [[1, -4], [0, 1]]))
+    >>> _congruence_rows(smith, 5), e.lattice
+    ([[5, -4], [0, 1]], Lattice(1/5 * [1,0; 1,5]))
+
+    Rank 1, V_2 = Q (1, 0, 0) and L(2) = Z^3 + Z (0, 1/4, 1/2):
+    Lambda = V . diag(4, 1, 1) Z^3.
+
+    >>> e = HGroup.from_local_data(3, {2: ([(4, (0, 1, 2))], [(1, 0, 0)])}).entry(2)
+    >>> smith = _smith_form(e._rows, 3)
+    >>> e._rows, smith
+    (((0, 2, 1), (0, 0, 2)), ((1, 4), [[0, 0, 1], [0, 1, 0], [1, -2, 0]]))
+    >>> _congruence_rows(smith, 4), e.lattice
+    ([[0, 0, 1], [0, 1, 0], [4, -2, 0]], Lattice(1/4 * [1,0,0; 0,1,0; 0,2,4]))
+    """
+    s, v = smith
+    scale = [pk // gcd(x, pk) for x in s] + [1] * (len(v) - len(s))
+    return [[x * c for x, c in zip(row, scale)] for row in v]
 
 
 def _entry(d: int, p: int, gens, vspan):
@@ -140,10 +178,20 @@ def _entry(d: int, p: int, gens, vspan):
     num / p^k, m being a unit mod p^k.  So L(p) = Z^d + sum Z num / p^k and
     L(p)* = {f in Z^d : f . num = 0 mod p^k for every generator}.  The rows,
     a basis of L(p)* n V_p^perp, are the first d coordinates of the integer
-    kernel of [[w | 0]; [num | p^k e_j]] (w over vspan, j over generators):
-    t_j = -f . num / p^k is fixed by f, so that projection is a bijection.
-    Generators with num = 0 mod p^k impose nothing.  The module depends on
-    M_p alone, so its column-echelon form is canonical.
+    kernel of E = [[w | 0]; [num | p^k e_j]] (w over vspan, j over
+    generators): t_j = -f . num / p^k is fixed by f, so that projection is
+    a bijection.  Generators with num = 0 mod p^k impose nothing.
+
+    One column reduction of [E; I_d | 0] gives them.  E has independent
+    rows (the p^k e_j block separates the generator rows, and the w are
+    independent), so its n_E rows take the first n_E pivots.  The other
+    columns then vanish on E and, the column operations being unimodular,
+    are a basis of its kernel, whose first d coordinates the I_d rows show.
+    The projection being injective, each of those columns takes a pivot in
+    the I_d rows, which leaves that block in reduced column-echelon form:
+    positive pivots, zeros to their right and entries to their left in
+    [0, pivot).  That form of a Z-module is its HNF, which is unique, so
+    the rows depend on M_p alone and are canonical.
     """
     cons = []
     for den, num in gens:
@@ -156,9 +204,10 @@ def _entry(d: int, p: int, gens, vspan):
     m = len(cons)
     ext = [[*w, *[0] * m] for w in vspan]
     ext += [[*num, *(pk * (i == j) for j in range(m))] for i, (pk, num) in enumerate(cons)]
-    kernel = integer_kernel(ext)
-    h, _, pivots = _column_echelon([[c[i] for c in kernel] for i in range(d)])
-    rows = tuple(tuple(h[i][j] for i in range(d)) for j in range(len(pivots)))
+    top = len(ext)
+    ext += [[int(i == j) for j in range(d + m)] for i in range(d)]
+    h, _ = _column_echelon(ext)
+    rows = tuple(tuple(row[j] for row in h[top:]) for j in range(top, d + m))
     return LocalEntry(p, d, vspan, rows)
 
 
@@ -304,7 +353,7 @@ def difference(h1: HGroup, h2: HGroup):
     H1 = H2 iff both have the same support and, at each support prime, the
     same divisible subspace (canonical bases compare syntactically) and each
     L(p) lies in the other's M_p.  The HNF columns c of L(p) = (1/den) M
-    are tested as c / den with the integer kernel, h1's entries first.
+    are tested as c / den against the other entry's rows, h1's entries first.
 
     >>> h = HGroup.from_local_data(1, {5: ([(5, (1,))], [])})
     >>> difference(h, h) is None, difference(HGroup.standard(1), h)
@@ -450,8 +499,11 @@ def tower(h: HGroup, depth: int) -> Tower:
     powers of p lies in H exactly when it lies in M_p, and x / p^k with x
     integral lies in M_p exactly when row . x = 0 mod p^k for every row of
     ``_rows``.  So H_n = Z^d + sum_p p^-k Lambda_p(k) with Lambda_p(k) =
-    {x in Z^d : _rows . x = 0 mod p^k} from ``_congruence_lattice``, and a
-    prime outside the support adds nothing.
+    {x in Z^d : _rows . x = 0 mod p^k}, and a prime outside the support
+    adds nothing.  With U . _rows . V = S in Smith form, Lambda_p(k) =
+    V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d (``_congruence_rows``), so
+    one Smith form per entry serves every level: each Lambda_p(k) is V with
+    its columns scaled.
 
     Each level is built from the one before.  The exponent k = v_p(n!)
     exceeds v_p((n-1)!) exactly when p | n, so at every other prime the
@@ -483,25 +535,28 @@ def _levels(h: HGroup, depth: int):
     """The levels H_1, ..., H_depth of ``tower`` without their duals, each
     built from the one before; a level equal to the one before is the same
     Lattice object.  ``tower`` adds the duals, and the ``h1`` verb, which
-    prints only the levels, reads them here."""
+    prints only the levels, reads them here.  Each support prime p <= depth
+    (the others divide no n <= depth) takes one Smith form of its rows, and
+    each Lambda_p(k) is read off it by ``_congruence_rows``."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     d = h.d
     level = Lattice.standard(d)  # H_1 = Z^d
     yield level
-    exps = [0] * len(h.entries)  # v_p(n!) at each support prime
+    smiths = [(e.p, _smith_form(e._rows, d)) for e in h.entries if e.p <= depth]
+    exps = [0] * len(smiths)  # v_p(n!) at each of those primes
     for n in range(2, depth + 1):
-        parts = []  # (p^k, columns of Lambda_p(k)) at the support primes p | n
-        for i, e in enumerate(h.entries):
-            if n % e.p == 0:
-                exps[i] += valuation(n, e.p)
-                pk = e.p ** exps[i]
-                parts.append((pk, _congruence_lattice(e._rows, pk, d)))
+        parts = []  # (p^k, rows whose columns span Lambda_p(k)) at the support primes p | n
+        for i, (p, smith) in enumerate(smiths):
+            if n % p == 0:
+                exps[i] += valuation(n, p)
+                pk = p ** exps[i]
+                parts.append((pk, _congruence_rows(smith, pk)))
         if parts:
             den = lcm(level.den, prod(pk for pk, _ in parts))
             lift = den // level.den
             rows = [
-                [lift * x for x in level.mat[i]] + [den // pk * c[i] for pk, lam in parts for c in lam]
+                [lift * x for x in level.mat[i]] + [den // pk * x for pk, lam in parts for x in lam[i]]
                 for i in range(d)
             ]
             level = Lattice._raw(*_canonical(d, den, rows))

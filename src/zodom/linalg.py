@@ -5,8 +5,7 @@ once, where it is read, and the work is integer arithmetic, so all results
 are exact.  Matrices are small (d <= 4 by design), so the algorithms favour
 clarity and predictable cost: fraction-free Gauss-Jordan for determinants,
 inverses and row echelon forms over Q, unimodular column reduction for
-Hermite forms and integer kernels, classical Smith reduction with tracked
-transforms.
+Hermite forms, classical Smith reduction with tracked transforms.
 
 Conventions fixed here and relied on by every other module:
 
@@ -263,65 +262,63 @@ def adjugate(rows):
 def _column_echelon(rows: list[list[int]]):
     """Lower column-echelon form by unimodular column operations.
 
-    Returns ``(h, v, pivots)`` with ``h = rows . v``, ``v`` unimodular, and
-    ``pivots`` the list of pivot rows (one per leading column).  Pivot entries
-    are positive and entries to their left in the same row are reduced into
-    ``[0, pivot)``.
+    Returns ``(h, pivots)`` with ``h = rows . v`` for some unimodular ``v``
+    and ``pivots`` the list of pivot rows (one per leading column).  Pivot
+    entries are positive and entries to their left in the same row are
+    reduced into ``[0, pivot)``.  ``v`` itself is not kept: a caller that
+    needs it stacks the identity under its rows, since the same column
+    operations take [A; I] to [A . v; v].  The first len(A) rows are
+    reduced exactly as A alone would be, and the later pivots only combine
+    columns whose A-part is zero, so the top block is A's own echelon form.
+
+    >>> _column_echelon([[2, 4], [1, 0], [1, 0], [0, 1]])  # [A; I] -> [A . v; v]
+    ([[2, 0], [1, 2], [1, 2], [0, -1]], [0, 1])
     """
     m = [list(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def colswap(a, b):
-        for r in range(nr):
-            m[r][a], m[r][b] = m[r][b], m[r][a]
-        for r in range(nc):
-            v[r][a], v[r][b] = v[r][b], v[r][a]
 
     def coladd(dst, src, q):
         # column dst += q * column src
-        for r in range(nr):
-            m[r][dst] += q * m[r][src]
-        for r in range(nc):
-            v[r][dst] += q * v[r][src]
+        for r in m:
+            r[dst] += q * r[src]
 
     pivots: list[int] = []
     col = 0
     for row in range(nr):
         if col >= nc:
             break
+        cur = m[row]
         while True:
             jmin = -1
             best = 0
             for j in range(col, nc):
-                a = abs(m[row][j])
+                a = abs(cur[j])
                 if a != 0 and (jmin < 0 or a < best):
                     jmin, best = j, a
             if jmin < 0:
                 break
             if jmin != col:
-                colswap(col, jmin)
+                for r in m:
+                    r[col], r[jmin] = r[jmin], r[col]
             done = True
             for j in range(col + 1, nc):
-                if m[row][j] != 0:
-                    coladd(j, col, -(m[row][j] // m[row][col]))
-                    if m[row][j] != 0:
+                if cur[j] != 0:
+                    coladd(j, col, -(cur[j] // cur[col]))
+                    if cur[j] != 0:
                         done = False
             if done:
                 break
         if jmin < 0:
             continue
-        if m[row][col] < 0:
-            for r in range(nr):
-                m[r][col] = -m[r][col]
-            for r in range(nc):
-                v[r][col] = -v[r][col]
+        if cur[col] < 0:
+            for r in m:
+                r[col] = -r[col]
         for j in range(col):
-            coladd(j, col, -(m[row][j] // m[row][col]))
+            coladd(j, col, -(cur[j] // cur[col]))
         pivots.append(row)
         col += 1
-    return m, v, pivots
+    return m, pivots
 
 
 def hnf(rows) -> list[list[int]]:
@@ -334,7 +331,7 @@ def hnf(rows) -> list[list[int]]:
     """
     rows = [list(map(int, r)) for r in rows]
     n = len(rows)
-    h, _, pivots = _column_echelon(rows)
+    h, pivots = _column_echelon(rows)
     if len(pivots) < n:
         raise SingularMatrixError("matrix has no column Hermite form: det = 0")
     return h
@@ -426,15 +423,6 @@ def snf(rows):
             u[t] = [-x for x in u[t]]
         t += 1
     return u, a, v
-
-
-def integer_kernel(rows) -> list[list[int]]:
-    """Basis (list of columns) of {x in Z^nc : rows . x = 0}; always saturated."""
-    a = [list(map(int, r)) for r in rows]
-    nc = len(a[0]) if a else 0
-    h, v, pivots = _column_echelon(a)
-    lead = len(pivots)
-    return [[v[i][j] for i in range(nc)] for j in range(lead, nc)]
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +634,7 @@ def _canonical_from_columns(d: int, cols):
 def _canonical(d: int, den: int, rows):
     """(d, den', hnf-rows) for the lattice (1/den) * (column span of the
     integer rows) in lowest terms, or None if rank < d."""
-    h, _, pivots = _column_echelon(rows)
+    h, pivots = _column_echelon(rows)
     if len(pivots) < d:
         return None
     cut = [row[:d] for row in h]

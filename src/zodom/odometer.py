@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .hgroup import HGroup, Tower, _congruence_lattice
+from .hgroup import HGroup, Tower, _congruence_rows, _smith_form
 from .linalg import Lattice, hnf, snf
 
 
@@ -219,9 +219,10 @@ def spectrum(h: HGroup, height: int):
     denominator is the product of its components' denominators, so each
     component is within the height, and at p it is x / p^k with x integral
     and p^k the largest power of p that is <= height.  Such a vector lies in
-    H iff _rows . x = 0 mod p^k, i.e. x lies in Lambda_p from
-    ``_congruence_lattice``; H <= Z[1/S]^d for the support S, and a prime
-    p > height has no component but 0.
+    H iff _rows . x = 0 mod p^k, i.e. x lies in Lambda_p; H <= Z[1/S]^d for
+    the support S, and a prime p > height has no component but 0.  One
+    Smith form U . _rows . V = S per entry gives Lambda_p = V . diag(p^k /
+    gcd(s_j, p^k), 1, ..., 1) Z^d (``hgroup._congruence_rows``).
 
     Lambda_p contains p^k Z^d, so the diagonal b_j of its lower-triangular
     HNF divides p^k, and sum t_j c_j over the columns c_j with t_j in
@@ -247,7 +248,7 @@ def spectrum(h: HGroup, height: int):
     den = prod(pk for pk, _ in primes)
     partial = {(1,) * d: [(0,) * d]}  # denominator tuple -> numerators over den
     for pk, e in primes:
-        basis = hnf([list(r) for r in zip(*_congruence_lattice(e._rows, pk, d))])
+        basis = hnf(_congruence_rows(_smith_form(e._rows, d), pk))
         points = [[0] * d]
         for j in range(d):
             col = [row[j] for row in basis]

@@ -1,13 +1,15 @@
 """Oracles used only by the tests: the index of nested lattices, block
 (direct) sums of lattices and of groups, matrices from rational rows or
-columns, the unimodularity test, the rational columns of a lattice, and a
-counter of the Fractions built."""
+columns, the unimodularity test, the rational columns of a lattice, a
+counter of the Fractions built, and the integer kernel and congruence
+lattice that ``zodom`` computed before it read them off one column
+reduction and one Smith form."""
 
 from fractions import Fraction
 from math import prod
 
 from zodom.hgroup import HGroup
-from zodom.linalg import Lattice, Mat, clear_denominators
+from zodom.linalg import Lattice, Mat, _column_echelon, clear_denominators
 
 
 def index(sub: Lattice, sup: Lattice) -> int:
@@ -81,3 +83,31 @@ def fractions_built(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     return built
+
+
+def echelon_with_transform(rows):
+    """(h, v, pivots): the column echelon form h = rows . v of integer rows,
+    v unimodular, and the pivot rows of h, read off the echelon form of
+    [rows; I], which the same column operations take to [rows . v; v]."""
+    nr, nc = len(rows), len(rows[0])
+    eye = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    h, pivots = _column_echelon([*map(list, rows), *eye])
+    return h[:nr], h[nr:], [r for r in pivots if r < nr]
+
+
+def integer_kernel(rows):
+    """Basis (list of columns) of {x in Z^nc : rows . x = 0}, always
+    saturated: the columns of v past the pivots of h = rows . v."""
+    _, v, pivots = echelon_with_transform(rows)
+    return [list(col) for col in zip(*v)][len(pivots):]
+
+
+def congruence_lattice(rows, pk: int, d: int):
+    """Basis columns of {x in Z^d : rows . x = 0 mod pk}: the first d
+    coordinates of the integer kernel of [rows | pk I], and Z^d when there
+    are no rows."""
+    if not rows:
+        return [[int(i == j) for i in range(d)] for j in range(d)]
+    m = len(rows)
+    ext = [[*row, *(pk * (i == j) for j in range(m))] for i, row in enumerate(rows)]
+    return [c[:d] for c in integer_kernel(ext)]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zodom.cli import EX_DATA, EX_USAGE, main
+from zodom.cli import EX_DATA, EX_SOFTWARE, EX_USAGE, main
 from zodom.linalg import Lattice
 from zodom.rigid import GALLERY_TEXTS
 
@@ -166,6 +166,25 @@ def test_h1_builds_no_duals(grp, capsys, monkeypatch):
     monkeypatch.setattr(Lattice, "dual", no_dual)
     code, out = run(capsys, "h1", grp("class11_fuchs"), "--depth", "12")
     assert code == 0 and "level_12=" in out
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "error=MemoryError"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "error=RecursionError: maximum recursion depth exceeded"),
+    ],
+)
+def test_resource_errors_exit_70_not_no(grp, capsys, monkeypatch, exc, line):
+    # Python's default handler exits 1 on an uncaught exception, and 1 means NO
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr("zodom.cli.spectrum", fail)
+    code, out = run(capsys, "spectrum", grp("class11_fuchs"), "--height", "5")
+    assert code == EX_SOFTWARE == 70
+    assert out == line + "\n"
 
 
 def test_coinv_fuchs_at_depth_6(grp, capsys):

@@ -15,9 +15,11 @@ from zodom.cohomology import (
 )
 from zodom.gdsl import parse_group
 from zodom.hgroup import superindex, tower
-from zodom.linalg import INF, Lattice, Mat, Supernatural, _column_echelon, snf
+from zodom.linalg import INF, Lattice, Mat, Supernatural, snf
 from zodom.odometer import FiniteOdometer
 from zodom.verify import TORSION_QUOTIENTS, cocycle_corpus
+
+from helpers import echelon_with_transform
 
 F = Fraction
 
@@ -417,7 +419,7 @@ def test_tree_potential_solver_matches_echelon_solve():
     rng = random.Random(17)
     for q in _solver_quotients():
         pos = {x: k for k, x in enumerate(q.reps)}
-        echelon = (pos, *_column_echelon(_difference_rows(q)))
+        echelon = (pos, *echelon_with_transform(_difference_rows(q)))
         solver = CoboundarySolver(q)
         zero = (0,) * q.d
         thetas = []

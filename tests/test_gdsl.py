@@ -323,3 +323,13 @@ def test_matrix_text_matches_fraction_reference(d, den, data):
     # a gen literal prints its entries the same way
     gen = print_expr(parse("gen(" + ", ".join(f"{x}/{den}" for x in num[0]) + ")"))
     assert gen == "gen(" + ", ".join(ref[0]) + ")"
+
+
+def test_vector_text_builds_no_fraction_and_matches_reference(monkeypatch):
+    # format_rat reads an int's or a Fraction's numerator and denominator
+    values = [0, 5, -3, F(1, 2), F(-7, 12), F(6, 3), F(-4, 6), *(F(n, 60) for n in range(-130, 131))]
+    ref = [_fraction_text(F(x)) for x in values]
+    built = fractions_built(monkeypatch)
+    assert [format_rat(x) for x in values] == ref
+    assert format_vec(values[:5]) == "(0, 5, -3, 1/2, -7/12)"
+    assert built == []

@@ -14,8 +14,10 @@ from zodom.gdsl import elaborate, parse, parse_group
 from zodom.hgroup import (
     HGroup,
     NotSupergroupError,
-    _congruence_lattice,
+    _congruence_rows,
+    _entry,
     _member,
+    _smith_form,
     apply_matrix,
     difference,
     equal_h,
@@ -36,7 +38,6 @@ from zodom.linalg import (
     _column_echelon,
     clear_denominators,
     factorint,
-    integer_kernel,
     lattice_scale,
     lattice_sum,
     snf,
@@ -46,10 +47,12 @@ from zodom.linalg import (
 from zodom.rigid import GALLERY_TEXTS
 
 from helpers import (
+    congruence_lattice,
     direct_sum,
     fractions_built,
     from_columns,
     index,
+    integer_kernel,
     lattice_columns,
     local_pairs,
     rational_mat,
@@ -380,7 +383,7 @@ def _row_module(rows, d):
     """Canonical form of the Z-span of the rows: its column echelon form."""
     if not rows:
         return ()
-    h, _, pivots = _column_echelon([[f[i] for f in rows] for i in range(d)])
+    h, pivots = _column_echelon([[f[i] for f in rows] for i in range(d)])
     return tuple(tuple(h[i][j] for i in range(d)) for j in range(len(pivots)))
 
 
@@ -436,7 +439,7 @@ def _local_entry_reference(d, p, lattice_gens, divisible_gens):
     _, s, _ = snf(rows)
     invariants = [s[i][i] for i in range(len(rows))]
     pk = invariants[-1] if invariants else 1
-    lam = _congruence_lattice(rows, pk, d)
+    lam = congruence_lattice(rows, pk, d)
     lattice = Lattice._raw(*_canonical(d, pk, [list(r) for r in zip(*lam)]))
     return p, len(vspan), lattice, vspan, valuation(prod(invariants), p), tuple(rows)
 
@@ -496,6 +499,65 @@ def test_local_entry_matches_lattice_reference(d, data):
         assert _row_module(e._rows, d) == _row_module(ref[5], d)
     if e.r == 0:
         assert _elementary_divisors(e) == _elementary_divisors_reference(e.lattice)
+
+
+def _entry_rows_reference(d, p, gens, vspan):
+    """The rows as two reductions built them: the integer kernel of
+    [[w | 0]; [num | p^k e_j]], then the column echelon form of its first d
+    coordinates; None where ``_entry`` gives None."""
+    cons = []
+    for den, num in gens:
+        pk = p ** valuation(den, p)
+        num = [x % pk for x in num]
+        if any(num):
+            cons.append((pk, num))
+    if not cons and not vspan:
+        return None
+    m = len(cons)
+    ext = [[*w, *[0] * m] for w in vspan]
+    ext += [[*num, *(pk * (i == j) for j in range(m))] for i, (pk, num) in enumerate(cons)]
+    return _row_module([c[:d] for c in integer_kernel(ext)], d)
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=400, deadline=None)
+def test_entry_rows_match_two_reduction_reference(d, data):
+    # one column reduction of [E; I_d | 0] gives the HNF of the kernel's
+    # first d coordinates, the rows the kernel-then-echelon build gave
+    p, gens, div_gens = data.draw(raw_local_data(d))
+    vspan = subspace_basis(div_gens, d)
+    e = _entry(d, p, gens, vspan)
+    ref = _entry_rows_reference(d, p, gens, vspan)
+    assert (e is None) == (ref is None)
+    if e is not None:
+        assert e._rows == ref
+
+
+@st.composite
+def independent_rows(draw):
+    """(d, rows, p, k): d <= 3, 1..d linearly independent integer rows (an
+    entry of rank 0..d-1 has that many), p and 1 <= k <= 4."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, d))
+    p = draw(st.sampled_from([2, 3, 5]))
+    entry = st.one_of(st.integers(-9, 9), st.sampled_from([p, p * p, -p, p**3]))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=m, max_size=m))
+    assume(len(subspace_basis(rows, d)) == m)
+    return d, tuple(map(tuple, rows)), p, draw(st.integers(1, 4))
+
+
+@given(independent_rows())
+@settings(max_examples=400, deadline=None)
+def test_congruence_rows_match_kernel_reference(case):
+    # Lambda = {x : rows . x = 0 mod p^k} from one Smith form spans the same
+    # lattice as the first d coordinates of the kernel of [rows | p^k I]
+    d, rows, p, k = case
+    pk = p**k
+    lam = _congruence_rows(_smith_form(rows, d), pk)
+    ref = congruence_lattice(rows, pk, d)
+    assert _canonical(d, 1, lam) == _canonical(d, 1, [list(r) for r in zip(*ref)])
+    for col in zip(*lam):
+        assert all(sum(map(mul, row, col)) % pk == 0 for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -985,11 +1047,11 @@ def test_tower_builds_only_changed_primes(monkeypatch, text):
     depth = 12
     calls = []
 
-    def counting(rows, pk, d):
+    def counting(smith, pk):
         calls.append(pk)
-        return _congruence_lattice(rows, pk, d)
+        return _congruence_rows(smith, pk)
 
-    monkeypatch.setattr("zodom.hgroup._congruence_lattice", counting)
+    monkeypatch.setattr("zodom.hgroup._congruence_rows", counting)
     t = tower(h, depth)
     primes = h.support()
     assert len(calls) == sum(1 for n in range(1, depth + 1) for p in primes if n % p == 0)

@@ -21,7 +21,6 @@ from zodom.linalg import (
     clear_denominators,
     factorint,
     hnf,
-    integer_kernel,
     is_prime,
     lattice_scale,
     lattice_sum,
@@ -30,9 +29,8 @@ from zodom.linalg import (
     valuation,
 )
 from zodom.gdsl import format_mat
-from zodom.linalg import _column_echelon
 
-from helpers import index, lattice_block, lattice_columns, rational_mat
+from helpers import echelon_with_transform, index, integer_kernel, lattice_block, lattice_columns, rational_mat
 
 F = Fraction
 
@@ -61,7 +59,7 @@ class _DenseSolver:
         a = [list(map(int, r)) for r in rows]
         self.nr = len(a)
         self.nc = len(a[0]) if self.nr else 0
-        self._h, self._v, self._pivots = _column_echelon(a)
+        self._h, self._v, self._pivots = echelon_with_transform(a)
 
     def solve(self, rhs):
         y = [0] * self.nc
