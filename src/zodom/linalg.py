@@ -344,6 +344,16 @@ def snf(rows):
     Works for any rectangular integer matrix; the primary contract is the
     square nonsingular case.
 
+    Step t takes as pivot the entry of least nonzero absolute value in the
+    block of rows and columns >= t, the first in row-major order on a tie,
+    and swaps it to (t, t).  It then clears column t below the pivot and row
+    t right of it by floor-division row and column operations; a nonzero
+    remainder is swapped in as the new pivot and the clearing repeats.  If
+    the pivot fails to divide a later entry, the first such entry's row is
+    added to row t and step t starts over; otherwise a negative pivot's row
+    is negated.  u and v are the products of these operations in this
+    order, so (u, s, v) is a pure function of the input.
+
     >>> u, s, v = snf([[2, 0], [1, 3]])
     >>> [s[0][0], s[1][1]]
     [1, 6]
@@ -353,75 +363,60 @@ def snf(rows):
     nc = len(a[0]) if nr else 0
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def rowop(dst, src, q):  # row dst += q * row src (a and u)
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def colop(dst, src, q):
-        for r in range(nr):
-            a[r][dst] += q * a[r][src]
-        for r in range(nc):
-            v[r][dst] += q * v[r][src]
-
-    def rowswap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def colswap(i, j):
-        for r in range(nr):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(nc):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
     t = 0
     while True:
         # locate smallest nonzero entry in the remaining block
         pi = pj = -1
         best = 0
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                x = abs(a[i][j])
-                if x != 0 and (pi < 0 or x < best):
+                x = abs(row[j])
+                if x and (pi < 0 or x < best):
                     pi, pj, best = i, j, x
         if pi < 0:
             break
-        rowswap(t, pi)
-        colswap(t, pj)
-        # clear row and column t
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in (*a, *v):
+                row[t], row[pj] = row[pj], row[t]
+        # clear row and column t; a nonzero remainder becomes the smaller pivot
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, nr):
-                if a[i][t] != 0:
+                if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    rowop(i, t, -q)
-                    if a[i][t] != 0:  # remainder became the smaller pivot
-                        rowswap(t, i)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        u[t], u[i] = u[i], u[t]
                         dirty = True
             for j in range(t + 1, nc):
-                if a[t][j] != 0:
+                if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    colop(j, t, -q)
-                    if a[t][j] != 0:
-                        colswap(t, j)
+                    for row in (*a, *v):
+                        row[j] -= q * row[t]
+                    if a[t][j]:
+                        for row in (*a, *v):
+                            row[t], row[j] = row[j], row[t]
                         dirty = True
         # divisibility: pivot must divide every later entry
-        fixed = True
+        p = a[t][t]
         for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    rowop(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
+            row = a[i]
+            if any(row[j] % p for j in range(t + 1, nc)):
+                a[t] = [x + y for x, y in zip(a[t], row)]
+                u[t] = [x + y for x, y in zip(u[t], u[i])]
                 break
-        if not fixed:
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
+        else:
+            if p < 0:
+                a[t] = [-x for x in a[t]]
+                u[t] = [-x for x in u[t]]
+            t += 1
     return u, a, v
 
 

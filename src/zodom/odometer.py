@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .hgroup import HGroup, Tower, _congruence_rows, _smith_form
 from .linalg import Lattice, hnf, snf
@@ -291,21 +292,9 @@ def _transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def _divide_columns(a, divisors):
-    """a . diag(divisors)^-1, which must be an integer matrix."""
-    if any(x % q for row in a for x, q in zip(row, divisors)):
-        raise ArithmeticError("Smith transforms are inconsistent")
-    return [[x // q for x, q in zip(row, divisors)] for row in a]
-
-
-def _combine(coeffs, vecs):
-    """The integer vector sum_j coeffs[j] * vecs[j]."""
-    return [sum(a * x for a, x in zip(coeffs, col)) for col in zip(*vecs)]
-
-
 def _units(d: int):
     """The unit vectors e_1, ..., e_d, which generate Z^d."""
-    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    return [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
 
 
 class DualityRealization:
@@ -318,7 +307,9 @@ class DualityRealization:
     are integer tuples t modulo the invariant factors.  Translation by n adds
     the tuple V^T n mod s: U^-T = S^-1 V^T M^T, so
     diag(s) U^-T B_K^T = S S^-1 V^T M^T B_K^T = V^T.  The conjugacy onto Z^d/G
-    sends t to the class of V^-T t = (S^-1 U M)^T t.  For G <= G1 (K1 <= K)
+    sends t to the class of V^-T t = (S^-1 U M)^T t: entry (k, i) of V^-T is
+    <u_i, row k of B_G> / s_i, u_i the rows of U, and that division must be
+    exact.  For G <= G1 (K1 <= K)
     restriction of characters is t -> R t / L mod s1 with L = lcm(s) and
     R = V1^T B_G U^T diag(L / s).  Every map is an integer matrix followed by
     a reduction, hence a homomorphism, so ``duality_check`` and
@@ -327,26 +318,31 @@ class DualityRealization:
 
     def __init__(self, g: Lattice):
         self.quotient = FiniteOdometer(g)
-        m = _transpose(g.mat)
-        u, s, v = snf(m)
-        self.snf_diag = tuple(s[i][i] for i in range(g.d))
+        u, s, v = snf(zip(*g.mat))
+        self.snf_diag = diag = tuple(s[i][i] for i in range(g.d))
         self._u_rows = u
         self._shift_rows = _transpose(v)
         # integer rows of V^-T for the conjugacy map
-        self._v_inv_t_rows = _divide_columns(_transpose(_int_matmul(u, m)), self.snf_diag)
+        self._v_inv_t_rows = rows = []
+        for b in g.mat:
+            row = []
+            for ui, si in zip(u, diag):
+                x, r = divmod(sum(map(mul, ui, b)), si)
+                if r:
+                    raise ArithmeticError("Smith transforms are inconsistent")
+                row.append(x)
+            rows.append(row)
         self._restrictions = {}
 
     def translation_tuple(self, n):
         """Character of the rotation by n, in invariant-factor coordinates."""
         return tuple(
-            sum(r * x for r, x in zip(row, n)) % si
-            for row, si in zip(self._shift_rows, self.snf_diag)
+            sum(map(mul, row, n)) % si for row, si in zip(self._shift_rows, self.snf_diag)
         )
 
     def to_quotient(self, t):
         """The conjugacy h_K: character tuple -> coset of G = K* in Z^d."""
-        img = [sum(r * x for r, x in zip(row, t)) for row in self._v_inv_t_rows]
-        return self.quotient.reduce(img)
+        return self.quotient.reduce([sum(map(mul, row, t)) for row in self._v_inv_t_rows])
 
     def _restriction(self, sub: "DualityRealization"):
         """Integer rows R and denominator L with restrict_tuple(t) = R t / L
@@ -417,9 +413,10 @@ def duality_check(g: Lattice) -> bool:
     c = [real.to_quotient(e) for e in units]
     if any(q.reduce([sj * x for x in cj]) != zero for sj, cj in zip(s, c)):
         return False
+    cols = list(zip(*c))
     for e in units:
-        img = _combine(real.translation_tuple(e), c)
-        if q.reduce([x - y for x, y in zip(img, e)]) != zero:
+        te = real.translation_tuple(e)
+        if q.reduce([sum(map(mul, te, col)) - x for col, x in zip(cols, e)]) != zero:
             return False
     return True
 
@@ -448,8 +445,10 @@ def duality_square_check(g1: Lattice, g2: Lattice) -> bool:
             return False
         if q.reduce([sj * x for x in c]) != zero or small.to_quotient(r) != q.reduce(c):
             return False
+    cols = list(zip(*rho))
     for e in units:
-        img = _combine(big.translation_tuple(e), rho)
-        if any((x - y) % si for x, y, si in zip(img, small.translation_tuple(e), s1)):
+        te = big.translation_tuple(e)
+        pairs = zip(cols, small.translation_tuple(e), s1)
+        if any((sum(map(mul, te, col)) - y) % si for col, y, si in pairs):
             return False
     return True

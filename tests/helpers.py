@@ -1,9 +1,10 @@
 """Oracles used only by the tests: the index of nested lattices, block
 (direct) sums of lattices and of groups, matrices from rational rows or
 columns, the unimodularity test, the rational columns of a lattice, a
-counter of the Fractions built, and the integer kernel and congruence
-lattice that ``zodom`` computed before it read them off one column
-reduction and one Smith form."""
+counter of the Fractions built, the integer kernel and congruence lattice
+that ``zodom`` computed before it read them off one column reduction and
+one Smith form, and the Smith form as written before its row and column
+operations were inlined."""
 
 from fractions import Fraction
 from math import prod
@@ -111,3 +112,84 @@ def congruence_lattice(rows, pk: int, d: int):
     m = len(rows)
     ext = [[*row, *(pk * (i == j) for j in range(m))] for i, row in enumerate(rows)]
     return [c[:d] for c in integer_kernel(ext)]
+
+
+def snf_reference(rows):
+    """``zodom.linalg.snf`` as it was written with four nested closures for
+    its row and column operations: the reference that the inlined version
+    must match exactly, transforms included."""
+    a = [list(map(int, r)) for r in rows]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def rowop(dst, src, q):  # row dst += q * row src (a and u)
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def colop(dst, src, q):
+        for r in range(nr):
+            a[r][dst] += q * a[r][src]
+        for r in range(nc):
+            v[r][dst] += q * v[r][src]
+
+    def rowswap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def colswap(i, j):
+        for r in range(nr):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(nc):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    t = 0
+    while True:
+        # locate smallest nonzero entry in the remaining block
+        pi = pj = -1
+        best = 0
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = abs(a[i][j])
+                if x != 0 and (pi < 0 or x < best):
+                    pi, pj, best = i, j, x
+        if pi < 0:
+            break
+        rowswap(t, pi)
+        colswap(t, pj)
+        # clear row and column t
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    rowop(i, t, -q)
+                    if a[i][t] != 0:  # remainder became the smaller pivot
+                        rowswap(t, i)
+                        dirty = True
+            for j in range(t + 1, nc):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    colop(j, t, -q)
+                    if a[t][j] != 0:
+                        colswap(t, j)
+                        dirty = True
+        # divisibility: pivot must divide every later entry
+        fixed = True
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if a[i][j] % a[t][t] != 0:
+                    rowop(t, i, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return u, a, v

@@ -30,7 +30,15 @@ from zodom.linalg import (
 )
 from zodom.gdsl import format_mat
 
-from helpers import echelon_with_transform, index, integer_kernel, lattice_block, lattice_columns, rational_mat
+from helpers import (
+    echelon_with_transform,
+    index,
+    integer_kernel,
+    lattice_block,
+    lattice_columns,
+    rational_mat,
+    snf_reference,
+)
 
 F = Fraction
 
@@ -224,6 +232,23 @@ def test_snf_diagonal_matches_sympy():
         ref = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
         k = min(nr, nc)
         assert [s[i][i] for i in range(k)] == [abs(int(ref[i, i])) for i in range(k)], m
+
+
+@st.composite
+def _rectangular_rows(draw):
+    """Integer matrices of shape 1-4 x 1-4, entries in [-30, 30], about half
+    of them zero."""
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(min_value=-30, max_value=30))
+    return draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+
+
+@given(_rectangular_rows())
+@settings(max_examples=400, deadline=None)
+def test_snf_transforms_match_closure_reference(rows):
+    # u and v, not only s, reach printed witnesses (classify._smith_frame)
+    # and the character tuples of odometer.DualityRealization
+    assert snf(rows) == snf_reference(rows)
 
 
 # ---------------------------------------------------------------------------

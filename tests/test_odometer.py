@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zodom import odometer
 from zodom.gdsl import parse_group
 from zodom.hgroup import HGroup, is_free, member_h, tower
 from zodom.linalg import Lattice, Mat, snf
@@ -25,7 +26,7 @@ from zodom.rigid import GALLERY_TEXTS
 from zodom.verify import sublattices_z2
 
 import duality_reference as pointwise
-from helpers import direct_sum, index, lattice_block, lattice_columns
+from helpers import direct_sum, index, lattice_block, lattice_columns, snf_reference
 from test_cli import TOWER_TEXTS
 from test_hgroup import local_groups
 
@@ -617,10 +618,14 @@ class _FractionDuality:
 
     def __init__(self, g):
         self.basis = g.basis().transpose().inv()
-        u, s, _ = snf([[int(x) for x in row] for row in self.basis.inv().rows])
+        u, s, v = snf([[int(x) for x in row] for row in self.basis.inv().rows])
         self.s = [s[i][i] for i in range(g.d)]
         self.u_t = Mat(u).transpose()
         self.u_inv_t = Mat(u).inv().transpose()
+        # the conjugacy (S^-1 U B_G^T)^T = V^-T and the translation rows V^T
+        s_inv = Mat([[si * (i == j) for j, si in enumerate(self.s)] for i in range(g.d)]).inv()
+        self.v_inv_t = (s_inv * Mat(u) * self.basis.inv()).transpose()
+        self.v_t = Mat(v).transpose()
 
     def _reduce(self, w):
         out = []
@@ -656,6 +661,64 @@ def test_integer_character_maps_match_fraction_formulas():
             points = pointwise.points(real)
             for t in rng.sample(points, min(6, len(points))):
                 assert real.restrict_tuple(t, small) == restrict(t)
+
+
+def _old_path_maps(g):
+    """translation_tuple and to_quotient as computed before the realization
+    was built in one pass: V^-T as the transpose of U . B_G^T with its
+    columns divided by s, from the closure-form Smith form."""
+    m = [list(col) for col in zip(*g.mat)]
+    u, s, v = snf_reference(m)
+    diag = [s[i][i] for i in range(g.d)]
+    um = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in u]
+    a = [list(col) for col in zip(*um)]
+    assert not any(x % q for row in a for x, q in zip(row, diag))
+    v_inv_t = [[x // q for x, q in zip(row, diag)] for row in a]
+    shift = [list(col) for col in zip(*v)]
+    q = FiniteOdometer(g)
+
+    def translation_tuple(n):
+        return tuple(sum(r * x for r, x in zip(row, n)) % si for row, si in zip(shift, diag))
+
+    def to_quotient(t):
+        return q.reduce([sum(r * x for r, x in zip(row, t)) for row in v_inv_t])
+
+    return translation_tuple, to_quotient
+
+
+def test_realization_data_matches_fraction_formulas_and_old_path():
+    rng = random.Random(31)
+    lats = (
+        sublattices_z2(50)
+        + [Lattice.from_span(1, [(m,)]) for m in range(1, 41)]
+        + [_random_hnf_lattice(rng, 3) for _ in range(40)]
+    )
+    for g in lats:
+        real, frac = DualityRealization(g), _FractionDuality(g)
+        assert real._v_inv_t_rows == [list(row) for row in frac.v_inv_t.rows], g
+        assert real._shift_rows == [list(row) for row in frac.v_t.rows], g
+        translation_tuple, to_quotient = _old_path_maps(g)
+        units = [tuple(int(i == j) for j in range(g.d)) for i in range(g.d)]
+        for e in units:
+            assert real.to_quotient(e) == to_quotient(e), g
+            assert real.translation_tuple(e) == translation_tuple(e), g
+
+
+def test_realization_rejects_inconsistent_smith_transforms(monkeypatch):
+    # U's last row gains its first: <u_d, row k of B_G> / s_d stops being
+    # exact once s_1 < s_d.  (Doubling a row of U would stay exact.)
+    honest = odometer.snf
+
+    def inconsistent(rows):
+        u, s, v = honest(rows)
+        return [*u[:-1], [x + y for x, y in zip(u[-1], u[0])]], s, v
+
+    lats = [g for g in sublattices_z2(12) if len(set(DualityRealization(g).snf_diag)) > 1]
+    assert len(lats) > 100
+    monkeypatch.setattr(odometer, "snf", inconsistent)
+    for g in lats:
+        with pytest.raises(ArithmeticError, match="Smith transforms are inconsistent"):
+            DualityRealization(g)
 
 
 def test_restrict_tuple_rejects_non_nested():
