@@ -34,9 +34,12 @@ differ in the per-prime profile compared, the zero-line witness, the
 line-tier scales and admissibility test, and the denominators searched.
 
 Every candidate alpha, constructed or searched, is a Mat (integer rows
-over one denominator), built from the integer frames and lattice bases
-and tested with ``maps_onto``, so a witness is found without building a
-Fraction.
+over one denominator), built from the integer frames and lattice bases,
+so a witness is found without building a Fraction.  The zero-line tier and
+the bounded search test it with ``maps_onto``.  The line tier forms its
+frames and their adjugates in closed 2 x 2 form and carries each
+candidate's exact inverse, so it tests alpha.H <= H' and alpha^-1.H' <= H
+with two ``maps_into`` calls and runs no elimination.
 
 YES verdicts are sound in every dimension (sufficiency holds for all d);
 NO verdicts for d >= 3 carry a flag because necessity of the criteria is
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .hgroup import HGroup, difference, equal_h, is_free, maps_onto, superindex
+from .hgroup import HGroup, difference, equal_h, is_free, maps_into, maps_onto, superindex
 from .linalg import INF, Lattice, Mat, adjugate, factorint, lattice_sum, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
@@ -339,9 +342,11 @@ def _yes(relation, found, all_witnesses):
 
 
 def _frame(u, v):
-    """(C, det C, adj C) for the integer frame C = [u v] of two lines."""
+    """(C, det C, adj C) for the integer frame C = [u v] of two lines, in
+    closed form: det C = u0 v1 - v0 u1 and adj C = [[v1, -v0], [-u1, u0]],
+    so that adj C . C = det C . I."""
     c = [[u[0], v[0]], [u[1], v[1]]]
-    return (c, *adjugate(c))
+    return c, u[0] * v[1] - v[0] * u[1], [[v[1], -v[0]], [-u[1], u[0]]]
 
 
 def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failure):
@@ -354,6 +359,14 @@ def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failur
     |det rows| = den^2, which scaling does not change, so it is tested before
     the Mat is built, and for isomorphism when alpha is also integral.
 
+    alpha.H = H' is tested as alpha.H <= H' and alpha^-1.H' <= H, with the
+    exact inverse carried along instead of eliminated: alpha^-1 =
+    C diag(1 / lambda, +-1 / mu) C'^-1 = C diag(b / a, +-e / c) adj C' /
+    det C', that is C diag(b c, +-e a) adj C' over a c det C', with the sign
+    of det C' moved into the rows so that the denominator a c |det C'| is
+    positive.  Its two terms are formed the same way, and only for a
+    candidate whose forward test passes.
+
     The other two sign choices, diag(-lambda, -+mu), give -alpha, and each +-
     pair is tested once: |det(-alpha)| = |det alpha| in d = 2, -alpha is
     integral iff alpha is, and -alpha.H = alpha.(-H) = alpha.H since H = -H,
@@ -362,19 +375,27 @@ def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failur
     apart any two distinct matrices, so sorting ``found`` gives the same
     witness and witness tuple as testing all four signs."""
     (a, b), (c, e) = scales
-    _, det_c, adj = frame
-    cp = frame_p[0]
+    cm, det_c, adj = frame
+    cp, det_cp, adj_p = frame_p
     den = b * e * det_c
     t0 = [[cp[i][0] * a * e * adj[0][j] for j in range(2)] for i in range(2)]
     t1 = [[cp[i][1] * c * b * adj[1][j] for j in range(2)] for i in range(2)]
+    sign = 1 if det_cp > 0 else -1
+    inv_den = a * c * abs(det_cp)
     found = []
     for s2 in (1, -1):
         rows = [[x + s2 * y for x, y in zip(r0, r1)] for r0, r1 in zip(t0, t1)]
         if abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) != den * den:
             continue
         alpha = Mat(rows, den)
-        if (relation == COE or alpha.is_integer()) and maps_onto(alpha, h, hp):
-            found += (alpha, alpha.scale(-1))
+        if (relation == COE or alpha.is_integer()) and maps_into(alpha.den, alpha.num, h, hp):
+            inv_rows = [
+                [sign * (cm[i][0] * b * c * adj_p[0][j] + s2 * cm[i][1] * e * a * adj_p[1][j])
+                 for j in range(2)]
+                for i in range(2)
+            ]
+            if maps_into(inv_den, inv_rows, hp, h):
+                found += (alpha, alpha.scale(-1))
     if found:
         return _yes(relation, found, all_witnesses)
     return Verdict(relation, NO, certificate=Certificate("line-candidates-exhausted", failure))

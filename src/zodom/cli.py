@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or verdict YES), 1 verdict NO, 2 verdict UNKNOWN,
 64 usage error, 65 malformed input (syntax errors carry the byte offset),
-70 a run that ran out of memory or recursion depth.
+70 any other failure: a run that ran out of memory or recursion depth, or
+any other uncaught exception, reported on an ``error=`` line.
 """
 
 from __future__ import annotations
@@ -397,8 +398,9 @@ def main(argv=None) -> int:
     except (FactorBudgetError, SingularMatrixError) as exc:
         _emit("error", str(exc))
         return EX_DATA
-    except (MemoryError, RecursionError) as exc:
-        # Python's default handler would exit 1, which means NO
+    except Exception as exc:
+        # MemoryError, RecursionError or a defect: Python's default handler
+        # would print a traceback and exit 1, which means NO
         _emit("error", f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__)
         return EX_SOFTWARE
 

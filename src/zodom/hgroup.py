@@ -24,10 +24,12 @@ that holds at every support prime and no other prime divides den.  Each
 tower level is Z^d plus, at each support prime, p^-k times the integer
 solutions Lambda_p(k) of row . x = 0 mod p^k, read off one Smith form
 U . rows . V = S as V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d
-(``_congruence_rows``).  alpha is a Mat, integer rows over den,
-+-alpha^-1 as |det| plus den * adj from the adjugate, and an image of a
-divisible direction lies in V'_p iff it pairs to zero with the rows of H'
-at p.
+(``_congruence_rows``).  alpha is integer rows over den, tested both ways
+by ``maps_into``: ``maps_onto`` takes +-alpha^-1 as |det| plus den * adj
+from the adjugate, while the d = 2 line tier of ``classify`` passes the
+exact inverse it builds with each candidate.  An image of a divisible
+direction lies in V'_p iff it pairs to zero with the rows of H' at p, and
+an entry with L(p) = Z^d adds no generator beyond the columns of alpha.
 """
 
 from __future__ import annotations
@@ -395,6 +397,15 @@ def maps_into(den: int, rows, h: HGroup, hp: HGroup) -> bool:
     lattice columns c / den_L of L(p) map to (rows . c) / (den * den_L).
     The divisible directions and the lattice columns are tested before the
     unit columns, which pass for every integer a.
+
+    An entry whose lattice has den_L = 1 adds no lattice column: then
+    L(p) <= Z^d, and with Z^d <= L(p) it is Z^d, whose canonical HNF is the
+    identity.  Its columns are the unit vectors, whose images, the columns
+    of a, the last test checks anyway.  Every entry of rank d is one, and
+    so is every entry of rank 1 with L(p) <= Z^d + V_p.  The caller passes
+    a^-1 itself for the reverse inclusion:
+    ``maps_onto`` forms it from the adjugate, and the d = 2 line tier of
+    ``classify`` carries it in closed form.
     """
     for e in h.entries:
         ep = hp.entry(e.p)
@@ -403,6 +414,8 @@ def maps_into(den: int, rows, h: HGroup, hp: HGroup) -> bool:
             if ep is None or any(sum(map(mul, f, image)) for f in ep._rows):
                 return False
     for e in h.entries:
+        if e.lattice.den == 1:
+            continue
         lden = den * e.lattice.den
         for c in zip(*e.lattice.mat):
             if not _member(hp.entries, lden, [sum(map(mul, row, c)) for row in rows]):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zodom import classify
+from zodom import classify, linalg
 from zodom.classify import (
     COE,
     CONJ,
@@ -29,10 +29,11 @@ from zodom.hgroup import (
     apply_matrix,
     difference,
     equal_h,
+    maps_into,
     maps_onto,
     superindex,
 )
-from zodom.linalg import INF, Lattice, Mat, factorint, valuation
+from zodom.linalg import INF, Lattice, Mat, adjugate, factorint, valuation
 from zodom.rigid import GALLERY_VERDICTS, gallery
 
 from helpers import (
@@ -845,22 +846,28 @@ def test_line_and_zero_line_tiers_build_no_fraction(monkeypatch):
 def test_sign_choices_test_each_sign_pair_once(g, monkeypatch):
     # -alpha passes exactly when alpha does (H = -H), so each of the line
     # tier's calls tests at most one candidate per +- pair, and its witness
-    # tuples hold both members of each pair, sorted
+    # tuples hold both members of each pair, sorted.  A candidate is tested
+    # by one forward maps_into(den, rows, H, H') call, and only a pass adds
+    # the backward one.
     tested = []
-    calls = []  # (maps_onto calls, verdict) per _sign_choices call
+    calls = []  # (forward maps_into calls, verdict) per _sign_choices call
     sign_choices = classify._sign_choices
 
-    def count_tests(*args):
-        tested.append(args)
-        return maps_onto(*args)
+    def count_tests(den, rows, src, dst):
+        tested.append((src, dst))
+        return maps_into(den, rows, src, dst)
 
-    def record(*args):
+    def record(relation, h, hp, *args):
+        # a distinct copy of H', so that a forward call is told apart from a
+        # backward one by identity also where H = H'
+        hp = HGroup(hp.d, hp.entries)
         before = len(tested)
-        verdict = sign_choices(*args)
-        calls.append((len(tested) - before, verdict))
+        verdict = sign_choices(relation, h, hp, *args)
+        forward = sum(src is h and dst is hp for src, dst in tested[before:])
+        calls.append((forward, verdict))
         return verdict
 
-    monkeypatch.setattr(classify, "maps_onto", count_tests)
+    monkeypatch.setattr(classify, "maps_into", count_tests)
     monkeypatch.setattr(classify, "_sign_choices", record)
     # the one-line and zero-line witness enumerations are not under test
     monkeypatch.setattr(classify, "_bounded_search", lambda relation, *args: Verdict(relation, "UNKNOWN"))
@@ -876,6 +883,96 @@ def test_sign_choices_test_each_sign_pair_once(g, monkeypatch):
         assert set(wits) == {w.scale(-1) for w in wits}
         assert list(wits) == sorted(wits, key=classify._sort_key)
 
+
+
+def _count_eliminations(monkeypatch):
+    """The list that every linalg._gauss_jordan call (adjugate, det) appends
+    to from now on."""
+    calls = []
+    eliminate = linalg._gauss_jordan
+
+    def counting(rows):
+        calls.append(rows)
+        return eliminate(rows)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    return calls
+
+
+def _two_line_pairs(g):
+    """The gallery and ``_tier_pairs`` pairs of d = 2 groups with two
+    distinct divisible lines and a consistent line map."""
+    free = [g[name] for name in g if name != "z2"]
+    pairs = list(itertools.product(free, repeat=2)) + _tier_pairs()
+    return [(h, hp) for h, hp in pairs if h.d == hp.d == 2 and _line_frames(h, hp)]
+
+
+def test_frame_is_the_closed_form_adjugate(monkeypatch):
+    eliminations = _count_eliminations(monkeypatch)
+
+    @given(st.tuples(*[st.integers(-30, 30)] * 4))
+    @settings(max_examples=300, deadline=None)
+    def check(x):
+        u, v = x[:2], x[2:]
+        assume(u[0] * v[1] != v[0] * u[1])
+        before = len(eliminations)
+        got = classify._frame(u, v)
+        assert len(eliminations) == before
+        c = [[u[0], v[0]], [u[1], v[1]]]
+        assert got == (c, *adjugate(c))
+
+    check()
+
+
+def test_line_tiers_run_no_elimination(g, monkeypatch):
+    # closed-form frames and carried inverses: no adjugate inside the tiers
+    eliminations = _count_eliminations(monkeypatch)
+    runs = []  # (eliminations, answer) per tier call
+    for name in ("_iso_line_tier", "_coe_line_tier"):
+
+        def counted(*args, tier=getattr(classify, name)):
+            before = len(eliminations)
+            verdict = tier(*args)
+            runs.append((len(eliminations) - before, verdict.answer))
+            return verdict
+
+        monkeypatch.setattr(classify, name, counted)
+    for h, hp in _two_line_pairs(g):
+        for relation in (ISO, COE):
+            decide(relation, h, hp)
+    assert len(runs) >= 50 and [a for _, a in runs].count("YES") >= 20
+    assert all(n == 0 for n, _ in runs)
+
+
+def test_line_tier_inverses_are_exact(g, monkeypatch):
+    # every backward test of the line tier takes the exact inverse of the
+    # candidate whose forward test came just before it, over den > 0
+    made = []
+    products = []
+    sign_choices = classify._sign_choices
+
+    def recording(den, rows, src, dst):
+        made.append((den, rows, src, dst))
+        return maps_into(den, rows, src, dst)
+
+    def record(relation, h, hp, *args):
+        hp = HGroup(hp.d, hp.entries)  # told apart from h by identity, as above
+        before = len(made)
+        verdict = sign_choices(relation, h, hp, *args)
+        calls = made[before:]
+        for (fden, frows, fsrc, fdst), (den, rows, src, dst) in zip(calls, calls[1:]):
+            if src is hp and dst is h:
+                assert fsrc is h and fdst is hp and den > 0
+                products.append(Mat(rows, den) * Mat(frows, fden))
+        return verdict
+
+    monkeypatch.setattr(classify, "maps_into", recording)
+    monkeypatch.setattr(classify, "_sign_choices", record)
+    for h, hp in _two_line_pairs(g):
+        for relation in (ISO, COE):
+            decide(relation, h, hp, all_witnesses=True)
+    assert len(products) >= 20
+    assert all(m == Mat.identity(2) for m in products)
 
 # ---------------------------------------------------------------------------
 # decide() output pinned: a rewrite of the deciders or of Mat must leave the

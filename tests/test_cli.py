@@ -174,6 +174,8 @@ def test_h1_builds_no_duals(grp, capsys, monkeypatch):
         (MemoryError(), "error=MemoryError"),
         (RecursionError("maximum recursion depth exceeded"),
          "error=RecursionError: maximum recursion depth exceeded"),
+        # not a resource error: any other uncaught exception is a defect
+        (ValueError("unexpected state"), "error=ValueError: unexpected state"),
     ],
 )
 def test_resource_errors_exit_70_not_no(grp, capsys, monkeypatch, exc, line):

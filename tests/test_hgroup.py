@@ -975,6 +975,32 @@ def test_maps_into_one_direction_only():
     assert _into(Mat([[0, 1], [1, 0]]), small, parse_group("oplus(Z[1/3], Z[1/2])"))
 
 
+@pytest.mark.parametrize(
+    "text, calls",
+    [
+        (Z2_3, 2),
+        (FUCHS, 4),
+        # a rank-2 prime 7 has L(7) = Z^2 too
+        ("oplus(Z[1/14], Z[1/21]) + gen(1/5, 1/5)", 4),
+        # a rank-1 entry whose L(2) is not Z^2 keeps its columns
+        ("oplus(Z[1/2], Z) + gen(1/4, 1/2)", 4),
+    ],
+)
+def test_maps_into_skips_entries_with_standard_lattice(monkeypatch, text, calls):
+    # the HNF columns of L(p) = Z^d are the unit vectors, whose images the
+    # column test checks: such an entry adds no _member call
+    h = parse_group(text)
+    counted = []
+
+    def counting(entries, den, num):
+        counted.append(den)
+        return _member(entries, den, num)
+
+    monkeypatch.setattr("zodom.hgroup._member", counting)
+    assert maps_into(1, [[1, 0], [0, 1]], h, h)
+    assert len(counted) == calls
+
+
 def test_maps_onto_false_where_image_lacks_zd():
     h = parse_group("oplus(Z[1/3], Z[1/3])")
     for a in (Mat([[2, 0], [0, 1]]), Mat([[4, 0], [0, 1]], 2)):
