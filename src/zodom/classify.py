@@ -226,16 +226,10 @@ def decide_oe(h: HGroup, hp: HGroup) -> Verdict:
     sa, sb = superindex(h), superindex(hp)
     if sa == sb:
         return Verdict(OE, YES)
-    for p in sorted(set(sa.primes()) | set(sb.primes())):
-        if sa.exponent(p) != sb.exponent(p):
-            return Verdict(
-                OE,
-                NO,
-                certificate=Certificate(
-                    "superindex", f"exponent at p={p} is {sa.exponent(p)} vs {sb.exponent(p)}"
-                ),
-            )
-    return Verdict(OE, NO, certificate=Certificate("superindex", "superindexes differ"))
+    # canonical superindexes: unequal ones differ in some prime's exponent
+    p = min(p for p in {*sa.primes(), *sb.primes()} if sa.exponent(p) != sb.exponent(p))
+    detail = f"exponent at p={p} is {sa.exponent(p)} vs {sb.exponent(p)}"
+    return Verdict(OE, NO, certificate=Certificate("superindex", detail))
 
 
 def _sort_key(cand: Mat):
@@ -325,14 +319,9 @@ def _witness_search(relation, h, hp, profile_cert, line_tier, bound, all_witness
     distinct = sorted(set(_lines(h).values()))
     if len(distinct) < 2:
         return _bounded_search(relation, h, hp, bound, all_witnesses)
+    # _line_assignment rejects two lines with one target, so v1 != v2
     u1, u2 = distinct[:2]
     (v1, _), (v2, _) = assignment[u1], assignment[u2]
-    if v1 == v2:
-        return Verdict(
-            relation,
-            NO,
-            certificate=Certificate("line-map", f"distinct lines {u1}, {u2} map to one line {v1}"),
-        )
     return line_tier(h, hp, _frame(u1, u2), _frame(v1, v2), all_witnesses)
 
 

@@ -4,6 +4,9 @@ Exit codes: 0 success (or verdict YES), 1 verdict NO, 2 verdict UNKNOWN,
 64 usage error, 65 malformed input (syntax errors carry the byte offset),
 70 any other failure: a run that ran out of memory or recursion depth, or
 any other uncaught exception, reported on an ``error=`` line.
+
+``main`` alone maps input errors to exit 65; a verb raises ``InputError``
+only to add context.  Option rationals are read by the DSL's grammar.
 """
 
 from __future__ import annotations
@@ -70,53 +73,41 @@ def _emit(key, value):
 
 
 class InputError(Exception):
-    def __init__(self, lines):
-        self.lines = lines
-        super().__init__(lines[0][1] if lines else "bad input")
+    """Malformed input; ``main`` prints its message on an ``error=`` line."""
+
+
+# raised only while input is read, parsed, elaborated or checked for freeness
+_INPUT_ERRORS = (InputError, BadDenominatorError, DimensionMismatchError, FactorBudgetError,
+                 NotFreeError, NotSupergroupError, SingularMatrixError)
 
 
 def _load_expr(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputError([("error", f"cannot read {path}: {exc.strerror}")])
+        raise InputError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
-        raise InputError([("error", f"cannot read {path}: not UTF-8 at byte {exc.start}")])
-    try:
-        return gdsl.parse(text)
-    except GdslSyntaxError as exc:
-        raise InputError(
-            [("error", "syntax"), ("offset", exc.offset), ("expected", exc.expected)]
-        )
-    except (BadDenominatorError, DimensionMismatchError) as exc:
-        raise InputError([("error", str(exc))])
+        raise InputError(f"cannot read {path}: not UTF-8 at byte {exc.start}")
+    return gdsl.parse(text)
 
 
 def _load_group(path: str):
-    expr = _load_expr(path)
-    try:
-        return gdsl.elaborate(expr)
-    except (DimensionMismatchError, SingularMatrixError, NotSupergroupError) as exc:
-        raise InputError([("error", str(exc))])
+    return gdsl.elaborate(_load_expr(path))
 
 
 def _parse_vector(text: str):
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError([("error", f"bad vector {text!r}: {exc}")])
+        pairs = gdsl.parse_vector(text)
+    except GdslSyntaxError as exc:
+        raise InputError(f"bad vector {text!r}: {exc}")
+    return tuple(Fraction(n, d) for n, d in pairs)
 
 
 def _parse_matrix(text: str) -> Mat:
-    parser = gdsl._Parser(text.strip())
     try:
-        m = parser.rows()
-        parser.skip_ws()
-        if parser.pos != len(parser.text):
-            parser.error("end of input")
-        return m
+        return gdsl.parse_matrix(text.strip())
     except (GdslSyntaxError, DimensionMismatchError) as exc:
-        raise InputError([("error", f"bad matrix {text!r}: {exc}")])
+        raise InputError(f"bad matrix {text!r}: {exc}")
 
 
 def _emit_presentation(h, prefix=""):
@@ -138,10 +129,7 @@ def _emit_presentation(h, prefix=""):
 
 def _cmd_parse(args):
     expr = _load_expr(args.file)
-    try:
-        d = gdsl.expr_dimension(expr)
-    except DimensionMismatchError as exc:
-        raise InputError([("error", str(exc))])
+    d = gdsl.expr_dimension(expr)
     _emit("expr", print_expr(expr))
     _emit("dimension", d)
     return 0
@@ -156,7 +144,7 @@ def _cmd_member(args):
     h = _load_group(args.file)
     v = _parse_vector(args.vector)
     if len(v) != h.d:
-        raise InputError([("error", f"vector dimension {len(v)} != {h.d}")])
+        raise InputError(f"vector dimension {len(v)} != {h.d}")
     _emit("member", "true" if member_h(v, h) else "false")
     return 0
 
@@ -214,10 +202,7 @@ def _cmd_spectrum(args):
 def _lattice_from_rows(text: str) -> Lattice:
     """Lattice generated by the listed row vectors, e.g. "[2,1;0,3]"."""
     m = _parse_matrix(text)
-    try:
-        return Lattice.from_span(m.d, list(m.rows))
-    except SingularMatrixError as exc:
-        raise InputError([("error", str(exc))])
+    return Lattice.from_span(m.d, list(m.rows))
 
 
 def _cmd_dual(args):
@@ -232,7 +217,7 @@ def _cmd_tau(args):
     try:
         theta = build_cocycle(lat, _parse_vector(args.h))
     except ValueError as exc:
-        raise InputError([("error", str(exc))])
+        raise InputError(str(exc))
     _emit("tau", format_vec(tau1(theta)))
     return 0
 
@@ -255,12 +240,7 @@ def _cmd_coinv(args):
 
 def _cmd_classify(args):
     a, b = _load_group(args.file_a), _load_group(args.file_b)
-    try:
-        verdict = decide(
-            args.relation, a, b, bound=args.bound, all_witnesses=args.all_witnesses
-        )
-    except NotFreeError as exc:
-        raise InputError([("error", str(exc))])
+    verdict = decide(args.relation, a, b, bound=args.bound, all_witnesses=args.all_witnesses)
     _emit("relation", args.relation)
     if verdict.witness is not None:
         _emit("witness", format_mat(verdict.witness))
@@ -309,7 +289,7 @@ def _cmd_rigid(args):
 
 def _cmd_verify(args):
     if args.suite != "paper":
-        raise InputError([("error", f"unknown suite {args.suite!r}")])
+        raise InputError(f"unknown suite {args.suite!r}")
     results = run_paper_suite(args.seed)
     for r in results:
         print(r.line())
@@ -391,11 +371,12 @@ def main(argv=None) -> int:
         return EX_USAGE
     try:
         return args.fn(args)
-    except InputError as exc:
-        for key, value in exc.lines:
-            _emit(key, value)
+    except GdslSyntaxError as exc:
+        _emit("error", "syntax")
+        _emit("offset", exc.offset)
+        _emit("expected", exc.expected)
         return EX_DATA
-    except (FactorBudgetError, SingularMatrixError) as exc:
+    except _INPUT_ERRORS as exc:
         _emit("error", str(exc))
         return EX_DATA
     except Exception as exc:

@@ -15,10 +15,13 @@ Grammar (normative; whitespace-insensitive, ``#`` comments to end of line)::
 ``Z[1/15] = Z[1/3, 1/5]``; the exponent of n is irrelevant.  ``mat`` applies
 to the whole remainder of the expression after ``*``.  Syntax errors carry
 the byte offset of the failure.
+Three entry points each read one rule from a whole input: ``parse`` a
+``group``, ``parse_vector`` a ``row`` and ``parse_matrix`` a ``rows``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -122,7 +125,11 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("digit")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than Python's int conversion limit
+            limit = sys.get_int_max_str_digits()
+            raise GdslSyntaxError(self._byte_offset(start), f"at most {limit} digits") from None
 
     def rat(self) -> tuple[int, int]:
         """A rational literal as the integer pair (num, den), den > 0, not
@@ -157,16 +164,16 @@ class _Parser:
 
     def rows(self) -> Mat:
         self.literal("[")
-        rows = [self._row()]
+        rows = [self.row()]
         while self.try_literal(";"):
-            rows.append(self._row())
+            rows.append(self.row())
         self.literal("]")
         if any(len(r) != len(rows) for r in rows):
             raise DimensionMismatchError("matrix must be square")
         den = lcm(*(q for row in rows for _, q in row))
         return Mat([[n * (den // q) for n, q in row] for row in rows], den)
 
-    def _row(self):
+    def row(self) -> list[tuple[int, int]]:
         out = [self.rat()]
         while self.try_literal(","):
             out.append(self.rat())
@@ -181,9 +188,7 @@ class _Parser:
             self.literal(")")
             return Oplus(tuple(comps))
         if self.try_literal("gen("):
-            entries = [self.rat()]
-            while self.try_literal(","):
-                entries.append(self.rat())
+            entries = self.row()
             self.literal(")")
             den = lcm(*(q for _, q in entries))
             num = [n * (den // q) for n, q in entries]
@@ -203,14 +208,29 @@ class _Parser:
         return items[0] if len(items) == 1 else SumExpr(tuple(items))
 
 
-def parse(text: str) -> GroupExpr:
-    """Parse a group expression; one expression per input."""
+def _whole(text: str, rule):
+    """rule read from a parser of text, which it must consume entirely."""
     p = _Parser(text)
-    expr = p.group()
+    out = rule(p)
     p.skip_ws()
     if p.pos != len(p.text):
         p.error("end of input")
-    return expr
+    return out
+
+
+def parse(text: str) -> GroupExpr:
+    """Parse a group expression; one expression per input."""
+    return _whole(text, _Parser.group)
+
+
+def parse_vector(text: str) -> list[tuple[int, int]]:
+    """Parse ``rat ("," rat)*`` into the (num, den) pairs of ``_Parser.rat``."""
+    return _whole(text, _Parser.row)
+
+
+def parse_matrix(text: str) -> Mat:
+    """Parse ``rows``, a square rational matrix."""
+    return _whole(text, _Parser.rows)
 
 
 # ---------------------------------------------------------------------------

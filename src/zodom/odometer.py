@@ -332,7 +332,6 @@ class DualityRealization:
                     raise ArithmeticError("Smith transforms are inconsistent")
                 row.append(x)
             rows.append(row)
-        self._restrictions = {}
 
     def translation_tuple(self, n):
         """Character of the rotation by n, in invariant-factor coordinates."""
@@ -347,16 +346,12 @@ class DualityRealization:
     def _restriction(self, sub: "DualityRealization"):
         """Integer rows R and denominator L with restrict_tuple(t) = R t / L
         mod sub's factors (see the class docstring)."""
-        cached = self._restrictions.get(sub)
-        if cached is not None:
-            return cached
         g, g1 = self.quotient.lattice, sub.quotient.lattice
         if not g1.contains(g):
             raise NotSubgroupError("G must be contained in G1")
         a = _int_matmul(_int_matmul(sub._shift_rows, g.mat), _transpose(self._u_rows))
         den = lcm(*self.snf_diag)
         rows = [[x * (den // sj) for x, sj in zip(row, self.snf_diag)] for row in a]
-        self._restrictions[sub] = rows, den
         return rows, den
 
     def restrict_tuple(self, t, sub: "DualityRealization"):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -453,6 +454,41 @@ def test_bad_vector_and_matrix(capsys):
     code, out = run(capsys, "tau", "--lattice", "[1/2,0;0,1]", "--h", "1,0")
     assert code == EX_DATA
     assert out == "error=quotient lattice must be integral\n"
+
+
+@pytest.mark.parametrize(
+    "value, offset, expected",
+    [
+        ("0.5,0", 1, "end of input"),
+        ("1e3,0", 1, "end of input"),
+        ("1_0,0", 1, "end of input"),
+        ("١/٢,0", 0, "digit"),
+        # Fraction reads these twelve bytes as a number of a million digits
+        ("1e-1000000,0", 1, "end of input"),
+    ],
+)
+@pytest.mark.parametrize("verb", ["member", "tau"])
+def test_vector_outside_the_dsl_grammar_is_a_bad_vector(grp, capsys, verb, value, offset, expected):
+    if verb == "member":
+        argv = ["member", grp("class11_fuchs"), "--vector", value]
+    else:
+        argv = ["tau", "--lattice", "[2,1;0,3]", "--h", value]
+    code, out = run(capsys, *argv)
+    assert code == EX_DATA
+    assert out == f"error=bad vector {value!r}: syntax error at offset {offset}: expected {expected}\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit")
+def test_literal_beyond_the_int_conversion_limit_is_a_syntax_error(grp, capsys):
+    # a literal that int() refuses is malformed input (65), not a failure (70)
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 1)
+    code, out = run(capsys, "parse", grp("big", f"oplus(Z[1/{digits}])"))
+    assert code == EX_DATA
+    assert out == f"error=syntax\noffset=10\nexpected=at most {limit} digits\n"
+    code, out = run(capsys, "dual", "--lattice", f"[{digits}]")
+    assert code == EX_DATA
+    assert out == f"error=bad matrix '[{digits}]': syntax error at offset 1: expected at most {limit} digits\n"
 
 
 @pytest.mark.parametrize("h", ["1/2", "1/2,0,5"])

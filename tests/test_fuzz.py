@@ -102,11 +102,12 @@ def _run(argv):
     assert "Traceback" not in err.getvalue()
     if code == 65:
         assert out.getvalue().startswith("error=")
+    return code
 
 
 def _run_verb(grp_path, text, argv):
     grp_path.write_text(text + "\n", encoding="utf-8")
-    _run([argv[0], str(grp_path), *argv[1:]])
+    return _run([argv[0], str(grp_path), *argv[1:]])
 
 
 def _run_pair(grp_path, texts, argv):
@@ -142,6 +143,25 @@ vectors = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_member_ends_in_a_report_or_an_error(grp_path, text, vector):
     _run_verb(grp_path, text, ("member", f"--vector={vector}"))
+
+
+# characters outside a vector's grammar, which has ASCII digits, "/", ",",
+# "-" and whitespace; "#" is left out, since it starts a comment there too
+foreign = st.sampled_from(".e+_x٣²")
+
+
+@st.composite
+def foreign_vectors(draw):
+    """A vector of two small rationals with one foreign character inserted."""
+    text = ",".join(draw(st.lists(rat(small, small), min_size=2, max_size=2)))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(foreign) + text[at:]
+
+
+@given(foreign_vectors())
+@settings(max_examples=100, deadline=None)
+def test_member_never_accepts_a_vector_with_a_foreign_character(grp_path, vector):
+    assert _run_verb(grp_path, "oplus(Z[1/2], Z[1/3])", ("member", f"--vector={vector}")) != 0
 
 
 @given(a=texts, b=texts)

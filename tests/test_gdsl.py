@@ -18,6 +18,8 @@ from zodom.gdsl import (
     format_vec,
     parse,
     parse_group,
+    parse_matrix,
+    parse_vector,
     print_expr,
 )
 from hypothesis import given, settings
@@ -110,6 +112,20 @@ def test_syntax_error_offsets():
     assert exc.value.offset == 0
     with pytest.raises(GdslSyntaxError):
         parse("gen(1/0)")
+
+
+def test_vector_and_matrix_entry_points_read_the_whole_input():
+    assert parse_vector("1/2, -3 # a comment") == [(1, 2), (-3, 1)]
+    assert parse_matrix(" [1/2,0; 0,1] ") == Mat([[1, 0], [0, 2]], 2)
+    for text, offset in [("1/2,", 4), ("1/2 0", 4), ("0.5", 1), ("", 0)]:
+        with pytest.raises(GdslSyntaxError) as exc:
+            parse_vector(text)
+        assert exc.value.offset == offset, text
+    with pytest.raises(GdslSyntaxError) as exc:
+        parse_matrix("[1,0;0,1] x")
+    assert (exc.value.offset, exc.value.expected) == (10, "end of input")
+    with pytest.raises(DimensionMismatchError):
+        parse_matrix("[1,0]")
 
 
 def test_bad_denominator():
