@@ -1,5 +1,5 @@
-"""Deciders for conjugacy, isomorphism, continuous orbit equivalence and
-orbit equivalence of Z^d-odometers in terms of their groups H.
+"""``decide``: conjugacy, isomorphism, continuous orbit equivalence (COE)
+and orbit equivalence (OE) of Z^d-odometers in terms of their groups H.
 
 Decision strategy, in order:
 
@@ -41,15 +41,30 @@ frames and their adjugates in closed 2 x 2 form and carries each
 candidate's exact inverse, so it tests alpha.H <= H' and alpha^-1.H' <= H
 with two ``maps_into`` calls and runs no elimination.
 
-YES verdicts are sound in every dimension (sufficiency holds for all d);
-NO verdicts for d >= 3 carry a flag because necessity of the criteria is
-established only for d <= 2.
+What each answer rests on, and so where it carries the flag D3_FLAG
+("necessity proven for d <= 2 only"):
+
+=====================  ===============================================  ======
+answer                 rests on                                         flag
+=====================  ===============================================  ======
+YES                    its witness or H = H' (sufficient in every d)    none
+dimension NO           conj and iso keep d; COE keeps the top           none
+                       nonvanishing cohomology degree, d
+superindex NO          the OE criterion; COE => OE                      none
+conj NO                H^1, so H, is a complete conjugacy invariant     none
+                       of free minimal Z^d-odometers in every d
+iso NO                 conj after an automorphism A of Z^d, which       none
+                       moves H to A^-T H
+other COE NO           COE => alpha H = H' with det alpha = +-1,        d >= 3
+                       proven for d <= 2 only
+UNKNOWN                no decision procedure for d >= 3                 d >= 3
+=====================  ===============================================  ======
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from operator import mul
 
@@ -57,6 +72,7 @@ from .hgroup import HGroup, difference, equal_h, is_free, maps_into, maps_onto, 
 from .linalg import INF, Lattice, Mat, adjugate, factorint, lattice_sum, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
+RELATIONS = (CONJ, ISO, COE, OE)
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 
 D3_FLAG = "necessity proven for d <= 2 only"
@@ -204,32 +220,73 @@ def _line_assignment(h, hp):
 
 
 # ---------------------------------------------------------------------------
-# conjugacy and orbit equivalence
+# the decider
 
 
-def decide_conjugacy(h: HGroup, hp: HGroup) -> Verdict:
-    """Conjugate iff H = H' (sufficiency in all d; necessity proven d <= 2)."""
+def decide(
+    relation: str, h: HGroup, hp: HGroup, bound: int = 20, all_witnesses: bool = False
+) -> Verdict:
+    """Decide ``relation`` between the free groups H and H': conj iff
+    H = H'; OE iff the superindexes agree (d may differ); iso iff alpha H =
+    H' for an alpha in GL_d(Z); COE iff alpha H = H' for a rational alpha of
+    det +-1.  ``bound`` and ``all_witnesses`` steer the iso and COE witness
+    search.  Flags follow the module docstring's table: on this d = 3 pair
+    conj, iso and COE answer NO from one profile at p = 3, and only the COE
+    NO rests on a criterion proven for d <= 2 alone:
+
+    >>> from zodom.gdsl import parse_group
+    >>> h = parse_group("oplus(Z[1/2], Z[1/2], Z[1/3])")
+    >>> hp = parse_group("oplus(Z[1/2], Z[1/6], Z[1/3])")
+    >>> for relation in (CONJ, ISO, COE):
+    ...     v = decide(relation, h, hp)
+    ...     print(relation, v.answer, v.certificate.kind, v.flags)
+    conj NO local-profile ()
+    iso NO local-profile ()
+    coe NO local-profile ('necessity proven for d <= 2 only',)
+    """
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
     _require_free(h, hp)
+    if relation == OE:
+        sa, sb = superindex(h), superindex(hp)
+        if sa == sb:
+            return Verdict(OE, YES)
+        # canonical superindexes: unequal ones differ in some prime's exponent
+        p = min(p for p in {*sa.primes(), *sb.primes()} if sa.exponent(p) != sb.exponent(p))
+        detail = f"exponent at p={p} is {sa.exponent(p)} vs {sb.exponent(p)}"
+        return Verdict(OE, NO, certificate=Certificate("superindex", detail))
     if h.d != hp.d:
-        return Verdict(CONJ, NO, certificate=Certificate("dimension", f"d={h.d} vs d={hp.d}"))
-    flags = (D3_FLAG,) if h.d >= 3 else ()
-    detail = difference(h, hp)
-    if detail is None:
-        return Verdict(CONJ, YES)
-    cert = _iso_profile_ok(h, hp) or Certificate("local-data", detail)
-    return Verdict(CONJ, NO, certificate=cert, flags=flags)
+        detail = f"d={h.d} vs d={hp.d}"
+        if relation == COE:
+            detail += ": top nonvanishing cohomology degree differs"
+        return Verdict(relation, NO, certificate=Certificate("dimension", detail))
+    if relation == CONJ:
+        detail = difference(h, hp)
+        if detail is None:
+            return Verdict(CONJ, YES)
+        cert = _iso_profile_ok(h, hp) or Certificate("local-data", detail)
+        return Verdict(CONJ, NO, certificate=cert)
+    if h.d == 1:
+        # GL_1(Z) = {+-1}, det alpha = +-1 forces alpha = +-1 in GL_1(Q), and
+        # -H = H, so both relations collapse to equality
+        if equal_h(h, hp):
+            wits = (Mat([[1]]), Mat([[-1]])) if all_witnesses else ()
+            return Verdict(relation, YES, witness=Mat([[1]]), witnesses=wits)
+        return Verdict(relation, NO, certificate=_superindex_mismatch(h, hp))
+    verdict = _witness_search(relation, h, hp, bound, all_witnesses)
+    # every other answer rests on a result proven in every d (module table)
+    if h.d >= 3 and (
+        verdict.answer == UNKNOWN
+        or relation == COE and verdict.answer == NO and verdict.certificate.kind != "superindex"
+    ):
+        return replace(verdict, flags=(D3_FLAG,))
+    return verdict
 
 
-def decide_oe(h: HGroup, hp: HGroup) -> Verdict:
-    """Orbit equivalent iff the superindexes agree (d may differ)."""
-    _require_free(h, hp)
+def _superindex_mismatch(h, hp):
+    """Certificate that the superindexes differ, or None where they agree."""
     sa, sb = superindex(h), superindex(hp)
-    if sa == sb:
-        return Verdict(OE, YES)
-    # canonical superindexes: unequal ones differ in some prime's exponent
-    p = min(p for p in {*sa.primes(), *sb.primes()} if sa.exponent(p) != sb.exponent(p))
-    detail = f"exponent at p={p} is {sa.exponent(p)} vs {sb.exponent(p)}"
-    return Verdict(OE, NO, certificate=Certificate("superindex", detail))
+    return None if sa == sb else Certificate("superindex", f"{sa} vs {sb}")
 
 
 def _sort_key(cand: Mat):
@@ -248,56 +305,13 @@ def _sort_key(cand: Mat):
 # isomorphism and continuous orbit equivalence: one witness search
 
 
-def decide_isomorphism(
-    h: HGroup, hp: HGroup, bound: int = 20, all_witnesses: bool = False
-) -> Verdict:
-    """Isomorphic iff alpha H = H' for some alpha in GL_d(Z) (d = d')."""
-    _require_free(h, hp)
-    if h.d != hp.d:
-        return Verdict(ISO, NO, certificate=Certificate("dimension", f"d={h.d} vs d={hp.d}"))
-    if h.d == 1:
-        # GL_1(Z) = {+-1} and -H = H, so isomorphism collapses to equality
-        if equal_h(h, hp):
-            wits = (Mat([[1]]), Mat([[-1]])) if all_witnesses else ()
-            return Verdict(ISO, YES, witness=Mat([[1]]), witnesses=wits)
-        return Verdict(ISO, NO, certificate=_superindex_mismatch(h, hp))
-    return _witness_search(ISO, h, hp, _iso_profile_ok, _iso_line_tier, bound, all_witnesses)
-
-
-def decide_coe(
-    h: HGroup, hp: HGroup, bound: int = 20, all_witnesses: bool = False
-) -> Verdict:
-    """COE iff alpha H = H' for rational alpha with det +-1 (same d)."""
-    _require_free(h, hp)
-    if h.d != hp.d:
-        return Verdict(
-            COE,
-            NO,
-            certificate=Certificate(
-                "dimension",
-                f"d={h.d} vs d={hp.d}: top nonvanishing cohomology degree differs",
-            ),
-        )
-    if h.d == 1:
-        # det +-1 forces alpha = +-1 in GL_1(Q)
-        if equal_h(h, hp):
-            return Verdict(COE, YES, witness=Mat([[1]]))
-        return Verdict(COE, NO, certificate=_superindex_mismatch(h, hp))
-    return _witness_search(COE, h, hp, _coe_profile_ok, _coe_line_tier, bound, all_witnesses)
-
-
-def _superindex_mismatch(h, hp):
-    """Certificate that the superindexes differ, or None where they agree."""
-    sa, sb = superindex(h), superindex(hp)
-    return None if sa == sb else Certificate("superindex", f"{sa} vs {sb}")
-
-
-def _witness_search(relation, h, hp, profile_cert, line_tier, bound, all_witnesses):
-    """The d >= 2 steps shared by isomorphism and COE: invariants, the
-    zero-line tier (it returns None where it leaves the pair to the later
-    steps), then for d = 2 the line tier (two distinct divisible lines) or
-    the bounded search."""
-    cert = _superindex_mismatch(h, hp) or profile_cert(h, hp)
+def _witness_search(relation, h, hp, bound, all_witnesses):
+    """The d >= 2 steps shared by isomorphism and COE: invariants (the
+    relation's profile), the zero-line tier (it returns None where it leaves
+    the pair to the later steps), then for d = 2 the relation's line tier
+    (two distinct divisible lines) or the bounded search."""
+    coe = relation == COE
+    cert = _superindex_mismatch(h, hp) or (_coe_profile_ok if coe else _iso_profile_ok)(h, hp)
     if cert is not None:
         return Verdict(relation, NO, certificate=cert)
     if all(e.r in (0, h.d) for e in h.entries):
@@ -307,12 +321,8 @@ def _witness_search(relation, h, hp, profile_cert, line_tier, bound, all_witness
     if h.d >= 3:
         if equal_h(h, hp):
             return Verdict(relation, YES, witness=Mat.identity(h.d))
-        return Verdict(
-            relation,
-            UNKNOWN,
-            certificate=Certificate("search-exhausted", "no decision procedure for d >= 3"),
-            flags=(D3_FLAG,),
-        )
+        cert = Certificate("search-exhausted", "no decision procedure for d >= 3")
+        return Verdict(relation, UNKNOWN, certificate=cert)
     assignment, cert = _line_assignment(h, hp)
     if cert is not None:
         return Verdict(relation, NO, certificate=cert)
@@ -322,6 +332,7 @@ def _witness_search(relation, h, hp, profile_cert, line_tier, bound, all_witness
     # _line_assignment rejects two lines with one target, so v1 != v2
     u1, u2 = distinct[:2]
     (v1, _), (v2, _) = assignment[u1], assignment[u2]
+    line_tier = _coe_line_tier if coe else _iso_line_tier
     return line_tier(h, hp, _frame(u1, u2), _frame(v1, v2), all_witnesses)
 
 
@@ -598,23 +609,3 @@ def _bounded_search(relation, h, hp, bound, all_witnesses):
         return _yes(relation, found, all_witnesses)
     detail = f"entries and denominators <= {bound}" if coe else f"unimodular entries <= {bound}"
     return Verdict(relation, UNKNOWN, certificate=Certificate("search-exhausted", detail))
-
-
-# ---------------------------------------------------------------------------
-
-
-DECIDERS = {
-    CONJ: decide_conjugacy,
-    ISO: decide_isomorphism,
-    COE: decide_coe,
-    OE: decide_oe,
-}
-
-
-def decide(relation: str, h: HGroup, hp: HGroup, **kwargs) -> Verdict:
-    if relation not in DECIDERS:
-        raise ValueError(f"unknown relation {relation!r}")
-    fn = DECIDERS[relation]
-    if relation in (CONJ, OE):
-        return fn(h, hp)
-    return fn(h, hp, **kwargs)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import gdsl
-from .classify import NotFreeError, decide
+from .classify import RELATIONS, NotFreeError, decide
 from .cohomology import build_cocycle, coinvariants, tau1
 from .gdsl import (
     BadDenominatorError,
@@ -344,7 +344,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("file")
     p.add_argument("--depth", type=_positive_int, default=3)
     p = add("classify", _cmd_classify, "decide one of the four equivalences")
-    p.add_argument("--relation", required=True, choices=["conj", "iso", "coe", "oe"])
+    p.add_argument("--relation", required=True, choices=RELATIONS)
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--bound", type=_positive_int, default=20)

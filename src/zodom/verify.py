@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .classify import COE, CONJ, ISO, OE, decide
+from .classify import COE, CONJ, ISO, OE, RELATIONS, decide
 from .cohomology import (
     CoboundarySolver,
     Cocycle1,
@@ -254,7 +254,7 @@ def criterion_7_d1_collapse(seed: int) -> CriterionResult:
         b = random_d1_group(rng) if rng.random() < 0.7 else a
         if not (is_free(a) and is_free(b)):
             continue
-        answers = [decide(rel, a, b).answer for rel in (CONJ, ISO, COE, OE)]
+        answers = [decide(rel, a, b).answer for rel in RELATIONS]
         if len(set(answers)) != 1:
             return CriterionResult(
                 7, "d1_collapse", False, f"verdicts {answers} differ on pair {pairs}"
@@ -266,7 +266,7 @@ def criterion_7_d1_collapse(seed: int) -> CriterionResult:
 def criterion_8_implication_chain(seed: int) -> CriterionResult:
     g = gallery()
     names = [n for n in sorted(g) if is_free(g[n])]
-    order = [CONJ, ISO, COE, OE]
+    order = RELATIONS  # strongest first
     checked = 0
     for na in names:
         for nb in names:

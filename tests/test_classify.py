@@ -13,14 +13,12 @@ from zodom.classify import (
     CONJ,
     ISO,
     OE,
+    D3_FLAG,
+    RELATIONS,
     Certificate,
     NotFreeError,
     Verdict,
     decide,
-    decide_coe,
-    decide_conjugacy,
-    decide_isomorphism,
-    decide_oe,
 )
 from zodom.gdsl import parse_group
 from zodom.hgroup import (
@@ -79,20 +77,20 @@ def g():
 
 
 def test_conjugacy_same_group(g):
-    assert decide_conjugacy(g["class35_1a"], g["class35_1a"]).answer == "YES"
+    assert decide(CONJ, g["class35_1a"], g["class35_1a"]).answer == "YES"
 
 
 def test_conjugacy_swapped_factors(g):
-    v = decide_conjugacy(g["class35_1a"], g["class35_1b"])
+    v = decide(CONJ, g["class35_1a"], g["class35_1b"])
     assert v.answer == "NO"
     assert "p=2" in v.certificate.detail
 
 
 def test_conjugacy_local_data_certificates(g):
     # equal profiles: the certificate is the first local datum that differs
-    v = decide_conjugacy(g["class35_1a"], g["class35_1b"])
+    v = decide(CONJ, g["class35_1a"], g["class35_1b"])
     assert str(v.certificate) == "local-data: divisible subspace at p=2 is ((1, 0),) vs ((0, 1),)"
-    v = decide_conjugacy(g["class35_2a"], g["class35_2b"])
+    v = decide(CONJ, g["class35_2a"], g["class35_2b"])
     assert str(v.certificate) == (
         "local-data: lattice generator ('0', '1/5') at p=5 not in the other group"
     )
@@ -104,22 +102,22 @@ def test_conjugacy_local_data_certificates(g):
         (g["class11_fuchs"], big, "lattice generator ('1/5', '0') at p=5 not in the first group"),
     ):
         assert difference(h, hp) == text
-        v = decide_conjugacy(h, hp)
+        v = decide(CONJ, h, hp)
         assert v.answer == "NO" and v.certificate.kind == "local-profile"
         assert "at p=5" in v.certificate.detail
 
 
 def test_conjugacy_d1(g):
-    v = decide_conjugacy(parse_group("oplus(Z[1/2])"), parse_group("oplus(Z[1/3])"))
+    v = decide(CONJ, parse_group("oplus(Z[1/2])"), parse_group("oplus(Z[1/3])"))
     assert v.answer == "NO"
     assert v.certificate.kind in ("local-profile", "superindex")
 
 
 def test_conjugacy_requires_free():
     with pytest.raises(NotFreeError):
-        decide_conjugacy(HGroup.standard(2), HGroup.standard(2))
+        decide(CONJ, HGroup.standard(2), HGroup.standard(2))
     with pytest.raises(NotFreeError):
-        decide_conjugacy(
+        decide(CONJ, 
             parse_group("oplus(Z[1/2], Z)"), parse_group("oplus(Z[1/2], Z)")
         )
 
@@ -129,21 +127,21 @@ def test_conjugacy_requires_free():
 
 
 def test_iso_swap_example(g):
-    v = decide_isomorphism(g["class35_1a"], g["class35_1b"])
+    v = decide(ISO, g["class35_1a"], g["class35_1b"])
     assert v.answer == "YES"
     assert v.witness == SWAP
     assert equal_h(apply_matrix(v.witness, g["class35_1a"]), g["class35_1b"])
-    v = decide_isomorphism(g["class35_1a"], g["class35_1b"], all_witnesses=True)
+    v = decide(ISO, g["class35_1a"], g["class35_1b"], all_witnesses=True)
     assert v.witnesses == mats("0,1;1,0 0,1;-1,0 0,-1;1,0 0,-1;-1,0")
 
 
 def test_iso_scaled_pair_is_negative(g):
-    v = decide_isomorphism(g["class35_2a"], g["class35_2b"])
+    v = decide(ISO, g["class35_2a"], g["class35_2b"])
     assert v.answer == "NO"
 
 
 def test_iso_fuchs_witnesses(g):
-    v = decide_isomorphism(g["class11_fuchs"], g["class11_fuchs_swapped"], all_witnesses=True)
+    v = decide(ISO, g["class11_fuchs"], g["class11_fuchs_swapped"], all_witnesses=True)
     assert v.answer == "YES"
     assert v.witnesses == (SWAP, NEG_SWAP)
     assert all(abs(w.det()) == 1 and w.det() == -1 for w in v.witnesses)
@@ -151,7 +149,7 @@ def test_iso_fuchs_witnesses(g):
 
 def test_iso_witness_revalidates(g):
     for a, b in [("class35_1a", "class35_1b"), ("class11_fuchs", "class11_fuchs_swapped")]:
-        v = decide_isomorphism(g[a], g[b])
+        v = decide(ISO, g[a], g[b])
         assert v.answer == "YES"
         assert is_unimodular(v.witness)
         assert equal_h(apply_matrix(v.witness, g[a]), g[b])
@@ -162,13 +160,13 @@ def test_iso_bounded_search_path():
     h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
     hp = apply_matrix(Mat([[1, 0], [1, 1]]), h)
     assert not equal_h(h, hp)
-    v = decide_isomorphism(h, hp, bound=2)
+    v = decide(ISO, h, hp, bound=2)
     assert v.answer == "YES"
     assert equal_h(apply_matrix(v.witness, h), hp)
 
 
 def test_iso_dimension_mismatch(g):
-    assert decide_isomorphism(g["class35_4a"], g["class35_4b"]).answer == "NO"
+    assert decide(ISO, g["class35_4a"], g["class35_4b"]).answer == "NO"
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +174,17 @@ def test_iso_dimension_mismatch(g):
 
 
 def test_coe_scaling_example(g):
-    v = decide_coe(g["class35_2a"], g["class35_2b"])
+    v = decide(COE, g["class35_2a"], g["class35_2b"])
     assert v.answer == "YES"
     assert v.witness == SCALE_5
     assert v.witness.det() == 1
     assert equal_h(apply_matrix(v.witness, g["class35_2a"]), g["class35_2b"])
-    v = decide_coe(g["class35_2a"], g["class35_2b"], all_witnesses=True)
+    v = decide(COE, g["class35_2a"], g["class35_2b"], all_witnesses=True)
     assert v.witnesses == mats("1/5,0;0,5 1/5,0;0,-5 -1/5,0;0,5 -1/5,0;0,-5")
 
 
 def test_coe_line_obstruction(g):
-    v = decide_coe(g["class35_3a"], g["class35_3b"])
+    v = decide(COE, g["class35_3a"], g["class35_3b"])
     assert v.answer == "NO"
     assert v.certificate.kind == "line-map"
     # the certificate cites the conflicting line assignments at p=3 and p=5
@@ -206,13 +204,13 @@ def test_line_map_certificate_text(g, relation):
 
 
 def test_coe_identity(g):
-    v = decide_coe(g["class35_3a"], g["class35_3a"])
+    v = decide(COE, g["class35_3a"], g["class35_3a"])
     assert v.answer == "YES"
     assert v.witness == Mat.identity(2)
 
 
 def test_coe_fuchs_witness_set_no_positive_determinant(g):
-    v = decide_coe(g["class11_fuchs"], g["class11_fuchs_swapped"], all_witnesses=True)
+    v = decide(COE, g["class11_fuchs"], g["class11_fuchs_swapped"], all_witnesses=True)
     assert v.answer == "YES"
     assert v.witnesses == (SWAP, NEG_SWAP)
     assert all(w.det() == -1 for w in v.witnesses)
@@ -222,16 +220,16 @@ def test_coe_bounded_search_with_denominator():
     h, hp = parse_group(HALF_A), parse_group(HALF_B)
     # zero-line: COE is decided by the constructed witness at any bound
     for bound in (1, 2):
-        v = decide_coe(h, hp, bound=bound)
+        v = decide(COE, h, hp, bound=bound)
         assert v.answer == "YES"
         assert v.witness == Mat([[1, 0], [2, 4]], 2)
         assert abs(v.witness.det()) == 1 and equal_h(apply_matrix(v.witness, h), hp)
     # all_witnesses enumerates with the bounded search; the constructed
     # witness replaces only its UNKNOWN (no witness at denominator 1)
-    v = decide_coe(h, hp, bound=1, all_witnesses=True)
+    v = decide(COE, h, hp, bound=1, all_witnesses=True)
     assert v.answer == "YES"
     assert v.witnesses == (Mat([[1, 0], [2, 4]], 2),)
-    v = decide_coe(h, hp, bound=2, all_witnesses=True)
+    v = decide(COE, h, hp, bound=2, all_witnesses=True)
     assert v.witness == Mat([[2, 1], [0, 2]], 2)
     assert v.witnesses == mats(
         "1,1/2;0,1 1,1/2;0,-1 1,-1/2;0,1 1,-1/2;0,-1"
@@ -243,7 +241,7 @@ def test_coe_bounded_search_with_denominator():
     )
     assert all(abs(w.det()) == 1 and equal_h(apply_matrix(w, h), hp) for w in v.witnesses)
     # no integral witness: the 2-primary parts of H/Z^2 are (Z/2)^2 and Z/4
-    v = decide_isomorphism(h, hp, bound=2)
+    v = decide(ISO, h, hp, bound=2)
     assert v.answer == "NO"
     assert str(v.certificate) == (
         "elementary-divisors: L(p)/Z^d at p=2 has elementary divisors (2, 2) vs (4,)"
@@ -251,13 +249,13 @@ def test_coe_bounded_search_with_denominator():
     # a one-line pair still reaches the bounded search, whose COE witnesses
     # include denominator 2
     h, hp = parse_group(ONE_LINE), apply_matrix(SHEAR_3, parse_group(ONE_LINE))
-    v = decide_coe(h, hp, bound=1)
+    v = decide(COE, h, hp, bound=1)
     assert v.answer == "UNKNOWN"
     assert str(v.certificate) == "search-exhausted: entries and denominators <= 1"
-    v = decide_coe(h, hp, bound=3)
+    v = decide(COE, h, hp, bound=3)
     assert v.answer == "YES"
     assert v.witness == Mat([[-1, 0], [-3, -1]])  # first hit in scan order
-    v = decide_coe(h, hp, bound=3, all_witnesses=True)
+    v = decide(COE, h, hp, bound=3, all_witnesses=True)
     assert v.witness == SHEAR_3
     assert v.witnesses == mats(
         "1,0;3,1 1,0;3,-1 1,0;-3/2,1 1,0;-3/2,-1 -1,0;-3,1 -1,0;-3,-1 -1,0;3/2,1 -1,0;3/2,-1"
@@ -268,7 +266,7 @@ def test_coe_bounded_search_with_denominator():
 def test_coe_search_tests_each_matrix_once():
     h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
     hp = apply_matrix(Mat([[1, 0], [1, 1]]), h)
-    v = decide_coe(h, hp, bound=2, all_witnesses=True)
+    v = decide(COE, h, hp, bound=2, all_witnesses=True)
     # the tuple listed by the search that tested (1/q) M again at every q
     # dividing all entries of M, in its order
     repeated = mats(
@@ -287,7 +285,7 @@ def test_coe_budget_certificate_names_denominator(monkeypatch):
     # 125 triples (a, b, c) per denominator at bound 2: the budget runs out
     # at q = 2, before any witness (all have an entry of size >= 3)
     monkeypatch.setattr(classify, "COE_BUDGET", 150)
-    v = decide_coe(h, hp, bound=2)
+    v = decide(COE, h, hp, bound=2)
     assert v.answer == "UNKNOWN"
     assert str(v.certificate) == (
         "search-exhausted: candidate budget 150 spent at denominator 2 of 2, entries <= 2"
@@ -296,14 +294,14 @@ def test_coe_budget_certificate_names_denominator(monkeypatch):
     monkeypatch.setattr(classify, "COE_BUDGET", 125)
     h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
     shear = apply_matrix(Mat([[1, 0], [1, 1]]), h)
-    v = decide_coe(h, shear, bound=2, all_witnesses=True)
+    v = decide(COE, h, shear, bound=2, all_witnesses=True)
     assert v.answer == "YES"
-    assert v.witnesses == decide_isomorphism(h, shear, bound=2, all_witnesses=True).witnesses
+    assert v.witnesses == decide(ISO, h, shear, bound=2, all_witnesses=True).witnesses
     assert len(v.witnesses) == 16
 
 
 def test_coe_dimension_mismatch(g):
-    v = decide_coe(g["class35_4a"], g["class35_4b"])
+    v = decide(COE, g["class35_4a"], g["class35_4b"])
     assert v.answer == "NO"
     assert v.certificate.kind == "dimension"
 
@@ -352,15 +350,15 @@ def test_two_line_coe_tier_is_not_no_where_a_witness_exists(case, backward):
 
 
 def test_oe_examples(g):
-    assert decide_oe(g["class35_3a"], g["class35_3b"]).answer == "YES"
-    assert decide_oe(g["class35_4a"], g["class35_4b"]).answer == "YES"
-    v = decide_oe(parse_group("oplus(Z[1/2])"), parse_group("oplus(Z[1/3])"))
+    assert decide(OE, g["class35_3a"], g["class35_3b"]).answer == "YES"
+    assert decide(OE, g["class35_4a"], g["class35_4b"]).answer == "YES"
+    v = decide(OE, parse_group("oplus(Z[1/2])"), parse_group("oplus(Z[1/3])"))
     assert v.answer == "NO"
     assert v.certificate.kind == "superindex"
 
 
 def test_oe_certificate_revalidates(g):
-    v = decide_oe(g["class35_1a"], g["class35_3a"])
+    v = decide(OE, g["class35_1a"], g["class35_3a"])
     assert v.answer == "NO"
     assert "p=5" in v.certificate.detail
     assert superindex(g["class35_1a"]).exponent(5) != superindex(g["class35_3a"]).exponent(5)
@@ -406,11 +404,11 @@ def test_d1_collapse_random_pairs():
 def test_d3_verdicts_flagged():
     a = parse_group("oplus(Z[1/2], Z[1/3], Z[1/5])")
     b = parse_group("oplus(Z[1/3], Z[1/2], Z[1/5])")
-    assert decide_conjugacy(a, a).answer == "YES"
-    v = decide_conjugacy(a, b)
+    assert decide(CONJ, a, a).answer == "YES"
+    v = decide(CONJ, a, b)
     assert v.answer == "NO"
-    assert any("d <= 2" in f for f in v.flags)
-    v = decide_isomorphism(a, b)
+    assert not v.flags  # H is a complete conjugacy invariant in every d
+    v = decide(ISO, a, b)
     assert v.answer == "UNKNOWN"
     assert any("d <= 2" in f for f in v.flags)
 
@@ -418,13 +416,13 @@ def test_d3_verdicts_flagged():
 def test_d3_zero_line_coe_constructed():
     a = parse_group("oplus(Z[1/6], Z[1/6], Z[1/6]) + gen(1/5, 0, 0) + gen(0, 1/5, 0)")
     b = parse_group("oplus(Z[1/6], Z[1/6], Z[1/6]) + gen(0, 0, 1/25)")
-    v = decide_coe(a, b)
+    v = decide(COE, a, b)
     assert v.answer == "YES" and not v.flags
     assert v.witness == Mat([[125, 0, 0], [0, 125, 0], [0, 0, 1]], 25)
     assert equal_h(apply_matrix(v.witness, a), b)
-    v = decide_coe(a, b, all_witnesses=True)
+    v = decide(COE, a, b, all_witnesses=True)
     assert v.witnesses == (Mat([[125, 0, 0], [0, 125, 0], [0, 0, 1]], 25),)
-    v = decide_isomorphism(a, b)
+    v = decide(ISO, a, b)
     assert v.answer == "NO"
     assert v.certificate.kind == "elementary-divisors"
 
@@ -434,19 +432,19 @@ def test_unknown_on_search_exhaustion():
     # group is zero-line, so neither relation needs the bounded search
     h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
     hp = apply_matrix(SHEAR_3, h)
-    v = decide_isomorphism(h, hp, bound=2)
+    v = decide(ISO, h, hp, bound=2)
     assert v.answer == "YES"
     assert is_unimodular(v.witness) and equal_h(apply_matrix(v.witness, h), hp)
-    v = decide_coe(h, hp, bound=2)
+    v = decide(COE, h, hp, bound=2)
     assert v.answer == "YES"
     assert abs(v.witness.det()) == 1 and equal_h(apply_matrix(v.witness, h), hp)
     # the same shear on a one-line group: both searches exhaust the box
     h = parse_group(ONE_LINE)
     hp = apply_matrix(SHEAR_3, h)
-    v = decide_isomorphism(h, hp, bound=2)
+    v = decide(ISO, h, hp, bound=2)
     assert v.answer == "UNKNOWN"
     assert str(v.certificate) == "search-exhausted: unimodular entries <= 2"
-    v = decide_coe(h, hp, bound=2)
+    v = decide(COE, h, hp, bound=2)
     assert v.answer == "UNKNOWN"
     assert str(v.certificate) == "search-exhausted: entries and denominators <= 2"
 
@@ -485,7 +483,7 @@ def test_iso_complete_on_constructed_images():
         h = parse_group(rng.choice(STRESS_TEXTS))
         a = _random_unimodular(rng)
         hp = apply_matrix(a, h)
-        v = decide_isomorphism(h, hp)
+        v = decide(ISO, h, hp)
         assert v.answer == "YES"
         assert equal_h(apply_matrix(v.witness, h), hp)
 
@@ -506,7 +504,7 @@ def test_coe_complete_on_constructed_images():
             hp = apply_matrix(alpha, h)
         except NotSupergroupError:
             continue
-        v = decide_coe(h, hp)
+        v = decide(COE, h, hp)
         assert v.answer == "YES", (alpha, v.certificate)
         assert abs(v.witness.det()) == 1
         assert equal_h(apply_matrix(v.witness, h), hp)
@@ -525,7 +523,7 @@ def test_no_verdicts_match_brute_force():
     ]
     for ta, tb in pairs:
         h, hp = parse_group(ta), parse_group(tb)
-        assert decide_isomorphism(h, hp).answer == "NO"
+        assert decide(ISO, h, hp).answer == "NO"
         bound = 4
         for rows in itertools.product(range(-bound, bound + 1), repeat=4):
             m = Mat([[rows[0], rows[1]], [rows[2], rows[3]]])
@@ -572,7 +570,7 @@ def test_coe_zero_line_sound_and_complete(monkeypatch):
             hp = apply_matrix(beta, h)
         except NotSupergroupError:
             continue
-        v = decide_coe(h, hp)
+        v = decide(COE, h, hp)
         assert v.answer == "YES", (beta, v.certificate)
         assert abs(v.witness.det()) == 1
         assert equal_h(apply_matrix(v.witness, h), hp)
@@ -586,7 +584,7 @@ def test_iso_never_no_on_zero_line_unimodular_images(monkeypatch):
     for _ in range(30):
         h = parse_group(rng.choice(ZERO_LINE_TEXTS))
         hp = apply_matrix(_random_unimodular(rng), h)
-        v = decide_isomorphism(h, hp, bound=1)
+        v = decide(ISO, h, hp, bound=1)
         assert v.answer == "YES", v.certificate
         assert is_unimodular(v.witness) and equal_h(apply_matrix(v.witness, h), hp)
 
@@ -610,7 +608,7 @@ def test_iso_zero_line_d3_unimodular_images():
             c = rng.choice([-2, -1, 1, 2])
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
         hp = apply_matrix(Mat(rows), h)
-        v = decide_isomorphism(h, hp)
+        v = decide(ISO, h, hp)
         assert v.answer == "YES" and not v.flags, v.certificate
         assert is_unimodular(v.witness) and equal_h(apply_matrix(v.witness, h), hp)
 
@@ -989,7 +987,7 @@ def _decision_digest(decisions):
 
 DECIDE_DIGESTS = {
     "gallery": "d0a07d437ec64148e700d84c70f768f28a02f66d3d09b5b5663689e41f27c313",
-    "tiers": "c0f0b2d857d8b1316e0fb5d530d50119ea5e09b3eaa6b97084ee368ec32af448",
+    "tiers": "23b498560316d80d9817796a318949dd720e1023f519ba35722adf41c0acde2a",
 }
 
 
@@ -1002,3 +1000,73 @@ def test_decide_output_is_pinned(g):
     tiers = [decide(rel, a, b) for a, b in _tier_pairs() for rel in (CONJ, ISO, COE, OE)]
     got = {"gallery": _decision_digest(gallery_pairs), "tiers": _decision_digest(tiers)}
     assert got == DECIDE_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# flags: what each answer rests on, the table of the classify docstring
+
+
+def _table_flags(relation, h, hp, v):
+    """D3_FLAG on a d >= 3 UNKNOWN and on a d >= 3 COE NO that rests on the
+    COE criterion; no flag on a YES, on a conj or iso NO, or on a dimension
+    or superindex NO."""
+    if h.d != hp.d or h.d < 3 or v.answer == "YES":
+        return ()
+    if v.answer == "UNKNOWN":
+        return (D3_FLAG,)
+    coe_criterion = relation == COE and v.certificate.kind not in ("dimension", "superindex")
+    return (D3_FLAG,) if coe_criterion else ()
+
+
+# conj, iso and COE all answer NO from one profile at p = 3; the superindexes
+# differ at 5 and 7
+D3_TABLE_EXAMPLES = [
+    ("oplus(Z[1/2], Z[1/2], Z[1/3])", "oplus(Z[1/2], Z[1/6], Z[1/3])", ((), (), (D3_FLAG,), ())),
+    ("oplus(Z[1/2], Z[1/3], Z[1/5])", "oplus(Z[1/2], Z[1/3], Z[1/7])", ((), (), (), ())),
+]
+
+
+def _d3_pairs():
+    """Seeded pairs of d = 3 groups, and of a group and a shear of another,
+    plus one d = 3 against d = 2 pair."""
+    texts = [a for a, _, _ in D3_TABLE_EXAMPLES] + [b for _, b, _ in D3_TABLE_EXAMPLES]
+    texts += ["oplus(Z[1/2], Z[1/3], Z[1/5]) + gen(1/7, 1/7, 0)", *ZERO_LINE_D3_TEXTS]
+    groups = [parse_group(text) for text in texts]
+    rng = random.Random(2718)
+    pairs = [(groups[0], parse_group("oplus(Z[1/2], Z[1/3])"))]
+    for _ in range(40):
+        h, hp = rng.choice(groups), rng.choice(groups)
+        rows = [[int(i == j) for j in range(3)] for i in range(3)]
+        i, j = rng.sample(range(3), 2)
+        rows[i] = [x + rng.choice([-2, -1, 1, 2]) * y for x, y in zip(rows[i], rows[j])]
+        pairs += [(h, hp), (h, apply_matrix(Mat(rows), hp))]
+    return pairs
+
+
+def test_flags_follow_the_table(g):
+    for a, b, flags in D3_TABLE_EXAMPLES:
+        h, hp = parse_group(a), parse_group(b)
+        assert tuple(decide(rel, h, hp).flags for rel in RELATIONS) == flags
+    free = [g[name] for name in g if name != "z2"]
+    seen = set()
+    for h, hp in list(itertools.product(free, repeat=2)) + _tier_pairs() + _d3_pairs():
+        for relation in RELATIONS:
+            v = decide(relation, h, hp)
+            assert v.flags == _table_flags(relation, h, hp, v), (relation, v)
+            if h.d >= 3:
+                kind = v.certificate.kind if v.answer == "NO" else None
+                seen.add((relation, v.answer, kind, v.flags))
+    # every row of the table occurs in d = 3
+    for row in [
+        (CONJ, "NO", "local-profile", ()),
+        (ISO, "NO", "local-profile", ()),
+        (ISO, "NO", "superindex", ()),
+        (ISO, "NO", "dimension", ()),
+        (COE, "NO", "local-profile", (D3_FLAG,)),
+        (COE, "NO", "superindex", ()),
+        (COE, "NO", "dimension", ()),
+        (ISO, "UNKNOWN", None, (D3_FLAG,)),
+        (COE, "UNKNOWN", None, (D3_FLAG,)),
+        (COE, "YES", None, ()),
+    ]:
+        assert row in seen, row

@@ -1,10 +1,14 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zodom
 from zodom.cli import EX_DATA, EX_SOFTWARE, EX_USAGE, main
 from zodom.linalg import Lattice
 from zodom.rigid import GALLERY_TEXTS
@@ -67,6 +71,18 @@ def test_classify_all_witnesses(grp, capsys):
     assert "witness_count=2" in out
     assert "witness_1=mat([0,1;1,0])" in out
     assert "witness_2=mat([0,-1;-1,0])" in out
+
+
+def test_python_m_zodom_runs_main(grp, capsys):
+    # `python -m zodom` runs the same main: stdout and exit code (1, NO)
+    argv = ["classify", "--relation", "coe", grp("class35_3a"), grp("class35_3b")]
+    code, out = run(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(zodom.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "zodom", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert code == 1 and "verdict=NO" in out
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_superindex_example(grp, capsys):

@@ -909,6 +909,50 @@ def test_maps_onto_answers_alike_for_a_and_minus_a():
         assert answers.count((d, True)) >= 50 and answers.count((d, False)) >= 50
 
 
+@st.composite
+def rank_one_lattice_cases(draw):
+    """(a, H, H0): H has a rank-1 entry at p whose lattice generator u / p^k
+    lies outside Z^d + V_p, H0 is H without that generator, a full-rank
+    prime q makes both free, and a has det +-1."""
+    d = draw(st.sampled_from([2, 3]))
+    p, q = draw(st.permutations([2, 3, 5, 7]))[:2]
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    w, u = draw(vec), draw(vec)
+    # u / p^k is off Z^d + V_p when some 2 x 2 minor of [w u] is prime to p
+    assume(any((w[i] * u[j] - w[j] * u[i]) % p for i in range(d) for j in range(i)))
+    k = draw(st.integers(1, 2))
+    gen = tuple(F(x, p**k) for x in u)
+    full = ([], [[int(i == j) for j in range(d)] for i in range(d)])
+    h = HGroup.from_local_data(d, {p: (local_pairs([gen]), [w]), q: full})
+    h0 = HGroup.from_local_data(d, {p: ([], [w]), q: full})
+    return draw(det_one_matrices(d)), h, h0
+
+
+def test_maps_onto_matches_fraction_reference_at_rank_one_lattices():
+    # a.H0 misses a.H only by the lattice columns of a rank-1 entry, so a
+    # maps_into that skipped those columns would answer True on (H, a.H0)
+    # and on (H0, a.H), both False
+    answers = []
+
+    @given(rank_one_lattice_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def check(case):
+        a, h, h0 = case
+        try:
+            images = {"h": apply_matrix(a, h), "h0": apply_matrix(a, h0)}
+        except NotSupergroupError:
+            assume(False)
+        for src, dst in itertools.product(("h", "h0"), repeat=2):
+            group = h if src == "h" else h0
+            answer = maps_onto(a, group, images[dst])
+            assert answer == _maps_onto_reference(a, group, images[dst])
+            answers.append((src == dst, answer))
+
+    check()
+    assert answers.count((True, True)) >= 100
+    assert answers.count((False, False)) >= 100 and (False, True) not in answers
+
+
 def test_member_kernel_branches():
     h = parse_group("oplus(Z[1/2], Z)")
     # an unreduced num / den: 3/6 = 1/2 needs the 3 divided out first
