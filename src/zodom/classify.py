@@ -320,7 +320,10 @@ def _witness_search(relation, h, hp, bound, all_witnesses):
             return verdict
     if h.d >= 3:
         if equal_h(h, hp):
-            return Verdict(relation, YES, witness=Mat.identity(h.d))
+            # -I.H = -H = H and det(-I) = +-1, so -I is a witness too
+            one = Mat.identity(h.d)
+            wits = (one, one.scale(-1)) if all_witnesses else ()
+            return Verdict(relation, YES, witness=one, witnesses=wits)
         cert = Certificate("search-exhausted", "no decision procedure for d >= 3")
         return Verdict(relation, UNKNOWN, certificate=cert)
     assignment, cert = _line_assignment(h, hp)

@@ -71,18 +71,24 @@ class LocalEntry:
     mod p^k}.  With U . _rows . V = S the Smith form that also gives the
     invariant factors s_j, Lambda_p = V . diag(p^k / gcd(s_j, p^k), 1, ...,
     1) Z^d (``_congruence_rows``, with the proof and an example at ranks 0
-    and 1); the transform V is not kept.  That is (L(p) + V_p) n p^-k Z^d:
-    p^k kills the image of L(p) in Q^d / V_p modulo that of Z^d, so both
-    lattices have the same image there, hence the same rows and the same
-    M_p, and the stored one depends on M_p alone.  At rank 0 it is L(p).
-    The nontrivial invariant factors of the rows, and v_p of their product,
-    are kept in ``_invariants`` and ``_index_valuation``.
+    and 1).  That is (L(p) + V_p) n p^-k Z^d: p^k kills the image of L(p)
+    in Q^d / V_p modulo that of Z^d, so both lattices have the same image
+    there, hence the same rows and the same M_p, and the stored one
+    depends on M_p alone.  At rank 0 it is L(p).  When p^k = 1 (no rows,
+    as at every rank-d entry, or rows with unit invariant factors, as at
+    most rank-1 entries) Lambda_p = {x : rows . x = 0 mod 1} = Z^d, so the
+    lattice is ``Lattice.standard(d)`` with no reduction.
+
+    The Smith form (s, V) of ``_smith_form`` is kept, as tuples, in
+    ``_smith``: the tower levels and the spectrum read every Lambda_p(k)
+    off it.  The nontrivial invariant factors of the rows, and v_p of
+    their product, are kept in ``_invariants`` and ``_index_valuation``.
     """
 
-    __slots__ = ("p", "r", "lattice", "vspan", "_rows", "_invariants", "_index_valuation")
+    __slots__ = ("p", "r", "lattice", "vspan", "_rows", "_smith", "_invariants", "_index_valuation")
 
     def __init__(self, p, d, vspan, rows):
-        smith = _smith_form(rows, d)
+        self._smith = smith = _smith_form(rows, d)
         self._invariants = tuple(x for x in smith[0] if x != 1)
         pk = self._invariants[-1] if self._invariants else 1
         self._index_valuation = valuation(prod(self._invariants), p)
@@ -90,7 +96,10 @@ class LocalEntry:
         self.r = len(vspan)
         self.vspan = vspan
         self._rows = rows
-        self.lattice = Lattice._raw(*_canonical(d, pk, _congruence_rows(smith, pk)))
+        if pk == 1:
+            self.lattice = Lattice.standard(d)
+        else:
+            self.lattice = Lattice._raw(*_canonical(d, pk, _congruence_rows(smith, pk)))
 
     @property
     def d(self):
@@ -124,19 +133,21 @@ class LocalEntry:
 
 
 def _smith_form(rows, d: int):
-    """(s, v) for independent integer rows f_1..f_m in Z^d: the diagonal
-    s_1 | ... | s_m of their Smith form U . rows . V = S and the unimodular
-    d x d transform V; ((), I) when there are no rows."""
+    """(s, v) for independent integer rows f_1..f_m in Z^d, as tuples: the
+    diagonal s_1 | ... | s_m of their Smith form U . rows . V = S and the
+    rows of the unimodular d x d transform V; ((), I) when there are no
+    rows."""
     if not rows:
-        return (), [[int(i == j) for j in range(d)] for i in range(d)]
+        return (), tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     _, s, v = snf(rows)
-    return tuple(s[i][i] for i in range(len(rows))), v
+    return tuple(s[i][i] for i in range(len(rows))), tuple(map(tuple, v))
 
 
 def _congruence_rows(smith, pk: int):
     """Rows of a d x d integer matrix whose columns are a basis of
     Lambda = {x in Z^d : rows . x = 0 mod pk}, from the Smith form
-    (s, v) = ``_smith_form(rows, d)``: column j of V times pk / gcd(s_j, pk),
+    (s, v) = ``_smith_form(rows, d)``, kept as ``LocalEntry._smith``:
+    column j of V times pk / gcd(s_j, pk),
     and times 1 for j >= m.
 
     Proof: x = V y is a bijection of Z^d, and rows . x = U^-1 S y with U^-1
@@ -148,9 +159,9 @@ def _congruence_rows(smith, pk: int):
     Rank 0, L(5) = Z^2 + Z (1/5, 1/5): Lambda = V . diag(5, 1) Z^2.
 
     >>> e = HGroup.from_local_data(2, {5: ([(5, (1, 1))], [])}).entry(5)
-    >>> smith = _smith_form(e._rows, 2)
+    >>> smith = e._smith
     >>> e._rows, smith
-    (((1, 4), (0, 5)), ((1, 5), [[1, -4], [0, 1]]))
+    (((1, 4), (0, 5)), ((1, 5), ((1, -4), (0, 1))))
     >>> _congruence_rows(smith, 5), e.lattice
     ([[5, -4], [0, 1]], Lattice(1/5 * [1,0; 1,5]))
 
@@ -158,9 +169,9 @@ def _congruence_rows(smith, pk: int):
     Lambda = V . diag(4, 1, 1) Z^3.
 
     >>> e = HGroup.from_local_data(3, {2: ([(4, (0, 1, 2))], [(1, 0, 0)])}).entry(2)
-    >>> smith = _smith_form(e._rows, 3)
+    >>> smith = e._smith
     >>> e._rows, smith
-    (((0, 2, 1), (0, 0, 2)), ((1, 4), [[0, 0, 1], [0, 1, 0], [1, -2, 0]]))
+    (((0, 2, 1), (0, 0, 2)), ((1, 4), ((0, 0, 1), (0, 1, 0), (1, -2, 0))))
     >>> _congruence_rows(smith, 4), e.lattice
     ([[0, 0, 1], [0, 1, 0], [4, -2, 0]], Lattice(1/4 * [1,0,0; 0,1,0; 0,2,4]))
     """
@@ -515,8 +526,8 @@ def tower(h: HGroup, depth: int) -> Tower:
     {x in Z^d : _rows . x = 0 mod p^k}, and a prime outside the support
     adds nothing.  With U . _rows . V = S in Smith form, Lambda_p(k) =
     V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d (``_congruence_rows``), so
-    one Smith form per entry serves every level: each Lambda_p(k) is V with
-    its columns scaled.
+    the one Smith form each entry keeps (``LocalEntry._smith``) serves every
+    level: each Lambda_p(k) is V with its columns scaled.
 
     Each level is built from the one before.  The exponent k = v_p(n!)
     exceeds v_p((n-1)!) exactly when p | n, so at every other prime the
@@ -549,14 +560,15 @@ def _levels(h: HGroup, depth: int):
     built from the one before; a level equal to the one before is the same
     Lattice object.  ``tower`` adds the duals, and the ``h1`` verb, which
     prints only the levels, reads them here.  Each support prime p <= depth
-    (the others divide no n <= depth) takes one Smith form of its rows, and
-    each Lambda_p(k) is read off it by ``_congruence_rows``."""
+    (the others divide no n <= depth) reads the Smith form its entry keeps
+    (``LocalEntry._smith``), and each Lambda_p(k) is read off it by
+    ``_congruence_rows``; no Smith form is computed here."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     d = h.d
     level = Lattice.standard(d)  # H_1 = Z^d
     yield level
-    smiths = [(e.p, _smith_form(e._rows, d)) for e in h.entries if e.p <= depth]
+    smiths = [(e.p, e._smith) for e in h.entries if e.p <= depth]
     exps = [0] * len(smiths)  # v_p(n!) at each of those primes
     for n in range(2, depth + 1):
         parts = []  # (p^k, rows whose columns span Lambda_p(k)) at the support primes p | n

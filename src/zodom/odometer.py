@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .hgroup import HGroup, Tower, _congruence_rows, _smith_form
+from .hgroup import HGroup, Tower, _congruence_rows
 from .linalg import Lattice, hnf, snf
 
 
@@ -221,9 +221,10 @@ def spectrum(h: HGroup, height: int):
     component is within the height, and at p it is x / p^k with x integral
     and p^k the largest power of p that is <= height.  Such a vector lies in
     H iff _rows . x = 0 mod p^k, i.e. x lies in Lambda_p; H <= Z[1/S]^d for
-    the support S, and a prime p > height has no component but 0.  One
-    Smith form U . _rows . V = S per entry gives Lambda_p = V . diag(p^k /
-    gcd(s_j, p^k), 1, ..., 1) Z^d (``hgroup._congruence_rows``).
+    the support S, and a prime p > height has no component but 0.  The
+    Smith form U . _rows . V = S that each entry keeps (``_smith``) gives
+    Lambda_p = V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d
+    (``hgroup._congruence_rows``); no Smith form is computed here.
 
     Lambda_p contains p^k Z^d, so the diagonal b_j of its lower-triangular
     HNF divides p^k, and sum t_j c_j over the columns c_j with t_j in
@@ -249,7 +250,7 @@ def spectrum(h: HGroup, height: int):
     den = prod(pk for pk, _ in primes)
     partial = {(1,) * d: [(0,) * d]}  # denominator tuple -> numerators over den
     for pk, e in primes:
-        basis = hnf(_congruence_rows(_smith_form(e._rows, d), pk))
+        basis = hnf(_congruence_rows(e._smith, pk))
         points = [[0] * d]
         for j in range(d):
             col = [row[j] for row in basis]

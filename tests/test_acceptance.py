@@ -132,6 +132,22 @@ def test_criterion_04_fails_without_explicit_coboundary(monkeypatch):
     assert r.detail == "explicit coboundary failed"
 
 
+def test_criterion_06_fails_when_coinvariants_raise(monkeypatch):
+    from zodom.hgroup import superindex
+    from zodom.linalg import Supernatural
+    from zodom.verify import criterion_6_oe_invariant
+
+    monkeypatch.setattr(
+        "zodom.cohomology.superindex",
+        lambda h: Supernatural({p: e for p, e in superindex(h).items if p != 2}),
+    )
+    r = criterion_6_oe_invariant(DEFAULT_SEED)
+    assert not r.ok
+    assert r.detail == (
+        "coinvariants for class11_fuchs: level 2 index 2 does not divide the superindex 3^inf*5^1"
+    )
+
+
 def test_suite_is_deterministic():
     # same seed, same outcomes; spot-checked on the seeded-random criteria
     from zodom.verify import criterion_3_trace_exactness, criterion_7_d1_collapse

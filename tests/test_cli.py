@@ -10,7 +10,8 @@ import pytest
 
 import zodom
 from zodom.cli import EX_DATA, EX_SOFTWARE, EX_USAGE, main
-from zodom.linalg import Lattice
+from zodom.hgroup import superindex
+from zodom.linalg import Lattice, Supernatural
 from zodom.rigid import GALLERY_TEXTS
 
 
@@ -207,10 +208,42 @@ def test_resource_errors_exit_70_not_no(grp, capsys, monkeypatch, exc, line):
 
 
 def test_coinv_fuchs_at_depth_6(grp, capsys):
-    # level 6 has 720 cosets; the level check is one BFS over them
+    # level 6 has 720 cosets; the level check reads only its index
     code, out = run(capsys, "coinv", grp("class11_fuchs"), "--depth", "6")
     assert code == 0
     assert out == "coinvariants=2^inf*3^inf*5^1\nverified_levels=6\n"
+
+
+def test_coinv_fuchs_at_depth_12(grp, capsys):
+    # level 12 has 1,244,160 cosets, and no quotient is built
+    code, out = run(capsys, "coinv", grp("class11_fuchs"), "--depth", "12")
+    assert code == 0
+    assert out == "coinvariants=2^inf*3^inf*5^1\nverified_levels=12\n"
+
+
+def test_coinv_exits_70_when_a_level_index_fails(grp, capsys, monkeypatch):
+    # a superindex without 2 cannot be divided by the index 2 of level 2
+    monkeypatch.setattr(
+        "zodom.cohomology.superindex",
+        lambda h: Supernatural({p: e for p, e in superindex(h).items if p != 2}),
+    )
+    code, out = run(capsys, "coinv", grp("class11_fuchs"), "--depth", "12")
+    assert code == EX_SOFTWARE
+    assert out == "error=ArithmeticError: level 2 index 2 does not divide the superindex 3^inf*5^1\n"
+
+
+def test_classify_d3_equal_groups_list_both_signs(grp, capsys):
+    # H = H' in d = 3: I and -I are witnesses, since -I.H = -H = H
+    a = grp("d3", "oplus(Z[1/2], Z[1/3], Z[1/5])")
+    code, out = run(capsys, "classify", "--relation", "iso", "--all-witnesses", a, a)
+    assert code == 0
+    assert out == (
+        "relation=iso\nwitness=mat([1,0,0;0,1,0;0,0,1])\nwitness_count=2\n"
+        "witness_1=mat([1,0,0;0,1,0;0,0,1])\nwitness_2=mat([-1,0,0;0,-1,0;0,0,-1])\n"
+        "verdict=YES\n"
+    )
+    code, out = run(capsys, "classify", "--relation", "iso", a, a)
+    assert out == "relation=iso\nwitness=mat([1,0,0;0,1,0;0,0,1])\nverdict=YES\n"
 
 
 # sha256 of the stdout of the tower verbs and `spectrum` at the approximants

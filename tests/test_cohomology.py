@@ -471,6 +471,44 @@ def test_coinvariants_match_superindex_on_gallery():
         assert coinvariants(h) == superindex(h)
 
 
+FUCHS = "oplus(Z[1/2], Z[1/3]) + gen(1/5, 1/5)"
+
+
+def test_coinvariants_build_no_quotient(monkeypatch):
+    # connectivity holds by construction, so no level quotient is built
+    def no_quotient(*args):
+        raise AssertionError("coinvariants built a FiniteOdometer")
+
+    monkeypatch.setattr("zodom.cohomology.FiniteOdometer", no_quotient)
+    assert str(coinvariants(parse_group(FUCHS), 12)) == "2^inf*3^inf*5^1"
+
+
+@pytest.mark.parametrize("p, depth, level", [(2, 3, 2), (3, 3, 3), (5, 5, 5), (5, 12, 5)])
+def test_coinvariants_catch_a_dropped_prime(monkeypatch, p, depth, level):
+    # every support prime p <= depth divides the index of level p
+    monkeypatch.setattr(
+        "zodom.cohomology.superindex",
+        lambda h: Supernatural({q: e for q, e in superindex(h).items if q != p}),
+    )
+    with pytest.raises(ArithmeticError, match=f"level {level} index"):
+        coinvariants(parse_group(FUCHS), depth)
+
+
+def test_coinvariants_catch_an_understated_exponent(monkeypatch):
+    # L(5) / Z has order 25, and level 10 is the first whose index 5^2
+    # reaches it (5^2 first divides 10!), so an exponent understated as 1
+    # fails from depth 10 on
+    h = parse_group("oplus(Z[1/2]) + gen(1/25)")
+    assert str(coinvariants(h, 10)) == "2^inf*5^2"
+    monkeypatch.setattr(
+        "zodom.cohomology.superindex",
+        lambda h: Supernatural({q: (1 if q == 5 else e) for q, e in superindex(h).items}),
+    )
+    assert str(coinvariants(h, 9)) == "2^inf*5^1"
+    with pytest.raises(ArithmeticError, match="level 10 index"):
+        coinvariants(h, 10)
+
+
 def test_level_coinvariants_direct():
     assert FiniteOdometer(Lattice.from_span(2, [(2, 1), (0, 3)])).orbit_is_everything()
     assert FiniteOdometer(Lattice.from_span(1, [(6,)])).orbit_is_everything()

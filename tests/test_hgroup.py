@@ -560,6 +560,36 @@ def test_congruence_rows_match_kernel_reference(case):
         assert all(sum(map(mul, row, col)) % pk == 0 for row in rows)
 
 
+def _check_kept_smith(h):
+    """Each entry's kept Smith form is a fresh one of its rows, and its
+    lattice is the canonical p^-k Lambda_p built from it; returns the
+    entries' p^k."""
+    pks = []
+    for e in h.entries:
+        smith = _smith_form(e._rows, h.d)
+        assert e._smith == smith
+        assert isinstance(e._smith[1], tuple) and all(isinstance(r, tuple) for r in e._smith[1])
+        pk = smith[0][-1] if smith[0] else 1
+        assert e.lattice == Lattice._raw(*_canonical(h.d, pk, _congruence_rows(smith, pk)))
+        pks.append(pk)
+    return pks
+
+
+def test_kept_smith_form_on_gallery():
+    # the gallery has entries with p^k = 1 (every Z[1/p] coordinate) and
+    # with p^k > 1 (the Fuchs group's L(5)), in d = 1 and 2
+    pks = []
+    for text in [*GALLERY, *GALLERY_TEXTS.values(), "oplus(Z[1/2], Z[1/3], Z[1/5]) + gen(1/7, 1/7, 0)"]:
+        pks += _check_kept_smith(parse_group(text))
+    assert 1 in pks and 5 in pks and 7 in pks
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_kept_smith_form_matches_fresh_build(d, data):
+    _check_kept_smith(data.draw(local_groups(d)))
+
+
 # ---------------------------------------------------------------------------
 # superindex
 
