@@ -1,7 +1,8 @@
 """Command-line front end: deterministic key=value reports on stdout.
 
 Exit codes: 0 success (or verdict YES), 1 verdict NO, 2 verdict UNKNOWN,
-64 usage error, 65 malformed input (syntax errors carry the byte offset),
+64 usage error, 65 malformed input (syntax errors carry the byte offset) or
+a request refused as too large (a spectrum above ``SPECTRUM_MAX_COUNT``),
 70 any other failure: a run that ran out of memory or recursion depth, or
 any other uncaught exception, reported on an ``error=`` line.
 
@@ -38,8 +39,8 @@ from .hgroup import (
     superindex,
     tower,
 )
-from .linalg import FactorBudgetError, Lattice, Mat, SingularMatrixError
-from .odometer import TowerSystem, measure_cylinder, metric, spectrum
+from .linalg import FactorBudgetError, Lattice, Mat, SingularMatrixError, ratio_text
+from .odometer import SpectrumTooLargeError, TowerSystem, measure_cylinder, metric, spectrum_numerators
 from .rigid import K1_DEVIATION, RigidProgram, dual_ball_trivial, verify_cyclicity, verify_exercises, verify_torsion_bound
 from .verify import DEFAULT_SEED, run_paper_suite
 
@@ -76,9 +77,10 @@ class InputError(Exception):
     """Malformed input; ``main`` prints its message on an ``error=`` line."""
 
 
-# raised only while input is read, parsed, elaborated or checked for freeness
+# raised only while input is read, parsed, elaborated or checked for freeness,
+# or when a spectrum is refused before it is built
 _INPUT_ERRORS = (InputError, BadDenominatorError, DimensionMismatchError, FactorBudgetError,
-                 NotFreeError, NotSupergroupError, SingularMatrixError)
+                 NotFreeError, NotSupergroupError, SingularMatrixError, SpectrumTooLargeError)
 
 
 def _load_expr(path: str):
@@ -192,10 +194,12 @@ def _cmd_simulate(args):
 
 
 def _cmd_spectrum(args):
-    eigs = spectrum(_load_group(args.file), args.height)
-    _emit("count", len(eigs))
-    for k, ev in enumerate(eigs, 1):
-        _emit(f"ev_{k}", format_vec(ev))
+    den, nums = spectrum_numerators(_load_group(args.file), args.height)
+    # the text of each distinct numerator over den, as format_vec prints it
+    text = {x: ratio_text(x, den) for x in {x for u in nums for x in u}}
+    lines = [f"count={len(nums)}"]
+    lines += [f"ev_{k}=({', '.join(map(text.__getitem__, u))})" for k, u in enumerate(nums, 1)]
+    print("\n".join(lines))
     return 0
 
 

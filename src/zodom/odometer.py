@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .hgroup import HGroup, Tower, _congruence_rows
 from .linalg import Lattice, hnf, snf
@@ -210,9 +210,111 @@ def metric(x: OdoPoint, y: OdoPoint) -> Fraction:
     return Fraction(0)
 
 
-def spectrum(h: HGroup, height: int):
-    """Rational eigenvalues h mod Z^d with coordinate denominators <= height,
-    reduced to [0,1)^d and sorted lexicographically.
+SPECTRUM_MAX_COUNT = 100_000  # eigenvalues that ``spectrum_numerators`` builds at most
+
+
+class SpectrumTooLargeError(ValueError):
+    """A spectrum with more than ``SPECTRUM_MAX_COUNT`` eigenvalues, refused
+    before it is built."""
+
+    def __init__(self, height: int):
+        super().__init__(
+            f"spectrum up to height {height} has more than {SPECTRUM_MAX_COUNT} eigenvalues"
+        )
+
+
+def _spectrum_classes(h: HGroup, height: int):
+    """(den, parts, count) for the eigenvalues of h up to height (see
+    ``spectrum_numerators``): den is the product of the p^k, parts holds one
+    dict per support prime p <= height, mapping each tuple of coordinate
+    denominators to the components x / p^k that have it, as numerators
+    over den, and count is the number of eigenvalues.  Raises
+    ``SpectrumTooLargeError`` once count is seen to exceed the cap.
+
+    Lambda_p contains p^k Z^d, so the diagonal b_j of its lower-triangular
+    HNF divides p^k, and sum t_j c_j over the columns c_j with t_j in
+    [0, p^k / b_j) reduced mod p^k gives each coset of Lambda_p / p^k Z^d
+    once: coordinate j of a difference is (t_j - t'_j) b_j mod p^k plus
+    terms of earlier columns.
+
+    The first count, of each prime alone: with (s, V) the Smith form of the
+    m rows, Lambda_p = V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d, so
+    [Z^d : Lambda_p] = prod_j p^k / gcd(s_j, p^k) and Lambda_p / p^k Z^d has
+    N_p = p^(kd) / [Z^d : Lambda_p] = p^(k(d-m)) prod_j gcd(s_j, p^k)
+    elements.  Each is an eigenvalue with the zero components at the other
+    primes, as its denominators divide p^k <= height, and eigenvalues with
+    at most one nonzero component are distinct, so there are at least
+    1 + sum_p (N_p - 1) eigenvalues.  When that exceeds the cap, so does
+    the spectrum, and no component is listed.
+
+    The second count, of classes: an eigenvalue is a tuple of components,
+    one per prime, and coordinate j of its denominator is the product of
+    the components' denominators there, so whether it passes the height
+    depends only on the components' classes (their denominator tuples).
+    The count is the sum, over the tuples of classes whose products pass,
+    of the products of the class sizes; a product only grows as primes are
+    added, so a tuple whose first primes fail is dropped with all its
+    extensions.  Each partial tuple that passes is an eigenvalue prefix
+    that survives: every later prime contributes its zero component, whose
+    denominators are all 1.  So the running count never exceeds the final
+    one, and the refusal is sound as soon as it passes the cap."""
+    if height < 1:
+        raise ValueError("height must be >= 1")
+    d = h.d
+    primes = []  # (p^k, entry) for the support primes p <= height
+    alone = 1  # eigenvalues with at most one nonzero component
+    for e in h.entries:
+        pk = e.p
+        if pk > height:
+            continue
+        while pk * e.p <= height:
+            pk *= e.p
+        s = e._smith[0]
+        alone += pk ** (d - len(s)) * prod(gcd(x, pk) for x in s) - 1
+        primes.append((pk, e))
+    if alone > SPECTRUM_MAX_COUNT:
+        raise SpectrumTooLargeError(height)
+    den = prod(pk for pk, _ in primes)
+    parts = []
+    counts = {(1,) * d: 1}  # denominator tuple -> number of partial eigenvalues
+    for pk, e in primes:
+        basis = hnf(_congruence_rows(e._smith, pk))
+        points = [[0] * d]
+        for j in range(d):
+            col = [row[j] for row in basis]
+            points = [
+                [(x + t * c) % pk for x, c in zip(pt, col)]
+                for pt in points
+                for t in range(pk // basis[j][j])
+            ]
+        scale = den // pk
+        part = {}
+        for pt in points:
+            dens = tuple(pk // gcd(x, pk) for x in pt)
+            part.setdefault(dens, []).append(tuple(x * scale for x in pt))
+        parts.append(part)
+        grown = {}
+        total = 0
+        for dens_a, n_a in counts.items():
+            for dens_b, nums_b in part.items():
+                dens = tuple(map(mul, dens_a, dens_b))
+                if max(dens) <= height:
+                    n = n_a * len(nums_b)
+                    grown[dens] = grown.get(dens, 0) + n
+                    total += n
+                    if total > SPECTRUM_MAX_COUNT:
+                        raise SpectrumTooLargeError(height)
+        counts = grown
+    return den, parts, sum(counts.values())
+
+
+def spectrum_numerators(h: HGroup, height: int):
+    """(den, numerators): the rational eigenvalues h mod Z^d with coordinate
+    denominators <= height are u / den for the integer tuples u in
+    numerators, each coordinate in [0, den), sorted lexicographically; den
+    is the product of the p^k below.  More than ``SPECTRUM_MAX_COUNT``
+    eigenvalues raise ``SpectrumTooLargeError``, counted before any is
+    built.
 
     Proof sketch: Q^d/Z^d is the direct sum of its p-primary parts, and
     each p-component of v is an integer multiple of v modulo Z^d, so with
@@ -226,55 +328,41 @@ def spectrum(h: HGroup, height: int):
     Lambda_p = V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d
     (``hgroup._congruence_rows``); no Smith form is computed here.
 
-    Lambda_p contains p^k Z^d, so the diagonal b_j of its lower-triangular
-    HNF divides p^k, and sum t_j c_j over the columns c_j with t_j in
-    [0, p^k / b_j) reduced mod p^k gives each coset of Lambda_p / p^k Z^d
-    once: coordinate j of a difference is (t_j - t'_j) b_j mod p^k plus
-    terms of earlier columns.  The components are then summed prime by
-    prime, grouped by their tuples of coordinate denominators, and a pair
-    of groups is skipped once a coordinate's product exceeds the height.
-    Coordinates are held as integers u for u / den, den the product of the
-    p^k, so the sum is an integer sum mod den and integer order is the
-    order of the values."""
-    if height < 1:
-        raise ValueError("height must be >= 1")
-    d = h.d
-    primes = []  # (p^k, entry) for the support primes p <= height
-    for e in h.entries:
-        pk = e.p
-        if pk > height:
-            continue
-        while pk * e.p <= height:
-            pk *= e.p
-        primes.append((pk, e))
-    den = prod(pk for pk, _ in primes)
-    partial = {(1,) * d: [(0,) * d]}  # denominator tuple -> numerators over den
-    for pk, e in primes:
-        basis = hnf(_congruence_rows(e._smith, pk))
-        points = [[0] * d]
-        for j in range(d):
-            col = [row[j] for row in basis]
-            points = [
-                [(x + t * c) % pk for x, c in zip(pt, col)]
-                for pt in points
-                for t in range(pk // basis[j][j])
-            ]
-        scale = den // pk
-        parts = {}
-        for pt in points:
-            dens = tuple(pk // gcd(x, pk) for x in pt)
-            parts.setdefault(dens, []).append(tuple(x * scale for x in pt))
+    ``_spectrum_classes`` lists each prime's components, grouped by their
+    tuples of coordinate denominators, and counts the eigenvalues from the
+    class sizes alone.  The components are then summed prime by prime, and
+    a pair of classes is skipped once a coordinate's product exceeds the
+    height.  A component x / p^k is held as x (den / p^k) over den, so an
+    eigenvalue is the sum of its components' numerators, reduced mod den
+    once at the end, and integer order is the order of the values.
+
+    Z^2 + Z (1/5, 1/5), up to height 5: the eigenvalues (j/5, j/5).
+
+    >>> spectrum_numerators(HGroup.from_local_data(2, {5: ([(5, (1, 1))], [])}), 5)
+    (5, [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)])
+    """
+    den, parts, _ = _spectrum_classes(h, height)
+    partial = {(1,) * h.d: [(0,) * h.d]}  # denominator tuple -> numerator sums
+    for part in parts:
         grown = {}
         for dens_a, nums_a in partial.items():
-            for dens_b, nums_b in parts.items():
-                dens = tuple(a * b for a, b in zip(dens_a, dens_b))
-                if max(dens) > height:
-                    continue
-                grown.setdefault(dens, []).extend(
-                    tuple((x + y) % den for x, y in zip(u, v)) for u in nums_a for v in nums_b
-                )
+            for dens_b, nums_b in part.items():
+                dens = tuple(map(mul, dens_a, dens_b))
+                if max(dens) <= height:
+                    grown.setdefault(dens, []).extend(
+                        tuple(map(add, u, v)) for u in nums_a for v in nums_b
+                    )
         partial = grown
-    out = sorted(v for nums in partial.values() for v in nums)
+    return den, sorted(tuple(x % den for x in u) for nums in partial.values() for u in nums)
+
+
+def spectrum(h: HGroup, height: int):
+    """Rational eigenvalues h mod Z^d with coordinate denominators <= height,
+    reduced to [0,1)^d and sorted lexicographically, as Fraction tuples:
+    the numerators of ``spectrum_numerators`` over its den, read through
+    one table of values.  Raises ``SpectrumTooLargeError`` above
+    ``SPECTRUM_MAX_COUNT`` eigenvalues."""
+    den, out = spectrum_numerators(h, height)
     value = {x: Fraction(x, den) for x in {x for v in out for x in v}}
     return [tuple(map(value.__getitem__, v)) for v in out]
 

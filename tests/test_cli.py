@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import os
 import random
@@ -7,12 +9,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zodom
 from zodom.cli import EX_DATA, EX_SOFTWARE, EX_USAGE, main
+from zodom.gdsl import format_vec
 from zodom.hgroup import superindex
 from zodom.linalg import Lattice, Supernatural
+from zodom.odometer import spectrum
 from zodom.rigid import GALLERY_TEXTS
+
+from test_hgroup import local_groups
 
 
 @pytest.fixture()
@@ -201,10 +209,53 @@ def test_resource_errors_exit_70_not_no(grp, capsys, monkeypatch, exc, line):
     def fail(*args):
         raise exc
 
-    monkeypatch.setattr("zodom.cli.spectrum", fail)
+    monkeypatch.setattr("zodom.cli.spectrum_numerators", fail)
     code, out = run(capsys, "spectrum", grp("class11_fuchs"), "--height", "5")
     assert code == EX_SOFTWARE == 70
     assert out == line + "\n"
+
+
+D8_TEXT = (
+    "oplus(Z[1/2], Z[1/3], Z[1/5], Z[1/7], Z[1/11], Z[1/13], Z[1/17], Z[1/19])"
+    " + gen(1/23, 1/23, 1/23, 1/23, 1/23, 1/23, 1/23, 1/23)"
+)
+
+
+def test_spectrum_refuses_the_d8_case_under_a_memory_limit(grp):
+    # 3,491,888,422 eigenvalues up to height 30; the child limits its own
+    # address space to 600 MB, and the count is refused before any is built
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (600_000_000, 600_000_000))\n"
+        "from zodom.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(zodom.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "spectrum", grp("d8", D8_TEXT), "--height", "30"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EX_DATA
+    assert proc.stdout == "error=spectrum up to height 30 has more than 100000 eigenvalues\n"
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_spectrum_report_matches_fraction_spectrum(d, data):
+    # the report printed from the integer numerators equals the text of
+    # spectrum()'s Fractions through format_vec
+    h = data.draw(local_groups(d))
+    height = data.draw(st.integers(1, 6 if d == 3 else 10))
+    eigs = spectrum(h, height)
+    expected = "".join(
+        [f"count={len(eigs)}\n", *(f"ev_{k}={format_vec(ev)}\n" for k, ev in enumerate(eigs, 1))]
+    )
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr("zodom.cli._load_group", lambda path: h)
+        code = main(["spectrum", "group.grp", "--height", str(height)])
+    assert code == 0
+    assert out.getvalue() == expected
 
 
 def test_coinv_fuchs_at_depth_6(grp, capsys):

@@ -6,7 +6,8 @@ returns one of the exit codes 0/1/2/64/65 without an uncaught exception.
 Integer literals stay below 10**6, so the primes that ``factorint`` meets
 are small enough to be confirmed quickly; ``coinv``, which walks the
 finite quotients, reads texts whose literals stay at most 12, and so do
-``simulate``, ``spectrum`` and ``classify``.  ``tau`` and ``dual`` read
+``simulate``, ``spectrum`` and ``classify``; ``spectrum`` also reads
+heights up to 10**6.  ``tau`` and ``dual`` read
 square lattices of size 1 to 3 with entries in [-4, 4]; ``tau`` ends in the
 trace h or an ``error=`` line.
 """
@@ -176,10 +177,20 @@ def test_simulate_ends_in_a_report_or_an_error(grp_path, text, depth):
     _run_verb(grp_path, text, ("simulate", "--depth", str(depth)))
 
 
-@given(text=small_texts, height=st.integers(1, 12))
-@settings(max_examples=100, deadline=None)
+@given(text=small_texts, height=st.one_of(st.integers(1, 12), st.integers(1, 10**6)))
+@settings(max_examples=100, deadline=5000)
 def test_spectrum_ends_in_a_report_or_an_error(grp_path, text, height):
+    # a height up to 10**6 ends in a report or in exit 65 within the
+    # deadline, since a spectrum above its cap is refused from its count
     _run_verb(grp_path, text, ("spectrum", "--height", str(height)))
+
+
+@given(text=group_text(small), height=st.integers(10**4, 10**6))
+@settings(max_examples=100, deadline=5000)
+def test_spectrum_of_a_group_at_a_large_height_ends_in_a_report_or_exit_65(grp_path, text, height):
+    # unmutated texts elaborate more often, and at these heights about one
+    # draw in twelve reaches the cap
+    assert _run_verb(grp_path, text, ("spectrum", "--height", str(height))) in (0, 65)
 
 
 @given(a=small_texts, b=small_texts, relation=st.sampled_from(["conj", "iso", "coe", "oe"]))

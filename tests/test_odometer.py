@@ -27,7 +27,7 @@ from zodom.verify import sublattices_z2
 
 import duality_reference as pointwise
 from helpers import direct_sum, index, lattice_block, lattice_columns, snf_reference
-from test_cli import TOWER_TEXTS
+from test_cli import DENSE_TEXT, TOWER_DIGESTS, TOWER_TEXTS
 from test_hgroup import local_groups
 
 F = Fraction
@@ -308,6 +308,58 @@ def test_spectrum_matches_grid_reference(d, data):
     h = data.draw(local_groups(d))
     height = data.draw(st.integers(1, 6 if d == 3 else 10))
     assert spectrum(h, height) == _spectrum_reference(h, height)
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_spectrum_class_count_matches_length(d, data):
+    h = data.draw(local_groups(d))
+    height = data.draw(st.integers(1, 10))
+    assert odometer._spectrum_classes(h, height)[2] == len(spectrum(h, height))
+
+
+PINNED_SPECTRA = [c.split()[1:] for c, _ in TOWER_DIGESTS if c.startswith("spectrum ")]
+
+
+@pytest.mark.parametrize("name, _, height", PINNED_SPECTRA, ids=[n for n, *_ in PINNED_SPECTRA])
+def test_spectrum_class_count_on_pinned_cases(name, _, height):
+    texts = {**GALLERY_TEXTS, **TOWER_TEXTS, "dense": DENSE_TEXT}
+    h = parse_group(texts[name])
+    count = odometer._spectrum_classes(h, int(height))[2]
+    assert count == len(spectrum(h, int(height)))
+    assert count <= 4624 < odometer.SPECTRUM_MAX_COUNT
+
+
+def test_spectrum_cap_boundary(monkeypatch):
+    # up to height 16: 16 * 9 eigenvalues without a 5-component, and
+    # 4 * 2 * 3 with one: j/5 (j = 1..4), a 2-part 0 or 1/2 in x_1 and a
+    # 3-part 0, 1/3 or 2/3 in x_2
+    h = parse_group("oplus(Z[1/2], Z[1/3]) + gen(1/5, 1/5)")
+    n = len(spectrum(h, 16))
+    monkeypatch.setattr(odometer, "SPECTRUM_MAX_COUNT", n)
+    assert len(spectrum(h, 16)) == n
+    monkeypatch.setattr(odometer, "SPECTRUM_MAX_COUNT", n - 1)
+    with pytest.raises(odometer.SpectrumTooLargeError, match="more than"):
+        spectrum(h, 16)
+
+
+@pytest.mark.parametrize(
+    "text, cap",
+    [
+        # Lambda_2 / 16 Z^2 alone has 16^2 elements at height 16
+        ("oplus(Z[1/2], Z[1/2])", 255),
+        # 1 + 15 + 8 eigenvalues with at most one nonzero component
+        ("oplus(Z[1/2], Z[1/3])", 23),
+    ],
+)
+def test_spectrum_refuses_from_the_prime_counts_before_enumerating(monkeypatch, text, cap):
+    def no_enumeration(rows):
+        raise AssertionError("a component was enumerated")
+
+    monkeypatch.setattr(odometer, "hnf", no_enumeration)
+    monkeypatch.setattr(odometer, "SPECTRUM_MAX_COUNT", cap)
+    with pytest.raises(odometer.SpectrumTooLargeError):
+        spectrum(parse_group(text), 16)
 
 
 # ---------------------------------------------------------------------------
