@@ -12,14 +12,13 @@ Decision strategy, in order:
   Z^d + sum of the rank-0 lattices L(p) of H onto that of H' (for
   isomorphism through the Smith forms of the two), so YES holds exactly
   when the profiles agree;
-* for d = 2 with at least two distinct divisible lines, the line constraints
-  determine candidate matrices up to signs (isomorphism) or signs plus a
-  per-prime valuation system (continuous orbit equivalence), read off the
-  integer HNF columns of each L(p); the finitely many candidates are tested
-  exactly, each +- pair once since H = -H, so a YES always re-validates;
-  but a COE NO can be wrong when the support has a fully divisible (rank 2)
-  prime (ROADMAP.md item 1, and the expected failure
-  test_two_line_coe_tier_is_not_no_where_a_witness_exists);
+* for d = 2 with at least two distinct divisible lines, alpha = C' diag(
+  lambda, +-D / lambda) C^-1 in the frames of two lines and their images:
+  lambda = 1 for isomorphism; for COE a third line fixes lambda, else
+  ``_scales`` walks its exponents at the rank-2 primes by their residues
+  mod N, the product of the rank-0 congruence moduli (at most phi(N)
+  classes).  Each +- pair is tested once (H = -H); a YES re-validates, and
+  a NO is certified: every class that can hold a witness is tested;
 * otherwise (d = 2, both relations on one-line groups) a bounded search over
   alpha = (1/q) [[a, b], [c, e]] with entries at most ``bound`` and
   det alpha = +-1: q = 1 for isomorphism, q = 1..bound for continuous orbit
@@ -65,11 +64,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from math import gcd
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .hgroup import HGroup, difference, equal_h, is_free, maps_into, maps_onto, superindex
-from .linalg import INF, Lattice, Mat, adjugate, factorint, lattice_sum, snf, valuation
+from .linalg import INF, Lattice, Mat, adjugate, factorint, lattice_sum, ratio_text, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
 RELATIONS = (CONJ, ISO, COE, OE)
@@ -332,11 +331,8 @@ def _witness_search(relation, h, hp, bound, all_witnesses):
     distinct = sorted(set(_lines(h).values()))
     if len(distinct) < 2:
         return _bounded_search(relation, h, hp, bound, all_witnesses)
-    # _line_assignment rejects two lines with one target, so v1 != v2
-    u1, u2 = distinct[:2]
-    (v1, _), (v2, _) = assignment[u1], assignment[u2]
-    line_tier = _coe_line_tier if coe else _iso_line_tier
-    return line_tier(h, hp, _frame(u1, u2), _frame(v1, v2), all_witnesses)
+    # _line_assignment rejects two lines with one target, so the targets differ
+    return _line_tier(relation, h, hp, [(u, *assignment[u]) for u in distinct[:3]], all_witnesses)
 
 
 def _yes(relation, found, all_witnesses):
@@ -352,15 +348,41 @@ def _frame(u, v):
     return c, u[0] * v[1] - v[0] * u[1], [[v[1], -v[0]], [-u[1], u[0]]]
 
 
-def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failure):
-    """Test alpha = C' diag(lambda, +-mu) C^-1, and take -alpha with it.
+def _line_tier(relation, h, hp, lines, all_witnesses):
+    """alpha = C' diag(lambda, mu) C^-1 in the frames C = [u1 u2] and
+    C' = [v1 v2] of the first two ``lines`` (u, v, p) of H (the distinct
+    ones, up to three, each with its target v and first prime p), where
+    det alpha = +-1 gives mu = +-D / lambda, D = |det C / det C'|.
+    Isomorphism tests lambda = 1 only: a unimodular integral alpha sends
+    the primitive u_k to +-v_k.  COE tests each lambda of ``_scales`` and,
+    without ``all_witnesses``, stops at the first with a witness."""
+    (u1, v1, _), (u2, v2, _) = lines[:2]
+    frame, frame_p = _frame(u1, u2), _frame(v1, v2)
+    found = []
+    for lam in _scales(h, hp, frame, frame_p, lines[2:]) if relation == COE else [(1, 1)]:
+        if isinstance(lam, Certificate):
+            return Verdict(relation, NO, certificate=lam)
+        found += _sign_choices(relation, h, hp, frame, frame_p, lam)
+        if found and not all_witnesses:
+            break
+    if found:
+        return _yes(relation, found, all_witnesses)
+    failure = "line and valuation constraints admit no witness" if relation == COE else (
+        "all sign choices on the line-constrained unimodular candidates fail")
+    return Verdict(relation, NO, certificate=Certificate("line-candidates-exhausted", failure))
 
-    With lambda = a / b, mu = c / e and C^-1 = adj C / det C, alpha is
+
+def _sign_choices(relation, h, hp, frame, frame_p, lam):
+    """The witnesses among alpha = C' diag(lambda, +-mu) C^-1 with
+    mu = D / lambda, each with -alpha.
+
+    With lambda = a / b, mu = c / e = |det C| b / (|det C'| a) and
+    C^-1 = adj C / det C, alpha is
     C' diag(a e, +-c b) adj C over b e det C: the two terms
     C'_i0 a e adj_0j and C'_i1 c b adj_1j are formed once and each sign
-    choice adds them.  It is admissible when |det alpha| = 1, that is
-    |det rows| = den^2, which scaling does not change, so it is tested before
-    the Mat is built, and for isomorphism when alpha is also integral.
+    choice adds them.  det alpha = +-lambda mu det C' / det C = +-1 by the
+    choice of mu, so it is admissible for COE, and for isomorphism when it
+    is also integral.
 
     alpha.H = H' is tested as alpha.H <= H' and alpha^-1.H' <= H, with the
     exact inverse carried along instead of eliminated: alpha^-1 =
@@ -375,11 +397,12 @@ def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failur
     integral iff alpha is, and -alpha.H = alpha.(-H) = alpha.H since H = -H,
     so -alpha passes exactly when alpha does.  The four candidates are
     distinct (both terms are nonzero, of rank 1), and ``_sort_key`` tells
-    apart any two distinct matrices, so sorting ``found`` gives the same
+    apart any two distinct matrices, so sorting the list gives the same
     witness and witness tuple as testing all four signs."""
-    (a, b), (c, e) = scales
+    a, b = lam
     cm, det_c, adj = frame
     cp, det_cp, adj_p = frame_p
+    c, e = abs(det_c) * b, abs(det_cp) * a
     den = b * e * det_c
     t0 = [[cp[i][0] * a * e * adj[0][j] for j in range(2)] for i in range(2)]
     t1 = [[cp[i][1] * c * b * adj[1][j] for j in range(2)] for i in range(2)]
@@ -387,10 +410,7 @@ def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failur
     inv_den = a * c * abs(det_cp)
     found = []
     for s2 in (1, -1):
-        rows = [[x + s2 * y for x, y in zip(r0, r1)] for r0, r1 in zip(t0, t1)]
-        if abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) != den * den:
-            continue
-        alpha = Mat(rows, den)
+        alpha = Mat([[x + s2 * y for x, y in zip(r0, r1)] for r0, r1 in zip(t0, t1)], den)
         if (relation == COE or alpha.is_integer()) and maps_into(alpha.den, alpha.num, h, hp):
             inv_rows = [
                 [sign * (cm[i][0] * b * c * adj_p[0][j] + s2 * cm[i][1] * e * a * adj_p[1][j])
@@ -399,32 +419,7 @@ def _sign_choices(relation, h, hp, frame, frame_p, scales, all_witnesses, failur
             ]
             if maps_into(inv_den, inv_rows, hp, h):
                 found += (alpha, alpha.scale(-1))
-    if found:
-        return _yes(relation, found, all_witnesses)
-    return Verdict(relation, NO, certificate=Certificate("line-candidates-exhausted", failure))
-
-
-def _iso_line_tier(h, hp, frame, frame_p, all_witnesses):
-    """Two distinct divisible lines pin alpha up to signs: a unimodular
-    integral matrix sends primitive vectors to primitive vectors, so each
-    line basis maps to +- its image's basis (lambda = mu = 1)."""
-    return _sign_choices(
-        ISO, h, hp, frame, frame_p, ((1, 1), (1, 1)), all_witnesses,
-        "all sign choices on the line-constrained unimodular candidates fail",
-    )
-
-
-def _coe_line_tier(h, hp, frame, frame_p, all_witnesses):
-    """alpha = C' diag(lambda, mu) C^-1 in the frame of two distinct lines;
-    per-prime valuation equations plus the determinant relation solve for
-    lambda and mu exactly, leaving only sign choices to test."""
-    scales, cert = _valuation_scales(h, hp, frame, frame_p)
-    if cert is not None:
-        return Verdict(COE, NO, certificate=cert)
-    return _sign_choices(
-        COE, h, hp, frame, frame_p, scales, all_witnesses,
-        "line and valuation constraints admit no witness",
-    )
+    return found
 
 
 def _rank_zero_sum(h) -> Lattice:
@@ -482,83 +477,128 @@ def _zero_line_tier(relation, h, hp, bound, all_witnesses):
 
 def _coord_min_vals(frame, h: HGroup, p: int):
     """Per-coordinate minimal p-valuations of C^-1 M_p, -INF on divisible
-    axes, and the divisible directions w of M_p as adj C . w.
-
+    axes, with the images adj C . c of the lattice columns and their shift.
     C^-1 = adj C / det C, and the HNF columns of L(p) (Z^d where H has no
     entry) are c / den_L, so coordinate k of an image has valuation
-    v_p((adj C . c)_k) - v_p(det C den_L).  A divisible direction keeps the
-    scalar factor 1 / det C off: only which of its coordinates vanish and
-    the difference of their valuations are read."""
+    v_p((adj C . c)_k) - shift, shift = v_p(det C den_L)."""
     _, det, adj = frame
-    d = h.d
     entry = h.entry(p)
     if entry is None:
-        den_l, cols, vspan = 1, [[int(i == j) for i in range(d)] for j in range(d)], ()
+        den_l, cols, vspan = 1, ((1, 0), (0, 1)), ()
     else:
-        den_l, cols, vspan = entry.lattice.den, zip(*entry.lattice.mat), entry.vspan
+        den_l, cols, vspan = entry.lattice.den, tuple(zip(*entry.lattice.mat)), entry.vspan
     shift = valuation(det * den_l, p)
-    mins = [None] * d
-    for c in cols:
-        w = [sum(map(mul, row, c)) for row in adj]
-        for k in range(d):
-            if w[k] != 0:
-                v = valuation(w[k], p) - shift
-                if mins[k] is None or v < mins[k]:
-                    mins[k] = v
-    divisible_dirs = []
+    images = [[sum(map(mul, row, c)) for row in adj] for c in cols]
+    mins = [min(valuation(w[k], p) - shift for w in images if w[k]) for k in range(2)]
     for wdir in vspan:
-        w = [sum(map(mul, row, wdir)) for row in adj]
-        divisible_dirs.append(w)
-        for k in range(d):
-            if w[k] != 0:
-                mins[k] = -INF
-    return mins, divisible_dirs
+        mins = [-INF if sum(map(mul, row, wdir)) else m for row, m in zip(adj, mins)]
+    return mins, images, shift
 
 
-def _valuation_scales(h, hp, frame, frame_p):
-    """(lambda, mu) = (prod p^i_p, prod p^j_p), each as an integer pair
-    (numerator, denominator), from the per-prime system
-    i + j = v_p(det C / det C'), i or j read off each non-divisible frame
-    coordinate, and j - i read off a mixed divisible direction; or a
-    certificate that the system has no solution."""
-    det_c, det_cp = frame[1], frame_p[1]
+def _congruence(side, h, q, det):
+    """(q^t, c_q mod q^t) of ``_scales`` at the rank-0 prime q from one
+    ``_coord_min_vals`` side: c_q is y' / x' of a lattice column whose x'
+    is a unit (1 / det C den_L cancels)."""
+    mins, images, shift = side
+    entry = h.entry(q)
+    m = q ** (-sum(mins) - valuation(det, q) - (entry.index_valuation() if entry else 0))
+    w = next(w for w in images if w[0] and valuation(w[0], q) - shift == mins[0])
+    return m, w[1] // q ** (mins[1] + shift) * pow(w[0] // q ** (mins[0] + shift), -1, m) % m
+
+
+def _scales(h, hp, frame, frame_p, third):
+    """Each lambda = (num, den) > 0 for which alpha = C' diag(lambda,
+    +-D / lambda) C^-1 can be a COE witness, one per class below, or one
+    Certificate that there is none.  With G_p = C^-1 M_p and G'_p likewise,
+    alpha H = H' iff diag(lambda, mu) G_p = G'_p at every prime p.
+
+    A third line w -> w' (``third`` = [(w, w', p)]) fixes lambda: with
+    a = adj C . w and b = adj C' . w' (no entry is 0, as w is no frame
+    line), diag(lambda, mu) a is parallel to b, lambda a0 b1 = mu a1 b0, so
+    lambda^2 = |a1 b0 det C| / |a0 b1 det C'|: one candidate or none.
+
+    Otherwise the lines are the axes of G, and v_p(lambda) is fixed as
+    lambda0's at each prime not of rank 2: G_p is a lattice (rank 0) or V_p
+    plus its projection along V_p (rank 1), so each coordinate that is not
+    divisible moves its minimal valuation by v_p of its scale, and
+    v_p(lambda mu) = v_p(D) gives the other.  A rank-2 prime puts no
+    condition (G_p = Q_p^2), so lambda = lambda0 prod p^e_p over them (P2).
+    At a rank-0 prime q let the hull be q^m0 Z_q + q^m1 Z_q, the product of
+    G_q's coordinate projections, and q^t its index over G_q, t = -m0 - m1
+    - v_q(det C) - v_q[L(q) : Z^2].  In hull coordinates x' = x / q^m0,
+    y' = y / q^m1, G_q projects onto both axes and meets the second in
+    q^t Z_q, so G_q = {y' = c_q x' mod q^t}, c_q a unit if t > 0.  The map
+    sends hull onto hull' and acts there by the unit parts lambda_u and
+    mu_u = s |D|_u / lambda_u (s = +-1, the sign of mu), so it maps G_q onto
+    G'_q iff lambda_u^2 = s |D|_u c_q / c'_q mod q^t (t' = t, as the index
+    valuations agree).  lambda_u = lambda0_u r with r = prod p^e_p mod
+    N = prod q^t, and nothing else depends on e.  So a breadth-first walk of
+    the subgroup <P2> of (Z/N)^x, by steps e_p +- 1, keeping each class's
+    first e (least |e|_1) and yielding those of the classes that meet every
+    congruence for one s, reaches the class of every witness, whose yielded
+    lambda is a witness too.  It visits at most phi(N) classes; with P2
+    empty or N = 1, lambda0 alone."""
+    (_, det_c, adj), (_, det_cp, adj_p) = frame, frame_p
+    if third:
+        (w, wp, p), = third
+        a, b = [sum(map(mul, row, w)) for row in adj], [sum(map(mul, row, wp)) for row in adj_p]
+        num, den = abs(a[1] * b[0] * det_c), abs(a[0] * b[1] * det_cp)
+        root = isqrt(num * den)  # lambda = root / den where num / den is a square
+        if root * root == num * den:
+            yield root, den
+        else:
+            detail = f"third line at p={p}: lambda^2 = {ratio_text(num, den)} is not a square"
+            yield Certificate("valuation-system", detail)
+        return
     primes = set(h.support()) | set(hp.support()) | set(factorint(det_c)) | set(factorint(det_cp))
-    lam, mu = [1, 1], [1, 1]
+    lam = [1, 1]
+    rank2, rank0 = [], []
     for p in sorted(primes):
         vdet = valuation(det_c, p) - valuation(det_cp, p)
-        mins, dirs = _coord_min_vals(frame, h, p)
-        mins_p, dirs_p = _coord_min_vals(frame_p, hp, p)
+        side, side_p = _coord_min_vals(frame, h, p), _coord_min_vals(frame_p, hp, p)
         shifts = []
         for k in range(2):
-            a, b = mins[k], mins_p[k]
+            a, b = side[0][k], side_p[0][k]
             if (a == -INF) != (b == -INF):
-                return None, Certificate(
+                yield Certificate(
                     "valuation-system", f"coordinate {k+1} divisible on one side only at p={p}"
                 )
+                return
             shifts.append(None if a == -INF else b - a)
         i, j = shifts
-        delta = None  # j - i from a mixed divisible direction
-        for w, wp in zip(dirs, dirs_p):
-            if all(x != 0 for x in w) and all(x != 0 for x in wp):
-                delta = (valuation(wp[1], p) - valuation(wp[0], p)) - (
-                    valuation(w[1], p) - valuation(w[0], p)
-                )
         if i is None and j is None:
-            if delta is None:
-                i = 0  # fully divisible at p: any split works
-            elif (vdet - delta) % 2:
-                return None, Certificate("valuation-system", f"parity obstruction at p={p}")
-            else:
-                i = (vdet - delta) // 2
-        if i is None:
-            i = vdet - j
-        if j is None:
-            j = vdet - i
-        if i + j != vdet or (delta is not None and j - i != delta):
-            return None, Certificate("valuation-system", f"inconsistent valuations at p={p}")
+            rank2.append(p)
+            continue
+        if i is not None and j is not None:
+            if i + j != vdet:
+                yield Certificate("valuation-system", f"inconsistent valuations at p={p}")
+                return
+            rank0.append((p, side, side_p))
+        i = vdet - j if i is None else i
         lam[i < 0] *= p ** abs(i)  # p^i joins the numerator, p^-i the denominator
-        mu[j < 0] *= p ** abs(j)
-    return (tuple(lam), tuple(mu)), None
+    targets = []
+    for q, side, side_p in rank0 if rank2 else ():
+        (m, c), (m_p, c_p) = _congruence(side, h, q, det_c), _congruence(side_p, hp, q, det_cp)
+        if m != m_p:
+            return  # the map keeps [hull : G_q]: unequal only where the profiles differ
+        if m > 1:
+            x, y = abs(det_c) * lam[1] ** 2 * c, abs(det_cp) * lam[0] ** 2 * c_p
+            x, y = x // q ** valuation(x, q), y // q ** valuation(y, q)  # unit parts
+            targets.append((m, x * pow(y, -1, m) % m))
+    n = prod(m for m, _ in targets)
+    first = {1 % n: (0,) * len(rank2)}  # class of r -> its first e
+    order = [1 % n]
+    for r in order:  # grows while it is read: breadth first
+        e = first[r]
+        if any(all(r * r % m == s * k % m for m, k in targets) for s in (1, -1)):
+            up, down = (prod(p ** max(x * sign, 0) for p, x in zip(rank2, e)) for sign in (1, -1))
+            yield lam[0] * up, lam[1] * down
+        for i, p in enumerate(rank2 if n > 1 else ()):
+            for step in (1, -1):
+                nxt = r * pow(p, step, n) % n
+                if nxt not in first:
+                    first[nxt] = e[:i] + (e[i] + step,) + e[i + 1 :]
+                    order.append(nxt)
 
 
 # tier 3 for COE gives up after this many (a, b, c) triples

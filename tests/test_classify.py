@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -306,12 +308,12 @@ def test_coe_dimension_mismatch(g):
     assert v.certificate.kind == "dimension"
 
 
-# The two-line COE tier answers NO on these pairs, though each has a det 1
-# witness.  Each has the rank-2 prime 2 besides its lines at 7 and 11, and
-# the tier lets that prime fix the scales: through a spurious parity test
-# (tilted-frame), the residue of lambda at the rank-0 prime 13
-# (rank0-residue) and the ratio a third line sets (third-line).  See ROADMAP
-# item 1.  tilted-frame is also iso YES.
+# COE YES pairs, each with a det 1 witness, where the scales of the line
+# tier are not read off the valuations alone.  Each has the rank-2 prime 2
+# besides its lines at 7 and 11, in a tilted frame (tilted-frame), with the
+# residue of lambda at the rank-0 prime 13 fixed only modulo 13
+# (rank0-residue), or with the ratio lambda / mu that a third line sets
+# (third-line).  tilted-frame is also iso YES.
 _BASE = "oplus(Z[1/14], Z[1/22])"
 _TILTED = f"mat([2,-5;-1,3]) * {_BASE}"
 _THIRD_LINE = f"{_BASE} + mat([1,0;1,1]) * oplus(Z[1/13], Z)"
@@ -334,7 +336,6 @@ def test_wrong_coe_no_pairs_have_witnesses(case):
     assert maps_onto(w, h, hp) and maps_onto(w.inv(), hp, h)
 
 
-@pytest.mark.xfail(strict=True, reason="two-line COE tier answers NO wrongly (ROADMAP item 1)")
 @pytest.mark.parametrize("backward", [False, True])
 @pytest.mark.parametrize("case", sorted(WRONG_COE_NO))
 def test_two_line_coe_tier_is_not_no_where_a_witness_exists(case, backward):
@@ -342,7 +343,9 @@ def test_two_line_coe_tier_is_not_no_where_a_witness_exists(case, backward):
     h, hp = parse_group(a), parse_group(b)
     if backward:
         h, hp = hp, h
-    assert decide(COE, h, hp).answer != "NO"
+    v = decide(COE, h, hp)
+    assert v.answer == "YES", v.certificate
+    assert abs(v.witness.det()) == 1 and maps_onto(v.witness, h, hp)
 
 
 # ---------------------------------------------------------------------------
@@ -641,30 +644,20 @@ def _sign_choices_reference(relation, h, hp, c_inv, cp_mat, scales, admissible, 
 
 
 def _coord_min_vals_reference(frame_inv, h, p):
-    """Per-coordinate minimal p-valuations of C^-1 M_p on Fraction columns."""
+    """Per-coordinate minimal p-valuations of C^-1 M_p on Fraction columns,
+    -INF on the coordinates a divisible direction reaches."""
     d = h.d
     entry = h.entry(p)
     cols = lattice_columns(entry.lattice if entry else Lattice.standard(d))
-    mins = [None] * d
-    for c in cols:
-        w = frame_inv.apply(c)
-        for k in range(d):
-            if w[k] != 0:
-                v = valuation(w[k], p)
-                if mins[k] is None or v < mins[k]:
-                    mins[k] = v
-    divisible_dirs = []
-    if entry is not None:
-        for wdir in entry.vspan:
-            w = frame_inv.apply(wdir)
-            divisible_dirs.append(w)
-            for k in range(d):
-                if w[k] != 0:
-                    mins[k] = -INF
-    return mins, divisible_dirs
+    mins = [min(valuation(w[k], p) for w in map(frame_inv.apply, cols) if w[k]) for k in range(d)]
+    for wdir in entry.vspan if entry is not None else ():
+        mins = [-INF if x else m for x, m in zip(frame_inv.apply(wdir), mins)]
+    return mins
 
 
 def _valuation_scales_reference(h, hp, c_mat, c_inv, cp_mat):
+    """lambda and mu from the valuations at every prime, for pairs whose
+    divisible lines are the frame lines and that have no rank-2 prime."""
     cp_inv = cp_mat.inv()
     det_c, det_cp = c_mat.det(), cp_mat.det()
     primes = set(h.support()) | set(hp.support())
@@ -672,8 +665,8 @@ def _valuation_scales_reference(h, hp, c_mat, c_inv, cp_mat):
     lam = mu = Fraction(1)
     for p in sorted(primes):
         vdet = valuation(det_c / det_cp, p)
-        mins, dirs = _coord_min_vals_reference(c_inv, h, p)
-        mins_p, dirs_p = _coord_min_vals_reference(cp_inv, hp, p)
+        mins = _coord_min_vals_reference(c_inv, h, p)
+        mins_p = _coord_min_vals_reference(cp_inv, hp, p)
         shifts = []
         for k in range(2):
             a, b = mins[k], mins_p[k]
@@ -683,39 +676,25 @@ def _valuation_scales_reference(h, hp, c_mat, c_inv, cp_mat):
                 )
             shifts.append(None if a == -INF else b - a)
         i, j = shifts
-        delta = None
-        for w, wp in zip(dirs, dirs_p):
-            if all(x != 0 for x in w) and all(x != 0 for x in wp):
-                delta = (valuation(wp[1], p) - valuation(wp[0], p)) - (
-                    valuation(w[1], p) - valuation(w[0], p)
-                )
-        if i is None and j is None:
-            if delta is None:
-                i = 0
-            elif (vdet - delta) % 2:
-                return None, Certificate("valuation-system", f"parity obstruction at p={p}")
-            else:
-                i = (vdet - delta) // 2
+        assert i is not None or j is not None, "a rank-2 prime or a third line"
         if i is None:
             i = vdet - j
         if j is None:
             j = vdet - i
-        if i + j != vdet or (delta is not None and j - i != delta):
+        if i + j != vdet:
             return None, Certificate("valuation-system", f"inconsistent valuations at p={p}")
         lam *= Fraction(p) ** i
         mu *= Fraction(p) ** j
     return (lam, mu), None
 
 
-def _iso_line_tier_reference(h, hp, c_mat, cp_mat, all_witnesses):
-    return _sign_choices_reference(
-        ISO, h, hp, c_mat.inv(), cp_mat, (1, 1), is_unimodular, all_witnesses,
-        "all sign choices on the line-constrained unimodular candidates fail",
-    )
-
-
-def _coe_line_tier_reference(h, hp, c_mat, cp_mat, all_witnesses):
+def _line_tier_reference(relation, h, hp, c_mat, cp_mat, all_witnesses):
     c_inv = c_mat.inv()
+    if relation == ISO:
+        return _sign_choices_reference(
+            ISO, h, hp, c_inv, cp_mat, (1, 1), is_unimodular, all_witnesses,
+            "all sign choices on the line-constrained unimodular candidates fail",
+        )
     scales, cert = _valuation_scales_reference(h, hp, c_mat, c_inv, cp_mat)
     if cert is not None:
         return Verdict(COE, "NO", certificate=cert)
@@ -725,15 +704,16 @@ def _coe_line_tier_reference(h, hp, c_mat, cp_mat, all_witnesses):
     )
 
 
-def _line_frames(h, hp):
-    """The two line frames ([u1 u2], [v1 v2]) that ``_witness_search`` hands
-    the line tiers, or None where the pair does not reach them."""
+def _tier_lines(h, hp):
+    """The distinct lines of H, up to three, each as (u, target, prime), that
+    ``_witness_search`` hands ``_line_tier``, or None where the pair does not
+    reach it."""
     assignment, cert = classify._line_assignment(h, hp)
     distinct = sorted(set(classify._lines(h).values()))
     if cert is not None or len(distinct) < 2:
         return None
-    (u1, u2), (v1, v2) = distinct[:2], (assignment[distinct[0]][0], assignment[distinct[1]][0])
-    return None if v1 == v2 else ((u1, u2), (v1, v2))
+    lines = [(u, *assignment[u]) for u in distinct[:3]]
+    return None if lines[0][1] == lines[1][1] else lines
 
 
 @st.composite
@@ -757,46 +737,215 @@ def two_line_groups(draw):
 
 
 def test_line_tiers_match_fraction_reference():
+    # Where every divisible line is a frame line and no prime has rank 2,
+    # lambda is fixed by the valuations alone, and the tier must match the
+    # Fraction reference exactly.  Elsewhere each witness re-validates, and
+    # an image of H is COE YES (iso YES under a unimodular matrix).
     outcomes = []
 
     @given(two_line_groups(), st.data())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=500, deadline=None)
     def check(h, data):
-        # an image of H, an image of H with one lattice generator added, or
-        # an unrelated group
-        kind = data.draw(st.sampled_from(["image", "perturbed", "other"]))
-        src, hp = h, None
+        # an image of H, an image of H with one lattice generator added, an
+        # image of H under a matrix of determinant 1/q, or an unrelated group
+        kind = data.draw(st.sampled_from(["image", "perturbed", "scaled", "other"]))
+        src, hp, image = h, None, None
         if kind == "perturbed":
             p = data.draw(st.sampled_from(h.support()))
             local = h.local_data()
             v = tuple(F(x, p) for x in data.draw(st.tuples(*[st.integers(0, p)] * 2)))
             local[p][0].extend(local_pairs([v]))
             src = HGroup.from_local_data(2, local)
-        if kind != "other":
+        if kind == "scaled":
+            q = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19]))
+            u, v = (_random_unimodular(data.draw(st.randoms())) for _ in "uv")
+            a = u * Mat([[1, 0], [0, q]]).inv() * v
+        elif kind != "other":
             a = data.draw(st.one_of(det_one_matrices(2), st.builds(_random_unimodular, st.randoms())))
+        if kind != "other":
             try:
                 hp = apply_matrix(a, src)
+                # det_one_matrices signs the last row entry by entry, so
+                # not every draw has det +-1
+                image = a if kind == "image" and abs(a.det()) == 1 else None
             except NotSupergroupError:
                 pass
         if hp is None:
             hp = data.draw(two_line_groups())
-        frames = _line_frames(h, hp)
-        assume(frames is not None)
-        (u1, u2), (v1, v2) = frames
-        frame, frame_p = classify._frame(u1, u2), classify._frame(v1, v2)
+        lines = _tier_lines(h, hp)
+        assume(lines is not None)
+        (u1, v1, _), (u2, v2, _) = lines[:2]
         c_mat, cp_mat = from_columns([u1, u2]), from_columns([v1, v2])
+        plain = len(lines) == 2 and all(e.r < 2 for e in h.entries + hp.entries)
         all_witnesses = data.draw(st.booleans())
-        for relation, tier, reference in (
-            (ISO, classify._iso_line_tier, _iso_line_tier_reference),
-            (COE, classify._coe_line_tier, _coe_line_tier_reference),
-        ):
-            got = tier(h, hp, frame, frame_p, all_witnesses)
-            assert got == reference(h, hp, c_mat, cp_mat, all_witnesses)
-            outcomes.append((relation, got.answer))
+        for relation in (ISO, COE):
+            got = classify._line_tier(relation, h, hp, lines, all_witnesses)
+            if plain:
+                assert got == _line_tier_reference(relation, h, hp, c_mat, cp_mat, all_witnesses)
+                outcomes.append((relation, got.answer))
+            for w in got.witnesses or [got.witness] * (got.answer == "YES"):
+                assert abs(w.det()) == 1 and maps_onto(w, h, hp)
+                assert relation == COE or w.is_integer()
+            if image is not None and (relation == COE or is_unimodular(image)):
+                assert got.answer == "YES", (relation, image, got.certificate)
 
     check()
     for relation in (ISO, COE):
         assert outcomes.count((relation, "YES")) >= 30 and outcomes.count((relation, "NO")) >= 30
+
+
+def _two_line_text(frame, line_primes, r, gens, third=None):
+    """The d = 2 group in the unimodular frame: lines e1, e2 at the two line
+    primes, the primes of r of rank 2, the lattice generators gens =
+    [(den, x, y)] at rank-0 primes, and, for third = (p, k), the line
+    (1, k) at p."""
+    p1, p2 = line_primes
+    text = f"oplus(Z[1/{p1 * r}], Z[1/{p2 * r}])"
+    text += "".join(f" + gen({x}/{den}, {y}/{den})" for den, x, y in gens)
+    if third:
+        text += f" + mat([1,0;{third[1]},1]) * oplus(Z[1/{third[0]}], Z)"
+    rows = ";".join(",".join(map(str, row)) for row in frame.num)
+    return parse_group(f"mat([{rows}]) * {text}")
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of up to three elementary row operations and a swap."""
+    rows = [[1, 0], [0, 1]]
+    for _ in range(draw(st.integers(0, 3))):
+        i, c = draw(st.integers(0, 1)), draw(st.integers(-2, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[1 - i])]
+    return Mat(rows[::-1] if draw(st.booleans()) else rows)
+
+
+@st.composite
+def constructed_two_line_pairs(draw):
+    """(H, beta, beta.H): H has lines at two of 7, 11, 13, 19, the rank-2
+    primes of r in {1, 2, 3, 6, 10}, in three draws of ten a third line
+    (1, k) at another of them, and up to two rank-0 generators at 5, 17 or
+    23 with denominator q or q^2, in a random unimodular frame; beta =
+    U diag(p^i, p^-i) V with p inside or outside the support and i in
+    {-1, 0, 1, 2}, or U V where beta.H would not contain Z^2."""
+    p1, p2, p3 = draw(st.permutations([7, 11, 13, 19]))[:3]
+    r = draw(st.sampled_from([1, 2, 3, 6, 10]))
+    gens = []
+    for _ in range(draw(st.integers(0, 2))):
+        den = draw(st.sampled_from([5, 17, 23])) ** draw(st.integers(1, 2))
+        gens.append((den, draw(st.integers(0, den - 1)), draw(st.integers(0, den - 1))))
+    third = (p3, draw(st.integers(1, 3))) if draw(st.integers(0, 9)) < 3 else None
+    h = _two_line_text(draw(unimodular_matrices()), (p1, p2), r, gens, third)
+    u, v = draw(unimodular_matrices()), draw(unimodular_matrices())
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 29]))
+    i = draw(st.sampled_from([-1, 0, 1, 2]))
+    try:
+        beta = u * rational_mat([[F(p) ** i, 0], [0, F(p) ** -i]]) * v
+        return h, beta, apply_matrix(beta, h)
+    except NotSupergroupError:
+        return h, u * v, apply_matrix(u * v, h)
+
+
+def test_two_line_tier_never_no_on_constructed_pairs():
+    # COE of (H, beta.H) is YES both ways with a re-validated witness, iso
+    # too where beta is unimodular, and no YES is followed by a NO further
+    # down conj => iso => COE => OE
+    @given(constructed_two_line_pairs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def check(case):
+        h, beta, hp = case
+        for x, y in ((h, hp), (hp, h)):
+            verdicts = [decide(relation, x, y) for relation in RELATIONS]
+            answers = [v.answer for v in verdicts]
+            if "YES" in answers:
+                assert "NO" not in answers[answers.index("YES"):], answers
+            for v in verdicts[1:3]:
+                if v.relation == COE or is_unimodular(beta):
+                    assert v.answer == "YES", (v.relation, beta, v.certificate)
+                if v.answer == "YES":
+                    assert maps_onto(v.witness, x, y) and abs(v.witness.det()) == 1
+                    assert v.relation == COE or v.witness.is_integer()
+
+    check()
+
+
+def _small_line_witnesses(h, hp):
+    """The number of alpha = C' diag(lambda, mu) C^-1 with lambda = prod p^e,
+    |e| <= 2, over the support and 2, 3, 5, and mu = +-D / lambda that map
+    H onto H' by apply_matrix and equal_h (-alpha covers -lambda, since
+    H = -H).  Only the frame lines come from classify."""
+    (u1, v1, _), (u2, v2, _) = _tier_lines(h, hp)[:2]
+    c, cp = [[u1[0], u2[0]], [u1[1], u2[1]]], [[v1[0], v2[0]], [v1[1], v2[1]]]
+    (det_c, adj), (det_cp, adj_p) = adjugate(c), adjugate(cp)
+    z2 = HGroup.standard(2)
+
+    def scaled(m, x, y, a, den):
+        # m diag(x, y) a / den
+        rows = [[m[i][0] * x * a[0][j] + m[i][1] * y * a[1][j] for j in range(2)] for i in range(2)]
+        return Mat(rows, den)
+
+    primes = sorted({*h.support(), *hp.support(), 2, 3, 5})
+    found = 0
+    for exps in itertools.product(range(-2, 3), repeat=len(primes)):
+        n = math.prod(p**e for p, e in zip(primes, exps) if e > 0)
+        d = math.prod(p**-e for p, e in zip(primes, exps) if e < 0)
+        for s in (1, -1):
+            # lambda = n / d and mu = s D / lambda: alpha over d n |det C'| det C,
+            # alpha^-1 over d n |det C| det C'
+            x, y = n * n * abs(det_cp), d * d * abs(det_c)
+            alpha = scaled(cp, x, s * y, adj, d * n * abs(det_cp) * det_c)
+            inv = scaled(c, y, s * x, adj_p, d * n * abs(det_c) * det_cp)
+            # alpha Z^2 <= H' and alpha^-1 Z^2 <= H are necessary, and cheap
+            if maps_into(alpha.den, alpha.num, z2, hp) and maps_into(inv.den, inv.num, z2, h):
+                try:
+                    found += equal_h(apply_matrix(alpha, h), hp)
+                except NotSupergroupError:
+                    pass
+    return found
+
+
+def test_line_tier_no_verdicts_have_no_small_witness():
+    # seeded unconstructed pairs of one shape, lines at 7 and 11: no NO of
+    # the line tier has a witness in the search above, which finds the
+    # witnesses of two of the formerly wrong NOs
+    for case in ("rank0-residue", "tilted-frame"):
+        assert _small_line_witnesses(*map(parse_group, WRONG_COE_NO[case][:2]))
+    rng = random.Random(4243)
+    kinds = []
+    while len(kinds) < 10:
+        lines, r = rng.sample([7, 11], 2), rng.choice([1, 2, 3, 6])
+        dens = [rng.choice([5, 25, 17]) for _ in range(rng.randint(1, 2))]
+        h, hp = (
+            _two_line_text(_random_unimodular(rng), lines, r, [(d, 1, rng.randrange(d)) for d in dens])
+            for _ in "ab"
+        )
+        v = decide(COE, h, hp)
+        kind = v.certificate.kind if v.answer == "NO" else None
+        if kind in ("valuation-system", "line-candidates-exhausted"):
+            assert not _small_line_witnesses(h, hp), v.certificate
+            kinds.append(kind)
+    assert set(kinds) == {"valuation-system", "line-candidates-exhausted"}
+
+
+_Q_PAIR = "oplus(Z[1/14], Z[1/22]) + gen(1/{q}, {a}/{q2})"
+
+
+@pytest.mark.parametrize("q, q2, answer", [(10007, 10007**2, "YES"), (1009, 1009, "NO")])
+def test_rank0_residue_walk_is_fast(q, q2, answer):
+    # lambda = 2^e at the rank-2 prime 2: COE needs 2^(2e) = +-1/3 mod q.
+    # For q = 10007 the walk finds a class; for q = 1009 it exhausts <2> mod
+    # 1009, and no diag(+-2^e, +-2^-e) with |e| <= 504 = ord(2) is a witness
+    h, hp = (parse_group(_Q_PAIR.format(q=q, q2=q2, a=a)) for a in (1, 3))
+    for x, y in ((h, hp), (hp, h)):
+        start = time.perf_counter()
+        v = decide(COE, x, y)
+        assert time.perf_counter() - start < 0.5
+        assert v.answer == answer
+        if answer == "YES":
+            assert abs(v.witness.det()) == 1 and maps_onto(v.witness, x, y)
+    if answer == "NO":
+        for e in range(-504, 505):
+            lam = F(2) ** e
+            for mu in (1 / lam, -1 / lam):
+                assert not maps_onto(rational_mat([[lam, 0], [0, mu]]), h, hp)
 
 
 def _tier_pairs():
@@ -842,14 +991,15 @@ def test_line_and_zero_line_tiers_build_no_fraction(monkeypatch):
 
 
 def test_sign_choices_test_each_sign_pair_once(g, monkeypatch):
-    # -alpha passes exactly when alpha does (H = -H), so each of the line
-    # tier's calls tests at most one candidate per +- pair, and its witness
-    # tuples hold both members of each pair, sorted.  A candidate is tested
-    # by one forward maps_into(den, rows, H, H') call, and only a pass adds
-    # the backward one.
+    # -alpha passes exactly when alpha does (H = -H), so each _sign_choices
+    # call tests at most one candidate per +- pair and lists both members of
+    # each pair that passes, and the line tier's witness tuples are sorted.
+    # A candidate is tested by one forward maps_into(den, rows, H, H') call,
+    # and only a pass adds the backward one.
     tested = []
-    calls = []  # (forward maps_into calls, verdict) per _sign_choices call
-    sign_choices = classify._sign_choices
+    calls = []  # (forward maps_into calls, witness list) per _sign_choices call
+    verdicts = []
+    sign_choices, line_tier = classify._sign_choices, classify._line_tier
 
     def count_tests(den, rows, src, dst):
         tested.append((src, dst))
@@ -860,13 +1010,18 @@ def test_sign_choices_test_each_sign_pair_once(g, monkeypatch):
         # backward one by identity also where H = H'
         hp = HGroup(hp.d, hp.entries)
         before = len(tested)
-        verdict = sign_choices(relation, h, hp, *args)
+        found = sign_choices(relation, h, hp, *args)
         forward = sum(src is h and dst is hp for src, dst in tested[before:])
-        calls.append((forward, verdict))
-        return verdict
+        calls.append((forward, found))
+        return found
+
+    def record_tier(*args):
+        verdicts.append(line_tier(*args))
+        return verdicts[-1]
 
     monkeypatch.setattr(classify, "maps_into", count_tests)
     monkeypatch.setattr(classify, "_sign_choices", record)
+    monkeypatch.setattr(classify, "_line_tier", record_tier)
     # the one-line and zero-line witness enumerations are not under test
     monkeypatch.setattr(classify, "_bounded_search", lambda relation, *args: Verdict(relation, "UNKNOWN"))
     free = [g[name] for name in g if name != "z2"]
@@ -875,12 +1030,14 @@ def test_sign_choices_test_each_sign_pair_once(g, monkeypatch):
             decide(relation, h, hp, all_witnesses=True)
     counts = [n for n, _ in calls]
     assert len(calls) >= 50 and max(counts) == 2
-    yes = [v.witnesses for _, v in calls if v.answer == "YES"]
+    assert sum(1 for _, found in calls if found) >= 20
+    for _, found in calls:
+        assert found[1::2] == [w.scale(-1) for w in found[::2]]
+    yes = [v.witnesses for v in verdicts if v.answer == "YES"]
     assert len(yes) >= 20
     for wits in yes:
         assert set(wits) == {w.scale(-1) for w in wits}
         assert list(wits) == sorted(wits, key=classify._sort_key)
-
 
 
 def _count_eliminations(monkeypatch):
@@ -902,7 +1059,7 @@ def _two_line_pairs(g):
     distinct divisible lines and a consistent line map."""
     free = [g[name] for name in g if name != "z2"]
     pairs = list(itertools.product(free, repeat=2)) + _tier_pairs()
-    return [(h, hp) for h, hp in pairs if h.d == hp.d == 2 and _line_frames(h, hp)]
+    return [(h, hp) for h, hp in pairs if h.d == hp.d == 2 and _tier_lines(h, hp)]
 
 
 def test_frame_is_the_closed_form_adjugate(monkeypatch):
@@ -926,15 +1083,15 @@ def test_line_tiers_run_no_elimination(g, monkeypatch):
     # closed-form frames and carried inverses: no adjugate inside the tiers
     eliminations = _count_eliminations(monkeypatch)
     runs = []  # (eliminations, answer) per tier call
-    for name in ("_iso_line_tier", "_coe_line_tier"):
+    tier = classify._line_tier
 
-        def counted(*args, tier=getattr(classify, name)):
-            before = len(eliminations)
-            verdict = tier(*args)
-            runs.append((len(eliminations) - before, verdict.answer))
-            return verdict
+    def counted(*args):
+        before = len(eliminations)
+        verdict = tier(*args)
+        runs.append((len(eliminations) - before, verdict.answer))
+        return verdict
 
-        monkeypatch.setattr(classify, name, counted)
+    monkeypatch.setattr(classify, "_line_tier", counted)
     for h, hp in _two_line_pairs(g):
         for relation in (ISO, COE):
             decide(relation, h, hp)
@@ -956,13 +1113,13 @@ def test_line_tier_inverses_are_exact(g, monkeypatch):
     def record(relation, h, hp, *args):
         hp = HGroup(hp.d, hp.entries)  # told apart from h by identity, as above
         before = len(made)
-        verdict = sign_choices(relation, h, hp, *args)
+        found = sign_choices(relation, h, hp, *args)
         calls = made[before:]
         for (fden, frows, fsrc, fdst), (den, rows, src, dst) in zip(calls, calls[1:]):
             if src is hp and dst is h:
                 assert fsrc is h and fdst is hp and den > 0
                 products.append(Mat(rows, den) * Mat(frows, fden))
-        return verdict
+        return found
 
     monkeypatch.setattr(classify, "maps_into", recording)
     monkeypatch.setattr(classify, "_sign_choices", record)

@@ -82,6 +82,18 @@ def test_classify_all_witnesses(grp, capsys):
     assert "witness_2=mat([0,-1;-1,0])" in out
 
 
+def test_classify_coe_rank0_residue_pair(grp, capsys):
+    # lambda = 1/2 at the rank-2 prime 2 fixes the residue at the rank-0
+    # prime 13: diag(1/2, 2) maps gen(1/13, 1/169) to gen(1/13, 4/169)
+    base = "oplus(Z[1/14], Z[1/22])"
+    a = grp("residue_a", f"{base} + gen(1/13, 1/169)")
+    b = grp("residue_b", f"{base} + gen(1/13, 4/169)")
+    code, out = run(capsys, "classify", "--relation", "coe", a, b)
+    assert code == 0
+    assert "witness=mat([1/2,0;0,2])" in out.splitlines()
+    assert out.strip().splitlines()[-1] == "verdict=YES"
+
+
 def test_python_m_zodom_runs_main(grp, capsys):
     # `python -m zodom` runs the same main: stdout and exit code (1, NO)
     argv = ["classify", "--relation", "coe", grp("class35_3a"), grp("class35_3b")]
