@@ -14,7 +14,10 @@ a deviation flag alongside the construction.
 The checks run in integers on (a, b, det) and integer rows:
 det * Z^2 alpha^-1 = Z^2 adj(alpha), with adj(alpha) rows (b, -1) and (-1, a),
 and both norm bounds are decided by one exact minimum over every nonzero
-coset of Z^2 alpha^-1 / Z^2 (``_coset_l1_min``).
+coset of Z^2 alpha^-1 / Z^2 (``_coset_l1_min``): the least l1 norm of the
+two-dimensional lattice Z (-1, a) + Z (0, det), read off a Lagrange-reduced
+basis in O(log det) steps.  The dual-ball test is the congruence
+adj(P_n) x = 0 mod det P_n on the four integers of P_n = alpha_1 ... alpha_n.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .gdsl import parse_group
-from .linalg import Lattice, Mat, is_prime
+from .linalg import Mat, is_prime
 
 STEP_CAP = 1_000_000  # values of b tried per level before extend gives up
 
@@ -97,25 +100,39 @@ class RigidProgram:
 
 def _coset_l1_min(a: int, det: int) -> int:
     """det * min |x|_1 over x in Z^2 alpha^-1 - Z^2, for alpha = [[a,1],[1,b]]
-    with prime det = ab - 1.  Exact over every nonzero coset, O(1) memory.
+    with prime det = ab - 1.  Exact over every nonzero coset, O(log det) steps.
 
     Z^2 alpha^-1 = (1/det) Z^2 adj(alpha), adj(alpha) with rows (b, -1) and
     (-1, a).  Modulo det Z^2 that row group is cyclic of order det, generated
-    by (-1, a), since -b (-1, a) = (b, -ab) = (b, -1) mod det.  So the nonzero
-    cosets are j (-1, a) / det + Z^2 for 1 <= j < det.  The l1 norm splits by
-    coordinate, and min |t/det + k| over k in Z is c(t)/det with
-    c(t) = min(t mod det, det - t mod det) = c(-t); the answer is the least
-    c(j) + c(j a).  The terms for j and det - j agree, so j <= det/2, where
-    c(j) = j, and no j >= best can improve on best: the scan stops there.
+    by (-1, a), since -b (-1, a) = (b, -ab) = (b, -1) mod det.  So
+    det (Z^2 alpha^-1) is the lattice L = Z (-1, a) + Z (0, det) =
+    {(s, t) : t = -a s mod det}, which contains det Z^2.  Its vectors off
+    det Z^2 are the nonzero cosets; those in det Z^2 have |.|_1 >= det, with
+    equality at (det, 0).  So the answer is the least l1 norm of a nonzero
+    vector of L.
+
+    Lagrange (Gauss) reduction takes (-1, a), (0, det) to a basis b1, b2 of
+    L with |b1| <= |b2| and 2 |<b1, b2>| <= |b1|^2 (Euclidean norms), in
+    O(log det) steps.  Then for integers m, n
+
+        |m b1 + n b2|^2 >= (m^2 - |mn| + n^2) |b1|^2.
+
+    An l1-shortest x = m b1 + n b2 has |x| <= |x|_1 <= |b1|_1 <= sqrt(2) |b1|,
+    so m^2 - |mn| + n^2 <= 2.  For |m| >= 2 the left side is at least
+    3 m^2 / 4 >= 3, and likewise for |n| >= 2; so |m|, |n| <= 1 and x is one
+    of +-b1, +-b2, +-(b1 + b2), +-(b1 - b2).
     """
-    best = det
-    t = 0
-    for j in range(1, det // 2 + 1):
-        if j >= best:
+    u, v = (-1, a), (0, det)
+    while True:
+        uu = u[0] * u[0] + u[1] * u[1]
+        q = (2 * (u[0] * v[0] + u[1] * v[1]) + uu) // (2 * uu)  # nearest integer
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        if v[0] * v[0] + v[1] * v[1] >= uu:
             break
-        t = (t + a) % det
-        best = min(best, j + min(t, det - t))
-    return best
+        u, v = v, u
+    return min(
+        abs(x) + abs(y) for x, y in (u, v, (u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1]))
+    )
 
 
 def verify_exercises(prog: RigidProgram, n: int) -> dict:
@@ -195,15 +212,16 @@ def verify_cyclicity(prog: RigidProgram, y, n: int) -> bool:
 def dual_ball_trivial(prog: RigidProgram, n: int) -> bool:
     """No nonzero dual vector of l1 norm <= n at level n (density witness).
     H_n = Z^2 P_n^-1 in rows for P_n = alpha_1 ... alpha_n, so its dual is
-    spanned by the columns of P_n: x is dual iff P_n^-1 x is integral."""
+    spanned by the columns of P_n: x is dual iff P_n^-1 x = adj(P_n) x / det P_n
+    is integral, i.e. adj(P_n) x = 0 mod det P_n."""
     prog.extend(n)
-    prod = Mat.identity(2)
+    (p, q), (r, s) = (1, 0), (0, 1)  # the rows of P_n, built as rows times alpha
     for lvl in prog.levels[:n]:
-        prod = prod * lvl.matrix()
-    dual = Lattice(prod)
+        (p, q), (r, s) = lvl.apply((p, q)), lvl.apply((r, s))
+    det = p * s - q * r
     for x1 in range(-n, n + 1):
         for x2 in range(-(n - abs(x1)), n - abs(x1) + 1):
-            if (x1, x2) != (0, 0) and dual.member((x1, x2)):
+            if (x1, x2) != (0, 0) and (s * x1 - q * x2) % det == (p * x2 - r * x1) % det == 0:
                 return False
     return True
 

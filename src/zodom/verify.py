@@ -358,7 +358,7 @@ def criterion_11_rigid(seed: int) -> CriterionResult:
         report = verify_exercises(prog, n)
         if not all(report[f"item{k}"] for k in range(1, 6)):
             return CriterionResult(11, "rigid", False, f"exercise failed at level {n}")
-    for n in (1, 2):
+    for n in (1, 2, 3):
         if not verify_torsion_bound(prog, n):
             return CriterionResult(11, "rigid", False, f"norm bound failed at level {n}")
     ys = [

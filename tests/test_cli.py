@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -478,6 +479,28 @@ def test_rigid_verb(capsys):
     code, out = run(capsys, "rigid", "--levels", "3", "--verify")
     assert code == 0
     assert out.splitlines() == RIGID_3_VERIFY
+
+
+def test_rigid_verifies_level_5_quickly(capsys):
+    # the norm bounds read one exact l1 minimum per level; at level 5 it is
+    # 2385037201, far beyond any scan over the cosets
+    start = time.perf_counter()
+    code, out = run(capsys, "rigid", "--levels", "5", "--verify")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    lines = out.splitlines()
+    for line in (
+        "level_5.a=2385037200",
+        "level_5.b=2385037205",
+        "level_5.det=5688402457309025999",
+        "level_5.k_constant=2385037200",
+    ):
+        assert line in lines
+    checks = [f"exercise_{item}" for item in range(1, 6)] + ["norm_bound", "dual_ball"]
+    for n in range(1, 6):
+        for check in checks:
+            assert f"level_{n}.{check}=pass" in lines, (n, check)
+    assert "=fail" not in out and lines[-1] == "cyclicity=pass"
 
 
 def test_usage_errors(capsys):

@@ -199,7 +199,7 @@ def test_classify_ends_in_a_verdict_or_an_error(grp_path, a, b, relation):
     _run_pair(grp_path, (a, b), ("classify", "--relation", relation, "--bound", "2"))
 
 
-@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
 def test_rigid_verify_ends_in_a_report(levels):
     _run(["rigid", "--levels", str(levels), "--verify"])
 

@@ -783,7 +783,8 @@ def det_one_matrices(draw, d):
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
         if draw(st.booleans()):
             rows[0], rows[1] = rows[1], rows[0]
-        rows[-1] = [draw(st.sampled_from([1, -1])) * x for x in rows[-1]]
+        sign = draw(st.sampled_from([1, -1]))
+        rows[-1] = [sign * x for x in rows[-1]]
         return Mat(rows)
 
     m = unimodular()
@@ -792,6 +793,7 @@ def det_one_matrices(draw, d):
         scale = rational_mat([[F(q) if i == j == 0 else F(1, q) if i == j == 1 else int(i == j)
                                for j in range(d)] for i in range(d)])
         m = m * scale * unimodular()
+    assert abs(m.det()) == 1, m
     return m
 
 

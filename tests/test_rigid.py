@@ -128,6 +128,20 @@ def coset_l1_min_by_enumeration(alpha: Mat) -> int:
     return int(det * best)
 
 
+def coset_l1_min_by_scan(a: int, det: int) -> int:
+    """The least c(j) + c(j a) over 1 <= j < det, c(t) the distance of t to
+    det Z, scanned in j: the terms for j and det - j agree, so j <= det / 2,
+    where c(j) = j, and no j >= best can improve on best."""
+    best = det
+    t = 0
+    for j in range(1, det // 2 + 1):
+        if j >= best:
+            break
+        t = (t + a) % det
+        best = min(best, j + min(t, det - t))
+    return best
+
+
 def test_coset_l1_min_matches_enumeration(prog):
     rng = random.Random(2033)
     pairs = [(lvl.a, lvl.b) for lvl in prog.levels]
@@ -138,6 +152,7 @@ def test_coset_l1_min_matches_enumeration(prog):
     for a, b in pairs:
         expected = coset_l1_min_by_enumeration(Mat([[a, 1], [1, b]]))
         assert _coset_l1_min(a, a * b - 1) == expected, (a, b)
+        assert coset_l1_min_by_scan(a, a * b - 1) == expected, (a, b)
     # On that family the minimum is 1 + min(a, b) (but for a = b = 2), at
     # (-1, a) or (b, -1), which leaves most of the kernel untested.  Any alpha
     # of prime determinant p gives a cyclic Z^2 alpha^-1 / Z^2 generated by a
@@ -151,8 +166,22 @@ def test_coset_l1_min_matches_enumeration(prog):
         if not is_prime(p) or z % p == 0:
             continue
         a = x * pow(z, -1, p) % p  # adjugate row (z, -x) = -z (-1, x / z)
-        assert _coset_l1_min(a, p) == coset_l1_min_by_enumeration(Mat(rows)), rows
+        expected = coset_l1_min_by_enumeration(Mat(rows))
+        assert _coset_l1_min(a, p) == expected == coset_l1_min_by_scan(a, p), rows
         tested += 1
+
+
+def test_coset_l1_min_matches_scan():
+    # The reduced basis b1, b2 alone misses the minimum on about 2 % of
+    # random pairs, where it lies only at b1 +- b2.
+    pairs = [(lvl.a, lvl.det) for lvl in RigidProgram().extend(4).levels]
+    rng = random.Random(4051)
+    while len(pairs) < 4 + 2000:
+        det = rng.randint(2, 10**6)
+        if is_prime(det):
+            pairs.append((rng.randrange(1, det), det))
+    for a, det in pairs:
+        assert _coset_l1_min(a, det) == coset_l1_min_by_scan(a, det), (a, det)
 
 
 def test_deep_levels():
@@ -160,11 +189,11 @@ def test_deep_levels():
     prog = RigidProgram().extend(5)
     lvl = prog.levels[4]
     assert (lvl.a, lvl.b, lvl.det) == (2385037200, 2385037205, 5688402457309025999)
-    minima = [_coset_l1_min(lvl.a, lvl.det) for lvl in prog.levels[:4]]
-    assert minima == [4, 11, 181, 43681]
-    # level 4 clears its constant K_4 = 43680 by one
-    assert [lvl.k_constant for lvl in prog.levels[:4]] == [3, 10, 180, 43680]
-    assert verify_torsion_bound(prog, 4)
+    minima = [_coset_l1_min(lvl.a, lvl.det) for lvl in prog.levels]
+    assert minima == [4, 11, 181, 43681, 2385037201]
+    # levels 4 and 5 clear their constants K_n = a by one
+    assert [lvl.k_constant for lvl in prog.levels] == [3, 10, 180, 43680, 2385037200]
+    assert verify_torsion_bound(prog, 4) and verify_torsion_bound(prog, 5)
 
 
 def test_cyclicity_small_vectors(prog):
@@ -205,8 +234,8 @@ def _dual_ball_reference(prog, n):
 
 
 def test_dual_ball_matches_fraction_reference():
-    prog = RigidProgram().extend(4)
-    for n in range(1, 5):
+    prog = RigidProgram().extend(5)
+    for n in range(1, 6):
         assert dual_ball_trivial(prog, n) and _dual_ball_reference(prog, n)
     # alpha = [[2, 1], [1, 1]] has det 1: the dual lattice is Z^2 itself
     unimodular = RigidProgram()
