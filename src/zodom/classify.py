@@ -7,6 +7,7 @@ Decision strategy, in order:
   valuation, and for isomorphism the elementary divisors of L(p)/Z^d at
   rank-0 primes; line-arrangement consistency) -- mismatches yield NO with
   a checkable certificate;
+* for d >= 3, H = H' is YES, with the witnesses I and -I (-I H = -H = H);
 * for zero-line groups (every support prime has divisibility rank 0 or d),
   both relations are decided in any d by a constructed witness: alpha maps
   Z^d + sum of the rank-0 lattices L(p) of H onto that of H' (for
@@ -306,23 +307,24 @@ def _sort_key(cand: Mat):
 
 def _witness_search(relation, h, hp, bound, all_witnesses):
     """The d >= 2 steps shared by isomorphism and COE: invariants (the
-    relation's profile), the zero-line tier (it returns None where it leaves
-    the pair to the later steps), then for d = 2 the relation's line tier
-    (two distinct divisible lines) or the bounded search."""
+    relation's profile), for d >= 3 equality (witnesses I and -I), the
+    zero-line tier (it returns None where it leaves the pair to the later
+    steps), then for d = 2 the relation's line tier (two distinct divisible
+    lines) or the bounded search."""
     coe = relation == COE
     cert = _superindex_mismatch(h, hp) or (_coe_profile_ok if coe else _iso_profile_ok)(h, hp)
     if cert is not None:
         return Verdict(relation, NO, certificate=cert)
+    if h.d >= 3 and equal_h(h, hp):
+        # -I.H = -H = H and det(-I) = +-1, so -I is a witness too
+        one = Mat.identity(h.d)
+        wits = (one, one.scale(-1)) if all_witnesses else ()
+        return Verdict(relation, YES, witness=one, witnesses=wits)
     if all(e.r in (0, h.d) for e in h.entries):
         verdict = _zero_line_tier(relation, h, hp, bound, all_witnesses)
         if verdict is not None:
             return verdict
     if h.d >= 3:
-        if equal_h(h, hp):
-            # -I.H = -H = H and det(-I) = +-1, so -I is a witness too
-            one = Mat.identity(h.d)
-            wits = (one, one.scale(-1)) if all_witnesses else ()
-            return Verdict(relation, YES, witness=one, witnesses=wits)
         cert = Certificate("search-exhausted", "no decision procedure for d >= 3")
         return Verdict(relation, UNKNOWN, certificate=cert)
     assignment, cert = _line_assignment(h, hp)

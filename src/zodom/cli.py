@@ -41,7 +41,15 @@ from .hgroup import (
 )
 from .linalg import FactorBudgetError, Lattice, Mat, SingularMatrixError, ratio_text
 from .odometer import SpectrumTooLargeError, TowerSystem, measure_cylinder, metric, spectrum_numerators
-from .rigid import K1_DEVIATION, RigidProgram, dual_ball_trivial, verify_cyclicity, verify_exercises, verify_torsion_bound
+from .rigid import (
+    K1_DEVIATION,
+    RigidProgram,
+    dual_ball_trivial,
+    nonzero_l1_ball,
+    verify_cyclicity,
+    verify_exercises,
+    verify_torsion_bound,
+)
 from .verify import DEFAULT_SEED, run_paper_suite
 
 EX_USAGE = 64
@@ -78,7 +86,7 @@ class InputError(Exception):
 
 
 # raised only while input is read, parsed, elaborated or checked for freeness,
-# or when a spectrum is refused before it is built
+# or when a spectrum is refused as too large
 _INPUT_ERRORS = (InputError, BadDenominatorError, DimensionMismatchError, FactorBudgetError,
                  NotFreeError, NotSupergroupError, SingularMatrixError, SpectrumTooLargeError)
 
@@ -280,13 +288,7 @@ def _cmd_rigid(args):
                 )
             _emit(f"level_{n}.norm_bound", "pass" if verify_torsion_bound(prog, n) else "fail")
             _emit(f"level_{n}.dual_ball", "pass" if dual_ball_trivial(prog, n) else "fail")
-        ys = sorted(
-            (x, y)
-            for x in range(-args.levels, args.levels + 1)
-            for y in range(-args.levels, args.levels + 1)
-            if 0 < abs(x) + abs(y) <= args.levels
-        )
-        ok = all(verify_cyclicity(prog, y, args.levels) for y in ys)
+        ok = all(verify_cyclicity(prog, y, args.levels) for y in nonzero_l1_ball(args.levels))
         _emit("cyclicity", "pass" if ok else "fail")
     return 0
 

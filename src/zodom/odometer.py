@@ -210,12 +210,12 @@ def metric(x: OdoPoint, y: OdoPoint) -> Fraction:
     return Fraction(0)
 
 
-SPECTRUM_MAX_COUNT = 100_000  # eigenvalues that ``spectrum_numerators`` builds at most
+SPECTRUM_MAX_COUNT = 100_000  # eigenvalues that ``spectrum_numerators`` returns at most
 
 
 class SpectrumTooLargeError(ValueError):
     """A spectrum with more than ``SPECTRUM_MAX_COUNT`` eigenvalues, refused
-    before it is built."""
+    before more than that many are built."""
 
     def __init__(self, height: int):
         super().__init__(
@@ -223,41 +223,55 @@ class SpectrumTooLargeError(ValueError):
         )
 
 
-def _spectrum_classes(h: HGroup, height: int):
-    """(den, parts, count) for the eigenvalues of h up to height (see
-    ``spectrum_numerators``): den is the product of the p^k, parts holds one
-    dict per support prime p <= height, mapping each tuple of coordinate
-    denominators to the components x / p^k that have it, as numerators
-    over den, and count is the number of eigenvalues.  Raises
-    ``SpectrumTooLargeError`` once count is seen to exceed the cap.
+def spectrum_numerators(h: HGroup, height: int):
+    """(den, numerators): the rational eigenvalues h mod Z^d with coordinate
+    denominators <= height are u / den for the integer tuples u in
+    numerators, each coordinate in [0, den), sorted lexicographically; den
+    is the product of the p^k below.  More than ``SPECTRUM_MAX_COUNT``
+    eigenvalues raise ``SpectrumTooLargeError``, at most that many built.
 
-    Lambda_p contains p^k Z^d, so the diagonal b_j of its lower-triangular
-    HNF divides p^k, and sum t_j c_j over the columns c_j with t_j in
-    [0, p^k / b_j) reduced mod p^k gives each coset of Lambda_p / p^k Z^d
-    once: coordinate j of a difference is (t_j - t'_j) b_j mod p^k plus
-    terms of earlier columns.
+    Proof sketch: Q^d/Z^d is the direct sum of its p-primary parts, and
+    each p-component of v is an integer multiple of v modulo Z^d, so with
+    Z^d <= H, v lies in H iff each of its p-components does.  A coordinate's
+    denominator is the product of its components' denominators, so each
+    component is within the height, and at p it is x / p^k with x integral
+    and p^k the largest power of p that is <= height.  Such a vector lies in
+    H iff _rows . x = 0 mod p^k, i.e. x lies in Lambda_p; H <= Z[1/S]^d for
+    the support S, and a prime p > height has no component but 0.  The
+    Smith form U . _rows . V = S that each entry keeps (``_smith``) gives
+    Lambda_p = V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d
+    (``hgroup._congruence_rows``); no Smith form is computed here.
 
-    The first count, of each prime alone: with (s, V) the Smith form of the
-    m rows, Lambda_p = V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d, so
-    [Z^d : Lambda_p] = prod_j p^k / gcd(s_j, p^k) and Lambda_p / p^k Z^d has
-    N_p = p^(kd) / [Z^d : Lambda_p] = p^(k(d-m)) prod_j gcd(s_j, p^k)
-    elements.  Each is an eigenvalue with the zero components at the other
-    primes, as its denominators divide p^k <= height, and eigenvalues with
-    at most one nonzero component are distinct, so there are at least
-    1 + sum_p (N_p - 1) eigenvalues.  When that exceeds the cap, so does
-    the spectrum, and no component is listed.
+    The first count, of each prime alone, lists nothing: with m rows,
+    [Z^d : Lambda_p] = prod_j p^k / gcd(s_j, p^k), so Lambda_p / p^k Z^d has
+    N_p = p^(k(d-m)) prod_j gcd(s_j, p^k) elements.  Each is an eigenvalue
+    with the zero components at the other primes, and eigenvalues with at
+    most one nonzero component are distinct, so there are at least
+    1 + sum_p (N_p - 1) of them; above the cap, no component is listed.
 
-    The second count, of classes: an eigenvalue is a tuple of components,
-    one per prime, and coordinate j of its denominator is the product of
-    the components' denominators there, so whether it passes the height
-    depends only on the components' classes (their denominator tuples).
-    The count is the sum, over the tuples of classes whose products pass,
-    of the products of the class sizes; a product only grows as primes are
-    added, so a tuple whose first primes fail is dropped with all its
-    extensions.  Each partial tuple that passes is an eigenvalue prefix
-    that survives: every later prime contributes its zero component, whose
-    denominators are all 1.  So the running count never exceeds the final
-    one, and the refusal is sound as soon as it passes the cap."""
+    Then one prime at a time: Lambda_p contains p^k Z^d, so the diagonal b_j
+    of its lower-triangular HNF divides p^k, and sum t_j c_j over the
+    columns c_j with t_j in [0, p^k / b_j) reduced mod p^k lists each coset
+    of Lambda_p / p^k Z^d once (coordinate j of a difference is
+    (t_j - t'_j) b_j mod p^k plus terms of earlier columns).  The
+    components are grouped by their tuples of coordinate denominators, and
+    whether a sum passes the height depends only on the classes of its
+    summands, so the pairs of (partial, component) classes whose products
+    pass give exactly the partial eigenvalues over the primes so far, and
+    their count is the sum of len(a) * len(b) over those pairs.  That count
+    is refused above the cap before any pair is summed.  It never falls from
+    one prime to the next, as every later prime contributes its zero
+    component, whose denominators are all 1; so some prime's count passes
+    the cap exactly when the number of eigenvalues does.  A component x / p^k is held as
+    x (den / p^k) over den, so an eigenvalue is the sum of its components'
+    numerators, reduced mod den once at the end, and integer order is the
+    order of the values.
+
+    Z^2 + Z (1/5, 1/5), up to height 5: the eigenvalues (j/5, j/5).
+
+    >>> spectrum_numerators(HGroup.from_local_data(2, {5: ([(5, (1, 1))], [])}), 5)
+    (5, [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)])
+    """
     if height < 1:
         raise ValueError("height must be >= 1")
     d = h.d
@@ -275,8 +289,7 @@ def _spectrum_classes(h: HGroup, height: int):
     if alone > SPECTRUM_MAX_COUNT:
         raise SpectrumTooLargeError(height)
     den = prod(pk for pk, _ in primes)
-    parts = []
-    counts = {(1,) * d: 1}  # denominator tuple -> number of partial eigenvalues
+    partial = {(1,) * d: [(0,) * d]}  # denominator tuple -> numerator sums
     for pk, e in primes:
         basis = hnf(_congruence_rows(e._smith, pk))
         points = [[0] * d]
@@ -292,79 +305,20 @@ def _spectrum_classes(h: HGroup, height: int):
         for pt in points:
             dens = tuple(pk // gcd(x, pk) for x in pt)
             part.setdefault(dens, []).append(tuple(x * scale for x in pt))
-        parts.append(part)
-        grown = {}
-        total = 0
-        for dens_a, n_a in counts.items():
-            for dens_b, nums_b in part.items():
-                dens = tuple(map(mul, dens_a, dens_b))
-                if max(dens) <= height:
-                    n = n_a * len(nums_b)
-                    grown[dens] = grown.get(dens, 0) + n
-                    total += n
-                    if total > SPECTRUM_MAX_COUNT:
-                        raise SpectrumTooLargeError(height)
-        counts = grown
-    return den, parts, sum(counts.values())
-
-
-def spectrum_numerators(h: HGroup, height: int):
-    """(den, numerators): the rational eigenvalues h mod Z^d with coordinate
-    denominators <= height are u / den for the integer tuples u in
-    numerators, each coordinate in [0, den), sorted lexicographically; den
-    is the product of the p^k below.  More than ``SPECTRUM_MAX_COUNT``
-    eigenvalues raise ``SpectrumTooLargeError``, counted before any is
-    built.
-
-    Proof sketch: Q^d/Z^d is the direct sum of its p-primary parts, and
-    each p-component of v is an integer multiple of v modulo Z^d, so with
-    Z^d <= H, v lies in H iff each of its p-components does.  A coordinate's
-    denominator is the product of its components' denominators, so each
-    component is within the height, and at p it is x / p^k with x integral
-    and p^k the largest power of p that is <= height.  Such a vector lies in
-    H iff _rows . x = 0 mod p^k, i.e. x lies in Lambda_p; H <= Z[1/S]^d for
-    the support S, and a prime p > height has no component but 0.  The
-    Smith form U . _rows . V = S that each entry keeps (``_smith``) gives
-    Lambda_p = V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d
-    (``hgroup._congruence_rows``); no Smith form is computed here.
-
-    ``_spectrum_classes`` lists each prime's components, grouped by their
-    tuples of coordinate denominators, and counts the eigenvalues from the
-    class sizes alone.  The components are then summed prime by prime, and
-    a pair of classes is skipped once a coordinate's product exceeds the
-    height.  A component x / p^k is held as x (den / p^k) over den, so an
-    eigenvalue is the sum of its components' numerators, reduced mod den
-    once at the end, and integer order is the order of the values.
-
-    Z^2 + Z (1/5, 1/5), up to height 5: the eigenvalues (j/5, j/5).
-
-    >>> spectrum_numerators(HGroup.from_local_data(2, {5: ([(5, (1, 1))], [])}), 5)
-    (5, [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)])
-    """
-    den, parts, _ = _spectrum_classes(h, height)
-    partial = {(1,) * h.d: [(0,) * h.d]}  # denominator tuple -> numerator sums
-    for part in parts:
-        grown = {}
+        pairs = []
         for dens_a, nums_a in partial.items():
             for dens_b, nums_b in part.items():
                 dens = tuple(map(mul, dens_a, dens_b))
                 if max(dens) <= height:
-                    grown.setdefault(dens, []).extend(
-                        tuple(map(add, u, v)) for u in nums_a for v in nums_b
-                    )
-        partial = grown
+                    pairs.append((dens, nums_a, nums_b))
+        if sum(len(a) * len(b) for _, a, b in pairs) > SPECTRUM_MAX_COUNT:
+            raise SpectrumTooLargeError(height)
+        partial = {}
+        for dens, nums_a, nums_b in pairs:
+            partial.setdefault(dens, []).extend(
+                tuple(map(add, u, v)) for u in nums_a for v in nums_b
+            )
     return den, sorted(tuple(x % den for x in u) for nums in partial.values() for u in nums)
-
-
-def spectrum(h: HGroup, height: int):
-    """Rational eigenvalues h mod Z^d with coordinate denominators <= height,
-    reduced to [0,1)^d and sorted lexicographically, as Fraction tuples:
-    the numerators of ``spectrum_numerators`` over its den, read through
-    one table of values.  Raises ``SpectrumTooLargeError`` above
-    ``SPECTRUM_MAX_COUNT`` eigenvalues."""
-    den, out = spectrum_numerators(h, height)
-    value = {x: Fraction(x, den) for x in {x for v in out for x in v}}
-    return [tuple(map(value.__getitem__, v)) for v in out]
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,16 @@ def verify_cyclicity(prog: RigidProgram, y, n: int) -> bool:
     return all(g == gcds[m - 1] for g in gcds[m - 1 :])
 
 
+def nonzero_l1_ball(n: int):
+    """The nonzero x in Z^2 with |x|_1 <= n, in lexicographic order."""
+    return [
+        (x1, x2)
+        for x1 in range(-n, n + 1)
+        for x2 in range(abs(x1) - n, n - abs(x1) + 1)
+        if x1 or x2
+    ]
+
+
 def dual_ball_trivial(prog: RigidProgram, n: int) -> bool:
     """No nonzero dual vector of l1 norm <= n at level n (density witness).
     H_n = Z^2 P_n^-1 in rows for P_n = alpha_1 ... alpha_n, so its dual is
@@ -219,11 +229,9 @@ def dual_ball_trivial(prog: RigidProgram, n: int) -> bool:
     for lvl in prog.levels[:n]:
         (p, q), (r, s) = lvl.apply((p, q)), lvl.apply((r, s))
     det = p * s - q * r
-    for x1 in range(-n, n + 1):
-        for x2 in range(-(n - abs(x1)), n - abs(x1) + 1):
-            if (x1, x2) != (0, 0) and (s * x1 - q * x2) % det == (p * x2 - r * x1) % det == 0:
-                return False
-    return True
+    return not any(
+        (s * x1 - q * x2) % det == (p * x2 - r * x1) % det == 0 for x1, x2 in nonzero_l1_ball(n)
+    )
 
 
 # ---------------------------------------------------------------------------

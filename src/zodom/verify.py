@@ -21,7 +21,7 @@ from .cohomology import (
     torsion_free_check,
 )
 from .hgroup import HGroup, is_free, superindex_oracle, tower
-from .linalg import INF, Lattice, Mat, lattice_scale
+from .linalg import INF, Lattice, Mat, is_prime, lattice_scale
 from .odometer import (
     FiniteOdometer,
     TowerSystem,
@@ -35,6 +35,7 @@ from .rigid import (
     RigidProgram,
     dual_ball_trivial,
     gallery,
+    nonzero_l1_ball,
     verify_cyclicity,
     verify_exercises,
     verify_torsion_bound,
@@ -349,8 +350,6 @@ def criterion_10_torsion_free(seed: int) -> CriterionResult:
 
 def criterion_11_rigid(seed: int) -> CriterionResult:
     prog = RigidProgram().extend(3)
-    from .linalg import is_prime
-
     for lvl in prog.levels:
         if not is_prime(lvl.det):
             return CriterionResult(11, "rigid", False, f"determinant {lvl.det} not prime")
@@ -361,13 +360,7 @@ def criterion_11_rigid(seed: int) -> CriterionResult:
     for n in (1, 2, 3):
         if not verify_torsion_bound(prog, n):
             return CriterionResult(11, "rigid", False, f"norm bound failed at level {n}")
-    ys = [
-        (x, y)
-        for x in range(-3, 4)
-        for y in range(-3, 4)
-        if 0 < abs(x) + abs(y) <= 3
-    ]
-    for y in ys:
+    for y in nonzero_l1_ball(3):
         if not verify_cyclicity(prog, y, 3):
             return CriterionResult(11, "rigid", False, f"cyclicity failed for y={y}")
     for n in (1, 2, 3):

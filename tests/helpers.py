@@ -3,14 +3,15 @@
 columns, the unimodularity test, the rational columns of a lattice, a
 counter of the Fractions built, the integer kernel and congruence lattice
 that ``zodom`` computed before it read them off one column reduction and
-one Smith form, and the Smith form as written before its row and column
-operations were inlined."""
+one Smith form, the Smith form as written before its row and column
+operations were inlined, and the spectrum as Fraction tuples."""
 
 from fractions import Fraction
 from math import prod
 
 from zodom.hgroup import HGroup
 from zodom.linalg import Lattice, Mat, _column_echelon, clear_denominators
+from zodom.odometer import spectrum_numerators
 
 
 def index(sub: Lattice, sup: Lattice) -> int:
@@ -43,6 +44,12 @@ def direct_sum(h1: HGroup, h2: HGroup) -> HGroup:
                 div_gens += [before + w + after for w in e.vspan]
         data[p] = (lat_gens, div_gens)
     return HGroup.from_local_data(h1.d + h2.d, data)
+
+
+def spectrum(h: HGroup, height: int):
+    """``spectrum_numerators`` read as Fraction tuples in [0, 1)^d."""
+    den, nums = spectrum_numerators(h, height)
+    return [tuple(Fraction(x, den) for x in u) for u in nums]
 
 
 def rational_mat(rows) -> Mat:

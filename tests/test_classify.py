@@ -430,6 +430,18 @@ def test_d3_zero_line_coe_constructed():
     assert v.certificate.kind == "elementary-divisors"
 
 
+@pytest.mark.parametrize("relation", [ISO, COE])
+def test_d3_zero_line_equal_groups_list_both_signs(relation):
+    # -I.H = -H = H, so a zero-line H = H' in d = 3 lists -I beside I, as
+    # every other d >= 3 pair with H = H' does
+    h = parse_group("oplus(Z[1/2], Z[1/2], Z[1/2]) + gen(1/3, 1/3, 0)")
+    one = Mat.identity(3)
+    v = decide(relation, h, h, all_witnesses=True)
+    assert v.answer == "YES" and not v.flags
+    assert v.witness == one
+    assert v.witnesses == (one, one.scale(-1))
+
+
 def test_unknown_on_search_exhaustion():
     # every witness for this shear image has an entry of size >= 3, but the
     # group is zero-line, so neither relation needs the bounded search

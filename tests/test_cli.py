@@ -18,9 +18,9 @@ from zodom.cli import EX_DATA, EX_SOFTWARE, EX_USAGE, main
 from zodom.gdsl import format_vec
 from zodom.hgroup import superindex
 from zodom.linalg import Lattice, Supernatural
-from zodom.odometer import spectrum
 from zodom.rigid import GALLERY_TEXTS
 
+from helpers import spectrum
 from test_hgroup import local_groups
 
 
@@ -234,9 +234,9 @@ D8_TEXT = (
 )
 
 
-def test_spectrum_refuses_the_d8_case_under_a_memory_limit(grp):
-    # 3,491,888,422 eigenvalues up to height 30; the child limits its own
-    # address space to 600 MB, and the count is refused before any is built
+def _spectrum_under_a_memory_limit(path, height):
+    """``zodom spectrum`` in a child that limits its own address space to
+    600 MB."""
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (600_000_000, 600_000_000))\n"
@@ -244,19 +244,34 @@ def test_spectrum_refuses_the_d8_case_under_a_memory_limit(grp):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(zodom.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "spectrum", grp("d8", D8_TEXT), "--height", "30"],
+    return subprocess.run(
+        [sys.executable, "-c", code, "spectrum", path, "--height", str(height)],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_spectrum_refuses_the_d8_case_under_a_memory_limit(grp):
+    # 3,491,888,422 eigenvalues up to height 30, refused from the prime
+    # counts before any component is listed
+    proc = _spectrum_under_a_memory_limit(grp("d8", D8_TEXT), 30)
     assert proc.returncode == EX_DATA
     assert proc.stdout == "error=spectrum up to height 30 has more than 100000 eigenvalues\n"
+
+
+def test_spectrum_refuses_a_large_prime_power_under_a_memory_limit(grp):
+    # 2, 59,049 and 5 components at 2, 3 and 5 pass the prime counts; the
+    # 78,732 sums over 2 and 3 pass the cap, and 5 takes the count to 131,220
+    text = "oplus(Z[1/9]) + oplus(Z) + gen(-7/10) + gen(5)"
+    proc = _spectrum_under_a_memory_limit(grp("deep3", text), 82101)
+    assert proc.returncode == EX_DATA
+    assert proc.stdout == "error=spectrum up to height 82101 has more than 100000 eigenvalues\n"
 
 
 @given(st.integers(1, 3), st.data())
 @settings(max_examples=100, deadline=None)
 def test_spectrum_report_matches_fraction_spectrum(d, data):
     # the report printed from the integer numerators equals the text of
-    # spectrum()'s Fractions through format_vec
+    # the Fractions of the spectrum helper through format_vec
     h = data.draw(local_groups(d))
     height = data.draw(st.integers(1, 6 if d == 3 else 10))
     eigs = spectrum(h, height)

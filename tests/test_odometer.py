@@ -20,13 +20,12 @@ from zodom.odometer import (
     duality_square_check,
     measure_cylinder,
     metric,
-    spectrum,
 )
 from zodom.rigid import GALLERY_TEXTS
 from zodom.verify import sublattices_z2
 
 import duality_reference as pointwise
-from helpers import direct_sum, index, lattice_block, lattice_columns, snf_reference
+from helpers import direct_sum, index, lattice_block, lattice_columns, snf_reference, spectrum
 from test_cli import DENSE_TEXT, TOWER_DIGESTS, TOWER_TEXTS
 from test_hgroup import local_groups
 
@@ -312,10 +311,17 @@ def test_spectrum_matches_grid_reference(d, data):
 
 @given(st.integers(1, 3), st.data())
 @settings(max_examples=200, deadline=None)
-def test_spectrum_class_count_matches_length(d, data):
+def test_spectrum_cap_of_its_own_length_is_tight(d, data):
+    # with n eigenvalues, a cap of n returns all n and a cap of n - 1 refuses
     h = data.draw(local_groups(d))
     height = data.draw(st.integers(1, 10))
-    assert odometer._spectrum_classes(h, height)[2] == len(spectrum(h, height))
+    n = len(spectrum(h, height))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odometer, "SPECTRUM_MAX_COUNT", n)
+        assert len(spectrum(h, height)) == n
+        mp.setattr(odometer, "SPECTRUM_MAX_COUNT", n - 1)
+        with pytest.raises(odometer.SpectrumTooLargeError):
+            spectrum(h, height)
 
 
 PINNED_SPECTRA = [c.split()[1:] for c, _ in TOWER_DIGESTS if c.startswith("spectrum ")]
@@ -324,10 +330,7 @@ PINNED_SPECTRA = [c.split()[1:] for c, _ in TOWER_DIGESTS if c.startswith("spect
 @pytest.mark.parametrize("name, _, height", PINNED_SPECTRA, ids=[n for n, *_ in PINNED_SPECTRA])
 def test_spectrum_class_count_on_pinned_cases(name, _, height):
     texts = {**GALLERY_TEXTS, **TOWER_TEXTS, "dense": DENSE_TEXT}
-    h = parse_group(texts[name])
-    count = odometer._spectrum_classes(h, int(height))[2]
-    assert count == len(spectrum(h, int(height)))
-    assert count <= 4624 < odometer.SPECTRUM_MAX_COUNT
+    assert len(spectrum(parse_group(texts[name]), int(height))) <= 4624 < odometer.SPECTRUM_MAX_COUNT
 
 
 def test_spectrum_cap_boundary(monkeypatch):

@@ -15,6 +15,7 @@ from zodom.rigid import (
     dual_ball_trivial,
     gallery,
     l1_operator_norm,
+    nonzero_l1_ball,
     verify_cyclicity,
     verify_exercises,
     verify_torsion_bound,
@@ -215,6 +216,15 @@ def test_cyclicity_generator_stabilizes(prog):
         verify_cyclicity(prog, (0, 0), 3)
     with pytest.raises(ValueError):
         verify_cyclicity(prog, (2, 2), 3)  # level below |y|_1
+
+
+def test_nonzero_l1_ball_is_the_sorted_grid_filter():
+    # the order the rigid checks print in: x-major, as sorted() gives
+    for n in range(6):
+        grid = [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)]
+        ball = nonzero_l1_ball(n)
+        assert ball == sorted(v for v in grid if 0 < abs(v[0]) + abs(v[1]) <= n)
+        assert len(ball) == 2 * n * (n + 1)
 
 
 def test_dual_ball_trivial(prog):
