@@ -3,11 +3,14 @@ and orbit equivalence (OE) of Z^d-odometers in terms of their groups H.
 
 Decision strategy, in order:
 
-* cheap invariants first (superindex; per-prime divisibility rank and index
+* H = H' is YES for every relation in every d: H^1, so H, is a complete
+  conjugacy invariant, and I and -I (-I H = -H = H) witness isomorphism
+  and COE.  Under ``all_witnesses`` in d = 2 the tiers below list the
+  witnesses instead;
+* cheap invariants next (superindex; per-prime divisibility rank and index
   valuation, and for isomorphism the elementary divisors of L(p)/Z^d at
   rank-0 primes; line-arrangement consistency) -- mismatches yield NO with
   a checkable certificate;
-* for d >= 3, H = H' is YES, with the witnesses I and -I (-I H = -H = H);
 * for zero-line groups (every support prime has divisibility rank 0 or d),
   both relations are decided in any d by a constructed witness: alpha maps
   Z^d + sum of the rank-0 lattices L(p) of H onto that of H' (for
@@ -35,11 +38,8 @@ line-tier scales and admissibility test, and the denominators searched.
 
 Every candidate alpha, constructed or searched, is a Mat (integer rows
 over one denominator), built from the integer frames and lattice bases,
-so a witness is found without building a Fraction.  The zero-line tier and
-the bounded search test it with ``maps_onto``.  The line tier forms its
-frames and their adjugates in closed 2 x 2 form and carries each
-candidate's exact inverse, so it tests alpha.H <= H' and alpha^-1.H' <= H
-with two ``maps_into`` calls and runs no elimination.
+so a witness is found without building a Fraction, and every tier tests
+it with ``maps_onto``.  Every YES is built by ``_yes``.
 
 What each answer rests on, and so where it carries the flag D3_FLAG
 ("necessity proven for d <= 2 only"):
@@ -68,7 +68,7 @@ from dataclasses import dataclass, replace
 from math import gcd, isqrt, prod
 from operator import mul
 
-from .hgroup import HGroup, difference, equal_h, is_free, maps_into, maps_onto, superindex
+from .hgroup import HGroup, difference, equal_h, is_free, maps_onto, superindex
 from .linalg import INF, Lattice, Mat, adjugate, factorint, lattice_sum, ratio_text, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
@@ -250,7 +250,7 @@ def decide(
     if relation == OE:
         sa, sb = superindex(h), superindex(hp)
         if sa == sb:
-            return Verdict(OE, YES)
+            return _yes(OE, [], all_witnesses)
         # canonical superindexes: unequal ones differ in some prime's exponent
         p = min(p for p in {*sa.primes(), *sb.primes()} if sa.exponent(p) != sb.exponent(p))
         detail = f"exponent at p={p} is {sa.exponent(p)} vs {sb.exponent(p)}"
@@ -260,19 +260,17 @@ def decide(
         if relation == COE:
             detail += ": top nonvanishing cohomology degree differs"
         return Verdict(relation, NO, certificate=Certificate("dimension", detail))
-    if relation == CONJ:
-        detail = difference(h, hp)
-        if detail is None:
-            return Verdict(CONJ, YES)
-        cert = _iso_profile_ok(h, hp) or Certificate("local-data", detail)
+    if equal_h(h, hp):
+        if relation == CONJ:
+            return _yes(CONJ, [], all_witnesses)
+        if h.d != 2 or not all_witnesses:
+            # -I.H = -H = H and det(-I) = +-1, so -I is a witness too; in
+            # d = 2 the tiers list the witnesses they find
+            one = Mat.identity(h.d)
+            return _yes(relation, [one, one.scale(-1)] if all_witnesses else [one], all_witnesses)
+    elif relation == CONJ:
+        cert = _iso_profile_ok(h, hp) or Certificate("local-data", difference(h, hp))
         return Verdict(CONJ, NO, certificate=cert)
-    if h.d == 1:
-        # GL_1(Z) = {+-1}, det alpha = +-1 forces alpha = +-1 in GL_1(Q), and
-        # -H = H, so both relations collapse to equality
-        if equal_h(h, hp):
-            wits = (Mat([[1]]), Mat([[-1]])) if all_witnesses else ()
-            return Verdict(relation, YES, witness=Mat([[1]]), witnesses=wits)
-        return Verdict(relation, NO, certificate=_superindex_mismatch(h, hp))
     verdict = _witness_search(relation, h, hp, bound, all_witnesses)
     # every other answer rests on a result proven in every d (module table)
     if h.d >= 3 and (
@@ -306,20 +304,15 @@ def _sort_key(cand: Mat):
 
 
 def _witness_search(relation, h, hp, bound, all_witnesses):
-    """The d >= 2 steps shared by isomorphism and COE: invariants (the
-    relation's profile), for d >= 3 equality (witnesses I and -I), the
-    zero-line tier (it returns None where it leaves the pair to the later
-    steps), then for d = 2 the relation's line tier (two distinct divisible
-    lines) or the bounded search."""
+    """The steps shared by isomorphism and COE once H = H' is settled:
+    invariants (the relation's profile), the zero-line tier (it returns
+    None where it leaves the pair to the later steps), then for d = 2 the
+    relation's line tier (two distinct divisible lines) or the bounded
+    search."""
     coe = relation == COE
     cert = _superindex_mismatch(h, hp) or (_coe_profile_ok if coe else _iso_profile_ok)(h, hp)
     if cert is not None:
         return Verdict(relation, NO, certificate=cert)
-    if h.d >= 3 and equal_h(h, hp):
-        # -I.H = -H = H and det(-I) = +-1, so -I is a witness too
-        one = Mat.identity(h.d)
-        wits = (one, one.scale(-1)) if all_witnesses else ()
-        return Verdict(relation, YES, witness=one, witnesses=wits)
     if all(e.r in (0, h.d) for e in h.entries):
         verdict = _zero_line_tier(relation, h, hp, bound, all_witnesses)
         if verdict is not None:
@@ -338,16 +331,19 @@ def _witness_search(relation, h, hp, bound, all_witnesses):
 
 
 def _yes(relation, found, all_witnesses):
+    """YES with the first of the witnesses ``found`` in ``_sort_key`` order
+    (none where it is empty, as for conj and OE), listing them all only under
+    ``all_witnesses``."""
     found.sort(key=_sort_key)
-    return Verdict(relation, YES, witness=found[0], witnesses=tuple(found) if all_witnesses else ())
+    witness = found[0] if found else None
+    return Verdict(relation, YES, witness=witness, witnesses=tuple(found) if all_witnesses else ())
 
 
 def _frame(u, v):
-    """(C, det C, adj C) for the integer frame C = [u v] of two lines, in
-    closed form: det C = u0 v1 - v0 u1 and adj C = [[v1, -v0], [-u1, u0]],
-    so that adj C . C = det C . I."""
+    """(C, det C, adj C) for the integer frame C = [u v] of two lines, so
+    that adj C . C = det C . I (``adjugate``, in closed 2 x 2 form)."""
     c = [[u[0], v[0]], [u[1], v[1]]]
-    return c, u[0] * v[1] - v[0] * u[1], [[v[1], -v[0]], [-u[1], u[0]]]
+    return (c, *adjugate(c))
 
 
 def _line_tier(relation, h, hp, lines, all_witnesses):
@@ -384,15 +380,7 @@ def _sign_choices(relation, h, hp, frame, frame_p, lam):
     C'_i0 a e adj_0j and C'_i1 c b adj_1j are formed once and each sign
     choice adds them.  det alpha = +-lambda mu det C' / det C = +-1 by the
     choice of mu, so it is admissible for COE, and for isomorphism when it
-    is also integral.
-
-    alpha.H = H' is tested as alpha.H <= H' and alpha^-1.H' <= H, with the
-    exact inverse carried along instead of eliminated: alpha^-1 =
-    C diag(1 / lambda, +-1 / mu) C'^-1 = C diag(b / a, +-e / c) adj C' /
-    det C', that is C diag(b c, +-e a) adj C' over a c det C', with the sign
-    of det C' moved into the rows so that the denominator a c |det C'| is
-    positive.  Its two terms are formed the same way, and only for a
-    candidate whose forward test passes.
+    is also integral; alpha.H = H' is tested by ``maps_onto``.
 
     The other two sign choices, diag(-lambda, -+mu), give -alpha, and each +-
     pair is tested once: |det(-alpha)| = |det alpha| in d = 2, -alpha is
@@ -402,25 +390,17 @@ def _sign_choices(relation, h, hp, frame, frame_p, lam):
     apart any two distinct matrices, so sorting the list gives the same
     witness and witness tuple as testing all four signs."""
     a, b = lam
-    cm, det_c, adj = frame
-    cp, det_cp, adj_p = frame_p
+    _, det_c, adj = frame
+    cp, det_cp, _ = frame_p
     c, e = abs(det_c) * b, abs(det_cp) * a
     den = b * e * det_c
     t0 = [[cp[i][0] * a * e * adj[0][j] for j in range(2)] for i in range(2)]
     t1 = [[cp[i][1] * c * b * adj[1][j] for j in range(2)] for i in range(2)]
-    sign = 1 if det_cp > 0 else -1
-    inv_den = a * c * abs(det_cp)
     found = []
     for s2 in (1, -1):
         alpha = Mat([[x + s2 * y for x, y in zip(r0, r1)] for r0, r1 in zip(t0, t1)], den)
-        if (relation == COE or alpha.is_integer()) and maps_into(alpha.den, alpha.num, h, hp):
-            inv_rows = [
-                [sign * (cm[i][0] * b * c * adj_p[0][j] + s2 * cm[i][1] * e * a * adj_p[1][j])
-                 for j in range(2)]
-                for i in range(2)
-            ]
-            if maps_into(inv_den, inv_rows, hp, h):
-                found += (alpha, alpha.scale(-1))
+        if (relation == COE or alpha.is_integer()) and maps_onto(alpha, h, hp):
+            found += (alpha, alpha.scale(-1))
     return found
 
 
@@ -474,7 +454,7 @@ def _zero_line_tier(relation, h, hp, bound, all_witnesses):
         verdict = _bounded_search(relation, h, hp, bound, all_witnesses)
         if verdict.answer != UNKNOWN:
             return verdict
-    return Verdict(relation, YES, witness=alpha, witnesses=(alpha,) if all_witnesses else ())
+    return _yes(relation, [alpha], all_witnesses)
 
 
 def _coord_min_vals(frame, h: HGroup, p: int):
@@ -615,8 +595,6 @@ def _bounded_search(relation, h, hp, bound, all_witnesses):
     det = +q^2 before -q^2, then e; the first hit in that order is the
     witness.  A candidate with gcd(q, a, b, c, e) > 1 is skipped: it is the
     same matrix as one tested at a smaller q."""
-    if not all_witnesses and equal_h(h, hp):
-        return Verdict(relation, YES, witness=Mat.identity(h.d))
     coe = relation == COE
     span = range(-bound, bound + 1)
     found = []
@@ -647,9 +625,9 @@ def _bounded_search(relation, h, hp, bound, all_witnesses):
                         continue
                     alpha = Mat([[a, b], [c, e]], q)
                     if maps_onto(alpha, h, hp):
-                        if not all_witnesses:
-                            return Verdict(relation, YES, witness=alpha)
                         found.append(alpha)
+                        if not all_witnesses:
+                            return _yes(relation, found, all_witnesses)
     if found:
         return _yes(relation, found, all_witnesses)
     detail = f"entries and denominators <= {bound}" if coe else f"unimodular entries <= {bound}"

@@ -43,6 +43,8 @@ from .hgroup import HGroup, _levels, superindex
 from .linalg import Lattice, Supernatural, clear_denominators, valuation
 from .odometer import FiniteOdometer
 
+COCYCLE_MAX_CARD = 1_000_000  # cosets of Z^d/G that ``build_cocycle`` tabulates at most
+
 
 class Cocycle1:
     """Integer 1-cocycle on a finite quotient, stored by generator values.
@@ -142,7 +144,8 @@ def alpha_map(theta: Cocycle1):
 
 def build_cocycle(g: Lattice, h) -> Cocycle1:
     """Explicit cocycle theta_h with alpha_map and trace equal to h in G*,
-    in every d.
+    in every d.  A quotient of more than COCYCLE_MAX_CARD cosets raises
+    ValueError before any table is built.
 
     With h = h_num / den over the common denominator of its entries and
     f(x) = <x, h_num> on the box representatives x (expanded a coordinate
@@ -163,6 +166,9 @@ def build_cocycle(g: Lattice, h) -> Cocycle1:
     """
     if not g.is_integral():
         raise ValueError("quotient lattice must be integral")
+    card = prod(g.diagonal())
+    if card > COCYCLE_MAX_CARD:
+        raise ValueError(f"quotient has {card} cosets, more than {COCYCLE_MAX_CARD}")
     quotient = FiniteOdometer(g)
     den, h_num = _dual_numerators(g, h)
     f = [0]

@@ -24,12 +24,12 @@ that holds at every support prime and no other prime divides den.  Each
 tower level is Z^d plus, at each support prime, p^-k times the integer
 solutions Lambda_p(k) of row . x = 0 mod p^k, read off one Smith form
 U . rows . V = S as V . diag(p^k / gcd(s_j, p^k), 1, ..., 1) Z^d
-(``_congruence_rows``).  alpha is integer rows over den, tested both ways
-by ``maps_into``: ``maps_onto`` takes +-alpha^-1 as |det| plus den * adj
-from the adjugate, while the d = 2 line tier of ``classify`` passes the
-exact inverse it builds with each candidate.  An image of a divisible
-direction lies in V'_p iff it pairs to zero with the rows of H' at p, and
-an entry with L(p) = Z^d adds no generator beyond the columns of alpha.
+(``_congruence_rows``).  alpha is integer rows over den, and
+``maps_onto``, the one witness test of ``classify``, runs ``maps_into``
+both ways, taking +-alpha^-1 as |det| plus den * adj from the adjugate.
+An image of a divisible direction lies in V'_p iff it pairs to zero with
+the rows of H' at p, and an entry with L(p) = Z^d adds no generator
+beyond the columns of alpha.
 """
 
 from __future__ import annotations
@@ -367,6 +367,8 @@ def difference(h1: HGroup, h2: HGroup):
     same divisible subspace (canonical bases compare syntactically) and each
     L(p) lies in the other's M_p.  The HNF columns c of L(p) = (1/den) M
     are tested as c / den against the other entry's rows, h1's entries first.
+    ``equal_h`` decides H1 = H2 from the canonical data alone; this names
+    the datum, as ``classify`` does in the detail of a conjugacy NO.
 
     >>> h = HGroup.from_local_data(1, {5: ([(5, (1,))], [])})
     >>> difference(h, h) is None, difference(HGroup.standard(1), h)
@@ -388,7 +390,8 @@ def difference(h1: HGroup, h2: HGroup):
 
 
 def equal_h(h1: HGroup, h2: HGroup) -> bool:
-    """H = H' (groups of different d are not equal)."""
+    """H = H' (groups of different d are not equal), read off the
+    canonical local data; ``difference`` is None exactly when it holds."""
     return h1 == h2
 
 
@@ -413,10 +416,7 @@ def maps_into(den: int, rows, h: HGroup, hp: HGroup) -> bool:
     L(p) <= Z^d, and with Z^d <= L(p) it is Z^d, whose canonical HNF is the
     identity.  Its columns are the unit vectors, whose images, the columns
     of a, the last test checks anyway.  Every entry of rank d is one, and
-    so is every entry of rank 1 with L(p) <= Z^d + V_p.  The caller passes
-    a^-1 itself for the reverse inclusion:
-    ``maps_onto`` forms it from the adjugate, and the d = 2 line tier of
-    ``classify`` carries it in closed form.
+    so is every entry of rank 1 with L(p) <= Z^d + V_p.
     """
     for e in h.entries:
         ep = hp.entry(e.p)
@@ -436,9 +436,10 @@ def maps_into(den: int, rows, h: HGroup, hp: HGroup) -> bool:
 
 def maps_onto(a: Mat, h: HGroup, hp: HGroup) -> bool:
     """a.H = H' for a = num / den: a.H <= H' and a^-1.H' <= H, with
-    a^-1 = den * adj(num) / det(num).  The sign of det is dropped, since
-    -a^-1 maps H' into H iff a^-1 does (H = -H).  Images that do not
-    contain Z^d give False.
+    a^-1 = den * adj(num) / det(num) from ``adjugate`` (closed form in
+    d = 2), formed only once the forward test passes.  The sign of det is
+    dropped, since -a^-1 maps H' into H iff a^-1 does (H = -H).  Images
+    that do not contain Z^d give False.
 
     >>> h = HGroup.from_local_data(2, {2: ([], [(1, 0)]), 3: ([], [(0, 1)])})
     >>> hp = HGroup.from_local_data(2, {2: ([], [(0, 1)]), 3: ([], [(1, 0)])})

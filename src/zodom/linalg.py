@@ -248,9 +248,24 @@ def _gauss_jordan(rows):
 
 
 def adjugate(rows):
-    """(det, adj) of a square nonsingular integer matrix: eliminating
-    [A | I] leaves p * A^-1 on the right, p = a[0][0] the last pivot."""
+    """(det, adj) of a square nonsingular integer matrix A, so that
+    adj . A = det . I.  A 2 x 2 matrix [[a, b], [c, e]] takes the closed
+    form det = a e - b c, adj = [[e, -b], [-c, a]]; any other size is
+    eliminated: [A | I] leaves p * A^-1 on the right, p = a[0][0] the last
+    pivot.
+
+    >>> adjugate([[2, 1], [3, 4]])
+    (5, [[4, -1], [-3, 2]])
+    >>> adjugate([[2, 1, 0], [3, 4, 0], [0, 0, 1]])
+    (5, [[4, -1, 0], [-3, 2, 0], [0, 0, 5]])
+    """
     n = len(rows)
+    if n == 2:
+        (a, b), (c, e) = rows
+        det = a * e - b * c
+        if not det:
+            raise SingularMatrixError("matrix is not invertible")
+        return det, [[e, -b], [-c, a]]
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     a, pivots, det = _gauss_jordan([[*r, *e] for r, e in zip(rows, eye)])
     if pivots != list(range(n)):
@@ -582,10 +597,6 @@ class Lattice:
                 return False
             x.append(q)
         return True
-
-    def member(self, v) -> bool:
-        e, (w,) = clear_denominators([v])
-        return self._holds(w, e)
 
     def dual(self) -> "Lattice":
         """Dual lattice: all vectors pairing integrally with every lattice

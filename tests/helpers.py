@@ -4,7 +4,8 @@ columns, the unimodularity test, the rational columns of a lattice, a
 counter of the Fractions built, the integer kernel and congruence lattice
 that ``zodom`` computed before it read them off one column reduction and
 one Smith form, the Smith form as written before its row and column
-operations were inlined, and the spectrum as Fraction tuples."""
+operations were inlined, the spectrum as Fraction tuples, and lattice
+membership in Fractions."""
 
 from fractions import Fraction
 from math import prod
@@ -50,6 +51,17 @@ def spectrum(h: HGroup, height: int):
     """``spectrum_numerators`` read as Fraction tuples in [0, 1)^d."""
     den, nums = spectrum_numerators(h, height)
     return [tuple(Fraction(x, den) for x in u) for u in nums]
+
+
+def lattice_member(lattice: Lattice, v) -> bool:
+    """Whether the rational vector v lies in the lattice: forward
+    substitution on its triangular basis in Fractions gives integral
+    coordinates."""
+    x = []
+    for i, row in enumerate(lattice.mat):
+        acc = Fraction(v[i]) - sum(Fraction(row[j], lattice.den) * x[j] for j in range(i))
+        x.append(acc / Fraction(row[i], lattice.den))
+    return all(c.denominator == 1 for c in x)
 
 
 def rational_mat(rows) -> Mat:

@@ -430,16 +430,33 @@ def test_d3_zero_line_coe_constructed():
     assert v.certificate.kind == "elementary-divisors"
 
 
-@pytest.mark.parametrize("relation", [ISO, COE])
+@pytest.mark.parametrize("relation", RELATIONS)
 def test_d3_zero_line_equal_groups_list_both_signs(relation):
-    # -I.H = -H = H, so a zero-line H = H' in d = 3 lists -I beside I, as
-    # every other d >= 3 pair with H = H' does
-    h = parse_group("oplus(Z[1/2], Z[1/2], Z[1/2]) + gen(1/3, 1/3, 0)")
-    one = Mat.identity(3)
-    v = decide(relation, h, h, all_witnesses=True)
-    assert v.answer == "YES" and not v.flags
-    assert v.witness == one
-    assert v.witnesses == (one, one.scale(-1))
+    # H = H' is YES in every d.  -I.H = -H = H, so iso and COE list -I
+    # beside I, except in d = 2 under all_witnesses, where the tiers list
+    # every witness they find; conj and OE carry no witness
+    texts = [
+        "oplus(Z[1/2]) + gen(1/3)",
+        "oplus(Z[1/2], Z[1/2]) + gen(1/3, 1/3)",
+        # lines (1, 1) and (1, -1): the swap is a witness and sorts before I
+        "mat([1/2,1/2;1/2,-1/2]) * oplus(Z[1/2], Z[1/3])",
+        "oplus(Z[1/2], Z[1/2], Z[1/2]) + gen(1/3, 1/3, 0)",
+    ]
+    for text in texts:
+        h = parse_group(text)
+        d, one = h.d, Mat.identity(h.d)
+        for all_witnesses in (False, True):
+            v = decide(relation, h, h, bound=2, all_witnesses=all_witnesses)
+            assert v.answer == "YES" and v.certificate is None and not v.flags
+            if relation in (CONJ, OE):
+                assert v.witness is None and v.witnesses == ()
+            elif not all_witnesses:
+                assert v.witness == one and v.witnesses == ()
+            elif d == 2:
+                assert {one, one.scale(-1)} < set(v.witnesses)
+                assert v.witness == v.witnesses[0]
+            else:
+                assert v.witness == one and v.witnesses == (one, one.scale(-1))
 
 
 def test_unknown_on_search_exhaustion():
@@ -1002,34 +1019,29 @@ def test_line_and_zero_line_tiers_build_no_fraction(monkeypatch):
 
 def test_sign_choices_test_each_sign_pair_once(g, monkeypatch):
     # -alpha passes exactly when alpha does (H = -H), so each _sign_choices
-    # call tests at most one candidate per +- pair and lists both members of
-    # each pair that passes, and the line tier's witness tuples are sorted.
-    # A candidate is tested by one forward maps_into(den, rows, H, H') call,
-    # and only a pass adds the backward one.
+    # call tests at most one member of each of its two +- pairs with
+    # maps_onto and lists both members of each pair that passes, and the
+    # line tier's witness tuples are sorted
     tested = []
-    calls = []  # (forward maps_into calls, witness list) per _sign_choices call
+    calls = []  # (candidates tested, witness list) per _sign_choices call
     verdicts = []
     sign_choices, line_tier = classify._sign_choices, classify._line_tier
 
-    def count_tests(den, rows, src, dst):
-        tested.append((src, dst))
-        return maps_into(den, rows, src, dst)
+    def count_tests(alpha, h, hp):
+        tested.append(alpha)
+        return maps_onto(alpha, h, hp)
 
-    def record(relation, h, hp, *args):
-        # a distinct copy of H', so that a forward call is told apart from a
-        # backward one by identity also where H = H'
-        hp = HGroup(hp.d, hp.entries)
+    def record(*args):
         before = len(tested)
-        found = sign_choices(relation, h, hp, *args)
-        forward = sum(src is h and dst is hp for src, dst in tested[before:])
-        calls.append((forward, found))
+        found = sign_choices(*args)
+        calls.append((tested[before:], found))
         return found
 
     def record_tier(*args):
         verdicts.append(line_tier(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(classify, "maps_into", count_tests)
+    monkeypatch.setattr(classify, "maps_onto", count_tests)
     monkeypatch.setattr(classify, "_sign_choices", record)
     monkeypatch.setattr(classify, "_line_tier", record_tier)
     # the one-line and zero-line witness enumerations are not under test
@@ -1038,10 +1050,11 @@ def test_sign_choices_test_each_sign_pair_once(g, monkeypatch):
     for h, hp in list(itertools.product(free, repeat=2)) + _tier_pairs():
         for relation in (ISO, COE):
             decide(relation, h, hp, all_witnesses=True)
-    counts = [n for n, _ in calls]
-    assert len(calls) >= 50 and max(counts) == 2
+    assert len(calls) >= 50 and max(len(t) for t, _ in calls) == 2
     assert sum(1 for _, found in calls if found) >= 20
-    for _, found in calls:
+    for t, found in calls:
+        assert len(t) < 2 or t[1] not in (t[0], t[0].scale(-1))
+        assert found[::2] == [w for w in t if w in found]
         assert found[1::2] == [w.scale(-1) for w in found[::2]]
     yes = [v.witnesses for v in verdicts if v.answer == "YES"]
     assert len(yes) >= 20
@@ -1090,7 +1103,8 @@ def test_frame_is_the_closed_form_adjugate(monkeypatch):
 
 
 def test_line_tiers_run_no_elimination(g, monkeypatch):
-    # closed-form frames and carried inverses: no adjugate inside the tiers
+    # frames and candidate inverses come from closed 2 x 2 adjugates, so the
+    # tiers run no elimination
     eliminations = _count_eliminations(monkeypatch)
     runs = []  # (eliminations, answer) per tier call
     tier = classify._line_tier
@@ -1108,36 +1122,6 @@ def test_line_tiers_run_no_elimination(g, monkeypatch):
     assert len(runs) >= 50 and [a for _, a in runs].count("YES") >= 20
     assert all(n == 0 for n, _ in runs)
 
-
-def test_line_tier_inverses_are_exact(g, monkeypatch):
-    # every backward test of the line tier takes the exact inverse of the
-    # candidate whose forward test came just before it, over den > 0
-    made = []
-    products = []
-    sign_choices = classify._sign_choices
-
-    def recording(den, rows, src, dst):
-        made.append((den, rows, src, dst))
-        return maps_into(den, rows, src, dst)
-
-    def record(relation, h, hp, *args):
-        hp = HGroup(hp.d, hp.entries)  # told apart from h by identity, as above
-        before = len(made)
-        found = sign_choices(relation, h, hp, *args)
-        calls = made[before:]
-        for (fden, frows, fsrc, fdst), (den, rows, src, dst) in zip(calls, calls[1:]):
-            if src is hp and dst is h:
-                assert fsrc is h and fdst is hp and den > 0
-                products.append(Mat(rows, den) * Mat(frows, fden))
-        return found
-
-    monkeypatch.setattr(classify, "maps_into", recording)
-    monkeypatch.setattr(classify, "_sign_choices", record)
-    for h, hp in _two_line_pairs(g):
-        for relation in (ISO, COE):
-            decide(relation, h, hp, all_witnesses=True)
-    assert len(products) >= 20
-    assert all(m == Mat.identity(2) for m in products)
 
 # ---------------------------------------------------------------------------
 # decide() output pinned: a rewrite of the deciders or of Mat must leave the

@@ -234,9 +234,9 @@ D8_TEXT = (
 )
 
 
-def _spectrum_under_a_memory_limit(path, height):
-    """``zodom spectrum`` in a child that limits its own address space to
-    600 MB."""
+def _under_a_memory_limit(*argv):
+    """``zodom`` with ``argv`` in a child that limits its own address space
+    to 600 MB."""
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (600_000_000, 600_000_000))\n"
@@ -245,15 +245,13 @@ def _spectrum_under_a_memory_limit(path, height):
     )
     env = {**os.environ, "PYTHONPATH": str(Path(zodom.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-c", code, "spectrum", path, "--height", str(height)],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60,
     )
-
 
 def test_spectrum_refuses_the_d8_case_under_a_memory_limit(grp):
     # 3,491,888,422 eigenvalues up to height 30, refused from the prime
     # counts before any component is listed
-    proc = _spectrum_under_a_memory_limit(grp("d8", D8_TEXT), 30)
+    proc = _under_a_memory_limit("spectrum", grp("d8", D8_TEXT), "--height", "30")
     assert proc.returncode == EX_DATA
     assert proc.stdout == "error=spectrum up to height 30 has more than 100000 eigenvalues\n"
 
@@ -262,9 +260,17 @@ def test_spectrum_refuses_a_large_prime_power_under_a_memory_limit(grp):
     # 2, 59,049 and 5 components at 2, 3 and 5 pass the prime counts; the
     # 78,732 sums over 2 and 3 pass the cap, and 5 takes the count to 131,220
     text = "oplus(Z[1/9]) + oplus(Z) + gen(-7/10) + gen(5)"
-    proc = _spectrum_under_a_memory_limit(grp("deep3", text), 82101)
+    proc = _under_a_memory_limit("spectrum", grp("deep3", text), "--height", "82101")
     assert proc.returncode == EX_DATA
     assert proc.stdout == "error=spectrum up to height 82101 has more than 100000 eigenvalues\n"
+
+
+def test_tau_refuses_a_large_quotient_under_a_memory_limit():
+    # 9,000,000 cosets pass COCYCLE_MAX_CARD: refused before any table is
+    # built, where building them runs out of memory
+    proc = _under_a_memory_limit("tau", "--lattice", "[3000,0;0,3000]", "--h", "1/2,0")
+    assert proc.returncode == EX_DATA
+    assert proc.stdout == "error=quotient has 9000000 cosets, more than 1000000\n"
 
 
 @given(st.integers(1, 3), st.data())

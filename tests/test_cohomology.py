@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from zodom.cohomology import (
+    COCYCLE_MAX_CARD,
     Cocycle1,
     CoboundarySolver,
     alpha_map,
@@ -290,6 +291,24 @@ def test_build_cocycle_error_messages():
     for h in [(1, 0), (F(1, 3), 0), (1, 0, 0)]:
         with pytest.raises(ValueError, match="^quotient lattice must be integral$"):
             build_cocycle(half, h)
+
+
+def test_build_cocycle_refuses_a_quotient_over_the_cap(monkeypatch):
+    # the card is read off the HNF diagonal: one coset over the cap is
+    # refused before the quotient is built, and the cap itself is not
+    class Built(Exception):
+        pass
+
+    def built(*args):
+        raise Built
+
+    monkeypatch.setattr("zodom.cohomology.FiniteOdometer", built)
+    over = Lattice.from_span(2, [(COCYCLE_MAX_CARD + 1, 0), (7, 1)])
+    message = f"^quotient has {COCYCLE_MAX_CARD + 1} cosets, more than {COCYCLE_MAX_CARD}$"
+    with pytest.raises(ValueError, match=message):
+        build_cocycle(over, (F(1, COCYCLE_MAX_CARD + 1), 0))
+    with pytest.raises(Built):
+        build_cocycle(Lattice.from_span(2, [(COCYCLE_MAX_CARD, 0), (0, 1)]), (0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from helpers import (
     index,
     integer_kernel,
     lattice_columns,
+    lattice_member,
     local_pairs,
     rational_mat,
 )
@@ -291,6 +292,7 @@ def test_equal_matches_identity_witness_test():
             h, hp = hp, h
         answer = equal_h(h, hp)
         assert answer == equal_h(hp, h) == maps_onto(Mat.identity(d), h, hp)
+        assert (difference(h, hp) is None) == answer
         answers.append(answer)
 
     check()
@@ -1133,12 +1135,12 @@ def test_tower_levels_capture_membership():
             F(rng.randint(-20, 20), rng.choice([1, 2, 4, 3, 5, 6, 30])),
             F(rng.randint(-20, 20), rng.choice([1, 2, 4, 3, 5, 6, 30])),
         )
-        in_level = any(lvl.member(v) for lvl in t.levels)
+        in_level = any(lattice_member(lvl, v) for lvl in t.levels)
         if in_level:
             assert member_h(v, h)
         denom_lcm = (v[0].denominator * v[1].denominator)
         if member_h(v, h) and denom_lcm <= 30:  # 30 | 6! guarantees capture by depth 6
-            assert any(lvl.member(v) for lvl in t.levels)
+            assert any(lattice_member(lvl, v) for lvl in t.levels)
 
 
 @pytest.mark.parametrize("text", ["oplus(Z[1/6])", Z2_3, FUCHS, "oplus(Z[1/10], Z[1/3]) + gen(1/7, 0)"])

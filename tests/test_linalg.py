@@ -36,6 +36,7 @@ from helpers import (
     integer_kernel,
     lattice_block,
     lattice_columns,
+    lattice_member,
     rational_mat,
     snf_reference,
 )
@@ -317,10 +318,10 @@ def test_index_rejects_non_nested():
 
 def test_member_examples():
     g = Lattice.from_span(2, [(2, 1), (0, 3)])
-    assert g.member((2, 1))
-    assert not g.member((1, 0))
-    assert g.member((0, 0))
-    assert lat([[F(1, 2), 0], [0, 1]]).member((F(1, 2), 0))
+    assert lattice_member(g, (2, 1))
+    assert not lattice_member(g, (1, 0))
+    assert lattice_member(g, (0, 0))
+    assert lattice_member(lat([[F(1, 2), 0], [0, 1]]), (F(1, 2), 0))
 
 
 def test_member_invariant_under_canonicalization():
@@ -339,7 +340,7 @@ def test_member_invariant_under_canonicalization():
                 F(rng.randint(-9, 9), rng.randint(1, 3)),
                 F(rng.randint(-9, 9), rng.randint(1, 3)),
             )
-            assert g.member(v) == same.member(v)
+            assert lattice_member(g, v) == lattice_member(same, v)
 
 
 def test_lattice_sum_intersect_scale():
@@ -607,21 +608,8 @@ def _ref_subspace_basis(vectors, d):
     return tuple(out)
 
 
-def _ref_solve(lattice, v):
-    x = []
-    v = [F(t) for t in v]
-    for i in range(lattice.d):
-        acc = v[i] - sum(F(lattice.mat[i][j], lattice.den) * x[j] for j in range(i))
-        x.append(acc / F(lattice.mat[i][i], lattice.den))
-    return tuple(x)
-
-
-def _ref_member(lattice, v):
-    return all(c.denominator == 1 for c in _ref_solve(lattice, v))
-
-
 def _ref_contains(big, small):
-    return all(_ref_member(big, c) for c in lattice_columns(small))
+    return all(lattice_member(big, c) for c in lattice_columns(small))
 
 
 def _ref_dual(lattice):
@@ -671,6 +659,23 @@ def test_mat_det_inv_match_fraction_reference():
         assert det == _ref_int_det(ints)
         assert Mat(adj) == rational_mat(_ref_inv(ints)).scale(det)
     assert 50 < singular < 350
+
+
+def test_adjugate_2x2_matches_elimination():
+    # the closed 2 x 2 form returns what eliminating [A | I] returns
+    rng = random.Random(2046)
+    singular = 0
+    for _ in range(500):
+        rows = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+        a, pivots, det = linalg._gauss_jordan([[*r, *e] for r, e in zip(rows, ([1, 0], [0, 1]))])
+        if pivots != [0, 1]:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                adjugate(rows)
+            continue
+        sign = 1 if a[0][0] == det else -1
+        assert adjugate(rows) == (det, [[sign * x for x in row[2:]] for row in a]), rows
+    assert 30 < singular < 120
 
 
 _ENTRIES = st.one_of(st.integers(-9, 9), st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
@@ -758,7 +763,9 @@ def test_lattice_member_contains_dual_match_fraction_reference():
         vs += [[F(x) / rng.randint(1, 3) for x in v] for v in vs[-2:]]
         for lat_ in (g, gd):
             for v in vs:
-                assert lat_.member(v) == _ref_member(lat_, v), (lat_, v)
+                # v lies in the lattice iff adjoining it leaves the lattice inside it
+                grown = Lattice.from_span(d, [*lattice_columns(lat_), v])
+                assert lat_.contains(grown) == lattice_member(lat_, v), (lat_, v)
         # nested and non-nested pairs
         sub = Lattice.from_span(d, [[rng.randint(1, 3) * x for x in c] for c in lattice_columns(g)])
         for a, b in ((g, sub), (sub, g), (g, gd), (gd, g), (g, Lattice.standard(d))):
