@@ -26,8 +26,8 @@ Decision strategy, in order:
 * otherwise (d = 2, both relations on one-line groups) a bounded search over
   alpha = (1/q) [[a, b], [c, e]] with entries at most ``bound`` and
   det alpha = +-1: q = 1 for isomorphism, q = 1..bound for continuous orbit
-  equivalence under a budget of COE_BUDGET triples (a, b, c), each matrix
-  tested once, at its smallest q.  It returns the first witness in scan
+  equivalence, both under a budget of SEARCH_BUDGET triples (a, b, c), each
+  matrix tested once, at its smallest q.  It returns the first witness in scan
   order, and UNKNOWN on exhaustion with a certificate stating the coverage
   reached.  With ``all_witnesses`` the search also enumerates the
   zero-line witnesses, and the constructed one replaces its UNKNOWN.
@@ -583,15 +583,16 @@ def _scales(h, hp, frame, frame_p, third):
                     order.append(nxt)
 
 
-# tier 3 for COE gives up after this many (a, b, c) triples
-COE_BUDGET = 200_000
+# the bounded search of either relation gives up after this many (a, b, c) triples
+SEARCH_BUDGET = 200_000
 
 
 def _bounded_search(relation, h, hp, bound, all_witnesses):
     """Scan alpha = (1/q) [[a, b], [c, e]] with entries in [-bound, bound]
     and a e - b c = +-q^2, so det alpha = +-1 by construction.  Isomorphism
-    takes q = 1; COE takes q = 1..bound and gives up after COE_BUDGET
-    triples (a, b, c).  The loops run over q, then (a, b, c), then
+    takes q = 1; COE takes q = 1..bound.  Either gives up after
+    SEARCH_BUDGET triples (a, b, c), which iso's (2 bound + 1)^3 triples
+    exceed only above bound 28.  The loops run over q, then (a, b, c), then
     det = +q^2 before -q^2, then e; the first hit in that order is the
     witness.  A candidate with gcd(q, a, b, c, e) > 1 is skipped: it is the
     same matrix as one tested at a smaller q."""
@@ -602,16 +603,16 @@ def _bounded_search(relation, h, hp, bound, all_witnesses):
     for q in range(1, bound + 1) if coe else (1,):
         for a, b, c in itertools.product(span, repeat=3):
             spent += 1
-            if coe and spent > COE_BUDGET:
+            if spent > SEARCH_BUDGET:
                 if found:
                     return _yes(relation, found, all_witnesses)
+                where = f" at denominator {q} of {bound}," if coe else ", unimodular"
                 return Verdict(
                     relation,
                     UNKNOWN,
                     certificate=Certificate(
                         "search-exhausted",
-                        f"candidate budget {COE_BUDGET} spent at denominator {q} of {bound}, "
-                        f"entries <= {bound}",
+                        f"candidate budget {SEARCH_BUDGET} spent{where} entries <= {bound}",
                     ),
                 )
             for det in (q * q, -q * q):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or verdict YES), 1 verdict NO, 2 verdict UNKNOWN,
 64 usage error, 65 malformed input (syntax errors carry the byte offset) or
-a request refused as too large (a spectrum above ``SPECTRUM_MAX_COUNT``),
+a request refused as too large (a spectrum above ``SPECTRUM_MAX_COUNT``, or
+a ``tau`` quotient above ``COCYCLE_MAX_CARD`` cosets),
 70 any other failure: a run that ran out of memory or recursion depth, or
 any other uncaught exception, reported on an ``error=`` line.
 
@@ -86,7 +87,7 @@ class InputError(Exception):
 
 
 # raised only while input is read, parsed, elaborated or checked for freeness,
-# or when a spectrum is refused as too large
+# or when a spectrum or a tau quotient is refused as too large
 _INPUT_ERRORS = (InputError, BadDenominatorError, DimensionMismatchError, FactorBudgetError,
                  NotFreeError, NotSupergroupError, SingularMatrixError, SpectrumTooLargeError)
 
@@ -214,7 +215,7 @@ def _cmd_spectrum(args):
 def _lattice_from_rows(text: str) -> Lattice:
     """Lattice generated by the listed row vectors, e.g. "[2,1;0,3]"."""
     m = _parse_matrix(text)
-    return Lattice.from_span(m.d, list(m.rows))
+    return Lattice(m.d, m.den, zip(*m.num))
 
 
 def _cmd_dual(args):

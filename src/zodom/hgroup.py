@@ -43,7 +43,6 @@ from .linalg import (
     Lattice,
     Mat,
     Supernatural,
-    _canonical,
     _column_echelon,
     adjugate,
     clear_denominators,
@@ -99,7 +98,7 @@ class LocalEntry:
         if pk == 1:
             self.lattice = Lattice.standard(d)
         else:
-            self.lattice = Lattice._raw(*_canonical(d, pk, _congruence_rows(smith, pk)))
+            self.lattice = Lattice(d, pk, _congruence_rows(smith, pk))
 
     @property
     def d(self):
@@ -585,7 +584,7 @@ def _levels(h: HGroup, depth: int):
                 [lift * x for x in level.mat[i]] + [den // pk * x for pk, lam in parts for x in lam[i]]
                 for i in range(d)
             ]
-            level = Lattice._raw(*_canonical(d, den, rows))
+            level = Lattice(d, den, rows)
         yield level
 
 

@@ -336,22 +336,6 @@ def _column_echelon(rows: list[list[int]]):
     return m, pivots
 
 
-def hnf(rows) -> list[list[int]]:
-    """Column Hermite normal form of a square nonsingular integer matrix.
-
-    >>> hnf([[0, 1], [1, 0]])
-    [[1, 0], [0, 1]]
-    >>> hnf([[2, 0], [1, 3]])
-    [[2, 0], [1, 3]]
-    """
-    rows = [list(map(int, r)) for r in rows]
-    n = len(rows)
-    h, pivots = _column_echelon(rows)
-    if len(pivots) < n:
-        raise SingularMatrixError("matrix has no column Hermite form: det = 0")
-    return h
-
-
 def snf(rows):
     """Smith normal form with transforms: returns (u, s, v) with u.m.v = s.
 
@@ -469,6 +453,8 @@ class Mat:
     def __init__(self, num, den=1):
         """The matrix num / den, for integer rows num and an integer den != 0,
         reduced by one gcd (which rejects a non-integer entry)."""
+        if den == 0:
+            raise ValueError("Mat denominator must be nonzero")
         d = len(num)
         flat = list(chain.from_iterable(num))
         if d == 0 or len(flat) != d * d or min(map(len, num)) != d:
@@ -552,14 +538,30 @@ class Lattice:
 
     __slots__ = ("d", "den", "mat")
 
-    def __init__(self, basis: Mat):
-        lat = _canonical(basis.d, basis.den, basis.num)
-        if lat is None:
-            raise SingularMatrixError("lattice basis must have nonzero determinant")
-        self.d, self.den, self.mat = lat
+    def __init__(self, d: int, den: int, rows):
+        """The lattice (1/den) * (column span of rows), for d integer rows of
+        any common length and an integer den >= 1, in canonical form: one
+        column reduction of the rows to HNF, then one gcd of its entries
+        with den.  This is the one constructor that canonicalizes;
+        :meth:`from_span` reads rational vectors into it.
+
+        >>> Lattice(2, 4, [[2, 0, 4], [0, 2, 6]])
+        Lattice(1/2 * [1,0; 0,1])
+        >>> Lattice(2, 1, [[2, 1], [0, 3]]).mat
+        ((1, 0), (3, 6))
+        """
+        if den < 1:
+            raise ValueError(f"lattice denominator must be at least 1, got {den}")
+        h, pivots = _column_echelon(rows)
+        if len(pivots) < d:
+            raise SingularMatrixError("spanning set is not full rank")
+        cut = [row[:d] for row in h]
+        g = gcd(den, *chain.from_iterable(cut))
+        self.d, self.den, self.mat = d, den // g, tuple(tuple(x // g for x in row) for row in cut)
 
     @classmethod
     def _raw(cls, d: int, den: int, mat) -> "Lattice":
+        """A lattice from data already canonical by construction, unchecked."""
         obj = object.__new__(cls)
         obj.d, obj.den, obj.mat = d, den, mat
         return obj
@@ -572,10 +574,11 @@ class Lattice:
     @classmethod
     def from_span(cls, d: int, vectors) -> "Lattice":
         """Lattice generated by a (possibly redundant) list of rational vectors."""
-        lat = _canonical_from_columns(d, list(vectors))
-        if lat is None:
-            raise SingularMatrixError("spanning set is not full rank")
-        return cls._raw(*lat)
+        cols = list(vectors)
+        if not cols or any(len(c) != d for c in cols):
+            raise ValueError("bad column data")
+        den, ints = clear_denominators(cols)
+        return cls(d, den, list(zip(*ints)))
 
     def basis(self) -> Mat:
         return Mat(self.mat, self.den)
@@ -602,12 +605,11 @@ class Lattice:
         """Dual lattice: all vectors pairing integrally with every lattice
         element.  The dual of (1/den) * M is den * adj(M)^T / det(M).
 
-        >>> Lattice(Mat([[1, 0], [0, 2]], 2)).dual().mat
+        >>> Lattice(2, 2, [[1, 0], [0, 2]]).dual().mat
         ((2, 0), (0, 1))
         """
         det, adj = adjugate(self.mat)
-        rows = [[self.den * x for x in col] for col in zip(*adj)]
-        return Lattice._raw(*_canonical(self.d, abs(det), rows))
+        return Lattice(self.d, abs(det), [[self.den * x for x in col] for col in zip(*adj)])
 
     def contains(self, other: "Lattice") -> bool:
         return all(self._holds(col, other.den) for col in zip(*other.mat))
@@ -629,25 +631,6 @@ class Lattice:
         return f"Lattice(1/{self.den} * [{body}])"
 
 
-def _canonical_from_columns(d: int, cols):
-    """(d, den, hnf-rows) for the lattice spanned by the columns, or None if rank < d."""
-    if not cols or any(len(c) != d for c in cols):
-        raise ValueError("bad column data")
-    den, ints = clear_denominators(cols)
-    return _canonical(d, den, [list(row) for row in zip(*ints)])
-
-
-def _canonical(d: int, den: int, rows):
-    """(d, den', hnf-rows) for the lattice (1/den) * (column span of the
-    integer rows) in lowest terms, or None if rank < d."""
-    h, pivots = _column_echelon(rows)
-    if len(pivots) < d:
-        return None
-    cut = [row[:d] for row in h]
-    g = gcd(den, *(x for row in cut for x in row))
-    return d, den // g, tuple(tuple(x // g for x in row) for row in cut)
-
-
 def lattice_sum(*lats: Lattice) -> Lattice:
     """Sum of full-rank lattices, spanned by their HNF columns over the lcm
     of their denominators."""
@@ -656,14 +639,7 @@ def lattice_sum(*lats: Lattice) -> Lattice:
         raise ValueError("dimension mismatch")
     den = lcm(*(lat.den for lat in lats))
     rows = [[den // lat.den * x for lat in lats for x in lat.mat[i]] for i in range(d)]
-    return Lattice._raw(*_canonical(d, den, rows))
-
-
-def lattice_scale(lat: Lattice, c) -> Lattice:
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("scale factor must be nonzero")
-    return Lattice(lat.basis().scale(c))
+    return Lattice(d, den, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from math import gcd, lcm, prod
 from operator import add, mul
 
 from .hgroup import HGroup, Tower, _congruence_rows
-from .linalg import Lattice, hnf, snf
+from .linalg import Lattice, Mat, snf
 
 
 class NotSubgroupError(ValueError):
@@ -291,7 +291,7 @@ def spectrum_numerators(h: HGroup, height: int):
     den = prod(pk for pk, _ in primes)
     partial = {(1,) * d: [(0,) * d]}  # denominator tuple -> numerator sums
     for pk, e in primes:
-        basis = hnf(_congruence_rows(e._smith, pk))
+        basis = Lattice(d, 1, _congruence_rows(e._smith, pk)).mat
         points = [[0] * d]
         for j in range(d):
             col = [row[j] for row in basis]
@@ -325,16 +325,6 @@ def spectrum_numerators(h: HGroup, height: int):
 # duality: Y_K vs Z^d/G for K = G*, via SNF of B_G^T
 
 
-def _int_matmul(a, b):
-    """Product of integer matrices given as lists of rows."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def _transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def _units(d: int):
     """The unit vectors e_1, ..., e_d, which generate Z^d."""
     return [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
@@ -364,7 +354,7 @@ class DualityRealization:
         u, s, v = snf(zip(*g.mat))
         self.snf_diag = diag = tuple(s[i][i] for i in range(g.d))
         self._u_rows = u
-        self._shift_rows = _transpose(v)
+        self._shift_rows = [list(col) for col in zip(*v)]
         # integer rows of V^-T for the conjugacy map
         self._v_inv_t_rows = rows = []
         for b in g.mat:
@@ -392,7 +382,7 @@ class DualityRealization:
         g, g1 = self.quotient.lattice, sub.quotient.lattice
         if not g1.contains(g):
             raise NotSubgroupError("G must be contained in G1")
-        a = _int_matmul(_int_matmul(sub._shift_rows, g.mat), _transpose(self._u_rows))
+        a = (Mat(sub._shift_rows) * Mat(g.mat) * Mat(self._u_rows).transpose()).num
         den = lcm(*self.snf_diag)
         rows = [[x * (den // sj) for x, sj in zip(row, self.snf_diag)] for row in a]
         return rows, den

@@ -21,7 +21,7 @@ from .cohomology import (
     torsion_free_check,
 )
 from .hgroup import HGroup, is_free, superindex_oracle, tower
-from .linalg import INF, Lattice, Mat, is_prime, lattice_scale
+from .linalg import INF, Lattice, Mat, is_prime
 from .odometer import (
     FiniteOdometer,
     TowerSystem,
@@ -216,7 +216,8 @@ def criterion_5_duality(seed: int) -> CriterionResult:
         if int(g1.det()) > 16:
             continue
         factor = 2 if count % 2 == 0 else 3
-        if not duality_square_check(g1, lattice_scale(g1, factor)):
+        scaled = Lattice(2, 1, [[factor * x for x in row] for row in g1.mat])
+        if not duality_square_check(g1, scaled):
             return CriterionResult(5, "duality", False, f"square failed for {g1!r}")
         count += 1
     return CriterionResult(

@@ -5,6 +5,8 @@ lines, or ``zodom verify --suite paper`` for the same checks from the CLI.
 All checks are exact; there are no tolerances to calibrate.
 """
 
+import hashlib
+
 import pytest
 
 from zodom.cli import main
@@ -120,6 +122,21 @@ def test_seed_independent_details_pinned_at_other_seeds(seed):
         assert r.number == number
         assert r.ok
         assert f"criterion_{r.number:02d}_detail={r.detail}\n" in PINNED_OUTPUT
+
+
+# sha256 of the full stdout of ``zodom verify --suite paper --seed N``, the
+# verdict line included; a speed-up must leave every byte unchanged
+SUITE_DIGESTS = {
+    7: "030650877a0e29b93a35bc88cebe87d623244fb44ecd440115f337f21f6f7562",
+    21: "24077c313ece3172bd333977ece9824bdc045f287e046548da9c79c7fdec136d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_DIGESTS))
+def test_suite_output_is_pinned_at_other_seeds(capsys, seed):
+    assert main(["verify", "--suite", "paper", "--seed", str(seed)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SUITE_DIGESTS[seed]
 
 
 def test_criterion_04_fails_without_explicit_coboundary(monkeypatch):

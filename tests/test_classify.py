@@ -286,20 +286,45 @@ def test_coe_budget_certificate_names_denominator(monkeypatch):
     h, hp = parse_group(ONE_LINE), apply_matrix(SHEAR_3, parse_group(ONE_LINE))
     # 125 triples (a, b, c) per denominator at bound 2: the budget runs out
     # at q = 2, before any witness (all have an entry of size >= 3)
-    monkeypatch.setattr(classify, "COE_BUDGET", 150)
+    monkeypatch.setattr(classify, "SEARCH_BUDGET", 150)
     v = decide(COE, h, hp, bound=2)
     assert v.answer == "UNKNOWN"
     assert str(v.certificate) == (
         "search-exhausted: candidate budget 150 spent at denominator 2 of 2, entries <= 2"
     )
     # hits found before the budget runs out are returned: here those of q = 1
-    monkeypatch.setattr(classify, "COE_BUDGET", 125)
+    monkeypatch.setattr(classify, "SEARCH_BUDGET", 125)
     h = parse_group("oplus(Z[1/2], Z[1/2]) + gen(1/9, 0)")
     shear = apply_matrix(Mat([[1, 0], [1, 1]]), h)
     v = decide(COE, h, shear, bound=2, all_witnesses=True)
     assert v.answer == "YES"
     assert v.witnesses == decide(ISO, h, shear, bound=2, all_witnesses=True).witnesses
     assert len(v.witnesses) == 16
+
+
+def test_iso_search_stops_at_the_budget():
+    # the 53 pair is one-line, so both relations reach the bounded search;
+    # at bound 1000 iso's box holds 2001^3 triples, and the budget ends it
+    line = "oplus(Z[1/53], Z[1/371]) + gen(1/13, {}/169)"
+    h, hp = parse_group(line.format(1)), parse_group(line.format(4))
+    start = time.perf_counter()
+    v = decide(ISO, h, hp, bound=1000)
+    assert time.perf_counter() - start < 2
+    assert v.answer == "UNKNOWN"
+    assert str(v.certificate) == (
+        "search-exhausted: candidate budget 200000 spent, unimodular entries <= 1000"
+    )
+
+
+def test_coe_no_from_divisibility_rank():
+    # both superindexes are 2^inf * 3^inf, so OE holds; at p = 2 the first
+    # group is divisible in two directions and the second in one
+    h = parse_group("oplus(Z[1/6], Z[1/6])")
+    hp = parse_group("oplus(Z[1/6], Z[1/3])")
+    assert superindex(h) == superindex(hp)
+    v = decide(COE, h, hp)
+    assert v.answer == "NO"
+    assert str(v.certificate) == "local-profile: divisibility rank at p=2 is 2 vs 1"
 
 
 def test_coe_dimension_mismatch(g):

@@ -317,6 +317,22 @@ def test_coinv_exits_70_when_a_level_index_fails(grp, capsys, monkeypatch):
     assert out == "error=ArithmeticError: level 2 index 2 does not divide the superindex 3^inf*5^1\n"
 
 
+def test_classify_d3_unknown_prints_the_flag(grp, capsys):
+    # a d = 3 pair outside the zero-line tier is UNKNOWN for iso and COE,
+    # and the report says the necessity half is proven for d <= 2 only
+    base = "oplus(Z[1/2],Z[1/3],Z[1/5]) + gen(1/7,1/7,0)"
+    a = grp("d3_a", base)
+    b = grp("d3_b", f"mat([1,1,0;0,1,0;0,2,1]) * {base}")
+    for relation in ("iso", "coe"):
+        code, out = run(capsys, "classify", "--relation", relation, a, b)
+        assert code == 2
+        assert out == (
+            f"relation={relation}\n"
+            "certificate=search-exhausted: no decision procedure for d >= 3\n"
+            "flag=necessity proven for d <= 2 only\nverdict=UNKNOWN\n"
+        )
+
+
 def test_classify_d3_equal_groups_list_both_signs(grp, capsys):
     # H = H' in d = 3: I and -I are witnesses, since -I.H = -H = H
     a = grp("d3", "oplus(Z[1/2], Z[1/3], Z[1/5])")

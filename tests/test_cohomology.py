@@ -18,32 +18,16 @@ from zodom.gdsl import parse_group
 from zodom.hgroup import superindex, tower
 from zodom.linalg import INF, Lattice, Mat, Supernatural, snf
 from zodom.odometer import FiniteOdometer
-from zodom.verify import TORSION_QUOTIENTS, cocycle_corpus
+from zodom.verify import TORSION_QUOTIENTS, cocycle_corpus, random_dual_vector, random_quotient
 
 from helpers import echelon_with_transform
 
 F = Fraction
 
 
-def random_quotient(rng, max_index=200):
-    """Random G <= Z^2 in HNF with index <= max_index."""
-    while True:
-        a = rng.randint(1, 14)
-        c = rng.randint(1, 14)
-        if a * c > max_index:
-            continue
-        b = rng.randint(0, c - 1)
-        return Lattice.from_span(2, [(a, b), (0, c)])
-
-
 def _epsilon(q, i):
     """The constant cocycle theta(x, n) = n_i."""
     return Cocycle1(q, [{x: int(k == i) for x in q.reps} for k in range(q.d)], validate=False)
-
-
-def random_dual_vector(rng, g):
-    coeffs = [rng.randint(-6, 6) for _ in range(g.d)]
-    return g.basis().transpose().inv().apply(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +134,7 @@ def test_alpha_examples():
 def test_alpha_build_roundtrip_corpus():
     rng = random.Random(42)
     for _ in range(40):
-        g = random_quotient(rng)
+        g = random_quotient(rng, 200)
         h = random_dual_vector(rng, g)
         assert alpha_map(build_cocycle(g, h)) == tuple(h)
 
@@ -352,7 +336,7 @@ def test_tau_equals_dual_vector_seeded_corpus():
     rng = random.Random(2024)
     seen_b0 = seen_bpos = 0
     for _ in range(60):
-        g = random_quotient(rng)
+        g = random_quotient(rng, 200)
         if g.mat[1][0] == 0:
             seen_b0 += 1
         else:

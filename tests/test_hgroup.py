@@ -34,11 +34,9 @@ from zodom.linalg import (
     Lattice,
     Mat,
     Supernatural,
-    _canonical,
     _column_echelon,
     clear_denominators,
     factorint,
-    lattice_scale,
     lattice_sum,
     snf,
     subspace_basis,
@@ -325,13 +323,13 @@ def p_primary_over_standard(lat: Lattice, p: int) -> Lattice:
     np_part = n // p ** valuation(n, p) if n > 1 else 1
     if np_part == 1:
         return lat
-    return lattice_sum(zd, lattice_scale(lat, np_part))
+    return lattice_sum(zd, Lattice(lat.d, lat.den, [[np_part * x for x in row] for row in lat.mat]))
 
 
 def test_p_primary_over_standard():
     big = Lattice.from_span(2, [(F(1, 6), 0), (0, 1)])
-    assert p_primary_over_standard(big, 2) == Lattice(Mat([[1, 0], [0, 2]], 2))
-    assert p_primary_over_standard(big, 3) == Lattice(Mat([[1, 0], [0, 3]], 3))
+    assert p_primary_over_standard(big, 2) == Lattice(2, 2, [[1, 0], [0, 2]])
+    assert p_primary_over_standard(big, 3) == Lattice(2, 3, [[1, 0], [0, 3]])
     assert p_primary_over_standard(big, 5) == Lattice.standard(2)
 
 
@@ -442,7 +440,7 @@ def _local_entry_reference(d, p, lattice_gens, divisible_gens):
     invariants = [s[i][i] for i in range(len(rows))]
     pk = invariants[-1] if invariants else 1
     lam = congruence_lattice(rows, pk, d)
-    lattice = Lattice._raw(*_canonical(d, pk, [list(r) for r in zip(*lam)]))
+    lattice = Lattice(d, pk, list(zip(*lam)))
     return p, len(vspan), lattice, vspan, valuation(prod(invariants), p), tuple(rows)
 
 
@@ -557,7 +555,7 @@ def test_congruence_rows_match_kernel_reference(case):
     pk = p**k
     lam = _congruence_rows(_smith_form(rows, d), pk)
     ref = congruence_lattice(rows, pk, d)
-    assert _canonical(d, 1, lam) == _canonical(d, 1, [list(r) for r in zip(*ref)])
+    assert Lattice(d, 1, lam) == Lattice(d, 1, list(zip(*ref)))
     for col in zip(*lam):
         assert all(sum(map(mul, row, col)) % pk == 0 for row in rows)
 
@@ -572,7 +570,7 @@ def _check_kept_smith(h):
         assert e._smith == smith
         assert isinstance(e._smith[1], tuple) and all(isinstance(r, tuple) for r in e._smith[1])
         pk = smith[0][-1] if smith[0] else 1
-        assert e.lattice == Lattice._raw(*_canonical(h.d, pk, _congruence_rows(smith, pk)))
+        assert e.lattice == Lattice(h.d, pk, _congruence_rows(smith, pk))
         pks.append(pk)
     return pks
 

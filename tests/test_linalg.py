@@ -20,9 +20,7 @@ from zodom.linalg import (
     adjugate,
     clear_denominators,
     factorint,
-    hnf,
     is_prime,
-    lattice_scale,
     lattice_sum,
     snf,
     subspace_basis,
@@ -45,7 +43,8 @@ F = Fraction
 
 
 def lat(rows):
-    return Lattice(rational_mat(rows))
+    m = rational_mat(rows)
+    return Lattice(m.d, m.den, m.num)
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +110,16 @@ def coset_count(rows):
 
 
 # ---------------------------------------------------------------------------
-# hnf
+# hnf: the integer matrix Lattice(d, 1, m).mat
 
 
 def test_hnf_identity():
-    assert hnf([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+    assert Lattice(2, 1, [[1, 0], [0, 1]]).mat == ((1, 0), (0, 1))
 
 
 def test_hnf_already_reduced():
-    m = [[2, 0], [1, 3]]
-    assert hnf(m) == m
+    m = ((2, 0), (1, 3))
+    assert Lattice(2, 1, m).mat == m
     # oracle: no unimodular column operation reaches a different reduced form;
     # every transformed matrix has the same HNF and the same span
     for v in unimodular_2x2(2):
@@ -128,18 +127,18 @@ def test_hnf_already_reduced():
             [sum(m[i][k] * v[k][j] for k in range(2)) for j in range(2)]
             for i in range(2)
         ]
-        assert hnf(prod) == m
+        assert Lattice(2, 1, prod).mat == m
         assert span_equal_by_membership(prod, m)
 
 
 def test_hnf_column_swap():
-    assert hnf([[0, 1], [1, 0]]) == [[1, 0], [0, 1]]
+    assert Lattice(2, 1, [[0, 1], [1, 0]]).mat == ((1, 0), (0, 1))
     assert span_equal_by_membership([[0, 1], [1, 0]], [[1, 0], [0, 1]])
 
 
 def test_hnf_matches_sympy():
     # sympy's row-style Hermite form of J.m.J, J reversing the order of the
-    # rows and of the columns, is J.hnf(m).J
+    # rows and of the columns, is J.h.J for h = Lattice(d, 1, m).mat
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import hermite_normal_form
 
@@ -154,14 +153,26 @@ def test_hnf_matches_sympy():
         if Mat(m).det() == 0:
             continue
         ref = hermite_normal_form(sympy.Matrix(flip(m)))
-        assert hnf(m) == flip([[int(ref[i, j]) for j in range(d)] for i in range(d)]), m
+        want = flip([[int(ref[i, j]) for j in range(d)] for i in range(d)])
+        assert Lattice(d, 1, m).mat == tuple(map(tuple, want)), m
         tested += 1
     assert tested > 100
 
 
 def test_hnf_singular_rejected():
-    with pytest.raises(SingularMatrixError):
-        hnf([[1, 2], [2, 4]])
+    with pytest.raises(SingularMatrixError, match="not full rank"):
+        Lattice(2, 1, [[1, 2], [2, 4]])
+
+
+def test_lattice_rejects_nonpositive_denominator():
+    for den in (0, -2):
+        with pytest.raises(ValueError, match="denominator"):
+            Lattice(2, den, [[1, 0], [0, 1]])
+
+
+def test_mat_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="denominator"):
+        Mat([[1, 0], [0, 1]], 0)
 
 
 def test_hnf_shape_conditions():
@@ -171,7 +182,7 @@ def test_hnf_shape_conditions():
         det = Mat(m).det()
         if det == 0:
             continue
-        h = hnf(m)
+        h = Lattice(3, 1, m).mat
         for i in range(3):
             assert h[i][i] > 0
             for j in range(3):
@@ -181,7 +192,7 @@ def test_hnf_shape_conditions():
                     assert 0 <= h[i][j] < h[i][i]
         assert abs(Mat(h).det()) == abs(det)
         assert span_equal_by_membership(m, h)
-        assert hnf(h) == h  # idempotent
+        assert Lattice(3, 1, h).mat == h  # idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +358,7 @@ def test_lattice_sum_intersect_scale():
     a = Lattice.from_span(2, [(2, 0), (0, 1)])
     b = Lattice.from_span(2, [(3, 0), (0, 1)])
     assert lattice_sum(a, b) == Lattice.standard(2)
-    assert lattice_scale(Lattice.standard(2), F(1, 2)) == lat([[F(1, 2), 0], [0, F(1, 2)]])
+    assert Lattice(2, 2, Lattice.standard(2).mat) == lat([[F(1, 2), 0], [0, F(1, 2)]])
 
 
 def test_lattice_block():
@@ -497,9 +508,9 @@ nonsingular_2x2 = (
 @given(nonsingular_2x2)
 @settings(max_examples=80, deadline=None)
 def test_hnf_preserves_span_property(rows):
-    h = hnf(rows)
+    h = Lattice(2, 1, rows).mat
     assert span_equal_by_membership(rows, h)
-    assert hnf(h) == h
+    assert Lattice(2, 1, h).mat == h
 
 
 @given(nonsingular_2x2)
@@ -613,7 +624,8 @@ def _ref_contains(big, small):
 
 
 def _ref_dual(lattice):
-    return Lattice(rational_mat(_ref_inv(lattice.basis().rows)).transpose())
+    m = rational_mat(_ref_inv(lattice.basis().rows)).transpose()
+    return Lattice(m.d, m.den, m.num)
 
 
 def _random_rows(rng, nr, nc):
@@ -754,7 +766,7 @@ def test_lattice_member_contains_dual_match_fraction_reference():
         if _ref_det(rows) == 0:
             continue
         tested += 1
-        g = Lattice(rational_mat(rows))
+        g = lat(rows)
         gd = g.dual()
         assert gd == _ref_dual(g), rows
         vs = _random_rows(rng, 3, d)

@@ -364,10 +364,10 @@ def test_spectrum_cap_boundary(monkeypatch):
     ],
 )
 def test_spectrum_refuses_from_the_prime_counts_before_enumerating(monkeypatch, text, cap):
-    def no_enumeration(rows):
+    def no_enumeration(d, den, rows):
         raise AssertionError("a component was enumerated")
 
-    monkeypatch.setattr(odometer, "hnf", no_enumeration)
+    monkeypatch.setattr(odometer, "Lattice", no_enumeration)
     monkeypatch.setattr(odometer, "SPECTRUM_MAX_COUNT", cap)
     with pytest.raises(odometer.SpectrumTooLargeError):
         spectrum(parse_group(text), 16)

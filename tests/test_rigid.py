@@ -65,7 +65,8 @@ def test_levels_nested_with_prime_index(prog):
     prev = Lattice.standard(2)
     for n in range(1, 4):
         # H_n = Z^2 P_n^-1 in rows, so its column basis is P_n^-T
-        lvl = Lattice(_product(prog, n).transpose().inv())
+        basis = _product(prog, n).transpose().inv()
+        lvl = Lattice(2, basis.den, basis.num)
         assert lvl.contains(prev)
         assert index(prev, lvl) == prog.levels[n - 1].det
         prev = lvl
@@ -119,7 +120,7 @@ def coset_l1_min_by_enumeration(alpha: Mat) -> int:
     det = abs(int(alpha.det()))
     inv = alpha.inv()
     best = None
-    for z in FiniteOdometer(Lattice(alpha.transpose())).reps:
+    for z in FiniteOdometer(Lattice(2, alpha.den, zip(*alpha.num))).reps:
         x = [sum(z[i] * inv.rows[i][j] for i in range(2)) for j in range(2)]
         if all(t.denominator == 1 for t in x):
             continue
