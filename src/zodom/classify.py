@@ -64,12 +64,11 @@ UNKNOWN                no decision procedure for d >= 3                 d >= 3
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from math import gcd, isqrt, prod
 from operator import mul
 
 from .hgroup import HGroup, difference, equal_h, is_free, maps_onto, superindex
-from .linalg import INF, Lattice, Mat, adjugate, factorint, lattice_sum, ratio_text, snf, valuation
+from .linalg import INF, Lattice, Mat, Record, adjugate, factorint, lattice_sum, ratio_text, snf, valuation
 
 CONJ, ISO, COE, OE = "conj", "iso", "coe", "oe"
 RELATIONS = (CONJ, ISO, COE, OE)
@@ -82,23 +81,35 @@ class NotFreeError(ValueError):
     """Deciders require free (dense) groups."""
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str
-    detail: str
+class Certificate(Record):
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str):
+        self.kind = kind
+        self.detail = detail
 
     def __str__(self):
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    relation: str
-    answer: str
-    witness: Mat | None = None
-    certificate: Certificate | None = None
-    witnesses: tuple = ()
-    flags: tuple = ()
+class Verdict(Record):
+    __slots__ = ("relation", "answer", "witness", "certificate", "witnesses", "flags")
+
+    def __init__(
+        self,
+        relation: str,
+        answer: str,
+        witness: Mat | None = None,
+        certificate: Certificate | None = None,
+        witnesses: tuple = (),
+        flags: tuple = (),
+    ):
+        self.relation = relation
+        self.answer = answer
+        self.witness = witness
+        self.certificate = certificate
+        self.witnesses = witnesses
+        self.flags = flags
 
     def exit_code(self) -> int:
         return {YES: 0, NO: 1, UNKNOWN: 2}[self.answer]
@@ -277,7 +288,8 @@ def decide(
         verdict.answer == UNKNOWN
         or relation == COE and verdict.answer == NO and verdict.certificate.kind != "superindex"
     ):
-        return replace(verdict, flags=(D3_FLAG,))
+        v = verdict
+        return Verdict(v.relation, v.answer, v.witness, v.certificate, v.witnesses, flags=(D3_FLAG,))
     return verdict
 
 

@@ -22,11 +22,10 @@ Three entry points each read one rule from a whole input: ``parse`` a
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .hgroup import HGroup, apply_matrix
-from .linalg import Mat, SingularMatrixError, factorint, ratio_text
+from .linalg import Mat, Record, SingularMatrixError, factorint, ratio_text
 
 
 class GdslSyntaxError(ValueError):
@@ -48,31 +47,41 @@ class BadDenominatorError(ValueError):
 # AST
 
 
-@dataclass(frozen=True)
-class ZComp:
-    inv: int = 1  # 1 means plain Z, n >= 2 means Z[1/n]
+class ZComp(Record):
+    __slots__ = ("inv",)
+
+    def __init__(self, inv: int = 1):
+        self.inv = inv  # 1 means plain Z, n >= 2 means Z[1/n]
 
 
-@dataclass(frozen=True)
-class Oplus:
-    comps: tuple
+class Oplus(Record):
+    __slots__ = ("comps",)
+
+    def __init__(self, comps: tuple):
+        self.comps = comps
 
 
-@dataclass(frozen=True)
-class Gen:
-    den: int  # num / den in lowest terms, a (den, num) pair of local_data
-    num: tuple
+class Gen(Record):
+    __slots__ = ("den", "num")
+
+    def __init__(self, den: int, num: tuple):
+        self.den = den  # num / den in lowest terms, a (den, num) pair of local_data
+        self.num = num
 
 
-@dataclass(frozen=True)
-class MatExpr:
-    mat: Mat
-    operand: object
+class MatExpr(Record):
+    __slots__ = ("mat", "operand")
+
+    def __init__(self, mat: Mat, operand: object):
+        self.mat = mat
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class SumExpr:
-    items: tuple
+class SumExpr(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
 
 
 GroupExpr = object  # any of the node classes above

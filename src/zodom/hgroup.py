@@ -34,7 +34,6 @@ beyond the columns of alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -42,6 +41,7 @@ from .linalg import (
     INF,
     Lattice,
     Mat,
+    Record,
     Supernatural,
     _column_echelon,
     adjugate,
@@ -292,16 +292,18 @@ class HGroup:
         return f"HGroup(d={self.d}, support={self.support()})"
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Record):
     """Increasing finite-index extensions H_1 = Z^d <= ... with duals G_n = H_n*.
 
     A level equal to the one before it (no support prime divides n) is the
     same Lattice object, and so is its dual; lattices are immutable, so the
     sharing shows only to ``is``."""
 
-    levels: tuple
-    duals: tuple
+    __slots__ = ("levels", "duals")
+
+    def __init__(self, levels: tuple, duals: tuple):
+        self.levels = levels
+        self.duals = duals
 
     @property
     def depth(self) -> int:

@@ -25,6 +25,7 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, inf, lcm, prod
 from operator import mul
@@ -435,6 +436,40 @@ def ratio_text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+class Record:
+    """Base of the small value types elsewhere (``Verdict``, the gdsl nodes,
+    ``Tower``, ...): a subclass names its fields, in order, as its
+    ``__slots__`` and sets them in ``__init__``.  Instances of one class are
+    equal when their fields are, hash by their fields, and print as
+    ``Name(field=value, ...)``; they are immutable by convention, like
+    :class:`Mat` and :class:`Lattice`.
+
+    >>> class Pair(Record):
+    ...     __slots__ = ("a", "b")
+    ...     def __init__(self, a, b):
+    ...         self.a, self.b = a, b
+    >>> Pair(1, "x"), Pair(1, "x") == Pair(1, "x"), Pair(1, "x") == (1, "x")
+    (Pair(a=1, b='x'), True, False)
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class Mat:
     """Immutable square rational matrix num / den: ``num`` a tuple of integer
     row tuples, den > 0 and gcd(den, entries) = 1.  It is built from integer
@@ -470,7 +505,7 @@ class Mat:
 
     @classmethod
     def identity(cls, d: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)])
+        return _identity(d)
 
     @property
     def d(self) -> int:
@@ -523,6 +558,11 @@ class Mat:
     def __repr__(self):
         body = "; ".join(",".join(ratio_text(x, self.den) for x in row) for row in self.num)
         return f"Mat([{body}])"
+
+
+@cache  # one shared identity per d, which is safe as no Mat is ever changed
+def _identity(d: int) -> Mat:
+    return Mat([[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul
 
 from .hgroup import HGroup, Tower, _congruence_rows
-from .linalg import Lattice, Mat, snf
+from .linalg import Lattice, Mat, Record, snf
 
 
 class NotSubgroupError(ValueError):
@@ -177,20 +176,20 @@ class TowerSystem:
         )
 
 
-@dataclass(frozen=True)
-class OdoPoint:
-    system: TowerSystem
-    cosets: tuple
+class OdoPoint(Record):
+    __slots__ = ("system", "cosets")
 
-    def __post_init__(self):
-        for q, c in zip(self.system.quotients, self.cosets):
+    def __init__(self, system: TowerSystem, cosets: tuple):
+        for q, c in zip(system.quotients, cosets):
             if q.reduce(c) != c:
                 raise ValueError("coset is not a box representative")
         # coherence under the quotient maps
-        for n in range(len(self.cosets) - 1):
-            shallow = self.system.quotients[n]
-            if shallow.reduce(self.cosets[n + 1]) != self.cosets[n]:
+        for n in range(len(cosets) - 1):
+            shallow = system.quotients[n]
+            if shallow.reduce(cosets[n + 1]) != cosets[n]:
                 raise ValueError("cosets are not coherent under the quotient maps")
+        self.system = system
+        self.cosets = cosets
 
 
 def measure_cylinder(t: Tower, n: int) -> Fraction:

@@ -22,11 +22,10 @@ adj(P_n) x = 0 mod det P_n on the four integers of P_n = alpha_1 ... alpha_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .gdsl import parse_group
-from .linalg import Mat, is_prime
+from .linalg import Mat, Record, is_prime
 
 STEP_CAP = 1_000_000  # values of b tried per level before extend gives up
 
@@ -47,12 +46,14 @@ def l1_operator_norm(m: Mat) -> int:
     return max(sum(map(abs, col)) for col in zip(*m.num))
 
 
-@dataclass(frozen=True)
-class RigidLevel:
-    a: int
-    b: int
-    det: int
-    k_constant: int
+class RigidLevel(Record):
+    __slots__ = ("a", "b", "det", "k_constant")
+
+    def __init__(self, a: int, b: int, det: int, k_constant: int):
+        self.a = a
+        self.b = b
+        self.det = det
+        self.k_constant = k_constant
 
     def matrix(self) -> Mat:
         return Mat([[self.a, 1], [1, self.b]])

@@ -8,7 +8,6 @@ criterion takes its generator from the given seed, so runs are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .classify import COE, CONJ, ISO, OE, RELATIONS, decide
 from .cohomology import (
@@ -21,7 +20,7 @@ from .cohomology import (
     torsion_free_check,
 )
 from .hgroup import HGroup, is_free, superindex_oracle, tower
-from .linalg import INF, Lattice, Mat, is_prime
+from .linalg import INF, Lattice, Mat, Record, is_prime
 from .odometer import (
     FiniteOdometer,
     TowerSystem,
@@ -44,12 +43,14 @@ from .rigid import (
 DEFAULT_SEED = 455680
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str
+class CriterionResult(Record):
+    __slots__ = ("number", "name", "ok", "detail")
+
+    def __init__(self, number: int, name: str, ok: bool, detail: str):
+        self.number = number
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -76,6 +77,26 @@ def g():
 
 # ---------------------------------------------------------------------------
 # conjugacy
+
+
+def test_verdict_is_a_value_with_its_signature():
+    empty = inspect.Parameter.empty
+    params = [(p.name, p.default) for p in inspect.signature(Verdict).parameters.values()]
+    assert params == [
+        ("relation", empty), ("answer", empty), ("witness", None),
+        ("certificate", None), ("witnesses", ()), ("flags", ()),
+    ]
+    v = Verdict("iso", "YES")
+    assert repr(v) == (
+        "Verdict(relation='iso', answer='YES', witness=None, certificate=None, witnesses=(), flags=())"
+    )
+    cert = Certificate("superindex", "2^1 vs 3^1")
+    assert repr(cert) == "Certificate(kind='superindex', detail='2^1 vs 3^1')"
+    w = Verdict(relation=COE, answer="NO", certificate=cert, flags=(D3_FLAG,))
+    same = Verdict(COE, "NO", None, Certificate("superindex", "2^1 vs 3^1"), (), (D3_FLAG,))
+    assert w == same and hash(w) == hash(same) and w != v
+    assert v == Verdict("iso", "YES", witness=None) and hash(v) == hash(Verdict("iso", "YES"))
+    assert v != ("iso", "YES", None, None, (), ())
 
 
 def test_conjugacy_same_group(g):

@@ -107,6 +107,15 @@ def test_python_m_zodom_runs_main(grp, capsys):
     assert (proc.returncode, proc.stdout) == (code, out)
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call is a fresh process, so what importing zodom loads is
+    # paid on each one; inspect (which dataclasses imports) brings ast and dis
+    code = "import sys, zodom.cli, zodom.verify; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(zodom.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_superindex_example(grp, capsys):
     code, out = run(capsys, "superindex", grp("class35_3a"))
     assert code == 0

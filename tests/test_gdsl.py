@@ -42,6 +42,20 @@ def test_parse_fuchs_example():
     assert gen == Gen(5, (1, 1))
 
 
+def test_nodes_are_values():
+    t = (ZComp(2), ZComp())
+    assert repr(ZComp(2)) == "ZComp(inv=2)"
+    assert repr(Oplus(t)) == "Oplus(comps=(ZComp(inv=2), ZComp(inv=1)))"
+    # equality asks for the same class: no node equals a tuple, and nodes of
+    # two classes with equal fields differ
+    assert Oplus(t) == Oplus((ZComp(2), ZComp(1))) and Oplus(t) != SumExpr(t)
+    assert ZComp(1) != (1,) and ZComp(1) == ZComp()
+    text = "mat([0,1;1,0]) * oplus(Z[1/2], Z[1/3]) + gen(1/5, 1/5)"
+    a, b = parse(text), parse(text)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({Oplus(t), Oplus(t), SumExpr(t)}) == 2
+
+
 def test_parse_plain_oplus():
     e = parse("oplus(Z, Z)")
     assert e == Oplus((ZComp(1), ZComp(1)))

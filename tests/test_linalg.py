@@ -748,6 +748,13 @@ def test_mat_rejects_empty_and_non_square():
             Mat(rows)
 
 
+def test_identity_is_one_shared_mat_per_dimension():
+    for d in range(1, 5):
+        one = Mat.identity(d)
+        assert one is Mat.identity(d)
+        assert (one.den, one.num) == (1, tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
+
+
 def test_subspace_functions_match_fraction_reference():
     rng = random.Random(2044)
     for _ in range(400):

@@ -15,6 +15,7 @@ from zodom.odometer import (
     DualityRealization,
     FiniteOdometer,
     NotSubgroupError,
+    OdoPoint,
     TowerSystem,
     duality_check,
     duality_square_check,
@@ -144,6 +145,17 @@ def test_random_point_matches_choice_over_reps():
         rng, ref = random.Random(seed), random.Random(seed)
         assert sys.random_point(rng) == sys.point(ref.choice(deep.reps))
         assert rng.random() == ref.random()  # the stream is not shifted
+
+
+def test_odo_point_checks_its_cosets():
+    # G_1 = Z^2, G_2 = 2Z + Z and G_3 = 2Z + 3Z: boxes {0}, {0,1} x {0} and
+    # {0,1} x {0,1,2}
+    sys = TowerSystem(tower(parse_group(GALLERY_TEXTS["class35_1a"]), 3))
+    assert OdoPoint(sys, ((0, 0), (1, 0), (1, 2))) == sys.point((1, 2))
+    with pytest.raises(ValueError, match="coset is not a box representative"):
+        OdoPoint(sys, ((0, 0), (1, 0), (3, 0)))
+    with pytest.raises(ValueError, match="cosets are not coherent under the quotient maps"):
+        OdoPoint(sys, ((0, 0), (1, 0), (0, 2)))
 
 
 def test_random_point_builds_no_transversal():

@@ -35,3 +35,22 @@ def test_counted_span_resolves_to_a_wrapped_function(span):
     assert obj.__code__.co_filename == module.__file__, span
     # the tracer wraps public names, and these dunders of classes
     assert not path[-1].startswith("_") or (len(path) == 2 and path[-1] in tracer._DUNDERS)
+
+
+def test_tracer_installs_on_every_layer_and_uninstalls():
+    # a class attribute the tracer cannot wrap, such as a classmethod around
+    # a functools.cache wrapper, would stop every traced benchmark run
+    modules = [importlib.import_module(f"zodom.{layer}") for layer in tracer.LAYERS]
+
+    def namespaces():
+        spaces = [dict(vars(m)) for m in modules]
+        classes = [obj for ns in spaces for obj in ns.values() if inspect.isclass(obj)]
+        return spaces + [dict(vars(cls)) for cls in classes if cls.__module__.startswith("zodom.")]
+
+    before = namespaces()
+    t = tracer.Tracer()
+    try:
+        t.install()
+    finally:
+        t.uninstall()
+    assert namespaces() == before
