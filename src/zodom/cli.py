@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (or verdict YES), 1 verdict NO, 2 verdict UNKNOWN,
 64 usage error, 65 malformed input (syntax errors carry the byte offset) or
-a request refused as too large (a spectrum above ``SPECTRUM_MAX_COUNT``, or
-a ``tau`` quotient above ``COCYCLE_MAX_CARD`` cosets),
+a request refused: a spectrum above ``SPECTRUM_MAX_COUNT``, a ``tau``
+quotient above ``COCYCLE_MAX_CARD`` cosets, or a ``rigid`` level whose
+determinant is not proven prime within ``linalg.RHO_BUDGET`` steps (from
+``--levels 7``: ``error=cannot prove ... prime``),
 70 any other failure: a run that ran out of memory or recursion depth, or
 any other uncaught exception, reported on an ``error=`` line.
 
@@ -87,7 +89,8 @@ class InputError(Exception):
 
 
 # raised only while input is read, parsed, elaborated or checked for freeness,
-# or when a spectrum or a tau quotient is refused as too large
+# when a spectrum or a tau quotient is refused as too large, or when a rigid
+# level's determinant is not proven prime
 _INPUT_ERRORS = (InputError, BadDenominatorError, DimensionMismatchError, FactorBudgetError,
                  NotFreeError, NotSupergroupError, SingularMatrixError, SpectrumTooLargeError)
 

@@ -100,10 +100,6 @@ class LocalEntry:
         else:
             self.lattice = Lattice(d, pk, _congruence_rows(smith, pk))
 
-    @property
-    def d(self):
-        return self.lattice.d
-
     def index_valuation(self) -> int:
         """v_p[L(p) : Z^d + L(p) n V_p], which is v_p[L(p) : Z^d] at rank 0
         and 0 at rank d; read once, in ``__init__``, as v_p of the product
@@ -116,16 +112,6 @@ class LocalEntry:
         basis of L* n V^perp, the product of its invariant factors.
         """
         return self._index_valuation
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LocalEntry)
-            and (self.p, self.r, self.lattice, self.vspan)
-            == (other.p, other.r, other.lattice, other.vspan)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.r, self.lattice, self.vspan))
 
     def __repr__(self):
         return f"LocalEntry(p={self.p}, r={self.r}, lattice={self.lattice!r}, vspan={self.vspan!r})"
@@ -224,9 +210,14 @@ def _entry(d: int, p: int, gens, vspan):
 
 
 class HGroup:
-    """Local presentation of Z^d <= H <= Q^d; entries sorted by prime."""
+    """Local presentation of Z^d <= H <= Q^d; entries sorted by prime.
 
-    __slots__ = ("d", "entries", "_by_prime", "_free", "_superindex")
+    Groups compare and hash by one key, (d, ((p, vspan, _rows), ...)) over
+    the entries.  Each entry's vspan and rows depend on M_p alone
+    (``_entry``), and the rows fix the stored L(p) (``LocalEntry``), so two
+    groups have the same key exactly when H = H'."""
+
+    __slots__ = ("d", "entries", "_by_prime", "_key", "_free", "_superindex")
 
     def __init__(self, d: int, entries):
         self.d = d
@@ -234,12 +225,9 @@ class HGroup:
         self._by_prime = {e.p: e for e in self.entries}
         if len(self._by_prime) != len(self.entries):
             raise ValueError("duplicate primes in support")
+        self._key = (d, tuple((e.p, e.vspan, e._rows) for e in self.entries))
         self._free = None  # is_free, filled on first use
         self._superindex = None  # superindex, filled on first use
-
-    @classmethod
-    def standard(cls, d: int) -> "HGroup":
-        return cls(d, ())
 
     @classmethod
     def from_local_data(cls, d: int, data) -> "HGroup":
@@ -278,15 +266,10 @@ class HGroup:
         }
 
     def __eq__(self, other):
-        # the local data are canonical, so this is H = H'
-        return (
-            isinstance(other, HGroup)
-            and self.d == other.d
-            and self.entries == other.entries
-        )
+        return isinstance(other, HGroup) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.d, self.entries))
+        return hash(self._key)
 
     def __repr__(self):
         return f"HGroup(d={self.d}, support={self.support()})"
@@ -372,7 +355,7 @@ def difference(h1: HGroup, h2: HGroup):
     the datum, as ``classify`` does in the detail of a conjugacy NO.
 
     >>> h = HGroup.from_local_data(1, {5: ([(5, (1,))], [])})
-    >>> difference(h, h) is None, difference(HGroup.standard(1), h)
+    >>> difference(h, h) is None, difference(HGroup(1, ()), h)
     (True, 'support differs at p=5')
     """
     for a, b, which in ((h1, h2, "other"), (h2, h1, "first")):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import gcd, inf, lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 
 
 class SingularMatrixError(ValueError):
@@ -437,12 +437,12 @@ def ratio_text(num: int, den: int) -> str:
 
 
 class Record:
-    """Base of the small value types elsewhere (``Verdict``, the gdsl nodes,
-    ``Tower``, ...): a subclass names its fields, in order, as its
-    ``__slots__`` and sets them in ``__init__``.  Instances of one class are
-    equal when their fields are, hash by their fields, and print as
-    ``Name(field=value, ...)``; they are immutable by convention, like
-    :class:`Mat` and :class:`Lattice`.
+    """Base of the value types: ``Mat``, ``Lattice``, ``Supernatural`` here,
+    ``Verdict``, the gdsl nodes, ``Tower`` and the like elsewhere.  A
+    subclass names its fields, in order, as its ``__slots__`` and sets them
+    in ``__init__``.  Instances of one class are equal when their fields
+    are, hash by their fields, and print as ``Name(field=value, ...)``
+    unless the class prints itself; they are immutable by convention.
 
     >>> class Pair(Record):
     ...     __slots__ = ("a", "b")
@@ -454,23 +454,24 @@ class Record:
 
     __slots__ = ()
 
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*cls.__slots__)  # one field: its value, not a 1-tuple
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields(self) == other._fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
 
-class Mat:
+class Mat(Record):
     """Immutable square rational matrix num / den: ``num`` a tuple of integer
     row tuples, den > 0 and gcd(den, entries) = 1.  It is built from integer
     rows only; ``rows``, ``apply`` and ``det`` read it back as Fractions.
@@ -549,12 +550,6 @@ class Mat:
     def is_integer(self) -> bool:
         return self.den == 1
 
-    def __eq__(self, other):
-        return isinstance(other, Mat) and self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.den, self.num))
-
     def __repr__(self):
         body = "; ".join(",".join(ratio_text(x, self.den) for x in row) for row in self.num)
         return f"Mat([{body}])"
@@ -569,7 +564,7 @@ def _identity(d: int) -> Mat:
 # lattices
 
 
-class Lattice:
+class Lattice(Record):
     """Full-rank lattice in Q^d, canonicalized as (1/den) * (integer HNF).
 
     The columns of :meth:`basis` generate the lattice.  Two lattices are equal
@@ -657,15 +652,6 @@ class Lattice:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Lattice)
-            and (self.d, self.den, self.mat) == (other.d, other.den, other.mat)
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.den, self.mat))
-
     def __repr__(self):
         body = "; ".join(",".join(str(x) for x in row) for row in self.mat)
         return f"Lattice(1/{self.den} * [{body}])"
@@ -705,7 +691,7 @@ def subspace_basis(vectors, d):
 INF = inf  # exponent value for infinitely divisible primes
 
 
-class Supernatural:
+class Supernatural(Record):
     """Formal product of p^e with e a positive integer or INF.
 
     >>> str(Supernatural({2: INF, 5: 1}))
@@ -736,12 +722,6 @@ class Supernatural:
 
     def primes(self):
         return tuple(p for p, _ in self.items)
-
-    def __eq__(self, other):
-        return isinstance(other, Supernatural) and self.items == other.items
-
-    def __hash__(self):
-        return hash(self.items)
 
     def __str__(self):
         if not self.items:

@@ -146,10 +146,6 @@ class TowerSystem:
         self.tower = t
         self.quotients = tuple(FiniteOdometer(g) for g in t.duals)
 
-    @property
-    def depth(self) -> int:
-        return len(self.quotients)
-
     def point(self, v) -> "OdoPoint":
         """The point with coordinates v + G_n at every level (these exhaust
         all finite-depth points since Z^d surjects onto each quotient)."""

@@ -3,6 +3,8 @@
 Each criterion is exact (tolerance zero): the checks compare rationals,
 integer matrices and verdict strings, never floats.  Every randomized
 criterion takes its generator from the given seed, so runs are reproducible.
+A criterion returns (ok, detail), and ``run_paper_suite`` labels it with the
+number and name its function name carries.
 """
 
 from __future__ import annotations
@@ -80,13 +82,13 @@ def random_dual_vector(rng: random.Random, g: Lattice):
     return g.basis().transpose().inv().apply(coeffs)
 
 
-def cocycle_corpus(seed: int, count: int = 100, max_index: int = 200):
-    """(G, h) pairs with G <= Z^2 of index <= max_index and h in G*;
-    every fifth instance is forced diagonal to exercise the b = 0 branch."""
+def cocycle_corpus(seed: int):
+    """100 (G, h) pairs with G <= Z^2 of index <= 200 and h in G*; every
+    fifth instance is forced diagonal to exercise the b = 0 branch."""
     rng = random.Random(seed)
     out = []
-    for k in range(count):
-        g = random_quotient(rng, max_index, force_diagonal=(k % 5 == 0))
+    for k in range(100):
+        g = random_quotient(rng, 200, force_diagonal=(k % 5 == 0))
         out.append((g, random_dual_vector(rng, g)))
     return out
 
@@ -127,7 +129,7 @@ def random_d1_group(rng: random.Random) -> HGroup:
 # criteria
 
 
-def criterion_1_classification_table(seed: int) -> CriterionResult:
+def criterion_1_classification_table(seed: int) -> tuple[bool, str]:
     g = gallery()
     checks = []
     v = decide(ISO, g["class35_1a"], g["class35_1b"])
@@ -141,13 +143,10 @@ def criterion_1_classification_table(seed: int) -> CriterionResult:
     checks.append(v.answer == "NO" and v.certificate.kind == "line-map")
     checks.append(g["class35_4a"].d == 2 and g["class35_4b"].d == 1)
     checks.append(decide(OE, g["class35_4a"], g["class35_4b"]).answer == "YES")
-    ok = all(checks)
-    return CriterionResult(
-        1, "classification_table", ok, f"{sum(checks)}/{len(checks)} table entries exact"
-    )
+    return all(checks), f"{sum(checks)}/{len(checks)} table entries exact"
 
 
-def criterion_2_witness_sets(seed: int) -> CriterionResult:
+def criterion_2_witness_sets(seed: int) -> tuple[bool, str]:
     g = gallery()
     h, hp = g["class11_fuchs"], g["class11_fuchs_swapped"]
     neg_swap = Mat([[0, -1], [-1, 0]])
@@ -165,11 +164,11 @@ def criterion_2_witness_sets(seed: int) -> CriterionResult:
         f"iso witnesses {len(iso.witnesses)}, coe witnesses {len(coe.witnesses)}, "
         "no det=+1 witness in bound"
     )
-    return CriterionResult(2, "witness_sets", ok, detail)
+    return ok, detail
 
 
-def criterion_3_trace_exactness(seed: int) -> CriterionResult:
-    corpus = cocycle_corpus(seed, count=100, max_index=200)
+def criterion_3_trace_exactness(seed: int) -> tuple[bool, str]:
+    corpus = cocycle_corpus(seed)
     b_zero = b_pos = 0
     for g, h in corpus:
         if g.mat[1][0] == 0:  # b, the HNF entry below the first pivot
@@ -177,18 +176,15 @@ def criterion_3_trace_exactness(seed: int) -> CriterionResult:
         else:
             b_pos += 1
         if tau1(build_cocycle(g, h)) != tuple(h):
-            return CriterionResult(3, "trace_exactness", False, f"tau1 mismatch on {g!r}")
-    ok = b_zero >= 10 and b_pos >= 10
-    return CriterionResult(
-        3, "trace_exactness", ok, f"100 exact traces (b=0: {b_zero}, b>0: {b_pos})"
-    )
+            return False, f"tau1 mismatch on {g!r}"
+    return b_zero >= 10 and b_pos >= 10, f"100 exact traces (b=0: {b_zero}, b>0: {b_pos})"
 
 
-def criterion_4_alpha_isomorphism(seed: int) -> CriterionResult:
-    corpus = cocycle_corpus(seed, count=100, max_index=200)
+def criterion_4_alpha_isomorphism(seed: int) -> tuple[bool, str]:
+    corpus = cocycle_corpus(seed)
     for g, h in corpus:
         if alpha_map(build_cocycle(g, h)) != tuple(h):
-            return CriterionResult(4, "alpha_isomorphism", False, f"round trip failed on {g!r}")
+            return False, f"round trip failed on {g!r}"
     rng = random.Random(seed + 1)
     for _ in range(50):
         g = random_quotient(rng, 200)
@@ -197,19 +193,17 @@ def criterion_4_alpha_isomorphism(seed: int) -> CriterionResult:
         f0 = {x: rng.randint(-5, 5) for x in theta.quotient.reps}
         eta = theta + Cocycle1.from_coboundary(theta.quotient, f0)
         if alpha_map(eta) != alpha_map(theta):
-            return CriterionResult(4, "alpha_isomorphism", False, "alpha not coboundary-invariant")
+            return False, "alpha not coboundary-invariant"
         if CoboundarySolver(theta.quotient).solve(eta - theta) is None:
-            return CriterionResult(4, "alpha_isomorphism", False, "explicit coboundary failed")
-    return CriterionResult(
-        4, "alpha_isomorphism", True, "100 round trips, 50 explicit coboundary differences"
-    )
+            return False, "explicit coboundary failed"
+    return True, "100 round trips, 50 explicit coboundary differences"
 
 
-def criterion_5_duality(seed: int) -> CriterionResult:
+def criterion_5_duality(seed: int) -> tuple[bool, str]:
     lats = sublattices_z2(50)
     for g in lats:
         if not duality_check(g):
-            return CriterionResult(5, "duality", False, f"duality failed for {g!r}")
+            return False, f"duality failed for {g!r}"
     count = 0
     for g1 in lats:
         if count >= 20:
@@ -219,19 +213,17 @@ def criterion_5_duality(seed: int) -> CriterionResult:
         factor = 2 if count % 2 == 0 else 3
         scaled = Lattice(2, 1, [[factor * x for x in row] for row in g1.mat])
         if not duality_square_check(g1, scaled):
-            return CriterionResult(5, "duality", False, f"square failed for {g1!r}")
+            return False, f"square failed for {g1!r}"
         count += 1
-    return CriterionResult(
-        5, "duality", count >= 20, f"{len(lats)} lattices, {count} nested squares"
-    )
+    return count >= 20, f"{len(lats)} lattices, {count} nested squares"
 
 
-def criterion_6_oe_invariant(seed: int) -> CriterionResult:
+def criterion_6_oe_invariant(seed: int) -> tuple[bool, str]:
     for name, h in sorted(gallery().items()):
         try:
             s = coinvariants(h, 6)
         except ArithmeticError as exc:
-            return CriterionResult(6, "oe_invariant", False, f"coinvariants for {name}: {exc}")
+            return False, f"coinvariants for {name}: {exc}"
         oracle6 = superindex_oracle(h, 6)
         oracle3 = superindex_oracle(h, 3)
         for p in set(s.primes()) | set(oracle6):
@@ -240,17 +232,13 @@ def criterion_6_oe_invariant(seed: int) -> CriterionResult:
             if e == INF:
                 # unbounded: strictly increasing along the chain
                 if not got > oracle3.get(p, 0) >= 0:
-                    return CriterionResult(
-                        6, "oe_invariant", False, f"oracle not growing at p={p} for {name}"
-                    )
+                    return False, f"oracle not growing at p={p} for {name}"
             elif got != e:
-                return CriterionResult(
-                    6, "oe_invariant", False, f"oracle exponent at p={p} is {got} != {e} for {name}"
-                )
-    return CriterionResult(6, "oe_invariant", True, "coinvariants = superindex = depth-6 oracle")
+                return False, f"oracle exponent at p={p} is {got} != {e} for {name}"
+    return True, "coinvariants = superindex = depth-6 oracle"
 
 
-def criterion_7_d1_collapse(seed: int) -> CriterionResult:
+def criterion_7_d1_collapse(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     pairs = 0
     while pairs < 50:
@@ -260,14 +248,12 @@ def criterion_7_d1_collapse(seed: int) -> CriterionResult:
             continue
         answers = [decide(rel, a, b).answer for rel in RELATIONS]
         if len(set(answers)) != 1:
-            return CriterionResult(
-                7, "d1_collapse", False, f"verdicts {answers} differ on pair {pairs}"
-            )
+            return False, f"verdicts {answers} differ on pair {pairs}"
         pairs += 1
-    return CriterionResult(7, "d1_collapse", True, "four verdicts identical on 50 pairs")
+    return True, "four verdicts identical on 50 pairs"
 
 
-def criterion_8_implication_chain(seed: int) -> CriterionResult:
+def criterion_8_implication_chain(seed: int) -> tuple[bool, str]:
     g = gallery()
     names = [n for n in sorted(g) if is_free(g[n])]
     order = RELATIONS  # strongest first
@@ -276,28 +262,19 @@ def criterion_8_implication_chain(seed: int) -> CriterionResult:
         for nb in names:
             answers = [decide(rel, g[na], g[nb]).answer for rel in order]
             for strong in range(len(order)):
-                if answers[strong] == "YES" and not all(
-                    a == "YES" for a in answers[strong:]
-                ):
-                    return CriterionResult(
-                        8,
-                        "implication_chain",
-                        False,
-                        f"chain broken for ({na}, {nb}): {answers}",
-                    )
+                if answers[strong] == "YES" and not all(a == "YES" for a in answers[strong:]):
+                    return False, f"chain broken for ({na}, {nb}): {answers}"
             checked += 1
     # expected-verdict metadata from the gallery re-checked as part of the chain
     for na, nb, expected in GALLERY_VERDICTS:
         for rel, want in expected.items():
             got = decide(rel, g[na], g[nb]).answer
             if got != want:
-                return CriterionResult(
-                    8, "implication_chain", False, f"({na}, {nb}) {rel}: {got} != {want}"
-                )
-    return CriterionResult(8, "implication_chain", True, f"{checked} ordered pairs consistent")
+                return False, f"({na}, {nb}) {rel}: {got} != {want}"
+    return True, f"{checked} ordered pairs consistent"
 
 
-def criterion_9_measure_metric(seed: int) -> CriterionResult:
+def criterion_9_measure_metric(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     g = gallery()
     for name in ("class35_1a", "class35_3a", "class11_fuchs"):
@@ -306,22 +283,22 @@ def criterion_9_measure_metric(seed: int) -> CriterionResult:
         for n in range(1, 5):
             f = sys.quotients[n - 1]
             if measure_cylinder(t, n) * f.card != 1:
-                return CriterionResult(9, "measure_metric", False, f"masses at level {n} of {name}")
+                return False, f"masses at level {n} of {name}"
             k = (rng.randint(-5, 5), rng.randint(-5, 5))
             if {f.act(k, x) for x in f.reps} != set(f.reps):
-                return CriterionResult(9, "measure_metric", False, "action not measure-preserving")
+                return False, "action not measure-preserving"
             if not f.orbit_is_everything():
-                return CriterionResult(9, "measure_metric", False, f"level {n} not minimal")
+                return False, f"level {n} not minimal"
         pts = [sys.random_point(rng) for _ in range(10)]
         for _ in range(100):
             a, b = rng.choice(pts), rng.choice(pts)
             k = (rng.randint(-6, 6), rng.randint(-6, 6))
             if metric(sys.act(k, a), sys.act(k, b)) != metric(a, b):
-                return CriterionResult(9, "measure_metric", False, "metric not equivariant")
+                return False, "metric not equivariant"
             c = rng.choice(pts)
             if metric(a, c) > metric(a, b) + metric(b, c):
-                return CriterionResult(9, "measure_metric", False, "triangle inequality")
-    return CriterionResult(9, "measure_metric", True, "three towers of depth 4 verified")
+                return False, "triangle inequality"
+    return True, "three towers of depth 4 verified"
 
 
 TORSION_QUOTIENTS = [
@@ -338,39 +315,35 @@ TORSION_QUOTIENTS = [
 ]
 
 
-def criterion_10_torsion_free(seed: int) -> CriterionResult:
+def criterion_10_torsion_free(seed: int) -> tuple[bool, str]:
     for rows in TORSION_QUOTIENTS:
         g = Lattice.from_span(2, rows)
         if int(g.det()) > 60:
-            return CriterionResult(10, "torsion_free", False, "quotient exceeds index bound")
+            return False, "quotient exceeds index bound"
         if not torsion_free_check(FiniteOdometer(g)):
-            return CriterionResult(10, "torsion_free", False, f"torsion witness on {rows}")
-    return CriterionResult(
-        10, "torsion_free", True, f"{len(TORSION_QUOTIENTS)} quotients, Schreier generators span G"
-    )
+            return False, f"torsion witness on {rows}"
+    return True, f"{len(TORSION_QUOTIENTS)} quotients, Schreier generators span G"
 
 
-def criterion_11_rigid(seed: int) -> CriterionResult:
+def criterion_11_rigid(seed: int) -> tuple[bool, str]:
     prog = RigidProgram().extend(3)
     for lvl in prog.levels:
         if not is_prime(lvl.det):
-            return CriterionResult(11, "rigid", False, f"determinant {lvl.det} not prime")
+            return False, f"determinant {lvl.det} not prime"
     for n in (1, 2, 3):
         report = verify_exercises(prog, n)
         if not all(report[f"item{k}"] for k in range(1, 6)):
-            return CriterionResult(11, "rigid", False, f"exercise failed at level {n}")
+            return False, f"exercise failed at level {n}"
     for n in (1, 2, 3):
         if not verify_torsion_bound(prog, n):
-            return CriterionResult(11, "rigid", False, f"norm bound failed at level {n}")
+            return False, f"norm bound failed at level {n}"
     for y in nonzero_l1_ball(3):
         if not verify_cyclicity(prog, y, 3):
-            return CriterionResult(11, "rigid", False, f"cyclicity failed for y={y}")
+            return False, f"cyclicity failed for y={y}"
     for n in (1, 2, 3):
         if not dual_ball_trivial(prog, n):
-            return CriterionResult(11, "rigid", False, f"dual ball nontrivial at {n}")
-    return CriterionResult(
-        11, "rigid", True, "levels 1-3: primes, exercises, cyclicity, dual balls"
-    )
+            return False, f"dual ball nontrivial at {n}"
+    return True, "levels 1-3: primes, exercises, cyclicity, dual balls"
 
 
 CRITERIA = [
@@ -388,5 +361,13 @@ CRITERIA = [
 ]
 
 
+# (number, name) of each criterion, read once from the function names, so a
+# wrapper put in CRITERIA in place of a criterion keeps its label
+_LABELS = [
+    (int(number), name)
+    for number, name in (fn.__name__.removeprefix("criterion_").split("_", 1) for fn in CRITERIA)
+]
+
+
 def run_paper_suite(seed: int = DEFAULT_SEED):
-    return [fn(seed) for fn in CRITERIA]
+    return [CriterionResult(n, name, *fn(seed)) for (n, name), fn in zip(_LABELS, CRITERIA)]

@@ -138,7 +138,7 @@ def test_conjugacy_d1(g):
 
 def test_conjugacy_requires_free():
     with pytest.raises(NotFreeError):
-        decide(CONJ, HGroup.standard(2), HGroup.standard(2))
+        decide(CONJ, HGroup(2, ()), HGroup(2, ()))
     with pytest.raises(NotFreeError):
         decide(CONJ, 
             parse_group("oplus(Z[1/2], Z)"), parse_group("oplus(Z[1/2], Z)")
@@ -948,7 +948,7 @@ def _small_line_witnesses(h, hp):
     (u1, v1, _), (u2, v2, _) = _tier_lines(h, hp)[:2]
     c, cp = [[u1[0], u2[0]], [u1[1], u2[1]]], [[v1[0], v2[0]], [v1[1], v2[1]]]
     (det_c, adj), (det_cp, adj_p) = adjugate(c), adjugate(cp)
-    z2 = HGroup.standard(2)
+    z2 = HGroup(2, ())
 
     def scaled(m, x, y, a, den):
         # m diag(x, y) a / den

@@ -549,6 +549,18 @@ def test_rigid_verifies_level_5_quickly(capsys):
     assert "=fail" not in out and lines[-1] == "cyclicity=pass"
 
 
+def test_rigid_refuses_a_level_it_cannot_prove_prime(capsys, monkeypatch):
+    # a determinant whose n - 1 does not factor within RHO_BUDGET Pollard-Brent
+    # steps is refused (65), not guessed; at the default budget level 7 is the
+    # first refused, after seconds of factoring, and a small budget refuses sooner
+    monkeypatch.setattr("zodom.linalg.RHO_BUDGET", 16)
+    start = time.perf_counter()
+    code, out = run(capsys, "rigid", "--levels", "7")
+    assert time.perf_counter() - start < 1
+    assert code == EX_DATA
+    assert out.splitlines()[-1].startswith("error=cannot prove ")
+
+
 def test_usage_errors(capsys):
     assert main(["not-a-verb"]) == EX_USAGE
     assert main([]) == EX_USAGE

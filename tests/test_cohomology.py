@@ -247,7 +247,7 @@ def _per_point_cocycle(g, h):
 
 
 def test_box_cocycles_match_per_point_builder():
-    cases = list(cocycle_corpus(21, count=100, max_index=200))
+    cases = list(cocycle_corpus(21))
     for m, num in ((7, 3), (1, 5), (12, -5)):
         cases.append((Lattice.from_span(1, [(m,)]), (F(num, m),)))
     rng = random.Random(22)

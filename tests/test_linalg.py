@@ -342,10 +342,15 @@ def test_member_invariant_under_canonicalization():
         ([(F(1, 2), 0), (0, 3)], [(0, 3), (F(1, 2), 3), (F(1, 2), 0)]),
         ([(5, 5), (0, 7)], [(5, -2), (0, 7), (10, 3)]),
     ]
+    # the one constructor, from integer rows over a denominator, agrees
+    half = Lattice.from_span(2, spans[1][0])
+    built = Lattice(2, 4, [[2, 0, 2], [0, 12, 0]])
+    assert built == half and hash(built) == hash(half)
     for basis, redundant in spans:
         g = Lattice.from_span(2, basis)
         same = Lattice.from_span(2, redundant)
-        assert g == same
+        assert g == same and hash(g) == hash(same)
+        assert g != g.basis() and g != (g.d, g.den, g.mat)
         for _ in range(100):
             v = (
                 F(rng.randint(-9, 9), rng.randint(1, 3)),
@@ -395,6 +400,11 @@ def test_supernatural_str_and_eq():
     assert str(Supernatural({})) == "1"
     assert Supernatural({3: 2, 2: INF}) == Supernatural({2: INF, 3: 2})
     assert Supernatural({2: 1}) != Supernatural({2: 2})
+    # a zero exponent is dropped: the same value, the same hash
+    with_zero = Supernatural({5: 1, 7: 0, 2: INF})
+    assert with_zero == s and hash(with_zero) == hash(s)
+    # equality is by type as well as by fields
+    assert s != s.items and Supernatural({}) != ()
 
 
 def test_primes_and_valuation():
@@ -725,6 +735,9 @@ def test_mat_matches_fraction_rows_reference(case):
     over_k = Mat([[x * k for x in row] for row in num], den * k)
     assert over_k == a and hash(over_k) == hash(a)
     assert (a == b) == (ref_a == ref_b)
+    # equality is by type as well as by fields
+    assert a != a.num and a != (a.den, a.num)
+    assert Mat([[1]]) != Lattice(1, 1, [[1]]) and Mat([[1]]) != ((1,),)
     # the text is that of the Fraction entries
     assert repr(a) == "Mat([" + "; ".join(",".join(str(x) for x in row) for row in ref_a) + "])"
     assert format_mat(a) == "mat([" + ";".join(",".join(str(x) for x in row) for row in ref_a) + "])"

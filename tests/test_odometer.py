@@ -259,7 +259,7 @@ def test_spectrum_examples():
         (F(1, 2),),
         (F(3, 4),),
     ]
-    assert spectrum(HGroup.standard(2), 5) == [(F(0), F(0))]
+    assert spectrum(HGroup(2, ()), 5) == [(F(0), F(0))]
     got = spectrum(parse_group("oplus(Z[1/2], Z[1/3])"), 3)
     assert got == [
         (F(0), F(0)),
@@ -847,7 +847,7 @@ def _product_check(h1, h2, depth):
 
 def test_product_examples():
     assert _product_check(parse_group("oplus(Z[1/2])"), parse_group("oplus(Z[1/3])"), 3)
-    assert _product_check(HGroup.standard(1), HGroup.standard(1), 3)
+    assert _product_check(HGroup(1, ()), HGroup(1, ()), 3)
     assert _product_check(parse_group("oplus(Z[1/2])"), parse_group("oplus(Z[1/2])"), 3)
     assert _product_check(
         parse_group("oplus(Z[1/2], Z[1/3])"), parse_group("oplus(Z[1/5])"), 3
