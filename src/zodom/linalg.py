@@ -293,12 +293,6 @@ def _column_echelon(rows: list[list[int]]):
     m = [list(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-
-    def coladd(dst, src, q):
-        # column dst += q * column src
-        for r in m:
-            r[dst] += q * r[src]
-
     pivots: list[int] = []
     col = 0
     for row in range(nr):
@@ -310,18 +304,22 @@ def _column_echelon(rows: list[list[int]]):
             best = 0
             for j in range(col, nc):
                 a = abs(cur[j])
-                if a != 0 and (jmin < 0 or a < best):
+                if a and (jmin < 0 or a < best):
                     jmin, best = j, a
             if jmin < 0:
                 break
             if jmin != col:
                 for r in m:
                     r[col], r[jmin] = r[jmin], r[col]
+            # column j -= q * column col clears or shrinks cur[j]
             done = True
+            p = cur[col]
             for j in range(col + 1, nc):
-                if cur[j] != 0:
-                    coladd(j, col, -(cur[j] // cur[col]))
-                    if cur[j] != 0:
+                if cur[j]:
+                    q = cur[j] // p
+                    for r in m:
+                        r[j] -= q * r[col]
+                    if cur[j]:
                         done = False
             if done:
                 break
@@ -330,8 +328,12 @@ def _column_echelon(rows: list[list[int]]):
         if cur[col] < 0:
             for r in m:
                 r[col] = -r[col]
+        p = cur[col]
         for j in range(col):
-            coladd(j, col, -(cur[j] // cur[col]))
+            q = cur[j] // p
+            if q:  # a zero quotient would add nothing
+                for r in m:
+                    r[j] -= q * r[col]
         pivots.append(row)
         col += 1
     return m, pivots
@@ -352,7 +354,9 @@ def snf(rows):
     the pivot fails to divide a later entry, the first such entry's row is
     added to row t and step t starts over; otherwise a negative pivot's row
     is negated.  u and v are the products of these operations in this
-    order, so (u, s, v) is a pure function of the input.
+    order, so (u, s, v) is a pure function of the input; ``snf_reference``
+    in tests/helpers.py pins that order, as ``column_echelon_reference``
+    there pins :func:`_column_echelon`'s.
 
     >>> u, s, v = snf([[2, 0], [1, 3]])
     >>> [s[0][0], s[1][1]]
@@ -361,8 +365,8 @@ def snf(rows):
     a = [list(map(int, r)) for r in rows]
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    u = [[0] * i + [1] + [0] * (nr - 1 - i) for i in range(nr)]
+    v = [[0] * i + [1] + [0] * (nc - 1 - i) for i in range(nc)]
     t = 0
     while True:
         # locate smallest nonzero entry in the remaining block
@@ -380,41 +384,50 @@ def snf(rows):
             a[t], a[pi] = a[pi], a[t]
             u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for row in (*a, *v):
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+            for row in v:
                 row[t], row[pj] = row[pj], row[t]
         # clear row and column t; a nonzero remainder becomes the smaller pivot
         dirty = True
         while dirty:
             dirty = False
+            top = a[t]
             for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                row = a[i]
+                if row[t]:
+                    q = row[t] // top[t]
+                    a[i] = row = [x - q * y for x, y in zip(row, top)]
                     u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
+                    if row[t]:
+                        a[t], a[i] = row, top
                         u[t], u[i] = u[i], u[t]
+                        top = row
                         dirty = True
             for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in (*a, *v):
+                if top[j]:
+                    q = top[j] // top[t]
+                    for row in a:
                         row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in (*a, *v):
+                    for row in v:
+                        row[j] -= q * row[t]
+                    if top[j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        for row in v:
                             row[t], row[j] = row[j], row[t]
                         dirty = True
         # divisibility: pivot must divide every later entry
-        p = a[t][t]
+        p = top[t]
         for i in range(t + 1, nr):
             row = a[i]
             if any(row[j] % p for j in range(t + 1, nc)):
-                a[t] = [x + y for x, y in zip(a[t], row)]
+                a[t] = [x + y for x, y in zip(top, row)]
                 u[t] = [x + y for x, y in zip(u[t], u[i])]
                 break
         else:
             if p < 0:
-                a[t] = [-x for x in a[t]]
+                a[t] = [-x for x in top]
                 u[t] = [-x for x in u[t]]
             t += 1
     return u, a, v
@@ -603,8 +616,8 @@ class Lattice(Record):
 
     @classmethod
     def standard(cls, d: int) -> "Lattice":
-        ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-        return cls._raw(d, 1, ident)
+        """Z^d, one shared instance per d."""
+        return _standard(d)
 
     @classmethod
     def from_span(cls, d: int, vectors) -> "Lattice":
@@ -655,6 +668,11 @@ class Lattice(Record):
     def __repr__(self):
         body = "; ".join(",".join(str(x) for x in row) for row in self.mat)
         return f"Lattice(1/{self.den} * [{body}])"
+
+
+@cache  # one shared Z^d per d, which is safe as no Lattice is ever changed
+def _standard(d: int) -> Lattice:
+    return Lattice._raw(d, 1, _identity(d).num)
 
 
 def lattice_sum(*lats: Lattice) -> Lattice:

@@ -32,17 +32,17 @@ class FiniteOdometer:
     __slots__ = ("lattice", "d", "card", "_diag", "_walk", "_reps", "_steps", "_tree")
 
     def __init__(self, lattice: Lattice):
-        if not lattice.is_integral():
+        if lattice.den != 1:
             raise ValueError("quotient lattice must be contained in Z^d")
-        self.lattice = lattice
-        self.d = lattice.d
-        self._diag = lattice.diagonal()
-        self.card = prod(self._diag)
-        # (j, pivot, nonzero entries below it) for each HNF column
         m = lattice.mat
+        self.lattice = lattice
+        self.d = d = lattice.d
+        self._diag = diag = tuple(m[j][j] for j in range(d))
+        self.card = prod(diag)
+        # (j, pivot, nonzero entries below it) for each HNF column
         self._walk = tuple(
-            (j, m[j][j], tuple((i, m[i][j]) for i in range(j + 1, self.d) if m[i][j]))
-            for j in range(self.d)
+            (j, m[j][j], tuple((i, m[i][j]) for i in range(j + 1, d) if m[i][j]))
+            for j in range(d)
         )
         self._reps = None
         self._steps = None
@@ -116,8 +116,9 @@ class FiniteOdometer:
         return self._tree
 
     def reduce(self, v):
-        """Box representative of v + G (forward walk along the triangular basis)."""
-        w = [int(x) for x in v]
+        """Box representative of v + G, for a tuple or list v of ints (forward
+        walk along the triangular basis)."""
+        w = [*v]
         for j, piv, below in self._walk:
             q = w[j] // piv
             if q:
@@ -364,7 +365,7 @@ class DualityRealization:
     def translation_tuple(self, n):
         """Character of the rotation by n, in invariant-factor coordinates."""
         return tuple(
-            sum(map(mul, row, n)) % si for row, si in zip(self._shift_rows, self.snf_diag)
+            [sum(map(mul, row, n)) % si for row, si in zip(self._shift_rows, self.snf_diag)]
         )
 
     def to_quotient(self, t):
@@ -431,15 +432,17 @@ def duality_check(g: Lattice) -> bool:
     q, s = real.quotient, real.snf_diag
     if prod(s) != q.card:
         return False
+    reduce = q.reduce
     units = _units(g.d)
     zero = (0,) * g.d
     c = [real.to_quotient(e) for e in units]
-    if any(q.reduce([sj * x for x in cj]) != zero for sj, cj in zip(s, c)):
-        return False
+    for sj, cj in zip(s, c):
+        if reduce([sj * x for x in cj]) != zero:
+            return False
     cols = list(zip(*c))
     for e in units:
         te = real.translation_tuple(e)
-        if q.reduce([sum(map(mul, te, col)) - x for col, x in zip(cols, e)]) != zero:
+        if reduce([sum(map(mul, te, col)) - x for col, x in zip(cols, e)]) != zero:
             return False
     return True
 

@@ -3,9 +3,9 @@
 columns, the unimodularity test, the rational columns of a lattice, a
 counter of the Fractions built, the integer kernel and congruence lattice
 that ``zodom`` computed before it read them off one column reduction and
-one Smith form, the Smith form as written before its row and column
-operations were inlined, the spectrum as Fraction tuples, and lattice
-membership in Fractions."""
+one Smith form, the Smith form and the column echelon form as written
+before their row and column operations were inlined, the spectrum as
+Fraction tuples, and lattice membership in Fractions."""
 
 from fractions import Fraction
 from math import prod
@@ -212,3 +212,54 @@ def snf_reference(rows):
             u[t] = [-x for x in u[t]]
         t += 1
     return u, a, v
+
+
+def column_echelon_reference(rows):
+    """``zodom.linalg._column_echelon`` as it was written with a closure for
+    its column additions, each applied even with a zero quotient: the
+    reference that the inlined version must match exactly, pivots included."""
+    m = [list(row) for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+
+    def coladd(dst, src, q):
+        # column dst += q * column src
+        for r in m:
+            r[dst] += q * r[src]
+
+    pivots: list[int] = []
+    col = 0
+    for row in range(nr):
+        if col >= nc:
+            break
+        cur = m[row]
+        while True:
+            jmin = -1
+            best = 0
+            for j in range(col, nc):
+                a = abs(cur[j])
+                if a != 0 and (jmin < 0 or a < best):
+                    jmin, best = j, a
+            if jmin < 0:
+                break
+            if jmin != col:
+                for r in m:
+                    r[col], r[jmin] = r[jmin], r[col]
+            done = True
+            for j in range(col + 1, nc):
+                if cur[j] != 0:
+                    coladd(j, col, -(cur[j] // cur[col]))
+                    if cur[j] != 0:
+                        done = False
+            if done:
+                break
+        if jmin < 0:
+            continue
+        if cur[col] < 0:
+            for r in m:
+                r[col] = -r[col]
+        for j in range(col):
+            coladd(j, col, -(cur[j] // cur[col]))
+        pivots.append(row)
+        col += 1
+    return m, pivots

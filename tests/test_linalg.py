@@ -29,6 +29,7 @@ from zodom.linalg import (
 from zodom.gdsl import format_mat
 
 from helpers import (
+    column_echelon_reference,
     echelon_with_transform,
     index,
     integer_kernel,
@@ -261,6 +262,26 @@ def test_snf_transforms_match_closure_reference(rows):
     # u and v, not only s, reach printed witnesses (classify._smith_frame)
     # and the character tuples of odometer.DualityRealization
     assert snf(rows) == snf_reference(rows)
+
+
+@st.composite
+def _echelon_inputs(draw):
+    """``_rectangular_rows`` with some columns zeroed and, half the time,
+    the identity stacked below: the [A; I] of callers that need v."""
+    rows = draw(_rectangular_rows())
+    nc = len(rows[0])
+    zero = draw(st.sets(st.integers(0, nc - 1), max_size=nc))
+    rows = [[0 if j in zero else x for j, x in enumerate(row)] for row in rows]
+    if draw(st.booleans()):
+        rows += [[int(i == j) for j in range(nc)] for i in range(nc)]
+    return rows
+
+
+@given(_echelon_inputs())
+@settings(max_examples=400, deadline=None)
+def test_column_echelon_matches_closure_reference(rows):
+    # the Hermite kernel behind every Lattice: h and the pivots, exactly
+    assert linalg._column_echelon(rows) == column_echelon_reference(rows)
 
 
 # ---------------------------------------------------------------------------
