@@ -7,10 +7,11 @@ Decision strategy, in order:
   conjugacy invariant, and I and -I (-I H = -H = H) witness isomorphism
   and COE.  Under ``all_witnesses`` in d = 2 the tiers below list the
   witnesses instead;
-* cheap invariants next (superindex; per-prime divisibility rank and index
-  valuation, and for isomorphism the elementary divisors of L(p)/Z^d at
-  rank-0 primes; line-arrangement consistency) -- mismatches yield NO with
-  a checkable certificate;
+* cheap invariants next, in one walk of the primes (``_local_mismatch``):
+  superindex; per-prime divisibility rank and index valuation (COE compares
+  ranks only, after the superindexes agree); for conj and isomorphism the
+  elementary divisors of L(p)/Z^d at rank-0 primes; then line-arrangement
+  consistency -- mismatches yield NO with a checkable certificate;
 * for zero-line groups (every support prime has divisibility rank 0 or d),
   both relations are decided in any d by a constructed witness: alpha maps
   Z^d + sum of the rank-0 lattices L(p) of H onto that of H' (for
@@ -125,16 +126,9 @@ def _require_free(*groups):
             raise NotFreeError("classification requires dense (free) groups")
 
 
-def _entry_profile(e):
-    """(divisibility rank, v_p[L(p) : Z^d + L(p) n V_p]).  Both components
-    are invariant under unimodular integral changes of H; under rational
-    determinant +-1 changes only the rank and, at rank-0 primes, the
-    valuation survive (divisible directions absorb scalings elsewhere)."""
-    return (e.r, e.index_valuation())
-
-
-def _profiles(h: HGroup):
-    return {e.p: _entry_profile(e) for e in h.entries}
+def _profile(e):
+    """(divisibility rank, v_p[L(p) : Z^d + L(p) n V_p]), (0, 0) off the support."""
+    return (e.r, e.index_valuation()) if e else (0, 0)
 
 
 def _lines(h: HGroup):
@@ -142,63 +136,54 @@ def _lines(h: HGroup):
     return {e.p: e.vspan[0] for e in h.entries if e.r == 1}
 
 
-def _coe_profile_ok(h, hp):
-    """COE-invariant per-prime data: rank always; valuation only at r = 0."""
-    pa, pb = _profiles(h), _profiles(hp)
-    for p in sorted(set(pa) | set(pb)):
-        (ra, va) = pa.get(p, (0, 0))
-        (rb, vb) = pb.get(p, (0, 0))
-        if ra != rb:
-            return Certificate(
-                "local-profile", f"divisibility rank at p={p} is {ra} vs {rb}"
-            )
-        if ra == 0 and va != vb:
-            return Certificate(
-                "local-profile", f"index valuation at p={p} is {va} vs {vb}"
-            )
-    return None
+def _local_mismatch(relation, h, hp):
+    """Certificate that H and H' (of one d) differ in an invariant that
+    ``relation`` (conj, iso or COE) keeps, or None.  In order: the
+    superindex (iso and COE; the profiles fix it); over the primes of either
+    support, least first, ``_profile`` at each, whole for conj and iso
+    (alpha in GL_d(Z) keeps both components), its rank alone for COE (a
+    rational alpha of det +-1 keeps the rank; divisible directions absorb
+    scalings elsewhere); then, for conj and iso, the elementary divisors of
+    L(p)/Z^d at rank-0 primes of valuation >= 2, where a group of that
+    order is not determined by it.
 
+    COE compares no valuation, as none differs once the superindexes agree:
+    superindex(H) has exponent INF at a prime of positive rank and the
+    valuation at every other (0 off the support, where the profile reads
+    (0, 0); positive at a rank-0 entry, since ``_entry`` builds none with
+    L(p) = Z^d), so equal superindexes give equal valuations wherever both
+    ranks are 0.
 
-def _elementary_divisors(e):
-    """Elementary divisors of L(p)/Z^d at a rank-0 entry, ascending: the
-    nontrivial invariant factors of ``_rows``, a basis of L(p)*.
-
-    Proof: (x, f) -> f . x mod Z is a well-defined perfect pairing of
-    L(p)/Z^d with Z^d/L(p)* (f . x in Z for all f in Z^d forces x in Z^d,
-    for all x in L(p) forces f in L(p)*), so Z^d/L(p)* is the Pontryagin
-    dual of the finite group L(p)/Z^d, hence isomorphic to it, and it is
-    the sum of Z/s_i over the invariant factors s_i of the rows."""
-    return e._invariants
-
-
-def _iso_profile_ok(h, hp):
-    """Unimodular integral alpha preserves the full per-prime profile and,
-    at rank-0 primes, the elementary divisors of L(p)/Z^d.
-
-    Proof sketch for the divisors: alpha in GL_d(Z) fixes Z^d, so it induces
-    an isomorphism H/Z^d = H'/Z^d, which maps each p-primary part onto the
-    matching part.  At a rank-0 prime the p-primary part is the finite group
-    L(p)/Z^d, whose elementary divisors are isomorphism invariants.  They
-    are read only once the (rank, valuation) profile agrees, and only at
-    valuation >= 2, where a group of that order is not determined by it."""
-    pa, pb = _profiles(h), _profiles(hp)
-    for p in sorted(set(pa) | set(pb)):
-        a = pa.get(p, (0, 0))
-        b = pb.get(p, (0, 0))
-        if a != b:
-            return Certificate(
-                "local-profile",
-                f"(rank, valuation) at p={p} is {a} vs {b}",
-            )
-    for p, (rank, val) in sorted(pa.items()):
-        if rank == 0 and val >= 2:
-            da, db = _elementary_divisors(h.entry(p)), _elementary_divisors(hp.entry(p))
+    The elementary divisors of L(p)/Z^d at a rank-0 entry are
+    ``LocalEntry._invariants``, the nontrivial invariant factors of
+    ``_rows``, a basis of L(p)*.  Proof: (x, f) -> f . x mod Z is a
+    well-defined perfect pairing of L(p)/Z^d with Z^d/L(p)* (f . x in Z for
+    all f in Z^d forces x in Z^d, for all x in L(p) forces f in L(p)*), so
+    Z^d/L(p)* is the Pontryagin dual of the finite group L(p)/Z^d, hence
+    isomorphic to it, and it is the sum of Z/s_i over the invariant factors
+    s_i of the rows.  They are isomorphism invariants: alpha in GL_d(Z)
+    fixes Z^d, so it induces an isomorphism H/Z^d = H'/Z^d, which maps each
+    p-primary part, L(p)/Z^d at a rank-0 prime, onto the matching part."""
+    if relation != CONJ:
+        sa, sb = superindex(h), superindex(hp)
+        if sa != sb:
+            return Certificate("superindex", f"{sa} vs {sb}")
+    divisors = None
+    for p in sorted({*h.support(), *hp.support()}):
+        ea, eb = h.entry(p), hp.entry(p)
+        a, b = _profile(ea), _profile(eb)
+        if relation == COE:
+            if a[0] != b[0]:
+                detail = f"divisibility rank at p={p} is {a[0]} vs {b[0]}"
+                return Certificate("local-profile", detail)
+        elif a != b:
+            return Certificate("local-profile", f"(rank, valuation) at p={p} is {a} vs {b}")
+        elif a[0] == 0 and a[1] >= 2 and divisors is None:
+            da, db = ea._invariants, eb._invariants
             if da != db:
-                return Certificate(
-                    "elementary-divisors",
-                    f"L(p)/Z^d at p={p} has elementary divisors {da} vs {db}",
-                )
-    return None
+                detail = f"L(p)/Z^d at p={p} has elementary divisors {da} vs {db}"
+                divisors = Certificate("elementary-divisors", detail)
+    return divisors
 
 
 def _line_assignment(h, hp):
@@ -280,7 +265,7 @@ def decide(
             one = Mat.identity(h.d)
             return _yes(relation, [one, one.scale(-1)] if all_witnesses else [one], all_witnesses)
     elif relation == CONJ:
-        cert = _iso_profile_ok(h, hp) or Certificate("local-data", difference(h, hp))
+        cert = _local_mismatch(CONJ, h, hp) or Certificate("local-data", difference(h, hp))
         return Verdict(CONJ, NO, certificate=cert)
     verdict = _witness_search(relation, h, hp, bound, all_witnesses)
     # every other answer rests on a result proven in every d (module table)
@@ -291,12 +276,6 @@ def decide(
         v = verdict
         return Verdict(v.relation, v.answer, v.witness, v.certificate, v.witnesses, flags=(D3_FLAG,))
     return verdict
-
-
-def _superindex_mismatch(h, hp):
-    """Certificate that the superindexes differ, or None where they agree."""
-    sa, sb = superindex(h), superindex(hp)
-    return None if sa == sb else Certificate("superindex", f"{sa} vs {sb}")
 
 
 def _sort_key(cand: Mat):
@@ -321,8 +300,7 @@ def _witness_search(relation, h, hp, bound, all_witnesses):
     None where it leaves the pair to the later steps), then for d = 2 the
     relation's line tier (two distinct divisible lines) or the bounded
     search."""
-    coe = relation == COE
-    cert = _superindex_mismatch(h, hp) or (_coe_profile_ok if coe else _iso_profile_ok)(h, hp)
+    cert = _local_mismatch(relation, h, hp)
     if cert is not None:
         return Verdict(relation, NO, certificate=cert)
     if all(e.r in (0, h.d) for e in h.entries):
@@ -335,7 +313,7 @@ def _witness_search(relation, h, hp, bound, all_witnesses):
     assignment, cert = _line_assignment(h, hp)
     if cert is not None:
         return Verdict(relation, NO, certificate=cert)
-    distinct = sorted(set(_lines(h).values()))
+    distinct = sorted(assignment)  # the distinct lines of H
     if len(distinct) < 2:
         return _bounded_search(relation, h, hp, bound, all_witnesses)
     # _line_assignment rejects two lines with one target, so the targets differ
@@ -439,14 +417,14 @@ def _zero_line_tier(relation, h, hp, bound, all_witnesses):
     prime; rank-d primes allow everything, hence alpha H = H'.
 
     For COE, alpha = B(M') B(M)^-1, and det alpha = det B(M') / det B(M) =
-    prod p^(v_p - v'_p) over the rank-0 primes, which is 1 exactly when the
-    COE profiles agree.  So alpha meets the COE criterion (alpha H = H' with
+    prod p^(v_p - v'_p) over the rank-0 primes, which is 1 once the
+    superindexes agree (``_local_mismatch``).  So alpha meets the COE criterion (alpha H = H' with
     det alpha = +-1; Giordano-Putnam-Skau, arXiv 1709.08585).
 
     For isomorphism, alpha = V' V^-1 from ``_smith_frame``, which lies in
     GL_d(Z) and maps M = V S^-1 Z^d onto V' S'^-1 Z^d = M' when S = S'.  The
     diagonal of S lists the elementary divisors of M / Z^d, the sum of the
-    L(p) / Z^d, which ``_iso_profile_ok`` has compared prime by prime (by
+    L(p) / Z^d, which ``_local_mismatch`` has compared prime by prime (by
     the valuation alone where it is at most 1).  So
     for zero-line groups both relations are YES exactly when the profiles
     agree.

@@ -543,11 +543,12 @@ def tower(h: HGroup, depth: int) -> Tower:
 def _levels(h: HGroup, depth: int):
     """The levels H_1, ..., H_depth of ``tower`` without their duals, each
     built from the one before; a level equal to the one before is the same
-    Lattice object.  ``tower`` adds the duals, and the ``h1`` verb, which
-    prints only the levels, reads them here.  Each support prime p <= depth
-    (the others divide no n <= depth) reads the Smith form its entry keeps
-    (``LocalEntry._smith``), and each Lambda_p(k) is read off it by
-    ``_congruence_rows``; no Smith form is computed here."""
+    Lattice object.  ``tower`` adds the duals; the ``h1`` verb and
+    ``superindex_oracle``, which need only the levels, read them here.
+    Each support prime p <= depth (the others divide no n <= depth) reads
+    the Smith form its entry keeps (``LocalEntry._smith``), and each
+    Lambda_p(k) is read off it by ``_congruence_rows``; no Smith form is
+    computed here."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     d = h.d
@@ -575,11 +576,11 @@ def _levels(h: HGroup, depth: int):
 
 def superindex_oracle(h, depth: int) -> dict[int, int]:
     """Union-of-divisors reading of the superindex from a finite tower:
-    for each prime, the largest exponent dividing some level index."""
-    t = tower(h, depth)
+    for each prime, the largest exponent dividing some level index
+    [H_n : Z^d] = den^d / prod diag of the level (1/den) M, with no dual."""
     exps: dict[int, int] = {}
-    for n in range(1, t.depth + 1):
-        idx = t.index_at(n)
+    for level in _levels(h, depth):
+        idx = level.den**h.d // prod(level.diagonal())
         if idx == 1:
             continue
         for p, e in factorint(idx).items():

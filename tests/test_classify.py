@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -45,7 +46,7 @@ from helpers import (
     local_pairs,
     rational_mat,
 )
-from test_hgroup import det_one_matrices
+from test_hgroup import _elementary_divisors_reference, det_one_matrices, free_groups
 
 F = Fraction
 
@@ -532,6 +533,72 @@ def test_relation_dispatch():
     assert decide("oe", a, a).answer == "YES"
     with pytest.raises(ValueError):
         decide("nope", a, a)
+
+
+# ---------------------------------------------------------------------------
+# the invariant screen: superindex, per-prime profile, elementary divisors
+
+
+def _screen_reference(relation, h, hp):
+    """The screen as three walks, with COE's rank-0 valuation check and the
+    elementary divisors read off the Smith form of each L(p)."""
+    sa, sb = superindex(h), superindex(hp)
+    if relation != CONJ and sa != sb:
+        return Certificate("superindex", f"{sa} vs {sb}")
+    primes = sorted(set(h.support()) | set(hp.support()))
+    for p in primes:
+        ea, eb = h.entry(p), hp.entry(p)
+        (ra, va), (rb, vb) = [(e.r, e.index_valuation()) if e else (0, 0) for e in (ea, eb)]
+        if relation == COE and ra != rb:
+            return Certificate("local-profile", f"divisibility rank at p={p} is {ra} vs {rb}")
+        if relation == COE and ra == 0 and va != vb:
+            return Certificate("local-profile", f"index valuation at p={p} is {va} vs {vb}")
+        if relation != COE and (ra, va) != (rb, vb):
+            detail = f"(rank, valuation) at p={p} is {(ra, va)} vs {(rb, vb)}"
+            return Certificate("local-profile", detail)
+    for p in primes if relation != COE else ():
+        ea, eb = h.entry(p), hp.entry(p)
+        if ea.r == 0 and ea.index_valuation() >= 2:
+            da, db = (_elementary_divisors_reference(e.lattice) for e in (ea, eb))
+            if da != db:
+                detail = f"L(p)/Z^d at p={p} has elementary divisors {da} vs {db}"
+                return Certificate("elementary-divisors", detail)
+    return None
+
+
+def test_local_mismatch_matches_reference():
+    # unrelated pairs, and (H, beta H) with det beta = +-1, which keep every
+    # COE invariant, and every iso invariant when beta is integral
+    kinds = []
+
+    @given(st.sampled_from([2, 3]), st.sampled_from([False, True, True]), st.data())
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    def check(d, constructed, data):
+        h = data.draw(free_groups(d))
+        if constructed:
+            beta = data.draw(det_one_matrices(d))
+            try:
+                hp = apply_matrix(beta, h)
+            except NotSupergroupError:
+                constructed = False
+        if not constructed:
+            hp = data.draw(free_groups(d))
+        got = {r: classify._local_mismatch(r, h, hp) for r in (CONJ, ISO, COE)}
+        for relation, cert in got.items():
+            assert cert == _screen_reference(relation, h, hp), relation
+        if constructed:
+            assert got[COE] is None
+            if beta.is_integer():
+                assert got[ISO] is None
+        kinds.append((constructed, *(c.kind if c else None for c in got.values())))
+
+    check()
+    assert sum(k[0] for k in kinds) >= 200
+    seen = Counter(k[1:] for k in kinds)  # (conj, iso, COE) certificate kinds
+    assert seen["local-profile", "superindex", "superindex"] >= 50
+    assert seen["local-profile", "local-profile", "local-profile"] >= 10  # a rank differs
+    assert seen["local-profile", "local-profile", None] >= 10  # a valuation at rank >= 1
+    assert seen["elementary-divisors", "elementary-divisors", None] >= 1
 
 
 # ---------------------------------------------------------------------------
